@@ -9,10 +9,9 @@ CFG=$OUT/cfg.yaml
 mkdir -p "$OUT"
 cat > "$CFG" <<'EOF'
 sim: {episode_duration_s: 10.0}
-traces: {n: 3, length: 100}
+traces: {n: 3}
 adversary: {episodes: 48, rollouts: 4}
 train: {episodes: 48, population: 16}
-repetitions: 1
 seed: 7
 EOF
 
@@ -20,7 +19,7 @@ ccprobe gen-trace --n 3 --length 100 --out "$OUT/traces" --seed 7
 ccprobe export --trace "$OUT/traces/trace_000.trace" --dest "$OUT/trace_000.mahi"
 
 ccprobe baseline --config "$CFG" --controllers reno,cubic,vegas,illinois,lp,bbrlite \
-    --setting both --out "$OUT/baseline" --workers 4
+    --setting both --out "$OUT/baseline" --workers "$(nproc)"
 ccprobe lp-case --config "$CFG" --out "$OUT/lp-case"
 
 ccprobe attack --config "$CFG" --controller reno  --out "$OUT/attacks" --seed 1

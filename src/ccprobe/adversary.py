@@ -20,7 +20,7 @@ import numpy as np
 from .cem import CemConfig, cem_maximize
 from .learned import (DomainError, PolicyNet, RewardParams, controller_reward,
                       observation_features)
-from .netsim import Observation, SimConfig, run_episode
+from .netsim import EpisodeLog, Observation, SimConfig, run_episode
 from .tracegen import SmoothnessBudget, gen_random_trace, project_next
 
 
@@ -222,19 +222,22 @@ def make_adversary_policy(surface: SurfaceMode, hidden: int = 16,
 
 # --- calibration and training ------------------------------------------------
 
-def calibrate_tau(controller_factory, traces, config: SimConfig,
-                  repetitions: int = 3) -> float:
-    """Mean queuing delay of the unperturbed controller over the baseline set."""
+def clean_episodes(controller_factory, traces, config: SimConfig) -> list[EpisodeLog]:
+    """One unperturbed episode per trace, per-ACK samples off."""
     if not traces:
-        raise ValueError("baseline trace set must be non-empty")
-    delays = []
-    for trace in traces:
-        for rep in range(repetitions):
-            cfg = SimConfig(**{**config.__dict__, "rng_seed": config.rng_seed + rep,
-                               "record_acks": False})
-            log = run_episode(cfg, trace, controller_factory())
-            delays.append(log.mean_queuing_delay_ms())
-    return sum(delays) / len(delays)
+        raise ValueError("trace set must be non-empty")
+    cfg = SimConfig(**{**config.__dict__, "record_acks": False})
+    return [run_episode(cfg, trace, controller_factory()) for trace in traces]
+
+
+def mean_queuing_delay_ms(logs) -> float:
+    """Mean over episodes of each one's mean per-interval queuing delay."""
+    return sum(log.mean_queuing_delay_ms() for log in logs) / len(logs)
+
+
+def calibrate_tau(controller_factory, traces, config: SimConfig) -> float:
+    """Mean queuing delay of the unperturbed controller over the baseline set."""
+    return mean_queuing_delay_ms(clean_episodes(controller_factory, traces, config))
 
 
 def random_baseline_traces(budget: SmoothnessBudget, n: int, length: int,

@@ -3,11 +3,14 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
+from .adversary import clean_episodes, mean_queuing_delay_ms
 from .cem import CemConfig, cem_maximize
-from .learned import (PolicyNet, RewardParams, TrainLogRow, episode_return)
+from .learned import (LearnedController, PolicyNet, RewardParams, TrainLogRow,
+                      episode_return)
 from .netsim import BandwidthTrace, SimConfig
 
 
@@ -70,25 +73,16 @@ class SuiteRow:
 
 
 def evaluate_suite(policy: PolicyNet, trace_sets: dict, sim: SimConfig,
-                   reward: RewardParams, runs_per_trace: int = 3) -> list[SuiteRow]:
-    """Per-set mean utilization/delay over runs_per_trace repetitions."""
-    from .learned import LearnedController
-    from .netsim import run_episode
-
+                   reward: RewardParams) -> list[SuiteRow]:
+    """Per-set mean utilization/delay, one episode per trace."""
     if not trace_sets:
         raise ValueError("need at least one trace set")
+    factory = partial(LearnedController, policy, b_max=reward.b_max)
     rows = []
     for name, traces in trace_sets.items():
-        utils, delays = [], []
-        for trace in traces:
-            for rep in range(runs_per_trace):
-                cfg = SimConfig(**{**sim.__dict__, "rng_seed": sim.rng_seed + rep,
-                                   "record_acks": False})
-                ctl = LearnedController(policy, b_max=reward.b_max)
-                log = run_episode(cfg, trace, ctl)
-                utils.append(log.mean_utilization())
-                delays.append(log.mean_queuing_delay_ms())
-        rows.append(SuiteRow(trace_set=name,
-                             utilization=sum(utils) / len(utils),
-                             mean_delay_ms=sum(delays) / len(delays)))
+        logs = clean_episodes(factory, traces, sim)
+        rows.append(SuiteRow(
+            trace_set=name,
+            utilization=sum(log.mean_utilization() for log in logs) / len(logs),
+            mean_delay_ms=mean_queuing_delay_ms(logs)))
     return rows

@@ -38,8 +38,6 @@ class GenerationStats:
 @dataclass
 class CemResult:
     best_params: np.ndarray
-    mean_params: np.ndarray
-    elite_params: list[np.ndarray]
     history: list[GenerationStats] = field(default_factory=list)
 
 
@@ -57,7 +55,6 @@ def cem_maximize(objective, dim: int, generations: int, config: CemConfig,
 
     best_params = mean.copy()
     best_return = -np.inf
-    elites = [mean.copy()]
     history: list[GenerationStats] = []
 
     for gen in range(generations):
@@ -74,7 +71,6 @@ def cem_maximize(objective, dim: int, generations: int, config: CemConfig,
                 returns[i] = out
         order = np.argsort(returns)[::-1]
         elite_idx = order[:n_elite]
-        elites = [pop[i].copy() for i in elite_idx]
         mean = pop[elite_idx].mean(axis=0)
         std = pop[elite_idx].std(axis=0)
         if returns[order[0]] > best_return:
@@ -89,5 +85,4 @@ def cem_maximize(objective, dim: int, generations: int, config: CemConfig,
         ))
         if gen < generations - 1 and float(returns.std()) == 0.0:
             raise OptimizerError("population returns collapsed to zero variance")
-    return CemResult(best_params=best_params, mean_params=mean,
-                     elite_params=elites, history=history)
+    return CemResult(best_params=best_params, history=history)

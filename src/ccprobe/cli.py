@@ -11,6 +11,7 @@ is 0 only when all invariant checks pass.
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -18,9 +19,9 @@ from concurrent.futures import ProcessPoolExecutor
 from . import advtrain
 from .adversary import (AdversarySpec, DelayConstraint, FeatureBound,
                         FeatureIntercept, PerturbMode, SurfaceMode,
-                        adversarial_episode, calibrate_tau,
-                        random_baseline_traces, select_worst_trace,
-                        train_adversary)
+                        adversarial_episode, clean_episodes,
+                        mean_queuing_delay_ms, random_baseline_traces,
+                        select_worst_trace, train_adversary)
 from .cc import RULE_BASED, Lp, make_controller
 from .config import ExperimentConfig, SchemaError, load_config
 from .learned import (LearnedController, PolicyNet, load_policy, save_policy,
@@ -95,11 +96,7 @@ def _run_job(job: dict) -> dict:
         ctl = LearnedController(policy, b_max=job["b_max"])
     else:
         ctl = make_controller(job["controller"], **job.get("constants", {}))
-    log = run_episode(sim, trace, ctl)
-    rep = build_report(log)
-    return {"utilization": rep.utilization, "mean_delay_ms": rep.mean_delay_ms,
-            "p95_delay_ms": rep.p95_delay_ms, "dropped": log.dropped,
-            "json": rep.to_json()}
+    return build_report(run_episode(sim, trace, ctl)).summary()
 
 
 def _map_jobs(jobs: list[dict], workers: int) -> list[dict]:
@@ -114,13 +111,11 @@ def _episode_jobs(controllers, traces, cfg: ExperimentConfig, checkpoint,
     jobs, keys = [], []
     for name in controllers:
         for ti, trace in enumerate(traces):
-            for rep in range(cfg.repetitions):
-                sim = {**cfg.sim.__dict__, "rng_seed": cfg.seed + rep}
-                jobs.append({"sim": sim, "interval_ms": trace.interval_ms,
-                             "values": list(trace.values), "controller": name,
-                             "constants": cfg.controller_constants if name == cfg.controller else {},
-                             "checkpoint": checkpoint, "b_max": cfg.reward.b_max})
-                keys.append((name, setting, ti, rep))
+            jobs.append({"sim": cfg.sim.__dict__, "interval_ms": trace.interval_ms,
+                         "values": list(trace.values), "controller": name,
+                         "constants": cfg.controller_constants if name == cfg.controller else {},
+                         "checkpoint": checkpoint, "b_max": cfg.reward.b_max})
+            keys.append((name, setting, ti))
     return jobs, keys
 
 
@@ -164,9 +159,9 @@ def cmd_baseline(args) -> int:
                ["model", "setting", "utilization", "delay_ms", "p95_ms"],
                rows, cfg.config_hash(), cfg.seed)
     with open(os.path.join(out, "baseline_episodes.jsonl"), "w") as f:
-        for key, r in zip(keys, results):
-            f.write(f'{{"key": "{key[0]}/{key[1]}/t{key[2]}/r{key[3]}", '
-                    f'"report": {r["json"].replace(chr(10), " ")}}}\n')
+        for (name, setting, ti), r in zip(keys, results):
+            f.write(json.dumps({"key": f"{name}/{setting}/t{ti}", "report": r})
+                    + "\n")
     print(f"wrote {out}/baseline.csv ({len(rows)} rows, {len(jobs)} episodes)")
     return 0
 
@@ -185,9 +180,13 @@ def cmd_attack(args) -> int:
                             cfg.reward.b_max)
     baseline_traces = _build_traces_random(cfg)
 
+    # one clean episode per baseline trace gives both tau and the baseline row
+    base_logs = clean_episodes(factory, baseline_traces, cfg.sim)
+    base_util = _mean([log.mean_utilization() for log in base_logs])
+    base_delay = mean_queuing_delay_ms(base_logs)
     tau = adv.tau_ms
     if tau is None and adv.reward_mode == "delay_constrained":
-        tau = calibrate_tau(factory, baseline_traces, cfg.sim, cfg.repetitions)
+        tau = base_delay
         print(f"calibrated tau = {tau:.3f} ms")
     constraint = DelayConstraint(tau_ms=tau or 0.0, alpha=adv.alpha,
                                  window_h=adv.window_h, window_k=adv.window_k)
@@ -215,17 +214,6 @@ def cmd_attack(args) -> int:
                cfg.config_hash(), cfg.seed)
     save_policy(policy, os.path.join(out, f"adv_policy_{target}.ckpt"),
                 feature_names=tuple(f"f{i}" for i in range(policy.n_features)))
-
-    # baseline numbers for the delta columns
-    base_evals = []
-    for trace in baseline_traces:
-        for rep in range(cfg.repetitions):
-            sim = SimConfig(**{**cfg.sim.__dict__, "rng_seed": cfg.seed + rep,
-                               "record_acks": False})
-            log = run_episode(sim, trace, factory())
-            base_evals.append((log.mean_utilization(), log.mean_queuing_delay_ms()))
-    base_util = _mean([u for u, _ in base_evals])
-    base_delay = _mean([d for _, d in base_evals])
 
     ok = True
     rows = [[target, "baseline", base_util, base_delay, 0.0, 0.0]]
@@ -280,30 +268,22 @@ def cmd_transfer(args) -> int:
     jobs, keys = [], []
     for src, trace in named:
         for ctl in controllers:
-            for rep in range(cfg.repetitions):
-                sim = {**cfg.sim.__dict__, "rng_seed": cfg.seed + rep}
-                jobs.append({"sim": sim, "interval_ms": trace.interval_ms,
-                             "values": list(trace.values), "controller": ctl,
-                             "constants": {}, "checkpoint": args.checkpoint,
-                             "b_max": cfg.reward.b_max})
-                keys.append((src, ctl, rep))
-    results = _map_jobs(jobs, args.workers)
+            jobs.append({"sim": cfg.sim.__dict__, "interval_ms": trace.interval_ms,
+                         "values": list(trace.values), "controller": ctl,
+                         "constants": {}, "checkpoint": args.checkpoint,
+                         "b_max": cfg.reward.b_max})
+            keys.append((src, ctl))
+    cells = dict(zip(keys, _map_jobs(jobs, args.workers)))
 
-    cells = {}
-    for (src, ctl, _), r in zip(keys, results):
-        cells.setdefault((src, ctl), []).append(r)
     col_min = {}
     for ctl in controllers:
-        utils = {src: _mean([x["utilization"] for x in cells[(src, ctl)]])
-                 for src, _ in named}
+        utils = {src: cells[(src, ctl)]["utilization"] for src, _ in named}
         col_min[ctl] = min(utils, key=utils.get)
     rows = []
     for src, _ in named:
         for ctl in controllers:
             got = cells[(src, ctl)]
-            rows.append([src, ctl,
-                         _mean([x["utilization"] for x in got]),
-                         _mean([x["mean_delay_ms"] for x in got]),
+            rows.append([src, ctl, got["utilization"], got["mean_delay_ms"],
                          int(src == ctl), int(col_min[ctl] == src)])
     _write_csv(os.path.join(out, "transfer.csv"),
                ["trace_target", "controller", "utilization", "delay_ms",
@@ -335,8 +315,7 @@ def cmd_lp_case(args) -> int:
     for name in names:
         constants = comparison if name == "reno" else {}
         ctl = _make_factory(name, constants, args.checkpoint, cfg.reward.b_max)()
-        log = run_episode(SimConfig(**{**cfg.sim.__dict__, "rng_seed": cfg.seed}),
-                          trace, ctl)
+        log = run_episode(cfg.sim, trace, ctl)
         rep = build_report(log)
         n_ind = len(getattr(ctl, "backoffs", []))
         rows.append([name, rep.utilization, rep.mean_delay_ms, n_ind, log.dropped])
@@ -375,7 +354,7 @@ def cmd_train(args) -> int:
                [[r.generation, r.elite_mean, r.best_return] for r in log_rows],
                cfg.config_hash(), cfg.seed)
     suite = advtrain.evaluate_suite(policy, {"train_pool": traces}, cfg.sim,
-                                    cfg.reward, cfg.repetitions)
+                                    cfg.reward)
     for row in suite:
         print(f"{row.trace_set}: util={row.utilization:.4f} "
               f"delay={row.mean_delay_ms:.2f}ms")
@@ -409,8 +388,7 @@ def cmd_retrain(args) -> int:
         sets["adversarial"] = adversarial
     rows = []
     for tag, pol in [("before", policy), ("after", new_policy)]:
-        for srow in advtrain.evaluate_suite(pol, sets, cfg.sim, cfg.reward,
-                                            cfg.repetitions):
+        for srow in advtrain.evaluate_suite(pol, sets, cfg.sim, cfg.reward):
             rows.append([tag, srow.trace_set, srow.utilization,
                          srow.mean_delay_ms])
     _write_csv(os.path.join(out, "retrain_eval.csv"),
@@ -440,7 +418,7 @@ def cmd_sweep_p(args) -> int:
             policy, pool, episodes, cfg.sim, cfg.reward, cfg.train.cem(cfg.seed))
         suite = advtrain.evaluate_suite(
             new_policy, {"random_baseline": benign, "adversarial": adversarial},
-            cfg.sim, cfg.reward, cfg.repetitions)
+            cfg.sim, cfg.reward)
         by = {s.trace_set: s for s in suite}
         rows.append([p, by["random_baseline"].utilization,
                      by["random_baseline"].mean_delay_ms,

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, fields
 
 import yaml
 
-from .adversary import PerturbMode, RewardMode, SurfaceMode
+from .adversary import PerturbMode, RewardMode
 from .cem import CemConfig
 from .learned import RewardParams
 from .netsim import ConfigError, SimConfig
@@ -32,7 +32,6 @@ class TraceSpec:
 
     source: str = "random"        # random | constant | files | burst
     n: int = 10                   # number of random traces
-    length: int = 600             # intervals per generated trace
     constant_mbps: float = 48.0
     paths: list[str] = field(default_factory=list)
     # burst parameters (triangle pattern)
@@ -46,8 +45,8 @@ class TraceSpec:
             raise SchemaError(f"unknown trace source {self.source!r}")
         if self.source == "files" and not self.paths:
             raise SchemaError("trace source 'files' needs non-empty paths")
-        if self.n < 1 or self.length < 1:
-            raise SchemaError("trace n and length must be >= 1")
+        if self.n < 1:
+            raise SchemaError("trace n must be >= 1")
 
 
 @dataclass
@@ -70,10 +69,6 @@ class AdversaryConfig:
             raise SchemaError(f"unknown reward_mode {self.reward_mode!r}")
         if self.perturb_mode not in ("adversarial", "random_noise", "clean"):
             raise SchemaError(f"unknown perturb_mode {self.perturb_mode!r}")
-
-    def surface_enum(self) -> SurfaceMode:
-        return (SurfaceMode.ENV_BANDWIDTH if self.surface == "env"
-                else SurfaceMode.FEATURE_MIN_RTT)
 
     def reward_enum(self) -> RewardMode:
         return (RewardMode.NAIVE if self.reward_mode == "naive"
@@ -114,13 +109,10 @@ class ExperimentConfig:
     controller: str = "reno"
     controller_constants: dict = field(default_factory=dict)
     seed: int = 0
-    repetitions: int = 3
     output_dir: str = "runs"
 
     def __post_init__(self):
         self.sim.validate()
-        if self.repetitions < 1:
-            raise SchemaError("repetitions must be >= 1")
 
     def canonical(self) -> dict:
         return dataclasses.asdict(self)
@@ -138,8 +130,7 @@ _SECTIONS = {
     "adversary": AdversaryConfig,
     "train": TrainSpec,
 }
-_SCALARS = ("controller", "controller_constants", "seed", "repetitions",
-            "output_dir")
+_SCALARS = ("controller", "controller_constants", "seed", "output_dir")
 
 
 def _build(cls, data: dict, where: str):

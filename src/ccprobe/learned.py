@@ -17,11 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cem import CemConfig, CemResult, OptimizerError, cem_maximize
-from .netsim import Observation, SimConfig, run_episode
-
-
-class DomainError(ValueError):
-    pass
+from .netsim import DomainError, Observation, SimConfig, run_episode
 
 
 @dataclass

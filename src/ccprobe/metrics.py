@@ -6,16 +6,12 @@ never the controller's possibly-perturbed estimates.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
-from .netsim import BandwidthTrace, DurationMismatch, EmptyLog, EpisodeLog
+from .netsim import (BandwidthTrace, DomainError, DurationMismatch, EmptyLog,
+                     EpisodeLog)
 from .tracegen import avg_abs_slope
-
-
-class DomainError(ValueError):
-    pass
 
 
 @dataclass
@@ -29,14 +25,13 @@ class EpisodeReport:
     egress_mbps: list[float] = field(default_factory=list)    # delivered goodput
     capacity_mbps: list[float] = field(default_factory=list)
 
-    def to_json(self) -> str:
-        d = {
+    def summary(self) -> dict:
+        return {
             "utilization": self.utilization,
             "mean_delay_ms": self.mean_delay_ms,
             "p95_delay_ms": self.p95_delay_ms,
             "mean_reward": self.mean_reward,
         }
-        return json.dumps(d, indent=2)
 
 
 def utilization(log: EpisodeLog, trace: BandwidthTrace) -> float:

@@ -3,7 +3,7 @@
 One sender, one drop-tail FIFO queue in front of a time-varying link,
 fixed propagation delay each way. Packet granularity (1500 B default),
 fixed tick (1 ms default). Everything is a pure function of the inputs,
-so identical (config, trace, controller, seed) runs give identical logs.
+so identical (config, trace, controller) runs give identical logs.
 """
 
 from __future__ import annotations
@@ -25,6 +25,10 @@ class EmptyLog(ValueError):
     pass
 
 
+class DomainError(ValueError):
+    pass
+
+
 @dataclass
 class SimConfig:
     tick_ms: float = 1.0
@@ -33,7 +37,6 @@ class SimConfig:
     packet_size: int = 1500
     episode_duration_s: float = 60.0
     trace_interval_ms: float = 100.0
-    rng_seed: int = 0
     # per-ack/per-event recording; disable during training for speed
     record_acks: bool = True
 
@@ -166,10 +169,8 @@ class EpisodeLog:
     observations: list[Observation] = field(default_factory=list)
     capacities: list[float] = field(default_factory=list)
     cwnd_series: list[tuple[float, float]] = field(default_factory=list)  # (t_ms, cwnd)
-    reward_trace: list[float] = field(default_factory=list)  # filled by callers
     # per-ack samples (empty when record_acks=False)
     ack_rtts_ms: list[float] = field(default_factory=list)
-    ack_ticks: list[int] = field(default_factory=list)
 
     @property
     def delivered_bytes(self) -> int:
@@ -245,8 +246,6 @@ def run_episode(config: SimConfig, trace, controller, intercept=None, env_driver
 
     # per-interval aggregates
     iv_delivered = iv_sent = iv_dropped = 0
-    iv_rtt_sum = 0.0
-    iv_rtt_n = 0
 
     if env_driver is not None:
         capacity = env_driver.first_capacity()
@@ -276,15 +275,12 @@ def run_episode(config: SimConfig, trace, controller, intercept=None, env_driver
                     min_rtt = rtt
                 if log.config.record_acks:
                     log.ack_rtts_ms.append(rtt)
-                    log.ack_ticks.append(tick)
             mean_rtt = rtt_sum / n
             owd = mean_rtt - config.one_way_delay_ms  # queue wait + forward prop
             if owd < min_owd:
                 min_owd = owd
             srtt = mean_rtt if srtt is None else srtt + (mean_rtt - srtt) / 8.0
             acked_pkts += n
-            iv_rtt_sum += rtt_sum
-            iv_rtt_n += n
             last_ack_tick = tick
             if drop_pending:
                 acks_after_drop += n
@@ -395,8 +391,6 @@ def run_episode(config: SimConfig, trace, controller, intercept=None, env_driver
                     capacity = trace.capacity_at(interval_idx)
                 cap_bytes_per_tick = capacity * 1e6 / 8.0 * tick_ms / 1000.0
             iv_delivered = iv_sent = iv_dropped = 0
-            iv_rtt_sum = 0.0
-            iv_rtt_n = 0
 
     log.sent = sent
     log.delivered = delivered

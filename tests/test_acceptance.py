@@ -52,7 +52,7 @@ def run_attack(factory, baseline_traces, seed):
     """Delay-constrained env attack: calibrate, train, select. Returns
     (tau, worst, elapsed_s)."""
     t0 = time.time()
-    tau = calibrate_tau(factory, baseline_traces, TRAIN_SIM, repetitions=1)
+    tau = calibrate_tau(factory, baseline_traces, TRAIN_SIM)
     spec = AdversarySpec(surface=SurfaceMode.ENV_BANDWIDTH,
                          constraint=DelayConstraint(tau_ms=tau), budget=BUDGET)
     policy, _ = train_adversary(spec, factory, TRAIN_SIM, episodes=160,
@@ -68,11 +68,8 @@ def rule_attacks(baseline_traces):
     out = {}
     for i, name in enumerate(RULE_TARGETS):
         factory = lambda: make_controller(name)
-        utils = []
-        for tr in baseline_traces:
-            for rep in range(3):
-                sim = SimConfig(**{**EVAL_SIM.__dict__, "rng_seed": rep})
-                utils.append(run_episode(sim, tr, factory()).mean_utilization())
+        utils = [run_episode(EVAL_SIM, tr, factory()).mean_utilization()
+                 for tr in baseline_traces]
         base = sum(utils) / len(utils)
         tau, worst, secs = run_attack(factory, baseline_traces, seed=1 + i)
         out[name] = (base, tau, worst, secs)
@@ -92,7 +89,7 @@ def learned_stack(baseline_traces):
     adv_trace = BandwidthTrace(100.0, worst.values)
     sets = {"random": baseline_traces, "adv": [adv_trace]}
     before = {r.trace_set: r.utilization
-              for r in evaluate_suite(policy, sets, EVAL_SIM, REWARD, 3)}
+              for r in evaluate_suite(policy, sets, EVAL_SIM, REWARD)}
     after = {}
     for p in (0.2, 1.0):
         pool = TracePool(benign=baseline_traces if p < 1 else [],
@@ -100,7 +97,7 @@ def learned_stack(baseline_traces):
         newp, _ = adversarial_retrain(policy, pool, 320, TRAIN_SIM, REWARD,
                                       CemConfig(seed=4, sigma0=0.3))
         after[p] = {r.trace_set: r.utilization
-                    for r in evaluate_suite(newp, sets, EVAL_SIM, REWARD, 3)}
+                    for r in evaluate_suite(newp, sets, EVAL_SIM, REWARD)}
     return {"policy": policy, "tau": tau, "worst": worst,
             "adv_trace": adv_trace, "before": before, "after": after,
             "elapsed": time.time() - t0}
@@ -310,7 +307,7 @@ def test_criterion_9_mixing_sweep_direction(learned_stack):
 def test_criterion_10_byte_identical_reruns(tmp_path):
     cfg = tmp_path / "cfg.yaml"
     cfg.write_text("sim:\n  episode_duration_s: 5.0\n"
-                   "traces:\n  n: 2\nrepetitions: 2\nseed: 11\n")
+                   "traces:\n  n: 2\nseed: 11\n")
     outs = []
     for tag in ("a", "b"):
         out = str(tmp_path / tag)

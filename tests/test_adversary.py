@@ -97,14 +97,11 @@ def test_calibrate_tau_is_mean_of_means(short_sim):
     budget = SmoothnessBudget()
     traces = random_baseline_traces(budget, 2, 50, 100.0, seed=0)
     factory = lambda: make_controller("reno")
-    tau = calibrate_tau(factory, traces, short_sim, repetitions=2)
+    tau = calibrate_tau(factory, traces, short_sim)
     # oracle: same runs, averaged by hand
-    delays = []
-    for tr in traces:
-        for rep in range(2):
-            cfg = SimConfig(**{**short_sim.__dict__, "rng_seed": rep,
-                               "record_acks": False})
-            delays.append(run_episode(cfg, tr, factory()).mean_queuing_delay_ms())
+    cfg = SimConfig(**{**short_sim.__dict__, "record_acks": False})
+    delays = [run_episode(cfg, tr, factory()).mean_queuing_delay_ms()
+              for tr in traces]
     assert tau == pytest.approx(sum(delays) / len(delays), rel=1e-12)
     assert tau > 0.0
 

@@ -76,8 +76,8 @@ def test_retrain_does_not_mutate_input(short_sim, const_trace):
 def test_evaluate_suite_deterministic(short_sim, const_trace):
     p = PolicyNet(n_features=5, hidden=0)
     sets = {"one": [const_trace]}
-    a = evaluate_suite(p, sets, short_sim, RewardParams(), runs_per_trace=2)
-    b = evaluate_suite(p, sets, short_sim, RewardParams(), runs_per_trace=2)
+    a = evaluate_suite(p, sets, short_sim, RewardParams())
+    b = evaluate_suite(p, sets, short_sim, RewardParams())
     assert a[0].utilization == b[0].utilization
     assert a[0].mean_delay_ms == b[0].mean_delay_ms
 
@@ -85,8 +85,7 @@ def test_evaluate_suite_deterministic(short_sim, const_trace):
 def test_evaluate_suite_counts(short_sim):
     p = PolicyNet(n_features=5, hidden=0)
     trs = traces("b", n=10)
-    rows = evaluate_suite(p, {"ten": trs}, short_sim, RewardParams(),
-                          runs_per_trace=3)
-    assert len(rows) == 1               # one set, 30 episodes behind it
+    rows = evaluate_suite(p, {"ten": trs}, short_sim, RewardParams())
+    assert len(rows) == 1               # one set, 10 episodes behind it
     with pytest.raises(ValueError):
         evaluate_suite(p, {}, short_sim, RewardParams())

@@ -1,13 +1,17 @@
 """Config schema and CLI subcommands (small budgets, tmp outputs)."""
 
+import json
 import os
 
 import pytest
 
+from ccprobe.adversary import calibrate_tau, random_baseline_traces
+from ccprobe.cc import make_controller
 from ccprobe.cli import main
 from ccprobe.config import (ExperimentConfig, SchemaError, config_from_dict,
                             load_config)
-from ccprobe.netsim import read_trace
+from ccprobe.metrics import build_report
+from ccprobe.netsim import BandwidthTrace, read_trace, run_episode
 
 
 def test_default_config_valid():
@@ -26,6 +30,18 @@ def test_unknown_section_key_rejected():
         config_from_dict({"sim": {"tick": 1.0}})
     with pytest.raises(SchemaError, match="unknown keys"):
         config_from_dict({"adversary": {"surfaces": "env"}})
+
+
+def test_removed_repetition_keys_rejected(tmp_path):
+    # episodes are deterministic, so no key may ask for replays of one
+    for doc, text in (({"repetitions": 3}, "repetitions: 3\n"),
+                      ({"sim": {"rng_seed": 1}}, "sim: {rng_seed: 1}\n")):
+        with pytest.raises(SchemaError, match="unknown keys"):
+            config_from_dict(doc)
+        p = tmp_path / "old.yaml"
+        p.write_text(text)
+        assert main(["baseline", "--config", str(p),
+                     "--out", str(tmp_path / "x")]) == 2
 
 
 def test_bad_values_rejected():
@@ -54,7 +70,7 @@ def test_load_config_yaml(tmp_path):
 def _write_cfg(tmp_path, extra=""):
     p = tmp_path / "cfg.yaml"
     p.write_text("sim:\n  episode_duration_s: 5.0\n"
-                 "traces:\n  n: 2\nrepetitions: 1\nseed: 3\n" + extra)
+                 "traces:\n  n: 2\nseed: 3\n" + extra)
     return str(p)
 
 
@@ -93,6 +109,53 @@ def test_baseline_csv_deterministic(tmp_path):
     assert lines[0].startswith("# config=")
     assert lines[1] == "model,setting,utilization,delay_ms,p95_ms"
     assert len(lines) == 4
+
+
+def test_baseline_cells_are_one_direct_episode(tmp_path):
+    cfg_path = _write_cfg(tmp_path)
+    cfg = load_config(cfg_path)
+    out = str(tmp_path / "c")
+    assert main(["baseline", "--config", cfg_path,
+                 "--controllers", "reno,vegas", "--setting", "clean",
+                 "--out", out]) == 0
+    body = open(os.path.join(out, "baseline.csv")).read().splitlines()[2:]
+    trace = BandwidthTrace(cfg.sim.trace_interval_ms,
+                           [cfg.traces.constant_mbps] * cfg.sim.n_intervals)
+    for line, name in zip(body, ("reno", "vegas")):
+        rep = build_report(run_episode(cfg.sim, trace, make_controller(name)))
+        assert line == (f"{name},clean,{rep.utilization:.6f},"
+                        f"{rep.mean_delay_ms:.6f},{rep.p95_delay_ms:.6f}")
+
+
+def test_baseline_episodes_jsonl_one_line_per_episode(tmp_path):
+    cfg = _write_cfg(tmp_path)   # two random traces, one clean
+    out = str(tmp_path / "j")
+    assert main(["baseline", "--config", cfg, "--controllers", "reno,lp",
+                 "--setting", "both", "--out", out]) == 0
+    with open(os.path.join(out, "baseline_episodes.jsonl")) as f:
+        lines = [json.loads(line) for line in f]
+    keys = [d["key"] for d in lines]
+    assert sorted(keys) == sorted(f"{c}/{s}/t{t}" for c in ("reno", "lp")
+                                  for s, n in (("clean", 1), ("random", 2))
+                                  for t in range(n))
+    assert all(set(d["report"]) >= {"utilization", "mean_delay_ms"}
+               for d in lines)
+
+
+def test_attack_baseline_delay_is_calibrated_tau(tmp_path, capsys):
+    cfg_path = _write_cfg(tmp_path, "adversary:\n  surface: feature\n"
+                                    "  episodes: 0\n")
+    out = str(tmp_path / "a")
+    assert main(["attack", "--config", cfg_path, "--controller", "vegas",
+                 "--out", out]) == 0
+    cfg = load_config(cfg_path)
+    traces = random_baseline_traces(cfg.budget, cfg.traces.n, cfg.sim.n_intervals,
+                                    cfg.sim.trace_interval_ms, cfg.seed)
+    tau = calibrate_tau(lambda: make_controller("vegas"), traces, cfg.sim)
+    assert f"calibrated tau = {tau:.3f} ms" in capsys.readouterr().out
+    rows = open(os.path.join(out, "attack_vegas.csv")).read().splitlines()
+    model, condition, _, delay_ms = rows[2].split(",")[:4]
+    assert (model, condition, delay_ms) == ("vegas", "baseline", f"{tau:.6f}")
 
 
 def test_baseline_random_setting(tmp_path):

@@ -99,6 +99,11 @@ def test_log_smoothness_rescale_invariant():
     assert lin_b == pytest.approx(10.0 * lin_a, rel=1e-9)
 
 
+def test_one_domain_error_class():
+    from ccprobe import learned, metrics
+    assert metrics.DomainError is learned.DomainError
+
+
 def test_smoothness_domain_checks():
     with pytest.raises(DomainError):
         cwnd_smoothness([(0.0, 1.0), (1.0, -2.0)])
