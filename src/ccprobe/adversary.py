@@ -10,8 +10,8 @@ sits below the calibrated baseline threshold tau).
 
 from __future__ import annotations
 
+import dataclasses
 import enum
-import math
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -226,8 +226,8 @@ def clean_episodes(controller_factory, traces, config: SimConfig) -> list[Episod
     """One unperturbed episode per trace, per-ACK samples off."""
     if not traces:
         raise ValueError("trace set must be non-empty")
-    cfg = SimConfig(**{**config.__dict__, "record_acks": False})
-    return [run_episode(cfg, trace, controller_factory()) for trace in traces]
+    return [run_episode(config, trace, controller_factory(), record_acks=False)
+            for trace in traces]
 
 
 def mean_queuing_delay_ms(logs) -> float:
@@ -272,7 +272,7 @@ def adversarial_episode(spec: AdversarySpec, params, controller_factory,
         driver = EnvBandwidthDriver(spec.budget, policy, b_max=reward.b_max,
                                     seed=seed, initial_capacity=initial_capacity)
     log = run_episode(config, trace, controller_factory(), intercept=intercept,
-                      env_driver=driver)
+                      env_driver=driver, record_acks=False)
 
     delays = deque(maxlen=spec.constraint.window_h)
     total = 0.0
@@ -310,10 +310,8 @@ def train_adversary(spec: AdversarySpec, controller_factory, config: SimConfig,
     if generations == 0:
         return spec.policy, []
 
-    train_cfg = SimConfig(**{**config.__dict__, "record_acks": False})
-
     def objective(params, ep_seed):
-        ev = adversarial_episode(spec, params, controller_factory, train_cfg,
+        ev = adversarial_episode(spec, params, controller_factory, config,
                                  reward, seed=ep_seed, clean_traces=clean_traces)
         return ev.adv_return, ev.constraint_ok_rate
 
@@ -335,17 +333,14 @@ def select_worst_trace(spec: AdversarySpec, policy: PolicyNet, controller_factor
                        n_rollouts: int = 8, seed: int = 0) -> WorstTrace | None:
     """Env-surface selection: among rollout traces with mean delay >= tau,
     the one minimizing utilization. None if no rollout meets the constraint."""
-    import dataclasses
     spec = dataclasses.replace(spec, policy=policy)
     budget = spec.budget
     rng = np.random.default_rng(seed)
     candidates = []
     for i in range(n_rollouts):
         init = float(rng.uniform(budget.bw_min, budget.bw_max))
-        ev = adversarial_episode(spec, None, controller_factory,
-                                 SimConfig(**{**config.__dict__, "record_acks": False}),
-                                 reward, seed=seed + i,
-                                 initial_capacity=init)
+        ev = adversarial_episode(spec, None, controller_factory, config,
+                                 reward, seed=seed + i, initial_capacity=init)
         candidates.append(ev)
     feasible = [c for c in candidates if c.mean_delay_ms >= spec.constraint.tau_ms]
     if not feasible:

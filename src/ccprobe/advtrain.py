@@ -52,12 +52,10 @@ def adversarial_retrain(policy: PolicyNet, pool: TracePool, episodes: int,
     if generations == 0:
         return policy, []
 
-    train_sim = SimConfig(**{**sim.__dict__, "record_acks": False})
-
     def objective(params, ep_seed):
         rng = np.random.default_rng(ep_seed)
         trace = sample_trace(pool, rng)
-        return episode_return(policy.with_params(params), trace, train_sim, reward)
+        return episode_return(policy.with_params(params), trace, sim, reward)
 
     result = cem_maximize(objective, dim=policy.n_params, generations=generations,
                           config=cem, init_mean=policy.params)

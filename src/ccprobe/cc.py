@@ -14,7 +14,7 @@ from __future__ import annotations
 import enum
 import math
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .netsim import AckInfo, Observation
 
@@ -319,12 +319,6 @@ class LpFilterState:
         return LpIndication.NONE
 
 
-def lp_early_congestion_check(state: LpFilterState, owd_sample_ms: float,
-                              now_ms: float = 0.0,
-                              inference_window_ms: float = 0.0) -> LpIndication:
-    return state.check(owd_sample_ms, now_ms, inference_window_ms)
-
-
 class Lp(Controller):
     """Reno plus one-way-delay early congestion detection."""
 
@@ -519,7 +513,6 @@ def make_controller(name: str, **constants):
         ctl.cwnd = float(init_cwnd)
     if init_ssthresh is not None:
         ctl.ssthresh = float(init_ssthresh)
-        for sub in ("_reno",):
-            if hasattr(ctl, sub):
-                getattr(ctl, sub).ssthresh = float(init_ssthresh)
+        if isinstance(ctl, Lp):   # Lp's window lives in its inner Reno
+            ctl._reno.ssthresh = ctl.ssthresh
     return ctl

@@ -31,7 +31,6 @@ class GenerationStats:
     generation: int
     elite_mean: float
     best_return: float
-    mean_return: float
     constraint_satisfaction_rate: float = float("nan")
 
 
@@ -80,7 +79,6 @@ def cem_maximize(objective, dim: int, generations: int, config: CemConfig,
             generation=gen,
             elite_mean=float(returns[elite_idx].mean()),
             best_return=float(returns[order[0]]),
-            mean_return=float(returns.mean()),
             constraint_satisfaction_rate=float(np.nanmean(ok)) if not np.all(np.isnan(ok)) else float("nan"),
         ))
         if gen < generations - 1 and float(returns.std()) == 0.0:

@@ -11,28 +11,33 @@ is 0 only when all invariant checks pass.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from functools import partial
 
 from . import advtrain
 from .adversary import (AdversarySpec, DelayConstraint, FeatureBound,
-                        FeatureIntercept, PerturbMode, SurfaceMode,
+                        PerturbMode, RewardMode, SurfaceMode,
                         adversarial_episode, clean_episodes,
                         mean_queuing_delay_ms, random_baseline_traces,
                         select_worst_trace, train_adversary)
-from .cc import RULE_BASED, Lp, make_controller
+from .cc import RULE_BASED, make_controller
 from .config import ExperimentConfig, SchemaError, load_config
-from .learned import (LearnedController, PolicyNet, load_policy, save_policy,
-                      train_controller)
+from .learned import PolicyNet, load_policy, save_policy, train_controller
 from .metrics import build_report, dump_series_csv
-from .netsim import (BandwidthTrace, SimConfig, export_mahimahi, read_trace,
-                     run_episode, write_trace)
+from .netsim import (BandwidthTrace, export_mahimahi, read_trace, run_episode,
+                     write_trace)
 from .tracegen import (SmoothnessBudget, check_feasible, gen_burst_trace,
                        gen_random_trace, gen_unconstrained)
 
 ALL_CONTROLLERS = tuple(RULE_BASED) + ("learned",)
+
+
+class UsageError(ValueError):
+    """Arguments that cannot run; reported on one line with exit code 2."""
 
 
 # --- plumbing ----------------------------------------------------------------
@@ -77,46 +82,43 @@ def _build_traces(cfg: ExperimentConfig) -> list[BandwidthTrace]:
     return [read_trace(p) for p in t.paths]
 
 
-def _make_factory(name: str, constants: dict, checkpoint: str | None,
-                  b_max: float):
-    if name == "learned":
-        if checkpoint is None:
-            raise SystemExit("learned controller requires --checkpoint")
-        policy = load_policy(checkpoint)
-        return lambda: LearnedController(policy, b_max=b_max)
-    return lambda: make_controller(name, **constants)
+def _controller_factory(cfg: ExperimentConfig, name: str,
+                        checkpoint: str | None = None, **defaults) -> partial:
+    """The one way a command builds controllers: a picklable zero-argument
+    partial of `make_controller`.
+
+    `cfg.controller_constants` apply to `cfg.controller` only (over any
+    `defaults`); `learned` reads its checkpoint here, once. One controller is
+    built on the spot, so a missing checkpoint or a rejected constant fails
+    before any episode runs.
+    """
+    if name == "learned" and checkpoint is None:
+        raise UsageError("the learned controller requires --checkpoint")
+    kwargs = dict(defaults)
+    try:
+        if name == "learned":
+            kwargs.update(policy=load_policy(checkpoint), b_max=cfg.reward.b_max)
+        if name == cfg.controller:
+            kwargs.update(cfg.controller_constants)
+        factory = partial(make_controller, name, **kwargs)
+        factory()
+    except (TypeError, ValueError) as e:
+        raise UsageError(f"controller {name!r}: {e}") from e
+    return factory
 
 
-def _run_job(job: dict) -> dict:
-    """One episode end-to-end; module-level so worker processes can run it."""
-    sim = SimConfig(**job["sim"])
-    trace = BandwidthTrace(job["interval_ms"], job["values"])
-    if job["controller"] == "learned":
-        policy = load_policy(job["checkpoint"])
-        ctl = LearnedController(policy, b_max=job["b_max"])
-    else:
-        ctl = make_controller(job["controller"], **job.get("constants", {}))
-    return build_report(run_episode(sim, trace, ctl)).summary()
+def _report(job) -> dict:
+    """One (sim, trace, factory) episode's report; module-level so worker
+    processes can run it."""
+    sim, trace, factory = job
+    return build_report(run_episode(sim, trace, factory())).summary()
 
 
-def _map_jobs(jobs: list[dict], workers: int) -> list[dict]:
+def _map_jobs(jobs: list[tuple], workers: int) -> list[dict]:
     if workers <= 1:
-        return [_run_job(j) for j in jobs]
+        return [_report(j) for j in jobs]
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(_run_job, jobs))
-
-
-def _episode_jobs(controllers, traces, cfg: ExperimentConfig, checkpoint,
-                  setting: str) -> tuple[list[dict], list[tuple]]:
-    jobs, keys = [], []
-    for name in controllers:
-        for ti, trace in enumerate(traces):
-            jobs.append({"sim": cfg.sim.__dict__, "interval_ms": trace.interval_ms,
-                         "values": list(trace.values), "controller": name,
-                         "constants": cfg.controller_constants if name == cfg.controller else {},
-                         "checkpoint": checkpoint, "b_max": cfg.reward.b_max})
-            keys.append((name, setting, ti))
-    return jobs, keys
+        return list(pool.map(_report, jobs))
 
 
 def _mean(xs):
@@ -131,19 +133,22 @@ def cmd_baseline(args) -> int:
     controllers = (args.controllers.split(",") if args.controllers
                    else [c for c in ALL_CONTROLLERS
                          if c != "learned" or args.checkpoint])
+    factories = {name: _controller_factory(cfg, name, args.checkpoint)
+                 for name in controllers}
     settings = []
     if args.setting in ("clean", "both"):
         iv = cfg.sim.trace_interval_ms
         const = BandwidthTrace(iv, [cfg.traces.constant_mbps] * cfg.sim.n_intervals)
         settings.append(("clean", [const]))
     if args.setting in ("random", "both"):
-        settings.append(("random", _build_traces_random(cfg)))
+        settings.append(("random", _build_traces(cfg)))
 
     jobs, keys = [], []
     for setting, traces in settings:
-        j, k = _episode_jobs(controllers, traces, cfg, args.checkpoint, setting)
-        jobs += j
-        keys += k
+        for name in controllers:
+            for ti, trace in enumerate(traces):
+                jobs.append((cfg.sim, trace, factories[name]))
+                keys.append((name, setting, ti))
     results = _map_jobs(jobs, args.workers)
 
     rows = []
@@ -166,19 +171,13 @@ def cmd_baseline(args) -> int:
     return 0
 
 
-def _build_traces_random(cfg: ExperimentConfig) -> list[BandwidthTrace]:
-    return random_baseline_traces(cfg.budget, cfg.traces.n, cfg.sim.n_intervals,
-                                  cfg.sim.trace_interval_ms, cfg.seed)
-
-
 def cmd_attack(args) -> int:
     cfg = _load_cfg(args)
     out = _out_dir(args, cfg)
     adv = cfg.adversary
     target = args.controller or cfg.controller
-    factory = _make_factory(target, cfg.controller_constants, args.checkpoint,
-                            cfg.reward.b_max)
-    baseline_traces = _build_traces_random(cfg)
+    factory = _controller_factory(cfg, target, args.checkpoint)
+    baseline_traces = _build_traces(cfg)
 
     # one clean episode per baseline trace gives both tau and the baseline row
     base_logs = clean_episodes(factory, baseline_traces, cfg.sim)
@@ -192,19 +191,18 @@ def cmd_attack(args) -> int:
                                  window_h=adv.window_h, window_k=adv.window_k)
     if adv.surface == "feature":
         spec = AdversarySpec(surface=SurfaceMode.FEATURE_MIN_RTT,
-                             reward_mode=adv.reward_enum(),
+                             reward_mode=RewardMode(adv.reward_mode),
                              constraint=constraint,
-                             feature_bound=FeatureBound(adv.x_fraction,
-                                                        adv.perturb_enum()))
+                             feature_bound=FeatureBound(
+                                 adv.x_fraction, PerturbMode(adv.perturb_mode)))
     else:
         spec = AdversarySpec(surface=SurfaceMode.ENV_BANDWIDTH,
-                             reward_mode=adv.reward_enum(),
+                             reward_mode=RewardMode(adv.reward_mode),
                              constraint=constraint, budget=cfg.budget)
 
     policy, history = train_adversary(spec, factory, cfg.sim, adv.episodes,
                                       cfg.reward, cfg.train.cem(cfg.seed),
                                       clean_traces=baseline_traces)
-    import dataclasses
     spec = dataclasses.replace(spec, policy=policy)
     _write_csv(os.path.join(out, f"adv_train_{target}.csv"),
                ["generation", "elite_mean", "best_return",
@@ -232,11 +230,9 @@ def cmd_attack(args) -> int:
                      worst.utilization - base_util,
                      worst.mean_delay_ms - base_delay])
     else:
-        evals = []
-        for i, trace in enumerate(baseline_traces):
-            ev = adversarial_episode(spec, None, factory, cfg.sim, cfg.reward,
+        evals = [adversarial_episode(spec, None, factory, cfg.sim, cfg.reward,
                                      seed=i, clean_traces=baseline_traces)
-            evals.append(ev)
+                 for i in range(len(baseline_traces))]
         util = _mean([e.utilization for e in evals])
         delay = _mean([e.mean_delay_ms for e in evals])
         rows.append([target, "attack", util, delay,
@@ -264,15 +260,12 @@ def cmd_transfer(args) -> int:
     controllers = (args.controllers.split(",") if args.controllers
                    else [c for c in ALL_CONTROLLERS
                          if c != "learned" or args.checkpoint])
+    factories = {ctl: _controller_factory(cfg, ctl, args.checkpoint)
+                 for ctl in controllers}
 
-    jobs, keys = [], []
-    for src, trace in named:
-        for ctl in controllers:
-            jobs.append({"sim": cfg.sim.__dict__, "interval_ms": trace.interval_ms,
-                         "values": list(trace.values), "controller": ctl,
-                         "constants": {}, "checkpoint": args.checkpoint,
-                         "b_max": cfg.reward.b_max})
-            keys.append((src, ctl))
+    keys = [(src, ctl) for src, _ in named for ctl in controllers]
+    jobs = [(cfg.sim, trace, factories[ctl])
+            for _, trace in named for ctl in controllers]
     cells = dict(zip(keys, _map_jobs(jobs, args.workers)))
 
     col_min = {}
@@ -306,15 +299,15 @@ def cmd_lp_case(args) -> int:
     # so its episode stays loss-free and only loss signals could back it off
     peak_bdp = (t.peak * 1e6 / 8.0 * cfg.sim.base_rtt_ms / 1000.0
                 / cfg.sim.packet_size)
-    comparison = dict(cfg.controller_constants)
-    comparison.setdefault("initial_ssthresh", peak_bdp)
-
     names = ["lp", "reno"] + (["learned"] if args.checkpoint else [])
+    defaults = {"reno": {"initial_ssthresh": peak_bdp}}
+    factories = {name: _controller_factory(cfg, name, args.checkpoint,
+                                           **defaults.get(name, {}))
+                 for name in names}
     rows = []
     checks = []
     for name in names:
-        constants = comparison if name == "reno" else {}
-        ctl = _make_factory(name, constants, args.checkpoint, cfg.reward.b_max)()
+        ctl = factories[name]()
         log = run_episode(cfg.sim, trace, ctl)
         rep = build_report(log)
         n_ind = len(getattr(ctl, "backoffs", []))
@@ -372,7 +365,7 @@ def cmd_retrain(args) -> int:
     out = _out_dir(args, cfg)
     policy = load_policy(args.init)
     benign = (_load_pool_dir(args.pool_benign) if args.pool_benign
-              else _build_traces_random(cfg))
+              else _build_traces(cfg))
     adversarial = _load_pool_dir(args.pool_adv) if args.pool_adv else []
     mix_p = cfg.train.mix_p if args.mix_p is None else args.mix_p
     pool = advtrain.TracePool(benign=benign, adversarial=adversarial,
@@ -406,7 +399,7 @@ def cmd_sweep_p(args) -> int:
     out = _out_dir(args, cfg)
     policy = load_policy(args.init)
     benign = (_load_pool_dir(args.pool_benign) if args.pool_benign
-              else _build_traces_random(cfg))
+              else _build_traces(cfg))
     adversarial = _load_pool_dir(args.pool_adv)
     episodes = args.episodes or cfg.train.episodes
     rows = []
@@ -553,7 +546,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (SchemaError, FileNotFoundError) as e:
+    except (SchemaError, UsageError, FileNotFoundError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

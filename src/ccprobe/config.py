@@ -15,7 +15,6 @@ from dataclasses import dataclass, field, fields
 
 import yaml
 
-from .adversary import PerturbMode, RewardMode
 from .cem import CemConfig
 from .learned import RewardParams
 from .netsim import ConfigError, SimConfig
@@ -69,15 +68,6 @@ class AdversaryConfig:
             raise SchemaError(f"unknown reward_mode {self.reward_mode!r}")
         if self.perturb_mode not in ("adversarial", "random_noise", "clean"):
             raise SchemaError(f"unknown perturb_mode {self.perturb_mode!r}")
-
-    def reward_enum(self) -> RewardMode:
-        return (RewardMode.NAIVE if self.reward_mode == "naive"
-                else RewardMode.DELAY_CONSTRAINED)
-
-    def perturb_enum(self) -> PerturbMode:
-        return PerturbMode(
-            {"adversarial": "adversarial", "random_noise": "random_noise",
-             "clean": "clean"}[self.perturb_mode])
 
 
 @dataclass

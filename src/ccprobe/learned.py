@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cem import CemConfig, CemResult, OptimizerError, cem_maximize
+from .cem import CemConfig, cem_maximize
 from .netsim import DomainError, Observation, SimConfig, run_episode
 
 
@@ -148,7 +148,6 @@ class LearnedController:
         self.phase = None
         self.pacing_rate_bps = None
         self.prev_action = 0.0
-        self.actions: list[float] = []
 
     def on_ack(self, ack) -> None:
         pass
@@ -161,7 +160,6 @@ class LearnedController:
         a = self.policy.act(feats)
         self.cwnd = min(self.cwnd_max, max(1.0, self.cwnd * 2.0 ** a))
         self.prev_action = a
-        self.actions.append(a)
 
 
 @dataclass
@@ -175,7 +173,7 @@ def episode_return(policy: PolicyNet, trace, sim: SimConfig,
                    reward: RewardParams, intercept=None) -> float:
     """Mean per-interval controller reward over one episode."""
     ctl = LearnedController(policy, b_max=reward.b_max)
-    log = run_episode(sim, trace, ctl, intercept=intercept)
+    log = run_episode(sim, trace, ctl, intercept=intercept, record_acks=False)
     rs = [controller_reward(o, reward) for o in log.observations]
     return sum(rs) / len(rs) if rs else 0.0
 
@@ -196,11 +194,9 @@ def train_controller(policy: PolicyNet, traces, episodes: int,
     if generations == 0:
         return policy, []
 
-    train_sim = SimConfig(**{**sim.__dict__, "record_acks": False})
-
     def objective(params, ep_seed):
         trace = traces[ep_seed % len(traces)]
-        return episode_return(policy.with_params(params), trace, train_sim, reward)
+        return episode_return(policy.with_params(params), trace, sim, reward)
 
     result = cem_maximize(objective, dim=policy.n_params, generations=generations,
                           config=cem, init_mean=policy.params)
@@ -209,7 +205,7 @@ def train_controller(policy: PolicyNet, traces, episodes: int,
     candidate = policy.with_params(result.best_params)
     # monotone-improvement contract, checked on a held-out trace
     check = holdout if holdout is not None else traces[0]
-    if episode_return(candidate, check, train_sim, reward) >= \
-            episode_return(policy, check, train_sim, reward):
+    if episode_return(candidate, check, sim, reward) >= \
+            episode_return(policy, check, sim, reward):
         return candidate, rows
     return policy, rows

@@ -7,10 +7,9 @@ never the controller's possibly-perturbed estimates.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 
-from .netsim import (BandwidthTrace, DomainError, DurationMismatch, EmptyLog,
-                     EpisodeLog)
+from .netsim import DomainError, EmptyLog, EpisodeLog
 from .tracegen import avg_abs_slope
 
 
@@ -19,32 +18,9 @@ class EpisodeReport:
     utilization: float
     mean_delay_ms: float
     p95_delay_ms: float
-    mean_reward: float
-    cwnd_series: list[tuple[float, float]] = field(default_factory=list)
-    ingress_mbps: list[float] = field(default_factory=list)   # offered load (sent)
-    egress_mbps: list[float] = field(default_factory=list)    # delivered goodput
-    capacity_mbps: list[float] = field(default_factory=list)
 
     def summary(self) -> dict:
-        return {
-            "utilization": self.utilization,
-            "mean_delay_ms": self.mean_delay_ms,
-            "p95_delay_ms": self.p95_delay_ms,
-            "mean_reward": self.mean_reward,
-        }
-
-
-def utilization(log: EpisodeLog, trace: BandwidthTrace) -> float:
-    """Delivered goodput bytes / integral of trace capacity, clamped to [0,1]."""
-    n = len(log.observations)
-    trace_s = trace.duration_s
-    episode_s = n * log.config.trace_interval_ms / 1000.0
-    if abs(trace_s - episode_s) > 1e-6:
-        raise DurationMismatch(f"trace covers {trace_s}s, log covers {episode_s}s")
-    cap_bytes = trace.total_bytes(n)
-    if cap_bytes <= 0 or log.delivered == 0:
-        return 0.0
-    return min(1.0, log.delivered_bytes / cap_bytes)
+        return asdict(self)
 
 
 def nearest_rank_p95(values) -> float:
@@ -88,35 +64,14 @@ def cwnd_smoothness(series, k: int = 1) -> tuple[float, float]:
     return sum(linear_terms) / len(linear_terms), sum(log_terms) / len(log_terms)
 
 
-def build_report(log: EpisodeLog, trace: BandwidthTrace | None = None,
-                 mean_reward: float = 0.0) -> EpisodeReport:
-    if trace is not None:
-        util = utilization(log, trace)
-    else:
-        util = log.mean_utilization()
+def build_report(log: EpisodeLog) -> EpisodeReport:
     if log.ack_rtts_ms:
         mean_d, p95_d = delay_stats(log)
     else:
         mean_d = log.mean_queuing_delay_ms()
         p95_d = float("nan")
-    pkt = log.config.packet_size
-    secs = log.config.trace_interval_ms / 1000.0
-    ingress = []
-    egress = []
-    for o in log.observations:
-        egress.append(o.throughput_mbps)
-        ingress.append(o.throughput_mbps + o.loss_mbps)
-    series = [(t / 1000.0, max(c, 1e-9)) for t, c in log.cwnd_series]
-    return EpisodeReport(
-        utilization=util,
-        mean_delay_ms=mean_d,
-        p95_delay_ms=p95_d,
-        mean_reward=mean_reward,
-        cwnd_series=series,
-        ingress_mbps=ingress,
-        egress_mbps=egress,
-        capacity_mbps=list(log.capacities),
-    )
+    return EpisodeReport(utilization=log.mean_utilization(),
+                         mean_delay_ms=mean_d, p95_delay_ms=p95_d)
 
 
 def dump_series_csv(log: EpisodeLog, path: str) -> None:

@@ -17,10 +17,6 @@ class ConfigError(ValueError):
     pass
 
 
-class DurationMismatch(ValueError):
-    pass
-
-
 class EmptyLog(ValueError):
     pass
 
@@ -37,8 +33,6 @@ class SimConfig:
     packet_size: int = 1500
     episode_duration_s: float = 60.0
     trace_interval_ms: float = 100.0
-    # per-ack/per-event recording; disable during training for speed
-    record_acks: bool = True
 
     def validate(self) -> None:
         if self.tick_ms <= 0:
@@ -85,11 +79,6 @@ class BandwidthTrace:
     def capacity_at(self, interval_idx: int) -> float:
         # cycles like Mahimahi replays
         return self.values[interval_idx % len(self.values)]
-
-    def total_bytes(self, n_intervals: int | None = None) -> float:
-        n = len(self.values) if n_intervals is None else n_intervals
-        secs = self.interval_ms / 1000.0
-        return sum(self.capacity_at(i) for i in range(n)) * 1e6 / 8.0 * secs
 
 
 def read_trace(path: str) -> BandwidthTrace:
@@ -151,10 +140,6 @@ class Observation:
     utilization: float       # delivered / capacity over the interval
     cwnd: float
 
-    @property
-    def queuing_delay_ms(self) -> float:
-        return self.srtt_ms - self.min_rtt_ms
-
 
 @dataclass
 class EpisodeLog:
@@ -169,16 +154,8 @@ class EpisodeLog:
     observations: list[Observation] = field(default_factory=list)
     capacities: list[float] = field(default_factory=list)
     cwnd_series: list[tuple[float, float]] = field(default_factory=list)  # (t_ms, cwnd)
-    # per-ack samples (empty when record_acks=False)
+    # per-ack samples (empty when run_episode(..., record_acks=False))
     ack_rtts_ms: list[float] = field(default_factory=list)
-
-    @property
-    def delivered_bytes(self) -> int:
-        return self.delivered * self.config.packet_size
-
-    def realized_trace(self) -> BandwidthTrace:
-        return BandwidthTrace(interval_ms=self.config.trace_interval_ms,
-                              values=list(self.capacities))
 
     def mean_queuing_delay_ms(self) -> float:
         """Mean per-interval queuing delay (smoothed RTT minus true base RTT)."""
@@ -195,13 +172,15 @@ class EpisodeLog:
         return min(1.0, got / cap) if cap > 0 else 0.0
 
 
-def run_episode(config: SimConfig, trace, controller, intercept=None, env_driver=None) -> EpisodeLog:
+def run_episode(config: SimConfig, trace, controller, intercept=None,
+                env_driver=None, record_acks: bool = True) -> EpisodeLog:
     """Closed-loop episode: sim <-> controller, optionally with an adversary.
 
     Exactly one of `trace` (pre-specified) or `env_driver` (supplies the next
     interval's bandwidth online) drives the link capacity. `intercept`, when
     given, scales the min-RTT estimate the controller reads; simulator ground
-    truth is never touched.
+    truth is never touched. `record_acks=False` leaves `ack_rtts_ms` empty
+    (callers that read only totals and observations skip the per-ACK list).
     """
     config.validate()
     if (trace is None) == (env_driver is None):
@@ -224,6 +203,7 @@ def run_episode(config: SimConfig, trace, controller, intercept=None, env_driver
     queue_cap_pkts = max(1, int(queue_cap_bytes // pkt))
 
     log = EpisodeLog(config=config)
+    ack_rtts = log.ack_rtts_ms
 
     queue: deque[int] = deque()           # send ticks of queued packets
     acks_at: dict[int, list[int]] = {}    # ack tick -> list of send ticks
@@ -273,8 +253,8 @@ def run_episode(config: SimConfig, trace, controller, intercept=None, env_driver
                 rtt_sum += rtt
                 if rtt < min_rtt:
                     min_rtt = rtt
-                if log.config.record_acks:
-                    log.ack_rtts_ms.append(rtt)
+                if record_acks:
+                    ack_rtts.append(rtt)
             mean_rtt = rtt_sum / n
             owd = mean_rtt - config.one_way_delay_ms  # queue wait + forward prop
             if owd < min_owd:

@@ -32,8 +32,8 @@ from ccprobe.tracegen import (SmoothnessBudget, check_feasible,
 
 BUDGET = SmoothnessBudget(delta=48.0, window_k=1, bw_min=1.0, bw_max=96.0)
 REWARD = RewardParams()
-EVAL_SIM = SimConfig(episode_duration_s=60.0, record_acks=False)
-TRAIN_SIM = SimConfig(episode_duration_s=15.0, record_acks=False)
+EVAL_SIM = SimConfig(episode_duration_s=60.0)
+TRAIN_SIM = SimConfig(episode_duration_s=15.0)
 RULE_TARGETS = ("reno", "cubic", "vegas", "illinois", "lp")
 
 
@@ -68,7 +68,8 @@ def rule_attacks(baseline_traces):
     out = {}
     for i, name in enumerate(RULE_TARGETS):
         factory = lambda: make_controller(name)
-        utils = [run_episode(EVAL_SIM, tr, factory()).mean_utilization()
+        utils = [run_episode(EVAL_SIM, tr, factory(),
+                             record_acks=False).mean_utilization()
                  for tr in baseline_traces]
         base = sum(utils) / len(utils)
         tau, worst, secs = run_attack(factory, baseline_traces, seed=1 + i)
@@ -210,7 +211,7 @@ def test_criterion_5_naive_mode_lowers_both(baseline_traces):
     factory = lambda: make_controller("vegas")
     clean_utils, clean_delays = [], []
     for tr in baseline_traces[:3]:
-        log = run_episode(TRAIN_SIM, tr, factory())
+        log = run_episode(TRAIN_SIM, tr, factory(), record_acks=False)
         clean_utils.append(log.mean_utilization())
         clean_delays.append(log.mean_queuing_delay_ms())
     spec = AdversarySpec(surface=SurfaceMode.FEATURE_MIN_RTT,
@@ -240,9 +241,9 @@ def test_criterion_5_naive_mode_lowers_both(baseline_traces):
 def test_criterion_6_lp_burst_case(learned_stack):
     trace = gen_burst_trace(EVAL_SIM.n_intervals)
     lp = Lp()
-    lp_log = run_episode(EVAL_SIM, trace, lp)
+    lp_log = run_episode(EVAL_SIM, trace, lp, record_acks=False)
     learned = LearnedController(learned_stack["policy"], b_max=REWARD.b_max)
-    ln_log = run_episode(EVAL_SIM, trace, learned)
+    ln_log = run_episode(EVAL_SIM, trace, learned, record_acks=False)
     lp_util = lp_log.mean_utilization()
     ln_util = ln_log.mean_utilization()
     print(f"    lp util={lp_util:.3f} ({lp.indications} indications, "

@@ -13,7 +13,7 @@ from ccprobe.adversary import (AdversarySpec, DelayConstraint, EnvBandwidthDrive
 from ccprobe.cc import make_controller
 from ccprobe.cem import CemConfig
 from ccprobe.learned import RewardParams
-from ccprobe.netsim import Observation, SimConfig, run_episode
+from ccprobe.netsim import Observation, run_episode
 from ccprobe.tracegen import SmoothnessBudget, check_feasible
 
 
@@ -99,8 +99,8 @@ def test_calibrate_tau_is_mean_of_means(short_sim):
     factory = lambda: make_controller("reno")
     tau = calibrate_tau(factory, traces, short_sim)
     # oracle: same runs, averaged by hand
-    cfg = SimConfig(**{**short_sim.__dict__, "record_acks": False})
-    delays = [run_episode(cfg, tr, factory()).mean_queuing_delay_ms()
+    delays = [run_episode(short_sim, tr, factory(),
+                          record_acks=False).mean_queuing_delay_ms()
               for tr in traces]
     assert tau == pytest.approx(sum(delays) / len(delays), rel=1e-12)
     assert tau > 0.0
@@ -118,8 +118,7 @@ def test_adversarial_episode_clean_mode_matches_unperturbed(short_sim, const_tra
     factory = lambda: make_controller("vegas")
     ev = adversarial_episode(spec, None, factory, short_sim, RewardParams(),
                              seed=0, clean_traces=[const_trace])
-    ref = run_episode(SimConfig(**{**short_sim.__dict__, "record_acks": False}),
-                      const_trace, factory())
+    ref = run_episode(short_sim, const_trace, factory(), record_acks=False)
     assert ev.utilization == pytest.approx(ref.mean_utilization(), rel=1e-12)
 
 
@@ -131,8 +130,7 @@ def test_reno_ignores_min_rtt_perturbation(short_sim, const_trace):
     factory = lambda: make_controller("reno")
     ev = adversarial_episode(spec, None, factory, short_sim, RewardParams(),
                              seed=0, clean_traces=[const_trace])
-    ref = run_episode(SimConfig(**{**short_sim.__dict__, "record_acks": False}),
-                      const_trace, factory())
+    ref = run_episode(short_sim, const_trace, factory(), record_acks=False)
     assert ev.utilization == pytest.approx(ref.mean_utilization(), rel=1e-12)
     assert ev.mean_delay_ms == pytest.approx(ref.mean_queuing_delay_ms(), rel=1e-12)
 

@@ -7,8 +7,7 @@ from hypothesis import given, strategies as st
 
 from ccprobe.cc import (BbrLite, Cubic, Illinois, Lp, LpFilterState,
                         LpIndication, LossKind, Phase, Reno, Vegas,
-                        cubic_window, lp_early_congestion_check,
-                        make_controller)
+                        cubic_window, make_controller)
 from ccprobe.netsim import AckInfo, BandwidthTrace, SimConfig, run_episode
 
 
@@ -166,8 +165,7 @@ def test_lp_indication_sequence():
     # drive sowd above threshold: first crossing -> FIRST, inside window -> SECOND
     inds = []
     for i in range(60):
-        inds.append(lp_early_congestion_check(s, 30.0, now_ms=float(i),
-                                              inference_window_ms=100.0))
+        inds.append(s.check(30.0, now_ms=float(i), inference_window_ms=100.0))
     assert LpIndication.FIRST in inds
     first_at = inds.index(LpIndication.FIRST)
     assert inds[first_at + 1] is LpIndication.SECOND

@@ -2,16 +2,20 @@
 
 import json
 import os
+import pickle
 
 import pytest
 
+from ccprobe import cli
 from ccprobe.adversary import calibrate_tau, random_baseline_traces
-from ccprobe.cc import make_controller
+from ccprobe.cc import Cubic, make_controller
 from ccprobe.cli import main
 from ccprobe.config import (ExperimentConfig, SchemaError, config_from_dict,
                             load_config)
+from ccprobe.learned import LearnedController, PolicyNet, save_policy
 from ccprobe.metrics import build_report
-from ccprobe.netsim import BandwidthTrace, read_trace, run_episode
+from ccprobe.netsim import BandwidthTrace, read_trace, run_episode, write_trace
+from ccprobe.tracegen import SmoothnessBudget, gen_random_trace
 
 
 def test_default_config_valid():
@@ -33,9 +37,12 @@ def test_unknown_section_key_rejected():
 
 
 def test_removed_repetition_keys_rejected(tmp_path):
-    # episodes are deterministic, so no key may ask for replays of one
+    # episodes are deterministic, so no key may ask for replays of one; and
+    # ACK recording is chosen per run_episode call, not by the config
     for doc, text in (({"repetitions": 3}, "repetitions: 3\n"),
-                      ({"sim": {"rng_seed": 1}}, "sim: {rng_seed: 1}\n")):
+                      ({"sim": {"rng_seed": 1}}, "sim: {rng_seed: 1}\n"),
+                      ({"sim": {"record_acks": False}},
+                       "sim: {record_acks: false}\n")):
         with pytest.raises(SchemaError, match="unknown keys"):
             config_from_dict(doc)
         p = tmp_path / "old.yaml"
@@ -205,3 +212,128 @@ def test_train_and_retrain_small(tmp_path):
     assert os.path.exists(os.path.join(out2, "retrained.ckpt"))
     body = open(os.path.join(out2, "retrain_eval.csv")).read()
     assert "random_baseline" in body
+
+
+# --- one controller factory, one report job -----------------------------------
+
+def _checkpoint(tmp_path):
+    path = str(tmp_path / "learned.ckpt")
+    save_policy(PolicyNet(n_features=5, hidden=0,
+                          params=[-0.1, 0.5, -1.0, -0.3, 0.2, 0.4]), path)
+    return path
+
+
+def _worst_traces(tmp_path):
+    d = tmp_path / "worst"
+    d.mkdir()
+    for i, name in enumerate(("a", "b")):
+        write_trace(gen_random_trace(50, SmoothnessBudget(), seed=i),
+                    str(d / f"worst_{name}.trace"))
+    return str(d)
+
+
+def _body(out, name):
+    return open(os.path.join(out, name)).read().splitlines()[2:]
+
+
+def test_baseline_random_row_follows_trace_source(tmp_path):
+    p = tmp_path / "const.yaml"
+    p.write_text("sim: {episode_duration_s: 5.0}\n"
+                 "traces: {source: constant}\nseed: 3\n")
+    out = str(tmp_path / "o")
+    assert main(["baseline", "--config", str(p), "--controllers", "reno",
+                 "--setting", "both", "--out", out]) == 0
+    clean, rand = _body(out, "baseline.csv")
+    assert clean.startswith("reno,clean,") and rand.startswith("reno,random,")
+    assert clean.split(",")[2:] == rand.split(",")[2:]
+
+
+def _no_episodes(monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("an episode ran")
+    for name in ("_map_jobs", "clean_episodes", "run_episode"):
+        monkeypatch.setattr(cli, name, fail)
+
+
+def test_learned_without_checkpoint_exits_2(tmp_path, monkeypatch, capsys):
+    _no_episodes(monkeypatch)
+    cfg = _write_cfg(tmp_path)
+    for argv in (["baseline", "--controllers", "reno,learned"],
+                 ["attack", "--controller", "learned"],
+                 ["transfer", "--traces", _worst_traces(tmp_path),
+                  "--controllers", "learned"]):
+        assert main(argv + ["--config", cfg, "--out", str(tmp_path / "x")]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "--checkpoint" in err
+
+
+def test_rejected_constant_exits_2(tmp_path, monkeypatch, capsys):
+    _no_episodes(monkeypatch)
+    cfg = _write_cfg(tmp_path, "controller: reno\n"
+                               "controller_constants: {c: 0.5}\n")
+    for argv in (["baseline", "--controllers", "reno"],
+                 ["attack", "--controller", "reno"],
+                 ["lp-case"]):
+        assert main(argv + ["--config", cfg, "--out", str(tmp_path / "x")]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "'c'" in err
+
+
+def test_constants_apply_only_to_config_controller(tmp_path):
+    # cubic's constant reaches cubic and never the reno attack target
+    cfg = _write_cfg(tmp_path, "controller: cubic\n"
+                               "controller_constants: {c: 0.5}\n"
+                               "adversary: {surface: feature, episodes: 0}\n")
+    assert main(["attack", "--config", cfg, "--controller", "reno",
+                 "--out", str(tmp_path / "a")]) == 0
+
+
+def test_controller_factories_pickle(tmp_path):
+    cfg = config_from_dict({"controller": "cubic",
+                            "controller_constants": {"c": 0.5}})
+    ctl = pickle.loads(pickle.dumps(cli._controller_factory(cfg, "cubic")))()
+    assert isinstance(ctl, Cubic) and ctl.c == 0.5
+    factory = cli._controller_factory(cfg, "learned", _checkpoint(tmp_path))
+    ctl = pickle.loads(pickle.dumps(factory))()
+    assert isinstance(ctl, LearnedController)
+    assert list(ctl.policy.params) == list(factory().policy.params)
+    assert ctl.b_max == cfg.reward.b_max
+
+
+def test_learned_reports_match_across_worker_counts(tmp_path):
+    cfg = _write_cfg(tmp_path)
+    ckpt = _checkpoint(tmp_path)
+    traces = _worst_traces(tmp_path)
+    for cmd, extra, csv in (
+            ("baseline", ["--setting", "both"], "baseline.csv"),
+            ("transfer", ["--traces", traces], "transfer.csv")):
+        outs = [str(tmp_path / f"{cmd}{w}") for w in (1, 2)]
+        for w, out in zip((1, 2), outs):
+            assert main([cmd, "--config", cfg, "--controllers", "reno,learned",
+                         "--checkpoint", ckpt, "--workers", str(w),
+                         "--out", out] + extra) == 0
+        a, b = (open(os.path.join(o, csv)).read() for o in outs)
+        assert a == b and "learned," in a
+
+
+def test_transfer_applies_constants_to_config_controller(tmp_path):
+    cfg_path = _write_cfg(tmp_path, "controller: cubic\n"
+                                    "controller_constants: {c: 0.1, beta: 0.5}\n")
+    cfg = load_config(cfg_path)
+    traces = _worst_traces(tmp_path)
+    out = str(tmp_path / "t")
+    assert main(["transfer", "--config", cfg_path, "--traces", traces,
+                 "--controllers", "cubic,reno", "--out", out]) == 0
+    want, default = [], []
+    for src in ("a", "b"):
+        trace = read_trace(os.path.join(traces, f"worst_{src}.trace"))
+        for ctl, kw in (("cubic", {"c": 0.1, "beta": 0.5}), ("reno", {})):
+            reps = [build_report(run_episode(cfg.sim, trace, make_controller(ctl, **k)))
+                    for k in (kw, {})]
+            want.append(f"{src},{ctl},{reps[0].utilization:.6f},"
+                        f"{reps[0].mean_delay_ms:.6f}")
+            default.append(f"{src},{ctl},{reps[1].utilization:.6f},"
+                           f"{reps[1].mean_delay_ms:.6f}")
+    got = [",".join(line.split(",")[:4]) for line in _body(out, "transfer.csv")]
+    assert got == want
+    assert got[0] != default[0]   # the constants change cubic's cells

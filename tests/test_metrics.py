@@ -7,9 +7,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from ccprobe.metrics import (DomainError, cwnd_smoothness, delay_stats,
-                             nearest_rank_p95, utilization)
-from ccprobe.netsim import (BandwidthTrace, DurationMismatch, EmptyLog,
-                            SimConfig, run_episode)
+                             nearest_rank_p95)
+from ccprobe.netsim import EmptyLog, run_episode
 from tests.test_netsim import Pinned
 
 
@@ -31,22 +30,15 @@ def test_p95_small_samples():
 
 def test_utilization_against_trace_integral(short_sim, const_trace):
     log = run_episode(short_sim, const_trace, Pinned(80.0))
-    u = utilization(log, const_trace)
+    u = log.mean_utilization()
     # byte-level oracle
     cap_bytes = 48e6 / 8.0 * 5.0
     assert u == pytest.approx(log.delivered * 1500 / cap_bytes, rel=1e-12) \
         or u == 1.0
 
 
-def test_utilization_duration_mismatch(short_sim, const_trace):
-    log = run_episode(short_sim, const_trace, Pinned(80.0))
-    with pytest.raises(DurationMismatch):
-        utilization(log, BandwidthTrace(100.0, [48.0] * 10))
-
-
 def test_delay_stats_requires_acks(short_sim, const_trace):
-    cfg = SimConfig(**{**short_sim.__dict__, "record_acks": False})
-    log = run_episode(cfg, const_trace, Pinned(80.0))
+    log = run_episode(short_sim, const_trace, Pinned(80.0), record_acks=False)
     with pytest.raises(EmptyLog):
         delay_stats(log)
 

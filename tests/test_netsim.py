@@ -124,9 +124,13 @@ def test_trace_cycles_like_replay():
 
 
 def test_record_acks_off_keeps_aggregates(short_sim, const_trace):
-    cfg = SimConfig(**{**short_sim.__dict__, "record_acks": False})
-    log = run_episode(cfg, const_trace, Pinned(80.0))
-    assert log.ack_rtts_ms == []
-    ref = run_episode(short_sim, const_trace, Pinned(80.0))
-    assert log.delivered == ref.delivered
-    assert log.mean_utilization() == ref.mean_utilization()
+    # Pinned(240) overloads the link, so drops and queuing delay are exercised
+    for cwnd in (80.0, 240.0):
+        log = run_episode(short_sim, const_trace, Pinned(cwnd), record_acks=False)
+        ref = run_episode(short_sim, const_trace, Pinned(cwnd))
+        assert log.ack_rtts_ms == [] and len(ref.ack_rtts_ms) == ref.acked > 0
+        assert ((log.sent, log.delivered, log.dropped, log.acked, log.in_flight_end)
+                == (ref.sent, ref.delivered, ref.dropped, ref.acked, ref.in_flight_end))
+        assert log.observations == ref.observations
+        assert log.cwnd_series == ref.cwnd_series
+        assert log.mean_utilization() == ref.mean_utilization()
