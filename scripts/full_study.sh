@@ -22,18 +22,21 @@ done
 
 ccprobe train --config "$CFG" --out "$OUT/train" --workers "$(nproc)"
 ccprobe attack --config "$CFG" --controller learned \
-    --checkpoint "$OUT/train/learned.ckpt" --out "$OUT/attacks" --seed "$seed"
+    --checkpoint "$OUT/train/learned.ckpt" --out "$OUT/attacks" --seed "$seed" \
+    --workers "$(nproc)"
 
 ccprobe transfer --config "$CFG" --traces "$OUT/attacks" \
     --controllers reno,cubic,vegas,illinois,lp,learned \
-    --checkpoint "$OUT/train/learned.ckpt" --out "$OUT/transfer"
+    --checkpoint "$OUT/train/learned.ckpt" --out "$OUT/transfer" \
+    --workers "$(nproc)"
 
 ccprobe lp-case --config "$CFG" --checkpoint "$OUT/train/learned.ckpt" \
     --out "$OUT/lp-case"
 
 ccprobe retrain --config "$CFG" --init "$OUT/train/learned.ckpt" \
-    --pool-adv "$OUT/attacks" --mix-p 0.2 --out "$OUT/retrain"
+    --pool-adv "$OUT/attacks" --mix-p 0.2 --out "$OUT/retrain" \
+    --workers "$(nproc)"
 ccprobe sweep-p --config "$CFG" --init "$OUT/train/learned.ckpt" \
-    --pool-adv "$OUT/attacks" --out "$OUT/sweep"
+    --pool-adv "$OUT/attacks" --out "$OUT/sweep" --workers "$(nproc)"
 
 echo "full study complete: see $OUT/"

@@ -22,20 +22,24 @@ ccprobe baseline --config "$CFG" --controllers reno,cubic,vegas,illinois,lp,bbrl
     --setting both --out "$OUT/baseline" --workers "$(nproc)"
 ccprobe lp-case --config "$CFG" --out "$OUT/lp-case"
 
-ccprobe attack --config "$CFG" --controller reno  --out "$OUT/attacks" --seed 1
-ccprobe attack --config "$CFG" --controller vegas --out "$OUT/attacks" --seed 2
+ccprobe attack --config "$CFG" --controller reno  --out "$OUT/attacks" --seed 1 \
+    --workers "$(nproc)"
+ccprobe attack --config "$CFG" --controller vegas --out "$OUT/attacks" --seed 2 \
+    --workers "$(nproc)"
 ccprobe transfer --config "$CFG" --traces "$OUT/attacks" \
     --controllers reno,vegas --out "$OUT/transfer" --workers "$(nproc)"
 
-ccprobe train --config "$CFG" --out "$OUT/train"
+ccprobe train --config "$CFG" --out "$OUT/train" --workers "$(nproc)"
 # the learned factory (policy read once from the checkpoint) goes through the
 # worker pool pickled
 ccprobe baseline --config "$CFG" --controllers reno,learned \
     --checkpoint "$OUT/train/learned.ckpt" --setting clean \
     --out "$OUT/baseline-learned" --workers "$(nproc)"
 ccprobe retrain --config "$CFG" --init "$OUT/train/learned.ckpt" \
-    --pool-adv "$OUT/attacks" --mix-p 0.2 --episodes 32 --out "$OUT/retrain"
+    --pool-adv "$OUT/attacks" --mix-p 0.2 --episodes 32 --out "$OUT/retrain" \
+    --workers "$(nproc)"
 ccprobe sweep-p --config "$CFG" --init "$OUT/train/learned.ckpt" \
-    --pool-adv "$OUT/attacks" --episodes 32 --out "$OUT/sweep"
+    --pool-adv "$OUT/attacks" --episodes 32 --out "$OUT/sweep" \
+    --workers "$(nproc)"
 
 echo "smoke run complete: see $OUT/"

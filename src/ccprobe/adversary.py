@@ -14,13 +14,14 @@ import dataclasses
 import enum
 from collections import deque
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
 from .cem import CemConfig, cem_maximize
 from .learned import (DomainError, PolicyNet, RewardParams, controller_reward,
                       observation_features)
-from .netsim import EpisodeLog, Observation, SimConfig, run_episode
+from .netsim import EpisodeLog, Observation, SimConfig, map_jobs, run_episode
 from .tracegen import SmoothnessBudget, gen_random_trace, project_next
 
 
@@ -140,9 +141,7 @@ class FeatureIntercept:
         self.policy = policy
         self.b_max = b_max
         self.seed = seed
-        self.rng = np.random.default_rng(seed)
-        self.prev_action = 0.0
-        self._scale = 1.0
+        self.begin_episode()
 
     def begin_episode(self) -> None:
         self.rng = np.random.default_rng(self.seed)
@@ -150,15 +149,10 @@ class FeatureIntercept:
         self._scale = 1.0
 
     def begin_interval(self, obs: Observation) -> None:
-        if self.bound.mode is PerturbMode.CLEAN:
-            self._scale = 1.0
-            return
-        if self.bound.mode is PerturbMode.RANDOM_NOISE:
-            x = self.bound.x_fraction
-            self._scale = float(self.rng.uniform(1.0 - x, 1.0 + x))
-            return
-        feats = observation_features(obs, self.b_max, self.prev_action)
-        a = self.policy.act(feats) if self.policy is not None else 0.0
+        a = 0.0
+        if self.bound.mode is PerturbMode.ADVERSARIAL and self.policy is not None:
+            a = self.policy.act(observation_features(obs, self.b_max,
+                                                     self.prev_action))
         self.prev_action = a
         self._scale = perturb_min_rtt(1.0, a, self.bound, self.rng)
 
@@ -214,20 +208,21 @@ ADV_ENV_FEATURES = 6   # controller features + current capacity
 ADV_FEATURE_FEATURES = 5
 
 
-def make_adversary_policy(surface: SurfaceMode, hidden: int = 16,
-                          params=None) -> PolicyNet:
+def make_adversary_policy(surface: SurfaceMode) -> PolicyNet:
     nf = ADV_ENV_FEATURES if surface is SurfaceMode.ENV_BANDWIDTH else ADV_FEATURE_FEATURES
-    return PolicyNet(n_features=nf, hidden=hidden, a_max=1.0, params=params)
+    return PolicyNet(n_features=nf, hidden=16, a_max=1.0)
 
 
 # --- calibration and training ------------------------------------------------
 
-def clean_episodes(controller_factory, traces, config: SimConfig) -> list[EpisodeLog]:
+def clean_episodes(controller_factory, traces, config: SimConfig,
+                   workers: int = 1) -> list[EpisodeLog]:
     """One unperturbed episode per trace, per-ACK samples off."""
     if not traces:
         raise ValueError("trace set must be non-empty")
-    return [run_episode(config, trace, controller_factory(), record_acks=False)
-            for trace in traces]
+    return map_jobs(partial(run_episode, record_acks=False),
+                    [(config, trace, controller_factory()) for trace in traces],
+                    workers)
 
 
 def mean_queuing_delay_ms(logs) -> float:
@@ -257,8 +252,8 @@ class EpisodeEval:
 
 def adversarial_episode(spec: AdversarySpec, params, controller_factory,
                         config: SimConfig, reward: RewardParams,
-                        seed: int, clean_traces=None,
-                        initial_capacity: float | None = None) -> EpisodeEval:
+                        seed: int, initial_capacity: float | None = None,
+                        clean_traces=None) -> EpisodeEval:
     """One rollout of the adversary against a fresh controller."""
     policy = spec.policy.with_params(params) if params is not None else spec.policy
     intercept = None
@@ -295,7 +290,7 @@ def adversarial_episode(spec: AdversarySpec, params, controller_factory,
         mean_delay_ms=log.mean_queuing_delay_ms(),
         adv_return=total / n if n else 0.0,
         constraint_ok_rate=ok / n if n else 0.0,
-        trace_values=list(log.capacities),
+        trace_values=[o.capacity_mbps for o in log.observations],
     )
 
 
@@ -310,41 +305,39 @@ def train_adversary(spec: AdversarySpec, controller_factory, config: SimConfig,
     if generations == 0:
         return spec.policy, []
 
-    def objective(params, ep_seed):
-        ev = adversarial_episode(spec, params, controller_factory, config,
-                                 reward, seed=ep_seed, clean_traces=clean_traces)
-        return ev.adv_return, ev.constraint_ok_rate
-
+    objective = partial(_adversary_return, spec, controller_factory, config,
+                        reward, clean_traces)
     result = cem_maximize(objective, dim=spec.policy.n_params,
                           generations=generations, config=cem,
                           init_mean=spec.policy.params)
     return spec.policy.with_params(result.best_params), result.history
 
 
-@dataclass
-class WorstTrace:
-    values: list[float]
-    utilization: float
-    mean_delay_ms: float
+def _adversary_return(spec: AdversarySpec, controller_factory, config: SimConfig,
+                      reward: RewardParams, clean_traces, params,
+                      ep_seed: int) -> tuple[float, float]:
+    """`train_adversary`'s CEM objective: (return, constraint rate)."""
+    ev = adversarial_episode(spec, params, controller_factory, config, reward,
+                             seed=ep_seed, clean_traces=clean_traces)
+    return ev.adv_return, ev.constraint_ok_rate
 
 
 def select_worst_trace(spec: AdversarySpec, policy: PolicyNet, controller_factory,
                        config: SimConfig, reward: RewardParams,
-                       n_rollouts: int = 8, seed: int = 0) -> WorstTrace | None:
+                       n_rollouts: int = 8, seed: int = 0,
+                       workers: int = 1) -> EpisodeEval | None:
     """Env-surface selection: among rollout traces with mean delay >= tau,
     the one minimizing utilization. None if no rollout meets the constraint."""
     spec = dataclasses.replace(spec, policy=policy)
     budget = spec.budget
     rng = np.random.default_rng(seed)
-    candidates = []
-    for i in range(n_rollouts):
-        init = float(rng.uniform(budget.bw_min, budget.bw_max))
-        ev = adversarial_episode(spec, None, controller_factory, config,
-                                 reward, seed=seed + i, initial_capacity=init)
-        candidates.append(ev)
+    inits = [float(rng.uniform(budget.bw_min, budget.bw_max))
+             for _ in range(n_rollouts)]
+    rollout = partial(adversarial_episode, spec, None, controller_factory,
+                      config, reward)
+    candidates = map_jobs(rollout, [(seed + i, init) for i, init in enumerate(inits)],
+                          workers)
     feasible = [c for c in candidates if c.mean_delay_ms >= spec.constraint.tau_ms]
     if not feasible:
         return None
-    worst = min(feasible, key=lambda c: c.utilization)
-    return WorstTrace(values=worst.trace_values, utilization=worst.utilization,
-                      mean_delay_ms=worst.mean_delay_ms)
+    return min(feasible, key=lambda c: c.utilization)

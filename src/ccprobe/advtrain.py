@@ -8,9 +8,8 @@ from functools import partial
 import numpy as np
 
 from .adversary import clean_episodes, mean_queuing_delay_ms
-from .cem import CemConfig, cem_maximize
-from .learned import (LearnedController, PolicyNet, RewardParams, TrainLogRow,
-                      episode_return)
+from .cem import CemConfig, GenerationStats, cem_maximize
+from .learned import LearnedController, PolicyNet, RewardParams, episode_return
 from .netsim import BandwidthTrace, SimConfig
 
 
@@ -38,9 +37,18 @@ def sample_trace(pool: TracePool, rng) -> BandwidthTrace:
     return traces[int(rng.integers(0, len(traces)))]
 
 
+def _mixed_return(policy: PolicyNet, pool: TracePool, sim: SimConfig,
+                  reward: RewardParams, params, ep_seed: int) -> float:
+    """`adversarial_retrain`'s CEM objective: the episode seed samples the
+    trace from the pool."""
+    trace = sample_trace(pool, np.random.default_rng(ep_seed))
+    return episode_return(policy.with_params(params), trace, sim, reward)
+
+
 def adversarial_retrain(policy: PolicyNet, pool: TracePool, episodes: int,
                         sim: SimConfig, reward: RewardParams,
-                        cem: CemConfig | None = None) -> tuple[PolicyNet, list[TrainLogRow]]:
+                        cem: CemConfig | None = None
+                        ) -> tuple[PolicyNet, list[GenerationStats]]:
     """Continue CEM training from `policy`, one sampled trace per episode.
 
     Reward, topology and optimizer are identical to the original training;
@@ -52,15 +60,10 @@ def adversarial_retrain(policy: PolicyNet, pool: TracePool, episodes: int,
     if generations == 0:
         return policy, []
 
-    def objective(params, ep_seed):
-        rng = np.random.default_rng(ep_seed)
-        trace = sample_trace(pool, rng)
-        return episode_return(policy.with_params(params), trace, sim, reward)
-
-    result = cem_maximize(objective, dim=policy.n_params, generations=generations,
+    result = cem_maximize(partial(_mixed_return, policy, pool, sim, reward),
+                          dim=policy.n_params, generations=generations,
                           config=cem, init_mean=policy.params)
-    rows = [TrainLogRow(h.generation, h.elite_mean, h.best_return) for h in result.history]
-    return policy.with_params(result.best_params), rows
+    return policy.with_params(result.best_params), result.history
 
 
 @dataclass
@@ -71,16 +74,19 @@ class SuiteRow:
 
 
 def evaluate_suite(policy: PolicyNet, trace_sets: dict, sim: SimConfig,
-                   reward: RewardParams) -> list[SuiteRow]:
-    """Per-set mean utilization/delay, one episode per trace."""
-    if not trace_sets:
-        raise ValueError("need at least one trace set")
+                   reward: RewardParams, workers: int = 1) -> list[SuiteRow]:
+    """Per-set mean utilization/delay, one episode per trace; every set's
+    episodes go through one `clean_episodes` call."""
+    if not trace_sets or not all(trace_sets.values()):
+        raise ValueError("need at least one trace set, and no empty one")
     factory = partial(LearnedController, policy, b_max=reward.b_max)
+    logs = clean_episodes(factory, [t for ts in trace_sets.values() for t in ts],
+                          sim, workers)
     rows = []
     for name, traces in trace_sets.items():
-        logs = clean_episodes(factory, traces, sim)
+        mine, logs = logs[:len(traces)], logs[len(traces):]
         rows.append(SuiteRow(
             trace_set=name,
-            utilization=sum(log.mean_utilization() for log in logs) / len(logs),
-            mean_delay_ms=mean_queuing_delay_ms(logs)))
+            utilization=sum(log.mean_utilization() for log in mine) / len(mine),
+            mean_delay_ms=mean_queuing_delay_ms(mine)))
     return rows

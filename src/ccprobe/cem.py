@@ -11,6 +11,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .netsim import map_jobs
+
 
 class OptimizerError(RuntimeError):
     pass
@@ -24,6 +26,7 @@ class CemConfig:
     extra_noise: float = 0.25       # additive std floor, decayed per generation
     noise_decay: float = 0.9
     seed: int = 0
+    workers: int = 1                # processes evaluating a population
 
 
 @dataclass
@@ -44,8 +47,12 @@ def cem_maximize(objective, dim: int, generations: int, config: CemConfig,
                  init_mean: np.ndarray | None = None) -> CemResult:
     """Maximize objective(params, episode_seed) -> float (or (float, ok_rate)).
 
-    Raises OptimizerError if a generation's returns have exactly zero variance
-    before the budget is exhausted (degenerate reward signal).
+    A generation's episode seeds are drawn up front, then its population runs
+    through `map_jobs` on `config.workers` processes (the objective must
+    pickle when that is more than one); the result does not depend on it.
+
+    Raises OptimizerError if a generation's returns have exactly zero
+    variance before the budget is exhausted (degenerate reward signal).
     """
     rng = np.random.default_rng(config.seed)
     mean = np.zeros(dim) if init_mean is None else np.asarray(init_mean, dtype=float).copy()
@@ -59,11 +66,10 @@ def cem_maximize(objective, dim: int, generations: int, config: CemConfig,
     for gen in range(generations):
         noise = config.extra_noise * (config.noise_decay ** gen)
         pop = mean + (std + noise) * rng.standard_normal((config.population, dim))
+        seeds = [int(rng.integers(0, 2**31 - 1)) for _ in range(config.population)]
         returns = np.empty(config.population)
         ok = np.full(config.population, np.nan)
-        for i in range(config.population):
-            ep_seed = int(rng.integers(0, 2**31 - 1))
-            out = objective(pop[i], ep_seed)
+        for i, out in enumerate(map_jobs(objective, zip(pop, seeds), config.workers)):
             if isinstance(out, tuple):
                 returns[i], ok[i] = out
             else:

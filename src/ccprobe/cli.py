@@ -15,7 +15,6 @@ import dataclasses
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from functools import partial
 
 from . import advtrain
@@ -28,8 +27,8 @@ from .cc import RULE_BASED, make_controller
 from .config import ExperimentConfig, SchemaError, load_config
 from .learned import PolicyNet, load_policy, save_policy, train_controller
 from .metrics import build_report, dump_series_csv
-from .netsim import (BandwidthTrace, export_mahimahi, read_trace, run_episode,
-                     write_trace)
+from .netsim import (BandwidthTrace, ConfigError, export_mahimahi, map_jobs,
+                     read_trace, run_episode, write_trace)
 from .tracegen import (SmoothnessBudget, check_feasible, gen_burst_trace,
                        gen_random_trace, gen_unconstrained)
 
@@ -56,27 +55,30 @@ def _load_cfg(args) -> ExperimentConfig:
 
 
 def _write_csv(path: str, header: list[str], rows: list[list],
-               cfg_hash: str, seed: int) -> None:
+               cfg: ExperimentConfig) -> None:
     def fmt(v):
         if isinstance(v, float):
             return f"{v:.6f}"
         return str(v)
     with open(path, "w") as f:
-        f.write(f"# config={cfg_hash} seed={seed}\n")
+        f.write(f"# config={cfg.config_hash()} seed={cfg.seed}\n")
         f.write(",".join(header) + "\n")
         for row in rows:
             f.write(",".join(fmt(v) for v in row) + "\n")
 
 
-def _build_traces(cfg: ExperimentConfig) -> list[BandwidthTrace]:
+def _build_traces(cfg: ExperimentConfig,
+                  source: str | None = None) -> list[BandwidthTrace]:
+    """The traces of `source`, by default the config's `traces.source`."""
     t = cfg.traces
     iv = cfg.sim.trace_interval_ms
     length = cfg.sim.n_intervals
-    if t.source == "random":
+    source = source or t.source
+    if source == "random":
         return random_baseline_traces(cfg.budget, t.n, length, iv, cfg.seed)
-    if t.source == "constant":
+    if source == "constant":
         return [BandwidthTrace(iv, [t.constant_mbps] * length)]
-    if t.source == "burst":
+    if source == "burst":
         return [gen_burst_trace(length, t.peak, t.trough, t.rise_intervals,
                                 t.fall_intervals, interval_ms=iv)]
     return [read_trace(p) for p in t.paths]
@@ -107,18 +109,17 @@ def _controller_factory(cfg: ExperimentConfig, name: str,
     return factory
 
 
-def _report(job) -> dict:
-    """One (sim, trace, factory) episode's report; module-level so worker
-    processes can run it."""
-    sim, trace, factory = job
-    return build_report(run_episode(sim, trace, factory())).summary()
+def _controller_factories(args, cfg: ExperimentConfig) -> dict[str, partial]:
+    """`--controllers` (by default every controller, `learned` only with
+    `--checkpoint`), each name mapped to its factory."""
+    names = (args.controllers.split(",") if args.controllers
+             else [c for c in ALL_CONTROLLERS if c != "learned" or args.checkpoint])
+    return {name: _controller_factory(cfg, name, args.checkpoint)
+            for name in names}
 
 
-def _map_jobs(jobs: list[tuple], workers: int) -> list[dict]:
-    if workers <= 1:
-        return [_report(j) for j in jobs]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(_report, jobs))
+def _report(sim, trace, factory) -> dict:
+    return dataclasses.asdict(build_report(run_episode(sim, trace, factory())))
 
 
 def _mean(xs):
@@ -127,19 +128,12 @@ def _mean(xs):
 
 # --- commands ----------------------------------------------------------------
 
-def cmd_baseline(args) -> int:
-    cfg = _load_cfg(args)
-    out = _out_dir(args, cfg)
-    controllers = (args.controllers.split(",") if args.controllers
-                   else [c for c in ALL_CONTROLLERS
-                         if c != "learned" or args.checkpoint])
-    factories = {name: _controller_factory(cfg, name, args.checkpoint)
-                 for name in controllers}
+def cmd_baseline(args, cfg: ExperimentConfig, out: str) -> int:
+    factories = _controller_factories(args, cfg)
+    controllers = list(factories)
     settings = []
     if args.setting in ("clean", "both"):
-        iv = cfg.sim.trace_interval_ms
-        const = BandwidthTrace(iv, [cfg.traces.constant_mbps] * cfg.sim.n_intervals)
-        settings.append(("clean", [const]))
+        settings.append(("clean", _build_traces(cfg, "constant")))
     if args.setting in ("random", "both"):
         settings.append(("random", _build_traces(cfg)))
 
@@ -149,7 +143,7 @@ def cmd_baseline(args) -> int:
             for ti, trace in enumerate(traces):
                 jobs.append((cfg.sim, trace, factories[name]))
                 keys.append((name, setting, ti))
-    results = _map_jobs(jobs, args.workers)
+    results = map_jobs(_report, jobs, args.workers)
 
     rows = []
     for name in controllers:
@@ -162,7 +156,7 @@ def cmd_baseline(args) -> int:
                          _mean([g["p95_delay_ms"] for g in got])])
     _write_csv(os.path.join(out, "baseline.csv"),
                ["model", "setting", "utilization", "delay_ms", "p95_ms"],
-               rows, cfg.config_hash(), cfg.seed)
+               rows, cfg)
     with open(os.path.join(out, "baseline_episodes.jsonl"), "w") as f:
         for (name, setting, ti), r in zip(keys, results):
             f.write(json.dumps({"key": f"{name}/{setting}/t{ti}", "report": r})
@@ -171,16 +165,14 @@ def cmd_baseline(args) -> int:
     return 0
 
 
-def cmd_attack(args) -> int:
-    cfg = _load_cfg(args)
-    out = _out_dir(args, cfg)
+def cmd_attack(args, cfg: ExperimentConfig, out: str) -> int:
     adv = cfg.adversary
     target = args.controller or cfg.controller
     factory = _controller_factory(cfg, target, args.checkpoint)
     baseline_traces = _build_traces(cfg)
 
     # one clean episode per baseline trace gives both tau and the baseline row
-    base_logs = clean_episodes(factory, baseline_traces, cfg.sim)
+    base_logs = clean_episodes(factory, baseline_traces, cfg.sim, args.workers)
     base_util = _mean([log.mean_utilization() for log in base_logs])
     base_delay = mean_queuing_delay_ms(base_logs)
     tau = adv.tau_ms
@@ -189,19 +181,17 @@ def cmd_attack(args) -> int:
         print(f"calibrated tau = {tau:.3f} ms")
     constraint = DelayConstraint(tau_ms=tau or 0.0, alpha=adv.alpha,
                                  window_h=adv.window_h, window_k=adv.window_k)
-    if adv.surface == "feature":
-        spec = AdversarySpec(surface=SurfaceMode.FEATURE_MIN_RTT,
-                             reward_mode=RewardMode(adv.reward_mode),
-                             constraint=constraint,
-                             feature_bound=FeatureBound(
-                                 adv.x_fraction, PerturbMode(adv.perturb_mode)))
-    else:
-        spec = AdversarySpec(surface=SurfaceMode.ENV_BANDWIDTH,
-                             reward_mode=RewardMode(adv.reward_mode),
-                             constraint=constraint, budget=cfg.budget)
+    feature = adv.surface == "feature"
+    spec = AdversarySpec(
+        surface=SurfaceMode.FEATURE_MIN_RTT if feature else SurfaceMode.ENV_BANDWIDTH,
+        reward_mode=RewardMode(adv.reward_mode), constraint=constraint,
+        feature_bound=(FeatureBound(adv.x_fraction, PerturbMode(adv.perturb_mode))
+                       if feature else None),
+        budget=None if feature else cfg.budget)
 
     policy, history = train_adversary(spec, factory, cfg.sim, adv.episodes,
-                                      cfg.reward, cfg.train.cem(cfg.seed),
+                                      cfg.reward,
+                                      cfg.train.cem(cfg.seed, args.workers),
                                       clean_traces=baseline_traces)
     spec = dataclasses.replace(spec, policy=policy)
     _write_csv(os.path.join(out, f"adv_train_{target}.csv"),
@@ -209,64 +199,55 @@ def cmd_attack(args) -> int:
                 "constraint_satisfaction_rate"],
                [[h.generation, h.elite_mean, h.best_return,
                  h.constraint_satisfaction_rate] for h in history],
-               cfg.config_hash(), cfg.seed)
+               cfg)
     save_policy(policy, os.path.join(out, f"adv_policy_{target}.ckpt"),
                 feature_names=tuple(f"f{i}" for i in range(policy.n_features)))
 
     ok = True
     rows = [[target, "baseline", base_util, base_delay, 0.0, 0.0]]
-    if adv.surface == "env":
+    if feature:
+        rollout = partial(adversarial_episode, spec, None, factory, cfg.sim,
+                          cfg.reward, clean_traces=baseline_traces)
+        evals = map_jobs(rollout, [(i,) for i in range(len(baseline_traces))],
+                         args.workers)
+        util = _mean([e.utilization for e in evals])
+        delay = _mean([e.mean_delay_ms for e in evals])
+    else:
         worst = select_worst_trace(spec, policy, factory, cfg.sim, cfg.reward,
-                                   n_rollouts=adv.rollouts, seed=cfg.seed)
+                                   n_rollouts=adv.rollouts, seed=cfg.seed,
+                                   workers=args.workers)
         if worst is None:
             print("no rollout satisfied the delay constraint", file=sys.stderr)
             return 1
-        trace = BandwidthTrace(cfg.sim.trace_interval_ms, worst.values)
+        trace = BandwidthTrace(cfg.sim.trace_interval_ms, worst.trace_values)
         if not check_feasible(trace.values, cfg.budget):
             print("selected trace violates the smoothness budget", file=sys.stderr)
             ok = False
         write_trace(trace, os.path.join(out, f"worst_{target}.trace"))
-        rows.append([target, "attack", worst.utilization, worst.mean_delay_ms,
-                     worst.utilization - base_util,
-                     worst.mean_delay_ms - base_delay])
-    else:
-        evals = [adversarial_episode(spec, None, factory, cfg.sim, cfg.reward,
-                                     seed=i, clean_traces=baseline_traces)
-                 for i in range(len(baseline_traces))]
-        util = _mean([e.utilization for e in evals])
-        delay = _mean([e.mean_delay_ms for e in evals])
-        rows.append([target, "attack", util, delay,
-                     util - base_util, delay - base_delay])
+        util, delay = worst.utilization, worst.mean_delay_ms
+    rows.append([target, "attack", util, delay,
+                 util - base_util, delay - base_delay])
     _write_csv(os.path.join(out, f"attack_{target}.csv"),
                ["model", "condition", "utilization", "delay_ms",
                 "util_delta", "delay_delta"],
-               rows, cfg.config_hash(), cfg.seed)
+               rows, cfg)
     print(f"wrote {out}/attack_{target}.csv")
     return 0 if ok else 1
 
 
-def cmd_transfer(args) -> int:
-    cfg = _load_cfg(args)
-    out = _out_dir(args, cfg)
-    trace_files = sorted(
-        f for f in os.listdir(args.traces) if f.endswith(".trace"))
-    if len(trace_files) < 2:
+def cmd_transfer(args, cfg: ExperimentConfig, out: str) -> int:
+    named = [(name.removeprefix("worst_"), trace)
+             for name, trace in _load_trace_dir(args.traces).items()]
+    if len(named) < 2:
         print("transfer needs >= 2 worst-trace artifacts", file=sys.stderr)
         return 1
-    named = []
-    for fn in trace_files:
-        name = fn[len("worst_"):-len(".trace")] if fn.startswith("worst_") else fn[:-6]
-        named.append((name, read_trace(os.path.join(args.traces, fn))))
-    controllers = (args.controllers.split(",") if args.controllers
-                   else [c for c in ALL_CONTROLLERS
-                         if c != "learned" or args.checkpoint])
-    factories = {ctl: _controller_factory(cfg, ctl, args.checkpoint)
-                 for ctl in controllers}
+    factories = _controller_factories(args, cfg)
+    controllers = list(factories)
 
     keys = [(src, ctl) for src, _ in named for ctl in controllers]
     jobs = [(cfg.sim, trace, factories[ctl])
             for _, trace in named for ctl in controllers]
-    cells = dict(zip(keys, _map_jobs(jobs, args.workers)))
+    cells = dict(zip(keys, map_jobs(_report, jobs, args.workers)))
 
     col_min = {}
     for ctl in controllers:
@@ -281,18 +262,14 @@ def cmd_transfer(args) -> int:
     _write_csv(os.path.join(out, "transfer.csv"),
                ["trace_target", "controller", "utilization", "delay_ms",
                 "diagonal", "column_min"],
-               rows, cfg.config_hash(), cfg.seed)
+               rows, cfg)
     print(f"wrote {out}/transfer.csv ({len(named)}x{len(controllers)} cells)")
     return 0
 
 
-def cmd_lp_case(args) -> int:
-    cfg = _load_cfg(args)
-    out = _out_dir(args, cfg)
+def cmd_lp_case(args, cfg: ExperimentConfig, out: str) -> int:
     t = cfg.traces
-    trace = gen_burst_trace(cfg.sim.n_intervals, t.peak, t.trough,
-                            t.rise_intervals, t.fall_intervals,
-                            interval_ms=cfg.sim.trace_interval_ms)
+    trace, = _build_traces(cfg, "burst")
     write_trace(trace, os.path.join(out, "burst.trace"))
 
     # the comparison sender starts converged (ssthresh at the peak-rate BDP)
@@ -323,31 +300,28 @@ def cmd_lp_case(args) -> int:
             checks.append(("learned utilization exceeds lp's", rep.utilization > lp_util))
     _write_csv(os.path.join(out, "lp_case.csv"),
                ["model", "utilization", "delay_ms", "indications", "dropped"],
-               rows, cfg.config_hash(), cfg.seed)
-    ok = True
+               rows, cfg)
     for label, passed in checks:
         print(f"[{'ok' if passed else 'FAIL'}] {label}")
-        ok = ok and passed
-    return 0 if ok else 1
+    return 0 if all(passed for _, passed in checks) else 1
 
 
-def cmd_train(args) -> int:
-    cfg = _load_cfg(args)
-    out = _out_dir(args, cfg)
+def cmd_train(args, cfg: ExperimentConfig, out: str) -> int:
     traces = _build_traces(cfg)
     policy = PolicyNet(n_features=5, hidden=cfg.train.hidden,
                        a_max=cfg.train.a_max)
     episodes = args.episodes or cfg.train.episodes
     policy, log_rows = train_controller(policy, traces, episodes, cfg.sim,
-                                        cfg.reward, cfg.train.cem(cfg.seed))
+                                        cfg.reward,
+                                        cfg.train.cem(cfg.seed, args.workers))
     ckpt = args.checkpoint_out or os.path.join(out, "learned.ckpt")
     save_policy(policy, ckpt)
     _write_csv(os.path.join(out, "train_log.csv"),
                ["generation", "elite_mean", "best_return"],
                [[r.generation, r.elite_mean, r.best_return] for r in log_rows],
-               cfg.config_hash(), cfg.seed)
+               cfg)
     suite = advtrain.evaluate_suite(policy, {"train_pool": traces}, cfg.sim,
-                                    cfg.reward)
+                                    cfg.reward, args.workers)
     for row in suite:
         print(f"{row.trace_set}: util={row.utilization:.4f} "
               f"delay={row.mean_delay_ms:.2f}ms")
@@ -355,25 +329,30 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _load_pool_dir(path: str) -> list[BandwidthTrace]:
-    files = sorted(f for f in os.listdir(path) if f.endswith(".trace"))
-    return [read_trace(os.path.join(path, f)) for f in files]
+def _load_trace_dir(path: str) -> dict[str, BandwidthTrace]:
+    """Every `<name>.trace` file in `path`, by name, in name order."""
+    return {f[:-len(".trace")]: read_trace(os.path.join(path, f))
+            for f in sorted(os.listdir(path)) if f.endswith(".trace")}
 
 
-def cmd_retrain(args) -> int:
-    cfg = _load_cfg(args)
-    out = _out_dir(args, cfg)
-    policy = load_policy(args.init)
-    benign = (_load_pool_dir(args.pool_benign) if args.pool_benign
-              else _build_traces(cfg))
-    adversarial = _load_pool_dir(args.pool_adv) if args.pool_adv else []
+def _retrain_inputs(args, cfg: ExperimentConfig):
+    """(initial policy, benign, adversarial traces, episodes) of retrain/sweep-p."""
+    benign = (list(_load_trace_dir(args.pool_benign).values())
+              if args.pool_benign else _build_traces(cfg))
+    adversarial = (list(_load_trace_dir(args.pool_adv).values())
+                   if args.pool_adv else [])
+    return (load_policy(args.init), benign, adversarial,
+            args.episodes or cfg.train.episodes)
+
+
+def cmd_retrain(args, cfg: ExperimentConfig, out: str) -> int:
+    policy, benign, adversarial, episodes = _retrain_inputs(args, cfg)
     mix_p = cfg.train.mix_p if args.mix_p is None else args.mix_p
     pool = advtrain.TracePool(benign=benign, adversarial=adversarial,
                               mix_p=mix_p)
-    episodes = args.episodes or cfg.train.episodes
-    new_policy, _ = advtrain.adversarial_retrain(policy, pool, episodes,
-                                                 cfg.sim, cfg.reward,
-                                                 cfg.train.cem(cfg.seed))
+    new_policy, _ = advtrain.adversarial_retrain(
+        policy, pool, episodes, cfg.sim, cfg.reward,
+        cfg.train.cem(cfg.seed, args.workers))
     ckpt = args.checkpoint_out or os.path.join(out, "retrained.ckpt")
     save_policy(new_policy, ckpt)
     sets = {"random_baseline": benign}
@@ -381,12 +360,13 @@ def cmd_retrain(args) -> int:
         sets["adversarial"] = adversarial
     rows = []
     for tag, pol in [("before", policy), ("after", new_policy)]:
-        for srow in advtrain.evaluate_suite(pol, sets, cfg.sim, cfg.reward):
+        for srow in advtrain.evaluate_suite(pol, sets, cfg.sim, cfg.reward,
+                                            args.workers):
             rows.append([tag, srow.trace_set, srow.utilization,
                          srow.mean_delay_ms])
     _write_csv(os.path.join(out, "retrain_eval.csv"),
                ["stage", "trace_set", "utilization", "delay_ms"],
-               rows, cfg.config_hash(), cfg.seed)
+               rows, cfg)
     print(f"wrote {ckpt} and {out}/retrain_eval.csv")
     return 0
 
@@ -394,24 +374,19 @@ def cmd_retrain(args) -> int:
 P_GRID = (0.0, 0.1, 0.2, 0.5, 0.8, 1.0)
 
 
-def cmd_sweep_p(args) -> int:
-    cfg = _load_cfg(args)
-    out = _out_dir(args, cfg)
-    policy = load_policy(args.init)
-    benign = (_load_pool_dir(args.pool_benign) if args.pool_benign
-              else _build_traces(cfg))
-    adversarial = _load_pool_dir(args.pool_adv)
-    episodes = args.episodes or cfg.train.episodes
+def cmd_sweep_p(args, cfg: ExperimentConfig, out: str) -> int:
+    policy, benign, adversarial, episodes = _retrain_inputs(args, cfg)
     rows = []
     for p in P_GRID:
         pool = advtrain.TracePool(
             benign=benign if p < 1 else [],
             adversarial=adversarial if p > 0 else [], mix_p=p)
         new_policy, _ = advtrain.adversarial_retrain(
-            policy, pool, episodes, cfg.sim, cfg.reward, cfg.train.cem(cfg.seed))
+            policy, pool, episodes, cfg.sim, cfg.reward,
+            cfg.train.cem(cfg.seed, args.workers))
         suite = advtrain.evaluate_suite(
             new_policy, {"random_baseline": benign, "adversarial": adversarial},
-            cfg.sim, cfg.reward)
+            cfg.sim, cfg.reward, args.workers)
         by = {s.trace_set: s for s in suite}
         rows.append([p, by["random_baseline"].utilization,
                      by["random_baseline"].mean_delay_ms,
@@ -421,13 +396,11 @@ def cmd_sweep_p(args) -> int:
     _write_csv(os.path.join(out, "sweep_p.csv"),
                ["mix_p", "random_util", "random_delay_ms",
                 "adv_util", "adv_delay_ms"],
-               rows, cfg.config_hash(), cfg.seed)
+               rows, cfg)
     return 0
 
 
-def cmd_gen_trace(args) -> int:
-    cfg = _load_cfg(args)
-    out = _out_dir(args, cfg)
+def cmd_gen_trace(args, cfg: ExperimentConfig, out: str) -> int:
     budget = SmoothnessBudget(delta=args.delta, window_k=args.window_k,
                               bw_min=args.bw_min, bw_max=args.bw_max)
     iv = cfg.sim.trace_interval_ms
@@ -458,12 +431,21 @@ def cmd_export(args) -> int:
 
 # --- argument parsing --------------------------------------------------------
 
+def _positive_int(text: str) -> int:
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {n}")
+    return n
+
+
 def _common(p):
     p.add_argument("--config", help="YAML experiment config")
     p.add_argument("--out", help="output directory (overrides CCPROBE_OUT)")
     p.add_argument("--seed", type=int, help="override the config seed")
-    p.add_argument("--workers", type=int, default=1,
-                   help="episode worker pool size")
+    p.add_argument("--workers", type=_positive_int, default=1,
+                   help="processes that run episodes (>= 1; outputs do not "
+                        "depend on it); gen-trace and lp-case accept it for "
+                        "script uniformity and run serially")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -545,8 +527,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
-    except (SchemaError, UsageError, FileNotFoundError) as e:
+        if args.fn is cmd_export:    # the one command without a config
+            return cmd_export(args)
+        cfg = _load_cfg(args)
+        return args.fn(args, cfg, _out_dir(args, cfg))
+    except (SchemaError, ConfigError, UsageError, FileNotFoundError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

@@ -82,10 +82,11 @@ class TrainSpec:
     extra_noise: float = 0.25
     noise_decay: float = 0.9
 
-    def cem(self, seed: int) -> CemConfig:
+    def cem(self, seed: int, workers: int) -> CemConfig:
         return CemConfig(population=self.population, elite_frac=self.elite_frac,
                          sigma0=self.sigma0, extra_noise=self.extra_noise,
-                         noise_decay=self.noise_decay, seed=seed)
+                         noise_decay=self.noise_decay, seed=seed,
+                         workers=workers)
 
 
 @dataclass
@@ -104,11 +105,8 @@ class ExperimentConfig:
     def __post_init__(self):
         self.sim.validate()
 
-    def canonical(self) -> dict:
-        return dataclasses.asdict(self)
-
     def config_hash(self) -> str:
-        blob = json.dumps(self.canonical(), sort_keys=True, default=str)
+        blob = json.dumps(dataclasses.asdict(self), sort_keys=True, default=str)
         return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 

@@ -13,11 +13,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
-from .cem import CemConfig, cem_maximize
-from .netsim import DomainError, Observation, SimConfig, run_episode
+from .cem import CemConfig, GenerationStats, cem_maximize
+from .netsim import DomainError, Observation, SimConfig, map_jobs, run_episode
 
 
 @dataclass
@@ -162,26 +163,26 @@ class LearnedController:
         self.prev_action = a
 
 
-@dataclass
-class TrainLogRow:
-    generation: int
-    elite_mean: float
-    best_return: float
-
-
 def episode_return(policy: PolicyNet, trace, sim: SimConfig,
-                   reward: RewardParams, intercept=None) -> float:
+                   reward: RewardParams) -> float:
     """Mean per-interval controller reward over one episode."""
     ctl = LearnedController(policy, b_max=reward.b_max)
-    log = run_episode(sim, trace, ctl, intercept=intercept, record_acks=False)
+    log = run_episode(sim, trace, ctl, record_acks=False)
     rs = [controller_reward(o, reward) for o in log.observations]
     return sum(rs) / len(rs) if rs else 0.0
+
+
+def _pool_return(policy: PolicyNet, traces, sim: SimConfig,
+                 reward: RewardParams, params, ep_seed: int) -> float:
+    """`train_controller`'s CEM objective: the episode seed picks the trace."""
+    return episode_return(policy.with_params(params),
+                          traces[ep_seed % len(traces)], sim, reward)
 
 
 def train_controller(policy: PolicyNet, traces, episodes: int,
                      sim: SimConfig, reward: RewardParams,
                      cem: CemConfig | None = None,
-                     holdout=None) -> tuple[PolicyNet, list[TrainLogRow]]:
+                     holdout=None) -> tuple[PolicyNet, list[GenerationStats]]:
     """CEM training over a trace pool; returns (policy, per-generation log).
 
     `episodes` is a total rollout budget; generations = episodes // population.
@@ -194,18 +195,14 @@ def train_controller(policy: PolicyNet, traces, episodes: int,
     if generations == 0:
         return policy, []
 
-    def objective(params, ep_seed):
-        trace = traces[ep_seed % len(traces)]
-        return episode_return(policy.with_params(params), trace, sim, reward)
-
-    result = cem_maximize(objective, dim=policy.n_params, generations=generations,
+    result = cem_maximize(partial(_pool_return, policy, traces, sim, reward),
+                          dim=policy.n_params, generations=generations,
                           config=cem, init_mean=policy.params)
-    rows = [TrainLogRow(h.generation, h.elite_mean, h.best_return) for h in result.history]
 
     candidate = policy.with_params(result.best_params)
     # monotone-improvement contract, checked on a held-out trace
     check = holdout if holdout is not None else traces[0]
-    if episode_return(candidate, check, sim, reward) >= \
-            episode_return(policy, check, sim, reward):
-        return candidate, rows
-    return policy, rows
+    new, old = map_jobs(episode_return, [(candidate, check, sim, reward),
+                                         (policy, check, sim, reward)],
+                        cem.workers)
+    return (candidate if new >= old else policy), result.history

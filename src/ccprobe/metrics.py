@@ -7,7 +7,7 @@ never the controller's possibly-perturbed estimates.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 from .netsim import DomainError, EmptyLog, EpisodeLog
 from .tracegen import avg_abs_slope
@@ -19,9 +19,6 @@ class EpisodeReport:
     mean_delay_ms: float
     p95_delay_ms: float
 
-    def summary(self) -> dict:
-        return asdict(self)
-
 
 def nearest_rank_p95(values) -> float:
     ordered = sorted(values)
@@ -29,11 +26,11 @@ def nearest_rank_p95(values) -> float:
     return ordered[rank - 1]
 
 
-def delay_stats(log: EpisodeLog, base_rtt_ms: float | None = None) -> tuple[float, float]:
+def delay_stats(log: EpisodeLog) -> tuple[float, float]:
     """(mean, p95) per-ACK queuing delay: rtt_sample minus ground-truth base RTT."""
     if not log.ack_rtts_ms:
         raise EmptyLog("no ACKs recorded")
-    base = log.config.base_rtt_ms if base_rtt_ms is None else base_rtt_ms
+    base = log.config.base_rtt_ms
     delays = [r - base for r in log.ack_rtts_ms]
     return sum(delays) / len(delays), nearest_rank_p95(delays)
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
+from concurrent import futures
 from dataclasses import dataclass, field
 
 
@@ -70,11 +71,14 @@ class BandwidthTrace:
 
     def __post_init__(self):
         if not self.values:
-            raise ValueError("trace must be non-empty")
-
-    @property
-    def duration_s(self) -> float:
-        return len(self.values) * self.interval_ms / 1000.0
+            raise ConfigError("trace must be non-empty")
+        if not 0 < self.interval_ms < math.inf:
+            raise ConfigError(f"interval_ms must be finite and > 0, "
+                              f"got {self.interval_ms}")
+        for v in self.values:
+            if not 0 <= v < math.inf:
+                raise ConfigError(f"bandwidth must be finite and >= 0 Mbps, "
+                                  f"got {v}")
 
     def capacity_at(self, interval_idx: int) -> float:
         # cycles like Mahimahi replays
@@ -84,20 +88,23 @@ class BandwidthTrace:
 def read_trace(path: str) -> BandwidthTrace:
     interval_ms = None
     values = []
-    with open(path) as f:
-        for line in f:
-            line = line.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                body = line.lstrip("#").strip()
-                if body.startswith("interval_ms="):
-                    interval_ms = float(body.split("=", 1)[1])
-                continue
-            values.append(float(line))
-    if interval_ms is None:
-        raise ValueError(f"{path}: missing '# interval_ms=<int>' header")
-    return BandwidthTrace(interval_ms=interval_ms, values=values)
+    try:
+        with open(path) as f:
+            for line in f:
+                line = line.strip()
+                if not line:
+                    continue
+                if line.startswith("#"):
+                    body = line.lstrip("#").strip()
+                    if body.startswith("interval_ms="):
+                        interval_ms = float(body.split("=", 1)[1])
+                    continue
+                values.append(float(line))
+        if interval_ms is None:
+            raise ConfigError("missing '# interval_ms=<int>' header")
+        return BandwidthTrace(interval_ms=interval_ms, values=values)
+    except ValueError as e:
+        raise ConfigError(f"{path}: {e}") from e
 
 
 def write_trace(trace: BandwidthTrace, path: str) -> None:
@@ -152,8 +159,6 @@ class EpisodeLog:
     in_flight_end: int = 0
     # per-interval series
     observations: list[Observation] = field(default_factory=list)
-    capacities: list[float] = field(default_factory=list)
-    cwnd_series: list[tuple[float, float]] = field(default_factory=list)  # (t_ms, cwnd)
     # per-ack samples (empty when run_episode(..., record_acks=False))
     ack_rtts_ms: list[float] = field(default_factory=list)
 
@@ -185,6 +190,10 @@ def run_episode(config: SimConfig, trace, controller, intercept=None,
     config.validate()
     if (trace is None) == (env_driver is None):
         raise ConfigError("exactly one of trace / env_driver must be given")
+    if trace is not None and trace.interval_ms != config.trace_interval_ms:
+        raise ConfigError(f"trace interval {trace.interval_ms:g} ms differs "
+                          f"from sim trace_interval_ms "
+                          f"{config.trace_interval_ms:g} ms")
 
     pkt = config.packet_size
     tick_ms = config.tick_ms
@@ -357,8 +366,6 @@ def run_episode(config: SimConfig, trace, controller, intercept=None,
                 cwnd=controller.cwnd,
             )
             log.observations.append(obs)
-            log.capacities.append(capacity)
-            log.cwnd_series.append((obs.now_ms, controller.cwnd))
             controller.on_interval(obs)
             if intercept is not None:
                 intercept.begin_interval(obs)
@@ -378,6 +385,19 @@ def run_episode(config: SimConfig, trace, controller, intercept=None,
     log.acked = acked_pkts
     log.in_flight_end = sent - delivered - dropped
     return log
+
+
+def map_jobs(fn, jobs, workers: int) -> list:
+    """`[fn(*job) for job in jobs]` on up to `workers` processes, never more
+    than one per job; one process means this one. ccprobe's only pool: with
+    more than one process, `fn` and the jobs must pickle (module-level
+    functions, `functools.partial`s of them, plain data)."""
+    jobs = list(jobs)
+    n = min(workers, len(jobs))
+    if n <= 1:
+        return [fn(*job) for job in jobs]
+    with futures.ProcessPoolExecutor(max_workers=n) as pool:
+        return list(pool.map(fn, *zip(*jobs)))
 
 
 @dataclass

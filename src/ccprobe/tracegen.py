@@ -86,18 +86,13 @@ def gen_random_trace(length: int, budget: SmoothnessBudget, seed: int,
 
 
 def gen_unconstrained(length: int, bw_min: float, bw_max: float, seed: int,
-                      policy=None, interval_ms: float = 100.0) -> BandwidthTrace:
-    """No smoothness projection; i.i.d. uniform or policy-driven values."""
+                      interval_ms: float = 100.0) -> BandwidthTrace:
+    """No smoothness projection; i.i.d. uniform values."""
     if length < 1:
         raise ValueError("length must be >= 1")
     rng = np.random.default_rng(seed)
-    values = []
-    for i in range(length):
-        if policy is not None:
-            v = float(policy(i, values))
-        else:
-            v = float(rng.uniform(bw_min, bw_max))
-        values.append(min(bw_max, max(bw_min, v)))
+    values = [min(bw_max, max(bw_min, float(rng.uniform(bw_min, bw_max))))
+              for _ in range(length)]
     return BandwidthTrace(interval_ms=interval_ms, values=values)
 
 

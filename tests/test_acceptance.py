@@ -87,7 +87,7 @@ def learned_stack(baseline_traces):
     factory = lambda: LearnedController(policy, b_max=REWARD.b_max)
     tau, worst, _ = run_attack(factory, baseline_traces, seed=3)
     assert worst is not None, "no feasible adversarial trace against learned"
-    adv_trace = BandwidthTrace(100.0, worst.values)
+    adv_trace = BandwidthTrace(100.0, worst.trace_values)
     sets = {"random": baseline_traces, "adv": [adv_trace]}
     before = {r.trace_set: r.utilization
               for r in evaluate_suite(policy, sets, EVAL_SIM, REWARD)}
@@ -260,7 +260,7 @@ def test_criterion_7_smoothness_ordering(learned_stack):
 
     def series_for(ctl):
         log = run_episode(sim, trace, ctl)
-        return [(t / 1000.0, max(c, 1e-9)) for t, c in log.cwnd_series]
+        return [(o.now_ms / 1000.0, max(o.cwnd, 1e-9)) for o in log.observations]
 
     s_learned = series_for(LearnedController(learned_stack["policy"],
                                              b_max=REWARD.b_max))

@@ -153,7 +153,7 @@ def test_select_worst_trace_respects_constraint(short_sim):
                                short_sim, RewardParams(), n_rollouts=4, seed=0)
     if worst is not None:
         assert worst.mean_delay_ms >= 5.0
-        assert check_feasible(worst.values, budget)
+        assert check_feasible(worst.trace_values, budget)
 
 
 def test_select_worst_trace_infeasible_returns_none(short_sim):

@@ -251,7 +251,7 @@ def test_baseline_random_row_follows_trace_source(tmp_path):
 def _no_episodes(monkeypatch):
     def fail(*args, **kwargs):
         raise AssertionError("an episode ran")
-    for name in ("_map_jobs", "clean_episodes", "run_episode"):
+    for name in ("map_jobs", "clean_episodes", "run_episode"):
         monkeypatch.setattr(cli, name, fail)
 
 
@@ -337,3 +337,94 @@ def test_transfer_applies_constants_to_config_controller(tmp_path):
     got = [",".join(line.split(",")[:4]) for line in _body(out, "transfer.csv")]
     assert got == want
     assert got[0] != default[0]   # the constants change cubic's cells
+
+
+# --- bad input at the boundary ------------------------------------------------
+
+@pytest.mark.parametrize("header, value", [("1000", "48.0"), ("100", "nan"),
+                                           ("100", "-5")])
+def test_bad_trace_file_exits_2(tmp_path, capsys, header, value):
+    path = tmp_path / "t.trace"
+    path.write_text(f"# interval_ms={header}\n" + f"{value}\n" * 20)
+    cfg = tmp_path / "files.yaml"
+    cfg.write_text("sim: {episode_duration_s: 2.0}\n"
+                   f"traces: {{source: files, paths: [{path}]}}\n")
+    assert main(["baseline", "--config", str(cfg), "--controllers", "reno",
+                 "--setting", "random", "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: ")
+
+
+@pytest.mark.parametrize("workers", ["0", "-1"])
+def test_workers_below_one_exits_2(tmp_path, workers):
+    with pytest.raises(SystemExit) as e:
+        main(["gen-trace", "--out", str(tmp_path), "--workers", workers])
+    assert e.value.code == 2
+
+
+# --- every batch of episodes goes through map_jobs -----------------------------
+
+def _training_cfg(tmp_path, surface="env"):
+    p = tmp_path / f"{surface}.yaml"
+    p.write_text("sim: {episode_duration_s: 5.0}\ntraces: {n: 2}\n"
+                 f"adversary: {{surface: {surface}, episodes: 8, rollouts: 3}}\n"
+                 "train: {episodes: 8, population: 4}\nseed: 3\n")
+    return str(p)
+
+
+def _training_runs(tmp_path):
+    """(argv without --out, output subdirectory, expected job functions) for
+    every command that trains."""
+    retrain = ["--init", _checkpoint(tmp_path), "--pool-adv",
+               _worst_traces(tmp_path), "--episodes", "4"]
+    env, feature = _training_cfg(tmp_path), _training_cfg(tmp_path, "feature")
+    attack_jobs = {"run_episode", "_adversary_return", "adversarial_episode"}
+    return [
+        (["attack", "--config", env, "--controller", "cubic"], "attack",
+         attack_jobs),
+        (["attack", "--config", feature, "--controller", "vegas"], "attack",
+         attack_jobs),
+        (["train", "--config", env], "train",
+         {"_pool_return", "episode_return", "run_episode"}),
+        (["retrain", "--config", env] + retrain, "retrain",
+         {"_mixed_return", "run_episode"}),
+        (["sweep-p", "--config", env] + retrain, "sweep",
+         {"_mixed_return", "run_episode"}),
+    ]
+
+
+def test_training_commands_pass_workers_to_map_jobs(tmp_path, monkeypatch):
+    import ccprobe
+    from ccprobe import netsim
+    calls = []
+    real = netsim.map_jobs
+
+    def spy(fn, jobs, workers):
+        jobs = list(jobs)
+        # every objective and rollout job survives the trip to a worker
+        fn2, jobs2 = pickle.loads(pickle.dumps((fn, jobs)))
+        calls.append((getattr(fn, "func", fn).__name__, workers))
+        return real(fn2, jobs2, 1)
+
+    for mod in list(vars(ccprobe).values()):
+        if mod is not netsim and hasattr(mod, "map_jobs"):
+            monkeypatch.setattr(mod, "map_jobs", spy)
+    for argv, sub, fns in _training_runs(tmp_path):
+        calls.clear()
+        assert main(argv + ["--out", str(tmp_path / sub), "--workers", "2"]) == 0
+        assert {f for f, _ in calls} == fns and {w for _, w in calls} == {2}
+
+
+def test_training_outputs_match_across_worker_counts(tmp_path):
+    runs = _training_runs(tmp_path)
+    outs = [str(tmp_path / f"w{w}") for w in (1, 2)]
+    for w, out in zip((1, 2), outs):
+        for argv, sub, _ in runs:
+            assert main(argv + ["--out", os.path.join(out, sub),
+                                "--workers", str(w)]) == 0
+    files = sorted(os.path.relpath(os.path.join(d, f), outs[0])
+                   for d, _, fs in os.walk(outs[0]) for f in fs)
+    assert {f.rsplit(".", 1)[1] for f in files} == {"csv", "ckpt", "trace"}
+    for rel in files:
+        a, b = (open(os.path.join(o, rel), "rb").read() for o in outs)
+        assert a == b, rel

@@ -4,9 +4,10 @@ import math
 
 import pytest
 
+from ccprobe import netsim
 from ccprobe.cc import Controller
 from ccprobe.netsim import (BandwidthTrace, ConfigError, SimConfig,
-                            export_mahimahi, read_trace, run_episode,
+                            export_mahimahi, map_jobs, read_trace, run_episode,
                             write_trace)
 
 
@@ -68,7 +69,7 @@ def test_determinism_bit_identical(short_sim, const_trace):
     a = run_episode(short_sim, const_trace, Pinned(80.0))
     b = run_episode(short_sim, const_trace, Pinned(80.0))
     assert a.ack_rtts_ms == b.ack_rtts_ms
-    assert a.cwnd_series == b.cwnd_series
+    assert a.observations == b.observations
     assert (a.sent, a.delivered, a.dropped) == (b.sent, b.delivered, b.dropped)
 
 
@@ -106,6 +107,39 @@ def test_trace_missing_header(tmp_path):
         read_trace(str(path))
 
 
+@pytest.mark.parametrize("body", ["48.0\nnan\n", "48.0\n-5\n", "inf\n",
+                                  "48.0\nfast\n"])
+def test_trace_rejects_bad_values(tmp_path, body):
+    path = tmp_path / "bad.trace"
+    path.write_text("# interval_ms=100\n" + body)
+    with pytest.raises(ConfigError, match="bad.trace"):
+        read_trace(str(path))
+
+
+def test_trace_interval_must_match_sim(short_sim, tmp_path):
+    path = tmp_path / "slow.trace"
+    path.write_text("# interval_ms=1000\n" + "48.0\n" * 5)
+    with pytest.raises(ConfigError, match="interval"):
+        run_episode(short_sim, read_trace(str(path)), Pinned(10.0))
+
+
+def test_map_jobs_pool_is_capped_by_jobs(monkeypatch):
+    sizes = []
+
+    class Spy(netsim.futures.ProcessPoolExecutor):
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+            super().__init__(max_workers=max_workers)
+
+    monkeypatch.setattr(netsim.futures, "ProcessPoolExecutor", Spy)
+    jobs = [(2, 3), (3, 2)]
+    assert map_jobs(pow, jobs, 64) == [8, 9]
+    assert sizes == [2]                     # one process per job, no more
+    assert map_jobs(pow, jobs[:1], 8) == [8]
+    assert map_jobs(pow, jobs, 1) == [8, 9]
+    assert sizes == [2]                     # a single process runs here
+
+
 def test_mahimahi_export_opportunity_count(tmp_path):
     # 12 Mbps for 1 s = 1000 packet opportunities
     trace = BandwidthTrace(100.0, [12.0] * 10)
@@ -132,5 +166,4 @@ def test_record_acks_off_keeps_aggregates(short_sim, const_trace):
         assert ((log.sent, log.delivered, log.dropped, log.acked, log.in_flight_end)
                 == (ref.sent, ref.delivered, ref.dropped, ref.acked, ref.in_flight_end))
         assert log.observations == ref.observations
-        assert log.cwnd_series == ref.cwnd_series
         assert log.mean_utilization() == ref.mean_utilization()
