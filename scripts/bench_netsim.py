@@ -1,0 +1,92 @@
+#!/usr/bin/env python3
+"""Layer benchmark of the simulator: ticks/s and ACKs/s of `run_episode`.
+
+Runs every rule controller with `record_acks` on and off, plus a runaway
+`Pinned(4096)` sender, over one fixed 60 s random trace (seed 0, default
+budget), and stores the result under `--label` in the JSON file `--out`
+(other labels already in the file are kept). Import ccprobe from the tree to
+measure, so two trees compare under identical settings:
+
+    PYTHONPATH=/path/to/parent/src python3 scripts/bench_netsim.py --label parent
+    PYTHONPATH=src python3 scripts/bench_netsim.py --label change
+
+Each case is timed REPEATS times after one untimed warm-up episode; the
+median episode time gives ticks/s (simulated ticks per host second) and
+ACKs/s (acknowledged packets per host second).
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import os
+import platform
+import statistics
+import time
+
+from ccprobe import netsim
+from ccprobe.cc import RULE_BASED, Pinned, make_controller
+from ccprobe.netsim import SimConfig, run_episode
+from ccprobe.tracegen import SmoothnessBudget, gen_random_trace
+
+REPEATS = 5
+
+
+def _cases():
+    for name in RULE_BASED:
+        yield name, lambda name=name: make_controller(name)
+    yield "pinned4096", lambda: Pinned(4096.0)
+
+
+def measure() -> dict:
+    sim = SimConfig()
+    trace = gen_random_trace(sim.n_intervals, SmoothnessBudget(), seed=0)
+    ticks = sim.n_intervals * sim.interval_ticks
+    out = {}
+    for name, factory in _cases():
+        for record_acks in (True, False):
+            run_episode(sim, trace, factory(), record_acks=record_acks)
+            times = []
+            for _ in range(REPEATS):
+                t0 = time.perf_counter()
+                log = run_episode(sim, trace, factory(), record_acks=record_acks)
+                times.append(time.perf_counter() - t0)
+            t = statistics.median(times)
+            out[f"{name}/acks_{'on' if record_acks else 'off'}"] = {
+                "episode_s": round(t, 4),
+                "ticks_per_s": round(ticks / t),
+                "acks_per_s": round(log.acked / t),
+                "sent": log.sent, "dropped": log.dropped, "acked": log.acked,
+            }
+    return out
+
+
+def main() -> None:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    ap.add_argument("--label", required=True,
+                    help="key of this tree's numbers, e.g. parent or change")
+    ap.add_argument("--out", default="BENCH_5.json")
+    args = ap.parse_args()
+
+    with open(netsim.__file__, "rb") as f:
+        netsim_sha = hashlib.sha256(f.read()).hexdigest()[:16]
+    doc = {}
+    if os.path.exists(args.out):
+        with open(args.out) as f:
+            doc = json.load(f)
+    doc.update(nproc=os.cpu_count(), python=platform.python_version(),
+               trace="gen_random_trace(600, SmoothnessBudget(), seed=0), 60 s",
+               repeats=REPEATS)
+    doc.setdefault("runs", {})[args.label] = {"netsim_sha256": netsim_sha,
+                                              "cases": measure()}
+    with open(args.out, "w") as f:
+        json.dump(doc, f, indent=2, sort_keys=True)
+        f.write("\n")
+    for case, r in doc["runs"][args.label]["cases"].items():
+        print(f"{args.label} {case:22s} {r['ticks_per_s']:>8d} ticks/s "
+              f"{r['acks_per_s']:>9d} acks/s")
+
+
+if __name__ == "__main__":
+    main()

@@ -97,9 +97,9 @@ def _controller_factory(cfg: ExperimentConfig, name: str,
     if name == "learned" and checkpoint is None:
         raise UsageError("the learned controller requires --checkpoint")
     kwargs = dict(defaults)
+    if name == "learned":
+        kwargs.update(policy=load_policy(checkpoint), b_max=cfg.reward.b_max)
     try:
-        if name == "learned":
-            kwargs.update(policy=load_policy(checkpoint), b_max=cfg.reward.b_max)
         if name == cfg.controller:
             kwargs.update(cfg.controller_constants)
         factory = partial(make_controller, name, **kwargs)
@@ -401,8 +401,11 @@ def cmd_sweep_p(args, cfg: ExperimentConfig, out: str) -> int:
 
 
 def cmd_gen_trace(args, cfg: ExperimentConfig, out: str) -> int:
-    budget = SmoothnessBudget(delta=args.delta, window_k=args.window_k,
-                              bw_min=args.bw_min, bw_max=args.bw_max)
+    try:
+        budget = SmoothnessBudget(delta=args.delta, window_k=args.window_k,
+                                  bw_min=args.bw_min, bw_max=args.bw_max)
+    except ValueError as e:
+        raise UsageError(e) from e
     iv = cfg.sim.trace_interval_ms
     ok = True
     for i in range(args.n):

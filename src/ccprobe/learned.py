@@ -18,7 +18,8 @@ from functools import partial
 import numpy as np
 
 from .cem import CemConfig, GenerationStats, cem_maximize
-from .netsim import DomainError, Observation, SimConfig, map_jobs, run_episode
+from .netsim import (ConfigError, DomainError, Observation, SimConfig, map_jobs,
+                     run_episode)
 
 
 @dataclass
@@ -123,15 +124,20 @@ def save_policy(policy: PolicyNet, path: str, feature_names=FEATURE_NAMES) -> No
 
 
 def load_policy(path: str) -> PolicyNet:
+    """Read a `save_policy` file; any malformed one is a `ConfigError`."""
     with open(path) as f:
         lines = [ln.rstrip("\n") for ln in f]
-    if not lines or lines[0] != CHECKPOINT_MAGIC:
-        raise ValueError(f"{path}: not a {CHECKPOINT_MAGIC} checkpoint")
-    features = lines[1].split()[1:]
-    hidden = int(lines[2].split()[1])
-    a_max = float(lines[3].split()[1])
-    params = np.array([float(x) for x in lines[4:] if x])
-    return PolicyNet(n_features=len(features), hidden=hidden, a_max=a_max, params=params)
+    try:
+        if len(lines) < 4 or lines[0] != CHECKPOINT_MAGIC:
+            raise ValueError(f"not a {CHECKPOINT_MAGIC} checkpoint")
+        features = lines[1].split()[1:]
+        hidden = int(lines[2].split()[1])
+        a_max = float(lines[3].split()[1])
+        params = np.array([float(x) for x in lines[4:] if x])
+        return PolicyNet(n_features=len(features), hidden=hidden, a_max=a_max,
+                         params=params)
+    except (ValueError, IndexError) as e:
+        raise ConfigError(f"{path}: {e}") from e
 
 
 class LearnedController:

@@ -38,8 +38,12 @@ class SimConfig:
     def validate(self) -> None:
         if self.tick_ms <= 0:
             raise ConfigError("tick_ms must be > 0")
-        if self.one_way_delay_ms < 0:
-            raise ConfigError("one_way_delay_ms must be >= 0")
+        # ACKs are filed under tick + 2 * owd_ticks, so the delay must be a
+        # whole, non-zero number of ticks
+        owd = self.one_way_delay_ms / self.tick_ms
+        if not 1 - 1e-9 <= owd < math.inf or abs(owd - round(owd)) > 1e-9:
+            raise ConfigError("one_way_delay_ms must be a positive integer "
+                              "multiple of tick_ms")
         if self.queue_capacity_bdp <= 0:
             raise ConfigError("queue_capacity_bdp must be > 0")
         ratio = self.trace_interval_ms / self.tick_ms
@@ -197,7 +201,8 @@ def run_episode(config: SimConfig, trace, controller, intercept=None,
 
     pkt = config.packet_size
     tick_ms = config.tick_ms
-    owd_ticks = int(round(config.one_way_delay_ms / tick_ms))
+    owd_ms = config.one_way_delay_ms
+    owd_ticks = int(round(owd_ms / tick_ms))
     interval_ticks = config.interval_ticks
     n_intervals = config.n_intervals
     n_ticks = n_intervals * interval_ticks
@@ -214,8 +219,14 @@ def run_episode(config: SimConfig, trace, controller, intercept=None,
     log = EpisodeLog(config=config)
     ack_rtts = log.ack_rtts_ms
 
-    queue: deque[int] = deque()           # send ticks of queued packets
-    acks_at: dict[int, list[int]] = {}    # ack tick -> list of send ticks
+    # The FIFO holds runs [send_tick, count], oldest first: every packet
+    # injected in one tick shares its send tick, so a tick's work is per run,
+    # never per packet.
+    queue: deque[list[int]] = deque()
+    qlen = 0
+    acks_at: dict[int, list[list[int]]] = {}   # ack tick -> delivered runs
+    ack_delay_ticks = 2 * owd_ticks
+    burst_cap = queue_cap_pkts + 8
     byte_credit = 0.0
     sent = delivered = dropped = acked_pkts = 0
     resolved_drops = 0
@@ -244,28 +255,29 @@ def run_episode(config: SimConfig, trace, controller, intercept=None,
     cap_bytes_per_tick = capacity * 1e6 / 8.0 * tick_ms / 1000.0
 
     from .cc import LossKind  # local import avoids a module cycle
+    triple_dup, timeout = LossKind.TRIPLE_DUP_ACK, LossKind.TIMEOUT
+    on_ack, on_loss = controller.on_ack, controller.on_loss
 
     if intercept is not None:
         intercept.begin_episode()
     scale = 1.0 if intercept is None else intercept.scale()
 
     for tick in range(n_ticks):
-        now_ms = tick * tick_ms
-
         # 1. ACK arrivals
         batch = acks_at.pop(tick, None)
         if batch:
-            n = len(batch)
-            rtt_sum = 0.0
-            for send_tick in batch:
-                rtt = (tick - send_tick) * tick_ms
-                rtt_sum += rtt
-                if rtt < min_rtt:
-                    min_rtt = rtt
+            n = rtt_ticks = 0
+            for send_tick, count in batch:
+                n += count
+                rtt_ticks += count * (tick - send_tick)
                 if record_acks:
-                    ack_rtts.append(rtt)
-            mean_rtt = rtt_sum / n
-            owd = mean_rtt - config.one_way_delay_ms  # queue wait + forward prop
+                    ack_rtts += [(tick - send_tick) * tick_ms] * count
+            # runs leave the FIFO in send order: the last one is the youngest
+            rtt = (tick - batch[-1][0]) * tick_ms
+            if rtt < min_rtt:
+                min_rtt = rtt
+            mean_rtt = rtt_ticks * tick_ms / n
+            owd = mean_rtt - owd_ms  # queue wait + forward prop
             if owd < min_owd:
                 min_owd = owd
             srtt = mean_rtt if srtt is None else srtt + (mean_rtt - srtt) / 8.0
@@ -273,8 +285,8 @@ def run_episode(config: SimConfig, trace, controller, intercept=None,
             last_ack_tick = tick
             if drop_pending:
                 acks_after_drop += n
-            controller.on_ack(AckInfo(
-                now_ms=now_ms,
+            on_ack(AckInfo(
+                now_ms=tick * tick_ms,
                 rtt_ms=mean_rtt,
                 owd_ms=owd,
                 acked_packets=n,
@@ -287,47 +299,50 @@ def run_episode(config: SimConfig, trace, controller, intercept=None,
 
         # 2. loss reactions
         if drop_pending and acks_after_drop >= 3 and tick >= reaction_blocked_until:
-            controller.on_loss(LossKind.TRIPLE_DUP_ACK)
+            on_loss(triple_dup)
             resolved_drops = dropped
             drop_pending = False
             acks_after_drop = 0
             srtt_ticks = int(round((srtt or base_rtt_ms) / tick_ms))
             reaction_blocked_until = tick + max(1, srtt_ticks)
         else:
-            outstanding = sent - acked_pkts - resolved_drops
-            rto_ms = max(200.0, 2.0 * (srtt or base_rtt_ms))
-            if outstanding > 0 and (tick - last_ack_tick) * tick_ms > rto_ms:
-                controller.on_loss(LossKind.TIMEOUT)
+            rto_ms = 2.0 * (srtt or base_rtt_ms)
+            if rto_ms < 200.0:
+                rto_ms = 200.0
+            if (sent - acked_pkts - resolved_drops > 0
+                    and (tick - last_ack_tick) * tick_ms > rto_ms):
+                on_loss(timeout)
                 resolved_drops = dropped
                 drop_pending = False
                 acks_after_drop = 0
                 last_ack_tick = tick  # restart the timer
                 reaction_blocked_until = tick + max(1, int(round(rto_ms / tick_ms)))
 
-        # 3. injection, gated by cwnd (and pacing when the controller sets one)
-        cwnd = max(1, int(controller.cwnd))
+        # 3. injection, gated by cwnd (and pacing when the controller sets one);
+        # a single tick can never usefully inject more than a full queue's
+        # worth, so the burst cap keeps runaway cwnd values cheap
+        cwnd = int(controller.cwnd)
+        k = (cwnd if cwnd > 1 else 1) - (sent - acked_pkts - resolved_drops)
+        if k > burst_cap:
+            k = burst_cap
         pacing = controller.pacing_rate_bps
         if pacing is not None:
             pacing_credit = min(pacing_credit + pacing / 8.0 * tick_ms / 1000.0,
                                 10.0 * pkt)
-        outstanding = sent - acked_pkts - resolved_drops
-        # a single tick can never usefully inject more than a full queue's
-        # worth; the cap keeps runaway cwnd values from stalling the loop
-        burst_left = queue_cap_pkts + 8
-        while outstanding < cwnd and burst_left > 0:
-            burst_left -= 1
-            if pacing is not None:
-                if pacing_credit < pkt:
-                    break
-                pacing_credit -= pkt
-            sent += 1
-            iv_sent += 1
-            outstanding += 1
-            if len(queue) < queue_cap_pkts:
-                queue.append(tick)
-            else:
-                dropped += 1
-                iv_dropped += 1
+            # exact: pkt is an integer and the credit is at most 10 * pkt
+            k = min(k, int(pacing_credit // pkt))
+            if k > 0:
+                pacing_credit -= k * pkt
+        if k > 0:
+            sent += k
+            iv_sent += k
+            enq = min(k, queue_cap_pkts - qlen)
+            if enq:
+                queue.append([tick, enq])
+                qlen += enq
+            if enq < k:
+                dropped += k - enq
+                iv_dropped += k - enq
                 if not drop_pending:
                     drop_pending = True
                     acks_after_drop = 0
@@ -336,12 +351,20 @@ def run_episode(config: SimConfig, trace, controller, intercept=None,
         byte_credit += cap_bytes_per_tick
         n_opp = int(byte_credit // pkt)
         byte_credit -= n_opp * pkt
-        if n_opp and queue:
-            n_del = min(n_opp, len(queue))
-            ack_tick = tick + 2 * owd_ticks
-            lst = acks_at.setdefault(ack_tick, [])
-            for _ in range(n_del):
-                lst.append(queue.popleft())
+        if n_opp and qlen:
+            n_del = left = min(n_opp, qlen)
+            runs = []
+            while left:
+                run = queue[0]
+                if run[1] <= left:
+                    runs.append(queue.popleft())
+                    left -= run[1]
+                else:
+                    run[1] -= left
+                    runs.append([run[0], left])
+                    left = 0
+            acks_at[tick + ack_delay_ticks] = runs
+            qlen -= n_del
             delivered += n_del
             iv_delivered += n_del
 
@@ -354,7 +377,7 @@ def run_episode(config: SimConfig, trace, controller, intercept=None,
             cur_srtt = srtt if srtt is not None else base_rtt_ms
             obs = Observation(
                 interval_idx=interval_idx,
-                now_ms=now_ms + tick_ms,
+                now_ms=tick * tick_ms + tick_ms,
                 capacity_mbps=capacity,
                 throughput_mbps=thr,
                 loss_mbps=loss_thr,

@@ -58,6 +58,11 @@ def test_bad_values_rejected():
         config_from_dict({"adversary": {"surface": "kernel"}})
     with pytest.raises(SchemaError):
         config_from_dict({"traces": {"source": "nope"}})
+    # a zero delay files ACKs under a tick already processed; 10.4 ms at 1 ms
+    # ticks would measure every delay against a base RTT the sim never has
+    for owd in (0, 10.4):
+        with pytest.raises(SchemaError, match="one_way_delay_ms"):
+            config_from_dict({"sim": {"one_way_delay_ms": owd}})
 
 
 def test_config_hash_tracks_content():
@@ -353,6 +358,31 @@ def test_bad_trace_file_exits_2(tmp_path, capsys, header, value):
                  "--setting", "random", "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith("error: ")
+
+
+@pytest.mark.parametrize("body", ["not a policy\n", "ccprobe-policy v1\n"])
+def test_init_not_a_checkpoint_exits_2(tmp_path, capsys, body):
+    cfg = _write_cfg(tmp_path)
+    bogus = tmp_path / "bogus.ckpt"
+    bogus.write_text(body)
+    for argv in (["retrain", "--init", str(bogus)],
+                 ["sweep-p", "--init", str(bogus),
+                  "--pool-adv", _worst_traces(tmp_path)],
+                 ["baseline", "--controllers", "learned",
+                  "--checkpoint", str(bogus)]):
+        assert main(argv + ["--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: ")
+        assert "bogus.ckpt" in err
+
+
+@pytest.mark.parametrize("flags", [["--bw-min", "5", "--bw-max", "1"],
+                                   ["--delta", "0"]])
+def test_gen_trace_bad_budget_exits_2(tmp_path, capsys, flags):
+    assert main(["gen-trace", "--out", str(tmp_path / "t")] + flags) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: ")
+    assert not os.listdir(tmp_path / "t")
 
 
 @pytest.mark.parametrize("workers", ["0", "-1"])

@@ -9,7 +9,7 @@ from ccprobe.learned import (FEATURE_NAMES, LearnedController, PolicyNet,
                              RewardParams, episode_return, load_policy,
                              observation_features, save_policy,
                              train_controller)
-from ccprobe.netsim import BandwidthTrace, Observation, run_episode
+from ccprobe.netsim import BandwidthTrace, ConfigError, Observation, run_episode
 
 
 def obs(srtt=25.0, min_rtt=20.0, thr=40.0, loss_rate=0.0):
@@ -71,9 +71,11 @@ def test_checkpoint_roundtrip_exact(tmp_path):
 
 def test_checkpoint_rejects_garbage(tmp_path):
     path = tmp_path / "junk"
-    path.write_text("not a checkpoint\n")
-    with pytest.raises(ValueError):
-        load_policy(str(path))
+    for body in ("not a checkpoint\n", "ccprobe-policy v1\n",
+                 "ccprobe-policy v1\nfeatures a\nhidden x\na_max 2\n"):
+        path.write_text(body)
+        with pytest.raises(ConfigError, match="junk"):
+            load_policy(str(path))
 
 
 def test_controller_cwnd_update_rule():

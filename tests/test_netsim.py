@@ -1,14 +1,20 @@
-"""Simulator oracles: BDP arithmetic, queue saturation, determinism, trace IO."""
+"""Simulator oracles: BDP arithmetic, queue saturation, determinism, trace IO,
+invariants over random traces and golden episode hashes."""
 
+import dataclasses
+import hashlib
 import math
+from functools import partial
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ccprobe import netsim
-from ccprobe.cc import Controller
+from ccprobe.cc import RULE_BASED, Controller, make_controller
 from ccprobe.netsim import (BandwidthTrace, ConfigError, SimConfig,
                             export_mahimahi, map_jobs, read_trace, run_episode,
                             write_trace)
+from ccprobe.tracegen import SmoothnessBudget, gen_burst_trace, gen_random_trace
 
 
 class Pinned(Controller):
@@ -80,6 +86,10 @@ def test_config_validation():
         SimConfig(trace_interval_ms=33.0).validate()  # not a tick multiple
     with pytest.raises(ConfigError):
         SimConfig(episode_duration_s=0.05).validate()
+    for owd in (0.0, -10.0, 10.4, 0.5, math.nan, math.inf):  # off the tick grid
+        with pytest.raises(ConfigError, match="one_way_delay_ms"):
+            SimConfig(one_way_delay_ms=owd).validate()
+    SimConfig(tick_ms=0.5, one_way_delay_ms=10.5).validate()
     SimConfig().validate()
 
 
@@ -167,3 +177,61 @@ def test_record_acks_off_keeps_aggregates(short_sim, const_trace):
                 == (ref.sent, ref.delivered, ref.dropped, ref.acked, ref.in_flight_end))
         assert log.observations == ref.observations
         assert log.mean_utilization() == ref.mean_utilization()
+
+
+@settings(max_examples=8, deadline=None)
+@given(st.integers(min_value=0, max_value=10_000),
+       st.floats(min_value=0.5, max_value=48.0),
+       st.floats(min_value=0.5, max_value=24.0),
+       st.floats(min_value=1.0, max_value=96.0))
+def test_episode_invariants_on_feasible_traces(seed, delta, bw_min, span):
+    sim = SimConfig(episode_duration_s=2.0)
+    budget = SmoothnessBudget(delta=delta, bw_min=bw_min, bw_max=bw_min + span)
+    trace = gen_random_trace(sim.n_intervals, budget, seed)
+    pkt = sim.packet_size
+    opportunities = math.floor(sum(v * 1e6 / 8.0 * sim.trace_interval_ms / 1000.0
+                                   for v in trace.values) / pkt + 1e-6)
+    queue_cap = max(1, int(sim.queue_capacity_bdp * max(trace.values) * 1e6 / 8.0
+                           * sim.base_rtt_ms / 1000.0 // pkt))
+    for name in RULE_BASED:
+        log = run_episode(sim, trace, make_controller(name), record_acks=False)
+        assert log.acked <= log.delivered <= log.sent, name
+        assert log.delivered <= opportunities, name
+        assert 0 <= log.in_flight_end <= queue_cap, name
+        assert all(0.0 <= o.utilization <= 1.0 for o in log.observations), name
+
+
+# --- golden episodes -----------------------------------------------------------
+
+def _golden_traces():
+    low = SmoothnessBudget(delta=6.0, bw_min=1.0, bw_max=12.0)
+    walk = gen_random_trace(50, low, seed=5).values
+    return [gen_random_trace(50, SmoothnessBudget(), seed=11),
+            gen_burst_trace(50, peak=60.0, trough=2.0, rise_intervals=5,
+                            fall_intervals=20),
+            # a low-capacity walk with a 0.5 s outage, so RTO timeouts fire
+            BandwidthTrace(100.0, walk[:25] + [0.0] * 5 + walk[30:])]
+
+
+def test_golden_episode_hashes(short_sim):
+    # One digest over every episode's totals, observations and per-ACK RTTs:
+    # a change to the simulator's arithmetic or event order moves it. The
+    # runaway Pinned(4096) saturates the per-tick injection cap; Pinned(240)
+    # overloads the queue at a steady cwnd.
+    factories = ([partial(make_controller, name) for name in RULE_BASED]
+                 + [partial(Pinned, 4096.0), partial(Pinned, 240.0)])
+    h = hashlib.sha256()
+    for trace in _golden_traces():
+        for factory in factories:
+            for record_acks in (True, False):
+                log = run_episode(short_sim, trace, factory(),
+                                  record_acks=record_acks)
+                h.update(repr((log.sent, log.delivered, log.dropped, log.acked,
+                               log.in_flight_end,
+                               [dataclasses.astuple(o) for o in log.observations],
+                               log.ack_rtts_ms)).encode())
+    assert h.hexdigest() == GOLDEN_EPISODES_SHA256
+
+
+GOLDEN_EPISODES_SHA256 = (
+    "59208ca17ee980f8caeb36dc22ecebdab6d47365b005323b17cf665b840bdfd4")
