@@ -1,11 +1,12 @@
 #!/usr/bin/env python3
 """Layer benchmark of the simulator: ticks/s and ACKs/s of `run_episode`.
 
-Runs every rule controller with `record_acks` on and off, plus a runaway
-`Pinned(4096)` sender, over one fixed 60 s random trace (seed 0, default
-budget), and stores the result under `--label` in the JSON file `--out`
-(other labels already in the file are kept). Import ccprobe from the tree to
-measure, so two trees compare under identical settings:
+Runs one episode case per rule controller, a runaway `Pinned(4096)` sender
+and a `LearnedController` with a fixed linear policy, over one fixed 60 s
+random trace (seed 0, default budget), and stores the result under `--label`
+in the JSON file `--out` (other labels already in the file are kept). Import
+ccprobe from the tree to measure, so two trees compare under identical
+settings:
 
     PYTHONPATH=/path/to/parent/src python3 scripts/bench_netsim.py --label parent
     PYTHONPATH=src python3 scripts/bench_netsim.py --label change
@@ -24,19 +25,26 @@ import os
 import platform
 import statistics
 import time
+from functools import partial
 
 from ccprobe import netsim
 from ccprobe.cc import RULE_BASED, Pinned, make_controller
+from ccprobe.learned import LearnedController, PolicyNet
 from ccprobe.netsim import SimConfig, run_episode
 from ccprobe.tracegen import SmoothnessBudget, gen_random_trace
 
 REPEATS = 5
+# fixed linear policy over the five observation features plus a bias: it
+# grows cwnd while the queue is empty and backs off on queuing and loss
+LEARNED_PARAMS = [0.0, 0.0, -1.0, -4.0, 0.0, 0.3]
 
 
 def _cases():
     for name in RULE_BASED:
-        yield name, lambda name=name: make_controller(name)
-    yield "pinned4096", lambda: Pinned(4096.0)
+        yield name, partial(make_controller, name)
+    yield "pinned4096", partial(Pinned, 4096.0)
+    policy = PolicyNet(n_features=5, hidden=0, params=LEARNED_PARAMS)
+    yield "learned_fixed", partial(LearnedController, policy)
 
 
 def measure() -> dict:
@@ -45,20 +53,19 @@ def measure() -> dict:
     ticks = sim.n_intervals * sim.interval_ticks
     out = {}
     for name, factory in _cases():
-        for record_acks in (True, False):
-            run_episode(sim, trace, factory(), record_acks=record_acks)
-            times = []
-            for _ in range(REPEATS):
-                t0 = time.perf_counter()
-                log = run_episode(sim, trace, factory(), record_acks=record_acks)
-                times.append(time.perf_counter() - t0)
-            t = statistics.median(times)
-            out[f"{name}/acks_{'on' if record_acks else 'off'}"] = {
-                "episode_s": round(t, 4),
-                "ticks_per_s": round(ticks / t),
-                "acks_per_s": round(log.acked / t),
-                "sent": log.sent, "dropped": log.dropped, "acked": log.acked,
-            }
+        run_episode(sim, trace, factory())
+        times = []
+        for _ in range(REPEATS):
+            t0 = time.perf_counter()
+            log = run_episode(sim, trace, factory())
+            times.append(time.perf_counter() - t0)
+        t = statistics.median(times)
+        out[name] = {
+            "episode_s": round(t, 4),
+            "ticks_per_s": round(ticks / t),
+            "acks_per_s": round(log.acked / t),
+            "sent": log.sent, "dropped": log.dropped, "acked": log.acked,
+        }
     return out
 
 
@@ -66,7 +73,7 @@ def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("--label", required=True,
                     help="key of this tree's numbers, e.g. parent or change")
-    ap.add_argument("--out", default="BENCH_5.json")
+    ap.add_argument("--out", default="BENCH_6.json")
     args = ap.parse_args()
 
     with open(netsim.__file__, "rb") as f:
@@ -84,7 +91,7 @@ def main() -> None:
         json.dump(doc, f, indent=2, sort_keys=True)
         f.write("\n")
     for case, r in doc["runs"][args.label]["cases"].items():
-        print(f"{args.label} {case:22s} {r['ticks_per_s']:>8d} ticks/s "
+        print(f"{args.label} {case:14s} {r['ticks_per_s']:>8d} ticks/s "
               f"{r['acks_per_s']:>9d} acks/s")
 
 

@@ -217,10 +217,10 @@ def make_adversary_policy(surface: SurfaceMode) -> PolicyNet:
 
 def clean_episodes(controller_factory, traces, config: SimConfig,
                    workers: int = 1) -> list[EpisodeLog]:
-    """One unperturbed episode per trace, per-ACK samples off."""
+    """One unperturbed episode per trace."""
     if not traces:
         raise ValueError("trace set must be non-empty")
-    return map_jobs(partial(run_episode, record_acks=False),
+    return map_jobs(run_episode,
                     [(config, trace, controller_factory()) for trace in traces],
                     workers)
 
@@ -267,7 +267,7 @@ def adversarial_episode(spec: AdversarySpec, params, controller_factory,
         driver = EnvBandwidthDriver(spec.budget, policy, b_max=reward.b_max,
                                     seed=seed, initial_capacity=initial_capacity)
     log = run_episode(config, trace, controller_factory(), intercept=intercept,
-                      env_driver=driver, record_acks=False)
+                      env_driver=driver)
 
     delays = deque(maxlen=spec.constraint.window_h)
     total = 0.0

@@ -485,7 +485,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="train the learned controller")
     _common(p)
-    p.add_argument("--episodes", type=int)
+    p.add_argument("--episodes", type=_positive_int)
     p.add_argument("--checkpoint-out")
     p.set_defaults(fn=cmd_train)
 
@@ -495,7 +495,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mix-p", type=float)
     p.add_argument("--pool-benign", help="directory of benign .trace files")
     p.add_argument("--pool-adv", help="directory of adversarial .trace files")
-    p.add_argument("--episodes", type=int)
+    p.add_argument("--episodes", type=_positive_int)
     p.add_argument("--checkpoint-out")
     p.set_defaults(fn=cmd_retrain)
 
@@ -504,13 +504,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--init", required=True)
     p.add_argument("--pool-benign")
     p.add_argument("--pool-adv", required=True)
-    p.add_argument("--episodes", type=int)
+    p.add_argument("--episodes", type=_positive_int)
     p.set_defaults(fn=cmd_sweep_p)
 
     p = sub.add_parser("gen-trace", help="generate bandwidth traces")
     _common(p)
-    p.add_argument("--n", type=int, default=1)
-    p.add_argument("--length", type=int, default=600)
+    p.add_argument("--n", type=_positive_int, default=1)
+    p.add_argument("--length", type=_positive_int, default=600)
     p.add_argument("--mode", choices=["random", "unconstrained", "burst"],
                    default="random")
     p.add_argument("--delta", type=float, default=48.0)

@@ -173,7 +173,7 @@ def episode_return(policy: PolicyNet, trace, sim: SimConfig,
                    reward: RewardParams) -> float:
     """Mean per-interval controller reward over one episode."""
     ctl = LearnedController(policy, b_max=reward.b_max)
-    log = run_episode(sim, trace, ctl, record_acks=False)
+    log = run_episode(sim, trace, ctl)
     rs = [controller_reward(o, reward) for o in log.observations]
     return sum(rs) / len(rs) if rs else 0.0
 

@@ -7,7 +7,9 @@ never the controller's possibly-perturbed estimates.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import accumulate
 
 from .netsim import DomainError, EmptyLog, EpisodeLog
 from .tracegen import avg_abs_slope
@@ -20,19 +22,19 @@ class EpisodeReport:
     p95_delay_ms: float
 
 
-def nearest_rank_p95(values) -> float:
-    ordered = sorted(values)
-    rank = math.ceil(0.95 * len(ordered))
-    return ordered[rank - 1]
-
-
 def delay_stats(log: EpisodeLog) -> tuple[float, float]:
-    """(mean, p95) per-ACK queuing delay: rtt_sample minus ground-truth base RTT."""
-    if not log.ack_rtts_ms:
+    """(mean, nearest-rank p95) per-ACK queuing delay, RTT minus ground-truth
+    base RTT, from the RTT histogram: sums stay in integer ticks and are
+    scaled by tick_ms once, so a non-dyadic tick adds no rounding per ACK."""
+    hist = log.ack_rtt_ticks
+    if not hist:
         raise EmptyLog("no ACKs recorded")
-    base = log.config.base_rtt_ms
-    delays = [r - base for r in log.ack_rtts_ms]
-    return sum(delays) / len(delays), nearest_rank_p95(delays)
+    base, tick_ms = log.config.base_rtt_ms, log.config.tick_ms
+    keys = sorted(hist)
+    cum = list(accumulate(hist[k] for k in keys))
+    n = cum[-1]
+    mean = (sum(k * c for k, c in hist.items()) * tick_ms - n * base) / n
+    return mean, keys[bisect_left(cum, math.ceil(0.95 * n))] * tick_ms - base
 
 
 def cwnd_smoothness(series, k: int = 1) -> tuple[float, float]:
@@ -62,9 +64,9 @@ def cwnd_smoothness(series, k: int = 1) -> tuple[float, float]:
 
 
 def build_report(log: EpisodeLog) -> EpisodeReport:
-    if log.ack_rtts_ms:
+    if log.ack_rtt_ticks:
         mean_d, p95_d = delay_stats(log)
-    else:
+    else:  # no ACK arrived at all
         mean_d = log.mean_queuing_delay_ms()
         p95_d = float("nan")
     return EpisodeReport(utilization=log.mean_utilization(),

@@ -163,8 +163,8 @@ class EpisodeLog:
     in_flight_end: int = 0
     # per-interval series
     observations: list[Observation] = field(default_factory=list)
-    # per-ack samples (empty when run_episode(..., record_acks=False))
-    ack_rtts_ms: list[float] = field(default_factory=list)
+    # per-ACK RTT histogram: RTT in ticks -> number of ACKs
+    ack_rtt_ticks: dict[int, int] = field(default_factory=dict)
 
     def mean_queuing_delay_ms(self) -> float:
         """Mean per-interval queuing delay (smoothed RTT minus true base RTT)."""
@@ -182,14 +182,13 @@ class EpisodeLog:
 
 
 def run_episode(config: SimConfig, trace, controller, intercept=None,
-                env_driver=None, record_acks: bool = True) -> EpisodeLog:
+                env_driver=None) -> EpisodeLog:
     """Closed-loop episode: sim <-> controller, optionally with an adversary.
 
     Exactly one of `trace` (pre-specified) or `env_driver` (supplies the next
     interval's bandwidth online) drives the link capacity. `intercept`, when
     given, scales the min-RTT estimate the controller reads; simulator ground
-    truth is never touched. `record_acks=False` leaves `ack_rtts_ms` empty
-    (callers that read only totals and observations skip the per-ACK list).
+    truth is never touched.
     """
     config.validate()
     if (trace is None) == (env_driver is None):
@@ -217,7 +216,7 @@ def run_episode(config: SimConfig, trace, controller, intercept=None,
     queue_cap_pkts = max(1, int(queue_cap_bytes // pkt))
 
     log = EpisodeLog(config=config)
-    ack_rtts = log.ack_rtts_ms
+    rtt_hist = log.ack_rtt_ticks
 
     # The FIFO holds runs [send_tick, count], oldest first: every packet
     # injected in one tick shares its send tick, so a tick's work is per run,
@@ -268,12 +267,13 @@ def run_episode(config: SimConfig, trace, controller, intercept=None,
         if batch:
             n = rtt_ticks = 0
             for send_tick, count in batch:
+                r = tick - send_tick
                 n += count
-                rtt_ticks += count * (tick - send_tick)
-                if record_acks:
-                    ack_rtts += [(tick - send_tick) * tick_ms] * count
-            # runs leave the FIFO in send order: the last one is the youngest
-            rtt = (tick - batch[-1][0]) * tick_ms
+                rtt_ticks += count * r
+                rtt_hist[r] = rtt_hist.get(r, 0) + count
+            # runs leave the FIFO in send order: the last one's RTT is the
+            # batch's minimum
+            rtt = r * tick_ms
             if rtt < min_rtt:
                 min_rtt = rtt
             mean_rtt = rtt_ticks * tick_ms / n
@@ -285,17 +285,9 @@ def run_episode(config: SimConfig, trace, controller, intercept=None,
             last_ack_tick = tick
             if drop_pending:
                 acks_after_drop += n
-            on_ack(AckInfo(
-                now_ms=tick * tick_ms,
-                rtt_ms=mean_rtt,
-                owd_ms=owd,
-                acked_packets=n,
-                acked_bytes=n * pkt,
-                min_rtt_ms=min_rtt * scale,
-                min_owd_ms=min_owd * scale,
-                srtt_ms=srtt,
-                min_rtt_scale=scale,
-            ))
+            # positional: keyword construction costs ~3x as much per batch
+            on_ack(AckInfo(tick * tick_ms, mean_rtt, owd, n, n * pkt,
+                           min_rtt * scale, min_owd * scale, srtt, scale))
 
         # 2. loss reactions
         if drop_pending and acks_after_drop >= 3 and tick >= reaction_blocked_until:
@@ -423,7 +415,7 @@ def map_jobs(fn, jobs, workers: int) -> list:
         return list(pool.map(fn, *zip(*jobs)))
 
 
-@dataclass
+@dataclass(slots=True)
 class AckInfo:
     now_ms: float
     rtt_ms: float

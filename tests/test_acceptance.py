@@ -9,6 +9,7 @@ module-scoped fixtures and are shared across criteria.
 import os
 import random
 import time
+from functools import partial
 
 import numpy as np
 import pytest
@@ -16,8 +17,9 @@ import pytest
 from ccprobe.adversary import (AdversarySpec, DelayConstraint, FeatureBound,
                                PerturbMode, RewardMode, SurfaceMode,
                                adversarial_episode, calibrate_tau,
-                               make_adversary_policy, random_baseline_traces,
-                               select_worst_trace, train_adversary)
+                               clean_episodes, make_adversary_policy,
+                               random_baseline_traces, select_worst_trace,
+                               train_adversary)
 from ccprobe.advtrain import TracePool, adversarial_retrain, evaluate_suite
 from ccprobe.cc import Lp, make_controller
 from ccprobe.cem import CemConfig
@@ -35,6 +37,8 @@ REWARD = RewardParams()
 EVAL_SIM = SimConfig(episode_duration_s=60.0)
 TRAIN_SIM = SimConfig(episode_duration_s=15.0)
 RULE_TARGETS = ("reno", "cubic", "vegas", "illinois", "lp")
+# outputs do not depend on the worker count, so the fixtures use every core
+WORKERS = os.cpu_count() or 1
 
 
 def report(criterion, label, ok):
@@ -56,9 +60,10 @@ def run_attack(factory, baseline_traces, seed):
     spec = AdversarySpec(surface=SurfaceMode.ENV_BANDWIDTH,
                          constraint=DelayConstraint(tau_ms=tau), budget=BUDGET)
     policy, _ = train_adversary(spec, factory, TRAIN_SIM, episodes=160,
-                                reward=REWARD, cem=CemConfig(seed=seed))
+                                reward=REWARD,
+                                cem=CemConfig(seed=seed, workers=WORKERS))
     worst = select_worst_trace(spec, policy, factory, EVAL_SIM, REWARD,
-                               n_rollouts=8, seed=seed)
+                               n_rollouts=8, seed=seed, workers=WORKERS)
     return tau, worst, time.time() - t0
 
 
@@ -67,10 +72,9 @@ def rule_attacks(baseline_traces):
     """{name: (baseline_util, tau, worst, train_seconds)} for the rule suite."""
     out = {}
     for i, name in enumerate(RULE_TARGETS):
-        factory = lambda: make_controller(name)
-        utils = [run_episode(EVAL_SIM, tr, factory(),
-                             record_acks=False).mean_utilization()
-                 for tr in baseline_traces]
+        factory = partial(make_controller, name)
+        utils = [log.mean_utilization() for log in
+                 clean_episodes(factory, baseline_traces, EVAL_SIM, WORKERS)]
         base = sum(utils) / len(utils)
         tau, worst, secs = run_attack(factory, baseline_traces, seed=1 + i)
         out[name] = (base, tau, worst, secs)
@@ -83,22 +87,24 @@ def learned_stack(baseline_traces):
     t0 = time.time()
     policy = PolicyNet(n_features=5, hidden=0)
     policy, _ = train_controller(policy, baseline_traces, 960, TRAIN_SIM,
-                                 REWARD, CemConfig(seed=2))
-    factory = lambda: LearnedController(policy, b_max=REWARD.b_max)
+                                 REWARD, CemConfig(seed=2, workers=WORKERS))
+    factory = partial(LearnedController, policy, b_max=REWARD.b_max)
     tau, worst, _ = run_attack(factory, baseline_traces, seed=3)
     assert worst is not None, "no feasible adversarial trace against learned"
     adv_trace = BandwidthTrace(100.0, worst.trace_values)
     sets = {"random": baseline_traces, "adv": [adv_trace]}
     before = {r.trace_set: r.utilization
-              for r in evaluate_suite(policy, sets, EVAL_SIM, REWARD)}
+              for r in evaluate_suite(policy, sets, EVAL_SIM, REWARD, WORKERS)}
     after = {}
     for p in (0.2, 1.0):
         pool = TracePool(benign=baseline_traces if p < 1 else [],
                          adversarial=[adv_trace], mix_p=p)
         newp, _ = adversarial_retrain(policy, pool, 320, TRAIN_SIM, REWARD,
-                                      CemConfig(seed=4, sigma0=0.3))
+                                      CemConfig(seed=4, sigma0=0.3,
+                                                workers=WORKERS))
         after[p] = {r.trace_set: r.utilization
-                    for r in evaluate_suite(newp, sets, EVAL_SIM, REWARD)}
+                    for r in evaluate_suite(newp, sets, EVAL_SIM, REWARD,
+                                            WORKERS)}
     return {"policy": policy, "tau": tau, "worst": worst,
             "adv_trace": adv_trace, "before": before, "after": after,
             "elapsed": time.time() - t0}
@@ -208,17 +214,17 @@ def test_criterion_4_directional_degradation(rule_attacks):
 # --- criterion 5: naive-reward ambiguity -------------------------------------
 
 def test_criterion_5_naive_mode_lowers_both(baseline_traces):
-    factory = lambda: make_controller("vegas")
+    factory = partial(make_controller, "vegas")
     clean_utils, clean_delays = [], []
     for tr in baseline_traces[:3]:
-        log = run_episode(TRAIN_SIM, tr, factory(), record_acks=False)
+        log = run_episode(TRAIN_SIM, tr, factory())
         clean_utils.append(log.mean_utilization())
         clean_delays.append(log.mean_queuing_delay_ms())
     spec = AdversarySpec(surface=SurfaceMode.FEATURE_MIN_RTT,
                          reward_mode=RewardMode.NAIVE,
                          feature_bound=FeatureBound(0.5, PerturbMode.ADVERSARIAL))
     policy, _ = train_adversary(spec, factory, TRAIN_SIM, 96, REWARD,
-                                CemConfig(seed=5),
+                                CemConfig(seed=5, workers=WORKERS),
                                 clean_traces=baseline_traces[:3])
     import dataclasses
     spec = dataclasses.replace(spec, policy=policy)
@@ -241,9 +247,9 @@ def test_criterion_5_naive_mode_lowers_both(baseline_traces):
 def test_criterion_6_lp_burst_case(learned_stack):
     trace = gen_burst_trace(EVAL_SIM.n_intervals)
     lp = Lp()
-    lp_log = run_episode(EVAL_SIM, trace, lp, record_acks=False)
+    lp_log = run_episode(EVAL_SIM, trace, lp)
     learned = LearnedController(learned_stack["policy"], b_max=REWARD.b_max)
-    ln_log = run_episode(EVAL_SIM, trace, learned, record_acks=False)
+    ln_log = run_episode(EVAL_SIM, trace, learned)
     lp_util = lp_log.mean_utilization()
     ln_util = ln_log.mean_utilization()
     print(f"    lp util={lp_util:.3f} ({lp.indications} indications, "

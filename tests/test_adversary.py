@@ -99,8 +99,7 @@ def test_calibrate_tau_is_mean_of_means(short_sim):
     factory = lambda: make_controller("reno")
     tau = calibrate_tau(factory, traces, short_sim)
     # oracle: same runs, averaged by hand
-    delays = [run_episode(short_sim, tr, factory(),
-                          record_acks=False).mean_queuing_delay_ms()
+    delays = [run_episode(short_sim, tr, factory()).mean_queuing_delay_ms()
               for tr in traces]
     assert tau == pytest.approx(sum(delays) / len(delays), rel=1e-12)
     assert tau > 0.0
@@ -118,7 +117,7 @@ def test_adversarial_episode_clean_mode_matches_unperturbed(short_sim, const_tra
     factory = lambda: make_controller("vegas")
     ev = adversarial_episode(spec, None, factory, short_sim, RewardParams(),
                              seed=0, clean_traces=[const_trace])
-    ref = run_episode(short_sim, const_trace, factory(), record_acks=False)
+    ref = run_episode(short_sim, const_trace, factory())
     assert ev.utilization == pytest.approx(ref.mean_utilization(), rel=1e-12)
 
 
@@ -130,7 +129,7 @@ def test_reno_ignores_min_rtt_perturbation(short_sim, const_trace):
     factory = lambda: make_controller("reno")
     ev = adversarial_episode(spec, None, factory, short_sim, RewardParams(),
                              seed=0, clean_traces=[const_trace])
-    ref = run_episode(short_sim, const_trace, factory(), record_acks=False)
+    ref = run_episode(short_sim, const_trace, factory())
     assert ev.utilization == pytest.approx(ref.mean_utilization(), rel=1e-12)
     assert ev.mean_delay_ms == pytest.approx(ref.mean_queuing_delay_ms(), rel=1e-12)
 

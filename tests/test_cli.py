@@ -38,7 +38,7 @@ def test_unknown_section_key_rejected():
 
 def test_removed_repetition_keys_rejected(tmp_path):
     # episodes are deterministic, so no key may ask for replays of one; and
-    # ACK recording is chosen per run_episode call, not by the config
+    # every episode records its ACK RTT histogram, so none may switch it off
     for doc, text in (({"repetitions": 3}, "repetitions: 3\n"),
                       ({"sim": {"rng_seed": 1}}, "sim: {rng_seed: 1}\n"),
                       ({"sim": {"record_acks": False}},
@@ -385,11 +385,19 @@ def test_gen_trace_bad_budget_exits_2(tmp_path, capsys, flags):
     assert not os.listdir(tmp_path / "t")
 
 
-@pytest.mark.parametrize("workers", ["0", "-1"])
-def test_workers_below_one_exits_2(tmp_path, workers):
-    with pytest.raises(SystemExit) as e:
-        main(["gen-trace", "--out", str(tmp_path), "--workers", workers])
-    assert e.value.code == 2
+@pytest.mark.parametrize("count", ["0", "-1"])
+def test_workers_below_one_exits_2(tmp_path, capsys, count):
+    # every count flag, not only --workers, is rejected while parsing
+    for argv in (["gen-trace", "--workers"], ["gen-trace", "--n"],
+                 ["gen-trace", "--length"], ["train", "--episodes"],
+                 ["retrain", "--init", "x.ckpt", "--episodes"],
+                 ["sweep-p", "--init", "x.ckpt", "--pool-adv", "adv",
+                  "--episodes"]):
+        with pytest.raises(SystemExit) as e:
+            main(argv + [count, "--out", str(tmp_path / "o")])
+        assert e.value.code == 2, argv
+        assert f"must be >= 1, got {count}" in capsys.readouterr().err, argv
+    assert not os.path.exists(tmp_path / "o")
 
 
 # --- every batch of episodes goes through map_jobs -----------------------------

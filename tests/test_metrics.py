@@ -2,30 +2,51 @@
 
 import math
 import random
+from collections import Counter
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
-from ccprobe.metrics import (DomainError, cwnd_smoothness, delay_stats,
-                             nearest_rank_p95)
-from ccprobe.netsim import EmptyLog, run_episode
-from tests.test_netsim import Pinned
+from ccprobe.cc import Pinned
+from ccprobe.metrics import DomainError, cwnd_smoothness, delay_stats
+from ccprobe.netsim import (BandwidthTrace, EmptyLog, EpisodeLog, SimConfig,
+                            run_episode)
+
+
+def sample_delays(log):
+    """The per-ACK delay list the histogram stands for, one entry per ACK."""
+    tick, base = log.config.tick_ms, log.config.base_rtt_ms
+    return [k * tick - base for k, c in log.ack_rtt_ticks.items()
+            for _ in range(c)]
+
+
+def check_against_samples(log):
+    """delay_stats against the sorted-list definitions over the same samples."""
+    mean_d, p95_d = delay_stats(log)
+    delays = sorted(sample_delays(log))
+    assert mean_d == pytest.approx(sum(delays) / len(delays), rel=1e-12)
+    assert p95_d == delays[math.ceil(0.95 * len(delays)) - 1]  # nearest rank
+    return mean_d
+
+
+def p95_of(*rtt_ticks):
+    """delay_stats' P95 over one ACK per given RTT (base RTT 20 ticks)."""
+    return delay_stats(EpisodeLog(SimConfig(), ack_rtt_ticks=Counter(rtt_ticks)))[1]
 
 
 def test_nearest_rank_p95_oracle():
     rnd = random.Random(0)
     for _ in range(20):
-        n = rnd.randint(1, 200)
-        values = [rnd.uniform(0, 100) for _ in range(n)]
-        ordered = sorted(values)
-        rank = math.ceil(0.95 * n)          # nearest-rank definition
-        assert nearest_rank_p95(values) == ordered[rank - 1]
+        hist = {rnd.randint(20, 200): rnd.randint(1, 30)
+                for _ in range(rnd.randint(1, 40))}
+        check_against_samples(EpisodeLog(SimConfig(), ack_rtt_ticks=hist))
 
 
 def test_p95_small_samples():
-    assert nearest_rank_p95([5.0]) == 5.0
-    assert nearest_rank_p95([1.0, 2.0]) == 2.0      # ceil(1.9) = 2
-    assert nearest_rank_p95(list(range(1, 101))) == 95
+    assert p95_of(25) == 5.0
+    assert p95_of(21, 22) == 2.0      # ceil(1.9) = 2
+    assert p95_of(*range(21, 121)) == 95
 
 
 def test_utilization_against_trace_integral(short_sim, const_trace):
@@ -37,18 +58,26 @@ def test_utilization_against_trace_integral(short_sim, const_trace):
         or u == 1.0
 
 
-def test_delay_stats_requires_acks(short_sim, const_trace):
-    log = run_episode(short_sim, const_trace, Pinned(80.0), record_acks=False)
+def test_delay_stats_requires_acks(short_sim):
+    # a link that never delivers produces no ACK at all
+    log = run_episode(short_sim, BandwidthTrace(100.0, [0.0] * 50), Pinned(80.0))
+    assert log.acked == 0
     with pytest.raises(EmptyLog):
         delay_stats(log)
 
 
-def test_delay_stats_oracle(short_sim, const_trace):
-    log = run_episode(short_sim, const_trace, Pinned(80.0))
-    mean_d, p95_d = delay_stats(log)
-    delays = [r - 20.0 for r in log.ack_rtts_ms]
-    assert mean_d == pytest.approx(sum(delays) / len(delays), rel=1e-12)
-    assert p95_d == nearest_rank_p95(delays)
+def test_delay_stats_oracle(const_trace):
+    # 0.1 ms has no exact binary form: a float sum over the samples drifts
+    # (about 1e-15 relative here), while the histogram sums integer ticks and
+    # scales by tick_ms once
+    for tick_ms, cwnd in ((1.0, 80.0), (0.1, 240.0)):
+        sim = SimConfig(tick_ms=tick_ms, episode_duration_s=5.0)
+        log = run_episode(sim, const_trace, Pinned(cwnd))
+        mean_d = check_against_samples(log)
+        n = log.acked
+        exact = (sum(k * c for k, c in log.ack_rtt_ticks.items())
+                 * Fraction(tick_ms) - n * Fraction(sim.base_rtt_ms)) / n
+        assert mean_d == pytest.approx(float(exact), rel=1e-15), tick_ms
 
 
 def oracle_smoothness(series, k):

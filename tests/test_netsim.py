@@ -10,27 +10,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ccprobe import netsim
-from ccprobe.cc import RULE_BASED, Controller, make_controller
+from ccprobe.cc import RULE_BASED, Pinned, make_controller
 from ccprobe.netsim import (BandwidthTrace, ConfigError, SimConfig,
                             export_mahimahi, map_jobs, read_trace, run_episode,
                             write_trace)
 from ccprobe.tracegen import SmoothnessBudget, gen_burst_trace, gen_random_trace
-
-
-class Pinned(Controller):
-    """Constant-cwnd oracle controller."""
-
-    name = "pinned"
-
-    def __init__(self, cwnd):
-        super().__init__()
-        self.cwnd = cwnd
-
-    def on_ack(self, ack):
-        pass
-
-    def on_loss(self, kind):
-        pass
 
 
 def bdp_packets(mbps, rtt_ms, pkt=1500):
@@ -43,13 +27,20 @@ def test_bdp_arithmetic():
     assert bdp_packets(48.0, 20.0) == 80.0
 
 
+def queued_acks(log, sim):
+    """ACKs whose RTT exceeds the base RTT; none may be below it."""
+    base = 2 * round(sim.one_way_delay_ms / sim.tick_ms)
+    assert min(log.ack_rtt_ticks) == base
+    return sum(c for k, c in log.ack_rtt_ticks.items() if k > base)
+
+
 def test_pinned_bdp_full_utilization(short_sim, const_trace):
     log = run_episode(short_sim, const_trace, Pinned(80.0))
     assert log.mean_utilization() > 0.99
     assert log.dropped == 0
-    # steady-state RTT samples sit exactly at the base RTT
-    tail = log.ack_rtts_ms[len(log.ack_rtts_ms) // 2:]
-    assert all(r == short_sim.base_rtt_ms for r in tail)
+    # only the initial one-cwnd burst queues; every other RTT sample sits
+    # exactly at the base RTT
+    assert queued_acks(log, short_sim) <= 80
 
 
 def test_pinned_overload_saturates_queue(short_sim, const_trace):
@@ -67,14 +58,13 @@ def test_underload_has_no_queueing(short_sim, const_trace):
     assert log.dropped == 0
     assert log.mean_utilization() == pytest.approx(20.0 / 80.0, rel=0.05)
     # initial 20-packet burst queues briefly; steady state is queue-free
-    tail = log.ack_rtts_ms[len(log.ack_rtts_ms) // 2:]
-    assert max(tail) == short_sim.base_rtt_ms
+    assert queued_acks(log, short_sim) <= 20
 
 
 def test_determinism_bit_identical(short_sim, const_trace):
     a = run_episode(short_sim, const_trace, Pinned(80.0))
     b = run_episode(short_sim, const_trace, Pinned(80.0))
-    assert a.ack_rtts_ms == b.ack_rtts_ms
+    assert a.ack_rtt_ticks == b.ack_rtt_ticks
     assert a.observations == b.observations
     assert (a.sent, a.delivered, a.dropped) == (b.sent, b.delivered, b.dropped)
 
@@ -167,18 +157,6 @@ def test_trace_cycles_like_replay():
     assert trace.capacity_at(5) == 20.0
 
 
-def test_record_acks_off_keeps_aggregates(short_sim, const_trace):
-    # Pinned(240) overloads the link, so drops and queuing delay are exercised
-    for cwnd in (80.0, 240.0):
-        log = run_episode(short_sim, const_trace, Pinned(cwnd), record_acks=False)
-        ref = run_episode(short_sim, const_trace, Pinned(cwnd))
-        assert log.ack_rtts_ms == [] and len(ref.ack_rtts_ms) == ref.acked > 0
-        assert ((log.sent, log.delivered, log.dropped, log.acked, log.in_flight_end)
-                == (ref.sent, ref.delivered, ref.dropped, ref.acked, ref.in_flight_end))
-        assert log.observations == ref.observations
-        assert log.mean_utilization() == ref.mean_utilization()
-
-
 @settings(max_examples=8, deadline=None)
 @given(st.integers(min_value=0, max_value=10_000),
        st.floats(min_value=0.5, max_value=48.0),
@@ -193,9 +171,13 @@ def test_episode_invariants_on_feasible_traces(seed, delta, bw_min, span):
                                    for v in trace.values) / pkt + 1e-6)
     queue_cap = max(1, int(sim.queue_capacity_bdp * max(trace.values) * 1e6 / 8.0
                            * sim.base_rtt_ms / 1000.0 // pkt))
+    base_ticks = 2 * round(sim.one_way_delay_ms / sim.tick_ms)
     for name in RULE_BASED:
-        log = run_episode(sim, trace, make_controller(name), record_acks=False)
+        log = run_episode(sim, trace, make_controller(name))
         assert log.acked <= log.delivered <= log.sent, name
+        # one histogram entry per ACK, none faster than the propagation RTT
+        assert sum(log.ack_rtt_ticks.values()) == log.acked, name
+        assert all(k >= base_ticks for k in log.ack_rtt_ticks), name
         assert log.delivered <= opportunities, name
         assert 0 <= log.in_flight_end <= queue_cap, name
         assert all(0.0 <= o.utilization <= 1.0 for o in log.observations), name
@@ -214,24 +196,22 @@ def _golden_traces():
 
 
 def test_golden_episode_hashes(short_sim):
-    # One digest over every episode's totals, observations and per-ACK RTTs:
-    # a change to the simulator's arithmetic or event order moves it. The
-    # runaway Pinned(4096) saturates the per-tick injection cap; Pinned(240)
-    # overloads the queue at a steady cwnd.
+    # One digest over every episode's totals, observations and per-ACK RTT
+    # histogram: a change to the simulator's arithmetic or event order moves
+    # it. The runaway Pinned(4096) saturates the per-tick injection cap;
+    # Pinned(240) overloads the queue at a steady cwnd.
     factories = ([partial(make_controller, name) for name in RULE_BASED]
                  + [partial(Pinned, 4096.0), partial(Pinned, 240.0)])
     h = hashlib.sha256()
     for trace in _golden_traces():
         for factory in factories:
-            for record_acks in (True, False):
-                log = run_episode(short_sim, trace, factory(),
-                                  record_acks=record_acks)
-                h.update(repr((log.sent, log.delivered, log.dropped, log.acked,
-                               log.in_flight_end,
-                               [dataclasses.astuple(o) for o in log.observations],
-                               log.ack_rtts_ms)).encode())
+            log = run_episode(short_sim, trace, factory())
+            h.update(repr((log.sent, log.delivered, log.dropped, log.acked,
+                           log.in_flight_end,
+                           [dataclasses.astuple(o) for o in log.observations],
+                           sorted(log.ack_rtt_ticks.items()))).encode())
     assert h.hexdigest() == GOLDEN_EPISODES_SHA256
 
 
 GOLDEN_EPISODES_SHA256 = (
-    "59208ca17ee980f8caeb36dc22ecebdab6d47365b005323b17cf665b840bdfd4")
+    "949371a8ebc3459d238479074a64f50af84f5cc971e3db64f7fc7af1e3dac3e5")
