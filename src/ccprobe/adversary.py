@@ -230,9 +230,11 @@ def mean_queuing_delay_ms(logs) -> float:
     return sum(log.mean_queuing_delay_ms() for log in logs) / len(logs)
 
 
-def calibrate_tau(controller_factory, traces, config: SimConfig) -> float:
+def calibrate_tau(controller_factory, traces, config: SimConfig,
+                  workers: int = 1) -> float:
     """Mean queuing delay of the unperturbed controller over the baseline set."""
-    return mean_queuing_delay_ms(clean_episodes(controller_factory, traces, config))
+    return mean_queuing_delay_ms(clean_episodes(controller_factory, traces, config,
+                                                workers))
 
 
 def random_baseline_traces(budget: SmoothnessBudget, n: int, length: int,

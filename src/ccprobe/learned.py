@@ -144,6 +144,10 @@ class LearnedController:
     """Interval-driven controller: cwnd <- max(1, cwnd * 2^a) per interval."""
 
     name = "learned"
+    # ACKs and losses only reach the policy through the interval's
+    # observation, so the tick loop never calls back between intervals
+    on_ack = None
+    on_loss = None
 
     def __init__(self, policy: PolicyNet, b_max: float = 96.0,
                  cwnd_max: float = 4096.0):
@@ -155,12 +159,6 @@ class LearnedController:
         self.phase = None
         self.pacing_rate_bps = None
         self.prev_action = 0.0
-
-    def on_ack(self, ack) -> None:
-        pass
-
-    def on_loss(self, kind) -> None:
-        pass
 
     def on_interval(self, obs: Observation) -> None:
         feats = observation_features(obs, self.b_max, self.prev_action)

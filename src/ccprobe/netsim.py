@@ -8,10 +8,47 @@ so identical (config, trace, controller) runs give identical logs.
 
 from __future__ import annotations
 
+import hashlib
+import importlib
 import math
-from collections import deque
+import os
+import subprocess
+import sys
 from concurrent import futures
 from dataclasses import dataclass, field
+
+
+def _load_tick_loop():
+    """The compiled tick loop (`_tickloop.c`, through cffi).
+
+    The module's name carries a hash of the files it is built from, so a
+    stale build is never loaded. When none is present, `_tickloop_build.py`
+    compiles one into this package (about a second with gcc).
+    """
+    here = os.path.dirname(os.path.abspath(__file__))
+    h = hashlib.sha256()
+    for fn in ("_tickloop.c", "_tickloop_build.py"):
+        with open(os.path.join(here, fn), "rb") as f:
+            h.update(f.read())
+    name = f"{__package__}._tickloop_{h.hexdigest()[:16]}"
+    try:
+        return importlib.import_module(name)
+    except ModuleNotFoundError as e:
+        if e.name != name:
+            raise
+    # a separate process, so the compiler toolchain never loads in this one
+    build = subprocess.run([sys.executable, os.path.join(here, "_tickloop_build.py"),
+                            name.rpartition(".")[2]],
+                           capture_output=True, text=True)
+    if build.returncode:
+        raise ImportError(f"building {name} failed:\n{build.stdout}{build.stderr}")
+    importlib.invalidate_caches()
+    return importlib.import_module(name)
+
+
+_tick_loop = _load_tick_loop()
+_ffi, _lib = _tick_loop.ffi, _tick_loop.lib
+_DONE, _ACK, _INTERVAL = _lib.TL_DONE, _lib.TL_ACK, _lib.TL_INTERVAL
 
 
 class ConfigError(ValueError):
@@ -38,6 +75,11 @@ class SimConfig:
     def validate(self) -> None:
         if self.tick_ms <= 0:
             raise ConfigError("tick_ms must be > 0")
+        # the tick loop counts packets and bytes in whole numbers
+        if (not isinstance(self.packet_size, int) or isinstance(self.packet_size, bool)
+                or self.packet_size < 1):
+            raise ConfigError(f"packet_size must be an integer >= 1, "
+                              f"got {self.packet_size!r}")
         # ACKs are filed under tick + 2 * owd_ticks, so the delay must be a
         # whole, non-zero number of ticks
         owd = self.one_way_delay_ms / self.tick_ms
@@ -189,6 +231,13 @@ def run_episode(config: SimConfig, trace, controller, intercept=None,
     interval's bandwidth online) drives the link capacity. `intercept`, when
     given, scales the min-RTT estimate the controller reads; simulator ground
     truth is never touched.
+
+    The ticks run in C (`_tickloop.c`), which comes back here only to call
+    `controller.on_ack` once per ACK batch and `controller.on_loss` once per
+    loss reaction (either is skipped when it is None), and at each interval
+    boundary for the observation, `on_interval`, the intercept and the env
+    driver. After every callback the loop reads the controller's cwnd and
+    pacing rate afresh.
     """
     config.validate()
     if (trace is None) == (env_driver is None):
@@ -200,11 +249,8 @@ def run_episode(config: SimConfig, trace, controller, intercept=None,
 
     pkt = config.packet_size
     tick_ms = config.tick_ms
-    owd_ms = config.one_way_delay_ms
-    owd_ticks = int(round(owd_ms / tick_ms))
     interval_ticks = config.interval_ticks
     n_intervals = config.n_intervals
-    n_ticks = n_intervals * interval_ticks
     base_rtt_ms = config.base_rtt_ms
 
     # Fixed buffer: 2 x (max capacity x base RTT), as with a static Mahimahi queue.
@@ -214,192 +260,121 @@ def run_episode(config: SimConfig, trace, controller, intercept=None,
         max_cap = env_driver.bw_max
     queue_cap_bytes = config.queue_capacity_bdp * (max_cap * 1e6 / 8.0) * (base_rtt_ms / 1000.0)
     queue_cap_pkts = max(1, int(queue_cap_bytes // pkt))
+    n_ticks = n_intervals * interval_ticks
+    # a tick injects at most queue_cap_pkts + 8 packets, so this bounds every
+    # count the tick loop keeps in 64 bits
+    if n_ticks * (queue_cap_pkts + 8) >= 2**62:
+        raise ConfigError(f"capacity {max_cap:g} Mbps makes a queue of "
+                          f"{queue_cap_pkts:.3g} packets, too many to count "
+                          f"in 64 bits")
 
-    log = EpisodeLog(config=config)
-    rtt_hist = log.ack_rtt_ticks
+    st = _ffi.new("tl_state *")
+    st.pkt = pkt
+    # ACKs return two one-way delays after delivery
+    st.ack_delay = 2 * int(round(config.one_way_delay_ms / tick_ms))
+    st.interval_ticks = interval_ticks
+    st.n_ticks = n_ticks
+    st.queue_cap = queue_cap_pkts
+    st.burst_cap = queue_cap_pkts + 8
+    st.tick_ms = tick_ms
+    st.owd_ms = config.one_way_delay_ms
+    st.base_rtt_ms = base_rtt_ms
+    st.min_rtt = st.min_owd = math.inf
+    st.reaction_blocked_until = -1
 
-    # The FIFO holds runs [send_tick, count], oldest first: every packet
-    # injected in one tick shares its send tick, so a tick's work is per run,
-    # never per packet.
-    queue: deque[list[int]] = deque()
-    qlen = 0
-    acks_at: dict[int, list[list[int]]] = {}   # ack tick -> delivered runs
-    ack_delay_ticks = 2 * owd_ticks
-    burst_cap = queue_cap_pkts + 8
-    byte_credit = 0.0
-    sent = delivered = dropped = acked_pkts = 0
-    resolved_drops = 0
-
-    srtt = None
-    min_rtt = math.inf
-    min_owd = math.inf
-    last_ack_tick = 0
-
-    # loss-event bookkeeping (sender side)
-    acks_after_drop = 0
-    drop_pending = False
-    reaction_blocked_until = -1
-
-    # pacing (BbrLite)
-    pacing_credit = 0.0
-
-    # per-interval aggregates
-    iv_delivered = iv_sent = iv_dropped = 0
+    from .cc import LossKind  # local import avoids a module cycle
+    losses = {_lib.TL_TRIPLE_DUP: LossKind.TRIPLE_DUP_ACK,
+              _lib.TL_TIMEOUT: LossKind.TIMEOUT}
+    on_ack, on_loss = controller.on_ack, controller.on_loss
+    st.call_on_ack = on_ack is not None
+    st.call_on_loss = on_loss is not None
 
     if env_driver is not None:
         capacity = env_driver.first_capacity()
     else:
         capacity = trace.capacity_at(0)
     interval_idx = 0
-    cap_bytes_per_tick = capacity * 1e6 / 8.0 * tick_ms / 1000.0
-
-    from .cc import LossKind  # local import avoids a module cycle
-    triple_dup, timeout = LossKind.TRIPLE_DUP_ACK, LossKind.TIMEOUT
-    on_ack, on_loss = controller.on_ack, controller.on_loss
+    st.cap_bytes_per_tick = capacity * 1e6 / 8.0 * tick_ms / 1000.0
 
     if intercept is not None:
         intercept.begin_episode()
-    scale = 1.0 if intercept is None else intercept.scale()
+    scale = st.scale = 1.0 if intercept is None else intercept.scale()
 
-    for tick in range(n_ticks):
-        # 1. ACK arrivals
-        batch = acks_at.pop(tick, None)
-        if batch:
-            n = rtt_ticks = 0
-            for send_tick, count in batch:
-                r = tick - send_tick
-                n += count
-                rtt_ticks += count * r
-                rtt_hist[r] = rtt_hist.get(r, 0) + count
-            # runs leave the FIFO in send order: the last one's RTT is the
-            # batch's minimum
-            rtt = r * tick_ms
-            if rtt < min_rtt:
-                min_rtt = rtt
-            mean_rtt = rtt_ticks * tick_ms / n
-            owd = mean_rtt - owd_ms  # queue wait + forward prop
-            if owd < min_owd:
-                min_owd = owd
-            srtt = mean_rtt if srtt is None else srtt + (mean_rtt - srtt) / 8.0
-            acked_pkts += n
-            last_ack_tick = tick
-            if drop_pending:
-                acks_after_drop += n
-            # positional: keyword construction costs ~3x as much per batch
-            on_ack(AckInfo(tick * tick_ms, mean_rtt, owd, n, n * pkt,
-                           min_rtt * scale, min_owd * scale, srtt, scale))
+    log = EpisodeLog(config=config)
+    secs = interval_ticks * tick_ms / 1000.0
+    step = _lib.tl_step
+    try:
+        while True:
+            pacing = controller.pacing_rate_bps
+            ev = step(st, controller.cwnd, pacing is not None,
+                      0.0 if pacing is None else pacing)
+            if ev == _ACK:
+                n = st.ack_packets
+                # positional: keyword construction costs ~3x as much per batch
+                on_ack(AckInfo(st.ack_now_ms, st.ack_rtt_ms, st.ack_owd_ms, n,
+                               n * pkt, st.ack_min_rtt_ms, st.ack_min_owd_ms,
+                               st.srtt, scale))
+            elif ev == _INTERVAL:
+                iv_sent, iv_dropped = st.iv_sent, st.iv_dropped
+                thr = st.iv_delivered * pkt * 8.0 / 1e6 / secs
+                loss_thr = iv_dropped * pkt * 8.0 / 1e6 / secs
+                cur_min = st.min_rtt if st.min_rtt < math.inf else base_rtt_ms
+                cur_srtt = st.srtt if st.has_srtt else base_rtt_ms
+                obs = Observation(
+                    interval_idx=interval_idx,
+                    now_ms=(st.tick - 1) * tick_ms + tick_ms,
+                    capacity_mbps=capacity,
+                    throughput_mbps=thr,
+                    loss_mbps=loss_thr,
+                    loss_rate=(iv_dropped / iv_sent) if iv_sent else 0.0,
+                    srtt_ms=cur_srtt,
+                    min_rtt_ms=cur_min,
+                    visible_min_rtt_ms=cur_min * scale,
+                    utilization=min(1.0, thr / capacity) if capacity > 0 else 0.0,
+                    cwnd=controller.cwnd,
+                )
+                log.observations.append(obs)
+                controller.on_interval(obs)
+                if intercept is not None:
+                    intercept.begin_interval(obs)
+                    scale = st.scale = intercept.scale()
+                interval_idx += 1
+                if interval_idx < n_intervals:
+                    if env_driver is not None:
+                        capacity = env_driver.next_capacity(obs)
+                    else:
+                        capacity = trace.capacity_at(interval_idx)
+                    st.cap_bytes_per_tick = capacity * 1e6 / 8.0 * tick_ms / 1000.0
+            elif ev in losses:
+                on_loss(losses[ev])
+            elif ev == _DONE:
+                break
+            else:
+                raise _tick_loop_error(ev, controller, capacity)
 
-        # 2. loss reactions
-        if drop_pending and acks_after_drop >= 3 and tick >= reaction_blocked_until:
-            on_loss(triple_dup)
-            resolved_drops = dropped
-            drop_pending = False
-            acks_after_drop = 0
-            srtt_ticks = int(round((srtt or base_rtt_ms) / tick_ms))
-            reaction_blocked_until = tick + max(1, srtt_ticks)
-        else:
-            rto_ms = 2.0 * (srtt or base_rtt_ms)
-            if rto_ms < 200.0:
-                rto_ms = 200.0
-            if (sent - acked_pkts - resolved_drops > 0
-                    and (tick - last_ack_tick) * tick_ms > rto_ms):
-                on_loss(timeout)
-                resolved_drops = dropped
-                drop_pending = False
-                acks_after_drop = 0
-                last_ack_tick = tick  # restart the timer
-                reaction_blocked_until = tick + max(1, int(round(rto_ms / tick_ms)))
-
-        # 3. injection, gated by cwnd (and pacing when the controller sets one);
-        # a single tick can never usefully inject more than a full queue's
-        # worth, so the burst cap keeps runaway cwnd values cheap
-        cwnd = int(controller.cwnd)
-        k = (cwnd if cwnd > 1 else 1) - (sent - acked_pkts - resolved_drops)
-        if k > burst_cap:
-            k = burst_cap
-        pacing = controller.pacing_rate_bps
-        if pacing is not None:
-            pacing_credit = min(pacing_credit + pacing / 8.0 * tick_ms / 1000.0,
-                                10.0 * pkt)
-            # exact: pkt is an integer and the credit is at most 10 * pkt
-            k = min(k, int(pacing_credit // pkt))
-            if k > 0:
-                pacing_credit -= k * pkt
-        if k > 0:
-            sent += k
-            iv_sent += k
-            enq = min(k, queue_cap_pkts - qlen)
-            if enq:
-                queue.append([tick, enq])
-                qlen += enq
-            if enq < k:
-                dropped += k - enq
-                iv_dropped += k - enq
-                if not drop_pending:
-                    drop_pending = True
-                    acks_after_drop = 0
-
-        # 4. delivery
-        byte_credit += cap_bytes_per_tick
-        n_opp = int(byte_credit // pkt)
-        byte_credit -= n_opp * pkt
-        if n_opp and qlen:
-            n_del = left = min(n_opp, qlen)
-            runs = []
-            while left:
-                run = queue[0]
-                if run[1] <= left:
-                    runs.append(queue.popleft())
-                    left -= run[1]
-                else:
-                    run[1] -= left
-                    runs.append([run[0], left])
-                    left = 0
-            acks_at[tick + ack_delay_ticks] = runs
-            qlen -= n_del
-            delivered += n_del
-            iv_delivered += n_del
-
-        # 5. interval boundary
-        if (tick + 1) % interval_ticks == 0:
-            secs = interval_ticks * tick_ms / 1000.0
-            thr = iv_delivered * pkt * 8.0 / 1e6 / secs
-            loss_thr = iv_dropped * pkt * 8.0 / 1e6 / secs
-            cur_min = min_rtt if min_rtt < math.inf else base_rtt_ms
-            cur_srtt = srtt if srtt is not None else base_rtt_ms
-            obs = Observation(
-                interval_idx=interval_idx,
-                now_ms=tick * tick_ms + tick_ms,
-                capacity_mbps=capacity,
-                throughput_mbps=thr,
-                loss_mbps=loss_thr,
-                loss_rate=(iv_dropped / iv_sent) if iv_sent else 0.0,
-                srtt_ms=cur_srtt,
-                min_rtt_ms=cur_min,
-                visible_min_rtt_ms=cur_min * scale,
-                utilization=min(1.0, thr / capacity) if capacity > 0 else 0.0,
-                cwnd=controller.cwnd,
-            )
-            log.observations.append(obs)
-            controller.on_interval(obs)
-            if intercept is not None:
-                intercept.begin_interval(obs)
-                scale = intercept.scale()
-            interval_idx += 1
-            if interval_idx < n_intervals:
-                if env_driver is not None:
-                    capacity = env_driver.next_capacity(obs)
-                else:
-                    capacity = trace.capacity_at(interval_idx)
-                cap_bytes_per_tick = capacity * 1e6 / 8.0 * tick_ms / 1000.0
-            iv_delivered = iv_sent = iv_dropped = 0
-
-    log.sent = sent
-    log.delivered = delivered
-    log.dropped = dropped
-    log.acked = acked_pkts
-    log.in_flight_end = sent - delivered - dropped
+        log.sent = st.sent
+        log.delivered = st.delivered
+        log.dropped = st.dropped
+        log.acked = st.acked
+        log.in_flight_end = st.sent - st.delivered - st.dropped
+        # no ACK, no histogram buffer
+        hist = _ffi.unpack(st.hist, st.hist_len) if st.hist_len else ()
+        log.ack_rtt_ticks = {r: c for r, c in enumerate(hist) if c}
+    finally:
+        _lib.tl_free(st)
     return log
+
+
+def _tick_loop_error(ev: int, controller, capacity: float) -> Exception:
+    if ev == _lib.TL_NOMEM:
+        return MemoryError("tick loop: no memory left for the queue, "
+                           "ACK or RTT buffers")
+    if ev == _lib.TL_BAD_CWND:
+        return ValueError(f"controller cwnd {controller.cwnd!r} is not finite")
+    if ev == _lib.TL_BAD_PACING:
+        return ValueError(f"pacing rate {controller.pacing_rate_bps!r} bps "
+                          f"leaves no finite pacing credit")
+    return ValueError(f"capacity {capacity!r} Mbps leaves no finite link credit")
 
 
 def map_jobs(fn, jobs, workers: int) -> list:

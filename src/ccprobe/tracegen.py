@@ -26,6 +26,8 @@ class SmoothnessBudget:
     def __post_init__(self):
         if self.delta <= 0:
             raise ValueError("delta must be > 0")
+        if not self.bw_min >= 0:   # a capacity below zero has no meaning
+            raise ValueError(f"bw_min must be >= 0, got {self.bw_min}")
         if not self.bw_min < self.bw_max:
             raise ValueError("bw_min must be < bw_max")
         if self.window_k < 1:

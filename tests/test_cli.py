@@ -63,6 +63,13 @@ def test_bad_values_rejected():
     for owd in (0, 10.4):
         with pytest.raises(SchemaError, match="one_way_delay_ms"):
             config_from_dict({"sim": {"one_way_delay_ms": owd}})
+    # the tick loop counts whole packets of whole bytes
+    for size in (0, -1500, 1500.5, 1500.0, True, "1500"):
+        with pytest.raises(SchemaError, match="packet_size"):
+            config_from_dict({"sim": {"packet_size": size}})
+    # a budget may not hand the link a negative capacity
+    with pytest.raises(SchemaError, match="bw_min"):
+        config_from_dict({"budget": {"bw_min": -1.0}})
 
 
 def test_config_hash_tracks_content():
@@ -202,6 +209,15 @@ def test_schema_error_exit_code(tmp_path):
     p.write_text("junk_key: 1\n")
     assert main(["baseline", "--config", str(p),
                  "--out", str(tmp_path / "x")]) == 2
+
+
+@pytest.mark.parametrize("size", ["0", "-1500", "1500.5"])
+def test_bad_packet_size_exits_2(tmp_path, capsys, size):
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(f"sim: {{episode_duration_s: 1.0, packet_size: {size}}}\n")
+    assert main(["baseline", "--config", str(cfg), "--controllers", "reno",
+                 "--setting", "random", "--out", str(tmp_path / "x")]) == 2
+    assert "packet_size must be an integer >= 1" in capsys.readouterr().err
 
 
 def test_train_and_retrain_small(tmp_path):
@@ -377,7 +393,11 @@ def test_init_not_a_checkpoint_exits_2(tmp_path, capsys, body):
 
 
 @pytest.mark.parametrize("flags", [["--bw-min", "5", "--bw-max", "1"],
-                                   ["--delta", "0"]])
+                                   ["--delta", "0"],
+                                   # exits 2 at every length, not only when
+                                   # the walk happens to go below zero
+                                   ["--bw-min", "-1"],
+                                   ["--bw-min", "-1", "--length", "5"]])
 def test_gen_trace_bad_budget_exits_2(tmp_path, capsys, flags):
     assert main(["gen-trace", "--out", str(tmp_path / "t")] + flags) == 2
     err = capsys.readouterr().err

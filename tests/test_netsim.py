@@ -4,13 +4,22 @@ invariants over random traces and golden episode hashes."""
 import dataclasses
 import hashlib
 import math
+import os
+import shutil
+import subprocess
+import sys
+import sysconfig
 from functools import partial
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from ccprobe import netsim
+from ccprobe.adversary import (EnvBandwidthDriver, FeatureBound, FeatureIntercept,
+                               PerturbMode, SurfaceMode, make_adversary_policy)
 from ccprobe.cc import RULE_BASED, Pinned, make_controller
+from ccprobe.learned import LearnedController, PolicyNet
 from ccprobe.netsim import (BandwidthTrace, ConfigError, SimConfig,
                             export_mahimahi, map_jobs, read_trace, run_episode,
                             write_trace)
@@ -157,6 +166,72 @@ def test_trace_cycles_like_replay():
     assert trace.capacity_at(5) == 20.0
 
 
+# --- the compiled tick loop -----------------------------------------------------
+
+def test_tick_loop_module_is_named_after_its_sources():
+    here = os.path.dirname(netsim.__file__)
+    h = hashlib.sha256()
+    for fn in ("_tickloop.c", "_tickloop_build.py"):
+        with open(os.path.join(here, fn), "rb") as f:
+            h.update(f.read())
+    assert netsim._tick_loop.__name__ == f"ccprobe._tickloop_{h.hexdigest()[:16]}"
+
+
+def test_tick_loop_builds_on_first_import(tmp_path):
+    # a checkout without a built module builds one, once, and leaves nothing
+    # else behind; a stale build next to it is removed
+    src = os.path.dirname(netsim.__file__)
+    pkg = tmp_path / "ccprobe"
+    pkg.mkdir()
+    for fn in os.listdir(src):
+        if fn.endswith((".py", ".c")):
+            shutil.copy(os.path.join(src, fn), pkg / fn)
+    suffix = sysconfig.get_config_var("EXT_SUFFIX")
+    (pkg / f"_tickloop_0123456789abcdef{suffix}").write_bytes(b"")
+    env = dict(os.environ, PYTHONPATH=str(tmp_path))
+    probe = [sys.executable, "-c",
+             "import ccprobe.netsim as n; print(n._tick_loop.__file__)"]
+    first = subprocess.run(probe, env=env, capture_output=True, text=True, check=True)
+    built = first.stdout.strip()
+    assert os.path.dirname(built) == str(pkg)
+    leftovers = {fn for fn in os.listdir(pkg)
+                 if fn.startswith(("_tickloop_", ".tickloop"))}
+    assert leftovers == {"_tickloop_build.py", os.path.basename(built)}
+    mtime = os.stat(built).st_mtime_ns
+    again = subprocess.run(probe, env=env, capture_output=True, text=True, check=True)
+    assert again.stdout.strip() == built and os.stat(built).st_mtime_ns == mtime
+
+
+class _Silent(Pinned):
+    # a controller that takes no callback between intervals
+    on_ack = None
+    on_loss = None
+
+
+def test_absent_callbacks_are_skipped(short_sim):
+    trace = _golden_traces()[2]   # overload, drops and an outage with timeouts
+    loud, silent = Pinned(240.0), _Silent(240.0)
+    a, b = run_episode(short_sim, trace, loud), run_episode(short_sim, trace, silent)
+    assert a.dropped > 0
+    assert a.observations == b.observations
+    assert a.ack_rtt_ticks == b.ack_rtt_ticks
+
+
+class _Broken(Pinned):
+    def on_ack(self, ack):
+        self.cwnd = math.nan
+
+
+def test_non_finite_cwnd_raises(short_sim, const_trace):
+    with pytest.raises(ValueError, match="cwnd nan is not finite"):
+        run_episode(short_sim, const_trace, _Broken(10.0))
+
+
+def test_capacity_beyond_64_bit_counts_rejected(short_sim):
+    with pytest.raises(ConfigError, match="too many to count"):
+        run_episode(short_sim, BandwidthTrace(100.0, [1e300] * 50), Pinned(10.0))
+
+
 @settings(max_examples=8, deadline=None)
 @given(st.integers(min_value=0, max_value=10_000),
        st.floats(min_value=0.5, max_value=48.0),
@@ -205,13 +280,77 @@ def test_golden_episode_hashes(short_sim):
     h = hashlib.sha256()
     for trace in _golden_traces():
         for factory in factories:
-            log = run_episode(short_sim, trace, factory())
-            h.update(repr((log.sent, log.delivered, log.dropped, log.acked,
-                           log.in_flight_end,
-                           [dataclasses.astuple(o) for o in log.observations],
-                           sorted(log.ack_rtt_ticks.items()))).encode())
+            _hash_episode(h, run_episode(short_sim, trace, factory()))
     assert h.hexdigest() == GOLDEN_EPISODES_SHA256
+
+
+def _hash_episode(h, log):
+    h.update(repr((log.sent, log.delivered, log.dropped, log.acked,
+                   log.in_flight_end,
+                   [dataclasses.astuple(o) for o in log.observations],
+                   sorted(log.ack_rtt_ticks.items()))).encode())
+
+
+# the bench's fixed linear policy: grows cwnd on an empty queue, backs off on
+# queuing and loss; the runaway one doubles-and-more every interval
+FIXED_POLICY = [0.0, 0.0, -1.0, -4.0, 0.0, 0.3]
+RUNAWAY_POLICY = [0.0, 0.0, 0.0, 0.0, 0.0, 1.0]
+
+
+def _learned(params):
+    return LearnedController(PolicyNet(n_features=5, hidden=0, params=params))
+
+
+def _adversary_policy(surface, seed):
+    policy = make_adversary_policy(surface)
+    rng = np.random.default_rng(seed)
+    return policy.with_params(rng.normal(0.0, 0.5, policy.n_params))
+
+
+def test_golden_episode_hashes_beyond_rule_traces(short_sim):
+    # The episode kinds the rule/Pinned digest above leaves out: learned
+    # controllers (one of them pinned at its 4096 cwnd cap), capacity from an
+    # online env driver, a min-RTT intercept, and a 0.5 ms tick.
+    traces = _golden_traces()
+    budget = SmoothnessBudget(delta=12.0, bw_min=2.0, bw_max=48.0)
+    env_policy = _adversary_policy(SurfaceMode.ENV_BANDWIDTH, 1)
+    feat_policy = _adversary_policy(SurfaceMode.FEATURE_MIN_RTT, 2)
+    half_tick = dataclasses.replace(short_sim, tick_ms=0.5)
+    logs = []
+    for trace in traces:
+        for params in (FIXED_POLICY, RUNAWAY_POLICY):
+            logs.append(run_episode(short_sim, trace, _learned(params)))
+    runaway = logs[1]
+    for policy, seed in ((env_policy, 3), (None, 4)):
+        for factory in (partial(make_controller, "reno"),
+                        partial(make_controller, "bbrlite"),
+                        partial(_learned, FIXED_POLICY)):
+            driver = EnvBandwidthDriver(budget, policy, seed=seed)
+            logs.append(run_episode(short_sim, None, factory(),
+                                    env_driver=driver))
+    env_log = logs[-1]
+    for bound, seed in ((FeatureBound(0.5), 5),
+                        (FeatureBound(0.3, PerturbMode.RANDOM_NOISE), 6)):
+        for name in ("vegas", "lp", "bbrlite"):
+            intercept = FeatureIntercept(bound, feat_policy, seed=seed)
+            logs.append(run_episode(short_sim, traces[0], make_controller(name),
+                                    intercept=intercept))
+    feat_log = logs[-4]
+    for trace in (traces[0], traces[2]):
+        for name in RULE_BASED:
+            logs.append(run_episode(half_tick, trace, make_controller(name)))
+    # each kind really is exercised
+    assert max(o.cwnd for o in runaway.observations) == 4096.0
+    assert len({o.capacity_mbps for o in env_log.observations}) > 10
+    assert any(o.visible_min_rtt_ms != o.min_rtt_ms
+               for o in feat_log.observations)
+    h = hashlib.sha256()
+    for log in logs:
+        _hash_episode(h, log)
+    assert h.hexdigest() == GOLDEN_EPISODES_BEYOND_SHA256
 
 
 GOLDEN_EPISODES_SHA256 = (
     "949371a8ebc3459d238479074a64f50af84f5cc971e3db64f7fc7af1e3dac3e5")
+GOLDEN_EPISODES_BEYOND_SHA256 = (
+    "2e893e6fdf27277da533bde019b36eb95d3d4192dbdef1f791230965c48a82cf")
