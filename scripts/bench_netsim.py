@@ -1,6 +1,5 @@
 #!/usr/bin/env python3
-"""Layer benchmark of the simulator: ticks/s and ACKs/s of `run_episode`,
-and the time of one CEM generation.
+"""Layer benchmark of the simulator: ticks/s and ACKs/s of `run_episode`.
 
 Runs one episode case per rule controller, a runaway `Pinned(4096)` sender
 and a `LearnedController` with a fixed linear policy, over one fixed 60 s
@@ -15,13 +14,6 @@ settings:
 Each case is timed REPEATS times after one untimed warm-up episode; the
 median episode time gives ticks/s (simulated ticks per host second) and
 ACKs/s (acknowledged packets per host second).
-
-It then times one CEM generation, CEM_REPEATS times each at 1 and 2
-workers (median seconds): the learned controller's training objective at the
-default population of 32 over two 60 s traces, and the env-surface attack
-on cubic at perfbench's population of 8. A generation at 2 workers starts
-its own process pool, so the gap between the two shows what pool start-up
-costs next to the episodes.
 """
 
 from __future__ import annotations
@@ -35,17 +27,13 @@ import statistics
 import time
 from functools import partial
 
-from ccprobe import learned, netsim
-from ccprobe.adversary import (AdversarySpec, SurfaceMode, make_adversary_policy,
-                               train_adversary)
+from ccprobe import netsim
 from ccprobe.cc import RULE_BASED, Pinned, make_controller
-from ccprobe.cem import CemConfig, cem_maximize
-from ccprobe.learned import LearnedController, PolicyNet, RewardParams
+from ccprobe.learned import LearnedController, PolicyNet
 from ccprobe.netsim import SimConfig, run_episode
 from ccprobe.tracegen import SmoothnessBudget, gen_random_trace
 
 REPEATS = 5
-CEM_REPEATS = 3
 # fixed linear policy over the five observation features plus a bias: it
 # grows cwnd while the queue is empty and backs off on queuing and loss
 LEARNED_PARAMS = [0.0, 0.0, -1.0, -4.0, 0.0, 0.3]
@@ -81,37 +69,6 @@ def measure() -> dict:
     return out
 
 
-def _cem_generations():
-    sim, reward = SimConfig(), RewardParams()
-    traces = [gen_random_trace(sim.n_intervals, SmoothnessBudget(), seed=s)
-              for s in (0, 1)]
-    policy = PolicyNet(n_features=5, hidden=0)
-    objective = partial(learned._pool_return, policy, traces, sim, reward)
-    yield "train_pop32", lambda workers: cem_maximize(
-        objective, policy.n_params, 1, CemConfig(workers=workers),
-        init_mean=policy.params)
-    spec = AdversarySpec(SurfaceMode.ENV_BANDWIDTH, budget=SmoothnessBudget(),
-                         policy=make_adversary_policy(SurfaceMode.ENV_BANDWIDTH))
-    cubic = partial(make_controller, "cubic")
-    yield "attack_env_cubic_pop8", lambda workers: train_adversary(
-        spec, cubic, sim, 8, reward, CemConfig(population=8, workers=workers))
-
-
-def measure_cem() -> dict:
-    out = {}
-    for name, generation in _cem_generations():
-        for workers in (1, 2):
-            times = []
-            for _ in range(CEM_REPEATS):
-                t0 = time.perf_counter()
-                generation(workers)
-                times.append(time.perf_counter() - t0)
-            out[f"{name}_workers{workers}"] = {
-                "generation_s": round(statistics.median(times), 3),
-                "all_s": [round(t, 3) for t in times]}
-    return out
-
-
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("--label", required=True,
@@ -134,16 +91,14 @@ def main() -> None:
     doc.update(nproc=os.cpu_count(), python=platform.python_version(),
                trace="gen_random_trace(600, SmoothnessBudget(), seed=0), 60 s",
                repeats=REPEATS)
-    run = {"netsim_sha256": netsim_sha, "cases": measure(), "cem": measure_cem()}
-    doc.setdefault("runs", {})[args.label] = run
+    doc.setdefault("runs", {})[args.label] = {"netsim_sha256": netsim_sha,
+                                              "cases": measure()}
     with open(args.out, "w") as f:
         json.dump(doc, f, indent=2, sort_keys=True)
         f.write("\n")
-    for case, r in run["cases"].items():
+    for case, r in doc["runs"][args.label]["cases"].items():
         print(f"{args.label} {case:14s} {r['ticks_per_s']:>8d} ticks/s "
               f"{r['acks_per_s']:>9d} acks/s")
-    for case, r in run["cem"].items():
-        print(f"{args.label} {case:30s} {r['generation_s']:>7.3f} s/generation")
 
 
 if __name__ == "__main__":

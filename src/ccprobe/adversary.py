@@ -230,11 +230,9 @@ def mean_queuing_delay_ms(logs) -> float:
     return sum(log.mean_queuing_delay_ms() for log in logs) / len(logs)
 
 
-def calibrate_tau(controller_factory, traces, config: SimConfig,
-                  workers: int = 1) -> float:
+def calibrate_tau(controller_factory, traces, config: SimConfig) -> float:
     """Mean queuing delay of the unperturbed controller over the baseline set."""
-    return mean_queuing_delay_ms(clean_episodes(controller_factory, traces, config,
-                                                workers))
+    return mean_queuing_delay_ms(clean_episodes(controller_factory, traces, config))
 
 
 def random_baseline_traces(budget: SmoothnessBudget, n: int, length: int,

@@ -75,11 +75,13 @@ class SimConfig:
     def validate(self) -> None:
         if self.tick_ms <= 0:
             raise ConfigError("tick_ms must be > 0")
-        # the tick loop counts packets and bytes in whole numbers
-        if (not isinstance(self.packet_size, int) or isinstance(self.packet_size, bool)
-                or self.packet_size < 1):
+        # the tick loop counts packets and bytes in whole numbers; an
+        # integral float such as 1500.0 converts to one exactly
+        size = self.packet_size
+        if (isinstance(size, bool) or not isinstance(size, (int, float))
+                or not float(size).is_integer() or size < 1):
             raise ConfigError(f"packet_size must be an integer >= 1, "
-                              f"got {self.packet_size!r}")
+                              f"got {size!r}")
         # ACKs are filed under tick + 2 * owd_ticks, so the delay must be a
         # whole, non-zero number of ticks
         owd = self.one_way_delay_ms / self.tick_ms
@@ -247,7 +249,7 @@ def run_episode(config: SimConfig, trace, controller, intercept=None,
                           f"from sim trace_interval_ms "
                           f"{config.trace_interval_ms:g} ms")
 
-    pkt = config.packet_size
+    pkt = int(config.packet_size)
     tick_ms = config.tick_ms
     interval_ticks = config.interval_ticks
     n_intervals = config.n_intervals

@@ -1,6 +1,7 @@
 """Config schema and CLI subcommands (small budgets, tmp outputs)."""
 
 import json
+import math
 import os
 import pickle
 
@@ -64,7 +65,7 @@ def test_bad_values_rejected():
         with pytest.raises(SchemaError, match="one_way_delay_ms"):
             config_from_dict({"sim": {"one_way_delay_ms": owd}})
     # the tick loop counts whole packets of whole bytes
-    for size in (0, -1500, 1500.5, 1500.0, True, "1500"):
+    for size in (0, -1500, 1500.5, 0.5, math.inf, math.nan, True, "1500"):
         with pytest.raises(SchemaError, match="packet_size"):
             config_from_dict({"sim": {"packet_size": size}})
     # a budget may not hand the link a negative capacity

@@ -90,6 +90,20 @@ def test_config_validation():
             SimConfig(one_way_delay_ms=owd).validate()
     SimConfig(tick_ms=0.5, one_way_delay_ms=10.5).validate()
     SimConfig().validate()
+    for size in (0, -1500, 1500.5, math.nan, math.inf, True, "1500"):
+        with pytest.raises(ConfigError, match="packet_size"):
+            SimConfig(packet_size=size).validate()
+
+
+def test_integral_float_packet_size_is_the_integer(short_sim):
+    # 1500.0 (as YAML may spell it) runs the same episode as 1500
+    trace = _golden_traces()[2]
+    a = run_episode(short_sim, trace, make_controller("cubic"))
+    b = run_episode(dataclasses.replace(short_sim, packet_size=1500.0), trace,
+                    make_controller("cubic"))
+    assert a.observations == b.observations
+    assert a.ack_rtt_ticks == b.ack_rtt_ticks
+    assert (a.sent, a.delivered, a.dropped) == (b.sent, b.delivered, b.dropped)
 
 
 def test_exactly_one_capacity_source(short_sim, const_trace):
@@ -177,18 +191,36 @@ def test_tick_loop_module_is_named_after_its_sources():
     assert netsim._tick_loop.__name__ == f"ccprobe._tickloop_{h.hexdigest()[:16]}"
 
 
+# setuptools' build_py lays out the package as a wheel or an install ships it
+_BUILD_PY = """
+import sys
+from setuptools.dist import Distribution
+from setuptools.config.pyprojecttoml import apply_configuration
+dist = apply_configuration(Distribution(), "pyproject.toml")
+dist.script_name = "setup.py"
+dist.get_command_obj("build_py").build_lib = sys.argv[1]
+dist.run_command("build_py")
+"""
+
+
 def test_tick_loop_builds_on_first_import(tmp_path):
-    # a checkout without a built module builds one, once, and leaves nothing
-    # else behind; a stale build next to it is removed
+    # the package as installed from pyproject.toml carries what the tick loop
+    # is built from; without a built module it builds one, once, and leaves
+    # nothing else behind, and a stale build next to it is removed
     src = os.path.dirname(netsim.__file__)
-    pkg = tmp_path / "ccprobe"
-    pkg.mkdir()
-    for fn in os.listdir(src):
-        if fn.endswith((".py", ".c")):
-            shutil.copy(os.path.join(src, fn), pkg / fn)
+    tree = tmp_path / "tree"
+    shutil.copy(os.path.join(os.path.dirname(os.path.dirname(src)), "pyproject.toml"),
+                tmp_path / "pyproject.toml")
+    shutil.copytree(src, tmp_path / "src" / "ccprobe",
+                    ignore=shutil.ignore_patterns("_tickloop_*.so", ".tickloop-build-*",
+                                                  "__pycache__"))
+    subprocess.run([sys.executable, "-c", _BUILD_PY, str(tree)], cwd=tmp_path,
+                   capture_output=True, check=True)
+    pkg = tree / "ccprobe"
+    assert {"_tickloop.c", "_tickloop_build.py"} <= set(os.listdir(pkg))
     suffix = sysconfig.get_config_var("EXT_SUFFIX")
     (pkg / f"_tickloop_0123456789abcdef{suffix}").write_bytes(b"")
-    env = dict(os.environ, PYTHONPATH=str(tmp_path))
+    env = dict(os.environ, PYTHONPATH=str(tree))
     probe = [sys.executable, "-c",
              "import ccprobe.netsim as n; print(n._tick_loop.__file__)"]
     first = subprocess.run(probe, env=env, capture_output=True, text=True, check=True)
