@@ -382,7 +382,59 @@ def test_golden_episode_hashes_beyond_rule_traces(short_sim):
     assert h.hexdigest() == GOLDEN_EPISODES_BEYOND_SHA256
 
 
+# every rule controller at its defaults, converged (initial cwnd and
+# ssthresh set) and with each of its own constants moved off the default;
+# bbrlite's variant sends 9000 B packets
+RULE_CONSTANT_CASES = (
+    [(name, {}) for name in RULE_BASED]
+    + [(name, {"initial_cwnd": 30.0, "initial_ssthresh": 40.0})
+       for name in RULE_BASED]
+    + [("cubic", {"c": 0.2, "beta": 0.5}),
+       ("vegas", {"alpha": 1.0, "beta": 6.0}),
+       ("illinois", {"alpha_min": 0.5, "alpha_max": 8.0,
+                     "beta_min": 0.2, "beta_max": 0.4}),
+       ("lp", {"threshold_fraction": 0.3, "ewma_gain": 0.25}),
+       ("bbrlite", {"bw_window_rtts": 6, "rtt_window_s": 4.0,
+                    "packet_size": 9000})])
+
+
+def _controller_state(ctl):
+    return (ctl.cwnd, ctl.ssthresh, ctl.phase.value,
+            getattr(ctl, "indications", 0), getattr(ctl, "gain_index", None),
+            ctl.pacing_rate_bps)
+
+
+def test_golden_rule_controller_digest():
+    # 60 s episodes on a random trace and on lp-case's default burst trace,
+    # hashed with each controller's final state (window, phase, LP
+    # indications, BBR-lite gain index and pacing rate)
+    sim = SimConfig()
+    traces = [gen_random_trace(sim.n_intervals, SmoothnessBudget(), seed=3),
+              gen_burst_trace(sim.n_intervals, peak=80.0, trough=4.0,
+                              rise_intervals=20, fall_intervals=60)]
+    h = hashlib.sha256()
+    digests = {}
+    for name, constants in RULE_CONSTANT_CASES:
+        cfg = dataclasses.replace(sim, packet_size=constants.get("packet_size", 1500))
+        for i, trace in enumerate(traces):
+            ctl = make_controller(name, **constants)
+            log = run_episode(cfg, trace, ctl)
+            one = hashlib.sha256()
+            _hash_episode(one, log)
+            one.update(repr(_controller_state(ctl)).encode())
+            h.update(one.digest())
+            digests[name, repr(constants), i] = one.digest()
+    # each non-default case moves its controller off the default episode
+    for name, constants in RULE_CONSTANT_CASES:
+        if constants:
+            assert any(digests[name, repr(constants), i] != digests[name, "{}", i]
+                       for i in range(len(traces))), (name, constants)
+    assert h.hexdigest() == GOLDEN_RULE_CONSTANTS_SHA256
+
+
 GOLDEN_EPISODES_SHA256 = (
     "949371a8ebc3459d238479074a64f50af84f5cc971e3db64f7fc7af1e3dac3e5")
 GOLDEN_EPISODES_BEYOND_SHA256 = (
     "2e893e6fdf27277da533bde019b36eb95d3d4192dbdef1f791230965c48a82cf")
+GOLDEN_RULE_CONSTANTS_SHA256 = (
+    "ac3681cee30cefcfdfff8fd968d7c396aeb666a804551660528fe9804bbef669")
