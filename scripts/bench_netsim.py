@@ -8,8 +8,9 @@ in the JSON file `--out` (other labels already in the file are kept). Import
 ccprobe from the tree to measure, so two trees compare under identical
 settings:
 
-    PYTHONPATH=/path/to/parent/src python3 scripts/bench_netsim.py --label parent
-    PYTHONPATH=src python3 scripts/bench_netsim.py --label change
+    PYTHONPATH=/path/to/parent/src python3 scripts/bench_netsim.py \
+        --label parent --out BENCH_<n>.json
+    PYTHONPATH=src python3 scripts/bench_netsim.py --label change --out BENCH_<n>.json
 
 Each case is timed REPEATS times after one untimed warm-up episode; the
 median episode time gives ticks/s (simulated ticks per host second) and
@@ -73,7 +74,8 @@ def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("--label", required=True,
                     help="key of this tree's numbers, e.g. parent or change")
-    ap.add_argument("--out", default="BENCH_7.json")
+    ap.add_argument("--out", required=True,
+                    help="JSON file to add this run to, e.g. BENCH_<n>.json")
     args = ap.parse_args()
 
     # the simulator's sources: netsim.py and, where it exists, its C tick loop

@@ -5,38 +5,40 @@
 # retraining mixing-probability sweep.
 set -euo pipefail
 cd "$(dirname "$0")/.."
+# ccprobe runs from its source tree
+export PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH}
 
 CFG=${1:-configs/default.yaml}
 OUT=${CCPROBE_OUT:-runs/full}
 mkdir -p "$OUT"
 
-ccprobe baseline --config "$CFG" --controllers reno,cubic,vegas,illinois,lp,bbrlite \
+python3 -m ccprobe baseline --config "$CFG" --controllers reno,cubic,vegas,illinois,lp,bbrlite \
     --setting both --out "$OUT/baseline" --workers "$(nproc)"
 
 seed=1
 for target in reno cubic vegas illinois lp; do
-    ccprobe attack --config "$CFG" --controller "$target" \
+    python3 -m ccprobe attack --config "$CFG" --controller "$target" \
         --out "$OUT/attacks" --seed "$seed" --workers "$(nproc)"
     seed=$((seed + 1))
 done
 
-ccprobe train --config "$CFG" --out "$OUT/train" --workers "$(nproc)"
-ccprobe attack --config "$CFG" --controller learned \
+python3 -m ccprobe train --config "$CFG" --out "$OUT/train" --workers "$(nproc)"
+python3 -m ccprobe attack --config "$CFG" --controller learned \
     --checkpoint "$OUT/train/learned.ckpt" --out "$OUT/attacks" --seed "$seed" \
     --workers "$(nproc)"
 
-ccprobe transfer --config "$CFG" --traces "$OUT/attacks" \
+python3 -m ccprobe transfer --config "$CFG" --traces "$OUT/attacks" \
     --controllers reno,cubic,vegas,illinois,lp,learned \
     --checkpoint "$OUT/train/learned.ckpt" --out "$OUT/transfer" \
     --workers "$(nproc)"
 
-ccprobe lp-case --config "$CFG" --checkpoint "$OUT/train/learned.ckpt" \
+python3 -m ccprobe lp-case --config "$CFG" --checkpoint "$OUT/train/learned.ckpt" \
     --out "$OUT/lp-case"
 
-ccprobe retrain --config "$CFG" --init "$OUT/train/learned.ckpt" \
+python3 -m ccprobe retrain --config "$CFG" --init "$OUT/train/learned.ckpt" \
     --pool-adv "$OUT/attacks" --mix-p 0.2 --out "$OUT/retrain" \
     --workers "$(nproc)"
-ccprobe sweep-p --config "$CFG" --init "$OUT/train/learned.ckpt" \
+python3 -m ccprobe sweep-p --config "$CFG" --init "$OUT/train/learned.ckpt" \
     --pool-adv "$OUT/attacks" --out "$OUT/sweep" --workers "$(nproc)"
 
 echo "full study complete: see $OUT/"

@@ -1,19 +1,24 @@
-/* The tick loop of `ccprobe.netsim.run_episode`.
+/* The tick loop of `ccprobe.netsim.run_episode`, and the six rule-based
+ * congestion controllers of `ccprobe.cc`.
  *
- * `tl_step` advances one episode tick by tick and returns to the Python
- * driver only for what needs Python: an ACK batch (`on_ack`), a loss
- * reaction (`on_loss`), an interval boundary, the end of the episode or an
- * error. Every tick runs the same five steps as the simulator has always had:
- * ACK arrivals, loss reactions, cwnd/pacing-gated injection, delivery and the
- * interval boundary. A return in the middle of a tick records the step to
- * resume at in `stage`.
+ * `tl_step` advances one episode tick by tick. Every tick runs the same five
+ * steps as the simulator has always had: ACK arrivals, loss reactions,
+ * cwnd/pacing-gated injection, delivery and the interval boundary. When the
+ * episode's controller is a rule controller, its state is a `tl_cc` that
+ * `tl_step` updates inline (`cc_on_ack`, `cc_on_loss`) and reads cwnd and
+ * pacing from, so the loop returns to the Python driver only at an interval
+ * boundary, the end of the episode or an error. Any other controller gets a
+ * return per ACK batch (`on_ack`) and per loss reaction (`on_loss`) as well,
+ * and a return in the middle of a tick records the step to resume at in
+ * `stage`.
  *
  * The arithmetic is Python's, operation for operation, in IEEE doubles; the
  * build turns off FMA contraction and never uses fast-math. `py_floordiv`
- * and `py_round` are CPython's float `//` and `round()`. Every buffer write
- * is bounds-checked; buffers grow on demand, and a failed allocation ends
- * the episode with TL_NOMEM. The RTT histogram grows with the largest RTT
- * seen, never with the episode length.
+ * and `py_round` are CPython's float `//` and `round()`, `pow` stands for
+ * `**`, and `min(a, b)` / `max(a, b)` keep Python's argument order
+ * (`b < a ? b : a`). Every buffer write is bounds-checked; buffers grow on
+ * demand, and a failed allocation ends the episode with TL_NOMEM. The RTT
+ * histogram grows with the largest RTT seen, never with the episode length.
  *
  * The declarations between the cdef markers are also handed to cffi.
  */
@@ -33,9 +38,82 @@
 #define TL_BAD_PACING -3
 #define TL_BAD_CAPACITY -4
 
+/* controller kinds, phases and LP indications */
+#define TL_RENO 0
+#define TL_CUBIC 1
+#define TL_VEGAS 2
+#define TL_ILLINOIS 3
+#define TL_LP 4
+#define TL_BBRLITE 5
+#define TL_SLOW_START 0
+#define TL_CONGESTION_AVOIDANCE 1
+#define TL_FAST_RECOVERY 2
+#define TL_LP_INFERENCE 3
+#define TL_LP_NONE 0
+#define TL_LP_FIRST 1
+#define TL_LP_SECOND 2
+
 typedef struct {
     int64_t send_tick, count;
 } tl_run;
+
+/* one ACK batch, as `netsim.AckInfo` has it */
+typedef struct {
+    double now_ms, rtt_ms, owd_ms;
+    int64_t acked_packets, acked_bytes;
+    double min_rtt_ms, min_owd_ms, srtt_ms, min_rtt_scale;
+} tl_ackinfo;
+
+/* a loss-based window: packets, fractional */
+typedef struct {
+    double cwnd, ssthresh;
+    int phase;
+} tl_window;
+
+/* TCP-LP's one-way-delay early-congestion filter. sowd is an EWMA of owd
+ * (undefined until has_sowd); owd_min / owd_max are running extremes. */
+typedef struct {
+    double threshold_fraction, ewma_gain, min_range_ms;
+    double owd_ms, sowd_ms, owd_min_ms, owd_max_ms, inference_until_ms;
+    int has_sowd, in_inference;
+} tl_lp_filter;
+
+typedef struct {
+    double t_ms, value;
+} tl_sample;
+
+/* A rule controller's constants and state; `kind` says which fields it
+ * uses. The pacing rate is None in Python while `paced` is 0. */
+typedef struct {
+    int kind;
+    tl_window w;
+    int paced;
+    double pacing_bps;
+    /* cubic: c, beta; vegas: alpha, beta */
+    double c, alpha, beta;
+    double w_max, epoch_start_ms;   /* epoch_start_ms is None until has_epoch */
+    int has_epoch;
+    /* vegas and illinois */
+    double base_rtt_ms, next_adjust_ms;
+    double alpha_min, alpha_max, beta_min, beta_max;
+    double max_rtt_ms, rtt_sum, avg_delay_ms, next_window_ms;
+    int64_t rtt_n;
+    /* lp: the filter, the inner Reno window and the indications by kind */
+    tl_lp_filter filter;
+    tl_window reno;
+    double grace_until_ms;
+    int64_t indications, first_indications, second_indications;
+    /* bbrlite: monotone deques of (t_ms, bps) and (t_ms, rtt_ms) samples,
+     * C-owned rings released by tl_cc_release */
+    double bw_window_rtts, rtt_window_ms, packet_size;
+    double next_gain_advance_ms, min_rtt_scale, acc_start_ms;
+    int64_t acc_bytes;
+    int gain_index;
+    tl_sample *bw;
+    int64_t bw_head, bw_len, bw_cap;
+    tl_sample *rtt;
+    int64_t rtt_head, rtt_len, rtt_cap;
+} tl_cc;
 
 typedef struct {
     int64_t send_tick, count, ack_tick;
@@ -46,6 +124,8 @@ typedef struct {
     int64_t pkt, ack_delay, interval_ticks, n_ticks, queue_cap, burst_cap;
     double tick_ms, owd_ms, base_rtt_ms;
     int call_on_ack, call_on_loss;
+    /* the rule controller run inline, or NULL */
+    tl_cc *cc;
     /* set by the driver at each interval boundary */
     double cap_bytes_per_tick, scale;
     /* progress: the next tick and the step of it to resume at */
@@ -61,9 +141,8 @@ typedef struct {
     int drop_pending;
     int64_t acks_after_drop, reaction_blocked_until, last_ack_tick;
     double byte_credit, pacing_credit;
-    /* the last ACK batch, as AckInfo reads it */
-    double ack_now_ms, ack_rtt_ms, ack_owd_ms, ack_min_rtt_ms, ack_min_owd_ms;
-    int64_t ack_packets;
+    /* the last ACK batch */
+    tl_ackinfo ack;
     /* FIFO of queued runs, FIFO of delivered runs awaiting their ACK, and
      * the histogram of ACK RTTs in ticks; owned by C, freed by tl_free.
      * Every packet injected in one tick shares its send tick and travels
@@ -76,8 +155,29 @@ typedef struct {
     int64_t hist_len;
 } tl_state;
 
+extern const double tl_gain_cycle[8];
+
 int tl_step(tl_state *s, double cwnd, int paced, double pacing_bps);
 void tl_free(tl_state *s);
+
+void *tl_cc_alloc(size_t size);
+void tl_cc_release(void *p);
+void cc_init(tl_cc *c, int kind);
+int cc_on_ack(tl_cc *c, const tl_ackinfo *a);
+void cc_on_loss(tl_cc *c, int timeout);
+double cubic_window(double t_s, double w_max, double c, double beta);
+double vegas_diff(const tl_cc *c, double rtt_ms);
+void illinois_params(const tl_cc *c, double *alpha, double *beta);
+void lp_filter_init(tl_lp_filter *f, double threshold_fraction,
+                    double ewma_gain, double min_range_ms);
+void lp_filter_update(tl_lp_filter *f, double owd_ms);
+int lp_filter_check(tl_lp_filter *f, double owd_ms, double now_ms,
+                    double window_ms);
+double lp_filter_threshold(const tl_lp_filter *f);
+int bbr_push_bw(tl_cc *c, double t_ms, double bps);
+int bbr_push_rtt(tl_cc *c, double t_ms, double rtt_ms);
+double bbr_bw_estimate(const tl_cc *c);
+double bbr_min_rtt_estimate(const tl_cc *c);
 /* cdef-end */
 
 /* CPython's float floor division (floatobject.c, _float_div_mod). */
@@ -161,6 +261,532 @@ static double srtt_or_base(const tl_state *s)
     return s->has_srtt && s->srtt != 0.0 ? s->srtt : s->base_rtt_ms;
 }
 
+/* --- rule controllers --------------------------------------------------- */
+
+#define INIT_CWND 10.0
+#define MIN_SSTHRESH 2.0
+
+const double tl_gain_cycle[8] = {1.25, 0.75, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0};
+
+/* Python's min(a, b) and max(a, b): the first argument unless the second
+ * is strictly smaller (larger) */
+static double py_min(double a, double b)
+{
+    return b < a ? b : a;
+}
+
+static double py_max(double a, double b)
+{
+    return b > a ? b : a;
+}
+
+void *tl_cc_alloc(size_t size)
+{
+    return malloc(size);
+}
+
+void tl_cc_release(void *p)
+{
+    tl_cc *c = p;
+    free(c->bw);
+    free(c->rtt);
+    free(c);
+}
+
+static void win_init(tl_window *w)
+{
+    w->cwnd = INIT_CWND;
+    w->ssthresh = 1e9;
+    w->phase = TL_SLOW_START;
+}
+
+void lp_filter_init(tl_lp_filter *f, double threshold_fraction,
+                    double ewma_gain, double min_range_ms)
+{
+    memset(f, 0, sizeof *f);
+    f->threshold_fraction = threshold_fraction;
+    f->ewma_gain = ewma_gain;
+    /* checks stay disarmed until the observed OWD range exceeds this floor,
+     * otherwise sub-ms jitter trips the threshold before any queue exists */
+    f->min_range_ms = min_range_ms;
+    f->owd_min_ms = INFINITY;
+    f->owd_max_ms = -INFINITY;
+    f->inference_until_ms = -INFINITY;
+}
+
+/* The state of a fresh controller of `kind`; its constants are set after. */
+void cc_init(tl_cc *c, int kind)
+{
+    c->kind = kind;
+    win_init(&c->w);
+    c->paced = 0;
+    c->has_epoch = 0;
+    c->w_max = 0.0;
+    c->base_rtt_ms = INFINITY;
+    c->next_adjust_ms = c->next_window_ms = 0.0;
+    c->max_rtt_ms = c->rtt_sum = c->avg_delay_ms = 0.0;
+    c->rtt_n = 0;
+    win_init(&c->reno);
+    c->grace_until_ms = -INFINITY;   /* lets a backoff act before re-checking */
+    c->indications = c->first_indications = c->second_indications = 0;
+    c->gain_index = 0;
+    c->next_gain_advance_ms = c->acc_start_ms = 0.0;
+    c->min_rtt_scale = 1.0;
+    c->acc_bytes = 0;
+}
+
+static void clamp(tl_window *w)
+{
+    if (w->cwnd < 1.0)
+        w->cwnd = 1.0;
+    if (w->ssthresh < MIN_SSTHRESH)
+        w->ssthresh = MIN_SSTHRESH;
+}
+
+static void timeout_reset(tl_window *w)
+{
+    w->ssthresh = py_max(w->cwnd / 2.0, MIN_SSTHRESH);
+    w->cwnd = 1.0;
+    w->phase = TL_SLOW_START;
+}
+
+/* slow start: one packet per packet ACKed, until ssthresh */
+static void slow_start(tl_window *w, const tl_ackinfo *a)
+{
+    w->cwnd += (double)a->acked_packets;
+    if (w->cwnd >= w->ssthresh)
+        w->phase = TL_CONGESTION_AVOIDANCE;
+}
+
+static void reno_ack(tl_window *w, const tl_ackinfo *a)
+{
+    if (w->phase == TL_FAST_RECOVERY) {
+        /* exit recovery on the first new ACK; resume avoidance at ssthresh */
+        w->cwnd = w->ssthresh;
+        w->phase = TL_CONGESTION_AVOIDANCE;
+    }
+    if (w->phase == TL_SLOW_START)
+        slow_start(w, a);
+    else
+        w->cwnd += (double)a->acked_packets / w->cwnd;
+    clamp(w);
+}
+
+/* Reno's and Vegas's loss reaction */
+static void reno_loss(tl_window *w, int timeout)
+{
+    if (timeout) {
+        timeout_reset(w);
+    }
+    else {
+        w->ssthresh = py_max(w->cwnd / 2.0, MIN_SSTHRESH);
+        w->cwnd = w->ssthresh;
+        w->phase = TL_FAST_RECOVERY;
+    }
+    clamp(w);
+}
+
+/* W(t) = C(t-K)^3 + w_max with K = cbrt(w_max(1-beta)/C); W(K) == w_max. */
+double cubic_window(double t_s, double w_max, double c, double beta)
+{
+    double k = pow(w_max * (1.0 - beta) / c, 1.0 / 3.0);
+    return c * pow(t_s - k, 3.0) + w_max;
+}
+
+static void cubic_ack(tl_cc *c, const tl_ackinfo *a)
+{
+    tl_window *w = &c->w;
+    if (w->phase == TL_FAST_RECOVERY)
+        w->phase = TL_CONGESTION_AVOIDANCE;
+    if (w->phase == TL_SLOW_START) {
+        slow_start(w, a);
+    }
+    else {
+        if (!c->has_epoch) {
+            c->epoch_start_ms = a->now_ms;
+            c->has_epoch = 1;
+            if (c->w_max < w->cwnd)
+                c->w_max = w->cwnd;
+        }
+        double t = (a->now_ms - c->epoch_start_ms + a->rtt_ms) / 1000.0;
+        double target = cubic_window(t, c->w_max, c->c, c->beta);
+        if (target > w->cwnd)
+            w->cwnd += (target - w->cwnd) / w->cwnd * (double)a->acked_packets;
+        else   /* gentle probing when at/above the plateau */
+            w->cwnd += 0.01 * (double)a->acked_packets / w->cwnd;
+    }
+    clamp(w);
+}
+
+static void cubic_loss(tl_cc *c, int timeout)
+{
+    tl_window *w = &c->w;
+    c->w_max = w->cwnd;
+    c->has_epoch = 0;
+    if (timeout) {
+        timeout_reset(w);
+    }
+    else {
+        w->cwnd *= c->beta;
+        w->ssthresh = py_max(w->cwnd, MIN_SSTHRESH);
+        w->phase = TL_FAST_RECOVERY;
+    }
+    clamp(w);
+}
+
+/* (expected - actual) * base_rtt, in packets */
+double vegas_diff(const tl_cc *c, double rtt_ms)
+{
+    if (!isfinite(c->base_rtt_ms) || rtt_ms <= 0)
+        return 0.0;
+    double base_s = c->base_rtt_ms / 1000.0;
+    double rtt_s = rtt_ms / 1000.0;
+    return (c->w.cwnd / base_s - c->w.cwnd / rtt_s) * base_s;
+}
+
+static void vegas_ack(tl_cc *c, const tl_ackinfo *a)
+{
+    tl_window *w = &c->w;
+    c->base_rtt_ms = a->min_rtt_ms;   /* the controller-visible min-RTT */
+    if (w->phase == TL_FAST_RECOVERY) {
+        w->cwnd = w->ssthresh;
+        w->phase = TL_CONGESTION_AVOIDANCE;
+    }
+    double diff = vegas_diff(c, a->rtt_ms);
+    if (w->phase == TL_SLOW_START) {
+        w->cwnd += (double)a->acked_packets;
+        if (w->cwnd >= w->ssthresh || diff > c->beta)
+            w->phase = TL_CONGESTION_AVOIDANCE;
+    }
+    else if (a->now_ms >= c->next_adjust_ms) {
+        if (diff > c->beta)
+            w->cwnd -= 1.0;
+        else if (diff < c->alpha)
+            w->cwnd += 1.0;
+        c->next_adjust_ms = a->now_ms + a->rtt_ms;
+    }
+    clamp(w);
+}
+
+/* Illinois's standard piecewise delay mapping for the AIMD coefficients */
+void illinois_params(const tl_cc *c, double *alpha, double *beta)
+{
+    double dm = c->max_rtt_ms - c->base_rtt_ms;
+    if (dm <= 0 || !isfinite(c->base_rtt_ms)) {
+        *alpha = c->alpha_max;
+        *beta = c->beta_min;
+        return;
+    }
+    double da = c->avg_delay_ms;
+    double d1 = 0.01 * dm;
+    /* alpha: alpha_max below d1, then hyperbolic decay to alpha_min at dm */
+    if (da <= d1) {
+        *alpha = c->alpha_max;
+    }
+    else {
+        double k1 = (dm - d1) * c->alpha_min * c->alpha_max
+            / (c->alpha_max - c->alpha_min);
+        double k2 = k1 / c->alpha_max - d1;
+        *alpha = py_max(c->alpha_min, k1 / (k2 + da));
+    }
+    /* beta: linear ramp between 0.1*dm and 0.8*dm */
+    double d2 = 0.1 * dm, d3 = 0.8 * dm;
+    if (da <= d2)
+        *beta = c->beta_min;
+    else if (da >= d3)
+        *beta = c->beta_max;
+    else
+        *beta = c->beta_min + (c->beta_max - c->beta_min) * (da - d2) / (d3 - d2);
+}
+
+static void illinois_ack(tl_cc *c, const tl_ackinfo *a)
+{
+    tl_window *w = &c->w;
+    c->base_rtt_ms = py_min(c->base_rtt_ms, a->min_rtt_ms);
+    c->max_rtt_ms = py_max(c->max_rtt_ms, a->rtt_ms);
+    c->rtt_sum += a->rtt_ms * (double)a->acked_packets;
+    c->rtt_n += a->acked_packets;
+    if (a->now_ms >= c->next_window_ms && c->rtt_n > 0) {
+        c->avg_delay_ms = c->rtt_sum / (double)c->rtt_n - c->base_rtt_ms;
+        c->rtt_sum = 0.0;
+        c->rtt_n = 0;
+        c->next_window_ms = a->now_ms + a->rtt_ms;
+    }
+    if (w->phase == TL_FAST_RECOVERY)
+        w->phase = TL_CONGESTION_AVOIDANCE;
+    if (w->phase == TL_SLOW_START) {
+        slow_start(w, a);
+    }
+    else {
+        double alpha, beta;
+        illinois_params(c, &alpha, &beta);
+        w->cwnd += alpha * (double)a->acked_packets / w->cwnd;
+    }
+    clamp(w);
+}
+
+static void illinois_loss(tl_cc *c, int timeout)
+{
+    tl_window *w = &c->w;
+    if (timeout) {
+        timeout_reset(w);
+    }
+    else {
+        double alpha, beta;
+        illinois_params(c, &alpha, &beta);
+        w->cwnd *= 1.0 - beta;
+        w->ssthresh = py_max(w->cwnd, MIN_SSTHRESH);
+        w->phase = TL_FAST_RECOVERY;
+    }
+    clamp(w);
+}
+
+/* Advances the delay filters without evaluating the indication. */
+void lp_filter_update(tl_lp_filter *f, double owd_ms)
+{
+    f->owd_ms = owd_ms;
+    f->owd_min_ms = py_min(f->owd_min_ms, owd_ms);
+    f->owd_max_ms = py_max(f->owd_max_ms, owd_ms);
+    if (f->has_sowd) {
+        f->sowd_ms += f->ewma_gain * (owd_ms - f->sowd_ms);
+    }
+    else {
+        f->sowd_ms = owd_ms;
+        f->has_sowd = 1;
+    }
+}
+
+double lp_filter_threshold(const tl_lp_filter *f)
+{
+    return f->owd_min_ms + f->threshold_fraction * (f->owd_max_ms - f->owd_min_ms);
+}
+
+/* The early-congestion condition fires when
+ * sowd > owd_min + threshold_fraction * (owd_max - owd_min), strictly: first
+ * outside an inference window (which it opens), then second inside it. */
+int lp_filter_check(tl_lp_filter *f, double owd_ms, double now_ms,
+                    double window_ms)
+{
+    lp_filter_update(f, owd_ms);
+    if (f->in_inference && now_ms > f->inference_until_ms)
+        f->in_inference = 0;
+    if (f->owd_max_ms - f->owd_min_ms < f->min_range_ms)
+        return TL_LP_NONE;
+    if (f->sowd_ms > lp_filter_threshold(f)) {
+        if (!f->in_inference) {
+            f->in_inference = 1;
+            f->inference_until_ms = now_ms + window_ms;
+            return TL_LP_FIRST;
+        }
+        return TL_LP_SECOND;
+    }
+    return TL_LP_NONE;
+}
+
+/* Reno plus one-way-delay early congestion detection. The inner Reno
+ * window grows and reacts to loss; `w` follows it outside an inference. */
+static void lp_ack(tl_cc *c, const tl_ackinfo *a)
+{
+    tl_window *w = &c->w;
+    tl_lp_filter *f = &c->filter;
+    /* the visible min-OWD estimate replaces the filter's floor */
+    f->owd_min_ms = py_min(f->owd_min_ms, a->min_owd_ms);
+    int ind;
+    if (a->now_ms < c->grace_until_ms) {
+        lp_filter_update(f, a->owd_ms);
+        ind = TL_LP_NONE;
+    }
+    else {
+        /* grace spans 2 RTTs (in-flight packets predate the backoff for a
+         * full RTT); the window is 3 RTTs so the re-check lands inside it */
+        ind = lp_filter_check(f, a->owd_ms, a->now_ms, 3.0 * a->srtt_ms);
+    }
+    if (ind != TL_LP_NONE) {
+        c->indications++;
+        if (ind == TL_LP_FIRST) {
+            /* halve and resume linear growth from there */
+            c->first_indications++;
+            w->cwnd = py_max(1.0, w->cwnd / 2.0);
+            w->ssthresh = py_max(w->cwnd, MIN_SSTHRESH);
+            c->reno.phase = TL_CONGESTION_AVOIDANCE;
+        }
+        else {
+            /* persistent congestion: timeout-style reset with exponential
+             * recovery up to half the operating window */
+            c->second_indications++;
+            w->ssthresh = py_max(w->cwnd / 2.0, MIN_SSTHRESH);
+            w->cwnd = 1.0;
+            f->inference_until_ms = a->now_ms + 3.0 * a->srtt_ms;
+            c->reno.phase = TL_SLOW_START;
+        }
+        w->phase = TL_LP_INFERENCE;
+        c->grace_until_ms = a->now_ms + 2.0 * a->srtt_ms;
+        c->reno.cwnd = w->cwnd;
+        c->reno.ssthresh = w->ssthresh;
+        return;
+    }
+    if (w->phase == TL_LP_INFERENCE && !f->in_inference)
+        w->phase = c->reno.phase;
+    reno_ack(&c->reno, a);
+    w->cwnd = c->reno.cwnd;
+    w->ssthresh = c->reno.ssthresh;
+    if (w->phase != TL_LP_INFERENCE)
+        w->phase = c->reno.phase;
+    clamp(w);
+}
+
+static void lp_loss(tl_cc *c, int timeout)
+{
+    reno_loss(&c->reno, timeout);
+    c->w = c->reno;
+    clamp(&c->w);
+}
+
+/* BBR-lite's windowed filters are monotone deques in rings: bandwidth
+ * strictly decreasing (front = windowed max), RTT strictly increasing
+ * (front = windowed min). */
+static tl_sample *sample_at(tl_sample *ring, int64_t head, int64_t i, int64_t cap)
+{
+    return &ring[ring_slot(head, i, cap)];
+}
+
+int bbr_push_bw(tl_cc *c, double t_ms, double bps)
+{
+    while (c->bw_len && sample_at(c->bw, c->bw_head, c->bw_len - 1, c->bw_cap)->value <= bps)
+        c->bw_len--;
+    if (ring_reserve((void **)&c->bw, &c->bw_head, c->bw_len, &c->bw_cap,
+                     sizeof(tl_sample), c->bw_len + 1))
+        return -1;
+    tl_sample *x = sample_at(c->bw, c->bw_head, c->bw_len++, c->bw_cap);
+    x->t_ms = t_ms;
+    x->value = bps;
+    return 0;
+}
+
+int bbr_push_rtt(tl_cc *c, double t_ms, double rtt_ms)
+{
+    while (c->rtt_len && sample_at(c->rtt, c->rtt_head, c->rtt_len - 1, c->rtt_cap)->value >= rtt_ms)
+        c->rtt_len--;
+    if (ring_reserve((void **)&c->rtt, &c->rtt_head, c->rtt_len, &c->rtt_cap,
+                     sizeof(tl_sample), c->rtt_len + 1))
+        return -1;
+    tl_sample *x = sample_at(c->rtt, c->rtt_head, c->rtt_len++, c->rtt_cap);
+    x->t_ms = t_ms;
+    x->value = rtt_ms;
+    return 0;
+}
+
+double bbr_bw_estimate(const tl_cc *c)
+{
+    return c->bw_len ? c->bw[c->bw_head].value : 0.0;
+}
+
+/* feature-level perturbation reaches this filter as a scale on its output */
+double bbr_min_rtt_estimate(const tl_cc *c)
+{
+    double raw = c->rtt_len ? c->rtt[c->rtt_head].value : INFINITY;
+    return raw * c->min_rtt_scale;
+}
+
+/* cwnd = 2 x estimated BDP; pacing = gain x bandwidth estimate, with the
+ * gain cycle advanced once per min-RTT */
+static int bbr_ack(tl_cc *c, const tl_ackinfo *a)
+{
+    double now = a->now_ms;
+    c->min_rtt_scale = a->min_rtt_scale;
+    /* delivery rate: bytes acked over the last ~RTT of wall time */
+    c->acc_bytes += a->acked_bytes;
+    double elapsed = now - c->acc_start_ms;
+    if (elapsed >= a->rtt_ms) {
+        double bw = (double)c->acc_bytes * 8.0 / (elapsed / 1000.0);
+        if (bbr_push_bw(c, now, bw))
+            return -1;
+        c->acc_bytes = 0;
+        c->acc_start_ms = now;
+    }
+    if (bbr_push_rtt(c, now, a->rtt_ms))
+        return -1;
+    double min_rtt = bbr_min_rtt_estimate(c);
+    double horizon = c->bw_window_rtts * py_max(min_rtt, 1.0);
+    while (c->bw_len && now - c->bw[c->bw_head].t_ms > horizon) {
+        c->bw_head = ring_slot(c->bw_head, 1, c->bw_cap);
+        c->bw_len--;
+    }
+    while (c->rtt_len && now - c->rtt[c->rtt_head].t_ms > c->rtt_window_ms) {
+        c->rtt_head = ring_slot(c->rtt_head, 1, c->rtt_cap);
+        c->rtt_len--;
+    }
+    double bw_est = bbr_bw_estimate(c);
+    min_rtt = bbr_min_rtt_estimate(c);
+    if (bw_est > 0 && isfinite(min_rtt)) {
+        double bdp_pkts = bw_est / 8.0 * (min_rtt / 1000.0) / c->packet_size;
+        c->w.cwnd = py_max(4.0, 2.0 * bdp_pkts);
+        if (now >= c->next_gain_advance_ms) {
+            c->gain_index = (c->gain_index + 1) % 8;
+            c->next_gain_advance_ms = now + min_rtt;
+        }
+        c->pacing_bps = tl_gain_cycle[c->gain_index] * bw_est;
+        c->paced = 1;
+    }
+    clamp(&c->w);
+    return 0;
+}
+
+/* a rate-model controller: ignores individual loss events */
+static void bbr_loss(tl_cc *c, int timeout)
+{
+    if (timeout)
+        c->w.cwnd = py_max(4.0, c->w.cwnd / 2.0);
+    clamp(&c->w);
+}
+
+/* One ACK batch; nonzero when a buffer could not grow. */
+int cc_on_ack(tl_cc *c, const tl_ackinfo *a)
+{
+    switch (c->kind) {
+    case TL_RENO:
+        reno_ack(&c->w, a);
+        break;
+    case TL_CUBIC:
+        cubic_ack(c, a);
+        break;
+    case TL_VEGAS:
+        vegas_ack(c, a);
+        break;
+    case TL_ILLINOIS:
+        illinois_ack(c, a);
+        break;
+    case TL_LP:
+        lp_ack(c, a);
+        break;
+    case TL_BBRLITE:
+        return bbr_ack(c, a);
+    }
+    return 0;
+}
+
+void cc_on_loss(tl_cc *c, int timeout)
+{
+    switch (c->kind) {
+    case TL_RENO:
+    case TL_VEGAS:
+        reno_loss(&c->w, timeout);
+        break;
+    case TL_CUBIC:
+        cubic_loss(c, timeout);
+        break;
+    case TL_ILLINOIS:
+        illinois_loss(c, timeout);
+        break;
+    case TL_LP:
+        lp_loss(c, timeout);
+        break;
+    case TL_BBRLITE:
+        bbr_loss(c, timeout);
+        break;
+    }
+}
+
 int tl_step(tl_state *s, double cwnd, int paced, double pacing_bps)
 {
     while (s->tick < s->n_ticks) {
@@ -202,14 +828,21 @@ int tl_step(tl_state *s, double cwnd, int paced, double pacing_bps)
                 if (s->drop_pending)
                     s->acks_after_drop += n;
                 s->stage = 1;
-                if (s->call_on_ack) {
-                    s->ack_now_ms = tick * s->tick_ms;
-                    s->ack_rtt_ms = mean_rtt;
-                    s->ack_owd_ms = owd;
-                    s->ack_min_rtt_ms = s->min_rtt * s->scale;
-                    s->ack_min_owd_ms = s->min_owd * s->scale;
-                    s->ack_packets = n;
-                    return TL_ACK;
+                if (s->cc || s->call_on_ack) {
+                    tl_ackinfo *a = &s->ack;
+                    a->now_ms = tick * s->tick_ms;
+                    a->rtt_ms = mean_rtt;
+                    a->owd_ms = owd;
+                    a->acked_packets = n;
+                    a->acked_bytes = n * s->pkt;
+                    a->min_rtt_ms = s->min_rtt * s->scale;
+                    a->min_owd_ms = s->min_owd * s->scale;
+                    a->srtt_ms = s->srtt;
+                    a->min_rtt_scale = s->scale;
+                    if (!s->cc)
+                        return TL_ACK;
+                    if (cc_on_ack(s->cc, a))
+                        return TL_NOMEM;
                 }
             }
         }
@@ -240,7 +873,9 @@ int tl_step(tl_state *s, double cwnd, int paced, double pacing_bps)
                 s->resolved_drops = s->dropped;
                 s->drop_pending = 0;
                 s->acks_after_drop = 0;
-                if (s->call_on_loss)
+                if (s->cc)
+                    cc_on_loss(s->cc, event == TL_TIMEOUT);
+                else if (s->call_on_loss)
                     return event;
             }
         }
@@ -250,7 +885,13 @@ int tl_step(tl_state *s, double cwnd, int paced, double pacing_bps)
              * sets a rate; a single tick can never usefully inject more than
              * a full queue's worth, so the burst cap keeps runaway cwnd
              * values cheap. Python's int(cwnd) truncates; past +-2^62 only
-             * the sign matters. */
+             * the sign matters. A rule controller's window and pacing rate
+             * are its own; any other controller's come as arguments. */
+            if (s->cc) {
+                cwnd = s->cc->w.cwnd;
+                paced = s->cc->paced;
+                pacing_bps = s->cc->pacing_bps;
+            }
             if (isnan(cwnd) || isinf(cwnd))
                 return TL_BAD_CWND;
             int64_t c = cwnd >= 0x1p62 ? INT64_C(1) << 62

@@ -5,18 +5,29 @@ ProbeRTT state, fixed 8-phase gain cycle). All controllers consume the same
 AckInfo / Observation stream, so the same trace or perturbation applies
 uniformly across algorithms.
 
+The six are implemented once, in C (`_tickloop.c`). Each keeps its
+constants and state in one `tl_cc` struct, `cc_state`, which the tick loop
+updates inline, so an episode returns to Python only per interval. Their
+attributes (`cwnd`, `ssthresh`, `phase`, `w_max`, `base_rtt_ms`, ...) are
+views of the struct's fields, and `on_ack` / `on_loss` call the same C
+functions the tick loop does. `Pinned` and custom `Controller` subclasses
+keep their state in Python and get `on_ack` / `on_loss` calls instead.
+
 Constants not pinned by any single reference are taken from the canonical
-kernel implementations and are overridable via the factory kwargs.
+kernel implementations and are overridable via the factory kwargs. Every
+constant must be a finite number in its domain, or the constructor raises
+ValueError.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import enum
 import math
-from collections import deque
-from dataclasses import dataclass
+import numbers
+from functools import reduce
 
-from .netsim import AckInfo, Observation
+from .netsim import AckInfo, Observation, _ffi, _lib
 
 
 class Phase(enum.Enum):
@@ -31,14 +42,75 @@ class LossKind(enum.Enum):
     TIMEOUT = "timeout"
 
 
+class LpIndication(enum.Enum):
+    NONE = "none"
+    FIRST = "first_indication"
+    SECOND = "second_indication"
+
+
+_PHASE_OF = {_lib.TL_SLOW_START: Phase.SLOW_START,
+             _lib.TL_CONGESTION_AVOIDANCE: Phase.CONGESTION_AVOIDANCE,
+             _lib.TL_FAST_RECOVERY: Phase.FAST_RECOVERY,
+             _lib.TL_LP_INFERENCE: Phase.LP_INFERENCE}
+_PHASE_CODE = {phase: code for code, phase in _PHASE_OF.items()}
+_INDICATION_OF = {_lib.TL_LP_NONE: LpIndication.NONE,
+                  _lib.TL_LP_FIRST: LpIndication.FIRST,
+                  _lib.TL_LP_SECOND: LpIndication.SECOND}
+
 INIT_CWND = 10.0
-MIN_SSTHRESH = 2.0
+
+
+def _finite(**constants) -> list[float]:
+    """The constants as floats; ValueError unless each is a finite real."""
+    out = []
+    for name, value in constants.items():
+        x = math.nan
+        if isinstance(value, numbers.Real) and not isinstance(value, bool):
+            try:
+                x = float(value)
+            except OverflowError:
+                pass
+        if not math.isfinite(x):
+            raise ValueError(f"{name} must be a finite number, got {value!r}")
+        out.append(x)
+    return out
+
+
+class _Field:
+    """An attribute that is a C struct field, named by its path from the
+    object, e.g. "cc_state.w.cwnd"."""
+
+    def __init__(self, path: str):
+        *self.parents, self.name = path.split(".")
+
+    def __get__(self, obj, cls=None):
+        if obj is None:
+            return self
+        return getattr(reduce(getattr, self.parents, obj), self.name)
+
+    def __set__(self, obj, value):
+        setattr(reduce(getattr, self.parents, obj), self.name, value)
+
+
+class _PhaseField(_Field):
+    def __get__(self, obj, cls=None):
+        return self if obj is None else _PHASE_OF[super().__get__(obj)]
+
+    def __set__(self, obj, phase: Phase):
+        super().__set__(obj, _PHASE_CODE[phase])
 
 
 class Controller:
-    """Base controller: owns cwnd (packets, fractional) and ssthresh."""
+    """Base controller: owns cwnd (packets, fractional) and ssthresh.
+
+    The tick loop calls `on_ack` once per ACK batch and `on_loss` once per
+    loss reaction (neither when it is None), and `on_interval` once per
+    interval. A `RuleController` instead has a `cc_state` that the loop
+    updates itself.
+    """
 
     name = "base"
+    cc_state = None
 
     def __init__(self):
         self.cwnd = INIT_CWND
@@ -55,413 +127,296 @@ class Controller:
     def on_interval(self, obs: Observation) -> None:
         pass
 
-    def _clamp(self) -> None:
-        if self.cwnd < 1.0:
-            self.cwnd = 1.0
-        if self.ssthresh < MIN_SSTHRESH:
-            self.ssthresh = MIN_SSTHRESH
 
-    def _timeout_reset(self) -> None:
-        self.ssthresh = max(self.cwnd / 2.0, MIN_SSTHRESH)
-        self.cwnd = 1.0
-        self.phase = Phase.SLOW_START
+# a zeroed `tl_cc` whose sample rings are freed with it
+_new_cc = _ffi.new_allocator(alloc=_lib.tl_cc_alloc, free=_lib.tl_cc_release)
 
 
-class Reno(Controller):
-    name = "reno"
+def _grown(status: int) -> None:
+    if status:
+        raise MemoryError("no memory left for BBR-lite's sample rings")
+
+
+def _samples(s, ring: str) -> list[tuple[float, float]]:
+    """The (t_ms, value) samples of one of a `tl_cc`'s rings, front first."""
+    buf, head, n, cap = (getattr(s, ring + f) for f in ("", "_head", "_len", "_cap"))
+    return [(buf[(head + i) % cap].t_ms, buf[(head + i) % cap].value)
+            for i in range(n)]
+
+
+def _restore(cls, raw: bytes, bw: list, rtt: list) -> "RuleController":
+    ctl = cls.__new__(cls)
+    s = ctl.cc_state = _new_cc("tl_cc *")
+    _ffi.memmove(s, raw, len(raw))
+    # the rings' pointers belong to the pickled copy: rebuild them
+    s.bw = s.rtt = _ffi.NULL
+    s.bw_head = s.bw_len = s.bw_cap = s.rtt_head = s.rtt_len = s.rtt_cap = 0
+    for t, v in bw:
+        _grown(_lib.bbr_push_bw(s, t, v))
+    for t, v in rtt:
+        _grown(_lib.bbr_push_rtt(s, t, v))
+    return ctl
+
+
+class RuleController(Controller):
+    """A controller whose constants and state are one C `tl_cc`, `cc_state`."""
+
+    KIND: int
+    cwnd = _Field("cc_state.w.cwnd")
+    ssthresh = _Field("cc_state.w.ssthresh")
+    phase = _PhaseField("cc_state.w.phase")
+
+    def __init__(self, **fields):
+        self.cc_state = _new_cc("tl_cc *")
+        _lib.cc_init(self.cc_state, self.KIND)
+        for field, value in fields.items():
+            setattr(self.cc_state, field, value)
+
+    @property
+    def pacing_rate_bps(self) -> float | None:
+        return self.cc_state.pacing_bps if self.cc_state.paced else None
 
     def on_ack(self, ack: AckInfo) -> None:
-        if self.phase is Phase.FAST_RECOVERY:
-            # exit recovery on the first new ACK; resume avoidance at ssthresh
-            self.cwnd = self.ssthresh
-            self.phase = Phase.CONGESTION_AVOIDANCE
-        if self.phase is Phase.SLOW_START:
-            self.cwnd += ack.acked_packets
-            if self.cwnd >= self.ssthresh:
-                self.phase = Phase.CONGESTION_AVOIDANCE
-        else:
-            self.cwnd += ack.acked_packets / self.cwnd
-        self._clamp()
+        _grown(_lib.cc_on_ack(self.cc_state,
+                              _ffi.new("tl_ackinfo *", dataclasses.astuple(ack))))
 
     def on_loss(self, kind: LossKind) -> None:
-        if kind is LossKind.TIMEOUT:
-            self._timeout_reset()
-        else:
-            self.ssthresh = max(self.cwnd / 2.0, MIN_SSTHRESH)
-            self.cwnd = self.ssthresh
-            self.phase = Phase.FAST_RECOVERY
-        self._clamp()
+        _lib.cc_on_loss(self.cc_state, kind is LossKind.TIMEOUT)
+
+    def __reduce__(self):
+        s = self.cc_state
+        return _restore, (type(self), bytes(_ffi.buffer(s)),
+                          _samples(s, "bw"), _samples(s, "rtt"))
+
+
+class Reno(RuleController):
+    name = "reno"
+    KIND = _lib.TL_RENO
+
+    def __init__(self):
+        super().__init__()
+
+
+def _check_cubic(c: float, beta: float) -> None:
+    if not (c > 0 and 0 < beta < 1):
+        raise ValueError(f"cubic needs c > 0 and 0 < beta < 1, "
+                         f"got c={c!r}, beta={beta!r}")
 
 
 def cubic_window(t_s: float, w_max: float, c: float = 0.4, beta: float = 0.7) -> float:
     """W(t) = C(t-K)^3 + w_max with K = cbrt(w_max(1-beta)/C); W(K) == w_max."""
-    k = (w_max * (1.0 - beta) / c) ** (1.0 / 3.0)
-    return c * (t_s - k) ** 3 + w_max
+    t_s, w_max, c, beta = _finite(t_s=t_s, w_max=w_max, c=c, beta=beta)
+    _check_cubic(c, beta)
+    if w_max < 0:
+        raise ValueError(f"w_max must be >= 0, got {w_max!r}")
+    return _lib.cubic_window(t_s, w_max, c, beta)
 
 
-class Cubic(Controller):
+class Cubic(RuleController):
     name = "cubic"
+    KIND = _lib.TL_CUBIC
+    c = _Field("cc_state.c")
+    beta = _Field("cc_state.beta")
+    w_max = _Field("cc_state.w_max")
 
     def __init__(self, c: float = 0.4, beta: float = 0.7):
-        super().__init__()
-        self.c = c
-        self.beta = beta
-        self.w_max = 0.0
-        self.epoch_start_ms = None
+        c, beta = _finite(c=c, beta=beta)
+        _check_cubic(c, beta)
+        super().__init__(c=c, beta=beta)
 
-    def on_ack(self, ack: AckInfo) -> None:
-        if self.phase is Phase.FAST_RECOVERY:
-            self.phase = Phase.CONGESTION_AVOIDANCE
-        if self.phase is Phase.SLOW_START:
-            self.cwnd += ack.acked_packets
-            if self.cwnd >= self.ssthresh:
-                self.phase = Phase.CONGESTION_AVOIDANCE
-        else:
-            if self.epoch_start_ms is None:
-                self.epoch_start_ms = ack.now_ms
-                if self.w_max < self.cwnd:
-                    self.w_max = self.cwnd
-            t = (ack.now_ms - self.epoch_start_ms + ack.rtt_ms) / 1000.0
-            target = cubic_window(t, self.w_max, self.c, self.beta)
-            if target > self.cwnd:
-                self.cwnd += (target - self.cwnd) / self.cwnd * ack.acked_packets
-            else:
-                # gentle probing when at/above the plateau
-                self.cwnd += 0.01 * ack.acked_packets / self.cwnd
-        self._clamp()
-
-    def on_loss(self, kind: LossKind) -> None:
-        if kind is LossKind.TIMEOUT:
-            self.w_max = self.cwnd
-            self.epoch_start_ms = None
-            self._timeout_reset()
-        else:
-            self.w_max = self.cwnd
-            self.cwnd *= self.beta
-            self.ssthresh = max(self.cwnd, MIN_SSTHRESH)
-            self.epoch_start_ms = None
-            self.phase = Phase.FAST_RECOVERY
-        self._clamp()
+    @property
+    def epoch_start_ms(self) -> float | None:
+        s = self.cc_state
+        return s.epoch_start_ms if s.has_epoch else None
 
 
-class Vegas(Controller):
+class Vegas(RuleController):
     name = "vegas"
+    KIND = _lib.TL_VEGAS
+    alpha = _Field("cc_state.alpha")
+    beta = _Field("cc_state.beta")
+    base_rtt_ms = _Field("cc_state.base_rtt_ms")  # the visible min-RTT
+    next_adjust_ms = _Field("cc_state.next_adjust_ms")
 
     def __init__(self, alpha: float = 2.0, beta: float = 4.0):
-        super().__init__()
-        self.alpha = alpha
-        self.beta = beta
-        self.base_rtt_ms = math.inf   # fed from the controller-visible min-RTT
-        self.next_adjust_ms = 0.0
+        alpha, beta = _finite(alpha=alpha, beta=beta)
+        if not 0 <= alpha <= beta:
+            raise ValueError(f"vegas needs 0 <= alpha <= beta, "
+                             f"got alpha={alpha!r}, beta={beta!r}")
+        super().__init__(alpha=alpha, beta=beta)
 
     def vegas_diff(self, rtt_ms: float) -> float:
         """(expected - actual) * base_rtt, in packets."""
-        if not math.isfinite(self.base_rtt_ms) or rtt_ms <= 0:
-            return 0.0
-        base_s = self.base_rtt_ms / 1000.0
-        rtt_s = rtt_ms / 1000.0
-        return (self.cwnd / base_s - self.cwnd / rtt_s) * base_s
-
-    def on_ack(self, ack: AckInfo) -> None:
-        self.base_rtt_ms = ack.min_rtt_ms
-        if self.phase is Phase.FAST_RECOVERY:
-            self.cwnd = self.ssthresh
-            self.phase = Phase.CONGESTION_AVOIDANCE
-        diff = self.vegas_diff(ack.rtt_ms)
-        if self.phase is Phase.SLOW_START:
-            self.cwnd += ack.acked_packets
-            if self.cwnd >= self.ssthresh or diff > self.beta:
-                self.phase = Phase.CONGESTION_AVOIDANCE
-        elif ack.now_ms >= self.next_adjust_ms:
-            if diff > self.beta:
-                self.cwnd -= 1.0
-            elif diff < self.alpha:
-                self.cwnd += 1.0
-            self.next_adjust_ms = ack.now_ms + ack.rtt_ms
-        self._clamp()
-
-    def on_loss(self, kind: LossKind) -> None:
-        if kind is LossKind.TIMEOUT:
-            self._timeout_reset()
-        else:
-            self.ssthresh = max(self.cwnd / 2.0, MIN_SSTHRESH)
-            self.cwnd = self.ssthresh
-            self.phase = Phase.FAST_RECOVERY
-        self._clamp()
+        return _lib.vegas_diff(self.cc_state, rtt_ms)
 
 
-class Illinois(Controller):
+class Illinois(RuleController):
     name = "illinois"
+    KIND = _lib.TL_ILLINOIS
+    alpha_min = _Field("cc_state.alpha_min")
+    alpha_max = _Field("cc_state.alpha_max")
+    beta_min = _Field("cc_state.beta_min")
+    beta_max = _Field("cc_state.beta_max")
+    base_rtt_ms = _Field("cc_state.base_rtt_ms")
+    max_rtt_ms = _Field("cc_state.max_rtt_ms")
+    rtt_sum = _Field("cc_state.rtt_sum")
+    rtt_n = _Field("cc_state.rtt_n")
+    avg_delay_ms = _Field("cc_state.avg_delay_ms")
+    next_window_ms = _Field("cc_state.next_window_ms")
 
     def __init__(self, alpha_min: float = 0.3, alpha_max: float = 10.0,
                  beta_min: float = 0.125, beta_max: float = 0.5):
-        super().__init__()
-        self.alpha_min = alpha_min
-        self.alpha_max = alpha_max
-        self.beta_min = beta_min
-        self.beta_max = beta_max
-        self.base_rtt_ms = math.inf
-        self.max_rtt_ms = 0.0
-        self.rtt_sum = 0.0
-        self.rtt_n = 0
-        self.avg_delay_ms = 0.0
-        self.next_window_ms = 0.0
+        bounds = _finite(alpha_min=alpha_min, alpha_max=alpha_max,
+                         beta_min=beta_min, beta_max=beta_max)
+        alpha_min, alpha_max, beta_min, beta_max = bounds
+        if not (0 < alpha_min < alpha_max and 0 <= beta_min <= beta_max < 1):
+            raise ValueError(f"illinois needs 0 < alpha_min < alpha_max and "
+                             f"0 <= beta_min <= beta_max < 1, got {bounds}")
+        super().__init__(alpha_min=alpha_min, alpha_max=alpha_max,
+                         beta_min=beta_min, beta_max=beta_max)
 
     def _delay_params(self) -> tuple[float, float]:
         """Standard piecewise delay mapping for the AIMD coefficients."""
-        dm = self.max_rtt_ms - self.base_rtt_ms
-        if dm <= 0 or not math.isfinite(self.base_rtt_ms):
-            return self.alpha_max, self.beta_min
-        da = self.avg_delay_ms
-        d1 = 0.01 * dm
-        # alpha: alpha_max below d1, then hyperbolic decay to alpha_min at dm
-        if da <= d1:
-            alpha = self.alpha_max
-        else:
-            k1 = (dm - d1) * self.alpha_min * self.alpha_max / (self.alpha_max - self.alpha_min)
-            k2 = k1 / self.alpha_max - d1
-            alpha = max(self.alpha_min, k1 / (k2 + da))
-        # beta: linear ramp between 0.1*dm and 0.8*dm
-        d2, d3 = 0.1 * dm, 0.8 * dm
-        if da <= d2:
-            beta = self.beta_min
-        elif da >= d3:
-            beta = self.beta_max
-        else:
-            beta = self.beta_min + (self.beta_max - self.beta_min) * (da - d2) / (d3 - d2)
-        return alpha, beta
-
-    def on_ack(self, ack: AckInfo) -> None:
-        self.base_rtt_ms = min(self.base_rtt_ms, ack.min_rtt_ms)
-        self.max_rtt_ms = max(self.max_rtt_ms, ack.rtt_ms)
-        self.rtt_sum += ack.rtt_ms * ack.acked_packets
-        self.rtt_n += ack.acked_packets
-        if ack.now_ms >= self.next_window_ms and self.rtt_n > 0:
-            self.avg_delay_ms = self.rtt_sum / self.rtt_n - self.base_rtt_ms
-            self.rtt_sum = 0.0
-            self.rtt_n = 0
-            self.next_window_ms = ack.now_ms + ack.rtt_ms
-        if self.phase is Phase.FAST_RECOVERY:
-            self.phase = Phase.CONGESTION_AVOIDANCE
-        if self.phase is Phase.SLOW_START:
-            self.cwnd += ack.acked_packets
-            if self.cwnd >= self.ssthresh:
-                self.phase = Phase.CONGESTION_AVOIDANCE
-        else:
-            alpha, _ = self._delay_params()
-            self.cwnd += alpha * ack.acked_packets / self.cwnd
-        self._clamp()
-
-    def on_loss(self, kind: LossKind) -> None:
-        if kind is LossKind.TIMEOUT:
-            self._timeout_reset()
-        else:
-            _, beta = self._delay_params()
-            self.cwnd *= (1.0 - beta)
-            self.ssthresh = max(self.cwnd, MIN_SSTHRESH)
-            self.phase = Phase.FAST_RECOVERY
-        self._clamp()
+        out = _ffi.new("double[2]")
+        _lib.illinois_params(self.cc_state, out, out + 1)
+        return out[0], out[1]
 
 
-class LpIndication(enum.Enum):
-    NONE = "none"
-    FIRST = "first_indication"
-    SECOND = "second_indication"
+# LP's filter stays disarmed until the OWD range exceeds this floor
+LP_MIN_RANGE_MS = 3.0
 
 
-@dataclass
+def _lp_filter_init(f, threshold_fraction, ewma_gain, min_range_ms) -> None:
+    tf, gain, floor = _finite(threshold_fraction=threshold_fraction,
+                              ewma_gain=ewma_gain, min_range_ms=min_range_ms)
+    if not (0 <= tf <= 1 and 0 < gain <= 1 and floor >= 0):
+        raise ValueError(f"lp needs 0 <= threshold_fraction <= 1, "
+                         f"0 < ewma_gain <= 1 and min_range_ms >= 0, "
+                         f"got {tf!r}, {gain!r}, {floor!r}")
+    _lib.lp_filter_init(f, tf, gain, floor)
+
+
 class LpFilterState:
-    """One-way-delay early-congestion filter used by TCP LP.
+    """One-way-delay early-congestion filter used by TCP LP: a view of a C
+    `tl_lp_filter`, its own or an `Lp` controller's (`Lp.filter`).
 
     sowd is an EWMA of owd (gain 1/8); owd_min / owd_max are running
     extremes. The early-congestion condition fires when
     sowd > owd_min + threshold_fraction * (owd_max - owd_min), strictly.
     """
 
-    threshold_fraction: float = 0.15
-    ewma_gain: float = 0.125
-    # checks stay disarmed until the observed OWD range exceeds this floor,
-    # otherwise sub-ms jitter trips the threshold before any queue exists
-    min_range_ms: float = 3.0
-    owd_ms: float = 0.0
-    sowd_ms: float | None = None
-    owd_min_ms: float = math.inf
-    owd_max_ms: float = -math.inf
-    in_inference: bool = False
-    inference_until_ms: float = -math.inf
+    threshold_fraction = _Field("_f.threshold_fraction")
+    ewma_gain = _Field("_f.ewma_gain")
+    min_range_ms = _Field("_f.min_range_ms")
+    owd_ms = _Field("_f.owd_ms")
+    owd_min_ms = _Field("_f.owd_min_ms")
+    owd_max_ms = _Field("_f.owd_max_ms")
+    in_inference = _Field("_f.in_inference")
+    inference_until_ms = _Field("_f.inference_until_ms")
+
+    def __init__(self, threshold_fraction: float = 0.15, ewma_gain: float = 0.125,
+                 min_range_ms: float = LP_MIN_RANGE_MS):
+        self._owner = self._f = _ffi.new("tl_lp_filter *")
+        _lp_filter_init(self._f, threshold_fraction, ewma_gain, min_range_ms)
+
+    @classmethod
+    def _of(cls, cc_state) -> LpFilterState:
+        view = cls.__new__(cls)
+        view._owner = cc_state   # keeps the struct alive
+        view._f = _ffi.addressof(cc_state, "filter")
+        return view
+
+    @property
+    def sowd_ms(self) -> float | None:
+        return self._f.sowd_ms if self._f.has_sowd else None
 
     def threshold_ms(self) -> float:
-        return self.owd_min_ms + self.threshold_fraction * (self.owd_max_ms - self.owd_min_ms)
+        return _lib.lp_filter_threshold(self._f)
 
     def update(self, owd_sample_ms: float) -> None:
         """Advance the delay filters without evaluating the indication."""
-        self.owd_ms = owd_sample_ms
-        self.owd_min_ms = min(self.owd_min_ms, owd_sample_ms)
-        self.owd_max_ms = max(self.owd_max_ms, owd_sample_ms)
-        if self.sowd_ms is None:
-            self.sowd_ms = owd_sample_ms
-        else:
-            self.sowd_ms += self.ewma_gain * (owd_sample_ms - self.sowd_ms)
+        _lib.lp_filter_update(self._f, owd_sample_ms)
 
     def check(self, owd_sample_ms: float, now_ms: float = 0.0,
               inference_window_ms: float = 0.0) -> LpIndication:
-        self.update(owd_sample_ms)
-        if self.in_inference and now_ms > self.inference_until_ms:
-            self.in_inference = False
-        if self.owd_max_ms - self.owd_min_ms < self.min_range_ms:
-            return LpIndication.NONE
-        if self.sowd_ms > self.threshold_ms():
-            if not self.in_inference:
-                self.in_inference = True
-                self.inference_until_ms = now_ms + inference_window_ms
-                return LpIndication.FIRST
-            return LpIndication.SECOND
-        return LpIndication.NONE
+        return _INDICATION_OF[_lib.lp_filter_check(self._f, owd_sample_ms, now_ms,
+                                                   inference_window_ms)]
 
 
-class Lp(Controller):
-    """Reno plus one-way-delay early congestion detection."""
+class Lp(RuleController):
+    """Reno plus one-way-delay early congestion detection.
+
+    Counts its early-congestion indications in `indications`, by kind in
+    `first_indications` and `second_indications`.
+    """
 
     name = "lp"
+    KIND = _lib.TL_LP
+    indications = _Field("cc_state.indications")
+    first_indications = _Field("cc_state.first_indications")
+    second_indications = _Field("cc_state.second_indications")
 
     def __init__(self, threshold_fraction: float = 0.15, ewma_gain: float = 0.125):
         super().__init__()
-        self.filter = LpFilterState(threshold_fraction=threshold_fraction,
-                                    ewma_gain=ewma_gain)
-        self.indications = 0
-        self.backoffs: list[tuple[float, LpIndication]] = []
-        self._grace_until_ms = -math.inf  # lets a backoff act before re-checking
-        self._reno = Reno()
-        self._reno.cwnd = self.cwnd
+        _lp_filter_init(_ffi.addressof(self.cc_state, "filter"),
+                        threshold_fraction, ewma_gain, LP_MIN_RANGE_MS)
 
-    def on_ack(self, ack: AckInfo) -> None:
-        # the visible min-OWD estimate replaces the filter's floor
-        self.filter.owd_min_ms = min(self.filter.owd_min_ms, ack.min_owd_ms)
-        if ack.now_ms < self._grace_until_ms:
-            self.filter.update(ack.owd_ms)
-            ind = LpIndication.NONE
-        else:
-            # grace spans 2 RTTs (in-flight packets predate the backoff for a
-            # full RTT); the window is 3 RTTs so the re-check lands inside it
-            ind = self.filter.check(ack.owd_ms, now_ms=ack.now_ms,
-                                    inference_window_ms=3.0 * ack.srtt_ms)
-        if ind is not LpIndication.NONE:
-            self.indications += 1
-            self.backoffs.append((ack.now_ms, ind))
-            if ind is LpIndication.FIRST:
-                # halve and resume linear growth from there
-                self.cwnd = max(1.0, self.cwnd / 2.0)
-                self.ssthresh = max(self.cwnd, MIN_SSTHRESH)
-                self._reno.phase = Phase.CONGESTION_AVOIDANCE
-            else:
-                # persistent congestion: timeout-style reset with exponential
-                # recovery up to half the operating window
-                self.ssthresh = max(self.cwnd / 2.0, MIN_SSTHRESH)
-                self.cwnd = 1.0
-                self.filter.inference_until_ms = ack.now_ms + 3.0 * ack.srtt_ms
-                self._reno.phase = Phase.SLOW_START
-            self.phase = Phase.LP_INFERENCE
-            self._grace_until_ms = ack.now_ms + 2.0 * ack.srtt_ms
-            self._reno.cwnd = self.cwnd
-            self._reno.ssthresh = self.ssthresh
-            return
-        if self.phase is Phase.LP_INFERENCE and not self.filter.in_inference:
-            self.phase = self._reno.phase
-        self._reno.on_ack(ack)
-        self.cwnd = self._reno.cwnd
-        self.ssthresh = self._reno.ssthresh
-        if self.phase is not Phase.LP_INFERENCE:
-            self.phase = self._reno.phase
-        self._clamp()
-
-    def on_loss(self, kind: LossKind) -> None:
-        self._reno.on_loss(kind)
-        self.cwnd = self._reno.cwnd
-        self.ssthresh = self._reno.ssthresh
-        self.phase = self._reno.phase
-        self._clamp()
+    @property
+    def filter(self) -> LpFilterState:
+        return LpFilterState._of(self.cc_state)
 
 
-class BbrLite(Controller):
+class BbrLite(RuleController):
     """Model-based controller: windowed max-bandwidth and min-RTT filters.
 
     cwnd = 2 x estimated BDP; pacing = gain x bandwidth estimate with the
     fixed cycle [1.25, 0.75, 1, 1, 1, 1, 1, 1] advanced once per min-RTT.
     """
 
-    GAIN_CYCLE = (1.25, 0.75, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0)
+    GAIN_CYCLE = tuple(_lib.tl_gain_cycle)
 
     name = "bbrlite"
+    KIND = _lib.TL_BBRLITE
+    bw_window_rtts = _Field("cc_state.bw_window_rtts")
+    rtt_window_ms = _Field("cc_state.rtt_window_ms")
+    packet_size = _Field("cc_state.packet_size")
+    gain_index = _Field("cc_state.gain_index")
+    next_gain_advance_ms = _Field("cc_state.next_gain_advance_ms")
+    min_rtt_scale = _Field("cc_state.min_rtt_scale")
 
     def __init__(self, bw_window_rtts: int = 10, rtt_window_s: float = 10.0,
                  packet_size: int = 1500):
-        super().__init__()
-        self.bw_window_rtts = bw_window_rtts
-        self.rtt_window_ms = rtt_window_s * 1000.0
-        self.packet_size = packet_size
-        # monotonic deques: bw decreasing (front = windowed max),
-        # rtt increasing (front = windowed min)
-        self.bw_samples: deque[tuple[float, float]] = deque()   # (t_ms, bps)
-        self.rtt_samples: deque[tuple[float, float]] = deque()  # (t_ms, ms)
-        self.gain_index = 0
-        self.next_gain_advance_ms = 0.0
-        self.min_rtt_scale = 1.0
-        # delivery-rate aggregation over ~one RTT
-        self._acc_bytes = 0
-        self._acc_start_ms = 0.0
+        constants = _finite(bw_window_rtts=bw_window_rtts,
+                            rtt_window_s=rtt_window_s, packet_size=packet_size)
+        if not all(x > 0 for x in constants):
+            raise ValueError(f"bbrlite needs bw_window_rtts, rtt_window_s and "
+                             f"packet_size > 0, got {constants}")
+        bw_window_rtts, rtt_window_s, packet_size = constants
+        super().__init__(bw_window_rtts=bw_window_rtts,
+                         rtt_window_ms=rtt_window_s * 1000.0,
+                         packet_size=packet_size)
+
+    @property
+    def bw_samples(self) -> list[tuple[float, float]]:
+        """(t_ms, bps), strictly decreasing: the front is the windowed max."""
+        return _samples(self.cc_state, "bw")
+
+    @property
+    def rtt_samples(self) -> list[tuple[float, float]]:
+        """(t_ms, ms), strictly increasing: the front is the windowed min."""
+        return _samples(self.cc_state, "rtt")
 
     def bw_estimate_bps(self) -> float:
-        return self.bw_samples[0][1] if self.bw_samples else 0.0
+        return _lib.bbr_bw_estimate(self.cc_state)
 
     def min_rtt_estimate_ms(self) -> float:
-        raw = self.rtt_samples[0][1] if self.rtt_samples else math.inf
-        return raw * self.min_rtt_scale
+        return _lib.bbr_min_rtt_estimate(self.cc_state)
 
     def _push_bw(self, t: float, bw: float) -> None:
-        while self.bw_samples and self.bw_samples[-1][1] <= bw:
-            self.bw_samples.pop()
-        self.bw_samples.append((t, bw))
+        _grown(_lib.bbr_push_bw(self.cc_state, t, bw))
 
     def _push_rtt(self, t: float, rtt: float) -> None:
-        while self.rtt_samples and self.rtt_samples[-1][1] >= rtt:
-            self.rtt_samples.pop()
-        self.rtt_samples.append((t, rtt))
-
-    def on_ack(self, ack: AckInfo) -> None:
-        now = ack.now_ms
-        # feature-level perturbation reaches this filter as a scale on its output
-        self.min_rtt_scale = ack.min_rtt_scale
-        # delivery rate: bytes acked over the last ~RTT of wall time
-        self._acc_bytes += ack.acked_bytes
-        elapsed = now - self._acc_start_ms
-        if elapsed >= ack.rtt_ms:
-            bw = self._acc_bytes * 8.0 / (elapsed / 1000.0)
-            self._push_bw(now, bw)
-            self._acc_bytes = 0
-            self._acc_start_ms = now
-        self._push_rtt(now, ack.rtt_ms)
-        min_rtt = self.min_rtt_estimate_ms()
-        horizon = self.bw_window_rtts * max(min_rtt, 1.0)
-        while self.bw_samples and now - self.bw_samples[0][0] > horizon:
-            self.bw_samples.popleft()
-        while self.rtt_samples and now - self.rtt_samples[0][0] > self.rtt_window_ms:
-            self.rtt_samples.popleft()
-        bw_est = self.bw_estimate_bps()
-        min_rtt = self.min_rtt_estimate_ms()
-        if bw_est > 0 and math.isfinite(min_rtt):
-            bdp_pkts = bw_est / 8.0 * (min_rtt / 1000.0) / self.packet_size
-            self.cwnd = max(4.0, 2.0 * bdp_pkts)
-            if now >= self.next_gain_advance_ms:
-                self.gain_index = (self.gain_index + 1) % len(self.GAIN_CYCLE)
-                self.next_gain_advance_ms = now + min_rtt
-            self.pacing_rate_bps = self.GAIN_CYCLE[self.gain_index] * bw_est
-        self._clamp()
-
-    def on_loss(self, kind: LossKind) -> None:
-        # rate-model controller: ignores individual loss events
-        if kind is LossKind.TIMEOUT:
-            self.cwnd = max(4.0, self.cwnd / 2.0)
-        self._clamp()
+        _grown(_lib.bbr_push_rtt(self.cc_state, t, rtt))
 
 
 class Pinned(Controller):
@@ -494,9 +449,9 @@ RULE_BASED = {
 def make_controller(name: str, **constants):
     """Controller factory; `learned` requires a policy= kwarg (see learned.py).
 
-    `initial_cwnd` / `initial_ssthresh` are accepted for every rule-based
-    controller and applied after construction (e.g. to model a sender that
-    has already converged past slow start).
+    `initial_cwnd` (>= 1) / `initial_ssthresh` (>= 2) are accepted for every
+    rule-based controller and applied after construction (e.g. to model a
+    sender that has already converged past slow start).
     """
     if name == "learned":
         from .learned import LearnedController
@@ -510,9 +465,13 @@ def make_controller(name: str, **constants):
                          f"expected one of {sorted(RULE_BASED) + ['learned']}")
     ctl = cls(**constants)
     if init_cwnd is not None:
-        ctl.cwnd = float(init_cwnd)
+        ctl.cwnd, = _finite(initial_cwnd=init_cwnd)
+        if ctl.cwnd < 1:
+            raise ValueError(f"initial_cwnd must be >= 1, got {init_cwnd!r}")
     if init_ssthresh is not None:
-        ctl.ssthresh = float(init_ssthresh)
-        if isinstance(ctl, Lp):   # Lp's window lives in its inner Reno
-            ctl._reno.ssthresh = ctl.ssthresh
+        ctl.ssthresh, = _finite(initial_ssthresh=init_ssthresh)
+        if ctl.ssthresh < 2:
+            raise ValueError(f"initial_ssthresh must be >= 2, got {init_ssthresh!r}")
+        if isinstance(ctl, Lp):   # Lp's window grows in its inner Reno
+            ctl.cc_state.reno.ssthresh = ctl.ssthresh
     return ctl

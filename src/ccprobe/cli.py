@@ -287,7 +287,7 @@ def cmd_lp_case(args, cfg: ExperimentConfig, out: str) -> int:
         ctl = factories[name]()
         log = run_episode(cfg.sim, trace, ctl)
         rep = build_report(log)
-        n_ind = len(getattr(ctl, "backoffs", []))
+        n_ind = getattr(ctl, "indications", 0)
         rows.append([name, rep.utilization, rep.mean_delay_ms, n_ind, log.dropped])
         dump_series_csv(log, os.path.join(out, f"lp_case_{name}.csv"))
         if name == "lp":

@@ -234,12 +234,12 @@ def run_episode(config: SimConfig, trace, controller, intercept=None,
     given, scales the min-RTT estimate the controller reads; simulator ground
     truth is never touched.
 
-    The ticks run in C (`_tickloop.c`), which comes back here only to call
-    `controller.on_ack` once per ACK batch and `controller.on_loss` once per
-    loss reaction (either is skipped when it is None), and at each interval
-    boundary for the observation, `on_interval`, the intercept and the env
-    driver. After every callback the loop reads the controller's cwnd and
-    pacing rate afresh.
+    The ticks run in C (`_tickloop.c`). A rule controller's `cc_state` is
+    updated there too, so the loop comes back here only at each interval
+    boundary, for the observation, `on_interval`, the intercept and the env
+    driver. Any other controller also gets `on_ack` once per ACK batch and
+    `on_loss` once per loss reaction (either is skipped when it is None),
+    and the loop reads its cwnd and pacing rate afresh after every callback.
     """
     config.validate()
     if (trace is None) == (env_driver is None):
@@ -290,6 +290,10 @@ def run_episode(config: SimConfig, trace, controller, intercept=None,
     on_ack, on_loss = controller.on_ack, controller.on_loss
     st.call_on_ack = on_ack is not None
     st.call_on_loss = on_loss is not None
+    cc_state = getattr(controller, "cc_state", None)
+    if cc_state is not None:
+        st.cc = cc_state
+    ack = _ffi.addressof(st, "ack")
 
     if env_driver is not None:
         capacity = env_driver.first_capacity()
@@ -311,11 +315,11 @@ def run_episode(config: SimConfig, trace, controller, intercept=None,
             ev = step(st, controller.cwnd, pacing is not None,
                       0.0 if pacing is None else pacing)
             if ev == _ACK:
-                n = st.ack_packets
-                # positional: keyword construction costs ~3x as much per batch
-                on_ack(AckInfo(st.ack_now_ms, st.ack_rtt_ms, st.ack_owd_ms, n,
-                               n * pkt, st.ack_min_rtt_ms, st.ack_min_owd_ms,
-                               st.srtt, scale))
+                n = ack.acked_packets
+                # positional: keyword construction costs ~3x as much per batch,
+                # and every field read from C costs about what a product does
+                on_ack(AckInfo(ack.now_ms, ack.rtt_ms, ack.owd_ms, n, n * pkt,
+                               ack.min_rtt_ms, ack.min_owd_ms, st.srtt, scale))
             elif ev == _INTERVAL:
                 iv_sent, iv_dropped = st.iv_sent, st.iv_dropped
                 thr = st.iv_delivered * pkt * 8.0 / 1e6 / secs

@@ -182,9 +182,8 @@ def test_lp_filter_disarmed_below_min_range():
 def test_lp_controller_backs_off_without_loss(short_sim, const_trace):
     ctl = Lp()
     log = run_episode(short_sim, const_trace, ctl)
-    assert ctl.indications >= 1
-    assert all(k in (LpIndication.FIRST, LpIndication.SECOND)
-               for _, k in ctl.backoffs)
+    # every indication is a first or a second one
+    assert ctl.first_indications + ctl.second_indications == ctl.indications >= 1
 
 
 def test_lp_grace_period_blocks_immediate_recheck():
@@ -262,7 +261,7 @@ def test_factory_constant_overrides():
     assert c.cwnd == 50.0
     assert c.ssthresh == 100.0
     lp = make_controller("lp", initial_ssthresh=64.0)
-    assert lp._reno.ssthresh == 64.0
+    assert lp.cc_state.reno.ssthresh == 64.0
 
 
 @given(st.floats(min_value=1.0, max_value=1000.0),

@@ -301,6 +301,25 @@ def test_rejected_constant_exits_2(tmp_path, monkeypatch, capsys):
         assert err.count("\n") == 1 and "'c'" in err
 
 
+@pytest.mark.parametrize("name,constants", [
+    ("cubic", "{beta: .nan}"), ("cubic", "{c: -1.0}"), ("cubic", "{beta: 1.0}"),
+    ("cubic", "{c: '0.5'}"), ("reno", "{initial_cwnd: -5}"),
+    ("lp", "{initial_ssthresh: 1.5}"), ("vegas", "{alpha: 5.0}"),
+    ("illinois", "{alpha_min: 10.0}"), ("illinois", "{beta_max: .inf}"),
+    ("lp", "{ewma_gain: 0.0}"), ("lp", "{threshold_fraction: true}"),
+    ("bbrlite", "{packet_size: 0}")])
+def test_constant_outside_its_domain_exits_2(tmp_path, monkeypatch, capsys,
+                                             name, constants):
+    # checked by the factory, before any episode can meet the value
+    _no_episodes(monkeypatch)
+    cfg = _write_cfg(tmp_path, f"controller: {name}\n"
+                               f"controller_constants: {constants}\n")
+    assert main(["baseline", "--controllers", name, "--config", cfg,
+                 "--out", str(tmp_path / "x")]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and f"controller {name!r}" in err
+
+
 def test_constants_apply_only_to_config_controller(tmp_path):
     # cubic's constant reaches cubic and never the reno attack target
     cfg = _write_cfg(tmp_path, "controller: cubic\n"
