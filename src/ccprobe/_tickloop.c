@@ -82,6 +82,12 @@ typedef struct {
     double t_ms, value;
 } tl_sample;
 
+/* a C-owned ring of samples, released by tl_cc_release */
+typedef struct {
+    tl_sample *buf;
+    int64_t head, len, cap;
+} tl_deque;
+
 /* A rule controller's constants and state; `kind` says which fields it
  * uses. The pacing rate is None in Python while `paced` is 0. */
 typedef struct {
@@ -103,16 +109,12 @@ typedef struct {
     tl_window reno;
     double grace_until_ms;
     int64_t indications, first_indications, second_indications;
-    /* bbrlite: monotone deques of (t_ms, bps) and (t_ms, rtt_ms) samples,
-     * C-owned rings released by tl_cc_release */
+    /* bbrlite: monotone deques of (t_ms, bps) and (t_ms, rtt_ms) samples */
     double bw_window_rtts, rtt_window_ms, packet_size;
     double next_gain_advance_ms, min_rtt_scale, acc_start_ms;
     int64_t acc_bytes;
     int gain_index;
-    tl_sample *bw;
-    int64_t bw_head, bw_len, bw_cap;
-    tl_sample *rtt;
-    int64_t rtt_head, rtt_len, rtt_cap;
+    tl_deque bw, rtt;
 } tl_cc;
 
 typedef struct {
@@ -288,8 +290,8 @@ void *tl_cc_alloc(size_t size)
 void tl_cc_release(void *p)
 {
     tl_cc *c = p;
-    free(c->bw);
-    free(c->rtt);
+    free(c->bw.buf);
+    free(c->rtt.buf);
     free(c);
 }
 
@@ -314,25 +316,16 @@ void lp_filter_init(tl_lp_filter *f, double threshold_fraction,
     f->inference_until_ms = -INFINITY;
 }
 
-/* The state of a fresh controller of `kind`; its constants are set after. */
+/* Makes a zeroed struct a fresh controller of `kind`; its constants are
+ * set after. */
 void cc_init(tl_cc *c, int kind)
 {
     c->kind = kind;
     win_init(&c->w);
-    c->paced = 0;
-    c->has_epoch = 0;
-    c->w_max = 0.0;
-    c->base_rtt_ms = INFINITY;
-    c->next_adjust_ms = c->next_window_ms = 0.0;
-    c->max_rtt_ms = c->rtt_sum = c->avg_delay_ms = 0.0;
-    c->rtt_n = 0;
     win_init(&c->reno);
+    c->base_rtt_ms = INFINITY;
     c->grace_until_ms = -INFINITY;   /* lets a backoff act before re-checking */
-    c->indications = c->first_indications = c->second_indications = 0;
-    c->gain_index = 0;
-    c->next_gain_advance_ms = c->acc_start_ms = 0.0;
     c->min_rtt_scale = 1.0;
-    c->acc_bytes = 0;
 }
 
 static void clamp(tl_window *w)
@@ -642,49 +635,52 @@ static void lp_loss(tl_cc *c, int timeout)
     clamp(&c->w);
 }
 
-/* BBR-lite's windowed filters are monotone deques in rings: bandwidth
- * strictly decreasing (front = windowed max), RTT strictly increasing
- * (front = windowed min). */
-static tl_sample *sample_at(tl_sample *ring, int64_t head, int64_t i, int64_t cap)
+/* BBR-lite's windowed filters are monotone deques: bandwidth strictly
+ * decreasing (front = windowed max), RTT strictly increasing (front =
+ * windowed min). A push first drops the samples at the back that the new
+ * one makes useless: those with sign * value <= sign * the new value. */
+static int deque_push(tl_deque *d, double t_ms, double value, double sign)
 {
-    return &ring[ring_slot(head, i, cap)];
+    while (d->len && sign * d->buf[ring_slot(d->head, d->len - 1, d->cap)].value
+                         <= sign * value)
+        d->len--;
+    if (ring_reserve((void **)&d->buf, &d->head, d->len, &d->cap,
+                     sizeof(tl_sample), d->len + 1))
+        return -1;
+    tl_sample *x = &d->buf[ring_slot(d->head, d->len++, d->cap)];
+    x->t_ms = t_ms;
+    x->value = value;
+    return 0;
+}
+
+/* drops the samples at the front older than `age_ms` */
+static void deque_expire(tl_deque *d, double now_ms, double age_ms)
+{
+    while (d->len && now_ms - d->buf[d->head].t_ms > age_ms) {
+        d->head = ring_slot(d->head, 1, d->cap);
+        d->len--;
+    }
 }
 
 int bbr_push_bw(tl_cc *c, double t_ms, double bps)
 {
-    while (c->bw_len && sample_at(c->bw, c->bw_head, c->bw_len - 1, c->bw_cap)->value <= bps)
-        c->bw_len--;
-    if (ring_reserve((void **)&c->bw, &c->bw_head, c->bw_len, &c->bw_cap,
-                     sizeof(tl_sample), c->bw_len + 1))
-        return -1;
-    tl_sample *x = sample_at(c->bw, c->bw_head, c->bw_len++, c->bw_cap);
-    x->t_ms = t_ms;
-    x->value = bps;
-    return 0;
+    return deque_push(&c->bw, t_ms, bps, 1.0);
 }
 
 int bbr_push_rtt(tl_cc *c, double t_ms, double rtt_ms)
 {
-    while (c->rtt_len && sample_at(c->rtt, c->rtt_head, c->rtt_len - 1, c->rtt_cap)->value >= rtt_ms)
-        c->rtt_len--;
-    if (ring_reserve((void **)&c->rtt, &c->rtt_head, c->rtt_len, &c->rtt_cap,
-                     sizeof(tl_sample), c->rtt_len + 1))
-        return -1;
-    tl_sample *x = sample_at(c->rtt, c->rtt_head, c->rtt_len++, c->rtt_cap);
-    x->t_ms = t_ms;
-    x->value = rtt_ms;
-    return 0;
+    return deque_push(&c->rtt, t_ms, rtt_ms, -1.0);
 }
 
 double bbr_bw_estimate(const tl_cc *c)
 {
-    return c->bw_len ? c->bw[c->bw_head].value : 0.0;
+    return c->bw.len ? c->bw.buf[c->bw.head].value : 0.0;
 }
 
 /* feature-level perturbation reaches this filter as a scale on its output */
 double bbr_min_rtt_estimate(const tl_cc *c)
 {
-    double raw = c->rtt_len ? c->rtt[c->rtt_head].value : INFINITY;
+    double raw = c->rtt.len ? c->rtt.buf[c->rtt.head].value : INFINITY;
     return raw * c->min_rtt_scale;
 }
 
@@ -707,15 +703,8 @@ static int bbr_ack(tl_cc *c, const tl_ackinfo *a)
     if (bbr_push_rtt(c, now, a->rtt_ms))
         return -1;
     double min_rtt = bbr_min_rtt_estimate(c);
-    double horizon = c->bw_window_rtts * py_max(min_rtt, 1.0);
-    while (c->bw_len && now - c->bw[c->bw_head].t_ms > horizon) {
-        c->bw_head = ring_slot(c->bw_head, 1, c->bw_cap);
-        c->bw_len--;
-    }
-    while (c->rtt_len && now - c->rtt[c->rtt_head].t_ms > c->rtt_window_ms) {
-        c->rtt_head = ring_slot(c->rtt_head, 1, c->rtt_cap);
-        c->rtt_len--;
-    }
+    deque_expire(&c->bw, now, c->bw_window_rtts * py_max(min_rtt, 1.0));
+    deque_expire(&c->rtt, now, c->rtt_window_ms);
     double bw_est = bbr_bw_estimate(c);
     min_rtt = bbr_min_rtt_estimate(c);
     if (bw_est > 0 && isfinite(min_rtt)) {

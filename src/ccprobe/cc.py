@@ -128,29 +128,27 @@ class Controller:
         pass
 
 
-# a zeroed `tl_cc` whose sample rings are freed with it
+# a zeroed `tl_cc`, freed together with its sample deques
 _new_cc = _ffi.new_allocator(alloc=_lib.tl_cc_alloc, free=_lib.tl_cc_release)
 
 
 def _grown(status: int) -> None:
     if status:
-        raise MemoryError("no memory left for BBR-lite's sample rings")
+        raise MemoryError("no memory left for BBR-lite's sample deques")
 
 
-def _samples(s, ring: str) -> list[tuple[float, float]]:
-    """The (t_ms, value) samples of one of a `tl_cc`'s rings, front first."""
-    buf, head, n, cap = (getattr(s, ring + f) for f in ("", "_head", "_len", "_cap"))
-    return [(buf[(head + i) % cap].t_ms, buf[(head + i) % cap].value)
-            for i in range(n)]
+def _samples(d) -> list[tuple[float, float]]:
+    """The (t_ms, value) samples of a `tl_deque`, front first."""
+    ring = (d.buf[(d.head + i) % d.cap] for i in range(d.len))
+    return [(x.t_ms, x.value) for x in ring]
 
 
 def _restore(cls, raw: bytes, bw: list, rtt: list) -> "RuleController":
     ctl = cls.__new__(cls)
     s = ctl.cc_state = _new_cc("tl_cc *")
     _ffi.memmove(s, raw, len(raw))
-    # the rings' pointers belong to the pickled copy: rebuild them
-    s.bw = s.rtt = _ffi.NULL
-    s.bw_head = s.bw_len = s.bw_cap = s.rtt_head = s.rtt_len = s.rtt_cap = 0
+    # the deques' buffers belong to the pickled copy: rebuild them
+    s.bw = s.rtt = [_ffi.NULL, 0, 0, 0]
     for t, v in bw:
         _grown(_lib.bbr_push_bw(s, t, v))
     for t, v in rtt:
@@ -186,14 +184,14 @@ class RuleController(Controller):
     def __reduce__(self):
         s = self.cc_state
         return _restore, (type(self), bytes(_ffi.buffer(s)),
-                          _samples(s, "bw"), _samples(s, "rtt"))
+                          _samples(s.bw), _samples(s.rtt))
 
 
 class Reno(RuleController):
     name = "reno"
     KIND = _lib.TL_RENO
 
-    def __init__(self):
+    def __init__(self):   # no constants
         super().__init__()
 
 
@@ -399,12 +397,12 @@ class BbrLite(RuleController):
     @property
     def bw_samples(self) -> list[tuple[float, float]]:
         """(t_ms, bps), strictly decreasing: the front is the windowed max."""
-        return _samples(self.cc_state, "bw")
+        return _samples(self.cc_state.bw)
 
     @property
     def rtt_samples(self) -> list[tuple[float, float]]:
         """(t_ms, ms), strictly increasing: the front is the windowed min."""
-        return _samples(self.cc_state, "rtt")
+        return _samples(self.cc_state.rtt)
 
     def bw_estimate_bps(self) -> float:
         return _lib.bbr_bw_estimate(self.cc_state)

@@ -1,11 +1,12 @@
 """Controller state machines: phase transitions, window math, LP filter, BBR-lite."""
 
 import math
+import pickle
 
 import pytest
 from hypothesis import given, strategies as st
 
-from ccprobe.cc import (BbrLite, Cubic, Illinois, Lp, LpFilterState,
+from ccprobe.cc import (RULE_BASED, BbrLite, Cubic, Illinois, Lp, LpFilterState,
                         LpIndication, LossKind, Phase, Reno, Vegas,
                         cubic_window, make_controller)
 from ccprobe.netsim import AckInfo, BandwidthTrace, SimConfig, run_episode
@@ -239,6 +240,29 @@ def test_bbrlite_gain_cycle_shape():
     assert BbrLite.GAIN_CYCLE[1] == 0.75
     assert all(g == 1.0 for g in BbrLite.GAIN_CYCLE[2:])
     assert len(BbrLite.GAIN_CYCLE) == 8
+
+
+# --- state in C ----------------------------------------------------------------
+
+def test_rule_controllers_pickle_mid_episode():
+    # a copy, sent to a worker process say, goes on exactly like the original,
+    # BBR-lite's sample deques included
+    acks = [ack(now=7.0 * i, rtt=20.0 + (13 * i) % 40, n=1 + i % 4,
+                owd=10.0 + (13 * i) % 40) for i in range(80)]
+    for name in RULE_BASED:
+        a = make_controller(name)
+        for x in acks[:40]:
+            a.on_ack(x)
+        a.on_loss(LossKind.TRIPLE_DUP_ACK)
+        b = pickle.loads(pickle.dumps(a))
+        for x in acks[40:]:
+            a.on_ack(x)
+            b.on_ack(x)
+        assert ((a.cwnd, a.ssthresh, a.phase, a.pacing_rate_bps)
+                == (b.cwnd, b.ssthresh, b.phase, b.pacing_rate_bps)), name
+        if name == "bbrlite":
+            assert a.rtt_samples == b.rtt_samples and len(a.rtt_samples) > 1
+            assert a.bw_samples == b.bw_samples
 
 
 # --- factory -----------------------------------------------------------------
