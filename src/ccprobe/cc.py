@@ -157,7 +157,11 @@ def _restore(cls, raw: bytes, bw: list, rtt: list) -> "RuleController":
 
 
 class RuleController(Controller):
-    """A controller whose constants and state are one C `tl_cc`, `cc_state`."""
+    """A controller whose constants and state are one C `tl_cc`, `cc_state`.
+
+    The tick loop runs the C functions on `cc_state` itself and never calls
+    `on_ack` / `on_loss`, not even a subclass's override.
+    """
 
     KIND: int
     cwnd = _Field("cc_state.w.cwnd")
