@@ -373,8 +373,8 @@ def run_episode(config: SimConfig, trace, controller, intercept=None,
 
 def _tick_loop_error(ev: int, controller, capacity: float) -> Exception:
     if ev == _lib.TL_NOMEM:
-        return MemoryError("tick loop: no memory left for the queue, "
-                           "ACK or RTT buffers")
+        return MemoryError("tick loop: no memory left for the queue, ACK or "
+                           "RTT buffers or BBR-lite's sample deques")
     if ev == _lib.TL_BAD_CWND:
         return ValueError(f"controller cwnd {controller.cwnd!r} is not finite")
     if ev == _lib.TL_BAD_PACING:
