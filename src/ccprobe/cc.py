@@ -318,7 +318,7 @@ class LpFilterState:
 
     def __init__(self, threshold_fraction: float = 0.15, ewma_gain: float = 0.125,
                  min_range_ms: float = LP_MIN_RANGE_MS):
-        self._owner = self._f = _ffi.new("tl_lp_filter *")
+        self._f = _ffi.new("tl_lp_filter *")
         _lp_filter_init(self._f, threshold_fraction, ewma_gain, min_range_ms)
 
     @classmethod
