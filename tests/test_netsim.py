@@ -174,6 +174,55 @@ def test_mahimahi_export_opportunity_count(tmp_path):
     assert stamps[-1] <= 1000
 
 
+def _export_reference(trace, path, packet_size=1500):
+    # the per-ms loop export_mahimahi replaced; its output is the definition
+    with open(path, "w") as f:
+        cum = 0.0
+        next_k = 1
+        total_ms = int(round(len(trace.values) * trace.interval_ms))
+        for ms in range(total_ms):
+            idx = int(ms // trace.interval_ms)
+            cum += trace.capacity_at(idx) * 1e6 / 8.0 / 1000.0
+            while cum >= next_k * packet_size:
+                f.write(f"{ms + 1}\n")
+                next_k += 1
+
+
+def _export_cases():
+    rand = gen_random_trace(600, SmoothnessBudget(), seed=7)
+    zeros = BandwidthTrace(100.0, [0.0] * 3 + rand.values[3:40] + [0.0] * 10
+                           + rand.values[50:90] + [0.0])
+    return [(rand, 1500),
+            (gen_burst_trace(600), 1500),
+            (BandwidthTrace(7.5, rand.values[:200]), 1500),
+            (BandwidthTrace(0.3, rand.values[:300]), 1500),
+            (BandwidthTrace(7.0, [0.013, 0.5, 3.3, 0.0, 1.0, 0.1]), 1),
+            (rand, 9000),
+            (zeros, 1500)]
+
+
+def test_golden_export_digest(tmp_path):
+    # Pins every byte of the Mahimahi export: a 60 s random and the burst
+    # trace, fractional intervals, 1 B and 9000 B packets, idle intervals
+    h = hashlib.sha256()
+    for i, (trace, pkt) in enumerate(_export_cases()):
+        path = tmp_path / f"{i}.mahi"
+        export_mahimahi(trace, str(path), packet_size=pkt)
+        data = path.read_bytes()
+        assert data, i
+        h.update(hashlib.sha256(data).digest())
+    assert h.hexdigest() == GOLDEN_EXPORT_SHA256
+
+
+def test_export_reference_gives_the_golden_digest(tmp_path):
+    h = hashlib.sha256()
+    for i, (trace, pkt) in enumerate(_export_cases()):
+        path = tmp_path / f"{i}.mahi"
+        _export_reference(trace, str(path), packet_size=pkt)
+        h.update(hashlib.sha256(path.read_bytes()).digest())
+    assert h.hexdigest() == GOLDEN_EXPORT_SHA256
+
+
 def test_trace_cycles_like_replay():
     trace = BandwidthTrace(100.0, [10.0, 20.0])
     assert trace.capacity_at(0) == 10.0
@@ -438,3 +487,5 @@ GOLDEN_EPISODES_BEYOND_SHA256 = (
     "2e893e6fdf27277da533bde019b36eb95d3d4192dbdef1f791230965c48a82cf")
 GOLDEN_RULE_CONSTANTS_SHA256 = (
     "ac3681cee30cefcfdfff8fd968d7c396aeb666a804551660528fe9804bbef669")
+GOLDEN_EXPORT_SHA256 = (
+    "1c59568f70032d19c72bcdea82121ca0a32f50942859a4a1d25e04927beed593")
