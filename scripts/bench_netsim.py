@@ -1,10 +1,12 @@
 #!/usr/bin/env python3
-"""Layer benchmark of the simulator: ticks/s and ACKs/s of `run_episode`.
+"""Layer benchmark of the simulator: ticks/s and ACKs/s of `run_episode`, and
+the trace/I/O layer's Mahimahi export.
 
 Runs one episode case per rule controller, a runaway `Pinned(4096)` sender
 and a `LearnedController` with a fixed linear policy, over one fixed 60 s
-random trace (seed 0, default budget), and stores the result under `--label`
-in the JSON file `--out` (other labels already in the file are kept). Import
+random trace (seed 0, default budget), times `export_mahimahi` of the same
+trace, and stores the result under `--label` in the JSON file `--out` (other
+labels already in the file are kept). Import
 ccprobe from the tree to measure, so two trees compare under identical
 settings:
 
@@ -14,7 +16,8 @@ settings:
 
 Each case is timed REPEATS times after one untimed warm-up episode; the
 median episode time gives ticks/s (simulated ticks per host second) and
-ACKs/s (acknowledged packets per host second).
+ACKs/s (acknowledged packets per host second). The export is timed the same
+way, into a temporary file, and gives ms per 60 s trace.
 """
 
 from __future__ import annotations
@@ -25,13 +28,14 @@ import json
 import os
 import platform
 import statistics
+import tempfile
 import time
 from functools import partial
 
 from ccprobe import netsim
 from ccprobe.cc import RULE_BASED, Pinned, make_controller
 from ccprobe.learned import LearnedController, PolicyNet
-from ccprobe.netsim import SimConfig, run_episode
+from ccprobe.netsim import SimConfig, export_mahimahi, run_episode
 from ccprobe.tracegen import SmoothnessBudget, gen_random_trace
 
 REPEATS = 5
@@ -48,19 +52,32 @@ def _cases():
     yield "learned_fixed", partial(LearnedController, policy)
 
 
-def measure() -> dict:
+def _timed(fn):
+    """Median seconds of REPEATS calls after one untimed warm-up, and the
+    last call's result."""
+    fn()
+    times = []
+    for _ in range(REPEATS):
+        t0 = time.perf_counter()
+        result = fn()
+        times.append(time.perf_counter() - t0)
+    return statistics.median(times), result
+
+
+def measure_export(trace) -> dict:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "trace.mahi")
+        t, _ = _timed(lambda: export_mahimahi(trace, path))
+        size = os.path.getsize(path)
+    return {"ms_per_trace": round(t * 1000, 2), "bytes": size}
+
+
+def measure(trace) -> dict:
     sim = SimConfig()
-    trace = gen_random_trace(sim.n_intervals, SmoothnessBudget(), seed=0)
     ticks = sim.n_intervals * sim.interval_ticks
     out = {}
     for name, factory in _cases():
-        run_episode(sim, trace, factory())
-        times = []
-        for _ in range(REPEATS):
-            t0 = time.perf_counter()
-            log = run_episode(sim, trace, factory())
-            times.append(time.perf_counter() - t0)
-        t = statistics.median(times)
+        t, log = _timed(lambda: run_episode(sim, trace, factory()))
         out[name] = {
             "episode_s": round(t, 4),
             "ticks_per_s": round(ticks / t),
@@ -93,14 +110,19 @@ def main() -> None:
     doc.update(nproc=os.cpu_count(), python=platform.python_version(),
                trace="gen_random_trace(600, SmoothnessBudget(), seed=0), 60 s",
                repeats=REPEATS)
+    sim = SimConfig()
+    trace = gen_random_trace(sim.n_intervals, SmoothnessBudget(), seed=0)
     doc.setdefault("runs", {})[args.label] = {"netsim_sha256": netsim_sha,
-                                              "cases": measure()}
+                                              "cases": measure(trace),
+                                              "export": measure_export(trace)}
     with open(args.out, "w") as f:
         json.dump(doc, f, indent=2, sort_keys=True)
         f.write("\n")
     for case, r in doc["runs"][args.label]["cases"].items():
         print(f"{args.label} {case:14s} {r['ticks_per_s']:>8d} ticks/s "
               f"{r['acks_per_s']:>9d} acks/s")
+    print(f"{args.label} export         "
+          f"{doc['runs'][args.label]['export']['ms_per_trace']:>8.2f} ms/trace")
 
 
 if __name__ == "__main__":

@@ -14,7 +14,8 @@
  *
  * The arithmetic is Python's, operation for operation, in IEEE doubles; the
  * build turns off FMA contraction and never uses fast-math. `py_floordiv`
- * and `py_round` are CPython's float `//` and `round()`, `pow` stands for
+ * and `py_round` are CPython's float `//` and `round()` (`tl_floordiv` is
+ * `//` by a packet size, faster on the usual range), `pow` stands for
  * `**`, and `min(a, b)` / `max(a, b)` keep Python's argument order
  * (`b < a ? b : a`). Every buffer write is bounds-checked; buffers grow on
  * demand, and a failed allocation ends the episode with TL_NOMEM. The RTT
@@ -180,6 +181,7 @@ int bbr_push_bw(tl_cc *c, double t_ms, double bps);
 int bbr_push_rtt(tl_cc *c, double t_ms, double rtt_ms);
 double bbr_bw_estimate(const tl_cc *c);
 double bbr_min_rtt_estimate(const tl_cc *c);
+double tl_floordiv(double x, double pkt);
 /* cdef-end */
 
 /* CPython's float floor division (floatobject.c, _float_div_mod). */
@@ -201,6 +203,21 @@ static double py_floordiv(double vx, double wx)
         floordiv = copysign(0.0, vx / wx);
     }
     return floordiv;
+}
+
+/* CPython's `x // pkt` for an integral pkt >= 1, without py_floordiv's
+ * fmod where 0 <= x < 2^53. There `//` is the exact floor (x - fmod(x, pkt)
+ * is a whole multiple of pkt below 2^53, so exact), and so is floor(x / pkt):
+ * rounding is monotone, so x / pkt never rounds below an integer it is at
+ * or above, and the gap between x and the next multiple of pkt, seen in
+ * units of pkt, exceeds half a step of the doubles there, so it never
+ * rounds up to that integer either. Any other x (negative, NaN, inf,
+ * huge) takes py_floordiv. */
+double tl_floordiv(double x, double pkt)
+{
+    if (x >= 0.0 && x < 0x1p53)
+        return floor(x / pkt);
+    return py_floordiv(x, pkt);
 }
 
 /* CPython's round(x) for a float: to nearest, ties to even. */
@@ -892,7 +909,7 @@ int tl_step(tl_state *s, double cwnd, int paced, double pacing_bps)
                 double credit = s->pacing_credit + pacing_bps / 8.0 * s->tick_ms / 1000.0;
                 double top = 10.0 * s->pkt;
                 s->pacing_credit = top < credit ? top : credit;   /* min(credit, top) */
-                double q = py_floordiv(s->pacing_credit, (double)s->pkt);
+                double q = tl_floordiv(s->pacing_credit, (double)s->pkt);
                 if (isnan(q) || isinf(q))
                     return TL_BAD_PACING;
                 if (q < (double)k)
@@ -927,7 +944,7 @@ int tl_step(tl_state *s, double cwnd, int paced, double pacing_bps)
 
             /* 4. delivery */
             s->byte_credit += s->cap_bytes_per_tick;
-            double n_opp = py_floordiv(s->byte_credit, (double)s->pkt);
+            double n_opp = tl_floordiv(s->byte_credit, (double)s->pkt);
             if (!(n_opp >= 0.0) || isinf(n_opp))
                 return TL_BAD_CAPACITY;
             s->byte_credit -= n_opp * s->pkt;

@@ -25,7 +25,7 @@ import dataclasses
 import enum
 import math
 import numbers
-from functools import reduce
+import operator
 
 from .netsim import AckInfo, Observation, _ffi, _lib
 
@@ -81,15 +81,15 @@ class _Field:
     object, e.g. "cc_state.w.cwnd"."""
 
     def __init__(self, path: str):
-        *self.parents, self.name = path.split(".")
+        parent, self.name = path.rsplit(".", 1)
+        self.get = operator.attrgetter(path)
+        self.parent = operator.attrgetter(parent)
 
     def __get__(self, obj, cls=None):
-        if obj is None:
-            return self
-        return getattr(reduce(getattr, self.parents, obj), self.name)
+        return self if obj is None else self.get(obj)
 
     def __set__(self, obj, value):
-        setattr(reduce(getattr, self.parents, obj), self.name, value)
+        setattr(self.parent(obj), self.name, value)
 
 
 class _PhaseField(_Field):

@@ -17,6 +17,8 @@ import sys
 from concurrent import futures
 from dataclasses import dataclass, field
 
+import numpy as np
+
 
 def _load_tick_loop():
     """The compiled tick loop (`_tickloop.c`, through cffi).
@@ -63,6 +65,14 @@ class DomainError(ValueError):
     pass
 
 
+def _packet_size(size) -> int:
+    """`size` as an int; ConfigError unless it is integral and >= 1."""
+    if (isinstance(size, bool) or not isinstance(size, (int, float))
+            or not float(size).is_integer() or size < 1):
+        raise ConfigError(f"packet_size must be an integer >= 1, got {size!r}")
+    return int(size)
+
+
 @dataclass
 class SimConfig:
     tick_ms: float = 1.0
@@ -77,11 +87,7 @@ class SimConfig:
             raise ConfigError("tick_ms must be > 0")
         # the tick loop counts packets and bytes in whole numbers; an
         # integral float such as 1500.0 converts to one exactly
-        size = self.packet_size
-        if (isinstance(size, bool) or not isinstance(size, (int, float))
-                or not float(size).is_integer() or size < 1):
-            raise ConfigError(f"packet_size must be an integer >= 1, "
-                              f"got {size!r}")
+        _packet_size(self.packet_size)
         # ACKs are filed under tick + 2 * owd_ticks, so the delay must be a
         # whole, non-zero number of ticks
         owd = self.one_way_delay_ms / self.tick_ms
@@ -162,24 +168,62 @@ def write_trace(trace: BandwidthTrace, path: str) -> None:
             f.write(f"{v:.6f}\n")
 
 
-def export_mahimahi(trace: BandwidthTrace, path: str, packet_size: int = 1500) -> None:
-    """One integer-ms timestamp per 1500 B delivery opportunity.
+# export block length in ms: a 60 s trace raises peak RSS by ~0.25 MB in
+# blocks of 4,096 ms, ~0.65 MB in blocks of 8,192 and ~2.3 MB all at once
+_EXPORT_BLOCK_MS = 4096
 
-    Emits timestamp t whenever cumulative capacity bytes cross k*packet_size.
+
+def _cum_bytes_blocks(trace: BandwidthTrace):
+    """(first ms, capacity bytes carried by the end of each ms) per block.
+
+    The same additions as a per-ms `cum += capacity * 1e6 / 8.0 / 1000.0`,
+    in the same order: `cumsum` accumulates strictly left to right, and each
+    block continues from the last sum of the one before. A sum too large
+    for a double is inf.
     """
+    # Python floats: a product too large for a double is inf, not a warning
+    per_ms = np.array([v * 1e6 / 8.0 / 1000.0 for v in trace.values])
+    total_ms = int(round(len(trace.values) * trace.interval_ms))
+    cum = 0.0
+    for start in range(0, total_ms, _EXPORT_BLOCK_MS):
+        ms = np.arange(start, min(start + _EXPORT_BLOCK_MS, total_ms),
+                       dtype=np.float64)
+        # numpy's float floor_divide is CPython's `//`
+        idx = np.floor_divide(ms, trace.interval_ms, out=ms).astype(np.int64)
+        block = per_ms.take(np.remainder(idx, len(per_ms), out=idx))
+        block[0] += cum
+        with np.errstate(over="ignore"):
+            np.cumsum(block, out=block)
+        cum = block[-1]
+        yield start, block
+
+
+def export_mahimahi(trace: BandwidthTrace, path: str, packet_size: int = 1500) -> None:
+    """One integer-ms timestamp per packet-sized delivery opportunity.
+
+    Timestamp ms + 1 appears once for each k >= 1 whose k * packet_size
+    bytes the link has carried by the end of ms `ms`. The counts are exact
+    while the trace carries fewer than 2^53 bytes in all; a trace that
+    carries more raises ConfigError before anything is written.
+    """
+    pkt = float(_packet_size(packet_size))
+    for start, block in _cum_bytes_blocks(trace):
+        if not block[-1] < 2.0**53:   # the sums only grow: the last is the largest
+            raise ConfigError(f"trace carries {block[-1]:.4g} bytes by ms "
+                              f"{start + len(block)}, too many to count "
+                              f"delivery opportunities exactly (limit 2^53)")
     with open(path, "w") as f:
-        cum = 0.0
-        next_k = 1
-        total_ms = int(round(len(trace.values) * trace.interval_ms))
-        for ms in range(total_ms):
-            idx = int(ms // trace.interval_ms)
-            cum += trace.capacity_at(idx) * 1e6 / 8.0 / 1000.0
-            while cum >= next_k * packet_size:
-                f.write(f"{ms + 1}\n")
-                next_k += 1
+        done = 0.0
+        for start, block in _cum_bytes_blocks(trace):
+            # max{k : k * pkt <= cum}, exactly: see tl_floordiv in _tickloop.c
+            k = np.floor(np.divide(block, pkt, out=block), out=block)
+            counts = np.diff(k, prepend=done).astype(np.int64).tolist()
+            done = k[-1]
+            f.writelines(f"{ms}\n" * c
+                         for ms, c in enumerate(counts, start + 1) if c)
 
 
-@dataclass
+@dataclass(slots=True)
 class Observation:
     """Per-monitoring-interval snapshot consumed by controllers and adversary."""
 
@@ -311,9 +355,12 @@ def run_episode(config: SimConfig, trace, controller, intercept=None,
     step = _lib.tl_step
     try:
         while True:
-            pacing = controller.pacing_rate_bps
-            ev = step(st, controller.cwnd, pacing is not None,
-                      0.0 if pacing is None else pacing)
+            if cc_state is not None:   # C reads cwnd and pacing from cc_state
+                ev = step(st, 0.0, 0, 0.0)
+            else:
+                pacing = controller.pacing_rate_bps
+                ev = step(st, controller.cwnd, pacing is not None,
+                          0.0 if pacing is None else pacing)
             if ev == _ACK:
                 n = ack.acked_packets
                 # positional: keyword construction costs ~3x as much per batch,
@@ -326,19 +373,13 @@ def run_episode(config: SimConfig, trace, controller, intercept=None,
                 loss_thr = iv_dropped * pkt * 8.0 / 1e6 / secs
                 cur_min = st.min_rtt if st.min_rtt < math.inf else base_rtt_ms
                 cur_srtt = st.srtt if st.has_srtt else base_rtt_ms
+                # positional, as AckInfo is
                 obs = Observation(
-                    interval_idx=interval_idx,
-                    now_ms=(st.tick - 1) * tick_ms + tick_ms,
-                    capacity_mbps=capacity,
-                    throughput_mbps=thr,
-                    loss_mbps=loss_thr,
-                    loss_rate=(iv_dropped / iv_sent) if iv_sent else 0.0,
-                    srtt_ms=cur_srtt,
-                    min_rtt_ms=cur_min,
-                    visible_min_rtt_ms=cur_min * scale,
-                    utilization=min(1.0, thr / capacity) if capacity > 0 else 0.0,
-                    cwnd=controller.cwnd,
-                )
+                    interval_idx, (st.tick - 1) * tick_ms + tick_ms, capacity,
+                    thr, loss_thr, (iv_dropped / iv_sent) if iv_sent else 0.0,
+                    cur_srtt, cur_min, cur_min * scale,
+                    min(1.0, thr / capacity) if capacity > 0 else 0.0,
+                    controller.cwnd)
                 log.observations.append(obs)
                 controller.on_interval(obs)
                 if intercept is not None:

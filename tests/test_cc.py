@@ -6,6 +6,7 @@ import pickle
 import pytest
 from hypothesis import given, strategies as st
 
+from ccprobe import cc
 from ccprobe.cc import (RULE_BASED, BbrLite, Cubic, Illinois, Lp, LpFilterState,
                         LpIndication, LossKind, Phase, Reno, Vegas,
                         cubic_window, make_controller)
@@ -263,6 +264,41 @@ def test_rule_controllers_pickle_mid_episode():
         if name == "bbrlite":
             assert a.rtt_samples == b.rtt_samples and len(a.rtt_samples) > 1
             assert a.bw_samples == b.bw_samples
+
+
+def _struct_field(obj, path):
+    for name in path.split("."):
+        obj = getattr(obj, name)
+    return obj
+
+
+def test_field_views_round_trip():
+    # every struct-field attribute reads and writes the field its path names,
+    # on the controllers (cc_state.w.*, cc_state.*), on an LP filter of its
+    # own (_f.*) and on the view of an Lp controller's filter
+    lp = make_controller("lp")
+    views = [make_controller(name) for name in RULE_BASED]
+    views += [LpFilterState(), lp.filter]
+    for view in views:
+        fields = {name: attr for cls in reversed(type(view).__mro__)
+                  for name, attr in vars(cls).items()
+                  if isinstance(attr, cc._Field)}
+        assert fields, type(view)
+        for i, (name, attr) in enumerate(sorted(fields.items())):
+            path = attr.get.__reduce__()[1][0]   # the path the attrgetter walks
+            if isinstance(attr, cc._PhaseField):
+                value, raw = Phase.FAST_RECOVERY, cc._PHASE_CODE[Phase.FAST_RECOVERY]
+            elif isinstance(getattr(view, name), int):
+                value = raw = 3 + i
+            else:
+                value = raw = 0.25 + i
+            setattr(view, name, value)
+            assert _struct_field(view, path) == raw, (type(view), name)
+            assert getattr(view, name) == value, (type(view), name)
+    # the view writes through to the controller's own filter
+    lp.filter.owd_max_ms = 99.5
+    assert lp.cc_state.filter.owd_max_ms == 99.5
+    assert lp.filter.owd_max_ms == 99.5
 
 
 # --- factory -----------------------------------------------------------------

@@ -4,6 +4,8 @@ import json
 import math
 import os
 import pickle
+import subprocess
+import sys
 
 import pytest
 
@@ -104,6 +106,21 @@ def test_gen_trace_and_export(tmp_path):
     assert main(["export", "--trace", os.path.join(out, files[0]),
                  "--dest", dest]) == 0
     assert os.path.exists(dest)
+
+
+def test_export_of_a_huge_capacity_exits_2(tmp_path):
+    # 1e303 Mbps makes the cumulative bytes infinite; a per-ms export of it
+    # never ended. In a child process, so a hang fails instead of blocking
+    trace = tmp_path / "huge.trace"
+    trace.write_text("# interval_ms=100\n48.0\n1e303\n")
+    dest = tmp_path / "huge.mahi"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    run = subprocess.run([sys.executable, "-m", "ccprobe", "export", "--trace",
+                          str(trace), "--dest", str(dest)],
+                         capture_output=True, text=True, env=env, timeout=60)
+    assert run.returncode == 2
+    assert "2^53" in run.stderr
+    assert not dest.exists()
 
 
 def test_gen_trace_burst_mode(tmp_path):

@@ -9,6 +9,7 @@ import shutil
 import subprocess
 import sys
 import sysconfig
+import tempfile
 from functools import partial
 
 import numpy as np
@@ -223,6 +224,54 @@ def test_export_reference_gives_the_golden_digest(tmp_path):
     assert h.hexdigest() == GOLDEN_EXPORT_SHA256
 
 
+@settings(max_examples=60, deadline=None)
+@given(rates=st.lists(st.one_of(st.just(0.0), st.floats(0.0, 3.0)),
+                      min_size=1, max_size=300),
+       interval_ms=st.one_of(st.sampled_from([100.0, 7.5, 0.3, 1.0]),
+                             st.floats(0.05, 120.0)),
+       pkt=st.one_of(st.sampled_from([1, 1500, 9000]),
+                     st.integers(1, 1 << 20)))
+def test_export_matches_the_per_ms_loop(rates, interval_ms, pkt):
+    # capacities of up to 3 packets per ms keep the files small; up to
+    # 36,000 ms spans several export blocks
+    trace = BandwidthTrace(interval_ms, [r * pkt * 8.0 / 1000.0 for r in rates])
+    with tempfile.TemporaryDirectory() as tmp:
+        want, got = os.path.join(tmp, "want"), os.path.join(tmp, "got")
+        _export_reference(trace, want, packet_size=pkt)
+        export_mahimahi(trace, got, packet_size=pkt)
+        with open(want, "rb") as a, open(got, "rb") as b:
+            assert a.read() == b.read()
+
+
+def test_export_counts_exactly_up_to_2_53_bytes(tmp_path):
+    # one 1 ms interval whose bytes are just below, then at, 2^53
+    mbps = 2.0**53 / 125.0
+    while mbps * 1e6 / 8.0 / 1000.0 >= 2.0**53:
+        mbps = math.nextafter(mbps, 0.0)
+    below = BandwidthTrace(1.0, [mbps])
+    pkt = 1 << 40
+    want, got = tmp_path / "want", tmp_path / "got"
+    _export_reference(below, str(want), packet_size=pkt)
+    export_mahimahi(below, str(got), packet_size=pkt)
+    assert got.read_bytes() == want.read_bytes()
+    assert len(got.read_text().split()) == 8191
+    while mbps * 1e6 / 8.0 / 1000.0 < 2.0**53:
+        mbps = math.nextafter(mbps, math.inf)
+    for trace in (BandwidthTrace(1.0, [mbps]),
+                  BandwidthTrace(100.0, [48.0, 1e303]),   # inf bytes
+                  BandwidthTrace(100.0, [1.7e302] * 100)):  # sum overflows
+        with pytest.raises(ConfigError, match="2\\^53"):
+            export_mahimahi(trace, str(tmp_path / "no"), packet_size=pkt)
+        assert not (tmp_path / "no").exists()
+
+
+def test_export_rejects_bad_packet_size(tmp_path):
+    trace = BandwidthTrace(100.0, [12.0])
+    for size in (0, -1500, 1500.5, math.nan, True):
+        with pytest.raises(ConfigError, match="packet_size"):
+            export_mahimahi(trace, str(tmp_path / "mm"), packet_size=size)
+
+
 def test_trace_cycles_like_replay():
     trace = BandwidthTrace(100.0, [10.0, 20.0])
     assert trace.capacity_at(0) == 10.0
@@ -311,6 +360,45 @@ def test_non_finite_cwnd_raises(short_sim, const_trace):
 def test_capacity_beyond_64_bit_counts_rejected(short_sim):
     with pytest.raises(ConfigError, match="too many to count"):
         run_episode(short_sim, BandwidthTrace(100.0, [1e300] * 50), Pinned(10.0))
+
+
+def _same_float(a, b):
+    return a == b and math.copysign(1.0, a) == math.copysign(1.0, b) or (
+        math.isnan(a) and math.isnan(b))
+
+
+@pytest.mark.parametrize("pkt", [1.0, 3.0, 1500.0, 9000.0, 2.0**40])
+def test_fast_floor_division_is_pythons(pkt):
+    # the tick loop's `credit // pkt`: floor(x / pkt) on [0, 2^53), where
+    # just below a multiple of pkt is the case it could get wrong, and
+    # CPython's algorithm for negative, NaN, inf and huge x
+    floordiv = netsim._lib.tl_floordiv
+    xs = [0.0, -0.0, 0.5, 1.0, pkt, 2.0**52, 2.0**53, -1.0, -pkt, -2.0**60,
+          math.nan, math.inf, -math.inf, 1e300, 5e-324]
+    for k in (1, 2, 7, 1000, 123456789, 2**52 // int(pkt) - 1,
+              2**52 // int(pkt), 2**52 // int(pkt) + 1, 2**53 // int(pkt) - 1,
+              2**53 // int(pkt)):
+        at = k * pkt
+        xs += [at, math.nextafter(at, 0.0), math.nextafter(at, math.inf)]
+    for at in (2.0**52, 2.0**53):
+        xs += [math.nextafter(at, 0.0), math.nextafter(at, math.inf)]
+    rng = np.random.default_rng(0)
+    xs += list(rng.uniform(0.0, 2.0**52, 2000)) + list(rng.uniform(0.0, 50 * pkt, 2000))
+    for x in xs:
+        assert _same_float(floordiv(x, pkt), x // pkt), (x, pkt)
+
+
+def test_slotted_observations_equal_at_workers_1_and_2(short_sim):
+    # episode logs cross the process pool by pickle
+    trace = _golden_traces()[0]
+    def jobs():
+        return [(short_sim, trace, make_controller(name)) for name in RULE_BASED]
+    one, two = map_jobs(run_episode, jobs(), 1), map_jobs(run_episode, jobs(), 2)
+    assert not hasattr(one[0].observations[0], "__dict__")
+    for a, b in zip(one, two):
+        assert a.observations == b.observations
+        assert (a.sent, a.delivered, a.dropped, a.acked, a.ack_rtt_ticks) == \
+            (b.sent, b.delivered, b.dropped, b.acked, b.ack_rtt_ticks)
 
 
 @settings(max_examples=8, deadline=None)
