@@ -3,14 +3,13 @@
  *
  * `tl_step` advances one episode tick by tick. Every tick runs the same five
  * steps as the simulator has always had: ACK arrivals, loss reactions,
- * cwnd/pacing-gated injection, delivery and the interval boundary. When the
- * episode's controller is a rule controller, its state is a `tl_cc` that
- * `tl_step` updates inline (`cc_on_ack`, `cc_on_loss`) and reads cwnd and
- * pacing from, so the loop returns to the Python driver only at an interval
- * boundary, the end of the episode or an error. Any other controller gets a
- * return per ACK batch (`on_ack`) and per loss reaction (`on_loss`) as well,
- * and a return in the middle of a tick records the step to resume at in
- * `stage`.
+ * cwnd/pacing-gated injection, delivery and the interval boundary. The
+ * episode's controller is one `tl_cc`, which `tl_step` updates inline
+ * (`cc_on_ack`, `cc_on_loss`) and reads cwnd and pacing from, so the loop
+ * returns to the Python driver only at an interval boundary, the end of the
+ * episode or an error. A controller that acts only per interval is a
+ * TL_EXTERNAL `tl_cc`: it ignores ACKs and losses, and the driver writes its
+ * cwnd into `w.cwnd` before each call.
  *
  * The arithmetic is Python's, operation for operation, in IEEE doubles; the
  * build turns off FMA contraction and never uses fast-math. `py_floordiv`
@@ -30,10 +29,7 @@
 
 /* cdef-begin */
 #define TL_DONE 0
-#define TL_ACK 1
-#define TL_TRIPLE_DUP 2
-#define TL_TIMEOUT 3
-#define TL_INTERVAL 4
+#define TL_INTERVAL 1
 #define TL_NOMEM -1
 #define TL_BAD_CWND -2
 #define TL_BAD_PACING -3
@@ -46,6 +42,7 @@
 #define TL_ILLINOIS 3
 #define TL_LP 4
 #define TL_BBRLITE 5
+#define TL_EXTERNAL 6
 #define TL_SLOW_START 0
 #define TL_CONGESTION_AVOIDANCE 1
 #define TL_FAST_RECOVERY 2
@@ -58,7 +55,7 @@ typedef struct {
     int64_t send_tick, count;
 } tl_run;
 
-/* one ACK batch, as `netsim.AckInfo` has it */
+/* one ACK batch, as `cc.AckInfo` has it */
 typedef struct {
     double now_ms, rtt_ms, owd_ms;
     int64_t acked_packets, acked_bytes;
@@ -89,8 +86,8 @@ typedef struct {
     int64_t head, len, cap;
 } tl_deque;
 
-/* A rule controller's constants and state; `kind` says which fields it
- * uses. The pacing rate is None in Python while `paced` is 0. */
+/* A controller's constants and state; `kind` says which fields it uses.
+ * The pacing rate is None in Python while `paced` is 0. */
 typedef struct {
     int kind;
     tl_window w;
@@ -126,14 +123,12 @@ typedef struct {
     /* fixed for the episode */
     int64_t pkt, ack_delay, interval_ticks, n_ticks, queue_cap, burst_cap;
     double tick_ms, owd_ms, base_rtt_ms;
-    int call_on_ack, call_on_loss;
-    /* the rule controller run inline, or NULL */
+    /* the controller run inline */
     tl_cc *cc;
     /* set by the driver at each interval boundary */
     double cap_bytes_per_tick, scale;
-    /* progress: the next tick and the step of it to resume at */
+    /* progress: the next tick */
     int64_t tick;
-    int stage;
     /* totals, and this interval's counts */
     int64_t sent, delivered, dropped, acked, resolved_drops, qlen;
     int64_t iv_sent, iv_delivered, iv_dropped;
@@ -144,8 +139,6 @@ typedef struct {
     int drop_pending;
     int64_t acks_after_drop, reaction_blocked_until, last_ack_tick;
     double byte_credit, pacing_credit;
-    /* the last ACK batch */
-    tl_ackinfo ack;
     /* FIFO of queued runs, FIFO of delivered runs awaiting their ACK, and
      * the histogram of ACK RTTs in ticks; owned by C, freed by tl_free.
      * Every packet injected in one tick shares its send tick and travels
@@ -160,7 +153,7 @@ typedef struct {
 
 extern const double tl_gain_cycle[8];
 
-int tl_step(tl_state *s, double cwnd, int paced, double pacing_bps);
+int tl_step(tl_state *s);
 void tl_free(tl_state *s);
 
 void *tl_cc_alloc(size_t size);
@@ -746,7 +739,8 @@ static void bbr_loss(tl_cc *c, int timeout)
     clamp(&c->w);
 }
 
-/* One ACK batch; nonzero when a buffer could not grow. */
+/* One ACK batch; nonzero when a buffer could not grow. A TL_EXTERNAL
+ * controller ignores ACKs and losses. */
 int cc_on_ack(tl_cc *c, const tl_ackinfo *a)
 {
     switch (c->kind) {
@@ -793,198 +787,168 @@ void cc_on_loss(tl_cc *c, int timeout)
     }
 }
 
-int tl_step(tl_state *s, double cwnd, int paced, double pacing_bps)
+int tl_step(tl_state *s)
 {
+    tl_cc *cc = s->cc;
     while (s->tick < s->n_ticks) {
         int64_t tick = s->tick;
-        switch (s->stage) {
-        case 0: {
-            /* 1. ACK arrivals */
-            if (tick % s->interval_ticks == 0)
-                s->iv_sent = s->iv_delivered = s->iv_dropped = 0;
-            if (s->a_len && s->acks[s->a_head].ack_tick == tick) {
-                /* runs leave in send order: the first has the largest RTT,
-                 * the last the smallest */
-                if (hist_reserve(s, tick - s->acks[s->a_head].send_tick + 1))
+
+        /* 1. ACK arrivals */
+        if (tick % s->interval_ticks == 0)
+            s->iv_sent = s->iv_delivered = s->iv_dropped = 0;
+        if (s->a_len && s->acks[s->a_head].ack_tick == tick) {
+            /* runs leave in send order: the first has the largest RTT, the
+             * last the smallest */
+            if (hist_reserve(s, tick - s->acks[s->a_head].send_tick + 1))
+                return TL_NOMEM;
+            int64_t n = 0, rtt_ticks = 0, r = 0;
+            while (s->a_len && s->acks[s->a_head].ack_tick == tick) {
+                const tl_ack *a = &s->acks[s->a_head];
+                r = tick - a->send_tick;
+                n += a->count;
+                rtt_ticks += a->count * r;
+                s->hist[r] += a->count;
+                s->a_head = ring_slot(s->a_head, 1, s->a_cap);
+                s->a_len--;
+            }
+            double rtt = r * s->tick_ms;
+            if (rtt < s->min_rtt)
+                s->min_rtt = rtt;
+            double mean_rtt = rtt_ticks * s->tick_ms / n;
+            double owd = mean_rtt - s->owd_ms;   /* queue wait + forward prop */
+            if (owd < s->min_owd)
+                s->min_owd = owd;
+            if (s->has_srtt)
+                s->srtt = s->srtt + (mean_rtt - s->srtt) / 8.0;
+            else
+                s->srtt = mean_rtt;
+            s->has_srtt = 1;
+            s->acked += n;
+            s->last_ack_tick = tick;
+            if (s->drop_pending)
+                s->acks_after_drop += n;
+            tl_ackinfo a = {tick * s->tick_ms, mean_rtt, owd, n, n * s->pkt,
+                            s->min_rtt * s->scale, s->min_owd * s->scale,
+                            s->srtt, s->scale};
+            if (cc_on_ack(cc, &a))
+                return TL_NOMEM;
+        }
+
+        /* 2. loss reactions: a triple duplicate ACK or a timeout */
+        int loss = 0, timeout = 0;
+        if (s->drop_pending && s->acks_after_drop >= 3
+                && tick >= s->reaction_blocked_until) {
+            loss = 1;
+            int64_t srtt_ticks = (int64_t)py_round(srtt_or_base(s) / s->tick_ms);
+            s->reaction_blocked_until = tick + (srtt_ticks > 1 ? srtt_ticks : 1);
+        }
+        else {
+            double rto_ms = 2.0 * srtt_or_base(s);
+            if (rto_ms < 200.0)
+                rto_ms = 200.0;
+            if (s->sent - s->acked - s->resolved_drops > 0
+                    && (tick - s->last_ack_tick) * s->tick_ms > rto_ms) {
+                loss = timeout = 1;
+                s->last_ack_tick = tick;   /* restart the timer */
+                int64_t rto_ticks = (int64_t)py_round(rto_ms / s->tick_ms);
+                s->reaction_blocked_until = tick + (rto_ticks > 1 ? rto_ticks : 1);
+            }
+        }
+        if (loss) {
+            s->resolved_drops = s->dropped;
+            s->drop_pending = 0;
+            s->acks_after_drop = 0;
+            cc_on_loss(cc, timeout);
+        }
+
+        /* 3. injection, gated by cwnd and by pacing when the controller sets
+         * a rate; a single tick can never usefully inject more than a full
+         * queue's worth, so the burst cap keeps runaway cwnd values cheap.
+         * Python's int(cwnd) truncates; past +-2^62 only the sign matters. */
+        double cwnd = cc->w.cwnd;
+        if (isnan(cwnd) || isinf(cwnd))
+            return TL_BAD_CWND;
+        int64_t c = cwnd >= 0x1p62 ? INT64_C(1) << 62
+            : cwnd <= -0x1p62 ? -(INT64_C(1) << 62) : (int64_t)cwnd;
+        int64_t k = (c > 1 ? c : 1) - (s->sent - s->acked - s->resolved_drops);
+        if (k > s->burst_cap)
+            k = s->burst_cap;
+        if (cc->paced) {
+            double credit = s->pacing_credit + cc->pacing_bps / 8.0 * s->tick_ms / 1000.0;
+            double top = 10.0 * s->pkt;
+            s->pacing_credit = top < credit ? top : credit;   /* min(credit, top) */
+            double q = tl_floordiv(s->pacing_credit, (double)s->pkt);
+            if (isnan(q) || isinf(q))
+                return TL_BAD_PACING;
+            if (q < (double)k)
+                k = q <= -0x1p62 ? -(INT64_C(1) << 62) : (int64_t)q;
+            if (k > 0)
+                s->pacing_credit -= (double)k * s->pkt;
+        }
+        if (k > 0) {
+            s->sent += k;
+            s->iv_sent += k;
+            int64_t room = s->queue_cap - s->qlen;
+            int64_t enq = k < room ? k : room;
+            if (enq) {
+                if (ring_reserve((void **)&s->queue, &s->q_head, s->q_len,
+                                 &s->q_cap, sizeof(tl_run), s->q_len + 1))
                     return TL_NOMEM;
-                int64_t n = 0, rtt_ticks = 0, r = 0;
-                while (s->a_len && s->acks[s->a_head].ack_tick == tick) {
-                    const tl_ack *a = &s->acks[s->a_head];
-                    r = tick - a->send_tick;
-                    n += a->count;
-                    rtt_ticks += a->count * r;
-                    s->hist[r] += a->count;
-                    s->a_head = ring_slot(s->a_head, 1, s->a_cap);
-                    s->a_len--;
-                }
-                double rtt = r * s->tick_ms;
-                if (rtt < s->min_rtt)
-                    s->min_rtt = rtt;
-                double mean_rtt = rtt_ticks * s->tick_ms / n;
-                double owd = mean_rtt - s->owd_ms;   /* queue wait + forward prop */
-                if (owd < s->min_owd)
-                    s->min_owd = owd;
-                if (s->has_srtt)
-                    s->srtt = s->srtt + (mean_rtt - s->srtt) / 8.0;
-                else
-                    s->srtt = mean_rtt;
-                s->has_srtt = 1;
-                s->acked += n;
-                s->last_ack_tick = tick;
-                if (s->drop_pending)
-                    s->acks_after_drop += n;
-                s->stage = 1;
-                if (s->cc || s->call_on_ack) {
-                    tl_ackinfo *a = &s->ack;
-                    a->now_ms = tick * s->tick_ms;
-                    a->rtt_ms = mean_rtt;
-                    a->owd_ms = owd;
-                    a->acked_packets = n;
-                    a->acked_bytes = n * s->pkt;
-                    a->min_rtt_ms = s->min_rtt * s->scale;
-                    a->min_owd_ms = s->min_owd * s->scale;
-                    a->srtt_ms = s->srtt;
-                    a->min_rtt_scale = s->scale;
-                    if (!s->cc)
-                        return TL_ACK;
-                    if (cc_on_ack(s->cc, a))
-                        return TL_NOMEM;
+                tl_run *run = &s->queue[ring_slot(s->q_head, s->q_len, s->q_cap)];
+                run->send_tick = tick;
+                run->count = enq;
+                s->q_len++;
+                s->qlen += enq;
+            }
+            if (enq < k) {
+                s->dropped += k - enq;
+                s->iv_dropped += k - enq;
+                if (!s->drop_pending) {
+                    s->drop_pending = 1;
+                    s->acks_after_drop = 0;
                 }
             }
         }
-        /* fall through */
-        case 1: {
-            /* 2. loss reactions */
-            int event = TL_DONE;
-            if (s->drop_pending && s->acks_after_drop >= 3
-                    && tick >= s->reaction_blocked_until) {
-                event = TL_TRIPLE_DUP;
-                int64_t srtt_ticks = (int64_t)py_round(srtt_or_base(s) / s->tick_ms);
-                s->reaction_blocked_until = tick + (srtt_ticks > 1 ? srtt_ticks : 1);
-            }
-            else {
-                double rto_ms = 2.0 * srtt_or_base(s);
-                if (rto_ms < 200.0)
-                    rto_ms = 200.0;
-                if (s->sent - s->acked - s->resolved_drops > 0
-                        && (tick - s->last_ack_tick) * s->tick_ms > rto_ms) {
-                    event = TL_TIMEOUT;
-                    s->last_ack_tick = tick;   /* restart the timer */
-                    int64_t rto_ticks = (int64_t)py_round(rto_ms / s->tick_ms);
-                    s->reaction_blocked_until = tick + (rto_ticks > 1 ? rto_ticks : 1);
-                }
-            }
-            s->stage = 2;
-            if (event != TL_DONE) {
-                s->resolved_drops = s->dropped;
-                s->drop_pending = 0;
-                s->acks_after_drop = 0;
-                if (s->cc)
-                    cc_on_loss(s->cc, event == TL_TIMEOUT);
-                else if (s->call_on_loss)
-                    return event;
-            }
-        }
-        /* fall through */
-        case 2: {
-            /* 3. injection, gated by cwnd and by pacing when the controller
-             * sets a rate; a single tick can never usefully inject more than
-             * a full queue's worth, so the burst cap keeps runaway cwnd
-             * values cheap. Python's int(cwnd) truncates; past +-2^62 only
-             * the sign matters. A rule controller's window and pacing rate
-             * are its own; any other controller's come as arguments. */
-            if (s->cc) {
-                cwnd = s->cc->w.cwnd;
-                paced = s->cc->paced;
-                pacing_bps = s->cc->pacing_bps;
-            }
-            if (isnan(cwnd) || isinf(cwnd))
-                return TL_BAD_CWND;
-            int64_t c = cwnd >= 0x1p62 ? INT64_C(1) << 62
-                : cwnd <= -0x1p62 ? -(INT64_C(1) << 62) : (int64_t)cwnd;
-            int64_t k = (c > 1 ? c : 1) - (s->sent - s->acked - s->resolved_drops);
-            if (k > s->burst_cap)
-                k = s->burst_cap;
-            if (paced) {
-                double credit = s->pacing_credit + pacing_bps / 8.0 * s->tick_ms / 1000.0;
-                double top = 10.0 * s->pkt;
-                s->pacing_credit = top < credit ? top : credit;   /* min(credit, top) */
-                double q = tl_floordiv(s->pacing_credit, (double)s->pkt);
-                if (isnan(q) || isinf(q))
-                    return TL_BAD_PACING;
-                if (q < (double)k)
-                    k = q <= -0x1p62 ? -(INT64_C(1) << 62) : (int64_t)q;
-                if (k > 0)
-                    s->pacing_credit -= (double)k * s->pkt;
-            }
-            if (k > 0) {
-                s->sent += k;
-                s->iv_sent += k;
-                int64_t room = s->queue_cap - s->qlen;
-                int64_t enq = k < room ? k : room;
-                if (enq) {
-                    if (ring_reserve((void **)&s->queue, &s->q_head, s->q_len,
-                                     &s->q_cap, sizeof(tl_run), s->q_len + 1))
-                        return TL_NOMEM;
-                    tl_run *run = &s->queue[ring_slot(s->q_head, s->q_len, s->q_cap)];
-                    run->send_tick = tick;
-                    run->count = enq;
-                    s->q_len++;
-                    s->qlen += enq;
-                }
-                if (enq < k) {
-                    s->dropped += k - enq;
-                    s->iv_dropped += k - enq;
-                    if (!s->drop_pending) {
-                        s->drop_pending = 1;
-                        s->acks_after_drop = 0;
-                    }
-                }
-            }
 
-            /* 4. delivery */
-            s->byte_credit += s->cap_bytes_per_tick;
-            double n_opp = tl_floordiv(s->byte_credit, (double)s->pkt);
-            if (!(n_opp >= 0.0) || isinf(n_opp))
-                return TL_BAD_CAPACITY;
-            s->byte_credit -= n_opp * s->pkt;
-            if (n_opp != 0.0 && s->qlen) {
-                int64_t n_del = (double)s->qlen < n_opp ? s->qlen : (int64_t)n_opp;
-                int64_t left = n_del;
-                while (left) {
-                    if (ring_reserve((void **)&s->acks, &s->a_head, s->a_len,
-                                     &s->a_cap, sizeof(tl_ack), s->a_len + 1))
-                        return TL_NOMEM;
-                    tl_run *run = &s->queue[s->q_head];
-                    tl_ack *a = &s->acks[ring_slot(s->a_head, s->a_len, s->a_cap)];
-                    a->send_tick = run->send_tick;
-                    a->ack_tick = tick + s->ack_delay;
-                    if (run->count <= left) {
-                        a->count = run->count;
-                        left -= run->count;
-                        s->q_head = ring_slot(s->q_head, 1, s->q_cap);
-                        s->q_len--;
-                    }
-                    else {
-                        a->count = left;
-                        run->count -= left;
-                        left = 0;
-                    }
-                    s->a_len++;
+        /* 4. delivery */
+        s->byte_credit += s->cap_bytes_per_tick;
+        double n_opp = tl_floordiv(s->byte_credit, (double)s->pkt);
+        if (!(n_opp >= 0.0) || isinf(n_opp))
+            return TL_BAD_CAPACITY;
+        s->byte_credit -= n_opp * s->pkt;
+        if (n_opp != 0.0 && s->qlen) {
+            int64_t n_del = (double)s->qlen < n_opp ? s->qlen : (int64_t)n_opp;
+            int64_t left = n_del;
+            while (left) {
+                if (ring_reserve((void **)&s->acks, &s->a_head, s->a_len,
+                                 &s->a_cap, sizeof(tl_ack), s->a_len + 1))
+                    return TL_NOMEM;
+                tl_run *run = &s->queue[s->q_head];
+                tl_ack *a = &s->acks[ring_slot(s->a_head, s->a_len, s->a_cap)];
+                a->send_tick = run->send_tick;
+                a->ack_tick = tick + s->ack_delay;
+                if (run->count <= left) {
+                    a->count = run->count;
+                    left -= run->count;
+                    s->q_head = ring_slot(s->q_head, 1, s->q_cap);
+                    s->q_len--;
                 }
-                s->qlen -= n_del;
-                s->delivered += n_del;
-                s->iv_delivered += n_del;
+                else {
+                    a->count = left;
+                    run->count -= left;
+                    left = 0;
+                }
+                s->a_len++;
             }
+            s->qlen -= n_del;
+            s->delivered += n_del;
+            s->iv_delivered += n_del;
+        }
 
-            /* 5. interval boundary */
-            s->stage = 0;
-            s->tick = tick + 1;
-            if ((tick + 1) % s->interval_ticks == 0)
-                return TL_INTERVAL;
-            break;
-        }
-        }
+        /* 5. interval boundary */
+        s->tick = tick + 1;
+        if ((tick + 1) % s->interval_ticks == 0)
+            return TL_INTERVAL;
     }
     return TL_DONE;
 }

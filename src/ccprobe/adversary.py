@@ -217,12 +217,18 @@ def make_adversary_policy(surface: SurfaceMode) -> PolicyNet:
 
 def clean_episodes(controller_factory, traces, config: SimConfig,
                    workers: int = 1) -> list[EpisodeLog]:
-    """One unperturbed episode per trace."""
+    """One unperturbed episode per trace. Each job carries the factory and
+    builds its own controller; no built controller crosses the pool."""
     if not traces:
         raise ValueError("trace set must be non-empty")
-    return map_jobs(run_episode,
-                    [(config, trace, controller_factory()) for trace in traces],
+    return map_jobs(_clean_episode,
+                    [(config, trace, controller_factory) for trace in traces],
                     workers)
+
+
+def _clean_episode(config: SimConfig, trace, controller_factory) -> EpisodeLog:
+    """`clean_episodes`' job: one episode with a fresh controller."""
+    return run_episode(config, trace, controller_factory())
 
 
 def mean_queuing_delay_ms(logs) -> float:

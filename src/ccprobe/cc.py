@@ -1,17 +1,18 @@
 """Rule-based congestion-controller state machines behind one interface.
 
 Reno, Cubic, Vegas, Illinois, LP and a simplified BBR ("BBR-lite", no
-ProbeRTT state, fixed 8-phase gain cycle). All controllers consume the same
-AckInfo / Observation stream, so the same trace or perturbation applies
-uniformly across algorithms.
+ProbeRTT state, fixed 8-phase gain cycle). All controllers run in the same
+tick loop and see the same Observations, so the same trace or perturbation
+applies uniformly across algorithms.
 
 The six are implemented once, in C (`_tickloop.c`). Each keeps its
 constants and state in one `tl_cc` struct, `cc_state`, which the tick loop
-updates inline, so an episode returns to Python only per interval. Their
-attributes (`cwnd`, `ssthresh`, `phase`, `w_max`, `base_rtt_ms`, ...) are
-views of the struct's fields, and `on_ack` / `on_loss` call the same C
-functions the tick loop does. `Pinned` and custom `Controller` subclasses
-keep their state in Python and get `on_ack` / `on_loss` calls instead.
+updates inline per ACK batch and per loss reaction. Their attributes
+(`cwnd`, `ssthresh`, `phase`, `w_max`, `base_rtt_ms`, ...) are views of the
+struct's fields, and `on_ack` / `on_loss` call the same C functions the tick
+loop does. Any other controller (`Pinned`, the learned one) keeps only
+`cwnd` and acts in `on_interval`; ACKs and losses reach it only through
+the interval's `Observation`.
 
 Constants not pinned by any single reference are taken from the canonical
 kernel implementations and are overridable via the factory kwargs. Every
@@ -27,7 +28,7 @@ import math
 import numbers
 import operator
 
-from .netsim import AckInfo, Observation, _ffi, _lib
+from .netsim import Observation, _ffi, _lib
 
 
 class Phase(enum.Enum):
@@ -101,28 +102,17 @@ class _PhaseField(_Field):
 
 
 class Controller:
-    """Base controller: owns cwnd (packets, fractional) and ssthresh.
+    """Base controller: owns cwnd (packets, fractional).
 
-    The tick loop calls `on_ack` once per ACK batch and `on_loss` once per
-    loss reaction (neither when it is None), and `on_interval` once per
-    interval. A `RuleController` instead has a `cc_state` that the loop
-    updates itself.
+    The tick loop reads `cwnd` at the start of each interval and calls
+    `on_interval` at its end. A `RuleController` instead has a `cc_state`
+    that the loop updates per ACK batch and per loss reaction.
     """
 
     name = "base"
-    cc_state = None
 
     def __init__(self):
         self.cwnd = INIT_CWND
-        self.ssthresh = 1e9
-        self.phase = Phase.SLOW_START
-        self.pacing_rate_bps = None
-
-    def on_ack(self, ack: AckInfo) -> None:
-        raise NotImplementedError
-
-    def on_loss(self, kind: LossKind) -> None:
-        raise NotImplementedError
 
     def on_interval(self, obs: Observation) -> None:
         pass
@@ -143,17 +133,19 @@ def _samples(d) -> list[tuple[float, float]]:
     return [(x.t_ms, x.value) for x in ring]
 
 
-def _restore(cls, raw: bytes, bw: list, rtt: list) -> "RuleController":
-    ctl = cls.__new__(cls)
-    s = ctl.cc_state = _new_cc("tl_cc *")
-    _ffi.memmove(s, raw, len(raw))
-    # the deques' buffers belong to the pickled copy: rebuild them
-    s.bw = s.rtt = [_ffi.NULL, 0, 0, 0]
-    for t, v in bw:
-        _grown(_lib.bbr_push_bw(s, t, v))
-    for t, v in rtt:
-        _grown(_lib.bbr_push_rtt(s, t, v))
-    return ctl
+@dataclasses.dataclass(slots=True)
+class AckInfo:
+    """One ACK batch: the fields of the tick loop's `tl_ackinfo`, in order."""
+
+    now_ms: float
+    rtt_ms: float
+    owd_ms: float
+    acked_packets: int
+    acked_bytes: int
+    min_rtt_ms: float   # controller-visible running minimum (may be perturbed)
+    min_owd_ms: float   # controller-visible minimum one-way delay
+    srtt_ms: float
+    min_rtt_scale: float = 1.0  # intercept multiplier applied to min estimates
 
 
 class RuleController(Controller):
@@ -184,11 +176,6 @@ class RuleController(Controller):
 
     def on_loss(self, kind: LossKind) -> None:
         _lib.cc_on_loss(self.cc_state, kind is LossKind.TIMEOUT)
-
-    def __reduce__(self):
-        s = self.cc_state
-        return _restore, (type(self), bytes(_ffi.buffer(s)),
-                          _samples(s.bw), _samples(s.rtt))
 
 
 class Reno(RuleController):
@@ -427,15 +414,7 @@ class Pinned(Controller):
     name = "pinned"
 
     def __init__(self, cwnd: float):
-        super().__init__()
         self.cwnd = max(1.0, cwnd)
-        self.phase = Phase.CONGESTION_AVOIDANCE
-
-    def on_ack(self, ack: AckInfo) -> None:
-        pass
-
-    def on_loss(self, kind: LossKind) -> None:
-        pass
 
 
 RULE_BASED = {

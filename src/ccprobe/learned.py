@@ -17,6 +17,7 @@ from functools import partial
 
 import numpy as np
 
+from .cc import Controller
 from .cem import CemConfig, GenerationStats, cem_maximize
 from .netsim import (ConfigError, DomainError, Observation, SimConfig, map_jobs,
                      run_episode)
@@ -140,24 +141,17 @@ def load_policy(path: str) -> PolicyNet:
         raise ConfigError(f"{path}: {e}") from e
 
 
-class LearnedController:
+class LearnedController(Controller):
     """Interval-driven controller: cwnd <- max(1, cwnd * 2^a) per interval."""
 
     name = "learned"
-    # ACKs and losses only reach the policy through the interval's
-    # observation, so the tick loop never calls back between intervals
-    on_ack = None
-    on_loss = None
 
     def __init__(self, policy: PolicyNet, b_max: float = 96.0,
                  cwnd_max: float = 4096.0):
+        super().__init__()
         self.policy = policy
         self.b_max = b_max
         self.cwnd_max = cwnd_max  # far above any feasible BDP + buffer
-        self.cwnd = 10.0
-        self.ssthresh = 1e9
-        self.phase = None
-        self.pacing_rate_bps = None
         self.prev_action = 0.0
 
     def on_interval(self, obs: Observation) -> None:

@@ -50,7 +50,7 @@ def _load_tick_loop():
 
 _tick_loop = _load_tick_loop()
 _ffi, _lib = _tick_loop.ffi, _tick_loop.lib
-_DONE, _ACK, _INTERVAL = _lib.TL_DONE, _lib.TL_ACK, _lib.TL_INTERVAL
+_DONE, _INTERVAL = _lib.TL_DONE, _lib.TL_INTERVAL
 
 
 class ConfigError(ValueError):
@@ -279,11 +279,11 @@ def run_episode(config: SimConfig, trace, controller, intercept=None,
     truth is never touched.
 
     The ticks run in C (`_tickloop.c`). A rule controller's `cc_state` is
-    updated there too, so the loop comes back here only at each interval
+    updated there per ACK batch and per loss reaction; any other controller
+    needs only `cwnd` and `on_interval`, and its cwnd is copied into the loop
+    before each interval. The loop comes back here only at each interval
     boundary, for the observation, `on_interval`, the intercept and the env
-    driver. Any other controller also gets `on_ack` once per ACK batch and
-    `on_loss` once per loss reaction (either is skipped when it is None),
-    and the loop reads its cwnd and pacing rate afresh after every callback.
+    driver.
     """
     config.validate()
     if (trace is None) == (env_driver is None):
@@ -328,16 +328,12 @@ def run_episode(config: SimConfig, trace, controller, intercept=None,
     st.min_rtt = st.min_owd = math.inf
     st.reaction_blocked_until = -1
 
-    from .cc import LossKind  # local import avoids a module cycle
-    losses = {_lib.TL_TRIPLE_DUP: LossKind.TRIPLE_DUP_ACK,
-              _lib.TL_TIMEOUT: LossKind.TIMEOUT}
-    on_ack, on_loss = controller.on_ack, controller.on_loss
-    st.call_on_ack = on_ack is not None
-    st.call_on_loss = on_loss is not None
+    # a controller without C state gets one that ignores ACKs and losses
     cc_state = getattr(controller, "cc_state", None)
-    if cc_state is not None:
-        st.cc = cc_state
-    ack = _ffi.addressof(st, "ack")
+    external = cc_state is None
+    if external:
+        cc_state = _ffi.new("tl_cc *", {"kind": _lib.TL_EXTERNAL})
+    st.cc = cc_state
 
     if env_driver is not None:
         capacity = env_driver.first_capacity()
@@ -355,25 +351,16 @@ def run_episode(config: SimConfig, trace, controller, intercept=None,
     step = _lib.tl_step
     try:
         while True:
-            if cc_state is not None:   # C reads cwnd and pacing from cc_state
-                ev = step(st, 0.0, 0, 0.0)
-            else:
-                pacing = controller.pacing_rate_bps
-                ev = step(st, controller.cwnd, pacing is not None,
-                          0.0 if pacing is None else pacing)
-            if ev == _ACK:
-                n = ack.acked_packets
-                # positional: keyword construction costs ~3x as much per batch,
-                # and every field read from C costs about what a product does
-                on_ack(AckInfo(ack.now_ms, ack.rtt_ms, ack.owd_ms, n, n * pkt,
-                               ack.min_rtt_ms, ack.min_owd_ms, st.srtt, scale))
-            elif ev == _INTERVAL:
+            if external:
+                cc_state.w.cwnd = controller.cwnd
+            ev = step(st)
+            if ev == _INTERVAL:
                 iv_sent, iv_dropped = st.iv_sent, st.iv_dropped
                 thr = st.iv_delivered * pkt * 8.0 / 1e6 / secs
                 loss_thr = iv_dropped * pkt * 8.0 / 1e6 / secs
                 cur_min = st.min_rtt if st.min_rtt < math.inf else base_rtt_ms
                 cur_srtt = st.srtt if st.has_srtt else base_rtt_ms
-                # positional, as AckInfo is
+                # positional: keyword construction costs ~3x as much
                 obs = Observation(
                     interval_idx, (st.tick - 1) * tick_ms + tick_ms, capacity,
                     thr, loss_thr, (iv_dropped / iv_sent) if iv_sent else 0.0,
@@ -392,8 +379,6 @@ def run_episode(config: SimConfig, trace, controller, intercept=None,
                     else:
                         capacity = trace.capacity_at(interval_idx)
                     st.cap_bytes_per_tick = capacity * 1e6 / 8.0 * tick_ms / 1000.0
-            elif ev in losses:
-                on_loss(losses[ev])
             elif ev == _DONE:
                 break
             else:
@@ -428,23 +413,11 @@ def map_jobs(fn, jobs, workers: int) -> list:
     """`[fn(*job) for job in jobs]` on up to `workers` processes, never more
     than one per job; one process means this one. ccprobe's only pool: with
     more than one process, `fn` and the jobs must pickle (module-level
-    functions, `functools.partial`s of them, plain data)."""
+    functions, `functools.partial`s of them, plain data). An episode job
+    carries a controller factory, never a built controller."""
     jobs = list(jobs)
     n = min(workers, len(jobs))
     if n <= 1:
         return [fn(*job) for job in jobs]
     with futures.ProcessPoolExecutor(max_workers=n) as pool:
         return list(pool.map(fn, *zip(*jobs)))
-
-
-@dataclass(slots=True)
-class AckInfo:
-    now_ms: float
-    rtt_ms: float
-    owd_ms: float
-    acked_packets: int
-    acked_bytes: int
-    min_rtt_ms: float   # controller-visible running minimum (may be perturbed)
-    min_owd_ms: float   # controller-visible minimum one-way delay
-    srtt_ms: float
-    min_rtt_scale: float = 1.0  # intercept multiplier applied to min estimates

@@ -473,18 +473,18 @@ def _training_runs(tmp_path):
     retrain = ["--init", _checkpoint(tmp_path), "--pool-adv",
                _worst_traces(tmp_path), "--episodes", "4"]
     env, feature = _training_cfg(tmp_path), _training_cfg(tmp_path, "feature")
-    attack_jobs = {"run_episode", "_adversary_return", "adversarial_episode"}
+    attack_jobs = {"_clean_episode", "_adversary_return", "adversarial_episode"}
     return [
         (["attack", "--config", env, "--controller", "cubic"], "attack",
          attack_jobs),
         (["attack", "--config", feature, "--controller", "vegas"], "attack",
          attack_jobs),
         (["train", "--config", env], "train",
-         {"_pool_return", "episode_return", "run_episode"}),
+         {"_pool_return", "episode_return", "_clean_episode"}),
         (["retrain", "--config", env] + retrain, "retrain",
-         {"_mixed_return", "run_episode"}),
+         {"_mixed_return", "_clean_episode"}),
         (["sweep-p", "--config", env] + retrain, "sweep",
-         {"_mixed_return", "run_episode"}),
+         {"_mixed_return", "_clean_episode"}),
     ]
 
 

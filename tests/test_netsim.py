@@ -18,7 +18,8 @@ from hypothesis import given, settings, strategies as st
 
 from ccprobe import netsim
 from ccprobe.adversary import (EnvBandwidthDriver, FeatureBound, FeatureIntercept,
-                               PerturbMode, SurfaceMode, make_adversary_policy)
+                               PerturbMode, SurfaceMode, _clean_episode,
+                               make_adversary_policy)
 from ccprobe.cc import RULE_BASED, Pinned, make_controller
 from ccprobe.learned import LearnedController, PolicyNet
 from ccprobe.netsim import (BandwidthTrace, ConfigError, SimConfig,
@@ -332,23 +333,31 @@ def test_tick_loop_builds_on_first_import(tmp_path):
     assert again.stdout.strip() == built and os.stat(built).st_mtime_ns == mtime
 
 
-class _Silent(Pinned):
-    # a controller that takes no callback between intervals
-    on_ack = None
-    on_loss = None
+class _IntervalOnly:
+    # all the tick loop needs of a controller without C state: a cwnd, and
+    # an on_interval that may change it
+    def __init__(self):
+        self.cwnd = 20.0
+
+    def on_interval(self, obs):
+        self.cwnd = 40.0
 
 
-def test_absent_callbacks_are_skipped(short_sim):
-    trace = _golden_traces()[2]   # overload, drops and an outage with timeouts
-    loud, silent = Pinned(240.0), _Silent(240.0)
-    a, b = run_episode(short_sim, trace, loud), run_episode(short_sim, trace, silent)
-    assert a.dropped > 0
-    assert a.observations == b.observations
-    assert a.ack_rtt_ticks == b.ack_rtt_ticks
+def test_interval_only_controller_sets_the_next_intervals_cwnd(short_sim, const_trace):
+    log = run_episode(short_sim, const_trace, _IntervalOnly())
+    low = run_episode(short_sim, const_trace, Pinned(20.0))
+    high = run_episode(short_sim, const_trace, Pinned(40.0))
+    assert [o.cwnd for o in log.observations] == [20.0] + [40.0] * 49
+    # the first interval is Pinned(20)'s; every later one sends at twice the
+    # rate, below the 80-packet BDP
+    assert log.observations[0] == low.observations[0]
+    assert low.sent < log.sent < high.sent
+    assert log.observations[-1].throughput_mbps == pytest.approx(
+        2 * low.observations[-1].throughput_mbps)
 
 
 class _Broken(Pinned):
-    def on_ack(self, ack):
+    def on_interval(self, obs):
         self.cwnd = math.nan
 
 
@@ -389,11 +398,11 @@ def test_fast_floor_division_is_pythons(pkt):
 
 
 def test_slotted_observations_equal_at_workers_1_and_2(short_sim):
-    # episode logs cross the process pool by pickle
+    # episode logs cross the process pool by pickle; controllers never do,
+    # each job builds its own from a factory
     trace = _golden_traces()[0]
-    def jobs():
-        return [(short_sim, trace, make_controller(name)) for name in RULE_BASED]
-    one, two = map_jobs(run_episode, jobs(), 1), map_jobs(run_episode, jobs(), 2)
+    jobs = [(short_sim, trace, partial(make_controller, name)) for name in RULE_BASED]
+    one, two = map_jobs(_clean_episode, jobs, 1), map_jobs(_clean_episode, jobs, 2)
     assert not hasattr(one[0].observations[0], "__dict__")
     for a, b in zip(one, two):
         assert a.observations == b.observations
