@@ -21,7 +21,8 @@ import numpy as np
 from .cem import CemConfig, cem_maximize
 from .learned import (DomainError, PolicyNet, RewardParams, controller_reward,
                       observation_features)
-from .netsim import EpisodeLog, Observation, SimConfig, map_jobs, run_episode
+from .metrics import EpisodeReport, build_report
+from .netsim import Observation, SimConfig, map_jobs, run_episode
 from .tracegen import SmoothnessBudget, gen_random_trace, project_next
 
 
@@ -216,29 +217,28 @@ def make_adversary_policy(surface: SurfaceMode) -> PolicyNet:
 # --- calibration and training ------------------------------------------------
 
 def clean_episodes(controller_factory, traces, config: SimConfig,
-                   workers: int = 1) -> list[EpisodeLog]:
-    """One unperturbed episode per trace. Each job carries the factory and
-    builds its own controller; no built controller crosses the pool."""
+                   workers: int = 1) -> list[EpisodeReport]:
+    """One unperturbed episode per trace, each summarized where it ran."""
     if not traces:
         raise ValueError("trace set must be non-empty")
-    return map_jobs(_clean_episode,
+    return map_jobs(clean_episode,
                     [(config, trace, controller_factory) for trace in traces],
                     workers)
 
 
-def _clean_episode(config: SimConfig, trace, controller_factory) -> EpisodeLog:
-    """`clean_episodes`' job: one episode with a fresh controller."""
-    return run_episode(config, trace, controller_factory())
+def clean_episode(config: SimConfig, trace, controller_factory) -> EpisodeReport:
+    """The one clean-episode job: a fresh controller from its factory (no
+    built controller crosses the pool) and the episode's report, built in
+    the worker so that no whole log crosses back."""
+    return build_report(run_episode(config, trace, controller_factory()))
 
 
-def mean_queuing_delay_ms(logs) -> float:
-    """Mean over episodes of each one's mean per-interval queuing delay."""
-    return sum(log.mean_queuing_delay_ms() for log in logs) / len(logs)
-
-
-def calibrate_tau(controller_factory, traces, config: SimConfig) -> float:
-    """Mean queuing delay of the unperturbed controller over the baseline set."""
-    return mean_queuing_delay_ms(clean_episodes(controller_factory, traces, config))
+def calibrate_tau(controller_factory, traces, config: SimConfig,
+                  workers: int = 1) -> float:
+    """Mean per-interval queuing delay of the unperturbed controller over
+    the baseline set (the mean of each episode's mean)."""
+    reports = clean_episodes(controller_factory, traces, config, workers)
+    return sum(r.interval_delay_ms for r in reports) / len(reports)
 
 
 def random_baseline_traces(budget: SmoothnessBudget, n: int, length: int,

@@ -7,7 +7,7 @@ from functools import partial
 
 import numpy as np
 
-from .adversary import clean_episodes, mean_queuing_delay_ms
+from .adversary import clean_episodes
 from .cem import CemConfig, GenerationStats, cem_maximize
 from .learned import LearnedController, PolicyNet, RewardParams, episode_return
 from .netsim import BandwidthTrace, SimConfig
@@ -80,13 +80,14 @@ def evaluate_suite(policy: PolicyNet, trace_sets: dict, sim: SimConfig,
     if not trace_sets or not all(trace_sets.values()):
         raise ValueError("need at least one trace set, and no empty one")
     factory = partial(LearnedController, policy, b_max=reward.b_max)
-    logs = clean_episodes(factory, [t for ts in trace_sets.values() for t in ts],
-                          sim, workers)
+    reports = clean_episodes(factory,
+                             [t for ts in trace_sets.values() for t in ts],
+                             sim, workers)
     rows = []
     for name, traces in trace_sets.items():
-        mine, logs = logs[:len(traces)], logs[len(traces):]
+        mine, reports = reports[:len(traces)], reports[len(traces):]
         rows.append(SuiteRow(
             trace_set=name,
-            utilization=sum(log.mean_utilization() for log in mine) / len(mine),
-            mean_delay_ms=mean_queuing_delay_ms(mine)))
+            utilization=sum(r.utilization for r in mine) / len(mine),
+            mean_delay_ms=sum(r.interval_delay_ms for r in mine) / len(mine)))
     return rows

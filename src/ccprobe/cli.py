@@ -20,15 +20,15 @@ from functools import partial
 from . import advtrain
 from .adversary import (AdversarySpec, DelayConstraint, FeatureBound,
                         PerturbMode, RewardMode, SurfaceMode,
-                        adversarial_episode, clean_episodes,
-                        mean_queuing_delay_ms, random_baseline_traces,
-                        select_worst_trace, train_adversary)
+                        adversarial_episode, clean_episode, clean_episodes,
+                        random_baseline_traces, select_worst_trace,
+                        train_adversary)
 from .cc import RULE_BASED, make_controller
 from .config import ExperimentConfig, SchemaError, load_config
 from .learned import PolicyNet, load_policy, save_policy, train_controller
 from .metrics import build_report, dump_series_csv
 from .netsim import (BandwidthTrace, ConfigError, export_mahimahi, map_jobs,
-                     read_trace, run_episode, write_trace)
+                     read_trace, run_episode, worker_pool, write_trace)
 from .tracegen import (SmoothnessBudget, check_feasible, gen_burst_trace,
                        gen_random_trace, gen_unconstrained)
 
@@ -118,10 +118,6 @@ def _controller_factories(args, cfg: ExperimentConfig) -> dict[str, partial]:
             for name in names}
 
 
-def _report(sim, trace, factory) -> dict:
-    return dataclasses.asdict(build_report(run_episode(sim, trace, factory())))
-
-
 def _mean(xs):
     return sum(xs) / len(xs)
 
@@ -143,7 +139,7 @@ def cmd_baseline(args, cfg: ExperimentConfig, out: str) -> int:
             for ti, trace in enumerate(traces):
                 jobs.append((cfg.sim, trace, factories[name]))
                 keys.append((name, setting, ti))
-    results = map_jobs(_report, jobs, args.workers)
+    results = map_jobs(clean_episode, jobs, args.workers)
 
     rows = []
     for name in controllers:
@@ -151,16 +147,19 @@ def cmd_baseline(args, cfg: ExperimentConfig, out: str) -> int:
             got = [r for r, key in zip(results, keys)
                    if key[0] == name and key[1] == setting]
             rows.append([name, setting,
-                         _mean([g["utilization"] for g in got]),
-                         _mean([g["mean_delay_ms"] for g in got]),
-                         _mean([g["p95_delay_ms"] for g in got])])
+                         _mean([g.utilization for g in got]),
+                         _mean([g.mean_delay_ms for g in got]),
+                         _mean([g.p95_delay_ms for g in got])])
     _write_csv(os.path.join(out, "baseline.csv"),
                ["model", "setting", "utilization", "delay_ms", "p95_ms"],
                rows, cfg)
     with open(os.path.join(out, "baseline_episodes.jsonl"), "w") as f:
         for (name, setting, ti), r in zip(keys, results):
-            f.write(json.dumps({"key": f"{name}/{setting}/t{ti}", "report": r})
-                    + "\n")
+            report = {"utilization": r.utilization,
+                      "mean_delay_ms": r.mean_delay_ms,
+                      "p95_delay_ms": r.p95_delay_ms}
+            f.write(json.dumps({"key": f"{name}/{setting}/t{ti}",
+                                "report": report}) + "\n")
     print(f"wrote {out}/baseline.csv ({len(rows)} rows, {len(jobs)} episodes)")
     return 0
 
@@ -172,9 +171,9 @@ def cmd_attack(args, cfg: ExperimentConfig, out: str) -> int:
     baseline_traces = _build_traces(cfg)
 
     # one clean episode per baseline trace gives both tau and the baseline row
-    base_logs = clean_episodes(factory, baseline_traces, cfg.sim, args.workers)
-    base_util = _mean([log.mean_utilization() for log in base_logs])
-    base_delay = mean_queuing_delay_ms(base_logs)
+    base = clean_episodes(factory, baseline_traces, cfg.sim, args.workers)
+    base_util = _mean([r.utilization for r in base])
+    base_delay = _mean([r.interval_delay_ms for r in base])
     tau = adv.tau_ms
     if tau is None and adv.reward_mode == "delay_constrained":
         tau = base_delay
@@ -247,17 +246,17 @@ def cmd_transfer(args, cfg: ExperimentConfig, out: str) -> int:
     keys = [(src, ctl) for src, _ in named for ctl in controllers]
     jobs = [(cfg.sim, trace, factories[ctl])
             for _, trace in named for ctl in controllers]
-    cells = dict(zip(keys, map_jobs(_report, jobs, args.workers)))
+    cells = dict(zip(keys, map_jobs(clean_episode, jobs, args.workers)))
 
     col_min = {}
     for ctl in controllers:
-        utils = {src: cells[(src, ctl)]["utilization"] for src, _ in named}
+        utils = {src: cells[(src, ctl)].utilization for src, _ in named}
         col_min[ctl] = min(utils, key=utils.get)
     rows = []
     for src, _ in named:
         for ctl in controllers:
             got = cells[(src, ctl)]
-            rows.append([src, ctl, got["utilization"], got["mean_delay_ms"],
+            rows.append([src, ctl, got.utilization, got.mean_delay_ms,
                          int(src == ctl), int(col_min[ctl] == src)])
     _write_csv(os.path.join(out, "transfer.csv"),
                ["trace_target", "controller", "utilization", "delay_ms",
@@ -533,7 +532,9 @@ def main(argv=None) -> int:
         if args.fn is cmd_export:    # the one command without a config
             return cmd_export(args)
         cfg = _load_cfg(args)
-        return args.fn(args, cfg, _out_dir(args, cfg))
+        # one pool for the whole command, shut down however it ends
+        with worker_pool(args.workers):
+            return args.fn(args, cfg, _out_dir(args, cfg))
     except (SchemaError, ConfigError, UsageError, FileNotFoundError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

@@ -15,11 +15,15 @@ from .netsim import DomainError, EmptyLog, EpisodeLog
 from .tracegen import avg_abs_slope
 
 
-@dataclass
+@dataclass(slots=True)
 class EpisodeReport:
+    """One episode's summary: all that a clean-episode job sends back."""
+
     utilization: float
-    mean_delay_ms: float
-    p95_delay_ms: float
+    interval_delay_ms: float   # mean over intervals of srtt - base RTT
+    mean_delay_ms: float       # mean over ACKs of rtt - base RTT
+    p95_delay_ms: float        # nearest-rank P95 over ACKs
+    dropped: int
 
 
 def delay_stats(log: EpisodeLog) -> tuple[float, float]:
@@ -64,13 +68,14 @@ def cwnd_smoothness(series, k: int = 1) -> tuple[float, float]:
 
 
 def build_report(log: EpisodeLog) -> EpisodeReport:
+    interval_d = log.mean_queuing_delay_ms()
     if log.ack_rtt_ticks:
         mean_d, p95_d = delay_stats(log)
     else:  # no ACK arrived at all
-        mean_d = log.mean_queuing_delay_ms()
-        p95_d = float("nan")
+        mean_d, p95_d = interval_d, float("nan")
     return EpisodeReport(utilization=log.mean_utilization(),
-                         mean_delay_ms=mean_d, p95_delay_ms=p95_d)
+                         interval_delay_ms=interval_d, mean_delay_ms=mean_d,
+                         p95_delay_ms=p95_d, dropped=log.dropped)
 
 
 def dump_series_csv(log: EpisodeLog, path: str) -> None:

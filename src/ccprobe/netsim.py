@@ -8,6 +8,7 @@ so identical (config, trace, controller) runs give identical logs.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import importlib
 import math
@@ -171,6 +172,8 @@ def write_trace(trace: BandwidthTrace, path: str) -> None:
 # export block length in ms: a 60 s trace raises peak RSS by ~0.25 MB in
 # blocks of 4,096 ms, ~0.65 MB in blocks of 8,192 and ~2.3 MB all at once
 _EXPORT_BLOCK_MS = 4096
+# the longest trace exported: one day, walked in ~21,000 blocks
+EXPORT_MAX_MS = 86_400_000
 
 
 def _cum_bytes_blocks(trace: BandwidthTrace):
@@ -204,9 +207,14 @@ def export_mahimahi(trace: BandwidthTrace, path: str, packet_size: int = 1500) -
     Timestamp ms + 1 appears once for each k >= 1 whose k * packet_size
     bytes the link has carried by the end of ms `ms`. The counts are exact
     while the trace carries fewer than 2^53 bytes in all; a trace that
-    carries more raises ConfigError before anything is written.
+    carries more, or lasts longer than EXPORT_MAX_MS, raises ConfigError
+    before anything is written.
     """
     pkt = float(_packet_size(packet_size))
+    total_ms = len(trace.values) * trace.interval_ms
+    if total_ms > EXPORT_MAX_MS:
+        raise ConfigError(f"trace lasts {total_ms:.4g} ms, longer than the "
+                          f"{EXPORT_MAX_MS} ms (one day) an export may cover")
     for start, block in _cum_bytes_blocks(trace):
         if not block[-1] < 2.0**53:   # the sums only grow: the last is the largest
             raise ConfigError(f"trace carries {block[-1]:.4g} bytes by ms "
@@ -409,15 +417,62 @@ def _tick_loop_error(ev: int, controller, capacity: float) -> Exception:
     return ValueError(f"capacity {capacity!r} Mbps leaves no finite link credit")
 
 
+class _WorkerPool:
+    """`worker_pool`'s processes: none until a batch needs two or more, then
+    one per job up to `workers`, closed and reopened larger when a batch
+    needs more. Forked, so workers start with ccprobe imported (a pool of
+    two started in 14-26 ms forked, 0.35-0.8 s spawned, on a 2-core host);
+    closing before reopening leaves no pool thread running at a fork."""
+
+    def __init__(self, workers: int):
+        self.workers, self.size, self.executor = workers, 0, None
+        self.pid = os.getpid()
+
+    def map(self, fn, jobs: list, workers: int) -> list:
+        n = min(workers, self.workers, len(jobs))
+        if n <= 1:
+            return [fn(*job) for job in jobs]
+        if n > self.size:
+            self.close()
+            self.executor, self.size = futures.ProcessPoolExecutor(max_workers=n), n
+        return list(self.executor.map(fn, *zip(*jobs)))
+
+    def close(self) -> None:
+        if self.executor is not None:
+            self.executor.shutdown()
+        self.executor, self.size = None, 0
+
+
+# the innermost open `worker_pool`; the code between a command and
+# `map_jobs` (CEM, training, evaluation) passes a worker count, not a pool
+_open_pool: _WorkerPool | None = None
+
+
+@contextlib.contextmanager
+def worker_pool(workers: int):
+    """One pool of at most `workers` processes for every `map_jobs` call in
+    the block, shut down and joined however the block is left."""
+    global _open_pool
+    outer = _open_pool
+    _open_pool = pool = _WorkerPool(workers)
+    try:
+        yield pool
+    finally:
+        _open_pool = outer
+        pool.close()
+
+
 def map_jobs(fn, jobs, workers: int) -> list:
     """`[fn(*job) for job in jobs]` on up to `workers` processes, never more
-    than one per job; one process means this one. ccprobe's only pool: with
-    more than one process, `fn` and the jobs must pickle (module-level
-    functions, `functools.partial`s of them, plain data). An episode job
-    carries a controller factory, never a built controller."""
+    than one per job; one process means this one. The processes are the open
+    `worker_pool`'s, or, with none open, a pool's that lasts this call.
+    ccprobe's only pool: with more than one process, `fn` and the jobs must
+    pickle (module-level functions, `functools.partial`s of them, plain
+    data). An episode job carries a controller factory, never a built
+    controller."""
     jobs = list(jobs)
-    n = min(workers, len(jobs))
-    if n <= 1:
-        return [fn(*job) for job in jobs]
-    with futures.ProcessPoolExecutor(max_workers=n) as pool:
-        return list(pool.map(fn, *zip(*jobs)))
+    # a forked worker inherits the open pool, which only its owner can use
+    if _open_pool is not None and _open_pool.pid == os.getpid():
+        return _open_pool.map(fn, jobs, workers)
+    with worker_pool(workers) as pool:
+        return pool.map(fn, jobs, workers)

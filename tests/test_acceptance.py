@@ -16,8 +16,8 @@ import pytest
 
 from ccprobe.adversary import (AdversarySpec, DelayConstraint, FeatureBound,
                                PerturbMode, RewardMode, SurfaceMode,
-                               adversarial_episode, clean_episodes,
-                               make_adversary_policy, mean_queuing_delay_ms,
+                               adversarial_episode, calibrate_tau,
+                               clean_episodes, make_adversary_policy,
                                random_baseline_traces, select_worst_trace,
                                train_adversary)
 from ccprobe.advtrain import TracePool, adversarial_retrain, evaluate_suite
@@ -56,8 +56,7 @@ def run_attack(factory, baseline_traces, seed):
     """Delay-constrained env attack: calibrate, train, select. Returns
     (tau, worst, elapsed_s)."""
     t0 = time.time()
-    tau = mean_queuing_delay_ms(clean_episodes(factory, baseline_traces, TRAIN_SIM,
-                                               WORKERS))
+    tau = calibrate_tau(factory, baseline_traces, TRAIN_SIM, WORKERS)
     spec = AdversarySpec(surface=SurfaceMode.ENV_BANDWIDTH,
                          constraint=DelayConstraint(tau_ms=tau), budget=BUDGET)
     policy, _ = train_adversary(spec, factory, TRAIN_SIM, episodes=160,
@@ -74,7 +73,7 @@ def rule_attacks(baseline_traces):
     out = {}
     for i, name in enumerate(RULE_TARGETS):
         factory = partial(make_controller, name)
-        utils = [log.mean_utilization() for log in
+        utils = [r.utilization for r in
                  clean_episodes(factory, baseline_traces, EVAL_SIM, WORKERS)]
         base = sum(utils) / len(utils)
         tau, worst, secs = run_attack(factory, baseline_traces, seed=1 + i)

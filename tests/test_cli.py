@@ -6,6 +6,7 @@ import os
 import pickle
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -120,6 +121,19 @@ def test_export_of_a_huge_capacity_exits_2(tmp_path):
                          capture_output=True, text=True, env=env, timeout=60)
     assert run.returncode == 2
     assert "2^53" in run.stderr
+    assert not dest.exists()
+
+
+def test_export_of_a_day_long_trace_exits_2(tmp_path, capsys):
+    # a 10^12 ms interval of 0 Mbps carries nothing, so no byte bound stops
+    # it; the export walked every ms of it and never ended
+    trace = tmp_path / "long.trace"
+    trace.write_text("# interval_ms=1000000000000\n0\n")
+    dest = tmp_path / "long.mahi"
+    start = time.perf_counter()
+    assert main(["export", "--trace", str(trace), "--dest", str(dest)]) == 2
+    assert time.perf_counter() - start < 0.5
+    assert "86400000 ms (one day)" in capsys.readouterr().err
     assert not dest.exists()
 
 
@@ -473,18 +487,18 @@ def _training_runs(tmp_path):
     retrain = ["--init", _checkpoint(tmp_path), "--pool-adv",
                _worst_traces(tmp_path), "--episodes", "4"]
     env, feature = _training_cfg(tmp_path), _training_cfg(tmp_path, "feature")
-    attack_jobs = {"_clean_episode", "_adversary_return", "adversarial_episode"}
+    attack_jobs = {"clean_episode", "_adversary_return", "adversarial_episode"}
     return [
         (["attack", "--config", env, "--controller", "cubic"], "attack",
          attack_jobs),
         (["attack", "--config", feature, "--controller", "vegas"], "attack",
          attack_jobs),
         (["train", "--config", env], "train",
-         {"_pool_return", "episode_return", "_clean_episode"}),
+         {"_pool_return", "episode_return", "clean_episode"}),
         (["retrain", "--config", env] + retrain, "retrain",
-         {"_mixed_return", "_clean_episode"}),
+         {"_mixed_return", "clean_episode"}),
         (["sweep-p", "--config", env] + retrain, "sweep",
-         {"_mixed_return", "_clean_episode"}),
+         {"_mixed_return", "clean_episode"}),
     ]
 
 
@@ -523,3 +537,59 @@ def test_training_outputs_match_across_worker_counts(tmp_path):
     for rel in files:
         a, b = (open(os.path.join(o, rel), "rb").read() for o in outs)
         assert a == b, rel
+
+
+# --- one process pool per command, gone when the command returns ---------------
+
+def _pool_spy(monkeypatch):
+    """Sizes of the process pools started from now on, in order."""
+    from ccprobe import netsim
+    sizes = []
+
+    class Spy(netsim.futures.ProcessPoolExecutor):
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+            super().__init__(max_workers=max_workers)
+
+    monkeypatch.setattr(netsim.futures, "ProcessPoolExecutor", Spy)
+    return sizes
+
+
+def test_train_and_env_attack_start_one_pool_each(tmp_path, monkeypatch):
+    # each makes several pooled batches: CEM generations, then the check
+    # episodes, the evaluation, the clean baseline or the selection rollouts
+    sizes = _pool_spy(monkeypatch)
+    cfg = _training_cfg(tmp_path)
+    for argv in (["train"], ["attack", "--controller", "cubic"]):
+        sizes.clear()
+        assert main(argv + ["--config", cfg, "--out", str(tmp_path / argv[0]),
+                            "--workers", "2"]) == 0
+        assert sizes == [2], argv
+
+
+def _raise_in_worker(log):
+    raise RuntimeError(f"report failed in process {os.getpid()}")
+
+
+def test_no_worker_outlives_a_command(tmp_path, monkeypatch):
+    import multiprocessing
+
+    from ccprobe import adversary
+    sizes = _pool_spy(monkeypatch)
+    cfg = _write_cfg(tmp_path)
+    baseline = ["baseline", "--config", cfg, "--controllers", "reno,lp",
+                "--workers", "2"]
+    assert main(baseline + ["--out", str(tmp_path / "ok")]) == 0
+    assert sizes == [2] and multiprocessing.active_children() == []
+
+    # exit 2 after the pool has run the training episodes
+    assert main(["train", "--config", _training_cfg(tmp_path), "--workers", "2",
+                 "--out", str(tmp_path / "t"),
+                 "--checkpoint-out", str(tmp_path / "missing" / "x.ckpt")]) == 2
+    assert sizes == [2, 2] and multiprocessing.active_children() == []
+
+    monkeypatch.setattr(adversary, "build_report", _raise_in_worker)
+    with pytest.raises(RuntimeError, match="report failed in process") as e:
+        main(baseline + ["--out", str(tmp_path / "raise")])
+    assert int(str(e.value).rsplit(" ", 1)[1]) != os.getpid()
+    assert sizes == [2, 2, 2] and multiprocessing.active_children() == []

@@ -18,8 +18,7 @@ from hypothesis import given, settings, strategies as st
 
 from ccprobe import netsim
 from ccprobe.adversary import (EnvBandwidthDriver, FeatureBound, FeatureIntercept,
-                               PerturbMode, SurfaceMode, _clean_episode,
-                               make_adversary_policy)
+                               PerturbMode, SurfaceMode, make_adversary_policy)
 from ccprobe.cc import RULE_BASED, Pinned, make_controller
 from ccprobe.learned import LearnedController, PolicyNet
 from ccprobe.netsim import (BandwidthTrace, ConfigError, SimConfig,
@@ -163,6 +162,20 @@ def test_map_jobs_pool_is_capped_by_jobs(monkeypatch):
     assert map_jobs(pow, jobs[:1], 8) == [8]
     assert map_jobs(pow, jobs, 1) == [8, 9]
     assert sizes == [2]                     # a single process runs here
+
+
+def test_map_jobs_inside_a_worker_gets_a_pool_of_its_own():
+    # the worker inherits its parent's open pool, which it cannot use; in a
+    # child process, so a hang fails instead of blocking
+    script = ("from ccprobe.netsim import map_jobs\n"
+              "def inner(x):\n"
+              "    return sum(map_jobs(pow, [(x, 2), (x, 3)], 2))\n"
+              "print(map_jobs(inner, [(2,), (3,)], 2))\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    run = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                         text=True, env=env, timeout=60)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == "[12, 36]\n"
 
 
 def test_mahimahi_export_opportunity_count(tmp_path):
@@ -397,12 +410,16 @@ def test_fast_floor_division_is_pythons(pkt):
         assert _same_float(floordiv(x, pkt), x // pkt), (x, pkt)
 
 
+def _whole_log(config, trace, controller_factory):
+    return run_episode(config, trace, controller_factory())
+
+
 def test_slotted_observations_equal_at_workers_1_and_2(short_sim):
-    # episode logs cross the process pool by pickle; controllers never do,
-    # each job builds its own from a factory
+    # whole episode logs survive the process pool by pickle; controllers
+    # never cross it, each job builds its own from a factory
     trace = _golden_traces()[0]
     jobs = [(short_sim, trace, partial(make_controller, name)) for name in RULE_BASED]
-    one, two = map_jobs(_clean_episode, jobs, 1), map_jobs(_clean_episode, jobs, 2)
+    one, two = map_jobs(_whole_log, jobs, 1), map_jobs(_whole_log, jobs, 2)
     assert not hasattr(one[0].observations[0], "__dict__")
     for a, b in zip(one, two):
         assert a.observations == b.observations
