@@ -113,7 +113,7 @@ def measure_pool() -> dict:
     out = {}
     for name, batch in batches.items():
         for w in (1, 2):
-            with pool(w) if pool else contextlib.nullcontext():
+            with pool() if pool else contextlib.nullcontext():
                 t, _ = _timed(lambda: batch(w))
             out.setdefault(name, {})[f"workers_{w}_ms"] = round(t * 1000, 2)
     return out

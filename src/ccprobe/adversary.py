@@ -233,12 +233,14 @@ def clean_episode(config: SimConfig, trace, controller_factory) -> EpisodeReport
     return build_report(run_episode(config, trace, controller_factory()))
 
 
-def calibrate_tau(controller_factory, traces, config: SimConfig,
-                  workers: int = 1) -> float:
-    """Mean per-interval queuing delay of the unperturbed controller over
-    the baseline set (the mean of each episode's mean)."""
-    reports = clean_episodes(controller_factory, traces, config, workers)
+def mean_queuing_delay_ms(reports) -> float:
+    """Mean over episodes of each one's mean per-interval queuing delay."""
     return sum(r.interval_delay_ms for r in reports) / len(reports)
+
+
+def calibrate_tau(controller_factory, traces, config: SimConfig) -> float:
+    """Mean queuing delay of the unperturbed controller over the baseline set."""
+    return mean_queuing_delay_ms(clean_episodes(controller_factory, traces, config))
 
 
 def random_baseline_traces(budget: SmoothnessBudget, n: int, length: int,

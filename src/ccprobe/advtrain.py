@@ -7,7 +7,7 @@ from functools import partial
 
 import numpy as np
 
-from .adversary import clean_episodes
+from .adversary import clean_episodes, mean_queuing_delay_ms
 from .cem import CemConfig, GenerationStats, cem_maximize
 from .learned import LearnedController, PolicyNet, RewardParams, episode_return
 from .netsim import BandwidthTrace, SimConfig
@@ -89,5 +89,5 @@ def evaluate_suite(policy: PolicyNet, trace_sets: dict, sim: SimConfig,
         rows.append(SuiteRow(
             trace_set=name,
             utilization=sum(r.utilization for r in mine) / len(mine),
-            mean_delay_ms=sum(r.interval_delay_ms for r in mine) / len(mine)))
+            mean_delay_ms=mean_queuing_delay_ms(mine)))
     return rows

@@ -21,8 +21,8 @@ from . import advtrain
 from .adversary import (AdversarySpec, DelayConstraint, FeatureBound,
                         PerturbMode, RewardMode, SurfaceMode,
                         adversarial_episode, clean_episode, clean_episodes,
-                        random_baseline_traces, select_worst_trace,
-                        train_adversary)
+                        mean_queuing_delay_ms, random_baseline_traces,
+                        select_worst_trace, train_adversary)
 from .cc import RULE_BASED, make_controller
 from .config import ExperimentConfig, SchemaError, load_config
 from .learned import PolicyNet, load_policy, save_policy, train_controller
@@ -173,7 +173,7 @@ def cmd_attack(args, cfg: ExperimentConfig, out: str) -> int:
     # one clean episode per baseline trace gives both tau and the baseline row
     base = clean_episodes(factory, baseline_traces, cfg.sim, args.workers)
     base_util = _mean([r.utilization for r in base])
-    base_delay = _mean([r.interval_delay_ms for r in base])
+    base_delay = mean_queuing_delay_ms(base)
     tau = adv.tau_ms
     if tau is None and adv.reward_mode == "delay_constrained":
         tau = base_delay
@@ -533,7 +533,7 @@ def main(argv=None) -> int:
             return cmd_export(args)
         cfg = _load_cfg(args)
         # one pool for the whole command, shut down however it ends
-        with worker_pool(args.workers):
+        with worker_pool():
             return args.fn(args, cfg, _out_dir(args, cfg))
     except (SchemaError, ConfigError, UsageError, FileNotFoundError) as e:
         print(f"error: {e}", file=sys.stderr)

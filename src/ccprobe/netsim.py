@@ -419,17 +419,17 @@ def _tick_loop_error(ev: int, controller, capacity: float) -> Exception:
 
 class _WorkerPool:
     """`worker_pool`'s processes: none until a batch needs two or more, then
-    one per job up to `workers`, closed and reopened larger when a batch
-    needs more. Forked, so workers start with ccprobe imported (a pool of
-    two started in 14-26 ms forked, 0.35-0.8 s spawned, on a 2-core host);
-    closing before reopening leaves no pool thread running at a fork."""
+    one per job up to the batch's worker count, closed and reopened larger
+    when a later batch needs more. Forked, so workers start with ccprobe
+    imported (a pool of two started in 14-26 ms forked, 0.35-0.8 s spawned,
+    on a 2-core host); closing before reopening leaves no pool thread
+    running at a fork."""
 
-    def __init__(self, workers: int):
-        self.workers, self.size, self.executor = workers, 0, None
-        self.pid = os.getpid()
+    def __init__(self):
+        self.size, self.executor, self.pid = 0, None, os.getpid()
 
     def map(self, fn, jobs: list, workers: int) -> list:
-        n = min(workers, self.workers, len(jobs))
+        n = min(workers, len(jobs))
         if n <= 1:
             return [fn(*job) for job in jobs]
         if n > self.size:
@@ -449,12 +449,12 @@ _open_pool: _WorkerPool | None = None
 
 
 @contextlib.contextmanager
-def worker_pool(workers: int):
-    """One pool of at most `workers` processes for every `map_jobs` call in
-    the block, shut down and joined however the block is left."""
+def worker_pool():
+    """One pool for every `map_jobs` call in the block, as large as its
+    largest batch needs, shut down and joined however the block is left."""
     global _open_pool
     outer = _open_pool
-    _open_pool = pool = _WorkerPool(workers)
+    _open_pool = pool = _WorkerPool()
     try:
         yield pool
     finally:
@@ -463,16 +463,17 @@ def worker_pool(workers: int):
 
 
 def map_jobs(fn, jobs, workers: int) -> list:
-    """`[fn(*job) for job in jobs]` on up to `workers` processes, never more
-    than one per job; one process means this one. The processes are the open
-    `worker_pool`'s, or, with none open, a pool's that lasts this call.
-    ccprobe's only pool: with more than one process, `fn` and the jobs must
-    pickle (module-level functions, `functools.partial`s of them, plain
-    data). An episode job carries a controller factory, never a built
-    controller."""
+    """`[fn(*job) for job in jobs]`, here when `min(workers, len(jobs))` is
+    1, else on the open `worker_pool`'s processes or, with none open, on a
+    pool's that lasts this call. A pool has that many processes, or more when
+    an earlier batch of its block needed more (a command passes every batch
+    the same `--workers`). ccprobe's only pool: with more than one process,
+    `fn` and the jobs must pickle (module-level functions,
+    `functools.partial`s of them, plain data). An episode job carries a
+    controller factory, never a built controller."""
     jobs = list(jobs)
     # a forked worker inherits the open pool, which only its owner can use
     if _open_pool is not None and _open_pool.pid == os.getpid():
         return _open_pool.map(fn, jobs, workers)
-    with worker_pool(workers) as pool:
+    with worker_pool() as pool:
         return pool.map(fn, jobs, workers)

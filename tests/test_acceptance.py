@@ -16,8 +16,8 @@ import pytest
 
 from ccprobe.adversary import (AdversarySpec, DelayConstraint, FeatureBound,
                                PerturbMode, RewardMode, SurfaceMode,
-                               adversarial_episode, calibrate_tau,
-                               clean_episodes, make_adversary_policy,
+                               adversarial_episode, clean_episodes,
+                               make_adversary_policy, mean_queuing_delay_ms,
                                random_baseline_traces, select_worst_trace,
                                train_adversary)
 from ccprobe.advtrain import TracePool, adversarial_retrain, evaluate_suite
@@ -56,7 +56,8 @@ def run_attack(factory, baseline_traces, seed):
     """Delay-constrained env attack: calibrate, train, select. Returns
     (tau, worst, elapsed_s)."""
     t0 = time.time()
-    tau = calibrate_tau(factory, baseline_traces, TRAIN_SIM, WORKERS)
+    tau = mean_queuing_delay_ms(clean_episodes(factory, baseline_traces, TRAIN_SIM,
+                                               WORKERS))
     spec = AdversarySpec(surface=SurfaceMode.ENV_BANDWIDTH,
                          constraint=DelayConstraint(tau_ms=tau), budget=BUDGET)
     policy, _ = train_adversary(spec, factory, TRAIN_SIM, episodes=160,

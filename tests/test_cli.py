@@ -6,7 +6,6 @@ import os
 import pickle
 import subprocess
 import sys
-import time
 
 import pytest
 
@@ -109,32 +108,33 @@ def test_gen_trace_and_export(tmp_path):
     assert os.path.exists(dest)
 
 
-def test_export_of_a_huge_capacity_exits_2(tmp_path):
-    # 1e303 Mbps makes the cumulative bytes infinite; a per-ms export of it
-    # never ended. In a child process, so a hang fails instead of blocking
-    trace = tmp_path / "huge.trace"
-    trace.write_text("# interval_ms=100\n48.0\n1e303\n")
-    dest = tmp_path / "huge.mahi"
+def _export_in_child(tmp_path, text: str) -> str:
+    """`ccprobe export` of a trace file holding `text`, in a child process,
+    so a hang fails instead of blocking; its stderr, once it exits 2 having
+    written nothing."""
+    trace = tmp_path / "in.trace"
+    trace.write_text(text)
+    dest = tmp_path / "out.mahi"
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     run = subprocess.run([sys.executable, "-m", "ccprobe", "export", "--trace",
                           str(trace), "--dest", str(dest)],
                          capture_output=True, text=True, env=env, timeout=60)
     assert run.returncode == 2
-    assert "2^53" in run.stderr
     assert not dest.exists()
+    return run.stderr
 
 
-def test_export_of_a_day_long_trace_exits_2(tmp_path, capsys):
+def test_export_of_a_huge_capacity_exits_2(tmp_path):
+    # 1e303 Mbps makes the cumulative bytes infinite; a per-ms export of it
+    # never ended
+    assert "2^53" in _export_in_child(tmp_path, "# interval_ms=100\n48.0\n1e303\n")
+
+
+def test_export_of_a_day_long_trace_exits_2(tmp_path):
     # a 10^12 ms interval of 0 Mbps carries nothing, so no byte bound stops
     # it; the export walked every ms of it and never ended
-    trace = tmp_path / "long.trace"
-    trace.write_text("# interval_ms=1000000000000\n0\n")
-    dest = tmp_path / "long.mahi"
-    start = time.perf_counter()
-    assert main(["export", "--trace", str(trace), "--dest", str(dest)]) == 2
-    assert time.perf_counter() - start < 0.5
-    assert "86400000 ms (one day)" in capsys.readouterr().err
-    assert not dest.exists()
+    err = _export_in_child(tmp_path, "# interval_ms=1000000000000\n0\n")
+    assert "86400000 ms (one day)" in err
 
 
 def test_gen_trace_burst_mode(tmp_path):
@@ -565,6 +565,19 @@ def test_train_and_env_attack_start_one_pool_each(tmp_path, monkeypatch):
         assert main(argv + ["--config", cfg, "--out", str(tmp_path / argv[0]),
                             "--workers", "2"]) == 0
         assert sizes == [2], argv
+
+
+def test_a_batch_needing_more_processes_grows_the_pool(monkeypatch):
+    # the smaller pool is closed before the larger one opens; a smaller
+    # batch after that reuses the larger pool
+    from ccprobe import netsim
+    sizes = _pool_spy(monkeypatch)
+    jobs = [(2, 3), (3, 2), (2, 2), (3, 3)]
+    with netsim.worker_pool():
+        assert netsim.map_jobs(pow, jobs[:2], 4) == [8, 9]
+        assert netsim.map_jobs(pow, jobs, 4) == [8, 9, 4, 27]
+        assert netsim.map_jobs(pow, jobs[:2], 4) == [8, 9]
+    assert sizes == [2, 4]
 
 
 def _raise_in_worker(log):
