@@ -595,6 +595,31 @@ def test_golden_rule_controller_digest():
     assert h.hexdigest() == GOLDEN_RULE_CONSTANTS_SHA256
 
 
+def test_golden_hidden_learned_episode_digest(short_sim):
+    # Learned controllers with a tanh hidden layer of 16, which stay
+    # external controllers acting from Python once per interval: three
+    # random policies on every golden trace, one under a min-RTT intercept,
+    # each hashed with its final cwnd and previous action
+    traces = _golden_traces()
+    rng = np.random.default_rng(16)
+    h = hashlib.sha256()
+    for scale in (0.3, 1.0, 3.0):
+        policy = PolicyNet(n_features=5, hidden=16)
+        policy = policy.with_params(rng.normal(0.0, scale, policy.n_params))
+        runs = [(trace, None) for trace in traces]
+        runs.append((traces[0], FeatureIntercept(FeatureBound(0.5),
+                                                 _adversary_policy(
+                                                     SurfaceMode.FEATURE_MIN_RTT, 7),
+                                                 seed=8)))
+        for trace, intercept in runs:
+            ctl = LearnedController(policy)
+            _hash_episode(h, run_episode(short_sim, trace, ctl, intercept=intercept))
+            h.update(repr((ctl.cwnd, ctl.prev_action)).encode())
+    assert h.hexdigest() == GOLDEN_HIDDEN_LEARNED_SHA256
+
+
+GOLDEN_HIDDEN_LEARNED_SHA256 = (
+    "c7e6ea5dec721de65643412194edfe0765803fb55d5064449598590f5335941a")
 GOLDEN_EPISODES_SHA256 = (
     "949371a8ebc3459d238479074a64f50af84f5cc971e3db64f7fc7af1e3dac3e5")
 GOLDEN_EPISODES_BEYOND_SHA256 = (
