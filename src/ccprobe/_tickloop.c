@@ -1,24 +1,34 @@
-/* The tick loop of `ccprobe.netsim.run_episode`, and the six rule-based
- * congestion controllers of `ccprobe.cc`.
+/* The tick loop of `ccprobe.netsim.run_episode`, the six rule-based
+ * congestion controllers of `ccprobe.cc`, and the learned controller of
+ * `ccprobe.learned` with a linear policy.
  *
  * `tl_step` advances one episode tick by tick. Every tick runs the same five
  * steps as the simulator has always had: ACK arrivals, loss reactions,
  * cwnd/pacing-gated injection, delivery and the interval boundary. The
  * episode's controller is one `tl_cc`, which `tl_step` updates inline
- * (`cc_on_ack`, `cc_on_loss`) and reads cwnd and pacing from, so the loop
- * returns to the Python driver only at an interval boundary, the end of the
- * episode or an error. A controller that acts only per interval is a
- * TL_EXTERNAL `tl_cc`: it ignores ACKs and losses, and the driver writes its
- * cwnd into `w.cwnd` before each call.
+ * (`cc_on_ack`, `cc_on_loss`, `cc_on_interval`) and reads cwnd and pacing
+ * from. At each interval boundary the loop writes the interval's `tl_obs`
+ * row, steps the controller and, on a trace (`caps`), sets the next
+ * interval's capacity itself. It returns TL_INTERVAL there only when the
+ * Python driver has work (`hooked`): the `on_interval` of a TL_EXTERNAL
+ * controller, which ignores ACKs and losses and whose cwnd the driver
+ * writes into `w.cwnd` before each call (a controller without C state, or
+ * a learned one whose policy has a hidden layer, which numpy computes), a
+ * min-RTT intercept or an online capacity driver. Any other episode runs
+ * to TL_DONE, or an error, in one call.
  *
  * The arithmetic is Python's, operation for operation, in IEEE doubles; the
- * build turns off FMA contraction and never uses fast-math. `py_floordiv`
- * and `py_round` are CPython's float `//` and `round()` (`tl_floordiv` is
- * `//` by a packet size, faster on the usual range), `pow` stands for
- * `**`, and `min(a, b)` / `max(a, b)` keep Python's argument order
- * (`b < a ? b : a`). Every buffer write is bounds-checked; buffers grow on
- * demand, and a failed allocation ends the episode with TL_NOMEM. The RTT
- * histogram grows with the largest RTT seen, never with the episode length.
+ * build turns off FMA contraction and never uses fast-math, so the one
+ * fused multiply-add is the explicit `fma` that repeats numpy's dot
+ * product. `py_floordiv` and `py_round` are CPython's float `//` and
+ * `round()` (`tl_floordiv` is `//` by a packet size, faster on the usual
+ * range), `tl_int_truediv` and `py_mul_float` are `/` and `float(a * b)` of
+ * ints, `pow` stands for `**`, and `min(a, b)` / `max(a, b)` keep Python's
+ * argument order (`b < a ? b : a`). Every buffer write is bounds-checked:
+ * the queue, ACK and RTT buffers grow on demand, and a failed allocation
+ * ends the episode with TL_NOMEM; the driver's observation buffer has one
+ * row per interval of `n_ticks`. The RTT histogram grows with the largest
+ * RTT seen, never with the episode length.
  *
  * The declarations between the cdef markers are also handed to cffi.
  */
@@ -43,6 +53,7 @@
 #define TL_LP 4
 #define TL_BBRLITE 5
 #define TL_EXTERNAL 6
+#define TL_LINEAR 7
 #define TL_SLOW_START 0
 #define TL_CONGESTION_AVOIDANCE 1
 #define TL_FAST_RECOVERY 2
@@ -61,6 +72,13 @@ typedef struct {
     int64_t acked_packets, acked_bytes;
     double min_rtt_ms, min_owd_ms, srtt_ms, min_rtt_scale;
 } tl_ackinfo;
+
+/* one interval's observation: the fields of `netsim.Observation` after
+ * interval_idx, in order */
+typedef struct {
+    double now_ms, capacity_mbps, throughput_mbps, loss_mbps, loss_rate;
+    double srtt_ms, min_rtt_ms, visible_min_rtt_ms, utilization, cwnd;
+} tl_obs;
 
 /* a loss-based window: packets, fractional */
 typedef struct {
@@ -113,6 +131,11 @@ typedef struct {
     int64_t acc_bytes;
     int gain_index;
     tl_deque bw, rtt;
+    /* the learned controller: a linear policy's weights for the five
+     * features, then its bias; the action bound, feature and cwnd scales,
+     * and the last action */
+    double params[6];
+    double a_max, b_max, cwnd_max, prev_action;
 } tl_cc;
 
 typedef struct {
@@ -125,12 +148,24 @@ typedef struct {
     double tick_ms, owd_ms, base_rtt_ms;
     /* the controller run inline */
     tl_cc *cc;
-    /* set by the driver at each interval boundary */
-    double cap_bytes_per_tick, scale;
+    /* the trace's capacities in Mbps, cycled, or NULL when the driver sets
+     * `capacity` at each TL_INTERVAL */
+    const double *caps;
+    int64_t n_caps;
+    /* nonzero when the driver has work at every interval boundary */
+    int hooked;
+    /* this interval's capacity (Mbps) and link bytes per tick, and the
+     * min-RTT scale; the driver sets `scale`, and `capacity` when `caps` is
+     * NULL, at each TL_INTERVAL */
+    double capacity, cap_bytes_per_tick, scale;
+    /* one observation per interval, n_ticks / interval_ticks of them;
+     * owned by the driver */
+    tl_obs *obs;
     /* progress: the next tick */
     int64_t tick;
-    /* totals, and this interval's counts */
+    /* totals, loss reactions by kind, and this interval's counts */
     int64_t sent, delivered, dropped, acked, resolved_drops, qlen;
+    int64_t triple_dups, timeouts;
     int64_t iv_sent, iv_delivered, iv_dropped;
     /* RTT estimates (ms); srtt is undefined until has_srtt */
     int has_srtt;
@@ -161,6 +196,7 @@ void tl_cc_release(void *p);
 void cc_init(tl_cc *c, int kind);
 int cc_on_ack(tl_cc *c, const tl_ackinfo *a);
 void cc_on_loss(tl_cc *c, int timeout);
+void cc_on_interval(tl_cc *c, const tl_obs *o);
 double cubic_window(double t_s, double w_max, double c, double beta);
 double vegas_diff(const tl_cc *c, double rtt_ms);
 void illinois_params(const tl_cc *c, double *alpha, double *beta);
@@ -175,6 +211,7 @@ int bbr_push_rtt(tl_cc *c, double t_ms, double rtt_ms);
 double bbr_bw_estimate(const tl_cc *c);
 double bbr_min_rtt_estimate(const tl_cc *c);
 double tl_floordiv(double x, double pkt);
+double tl_int_truediv(int64_t a, int64_t b);
 /* cdef-end */
 
 /* CPython's float floor division (floatobject.c, _float_div_mod). */
@@ -211,6 +248,32 @@ double tl_floordiv(double x, double pkt)
     if (x >= 0.0 && x < 0x1p53)
         return floor(x / pkt);
     return py_floordiv(x, pkt);
+}
+
+/* CPython's `a / b` for ints 0 <= a, 0 < b < 2^63: the exact quotient,
+ * rounded once. Below 2^53 both convert exactly and IEEE division rounds
+ * once; above, a quotient of 55 or more bits with a sticky bit for the
+ * remainder rounds to a double as the exact one does. */
+double tl_int_truediv(int64_t a, int64_t b)
+{
+    if (a < (INT64_C(1) << 53) && b < (INT64_C(1) << 53))
+        return (double)a / (double)b;
+    if (a == 0)
+        return 0.0;
+    int shift = 55 + __builtin_clzll((uint64_t)a) - __builtin_clzll((uint64_t)b);
+    if (shift < 0)
+        shift = 0;
+    unsigned __int128 n = (unsigned __int128)a << shift;
+    uint64_t q = (uint64_t)(n / (uint64_t)b);
+    q |= n % (uint64_t)b != 0;
+    return ldexp((double)q, -shift);
+}
+
+/* CPython's float(a * b) for ints 0 <= a, b < 2^63: the exact product,
+ * rounded once. */
+static double py_mul_float(int64_t a, int64_t b)
+{
+    return (double)((__int128)a * b);
 }
 
 /* CPython's round(x) for a float: to nearest, ties to even. */
@@ -787,15 +850,61 @@ void cc_on_loss(tl_cc *c, int timeout)
     }
 }
 
+/* The learned controller's interval step with a linear policy over
+ * `learned.FEATURE_NAMES`: `observation_features`, `PolicyNet.act` and
+ * `LearnedController`'s cwnd update. The dot product sums as numpy's `@`
+ * does for five features (OpenBLAS's ddot tail): one fma per feature, in
+ * order, from 0.0, then the bias. */
+static void linear_interval(tl_cc *c, const tl_obs *o)
+{
+    double min_rtt = py_max(o->visible_min_rtt_ms, 1e-6);
+    double f[5] = {o->srtt_ms / min_rtt, o->throughput_mbps / c->b_max,
+                   o->loss_rate, (o->srtt_ms - o->visible_min_rtt_ms) / min_rtt,
+                   c->prev_action};
+    double dot = 0.0;
+    for (int i = 0; i < 5; i++)
+        dot = fma(c->params[i], f[i], dot);
+    double out = (0.0 + dot) + c->params[5];
+    double a = py_min(c->a_max, py_max(-c->a_max, c->a_max * tanh(out)));
+    c->w.cwnd = py_min(c->cwnd_max, py_max(1.0, c->w.cwnd * pow(2.0, a)));
+    c->prev_action = a;
+}
+
+/* One interval's end; only a TL_LINEAR controller acts on it. */
+void cc_on_interval(tl_cc *c, const tl_obs *o)
+{
+    if (c->kind == TL_LINEAR)
+        linear_interval(c, o);
+}
+
+/* The observation of the interval whose last tick is `tick`. */
+static void observe(const tl_state *s, int64_t tick, tl_obs *o)
+{
+    double secs = (double)s->interval_ticks * s->tick_ms / 1000.0;
+    double thr = py_mul_float(s->iv_delivered, s->pkt) * 8.0 / 1e6 / secs;
+    o->now_ms = (double)tick * s->tick_ms + s->tick_ms;
+    o->capacity_mbps = s->capacity;
+    o->throughput_mbps = thr;
+    o->loss_mbps = py_mul_float(s->iv_dropped, s->pkt) * 8.0 / 1e6 / secs;
+    o->loss_rate = s->iv_sent ? tl_int_truediv(s->iv_dropped, s->iv_sent) : 0.0;
+    o->srtt_ms = s->has_srtt ? s->srtt : s->base_rtt_ms;
+    o->min_rtt_ms = s->min_rtt < INFINITY ? s->min_rtt : s->base_rtt_ms;
+    o->visible_min_rtt_ms = o->min_rtt_ms * s->scale;
+    o->utilization = s->capacity > 0 ? py_min(1.0, thr / s->capacity) : 0.0;
+    o->cwnd = s->cc->w.cwnd;
+}
+
 int tl_step(tl_state *s)
 {
     tl_cc *cc = s->cc;
     while (s->tick < s->n_ticks) {
         int64_t tick = s->tick;
 
-        /* 1. ACK arrivals */
-        if (tick % s->interval_ticks == 0)
+        /* 1. ACK arrivals, after a new interval's counts and link rate */
+        if (tick % s->interval_ticks == 0) {
             s->iv_sent = s->iv_delivered = s->iv_dropped = 0;
+            s->cap_bytes_per_tick = s->capacity * 1e6 / 8.0 * s->tick_ms / 1000.0;
+        }
         if (s->a_len && s->acks[s->a_head].ack_tick == tick) {
             /* runs leave in send order: the first has the largest RTT, the
              * last the smallest */
@@ -855,6 +964,10 @@ int tl_step(tl_state *s)
             }
         }
         if (loss) {
+            if (timeout)
+                s->timeouts++;
+            else
+                s->triple_dups++;
             s->resolved_drops = s->dropped;
             s->drop_pending = 0;
             s->acks_after_drop = 0;
@@ -945,10 +1058,18 @@ int tl_step(tl_state *s)
             s->iv_delivered += n_del;
         }
 
-        /* 5. interval boundary */
+        /* 5. interval boundary: the observation, the controller's interval
+         * step and the next interval's capacity */
         s->tick = tick + 1;
-        if ((tick + 1) % s->interval_ticks == 0)
-            return TL_INTERVAL;
+        if (s->tick % s->interval_ticks == 0) {
+            int64_t i = s->tick / s->interval_ticks - 1;
+            observe(s, tick, &s->obs[i]);
+            cc_on_interval(cc, &s->obs[i]);
+            if (s->caps)
+                s->capacity = s->caps[(i + 1) % s->n_caps];
+            if (s->hooked)
+                return TL_INTERVAL;
+        }
     }
     return TL_DONE;
 }

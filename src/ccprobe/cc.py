@@ -10,9 +10,13 @@ constants and state in one `tl_cc` struct, `cc_state`, which the tick loop
 updates inline per ACK batch and per loss reaction. Their attributes
 (`cwnd`, `ssthresh`, `phase`, `w_max`, `base_rtt_ms`, ...) are views of the
 struct's fields, and `on_ack` / `on_loss` call the same C functions the tick
-loop does. Any other controller (`Pinned`, the learned one) keeps only
-`cwnd` and acts in `on_interval`; ACKs and losses reach it only through
-the interval's `Observation`.
+loop does. So on a trace, with no intercept, their episodes never return
+to Python before the end. The learned controller keeps a `tl_cc` too and,
+with a linear policy, runs in the loop the same way (`learned.py`). Any
+other controller (`Pinned`, a learned one whose policy has a hidden layer)
+acts in `on_interval`, so the tick loop returns to Python once per interval
+for it; ACKs and losses reach it only through the interval's
+`Observation`.
 
 Constants not pinned by any single reference are taken from the canonical
 kernel implementations and are overridable via the factory kwargs. Every
@@ -104,9 +108,11 @@ class _PhaseField(_Field):
 class Controller:
     """Base controller: owns cwnd (packets, fractional).
 
-    The tick loop reads `cwnd` at the start of each interval and calls
-    `on_interval` at its end. A `RuleController` instead has a `cc_state`
-    that the loop updates per ACK batch and per loss reaction.
+    The tick loop reads `cwnd` at the start of each interval and, returning
+    to Python at every interval boundary, calls `on_interval` at its end. A
+    `RuleController` instead has a `cc_state` that the loop updates per ACK
+    batch and per loss reaction, and a linear `LearnedController` one that it
+    steps per interval; neither's `on_interval` is called by the loop.
     """
 
     name = "base"
@@ -152,7 +158,7 @@ class RuleController(Controller):
     """A controller whose constants and state are one C `tl_cc`, `cc_state`.
 
     The tick loop runs the C functions on `cc_state` itself and never calls
-    `on_ack` / `on_loss`, not even a subclass's override.
+    `on_ack` / `on_loss` / `on_interval`, not even a subclass's override.
     """
 
     KIND: int

@@ -11,16 +11,17 @@ are config keys; see the README for the caveats around them.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass, field
 from functools import partial
 
 import numpy as np
 
-from .cc import Controller
+from .cc import Controller, _Field, _new_cc
 from .cem import CemConfig, GenerationStats, cem_maximize
-from .netsim import (ConfigError, DomainError, Observation, SimConfig, map_jobs,
-                     run_episode)
+from .netsim import (ConfigError, DomainError, Observation, SimConfig, _ffi, _lib,
+                     map_jobs, run_episode)
 
 
 @dataclass
@@ -142,19 +143,50 @@ def load_policy(path: str) -> PolicyNet:
 
 
 class LearnedController(Controller):
-    """Interval-driven controller: cwnd <- max(1, cwnd * 2^a) per interval."""
+    """Interval-driven controller: cwnd <- max(1, cwnd * 2^a) per interval.
+
+    Its cwnd, previous action and scales live in a C `tl_cc`, `cc_state`,
+    like a `RuleController`'s. A linear policy over FEATURE_NAMES is copied
+    into it when `policy` is set, and makes it a TL_LINEAR controller: the
+    tick loop steps it at each interval boundary with the C function
+    `on_interval` calls too. A policy with a hidden layer stays in numpy,
+    so the tick loop returns to Python for `on_interval` every interval.
+    """
 
     name = "learned"
+    cwnd = _Field("cc_state.w.cwnd")
+    prev_action = _Field("cc_state.prev_action")
+    b_max = _Field("cc_state.b_max")
+    cwnd_max = _Field("cc_state.cwnd_max")
 
     def __init__(self, policy: PolicyNet, b_max: float = 96.0,
                  cwnd_max: float = 4096.0):
-        super().__init__()
+        self.cc_state = _new_cc("tl_cc *")
+        _lib.cc_init(self.cc_state, _lib.TL_EXTERNAL)
         self.policy = policy
         self.b_max = b_max
         self.cwnd_max = cwnd_max  # far above any feasible BDP + buffer
-        self.prev_action = 0.0
+
+    @property
+    def policy(self) -> PolicyNet:
+        return self._policy
+
+    @policy.setter
+    def policy(self, policy: PolicyNet) -> None:
+        self._policy = policy
+        c = self.cc_state
+        if policy.hidden == 0 and policy.n_features == len(FEATURE_NAMES):
+            c.kind = _lib.TL_LINEAR
+            c.params = policy.params.tolist()
+            c.a_max = policy.a_max
+        else:
+            c.kind = _lib.TL_EXTERNAL
 
     def on_interval(self, obs: Observation) -> None:
+        if self.cc_state.kind == _lib.TL_LINEAR:
+            row = _ffi.new("tl_obs *", dataclasses.astuple(obs)[1:])
+            _lib.cc_on_interval(self.cc_state, row)
+            return
         feats = observation_features(obs, self.b_max, self.prev_action)
         a = self.policy.act(feats)
         self.cwnd = min(self.cwnd_max, max(1.0, self.cwnd * 2.0 ** a))

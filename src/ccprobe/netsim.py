@@ -52,6 +52,8 @@ def _load_tick_loop():
 _tick_loop = _load_tick_loop()
 _ffi, _lib = _tick_loop.ffi, _tick_loop.lib
 _DONE, _INTERVAL = _lib.TL_DONE, _lib.TL_INTERVAL
+# doubles per `tl_obs` row: an Observation's fields after interval_idx
+_OBS_FIELDS = _ffi.sizeof("tl_obs") // _ffi.sizeof("double")
 
 
 class ConfigError(ValueError):
@@ -257,6 +259,9 @@ class EpisodeLog:
     dropped: int = 0
     acked: int = 0
     in_flight_end: int = 0
+    # loss reactions by kind
+    triple_dups: int = 0
+    timeouts: int = 0
     # per-interval series
     observations: list[Observation] = field(default_factory=list)
     # per-ACK RTT histogram: RTT in ticks -> number of ACKs
@@ -286,12 +291,15 @@ def run_episode(config: SimConfig, trace, controller, intercept=None,
     given, scales the min-RTT estimate the controller reads; simulator ground
     truth is never touched.
 
-    The ticks run in C (`_tickloop.c`). A rule controller's `cc_state` is
-    updated there per ACK batch and per loss reaction; any other controller
-    needs only `cwnd` and `on_interval`, and its cwnd is copied into the loop
-    before each interval. The loop comes back here only at each interval
-    boundary, for the observation, `on_interval`, the intercept and the env
-    driver.
+    The ticks run in C (`_tickloop.c`), which also writes each interval's
+    observation into a buffer and steps the controller's `cc_state`: per ACK
+    batch and loss reaction for a rule controller, per interval for a
+    learned one with a linear policy. Such an episode on a trace runs to its
+    end in one call, and its observations are built from the buffer once.
+    The loop comes back here at every interval boundary only for work that
+    is Python's: the `on_interval` of a controller without C state (its cwnd
+    is copied into the loop before each interval) or of a learned one with a
+    hidden layer, the intercept and the env driver.
     """
     config.validate()
     if (trace is None) == (env_driver is None):
@@ -335,68 +343,65 @@ def run_episode(config: SimConfig, trace, controller, intercept=None,
     st.base_rtt_ms = base_rtt_ms
     st.min_rtt = st.min_owd = math.inf
     st.reaction_blocked_until = -1
+    rows = st.obs = _ffi.new("tl_obs[]", n_intervals)
+    flat = _ffi.cast("double *", rows)
 
     # a controller without C state gets one that ignores ACKs and losses
     cc_state = getattr(controller, "cc_state", None)
-    external = cc_state is None
-    if external:
+    copy_cwnd = cc_state is None
+    if copy_cwnd:
         cc_state = _ffi.new("tl_cc *", {"kind": _lib.TL_EXTERNAL})
     st.cc = cc_state
+    acts = cc_state.kind == _lib.TL_EXTERNAL
+    hooked = st.hooked = acts or intercept is not None or env_driver is not None
 
     if env_driver is not None:
-        capacity = env_driver.first_capacity()
+        st.capacity = env_driver.first_capacity()
     else:
-        capacity = trace.capacity_at(0)
-    interval_idx = 0
-    st.cap_bytes_per_tick = capacity * 1e6 / 8.0 * tick_ms / 1000.0
+        caps = st.caps = _ffi.new("double[]", trace.values)
+        st.n_caps = len(caps)
+        st.capacity = caps[0]
 
     if intercept is not None:
         intercept.begin_episode()
-    scale = st.scale = 1.0 if intercept is None else intercept.scale()
+    st.scale = 1.0 if intercept is None else intercept.scale()
 
     log = EpisodeLog(config=config)
-    secs = interval_ticks * tick_ms / 1000.0
+    observations = log.observations
     step = _lib.tl_step
     try:
         while True:
-            if external:
+            if copy_cwnd:
                 cc_state.w.cwnd = controller.cwnd
             ev = step(st)
             if ev == _INTERVAL:
-                iv_sent, iv_dropped = st.iv_sent, st.iv_dropped
-                thr = st.iv_delivered * pkt * 8.0 / 1e6 / secs
-                loss_thr = iv_dropped * pkt * 8.0 / 1e6 / secs
-                cur_min = st.min_rtt if st.min_rtt < math.inf else base_rtt_ms
-                cur_srtt = st.srtt if st.has_srtt else base_rtt_ms
-                # positional: keyword construction costs ~3x as much
-                obs = Observation(
-                    interval_idx, (st.tick - 1) * tick_ms + tick_ms, capacity,
-                    thr, loss_thr, (iv_dropped / iv_sent) if iv_sent else 0.0,
-                    cur_srtt, cur_min, cur_min * scale,
-                    min(1.0, thr / capacity) if capacity > 0 else 0.0,
-                    controller.cwnd)
-                log.observations.append(obs)
-                controller.on_interval(obs)
+                i = len(observations)
+                obs = Observation(i, *_ffi.unpack(flat + i * _OBS_FIELDS, _OBS_FIELDS))
+                observations.append(obs)
+                if acts:
+                    controller.on_interval(obs)
                 if intercept is not None:
                     intercept.begin_interval(obs)
-                    scale = st.scale = intercept.scale()
-                interval_idx += 1
-                if interval_idx < n_intervals:
-                    if env_driver is not None:
-                        capacity = env_driver.next_capacity(obs)
-                    else:
-                        capacity = trace.capacity_at(interval_idx)
-                    st.cap_bytes_per_tick = capacity * 1e6 / 8.0 * tick_ms / 1000.0
+                    st.scale = intercept.scale()
+                if env_driver is not None and i + 1 < n_intervals:
+                    st.capacity = env_driver.next_capacity(obs)
             elif ev == _DONE:
                 break
             else:
-                raise _tick_loop_error(ev, controller, capacity)
+                raise _tick_loop_error(ev, controller, st.capacity)
 
+        if not hooked:
+            # map draws _OBS_FIELDS values in a row for each Observation
+            values = iter(_ffi.unpack(flat, n_intervals * _OBS_FIELDS))
+            log.observations = list(map(Observation, range(n_intervals),
+                                        *[values] * _OBS_FIELDS))
         log.sent = st.sent
         log.delivered = st.delivered
         log.dropped = st.dropped
         log.acked = st.acked
         log.in_flight_end = st.sent - st.delivered - st.dropped
+        log.triple_dups = st.triple_dups
+        log.timeouts = st.timeouts
         # no ACK, no histogram buffer
         hist = _ffi.unpack(st.hist, st.hist_len) if st.hist_len else ()
         log.ack_rtt_ticks = {r: c for r, c in enumerate(hist) if c}

@@ -228,6 +228,17 @@ def test_lp_case_passes_checks(tmp_path, capsys):
     assert os.path.exists(os.path.join(out, "lp_case_reno.csv"))
 
 
+def test_lp_case_backoff_check_counts_renos_loss_reactions(tmp_path, capsys):
+    # at 60 s reno drops a packet per burst period from the second on, and
+    # reacts to each: the check reads those reactions, so it fails
+    p = tmp_path / "cfg.yaml"
+    p.write_text("sim:\n  episode_duration_s: 60.0\ntraces:\n  n: 2\nseed: 3\n")
+    assert main(["lp-case", "--config", str(p), "--out", str(tmp_path / "lp")]) == 1
+    printed = capsys.readouterr().out
+    assert "[FAIL] reno sees a loss-free episode" in printed
+    assert "[FAIL] reno performs zero backoffs" in printed
+
+
 def test_transfer_requires_two_traces(tmp_path):
     cfg = _write_cfg(tmp_path)
     empty = str(tmp_path / "none")

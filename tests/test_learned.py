@@ -9,7 +9,8 @@ from ccprobe.learned import (FEATURE_NAMES, LearnedController, PolicyNet,
                              RewardParams, episode_return, load_policy,
                              observation_features, save_policy,
                              train_controller)
-from ccprobe.netsim import BandwidthTrace, ConfigError, Observation, run_episode
+from ccprobe.netsim import (BandwidthTrace, ConfigError, Observation, _lib,
+                            run_episode)
 
 
 def obs(srtt=25.0, min_rtt=20.0, thr=40.0, loss_rate=0.0):
@@ -100,6 +101,81 @@ def test_controller_cwnd_capped():
     for _ in range(5):
         ctl.on_interval(obs())
     assert ctl.cwnd == 500.0
+
+
+def _python_interval(policy, b_max, cwnd_max, cwnd, prev_action, o):
+    """The learned controller's interval step in numpy, as it was written
+    before the linear policy moved into the tick loop: (cwnd, action)."""
+    a = policy.act(observation_features(o, b_max, prev_action))
+    return min(cwnd_max, max(1.0, cwnd * 2.0 ** a)), a
+
+
+def _assert_c_step_is_pythons(params, a_max, b_max, cwnd_max, cwnd, prev, o):
+    policy = PolicyNet(n_features=5, hidden=0, a_max=a_max, params=params)
+    ctl = LearnedController(policy, b_max=b_max, cwnd_max=cwnd_max)
+    assert ctl.cc_state.kind == _lib.TL_LINEAR
+    ctl.cwnd, ctl.prev_action = cwnd, prev
+    ctl.on_interval(o)
+    want = _python_interval(policy, b_max, cwnd_max, cwnd, prev, o)
+    # bitwise: hex tells -0.0 from 0.0 and shows every bit
+    assert (ctl.cwnd.hex(), ctl.prev_action.hex()) == tuple(
+        float(x).hex() for x in want), (params, o)
+
+
+_param = st.one_of(st.just(0.0), st.just(-0.0),
+                   st.floats(min_value=-20.0, max_value=20.0))
+_ms = st.floats(min_value=1.0, max_value=2000.0)
+
+
+@settings(max_examples=400)
+@given(params=st.lists(_param, min_size=6, max_size=6),
+       a_max=st.sampled_from([1.0, 2.0, 0.5, 3.7]),
+       b_max=st.sampled_from([96.0, 32.0, 1.5]),
+       cwnd=st.one_of(st.just(1.0), st.floats(min_value=1.0, max_value=5000.0)),
+       prev=st.floats(min_value=-3.7, max_value=3.7),
+       srtt=_ms,
+       visible=st.one_of(_ms, st.just(0.0), st.floats(min_value=0.0, max_value=1e-6)),
+       same_rtt=st.booleans(),
+       thr=st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=200.0)),
+       loss_rate=st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=1.0)))
+def test_c_linear_interval_step_is_numpys(params, a_max, b_max, cwnd, prev, srtt,
+                                         visible, same_rtt, thr, loss_rate):
+    # C's TL_LINEAR step against PolicyNet.act plus the Python cwnd update,
+    # including srtt == visible min-RTT and a visible min-RTT below the
+    # features' 1e-6 floor
+    if same_rtt:
+        srtt = visible
+    o = Observation(interval_idx=3, now_ms=400.0, capacity_mbps=48.0,
+                    throughput_mbps=thr, loss_mbps=0.0, loss_rate=loss_rate,
+                    srtt_ms=srtt, min_rtt_ms=srtt, visible_min_rtt_ms=visible,
+                    utilization=0.5, cwnd=cwnd)
+    _assert_c_step_is_pythons(params, a_max, b_max, 4096.0, cwnd, prev, o)
+
+
+def test_c_linear_interval_step_over_random_policies():
+    # many random policies and observations of the scale episodes produce
+    rng = np.random.default_rng(20)
+    for _ in range(3000):
+        params = rng.normal(0.0, rng.choice([0.1, 1.0, 10.0]), 6)
+        params[rng.random(6) < 0.2] = 0.0
+        visible = rng.uniform(1.0, 200.0)
+        o = Observation(0, 100.0, 48.0, rng.uniform(0.0, 100.0), 0.0,
+                        rng.choice([0.0, rng.uniform(0.0, 0.5)]),
+                        visible + rng.uniform(0.0, 300.0), visible, visible,
+                        0.5, 10.0)
+        _assert_c_step_is_pythons(params, 2.0, 96.0, 4096.0,
+                                  rng.uniform(1.0, 4096.0),
+                                  rng.uniform(-2.0, 2.0), o)
+
+
+def test_hidden_policy_stays_in_python():
+    hidden = PolicyNet(n_features=5, hidden=16)
+    ctl = LearnedController(hidden)
+    assert ctl.cc_state.kind == _lib.TL_EXTERNAL
+    # a linear policy set later moves the controller into the tick loop
+    ctl.policy = PolicyNet(n_features=5, hidden=0, params=np.arange(6.0))
+    assert ctl.cc_state.kind == _lib.TL_LINEAR
+    assert list(ctl.cc_state.params) == list(np.arange(6.0))
 
 
 def test_reward_params_invariants():

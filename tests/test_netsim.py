@@ -410,6 +410,92 @@ def test_fast_floor_division_is_pythons(pkt):
         assert _same_float(floordiv(x, pkt), x // pkt), (x, pkt)
 
 
+@settings(max_examples=300)
+@given(st.integers(min_value=0, max_value=2**63 - 1),
+       st.integers(min_value=1, max_value=2**63 - 1))
+def test_int_true_division_is_pythons(a, b):
+    # an interval's loss rate, dropped / sent; counts beyond 2^53 do not
+    # convert to doubles exactly
+    assert netsim._lib.tl_int_truediv(a, b) == a / b
+
+
+def test_int_true_division_beyond_2_53_rounds_once():
+    truediv = netsim._lib.tl_int_truediv
+    rng = np.random.default_rng(3)
+    big = [2**53 - 1, 2**53, 2**53 + 1, 2**62, 2**63 - 1,
+           *(int(x) for x in rng.integers(2**53, 2**63 - 1, 500))]
+    small = [1, 2, 3, 7, 2**52 + 1, *(int(x) for x in rng.integers(1, 2**53, 500))]
+    for a, b in [*zip(big, small), *zip(small, big), *zip(big, big[::-1])]:
+        assert truediv(a, b) == a / b, (a, b)
+    # exactly halfway between two doubles: ties to even, down and up
+    assert truediv(2**54 + 2, 2) == 2.0**53
+    assert truediv(2**54 + 6, 1) == 2.0**54 + 8
+
+
+class _CountingLib:
+    """The tick loop's C library, counting `tl_step` calls."""
+
+    def __init__(self, lib):
+        self.lib, self.steps = lib, 0
+
+    def __getattr__(self, name):
+        return getattr(self.lib, name)
+
+    def tl_step(self, st):
+        self.steps += 1
+        return self.lib.tl_step(st)
+
+
+def test_trace_driven_c_controller_runs_to_the_end_in_one_step(
+        short_sim, monkeypatch):
+    # a rule or linear learned controller on a trace has no Python work at
+    # an interval boundary; a Python controller, a hidden-layer policy and
+    # an intercept each bring the loop back once per interval
+    spy = _CountingLib(netsim._lib)
+    monkeypatch.setattr(netsim, "_lib", spy)
+    trace = _golden_traces()[0]
+    hidden = PolicyNet(n_features=5, hidden=16)
+    clean = FeatureIntercept(FeatureBound(0.5, PerturbMode.CLEAN))
+    n = short_sim.n_intervals
+    cases = ([(partial(make_controller, name), None, 1) for name in RULE_BASED]
+             + [(partial(_learned, FIXED_POLICY), None, 1),
+                (partial(Pinned, 40.0), None, n + 1),
+                (partial(LearnedController, hidden), None, n + 1),
+                (partial(make_controller, "reno"), clean, n + 1),
+                (partial(_learned, FIXED_POLICY), clean, n + 1)])
+    for factory, intercept, steps in cases:
+        spy.steps = 0
+        log = run_episode(short_sim, trace, factory(), intercept=intercept)
+        assert spy.steps == steps, factory
+        assert [o.interval_idx for o in log.observations] == list(range(n))
+
+
+def test_run_to_end_episode_equals_the_hooked_one(short_sim):
+    # the same episode with a clean intercept returns at every interval and
+    # reads each observation row there, instead of all of them at the end
+    clean = FeatureBound(0.5, PerturbMode.CLEAN)
+    factories = ([partial(make_controller, name) for name in RULE_BASED]
+                 + [partial(_learned, FIXED_POLICY), partial(_learned, RUNAWAY_POLICY)])
+    for trace in _golden_traces():
+        for factory in factories:
+            a, b = run_episode(short_sim, trace, factory()), run_episode(
+                short_sim, trace, factory(), intercept=FeatureIntercept(clean))
+            assert repr(a) == repr(b), factory
+
+
+def test_loss_reactions_are_counted_by_kind(short_sim, const_trace):
+    # none without a drop; triple duplicate ACKs under a steady overload;
+    # timeouts once the link stalls
+    quiet = run_episode(short_sim, const_trace, Pinned(20.0))
+    assert (quiet.dropped, quiet.triple_dups, quiet.timeouts) == (0, 0, 0)
+    overload = run_episode(short_sim, const_trace, Pinned(240.0))
+    assert overload.triple_dups > 0 and overload.timeouts == 0
+    outage = run_episode(short_sim, _golden_traces()[2], make_controller("reno"))
+    assert outage.timeouts > 0
+    # a triple duplicate ACK needs a drop since the last reaction
+    assert overload.triple_dups <= overload.dropped
+
+
 def _whole_log(config, trace, controller_factory):
     return run_episode(config, trace, controller_factory())
 
