@@ -294,7 +294,7 @@ def cmd_lp_case(args, cfg: ExperimentConfig, out: str) -> int:
             lp_util = rep.utilization
         if name == "reno":
             checks.append(("reno sees a loss-free episode", log.dropped == 0))
-            # its loss reactions: an LP indication is not one of reno's
+            # the loss reactions the tick loop counted for reno's episode
             checks.append(("reno performs zero backoffs",
                            log.triple_dups + log.timeouts == 0))
         if name == "learned":
