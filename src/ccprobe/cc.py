@@ -1,22 +1,23 @@
-"""Rule-based congestion-controller state machines behind one interface.
+"""Congestion controllers behind one interface, each a view of a C `tl_cc`.
 
 Reno, Cubic, Vegas, Illinois, LP and a simplified BBR ("BBR-lite", no
 ProbeRTT state, fixed 8-phase gain cycle). All controllers run in the same
 tick loop and see the same Observations, so the same trace or perturbation
 applies uniformly across algorithms.
 
-The six are implemented once, in C (`_tickloop.c`). Each keeps its
-constants and state in one `tl_cc` struct, `cc_state`, which the tick loop
-updates inline per ACK batch and per loss reaction. Their attributes
-(`cwnd`, `ssthresh`, `phase`, `w_max`, `base_rtt_ms`, ...) are views of the
-struct's fields, and `on_ack` / `on_loss` call the same C functions the tick
-loop does. So on a trace, with no intercept, their episodes never return
-to Python before the end. The learned controller keeps a `tl_cc` too and,
-with a linear policy, runs in the loop the same way (`learned.py`). Any
-other controller (`Pinned`, a learned one whose policy has a hidden layer)
-acts in `on_interval`, so the tick loop returns to Python once per interval
-for it; ACKs and losses reach it only through the interval's
-`Observation`.
+The six are implemented once, in C (`_tickloop.c`). Every controller is a
+`Controller`, which owns one `tl_cc` struct, `cc_state`, that the tick loop
+reads cwnd and pacing from. The six keep their constants and state there,
+and the loop updates it inline per ACK batch and per loss reaction. Their
+attributes (`cwnd`, `ssthresh`, `phase`, `w_max`, `base_rtt_ms`, ...) are
+views of the struct's fields, and `on_ack` / `on_loss` call the same C
+functions the tick loop does. So on a trace, with no intercept, their
+episodes never return to Python before the end. The learned controller with
+a linear policy runs in the loop the same way (`learned.py`). Any other
+controller (`Pinned`, a learned one whose policy has a hidden layer, any
+other `Controller` subclass) is TL_EXTERNAL: it acts in `on_interval`, so
+the tick loop returns to Python once per interval for it; ACKs and losses
+reach it only through the interval's `Observation`.
 
 Constants not pinned by any single reference are taken from the canonical
 kernel implementations and are overridable via the factory kwargs. Every
@@ -62,9 +63,6 @@ _INDICATION_OF = {_lib.TL_LP_NONE: LpIndication.NONE,
                   _lib.TL_LP_FIRST: LpIndication.FIRST,
                   _lib.TL_LP_SECOND: LpIndication.SECOND}
 
-INIT_CWND = 10.0
-
-
 def _finite(**constants) -> list[float]:
     """The constants as floats; ValueError unless each is a finite real."""
     out = []
@@ -105,27 +103,39 @@ class _PhaseField(_Field):
         super().__set__(obj, _PHASE_CODE[phase])
 
 
-class Controller:
-    """Base controller: owns cwnd (packets, fractional).
+# a zeroed `tl_cc`, freed together with its sample deques
+_new_cc = _ffi.new_allocator(alloc=_lib.tl_cc_alloc, free=_lib.tl_cc_release)
 
-    The tick loop reads `cwnd` at the start of each interval and, returning
-    to Python at every interval boundary, calls `on_interval` at its end. A
-    `RuleController` instead has a `cc_state` that the loop updates per ACK
+
+class Controller:
+    """Base controller: owns the C `tl_cc`, `cc_state`, that the tick loop
+    reads cwnd (packets, fractional) and pacing from; `cc_init` sets the
+    initial window, then `fields` are set on the struct.
+
+    A Python controller subclasses this class, calls `super().__init__()`
+    and acts in `on_interval`, which the loop, returning to Python at every
+    interval boundary, calls at each interval's end. A `RuleController`
+    instead has a `cc_state` that the loop updates per ACK
     batch and per loss reaction, and a linear `LearnedController` one that it
     steps per interval; neither's `on_interval` is called by the loop.
     """
 
     name = "base"
+    KIND = _lib.TL_EXTERNAL
+    cwnd = _Field("cc_state.w.cwnd")
 
-    def __init__(self):
-        self.cwnd = INIT_CWND
+    def __init__(self, **fields):
+        self.cc_state = _new_cc("tl_cc *")
+        _lib.cc_init(self.cc_state, self.KIND)
+        for field, value in fields.items():
+            setattr(self.cc_state, field, value)
+
+    @property
+    def pacing_rate_bps(self) -> float | None:
+        return self.cc_state.pacing_bps if self.cc_state.paced else None
 
     def on_interval(self, obs: Observation) -> None:
         pass
-
-
-# a zeroed `tl_cc`, freed together with its sample deques
-_new_cc = _ffi.new_allocator(alloc=_lib.tl_cc_alloc, free=_lib.tl_cc_release)
 
 
 def _grown(status: int) -> None:
@@ -161,20 +171,8 @@ class RuleController(Controller):
     `on_ack` / `on_loss` / `on_interval`, not even a subclass's override.
     """
 
-    KIND: int
-    cwnd = _Field("cc_state.w.cwnd")
     ssthresh = _Field("cc_state.w.ssthresh")
     phase = _PhaseField("cc_state.w.phase")
-
-    def __init__(self, **fields):
-        self.cc_state = _new_cc("tl_cc *")
-        _lib.cc_init(self.cc_state, self.KIND)
-        for field, value in fields.items():
-            setattr(self.cc_state, field, value)
-
-    @property
-    def pacing_rate_bps(self) -> float | None:
-        return self.cc_state.pacing_bps if self.cc_state.paced else None
 
     def on_ack(self, ack: AckInfo) -> None:
         _grown(_lib.cc_on_ack(self.cc_state,
@@ -404,9 +402,6 @@ class BbrLite(RuleController):
     def bw_estimate_bps(self) -> float:
         return _lib.bbr_bw_estimate(self.cc_state)
 
-    def min_rtt_estimate_ms(self) -> float:
-        return _lib.bbr_min_rtt_estimate(self.cc_state)
-
     def _push_bw(self, t: float, bw: float) -> None:
         _grown(_lib.bbr_push_bw(self.cc_state, t, bw))
 
@@ -415,11 +410,13 @@ class BbrLite(RuleController):
 
 
 class Pinned(Controller):
-    """Oracle controller pinned at a fixed cwnd; used by tests and calibration."""
+    """Oracle controller pinned at a fixed cwnd; used by tests and by
+    `scripts/bench_netsim.py`."""
 
     name = "pinned"
 
     def __init__(self, cwnd: float):
+        super().__init__()
         self.cwnd = max(1.0, cwnd)
 
 

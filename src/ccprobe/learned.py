@@ -18,7 +18,7 @@ from functools import partial
 
 import numpy as np
 
-from .cc import Controller, _Field, _new_cc
+from .cc import Controller, _Field
 from .cem import CemConfig, GenerationStats, cem_maximize
 from .netsim import (ConfigError, DomainError, Observation, SimConfig, _ffi, _lib,
                      map_jobs, run_episode)
@@ -154,18 +154,15 @@ class LearnedController(Controller):
     """
 
     name = "learned"
-    cwnd = _Field("cc_state.w.cwnd")
     prev_action = _Field("cc_state.prev_action")
     b_max = _Field("cc_state.b_max")
     cwnd_max = _Field("cc_state.cwnd_max")
 
     def __init__(self, policy: PolicyNet, b_max: float = 96.0,
                  cwnd_max: float = 4096.0):
-        self.cc_state = _new_cc("tl_cc *")
-        _lib.cc_init(self.cc_state, _lib.TL_EXTERNAL)
+        # cwnd_max: far above any feasible BDP + buffer
+        super().__init__(b_max=b_max, cwnd_max=cwnd_max)
         self.policy = policy
-        self.b_max = b_max
-        self.cwnd_max = cwnd_max  # far above any feasible BDP + buffer
 
     @property
     def policy(self) -> PolicyNet:

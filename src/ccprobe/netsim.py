@@ -297,9 +297,11 @@ def run_episode(config: SimConfig, trace, controller, intercept=None,
     learned one with a linear policy. Such an episode on a trace runs to its
     end in one call, and its observations are built from the buffer once.
     The loop comes back here at every interval boundary only for work that
-    is Python's: the `on_interval` of a controller without C state (its cwnd
-    is copied into the loop before each interval) or of a learned one with a
-    hidden layer, the intercept and the env driver.
+    is Python's: the `on_interval` of a TL_EXTERNAL controller (`Pinned`, a
+    learned one with a hidden layer, any other `Controller` subclass), which
+    sets its next cwnd in `cc_state` itself, the intercept and the env
+    driver. `controller` is a `cc.Controller`: the loop drives its
+    `cc_state` and nothing else.
     """
     config.validate()
     if (trace is None) == (env_driver is None):
@@ -346,13 +348,8 @@ def run_episode(config: SimConfig, trace, controller, intercept=None,
     rows = st.obs = _ffi.new("tl_obs[]", n_intervals)
     flat = _ffi.cast("double *", rows)
 
-    # a controller without C state gets one that ignores ACKs and losses
-    cc_state = getattr(controller, "cc_state", None)
-    copy_cwnd = cc_state is None
-    if copy_cwnd:
-        cc_state = _ffi.new("tl_cc *", {"kind": _lib.TL_EXTERNAL})
-    st.cc = cc_state
-    acts = cc_state.kind == _lib.TL_EXTERNAL
+    st.cc = controller.cc_state
+    acts = st.cc.kind == _lib.TL_EXTERNAL
     hooked = st.hooked = acts or intercept is not None or env_driver is not None
 
     if env_driver is not None:
@@ -371,8 +368,6 @@ def run_episode(config: SimConfig, trace, controller, intercept=None,
     step = _lib.tl_step
     try:
         while True:
-            if copy_cwnd:
-                cc_state.w.cwnd = controller.cwnd
             ev = step(st)
             if ev == _INTERVAL:
                 i = len(observations)
@@ -388,7 +383,7 @@ def run_episode(config: SimConfig, trace, controller, intercept=None,
             elif ev == _DONE:
                 break
             else:
-                raise _tick_loop_error(ev, controller, st.capacity)
+                raise _tick_loop_error(ev, st)
 
         if not hooked:
             # map draws _OBS_FIELDS values in a row for each Observation
@@ -410,16 +405,16 @@ def run_episode(config: SimConfig, trace, controller, intercept=None,
     return log
 
 
-def _tick_loop_error(ev: int, controller, capacity: float) -> Exception:
+def _tick_loop_error(ev: int, st) -> Exception:
     if ev == _lib.TL_NOMEM:
         return MemoryError("tick loop: no memory left for the queue, ACK or "
                            "RTT buffers or BBR-lite's sample deques")
     if ev == _lib.TL_BAD_CWND:
-        return ValueError(f"controller cwnd {controller.cwnd!r} is not finite")
+        return ValueError(f"controller cwnd {st.cc.w.cwnd!r} is not finite")
     if ev == _lib.TL_BAD_PACING:
-        return ValueError(f"pacing rate {controller.pacing_rate_bps!r} bps "
+        return ValueError(f"pacing rate {st.cc.pacing_bps!r} bps "
                           f"leaves no finite pacing credit")
-    return ValueError(f"capacity {capacity!r} Mbps leaves no finite link credit")
+    return ValueError(f"capacity {st.capacity!r} Mbps leaves no finite link credit")
 
 
 class _WorkerPool:

@@ -19,7 +19,7 @@ from hypothesis import given, settings, strategies as st
 from ccprobe import netsim
 from ccprobe.adversary import (EnvBandwidthDriver, FeatureBound, FeatureIntercept,
                                PerturbMode, SurfaceMode, make_adversary_policy)
-from ccprobe.cc import RULE_BASED, Pinned, make_controller
+from ccprobe.cc import RULE_BASED, Controller, Pinned, make_controller
 from ccprobe.learned import LearnedController, PolicyNet
 from ccprobe.netsim import (BandwidthTrace, ConfigError, SimConfig,
                             export_mahimahi, map_jobs, read_trace, run_episode,
@@ -346,10 +346,11 @@ def test_tick_loop_builds_on_first_import(tmp_path):
     assert again.stdout.strip() == built and os.stat(built).st_mtime_ns == mtime
 
 
-class _IntervalOnly:
-    # all the tick loop needs of a controller without C state: a cwnd, and
-    # an on_interval that may change it
+class _IntervalOnly(Controller):
+    # a Python controller: it calls Controller's __init__ and acts in
+    # on_interval, whose cwnd the next interval sends at
     def __init__(self):
+        super().__init__()
         self.cwnd = 20.0
 
     def on_interval(self, obs):
