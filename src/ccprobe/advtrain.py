@@ -13,6 +13,11 @@ from .learned import LearnedController, PolicyNet, RewardParams, episode_return
 from .netsim import BandwidthTrace, SimConfig
 
 
+def check_mix_p(mix_p: float) -> None:
+    if not 0 <= mix_p <= 1:
+        raise ValueError(f"mix_p must be in [0, 1], got {mix_p!r}")
+
+
 @dataclass
 class TracePool:
     benign: list[BandwidthTrace] = field(default_factory=list)
@@ -20,8 +25,7 @@ class TracePool:
     mix_p: float = 0.2
 
     def __post_init__(self):
-        if not 0 <= self.mix_p <= 1:
-            raise ValueError("mix_p must be in [0, 1]")
+        check_mix_p(self.mix_p)
         if self.mix_p < 1 and not self.benign:
             raise ValueError("benign traces required when mix_p < 1")
         if self.mix_p > 0 and not self.adversarial:

@@ -28,6 +28,13 @@ class CemConfig:
     seed: int = 0
     workers: int = 1                # processes evaluating a population
 
+    def __post_init__(self):
+        if not self.population >= 1:
+            raise ValueError(f"population must be >= 1, got {self.population!r}")
+        if not 0 < self.elite_frac <= 1:
+            raise ValueError(f"elite_frac must be in (0, 1], "
+                             f"got {self.elite_frac!r}")
+
 
 @dataclass
 class GenerationStats:

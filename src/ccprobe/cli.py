@@ -27,8 +27,9 @@ from .cc import RULE_BASED, make_controller
 from .config import ExperimentConfig, SchemaError, load_config
 from .learned import PolicyNet, load_policy, save_policy, train_controller
 from .metrics import build_report, dump_series_csv
-from .netsim import (BandwidthTrace, ConfigError, export_mahimahi, map_jobs,
-                     read_trace, run_episode, worker_pool, write_trace)
+from .netsim import (BandwidthTrace, ConfigError, SimConfig, export_mahimahi,
+                     map_jobs, read_trace, run_episode, worker_pool,
+                     write_trace)
 from .tracegen import (SmoothnessBudget, check_feasible, gen_burst_trace,
                        gen_random_trace, gen_unconstrained)
 
@@ -49,8 +50,8 @@ def _out_dir(args, cfg: ExperimentConfig) -> str:
 
 def _load_cfg(args) -> ExperimentConfig:
     cfg = load_config(args.config) if args.config else ExperimentConfig()
-    if args.seed is not None:
-        cfg.seed = args.seed
+    if args.seed is not None:   # checked as the config's own seed is
+        cfg = dataclasses.replace(cfg, seed=args.seed)
     return cfg
 
 
@@ -266,15 +267,26 @@ def cmd_transfer(args, cfg: ExperimentConfig, out: str) -> int:
     return 0
 
 
-def cmd_lp_case(args, cfg: ExperimentConfig, out: str) -> int:
+def burst_case(cfg: ExperimentConfig) -> tuple[SimConfig, BandwidthTrace]:
+    """The LP burst case's sim config and trace: exactly one period of the
+    config's burst pattern, `rise_intervals + fall_intervals` intervals
+    (8 s at the defaults), whatever `sim.episode_duration_s` says."""
     t = cfg.traces
-    trace, = _build_traces(cfg, "burst")
+    period = t.rise_intervals + t.fall_intervals
+    iv = cfg.sim.trace_interval_ms
+    sim = dataclasses.replace(cfg.sim, episode_duration_s=period * iv / 1000.0)
+    return sim, gen_burst_trace(period, t.peak, t.trough, t.rise_intervals,
+                                t.fall_intervals, interval_ms=iv)
+
+
+def cmd_lp_case(args, cfg: ExperimentConfig, out: str) -> int:
+    sim, trace = burst_case(cfg)
     write_trace(trace, os.path.join(out, "burst.trace"))
 
     # the comparison sender starts converged (ssthresh at the peak-rate BDP)
     # so its episode stays loss-free and only loss signals could back it off
-    peak_bdp = (t.peak * 1e6 / 8.0 * cfg.sim.base_rtt_ms / 1000.0
-                / cfg.sim.packet_size)
+    peak_bdp = (cfg.traces.peak * 1e6 / 8.0 * sim.base_rtt_ms / 1000.0
+                / sim.packet_size)
     names = ["lp", "reno"] + (["learned"] if args.checkpoint else [])
     defaults = {"reno": {"initial_ssthresh": peak_bdp}}
     factories = {name: _controller_factory(cfg, name, args.checkpoint,
@@ -284,7 +296,7 @@ def cmd_lp_case(args, cfg: ExperimentConfig, out: str) -> int:
     checks = []
     for name in names:
         ctl = factories[name]()
-        log = run_episode(cfg.sim, trace, ctl)
+        log = run_episode(sim, trace, ctl)
         rep = build_report(log)
         n_ind = getattr(ctl, "indications", 0)
         rows.append([name, rep.utilization, rep.mean_delay_ms, n_ind, log.dropped])
@@ -336,12 +348,19 @@ def _load_trace_dir(path: str) -> dict[str, BandwidthTrace]:
             for f in sorted(os.listdir(path)) if f.endswith(".trace")}
 
 
+def _pool_dir(path: str, flag: str) -> list[BandwidthTrace]:
+    """The traces of a `--pool-*` directory; UsageError if it holds none."""
+    traces = list(_load_trace_dir(path).values())
+    if not traces:
+        raise UsageError(f"{flag} {path} holds no .trace file")
+    return traces
+
+
 def _retrain_inputs(args, cfg: ExperimentConfig):
     """(initial policy, benign, adversarial traces, episodes) of retrain/sweep-p."""
-    benign = (list(_load_trace_dir(args.pool_benign).values())
+    benign = (_pool_dir(args.pool_benign, "--pool-benign")
               if args.pool_benign else _build_traces(cfg))
-    adversarial = (list(_load_trace_dir(args.pool_adv).values())
-                   if args.pool_adv else [])
+    adversarial = _pool_dir(args.pool_adv, "--pool-adv") if args.pool_adv else []
     return (load_policy(args.init), benign, adversarial,
             args.episodes or cfg.train.episodes)
 
@@ -349,8 +368,12 @@ def _retrain_inputs(args, cfg: ExperimentConfig):
 def cmd_retrain(args, cfg: ExperimentConfig, out: str) -> int:
     policy, benign, adversarial, episodes = _retrain_inputs(args, cfg)
     mix_p = cfg.train.mix_p if args.mix_p is None else args.mix_p
-    pool = advtrain.TracePool(benign=benign, adversarial=adversarial,
-                              mix_p=mix_p)
+    try:
+        pool = advtrain.TracePool(benign=benign, adversarial=adversarial,
+                                  mix_p=mix_p)
+    except ValueError as e:   # a mix_p outside [0, 1], or no trace to draw
+        raise UsageError(f"{e} (mix_p comes from --mix-p or train.mix_p, "
+                         f"adversarial traces from --pool-adv)") from e
     new_policy, _ = advtrain.adversarial_retrain(
         policy, pool, episodes, cfg.sim, cfg.reward,
         cfg.train.cem(cfg.seed, args.workers))

@@ -15,14 +15,23 @@ from dataclasses import dataclass, field, fields
 
 import yaml
 
+from .adversary import DelayConstraint, FeatureBound
+from .advtrain import check_mix_p
 from .cem import CemConfig
-from .learned import RewardParams
+from .learned import FEATURE_NAMES, PolicyNet, RewardParams
 from .netsim import ConfigError, SimConfig
 from .tracegen import SmoothnessBudget
 
 
 class SchemaError(ValueError):
     pass
+
+
+def _integers(**counts) -> None:
+    """SchemaError unless each count is an int (a YAML `1.5` or `abc` is not)."""
+    for name, value in counts.items():
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise SchemaError(f"{name} must be an integer, got {value!r}")
 
 
 @dataclass
@@ -40,12 +49,18 @@ class TraceSpec:
     fall_intervals: int = 60
 
     def __post_init__(self):
+        _integers(n=self.n, rise_intervals=self.rise_intervals,
+                  fall_intervals=self.fall_intervals)
         if self.source not in ("random", "constant", "files", "burst"):
             raise SchemaError(f"unknown trace source {self.source!r}")
         if self.source == "files" and not self.paths:
             raise SchemaError("trace source 'files' needs non-empty paths")
         if self.n < 1:
             raise SchemaError("trace n must be >= 1")
+        if not (min(self.rise_intervals, self.fall_intervals) >= 0
+                and self.rise_intervals + self.fall_intervals >= 1):
+            raise SchemaError("rise_intervals and fall_intervals must be >= 0, "
+                              "with a burst period of >= 1 interval")
 
 
 @dataclass
@@ -68,6 +83,14 @@ class AdversaryConfig:
             raise SchemaError(f"unknown reward_mode {self.reward_mode!r}")
         if self.perturb_mode not in ("adversarial", "random_noise", "clean"):
             raise SchemaError(f"unknown perturb_mode {self.perturb_mode!r}")
+        _integers(window_h=self.window_h, window_k=self.window_k,
+                  episodes=self.episodes, rollouts=self.rollouts)
+        # built only to check the values, whose domains are defined there
+        DelayConstraint(self.tau_ms or 0.0, self.alpha, self.window_h,
+                        self.window_k)
+        FeatureBound(self.x_fraction)
+        if self.rollouts < 1:
+            raise SchemaError("rollouts must be >= 1")
 
 
 @dataclass
@@ -81,6 +104,15 @@ class TrainSpec:
     sigma0: float = 1.0
     extra_noise: float = 0.25
     noise_decay: float = 0.9
+
+    def __post_init__(self):
+        _integers(episodes=self.episodes, hidden=self.hidden,
+                  population=self.population)
+        # built only to check the values, whose domains are defined there
+        self.cem(seed=0, workers=1)
+        PolicyNet(n_features=len(FEATURE_NAMES), hidden=self.hidden,
+                  a_max=self.a_max)
+        check_mix_p(self.mix_p)
 
     def cem(self, seed: int, workers: int) -> CemConfig:
         return CemConfig(population=self.population, elite_frac=self.elite_frac,
@@ -104,6 +136,9 @@ class ExperimentConfig:
 
     def __post_init__(self):
         self.sim.validate()
+        _integers(seed=self.seed)
+        if self.seed < 0:
+            raise SchemaError(f"seed must be >= 0, got {self.seed}")
 
     def config_hash(self) -> str:
         blob = json.dumps(dataclasses.asdict(self), sort_keys=True, default=str)
@@ -152,5 +187,12 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
 
 def load_config(path: str) -> ExperimentConfig:
     with open(path) as f:
-        doc = yaml.safe_load(f)
+        try:
+            doc = yaml.safe_load(f)
+        except yaml.YAMLError as e:
+            # the parser's message spans several lines; its first says what
+            mark = getattr(e, "problem_mark", None)
+            at = f" at line {mark.line + 1}, column {mark.column + 1}" if mark else ""
+            problem = getattr(e, "problem", None) or " ".join(str(e).split())
+            raise SchemaError(f"{path}: not valid YAML: {problem}{at}") from e
     return config_from_dict(doc or {})

@@ -78,6 +78,10 @@ class PolicyNet:
     params: np.ndarray = field(default=None)
 
     def __post_init__(self):
+        if not self.hidden >= 0:
+            raise ValueError(f"hidden must be >= 0, got {self.hidden!r}")
+        if not self.a_max > 0:
+            raise ValueError(f"a_max must be > 0, got {self.a_max!r}")
         if self.params is None:
             self.params = np.zeros(self.n_params)
         else:

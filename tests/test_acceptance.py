@@ -23,14 +23,15 @@ from ccprobe.adversary import (AdversarySpec, DelayConstraint, FeatureBound,
 from ccprobe.advtrain import TracePool, adversarial_retrain, evaluate_suite
 from ccprobe.cc import Lp, make_controller
 from ccprobe.cem import CemConfig
-from ccprobe.cli import main
+from ccprobe.cli import burst_case, main
+from ccprobe.config import ExperimentConfig
 from ccprobe.learned import (LearnedController, PolicyNet, RewardParams,
                              controller_reward, train_controller)
 from ccprobe.metrics import cwnd_smoothness
 from ccprobe.netsim import (BandwidthTrace, Observation, SimConfig,
                             run_episode)
 from ccprobe.tracegen import (SmoothnessBudget, check_feasible,
-                              gen_burst_trace, gen_random_trace)
+                              gen_random_trace)
 
 BUDGET = SmoothnessBudget(delta=48.0, window_k=1, bw_min=1.0, bw_max=96.0)
 REWARD = RewardParams()
@@ -246,11 +247,12 @@ def test_criterion_5_naive_mode_lowers_both(baseline_traces):
 # --- criterion 6: burst-trace case study -------------------------------------
 
 def test_criterion_6_lp_burst_case(learned_stack):
-    trace = gen_burst_trace(EVAL_SIM.n_intervals)
+    # one burst period, built as `lp-case` builds it
+    sim, trace = burst_case(ExperimentConfig())
     lp = Lp()
-    lp_log = run_episode(EVAL_SIM, trace, lp)
+    lp_log = run_episode(sim, trace, lp)
     learned = LearnedController(learned_stack["policy"], b_max=REWARD.b_max)
-    ln_log = run_episode(EVAL_SIM, trace, learned)
+    ln_log = run_episode(sim, trace, learned)
     lp_util = lp_log.mean_utilization()
     ln_util = ln_log.mean_utilization()
     print(f"    lp util={lp_util:.3f} ({lp.indications} indications, "

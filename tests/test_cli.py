@@ -228,11 +228,23 @@ def test_lp_case_passes_checks(tmp_path, capsys):
     assert os.path.exists(os.path.join(out, "lp_case_reno.csv"))
 
 
+def test_lp_case_at_the_default_config_passes_every_check(tmp_path, capsys):
+    # one burst period, whatever the config's 60 s episodes say
+    cfg = os.path.join(os.path.dirname(__file__), "..", "configs", "default.yaml")
+    assert main(["lp-case", "--config", cfg, "--out", str(tmp_path / "lp")]) == 0
+    printed = capsys.readouterr().out.splitlines()
+    assert [line for line in printed if line.startswith("[ok] ")] == printed
+    assert len(printed) == 3
+    trace = read_trace(str(tmp_path / "lp" / "burst.trace"))
+    assert len(trace.values) == 80
+
+
 def test_lp_case_backoff_check_counts_renos_loss_reactions(tmp_path, capsys):
-    # at 60 s reno drops a packet per burst period from the second on, and
-    # reacts to each: the check reads those reactions, so it fails
+    # reno without its converged start overshoots the peak within the one
+    # burst period, drops twice and reacts to each drop: the check reads
+    # those reactions, so it fails
     p = tmp_path / "cfg.yaml"
-    p.write_text("sim:\n  episode_duration_s: 60.0\ntraces:\n  n: 2\nseed: 3\n")
+    p.write_text("controller_constants: {initial_ssthresh: 400}\n")
     assert main(["lp-case", "--config", str(p), "--out", str(tmp_path / "lp")]) == 1
     printed = capsys.readouterr().out
     assert "[FAIL] reno sees a loss-free episode" in printed
@@ -317,6 +329,7 @@ def _no_episodes(monkeypatch):
         raise AssertionError("an episode ran")
     for name in ("map_jobs", "clean_episodes", "run_episode"):
         monkeypatch.setattr(cli, name, fail)
+    monkeypatch.setattr(cli.advtrain, "adversarial_retrain", fail)
 
 
 def test_learned_without_checkpoint_exits_2(tmp_path, monkeypatch, capsys):
@@ -617,3 +630,52 @@ def test_no_worker_outlives_a_command(tmp_path, monkeypatch):
         main(baseline + ["--out", str(tmp_path / "raise")])
     assert int(str(e.value).rsplit(" ", 1)[1]) != os.getpid()
     assert sizes == [2, 2, 2] and multiprocessing.active_children() == []
+
+
+# --- bad config values and trace pools fail at the boundary -----------------
+
+def _exits_2_before_any_episode(tmp_path, monkeypatch, capsys, argv):
+    _no_episodes(monkeypatch)
+    assert main(argv + ["--out", str(tmp_path / "x")]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: ")
+    return err
+
+
+@pytest.mark.parametrize("doc,key", [
+    ("adversary: {alpha: 0}", "alpha"), ("adversary: {window_h: 0}", "window_h"),
+    ("adversary: {tau_ms: -1}", "tau"), ("adversary: {x_fraction: 2}", "x_fraction"),
+    ("adversary: {rollouts: 0}", "rollouts"),
+    ("train: {population: 0}", "population"), ("train: {hidden: -1}", "hidden"),
+    ("train: {a_max: -1}", "a_max"), ("train: {elite_frac: 2}", "elite_frac"),
+    ("train: {mix_p: 2}", "mix_p"),
+    ("traces: {rise_intervals: -5}", "rise_intervals"),
+    ("sim: [1, 2", "not valid YAML"), ("seed: abc", "seed"),
+    ("seed: 1.5", "seed"), ("seed: -1", "seed"), ("traces: {n: 1.5}", "n")])
+def test_bad_config_value_exits_2_at_load(tmp_path, monkeypatch, capsys, doc, key):
+    # a value outside its domain, malformed YAML or a non-integer count
+    p = tmp_path / "cfg.yaml"
+    p.write_text(doc + "\n")
+    err = _exits_2_before_any_episode(
+        tmp_path, monkeypatch, capsys,
+        ["baseline", "--config", str(p), "--controllers", "reno",
+         "--setting", "clean"])
+    assert key in err
+
+
+def test_retrain_and_sweep_p_reject_an_unusable_trace_pool(tmp_path, monkeypatch,
+                                                           capsys):
+    cfg = _write_cfg(tmp_path)
+    ckpt = _checkpoint(tmp_path)
+    empty = tmp_path / "empty"
+    empty.mkdir()
+    common = ["--config", cfg, "--init", ckpt, "--episodes", "16"]
+    for argv, key in (
+            (["retrain"], "adversarial traces required"),
+            (["retrain", "--mix-p", "1.5", "--pool-adv", _worst_traces(tmp_path)],
+             "mix_p must be in [0, 1]"),
+            (["retrain", "--pool-adv", str(empty)], "holds no .trace file"),
+            (["sweep-p", "--pool-adv", str(empty)], "holds no .trace file")):
+        err = _exits_2_before_any_episode(tmp_path, monkeypatch, capsys,
+                                          argv + common)
+        assert key in err

@@ -655,7 +655,7 @@ def _controller_state(ctl):
 
 
 def test_golden_rule_controller_digest():
-    # 60 s episodes on a random trace and on lp-case's default burst trace,
+    # 60 s episodes on a random trace and on the default burst pattern,
     # hashed with each controller's final state (window, phase, LP
     # indications, BBR-lite gain index and pacing rate)
     sim = SimConfig()
