@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
 """Layer benchmark of the simulator: ticks/s and ACKs/s of `run_episode`, the
-trace/I/O layer's Mahimahi export, and batches of episodes on the process pool.
+trace/I/O layer's Mahimahi export, and batches of episodes through `map_jobs`.
 
 Runs one episode case per rule controller, a runaway `Pinned(4096)` sender
 and a `LearnedController` with a fixed linear policy, over one fixed 60 s
@@ -20,9 +20,10 @@ Each case is timed REPEATS times after one untimed warm-up episode; the
 median episode time gives ticks/s (simulated ticks per host second) and
 ACKs/s (acknowledged packets per host second). The export is timed the same
 way, into a temporary file, and gives ms per 60 s trace. The batches are
-timed the same way too, inside one `netsim.worker_pool` where the tree has
-one, as a command runs them, so the warm-up starts the pool and the timed
-calls reuse it; a tree without it starts a pool in every call.
+timed the same way too. Since `map_jobs` forks its children per batch, every
+call forks its own; an older tree that still has `netsim.worker_pool` (one
+process pool per command) is timed inside one, as its commands ran, so there
+the warm-up starts the pool and the timed calls reuse it.
 """
 
 from __future__ import annotations

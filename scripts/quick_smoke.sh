@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
-# End-to-end smoke run with tiny budgets (~1 min). Exercises every
-# subcommand; outputs land under runs/smoke.
+# End-to-end smoke run with tiny budgets (about 5 s on 2 cores). Exercises
+# every subcommand; outputs land under runs/smoke.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 # ccprobe runs from its source tree
@@ -32,8 +32,8 @@ python3 -m ccprobe transfer --config "$CFG" --traces "$OUT/attacks" \
     --controllers reno,vegas --out "$OUT/transfer" --workers "$(nproc)"
 
 python3 -m ccprobe train --config "$CFG" --out "$OUT/train" --workers "$(nproc)"
-# the learned factory (policy read once from the checkpoint) goes through the
-# worker pool pickled
+# the learned factory (policy read once from the checkpoint) reaches the
+# forked workers with its jobs
 python3 -m ccprobe baseline --config "$CFG" --controllers reno,learned \
     --checkpoint "$OUT/train/learned.ckpt" --setting clean \
     --out "$OUT/baseline-learned" --workers "$(nproc)"

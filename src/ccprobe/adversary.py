@@ -227,9 +227,9 @@ def clean_episodes(controller_factory, traces, config: SimConfig,
 
 
 def clean_episode(config: SimConfig, trace, controller_factory) -> EpisodeReport:
-    """The one clean-episode job: a fresh controller from its factory (no
-    built controller crosses the pool) and the episode's report, built in
-    the worker so that no whole log crosses back."""
+    """The one clean-episode job: a fresh controller from its factory, so no
+    episode starts from another's state, and the episode's report, built where
+    the episode ran so that only the report, never the whole log, is pickled."""
     return build_report(run_episode(config, trace, controller_factory()))
 
 

@@ -55,8 +55,8 @@ def cem_maximize(objective, dim: int, generations: int, config: CemConfig,
     """Maximize objective(params, episode_seed) -> float (or (float, ok_rate)).
 
     A generation's episode seeds are drawn up front, then its population runs
-    through `map_jobs` on `config.workers` processes (the objective must
-    pickle when that is more than one); the result does not depend on it.
+    through `map_jobs` on `config.workers` processes (its returns must pickle,
+    the objective need not); the result does not depend on it.
 
     Raises OptimizerError if a generation's returns have exactly zero
     variance before the budget is exhausted (degenerate reward signal).

@@ -28,8 +28,7 @@ from .config import ExperimentConfig, SchemaError, load_config
 from .learned import PolicyNet, load_policy, save_policy, train_controller
 from .metrics import build_report, dump_series_csv
 from .netsim import (BandwidthTrace, ConfigError, SimConfig, export_mahimahi,
-                     map_jobs, read_trace, run_episode, worker_pool,
-                     write_trace)
+                     map_jobs, read_trace, run_episode, write_trace)
 from .tracegen import (SmoothnessBudget, check_feasible, gen_burst_trace,
                        gen_random_trace, gen_unconstrained)
 
@@ -557,9 +556,7 @@ def main(argv=None) -> int:
         if args.fn is cmd_export:    # the one command without a config
             return cmd_export(args)
         cfg = _load_cfg(args)
-        # one pool for the whole command, shut down however it ends
-        with worker_pool():
-            return args.fn(args, cfg, _out_dir(args, cfg))
+        return args.fn(args, cfg, _out_dir(args, cfg))
     except (SchemaError, ConfigError, UsageError, FileNotFoundError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

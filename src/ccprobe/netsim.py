@@ -8,14 +8,13 @@ so identical (config, trace, controller) runs give identical logs.
 
 from __future__ import annotations
 
-import contextlib
 import hashlib
 import importlib
 import math
 import os
+import pickle
 import subprocess
 import sys
-from concurrent import futures
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -417,63 +416,67 @@ def _tick_loop_error(ev: int, st) -> Exception:
     return ValueError(f"capacity {st.capacity!r} Mbps leaves no finite link credit")
 
 
-class _WorkerPool:
-    """`worker_pool`'s processes: none until a batch needs two or more, then
-    one per job up to the batch's worker count, closed and reopened larger
-    when a later batch needs more. Forked, so workers start with ccprobe
-    imported (a pool of two started in 14-26 ms forked, 0.35-0.8 s spawned,
-    on a 2-core host); closing before reopening leaves no pool thread
-    running at a fork."""
-
-    def __init__(self):
-        self.size, self.executor, self.pid = 0, None, os.getpid()
-
-    def map(self, fn, jobs: list, workers: int) -> list:
-        n = min(workers, len(jobs))
-        if n <= 1:
-            return [fn(*job) for job in jobs]
-        if n > self.size:
-            self.close()
-            self.executor, self.size = futures.ProcessPoolExecutor(max_workers=n), n
-        return list(self.executor.map(fn, *zip(*jobs)))
-
-    def close(self) -> None:
-        if self.executor is not None:
-            self.executor.shutdown()
-        self.executor, self.size = None, 0
-
-
-# the innermost open `worker_pool`; the code between a command and
-# `map_jobs` (CEM, training, evaluation) passes a worker count, not a pool
-_open_pool: _WorkerPool | None = None
-
-
-@contextlib.contextmanager
-def worker_pool():
-    """One pool for every `map_jobs` call in the block, as large as its
-    largest batch needs, shut down and joined however the block is left."""
-    global _open_pool
-    outer = _open_pool
-    _open_pool = pool = _WorkerPool()
-    try:
-        yield pool
-    finally:
-        _open_pool = outer
-        pool.close()
-
-
 def map_jobs(fn, jobs, workers: int) -> list:
-    """`[fn(*job) for job in jobs]`, here when `min(workers, len(jobs))` is
-    1, else on the open `worker_pool`'s processes or, with none open, on a
-    pool's that lasts this call. A pool has that many processes, or more when
-    an earlier batch of its block needed more (a command passes every batch
-    the same `--workers`). ccprobe's only pool: with more than one process,
-    `fn` and the jobs must pickle (module-level functions,
-    `functools.partial`s of them, plain data). An episode job carries a
-    controller factory, never a built controller."""
+    """`[fn(*job) for job in jobs]`, in order, on `n = min(workers, len(jobs))`
+    processes: this one and `n - 1` children forked for the batch. Child k runs
+    jobs k, k + n, ... and this process jobs 0, n, ..., then reads each child's
+    pickled results from a pipe. Children inherit `fn` and the jobs, so only
+    results must pickle. A child's exception is raised here (as a RuntimeError
+    with its repr if it does not pickle); every child is reaped first. A child
+    ends in `os._exit`: stdio output it leaves buffered is dropped, not doubled."""
     jobs = list(jobs)
-    # a forked worker inherits the open pool, which only its owner can use
-    if _open_pool is not None and _open_pool.pid == os.getpid():
-        return _open_pool.map(fn, jobs, workers)
-    with worker_pool() as pool:
-        return pool.map(fn, jobs, workers)
+    n = min(workers, len(jobs))
+    if n <= 1:
+        return [fn(*job) for job in jobs]
+    results, children = [None] * len(jobs), []     # (pid, pipe's read end)
+    try:
+        for k in range(1, n):
+            r, w = os.pipe()
+            try:
+                pid = os.fork()
+            except BaseException:
+                os.close(r), os.close(w)
+                raise
+            if pid == 0:
+                _child(fn, jobs[k::n], w, [r] + [f.fileno() for _, f in children])
+            os.close(w)
+            children.append((pid, open(r, "rb")))
+        results[::n] = [fn(*job) for job in jobs[::n]]
+        sent = [f.read() for _, f in children]
+    finally:
+        # a child blocked on a full pipe gets EPIPE once its read end closes
+        for _, f in children:
+            f.close()
+        ended = [os.waitpid(pid, 0)[1] for pid, _ in children]
+    for k, (pid, _), data, status in zip(range(1, n), children, sent, ended):
+        if status or not data:
+            code = os.waitstatus_to_exitcode(status)
+            raise RuntimeError(f"map_jobs worker {pid} sent no results: " + (
+                f"exit status {code}" if code >= 0 else f"killed by signal {-code}"))
+        ok, value = pickle.loads(data)
+        if not ok:
+            raise value
+        results[k::n] = value
+    return results
+
+
+def _child(fn, jobs: list, w: int, inherited: list[int]) -> None:
+    """A forked worker: run `jobs`, write `(True, results)` or `(False,
+    exception)` to `w`, and leave by `os._exit`, never by the caller's stack."""
+    status = 1
+    try:
+        for fd in inherited:
+            os.close(fd)
+        try:
+            data = pickle.dumps((True, [fn(*job) for job in jobs]))
+        except BaseException as e:
+            try:
+                data = pickle.dumps((False, e))
+                pickle.loads(data)
+            except Exception:
+                data = pickle.dumps((False, RuntimeError(repr(e))))
+        with open(w, "wb") as f:
+            f.write(data)
+        status = 0
+    finally:
+        os._exit(status)

@@ -563,73 +563,97 @@ def test_training_outputs_match_across_worker_counts(tmp_path):
         assert a == b, rel
 
 
-# --- one process pool per command, gone when the command returns ---------------
+# --- each batch forks its own children, all reaped before it returns ----------
 
-def _pool_spy(monkeypatch):
-    """Sizes of the process pools started from now on, in order."""
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_train_and_env_attack_fork_per_batch(tmp_path, monkeypatch, forked_pids):
+    # each makes several batches: CEM generations, then the check episodes,
+    # the evaluation, the clean baseline or the selection rollouts; a batch
+    # of n jobs at 2 workers forks min(2, n) - 1 children
+    import ccprobe
     from ccprobe import netsim
-    sizes = []
+    batches, real = [], netsim.map_jobs
 
-    class Spy(netsim.futures.ProcessPoolExecutor):
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
-            super().__init__(max_workers=max_workers)
+    def spy(fn, jobs, workers):
+        jobs = list(jobs)
+        batches.append(min(workers, len(jobs)))
+        return real(fn, jobs, workers)
 
-    monkeypatch.setattr(netsim.futures, "ProcessPoolExecutor", Spy)
-    return sizes
-
-
-def test_train_and_env_attack_start_one_pool_each(tmp_path, monkeypatch):
-    # each makes several pooled batches: CEM generations, then the check
-    # episodes, the evaluation, the clean baseline or the selection rollouts
-    sizes = _pool_spy(monkeypatch)
+    for mod in list(vars(ccprobe).values()):
+        if mod is not netsim and hasattr(mod, "map_jobs"):
+            monkeypatch.setattr(mod, "map_jobs", spy)
     cfg = _training_cfg(tmp_path)
     for argv in (["train"], ["attack", "--controller", "cubic"]):
-        sizes.clear()
+        forked_pids.clear(), batches.clear()
         assert main(argv + ["--config", cfg, "--out", str(tmp_path / argv[0]),
                             "--workers", "2"]) == 0
-        assert sizes == [2], argv
+        assert len(batches) >= 3 and set(batches) == {2}, argv
+        assert len(forked_pids) == sum(m - 1 for m in batches), argv
+        assert len(set(forked_pids)) == len(forked_pids), argv
+        _assert_no_child_left()
 
 
-def test_a_batch_needing_more_processes_grows_the_pool(monkeypatch):
-    # the smaller pool is closed before the larger one opens; a smaller
-    # batch after that reuses the larger pool
+def test_each_batch_forks_its_own_children(forked_pids):
+    # no child is kept for a later batch, whether it needs fewer or more
     from ccprobe import netsim
-    sizes = _pool_spy(monkeypatch)
     jobs = [(2, 3), (3, 2), (2, 2), (3, 3)]
-    with netsim.worker_pool():
-        assert netsim.map_jobs(pow, jobs[:2], 4) == [8, 9]
-        assert netsim.map_jobs(pow, jobs, 4) == [8, 9, 4, 27]
-        assert netsim.map_jobs(pow, jobs[:2], 4) == [8, 9]
-    assert sizes == [2, 4]
+    assert netsim.map_jobs(pow, jobs[:2], 4) == [8, 9]
+    assert len(forked_pids) == 1
+    assert netsim.map_jobs(pow, jobs, 4) == [8, 9, 4, 27]
+    assert len(forked_pids) == 4
+    assert netsim.map_jobs(pow, jobs[:2], 4) == [8, 9]
+    assert len(forked_pids) == 5 and len(set(forked_pids)) == 5
+    _assert_no_child_left()
 
 
-def _raise_in_worker(log):
-    raise RuntimeError(f"report failed in process {os.getpid()}")
-
-
-def test_no_worker_outlives_a_command(tmp_path, monkeypatch):
-    import multiprocessing
-
+def test_no_worker_outlives_a_command(tmp_path, monkeypatch, forked_pids):
     from ccprobe import adversary
-    sizes = _pool_spy(monkeypatch)
     cfg = _write_cfg(tmp_path)
     baseline = ["baseline", "--config", cfg, "--controllers", "reno,lp",
                 "--workers", "2"]
     assert main(baseline + ["--out", str(tmp_path / "ok")]) == 0
-    assert sizes == [2] and multiprocessing.active_children() == []
+    assert len(forked_pids) == 1
+    _assert_no_child_left()
 
-    # exit 2 after the pool has run the training episodes
+    # exit 2 after the children have run the training episodes
     assert main(["train", "--config", _training_cfg(tmp_path), "--workers", "2",
                  "--out", str(tmp_path / "t"),
                  "--checkpoint-out", str(tmp_path / "missing" / "x.ckpt")]) == 2
-    assert sizes == [2, 2] and multiprocessing.active_children() == []
+    assert len(forked_pids) > 1
+    _assert_no_child_left()
 
-    monkeypatch.setattr(adversary, "build_report", _raise_in_worker)
+    # a job that raises only in a child: its message reaches the caller
+    caller, real = os.getpid(), adversary.build_report
+
+    def raise_in_worker(log):
+        if os.getpid() != caller:
+            raise RuntimeError(f"report failed in process {os.getpid()}")
+        return real(log)
+
+    monkeypatch.setattr(adversary, "build_report", raise_in_worker)
+    forked_pids.clear()
     with pytest.raises(RuntimeError, match="report failed in process") as e:
         main(baseline + ["--out", str(tmp_path / "raise")])
-    assert int(str(e.value).rsplit(" ", 1)[1]) != os.getpid()
-    assert sizes == [2, 2, 2] and multiprocessing.active_children() == []
+    assert forked_pids == [int(str(e.value).rsplit(" ", 1)[1])]
+    _assert_no_child_left()
+
+
+def test_a_piped_attack_prints_each_line_once(tmp_path):
+    # stdout into a pipe is block-buffered; a child that flushed the buffer
+    # it inherited would print the caller's lines again
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    env.pop("PYTHONUNBUFFERED", None)
+    run = subprocess.run([sys.executable, "-m", "ccprobe", "attack", "--config",
+                          _training_cfg(tmp_path), "--controller", "cubic",
+                          "--workers", "2", "--out", str(tmp_path / "a")],
+                         stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                         text=True, env=env, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.count("calibrated tau") == 1, run.stdout
 
 
 # --- bad config values and trace pools fail at the boundary -----------------

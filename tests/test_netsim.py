@@ -6,6 +6,7 @@ import hashlib
 import math
 import os
 import shutil
+import signal
 import subprocess
 import sys
 import sysconfig
@@ -147,21 +148,134 @@ def test_trace_interval_must_match_sim(short_sim, tmp_path):
         run_episode(short_sim, read_trace(str(path)), Pinned(10.0))
 
 
-def test_map_jobs_pool_is_capped_by_jobs(monkeypatch):
-    sizes = []
-
-    class Spy(netsim.futures.ProcessPoolExecutor):
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
-            super().__init__(max_workers=max_workers)
-
-    monkeypatch.setattr(netsim.futures, "ProcessPoolExecutor", Spy)
-    jobs = [(2, 3), (3, 2)]
-    assert map_jobs(pow, jobs, 64) == [8, 9]
-    assert sizes == [2]                     # one process per job, no more
+def test_map_jobs_forks_are_capped_by_jobs(forked_pids):
+    # a batch of n jobs at w workers forks min(w, n) - 1 children, since the
+    # caller runs a share; results stay in order when n does not divide evenly
+    jobs = [(2, 3), (3, 2), (2, 2), (3, 3), (5, 2)]
+    expect = [8, 9, 4, 27, 25]
+    assert map_jobs(pow, jobs[:2], 64) == [8, 9]
+    assert len(forked_pids) == 1            # one process per job, no more
     assert map_jobs(pow, jobs[:1], 8) == [8]
-    assert map_jobs(pow, jobs, 1) == [8, 9]
-    assert sizes == [2]                     # a single process runs here
+    assert map_jobs(pow, jobs, 1) == expect
+    assert len(forked_pids) == 1            # a single process runs here
+    assert map_jobs(pow, jobs, 2) == expect
+    assert len(forked_pids) == 2
+    assert map_jobs(pow, jobs, 3) == expect
+    assert len(forked_pids) == 4 and len(set(forked_pids)) == 4
+    assert map_jobs(pow, iter(jobs), 5) == expect
+    assert len(forked_pids) == 8
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)          # every child was reaped
+
+
+def _in_a_child(script):
+    """Run `script` after `from ccprobe.netsim import map_jobs` in a fresh
+    interpreter, so a hang fails the test instead of blocking the suite; the
+    interpreter gets a session of its own, and a hung one is killed with every
+    process it forked."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    with subprocess.Popen([sys.executable, "-c", "import os, time\n"
+                           "from ccprobe.netsim import map_jobs\n" + script],
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                          text=True, env=env, start_new_session=True) as proc:
+        try:
+            out, err = proc.communicate(timeout=60)
+        except subprocess.TimeoutExpired:
+            os.killpg(proc.pid, signal.SIGKILL)
+            raise
+    return subprocess.CompletedProcess(proc.args, proc.returncode, out, err)
+
+
+# the end of a script whose map_jobs call has returned or raised
+_NO_CHILD_LEFT = ("try:\n"
+                  "    os.waitpid(-1, os.WNOHANG)\n"
+                  "except ChildProcessError:\n"
+                  "    print('no child left')\n")
+
+
+def test_map_jobs_names_a_child_that_dies_without_results():
+    run = _in_a_child(
+        "caller = os.getpid()\n"
+        "def job(x):\n"
+        "    if os.getpid() != caller:\n"
+        "        os._exit(3)\n"
+        "    return x\n"
+        "try:\n"
+        "    map_jobs(job, [(1,), (2,)], 2)\n"
+        "except RuntimeError as e:\n"
+        "    print(e)\n" + _NO_CHILD_LEFT)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.startswith("map_jobs worker "), run.stdout
+    assert run.stdout.endswith(" sent no results: exit status 3\nno child left\n")
+
+
+def test_map_jobs_raises_a_childs_exception_here():
+    # with its type and message; one that does not survive pickling comes
+    # back as a RuntimeError carrying its repr
+    run = _in_a_child(
+        "class Two(Exception):\n"
+        "    def __init__(self, a, b):\n"
+        "        super().__init__(f'{a} and {b}')\n"
+        "caller = os.getpid()\n"
+        "def job(exc):\n"
+        "    if os.getpid() != caller:\n"
+        "        raise exc\n"
+        "for exc in (KeyError('k'), Two(1, 2)):\n"
+        "    try:\n"
+        "        map_jobs(job, [(None,), (exc,)], 2)\n"
+        "    except Exception as e:\n"
+        "        print(repr(e))\n" + _NO_CHILD_LEFT)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == ("KeyError('k')\nRuntimeError(\"Two('1 and 2')\")\n"
+                          "no child left\n")
+
+
+def test_map_jobs_names_a_child_killed_halfway_through_its_results():
+    # SIGALRM ends the child while it is blocked writing 1 MB into a pipe
+    # that holds less, so part of a pickle arrived; the status tells
+    run = _in_a_child(
+        "import signal\n"
+        "caller = os.getpid()\n"
+        "def job(x):\n"
+        "    if os.getpid() == caller:\n"
+        "        time.sleep(1.0)\n"
+        "        return x\n"
+        "    signal.alarm(1)\n"
+        "    return b'x' * 2**20\n"
+        "try:\n"
+        "    map_jobs(job, [(1,), (2,)], 2)\n"
+        "except RuntimeError as e:\n"
+        "    print(e)\n" + _NO_CHILD_LEFT)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.endswith(
+        f" sent no results: killed by signal {int(signal.SIGALRM)}\nno child left\n"), run.stdout
+
+
+def test_map_jobs_returns_results_larger_than_a_pipe_intact():
+    run = _in_a_child(
+        "out = map_jobs(lambda x: bytes([x]) * 2**20, [(x,) for x in range(5)], 3)\n"
+        "print([r == bytes([x]) * 2**20 for x, r in enumerate(out)])\n")
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == "[True, True, True, True, True]\n"
+
+
+def test_map_jobs_raises_promptly_when_its_own_share_raises():
+    # the children block writing 1 MB into pipes nobody reads; closing the
+    # read ends gives them EPIPE, so reaping them cannot hang
+    run = _in_a_child(
+        "caller = os.getpid()\n"
+        "def job(x):\n"
+        "    if os.getpid() == caller:\n"
+        "        time.sleep(0.5)\n"
+        "        raise ValueError('caller share failed')\n"
+        "    return b'x' * 2**20\n"
+        "t = time.perf_counter()\n"
+        "try:\n"
+        "    map_jobs(job, [(x,) for x in range(3)], 3)\n"
+        "except ValueError as e:\n"
+        "    print(e, time.perf_counter() - t < 10)\n" + _NO_CHILD_LEFT)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == "caller share failed True\nno child left\n"
 
 
 def test_map_jobs_inside_a_worker_gets_a_pool_of_its_own():
@@ -502,8 +616,8 @@ def _whole_log(config, trace, controller_factory):
 
 
 def test_slotted_observations_equal_at_workers_1_and_2(short_sim):
-    # whole episode logs survive the process pool by pickle; controllers
-    # never cross it, each job builds its own from a factory
+    # whole episode logs come back from a forked worker by pickle; each job
+    # builds its own controller from a factory
     trace = _golden_traces()[0]
     jobs = [(short_sim, trace, partial(make_controller, name)) for name in RULE_BASED]
     one, two = map_jobs(_whole_log, jobs, 1), map_jobs(_whole_log, jobs, 2)
