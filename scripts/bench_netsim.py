@@ -1,35 +1,36 @@
 #!/usr/bin/env python3
 """Layer benchmark of the simulator: ticks/s and ACKs/s of `run_episode`, the
-trace/I/O layer's Mahimahi export, and batches of episodes through `map_jobs`.
+trace/I/O layer's Mahimahi export, batches of episodes through `map_jobs`,
+and adversarial episodes run in lock-step slices.
 
 Runs one episode case per rule controller, a runaway `Pinned(4096)` sender
 and a `LearnedController` with a fixed linear policy, over one fixed 60 s
 random trace (seed 0, default budget), times `export_mahimahi` of the same
-trace, times two pooled batches at 1 and 2 workers (one CEM generation of
+trace, times two batches at 1 and 2 workers (one CEM generation of
 population 8 around the fixed policy, and `evaluate_suite` of it, each over
-the 10 random traces of seeds 0-9), and stores the result under `--label` in
-the JSON file `--out` (other labels already in the file are kept). Import
-ccprobe from the tree to measure, so two trees compare under identical
-settings:
+the 10 random traces of seeds 0-9), times 60 s env-surface adversary
+episodes against cubic (random hidden-16 policies, seeds 0-15) in slices of
+1, 4 and 16, and one env-adversary CEM generation of 8 against cubic at 1
+and 2 workers, and stores the result under `--label` in the JSON file
+`--out` (other labels already in the file are kept). Import ccprobe from the
+tree to measure, so two trees compare under identical settings:
 
     PYTHONPATH=/path/to/parent/src python3 scripts/bench_netsim.py \
         --label parent --out BENCH_<n>.json
     PYTHONPATH=src python3 scripts/bench_netsim.py --label change --out BENCH_<n>.json
 
-Each case is timed REPEATS times after one untimed warm-up episode; the
-median episode time gives ticks/s (simulated ticks per host second) and
-ACKs/s (acknowledged packets per host second). The export is timed the same
-way, into a temporary file, and gives ms per 60 s trace. The batches are
-timed the same way too. Since `map_jobs` forks its children per batch, every
-call forks its own; an older tree that still has `netsim.worker_pool` (one
-process pool per command) is timed inside one, as its commands ran, so there
-the warm-up starts the pool and the timed calls reuse it.
+Each case is timed REPEATS times after one untimed warm-up; the median
+episode time gives ticks/s (simulated ticks per host second) and ACKs/s
+(acknowledged packets per host second). The export is timed the same way,
+into a temporary file, and gives ms per 60 s trace. The batches and the
+adversary slices are timed the same way too; a slice's time is given per
+episode. A tree without `adversary.adversarial_episodes` runs a slice as
+one `adversarial_episode` call per row.
 """
 
 from __future__ import annotations
 
 import argparse
-import contextlib
 import hashlib
 import json
 import os
@@ -39,12 +40,16 @@ import tempfile
 import time
 from functools import partial
 
-from ccprobe import netsim
-from ccprobe.adversary import random_baseline_traces
+import numpy as np
+
+from ccprobe import adversary, netsim
+from ccprobe.adversary import (AdversarySpec, DelayConstraint, SurfaceMode,
+                               make_adversary_policy, random_baseline_traces,
+                               train_adversary)
 from ccprobe.advtrain import evaluate_suite
 from ccprobe.cc import RULE_BASED, Pinned, make_controller
 from ccprobe.cem import CemConfig, cem_maximize
-from ccprobe.learned import LearnedController, PolicyNet, RewardParams, _pool_return
+from ccprobe.learned import LearnedController, PolicyNet, RewardParams, episode_return
 from ccprobe.netsim import SimConfig, export_mahimahi, run_episode
 from ccprobe.tracegen import SmoothnessBudget, gen_random_trace
 
@@ -97,6 +102,12 @@ def measure(trace) -> dict:
     return out
 
 
+def _pool_return(policy, traces, sim, reward, params, seed):
+    """The learned CEM objective of one candidate: the seed picks its trace."""
+    return episode_return(policy.with_params(params), traces[seed % len(traces)],
+                          sim, reward)
+
+
 def measure_pool() -> dict:
     sim, reward = SimConfig(), RewardParams()
     policy = PolicyNet(n_features=5, hidden=0, params=LEARNED_PARAMS)
@@ -110,13 +121,41 @@ def measure_pool() -> dict:
         "evaluate_suite": lambda w: evaluate_suite(
             policy, {"pool": traces}, sim, reward, w),
     }
-    pool = getattr(netsim, "worker_pool", None)
     out = {}
     for name, batch in batches.items():
         for w in (1, 2):
-            with pool() if pool else contextlib.nullcontext():
-                t, _ = _timed(lambda: batch(w))
+            t, _ = _timed(lambda: batch(w))
             out.setdefault(name, {})[f"workers_{w}_ms"] = round(t * 1000, 2)
+    return out
+
+
+def measure_adversary() -> dict:
+    """ms per env-adversary episode in slices of 1, 4 and 16, and ms per
+    env-adversary CEM generation of 8 at 1 and 2 workers, against cubic."""
+    sim, reward = SimConfig(), RewardParams()
+    spec = AdversarySpec(surface=SurfaceMode.ENV_BANDWIDTH,
+                         constraint=DelayConstraint(tau_ms=50.0),
+                         budget=SmoothnessBudget(),
+                         policy=make_adversary_policy(SurfaceMode.ENV_BANDWIDTH))
+    factory = partial(make_controller, "cubic")
+    rng = np.random.default_rng(0)
+    params = rng.normal(0.0, 0.5, (16, spec.policy.n_params))
+    sliced = getattr(adversary, "adversarial_episodes", None)
+
+    def episodes(k):
+        if sliced is not None:
+            return sliced(spec, params[:k], factory, sim, reward, list(range(k)))
+        return [adversary.adversarial_episode(spec, p, factory, sim, reward, seed=i)
+                for i, p in enumerate(params[:k])]
+
+    out = {}
+    for k in (1, 4, 16):
+        t, _ = _timed(lambda: episodes(k))
+        out[f"slice_{k}_ms_per_episode"] = round(t * 1000 / k, 2)
+    for w in (1, 2):
+        t, _ = _timed(lambda: train_adversary(spec, factory, sim, 8, reward,
+                                              CemConfig(population=8, workers=w)))
+        out[f"env_cem_generation_workers_{w}_ms"] = round(t * 1000, 2)
     return out
 
 
@@ -148,7 +187,8 @@ def main() -> None:
     doc.setdefault("runs", {})[args.label] = {"netsim_sha256": netsim_sha,
                                               "cases": measure(trace),
                                               "export": measure_export(trace),
-                                              "pool": measure_pool()}
+                                              "pool": measure_pool(),
+                                              "adversary": measure_adversary()}
     with open(args.out, "w") as f:
         json.dump(doc, f, indent=2, sort_keys=True)
         f.write("\n")
@@ -160,6 +200,8 @@ def main() -> None:
     for batch, r in doc["runs"][args.label]["pool"].items():
         print(f"{args.label} {batch:14s} {r['workers_1_ms']:>8.2f} ms at 1 worker "
               f"{r['workers_2_ms']:>8.2f} ms at 2")
+    for row, ms in doc["runs"][args.label]["adversary"].items():
+        print(f"{args.label} adversary {row:36s} {ms:>8.2f} ms")
 
 
 if __name__ == "__main__":

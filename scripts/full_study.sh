@@ -3,7 +3,7 @@
 # controllers, delay-constrained attacks on each rule-based target and on the
 # learned controller, transfer matrix, burst-trace case study, and the
 # retraining mixing-probability sweep. At configs/default.yaml it runs to
-# the end in about 38 s of wall time (37.3 and 38.6 s measured, 61-62 s of
+# the end in about 29 s of wall time (28.8 and 29.0 s measured, 45-46 s of
 # user CPU) at --workers 2 on a 2-core host with Python 3.11.
 set -euo pipefail
 cd "$(dirname "$0")/.."

@@ -1,6 +1,6 @@
-/* The tick loop of `ccprobe.netsim.run_episode`, the six rule-based
- * congestion controllers of `ccprobe.cc`, and the learned controller of
- * `ccprobe.learned` with a linear policy.
+/* The tick loop of `ccprobe.netsim.run_episodes`, the six rule-based
+ * congestion controllers of `ccprobe.cc`, the learned controller of
+ * `ccprobe.learned` and the closed-loop adversary of `ccprobe.adversary`.
  *
  * `tl_step` advances one episode tick by tick. Every tick runs the same five
  * steps as the simulator has always had: ACK arrivals, loss reactions,
@@ -8,23 +8,38 @@
  * episode's controller is one `tl_cc`, which `tl_step` updates inline
  * (`cc_on_ack`, `cc_on_loss`, `cc_on_interval`) and reads cwnd and pacing
  * from. At each interval boundary the loop writes the interval's `tl_obs`
- * row, steps the controller and, on a trace (`caps`), sets the next
- * interval's capacity itself. It returns TL_INTERVAL there only when the
- * Python driver has work (`hooked`): the `on_interval` of a TL_EXTERNAL
- * controller, which ignores ACKs and losses and whose cwnd the driver
- * writes into `w.cwnd` before each call (a controller without C state, or
- * a learned one whose policy has a hidden layer, which numpy computes), a
- * min-RTT intercept or an online capacity driver. Any other episode runs
- * to TL_DONE, or an error, in one call.
+ * row, steps the controller, on a trace (`caps`) sets the next interval's
+ * capacity itself, and steps the episode's adversary (`adv`), if any. It
+ * returns TL_INTERVAL there only when the Python driver has work (`hooked`):
+ * the `on_interval` of a TL_EXTERNAL controller, which ignores ACKs and
+ * losses and sets its own next cwnd in its `tl_cc` (a controller without C
+ * state, or a learned one whose policy has a hidden layer, which numpy
+ * computes), or the adversary's next policy output or random draw. Any other
+ * episode runs to TL_DONE, or an error, in one call.
+ *
+ * The adversary block (`tl_adv`) is a min-RTT intercept or an online
+ * capacity driver. At each boundary but the last it writes the policy's
+ * feature row into `x` (the controller features plus, on the env surface,
+ * capacity / bw_max); the driver leaves the policy's output before its tanh
+ * head, or the drawn value of a policy-less adversary, in `out`, and the
+ * next `tl_step` call turns it into the next interval's min-RTT scale or
+ * capacity: the action a_max * tanh(out) and its clamp, then the scale
+ * 1 + a * x_fraction, or the proposal projected onto the smoothness budget
+ * over the last window_k capacities. When `scored`, every boundary also adds
+ * the interval's adversarial reward (naive or delay-constrained) to `total`
+ * and counts the constraint in `ok`; an observation outside the reward's
+ * domain ends the episode with a TL_DOMAIN_* code.
  *
  * The arithmetic is Python's, operation for operation, in IEEE doubles; the
  * build turns off FMA contraction and never uses fast-math, so the one
  * fused multiply-add is the explicit `fma` that repeats numpy's dot
- * product. `py_floordiv` and `py_round` are CPython's float `//` and
+ * product. `tanh` and `pow` are libm's, which `math.tanh` and `**` call.
+ * `py_floordiv` and `py_round` are CPython's float `//` and
  * `round()` (`tl_floordiv` is `//` by a packet size, faster on the usual
  * range), `tl_int_truediv` and `py_mul_float` are `/` and `float(a * b)` of
- * ints, `pow` stands for `**`, and `min(a, b)` / `max(a, b)` keep Python's
- * argument order (`b < a ? b : a`). Every buffer write is bounds-checked:
+ * ints, and `min(a, b)` / `max(a, b)` keep Python's argument order
+ * (`b < a ? b : a`). Sums of a list run left to right from 0.0, as
+ * Python 3.11's `sum` does. Every buffer write is bounds-checked:
  * the queue, ACK and RTT buffers grow on demand, and a failed allocation
  * ends the episode with TL_NOMEM; the driver's observation buffer has one
  * row per interval of `n_ticks`. The RTT histogram grows with the largest
@@ -44,6 +59,10 @@
 #define TL_BAD_CWND -2
 #define TL_BAD_PACING -3
 #define TL_BAD_CAPACITY -4
+/* an observation outside the adversarial reward's domain */
+#define TL_DOMAIN_RTT -5
+#define TL_DOMAIN_MIN_RTT -6
+#define TL_DOMAIN_UTILIZATION -7
 
 /* controller kinds, phases and LP indications */
 #define TL_RENO 0
@@ -61,6 +80,9 @@
 #define TL_LP_NONE 0
 #define TL_LP_FIRST 1
 #define TL_LP_SECOND 2
+/* adversary surfaces */
+#define TL_ADV_ENV 0
+#define TL_ADV_FEATURE 1
 
 typedef struct {
     int64_t send_tick, count;
@@ -138,6 +160,37 @@ typedef struct {
     double a_max, b_max, cwnd_max, prev_action;
 } tl_cc;
 
+/* One episode's adversary, `adversary.FeatureIntercept` (TL_ADV_FEATURE) or
+ * `adversary.EnvBandwidthDriver` (TL_ADV_ENV), and the reward
+ * `adversary.adversarial_episodes` scores it by. */
+typedef struct {
+    int surface, has_policy;
+    /* the policy's feature row at the last boundary; its output before the
+     * tanh head, or without a policy the next value itself, set by the driver */
+    double x[6];
+    double out;
+    double a_max, b_max, prev_action;
+    /* this interval's capacity (env) or min-RTT scale (feature) */
+    double value;
+    /* feature: the bound on the scale */
+    double x_fraction;
+    /* env: the smoothness budget, and the last min(n, window_k) of the n
+     * capacities so far, oldest first, in `recent` (window_k doubles) */
+    double delta, bw_min, bw_max;
+    int64_t window_k, n_recent;
+    double *recent;
+    /* the reward, scored when `scored`: naive or delay-constrained, tau,
+     * alpha and the windows, `RewardParams`, and the last window_h queuing
+     * delays, a ring of `delays` (window_h doubles) holding n_delays in all */
+    int scored, naive;
+    double tau_ms, alpha, lam, gamma, reward_b_max;
+    int64_t window_h, delay_k, n_delays;
+    double *delays;
+    /* the sum of rewards, and the intervals meeting the constraint */
+    double total;
+    int64_t ok;
+} tl_adv;
+
 typedef struct {
     int64_t send_tick, count, ack_tick;
 } tl_ack;
@@ -154,9 +207,12 @@ typedef struct {
     int64_t n_caps;
     /* nonzero when the driver has work at every interval boundary */
     int hooked;
+    /* the adversary, or NULL; `adv_due` while its `out` waits to be acted on */
+    tl_adv *adv;
+    int adv_due;
     /* this interval's capacity (Mbps) and link bytes per tick, and the
-     * min-RTT scale; the driver sets `scale`, and `capacity` when `caps` is
-     * NULL, at each TL_INTERVAL */
+     * min-RTT scale; the adversary sets `scale`, or `capacity` when `caps`
+     * is NULL, at each interval boundary */
     double capacity, cap_bytes_per_tick, scale;
     /* one observation per interval, n_ticks / interval_ticks of them;
      * owned by the driver */
@@ -212,6 +268,19 @@ double bbr_bw_estimate(const tl_cc *c);
 double bbr_min_rtt_estimate(const tl_cc *c);
 double tl_floordiv(double x, double pkt);
 double tl_int_truediv(int64_t a, int64_t b);
+double tl_action(double out, double a_max);
+void tl_obs_features(const tl_obs *o, double b_max, double prev_action,
+                     double *f);
+void cc_learned_step(tl_cc *c, double out);
+double tl_project_next(const double *recent, int64_t n, double proposed,
+                       double delta, int64_t k, double bw_min, double bw_max);
+double tl_feature_scale(double a, double x_fraction);
+void tl_adv_begin(tl_adv *a, double value);
+void tl_adv_observe(tl_adv *a, const tl_obs *o);
+double tl_adv_act(tl_adv *a);
+int tl_adv_reward(tl_adv *a, const tl_obs *o);
+void tl_adv_gather(tl_adv *const *advs, int64_t k, int64_t nf, double *x);
+void tl_adv_scatter(tl_adv *const *advs, int64_t k, const double *out);
 /* cdef-end */
 
 /* CPython's float floor division (floatobject.c, _float_div_mod). */
@@ -850,24 +919,45 @@ void cc_on_loss(tl_cc *c, int timeout)
     }
 }
 
-/* The learned controller's interval step with a linear policy over
- * `learned.FEATURE_NAMES`: `observation_features`, `PolicyNet.act` and
- * `LearnedController`'s cwnd update. The dot product sums as numpy's `@`
- * does for five features (OpenBLAS's ddot tail): one fma per feature, in
- * order, from 0.0, then the bias. */
-static void linear_interval(tl_cc *c, const tl_obs *o)
+/* `PolicyNet.act`'s head: a_max * tanh(out), clamped to [-a_max, a_max] */
+double tl_action(double out, double a_max)
+{
+    return py_min(a_max, py_max(-a_max, a_max * tanh(out)));
+}
+
+/* `learned.observation_features`: the five features of `o` */
+void tl_obs_features(const tl_obs *o, double b_max, double prev_action,
+                     double *f)
 {
     double min_rtt = py_max(o->visible_min_rtt_ms, 1e-6);
-    double f[5] = {o->srtt_ms / min_rtt, o->throughput_mbps / c->b_max,
-                   o->loss_rate, (o->srtt_ms - o->visible_min_rtt_ms) / min_rtt,
-                   c->prev_action};
+    f[0] = o->srtt_ms / min_rtt;
+    f[1] = o->throughput_mbps / b_max;
+    f[2] = o->loss_rate;
+    f[3] = (o->srtt_ms - o->visible_min_rtt_ms) / min_rtt;
+    f[4] = prev_action;
+}
+
+/* `LearnedController`'s step on its policy's output: the action, then
+ * cwnd <- min(cwnd_max, max(1, cwnd * 2^a)) */
+void cc_learned_step(tl_cc *c, double out)
+{
+    double a = tl_action(out, c->a_max);
+    c->w.cwnd = py_min(c->cwnd_max, py_max(1.0, c->w.cwnd * pow(2.0, a)));
+    c->prev_action = a;
+}
+
+/* The learned controller's interval step with a linear policy over
+ * `learned.FEATURE_NAMES`. The dot product sums as numpy's `@` does for five
+ * features (OpenBLAS's ddot tail): one fma per feature, in order, from 0.0,
+ * then the bias. */
+static void linear_interval(tl_cc *c, const tl_obs *o)
+{
+    double f[5];
+    tl_obs_features(o, c->b_max, c->prev_action, f);
     double dot = 0.0;
     for (int i = 0; i < 5; i++)
         dot = fma(c->params[i], f[i], dot);
-    double out = (0.0 + dot) + c->params[5];
-    double a = py_min(c->a_max, py_max(-c->a_max, c->a_max * tanh(out)));
-    c->w.cwnd = py_min(c->cwnd_max, py_max(1.0, c->w.cwnd * pow(2.0, a)));
-    c->prev_action = a;
+    cc_learned_step(c, (0.0 + dot) + c->params[5]);
 }
 
 /* One interval's end; only a TL_LINEAR controller acts on it. */
@@ -875,6 +965,143 @@ void cc_on_interval(tl_cc *c, const tl_obs *o)
 {
     if (c->kind == TL_LINEAR)
         linear_interval(c, o);
+}
+
+/* --- the adversary --------------------------------------------------------- */
+
+/* `tracegen.project_next` over the last min(n, k) of the history, `recent`
+ * (n >= 1): the nearest value to `proposed` that keeps the average absolute
+ * slope of the last k steps within delta, and the range [bw_min, bw_max] */
+double tl_project_next(const double *recent, int64_t n, double proposed,
+                       double delta, int64_t k, double bw_min, double bw_max)
+{
+    double prev = recent[n - 1];
+    double tail = 0.0;
+    for (int64_t i = n - (k - 1) > 1 ? n - (k - 1) : 1; i < n; i++)
+        tail += fabs(recent[i] - recent[i - 1]);
+    double slack = py_max(0.0, (double)k * delta - tail);
+    double lo = py_max(bw_min, prev - slack);
+    double hi = py_min(bw_max, prev + slack);
+    return py_min(hi, py_max(lo, proposed));
+}
+
+/* `adversary.perturb_min_rtt`'s adversarial scale: 1 + clamp(a, -1, 1) * x */
+double tl_feature_scale(double a, double x_fraction)
+{
+    return 1.0 + py_min(1.0, py_max(-1.0, a)) * x_fraction;
+}
+
+/* A new episode whose first capacity (env) or scale (feature) is `value`. */
+void tl_adv_begin(tl_adv *a, double value)
+{
+    a->value = value;
+    a->prev_action = 0.0;
+    if (a->surface == TL_ADV_ENV) {
+        a->recent[0] = value;
+        a->n_recent = 1;
+    }
+    a->n_delays = 0;
+    a->total = 0.0;
+    a->ok = 0;
+}
+
+/* The policy's feature row at the end of the interval observed in `o`. */
+void tl_adv_observe(tl_adv *a, const tl_obs *o)
+{
+    tl_obs_features(o, a->b_max, a->prev_action, a->x);
+    if (a->surface == TL_ADV_ENV)
+        a->x[5] = o->capacity_mbps / a->bw_max;
+}
+
+/* Acts on `out`; returns the next interval's capacity or scale. */
+double tl_adv_act(tl_adv *a)
+{
+    double v = a->out;
+    if (a->surface == TL_ADV_FEATURE) {
+        a->prev_action = 0.0;
+        if (a->has_policy) {
+            a->prev_action = tl_action(a->out, a->a_max);
+            v = tl_feature_scale(a->prev_action, a->x_fraction);
+        }
+    }
+    else {
+        if (a->has_policy) {
+            double act = tl_action(a->out, a->a_max);
+            a->prev_action = act;
+            double mid = 0.5 * (a->bw_min + a->bw_max);
+            double half = 0.5 * (a->bw_max - a->bw_min);
+            v = mid + act * half;
+        }
+        v = tl_project_next(a->recent, a->n_recent, v, a->delta, a->window_k,
+                            a->bw_min, a->bw_max);
+        if (a->n_recent == a->window_k)
+            memmove(a->recent, a->recent + 1,
+                    (size_t)--a->n_recent * sizeof *a->recent);
+        a->recent[a->n_recent++] = v;
+    }
+    return a->value = v;
+}
+
+/* The sum of the `n` delays of the ring ending at its newest, oldest first. */
+static double delay_sum(const tl_adv *a, int64_t n)
+{
+    double sum = 0.0;
+    for (int64_t i = a->n_delays - n; i < a->n_delays; i++)
+        sum += a->delays[i % a->window_h];
+    return sum;
+}
+
+/* `adversary.adversarial_episode`'s score of one interval: the queuing delay
+ * srtt - min_rtt joins the window; the reward is -`controller_reward`
+ * (naive) or, delay-constrained, -utilization until the window holds
+ * window_h delays, then -utilization plus -alpha iff the means of the last
+ * window_h and window_k delays both sit below tau. 0, or the TL_DOMAIN_* code
+ * of the check that failed. */
+int tl_adv_reward(tl_adv *a, const tl_obs *o)
+{
+    if (o->srtt_ms < o->min_rtt_ms)
+        return TL_DOMAIN_RTT;
+    double d = o->srtt_ms - o->min_rtt_ms;
+    a->delays[a->n_delays % a->window_h] = d;
+    a->n_delays++;
+    double r;
+    if (a->naive) {
+        if (o->min_rtt_ms <= 0)
+            return TL_DOMAIN_MIN_RTT;
+        double f = 1.0;
+        if (a->gamma * o->min_rtt_ms < o->srtt_ms)
+            f = a->gamma * o->min_rtt_ms / o->srtt_ms;
+        r = -((o->throughput_mbps - a->lam * o->loss_mbps) / a->reward_b_max * f);
+    }
+    else if (a->n_delays < a->window_h) {
+        r = -o->utilization;
+    }
+    else {
+        if (!(0.0 <= o->utilization && o->utilization <= 1.0))
+            return TL_DOMAIN_UTILIZATION;
+        double d_bar = delay_sum(a, a->window_h) / (double)a->window_h;
+        double d_tilde = delay_sum(a, a->delay_k) / (double)a->delay_k;
+        double penalty = d_bar < a->tau_ms && d_tilde < a->tau_ms ? -a->alpha : 0.0;
+        r = -o->utilization + penalty;
+    }
+    a->total += r;
+    if (d >= a->tau_ms)
+        a->ok++;
+    return 0;
+}
+
+/* Copies the feature rows of a slice's k adversaries into the k x nf `x`. */
+void tl_adv_gather(tl_adv *const *advs, int64_t k, int64_t nf, double *x)
+{
+    for (int64_t j = 0; j < k; j++)
+        memcpy(x + j * nf, advs[j]->x, (size_t)nf * sizeof *x);
+}
+
+/* Hands each of a slice's k adversaries its `out`. */
+void tl_adv_scatter(tl_adv *const *advs, int64_t k, const double *out)
+{
+    for (int64_t j = 0; j < k; j++)
+        advs[j]->out = out[j];
 }
 
 /* The observation of the interval whose last tick is `tick`. */
@@ -897,6 +1124,15 @@ static void observe(const tl_state *s, int64_t tick, tl_obs *o)
 int tl_step(tl_state *s)
 {
     tl_cc *cc = s->cc;
+    if (s->adv_due) {
+        /* the adversary acts on the output the driver left at the boundary */
+        s->adv_due = 0;
+        double v = tl_adv_act(s->adv);
+        if (s->adv->surface == TL_ADV_ENV)
+            s->capacity = v;
+        else
+            s->scale = v;
+    }
     while (s->tick < s->n_ticks) {
         int64_t tick = s->tick;
 
@@ -1059,7 +1295,8 @@ int tl_step(tl_state *s)
         }
 
         /* 5. interval boundary: the observation, the controller's interval
-         * step and the next interval's capacity */
+         * step, the next interval's capacity from a trace, and the
+         * adversary's score and feature row */
         s->tick = tick + 1;
         if (s->tick % s->interval_ticks == 0) {
             int64_t i = s->tick / s->interval_ticks - 1;
@@ -1067,6 +1304,19 @@ int tl_step(tl_state *s)
             cc_on_interval(cc, &s->obs[i]);
             if (s->caps)
                 s->capacity = s->caps[(i + 1) % s->n_caps];
+            if (s->adv) {
+                if (s->adv->scored) {
+                    int err = tl_adv_reward(s->adv, &s->obs[i]);
+                    if (err)
+                        return err;
+                }
+                /* after the last interval there is nothing left to act on */
+                if (s->tick < s->n_ticks) {
+                    if (s->adv->has_policy)
+                        tl_adv_observe(s->adv, &s->obs[i]);
+                    s->adv_due = 1;
+                }
+            }
             if (s->hooked)
                 return TL_INTERVAL;
         }

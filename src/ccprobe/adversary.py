@@ -12,18 +12,17 @@ from __future__ import annotations
 
 import dataclasses
 import enum
-from collections import deque
 from dataclasses import dataclass, field
 from functools import partial
 
 import numpy as np
 
-from .cem import CemConfig, cem_maximize
-from .learned import (DomainError, PolicyNet, RewardParams, controller_reward,
-                      observation_features)
+from .cem import CemConfig, cem_maximize, on_slices
+from .learned import DomainError, PolicyNet, RewardParams, policy_outputs
 from .metrics import EpisodeReport, build_report
-from .netsim import Observation, SimConfig, map_jobs, run_episode
-from .tracegen import SmoothnessBudget, gen_random_trace, project_next
+from .netsim import (Observation, SimConfig, _ffi, _lib, map_jobs, obs_row,
+                     run_episode, run_episodes, slices)
+from .tracegen import SmoothnessBudget, gen_random_trace
 
 
 class SurfaceMode(enum.Enum):
@@ -117,6 +116,10 @@ def env_reward(obs: Observation, history, constraint: DelayConstraint) -> float:
     return -obs.utilization + delay_penalty(history, constraint)
 
 
+ADV_ENV_FEATURES = 6   # controller features + current capacity
+ADV_FEATURE_FEATURES = 5
+
+
 # --- action surfaces ---------------------------------------------------------
 
 def perturb_min_rtt(true_min_rtt_ms: float, action: float, bound: FeatureBound,
@@ -129,84 +132,112 @@ def perturb_min_rtt(true_min_rtt_ms: float, action: float, bound: FeatureBound,
         return true_min_rtt_ms
     if bound.mode is PerturbMode.RANDOM_NOISE:
         return true_min_rtt_ms * float(rng.uniform(1.0 - x, 1.0 + x))
-    a = min(1.0, max(-1.0, action))
-    return true_min_rtt_ms * (1.0 + a * x)
+    return true_min_rtt_ms * _lib.tl_feature_scale(action, x)
 
 
-class FeatureIntercept:
+class _Adversary:
+    """The surfaces' shared part: a C `tl_adv`, `adv_state`, that the tick loop
+    steps (`netsim.run_episodes`), and at each interval boundary its policy's
+    output or, with no policy, a draw from `rng`."""
+
+    def __init__(self, surface: int, n_features: int, policy: PolicyNet | None,
+                 b_max: float, has_policy: bool):
+        self.policy, self.b_max, self.n_features = policy, b_max, n_features
+        s = self.adv_state = _ffi.new("tl_adv *")
+        s.surface, s.b_max, s.has_policy = surface, b_max, has_policy
+        if policy is not None:
+            s.a_max = policy.a_max
+
+    def step(self, obs: Observation) -> float:
+        """The loop's boundary step, outside it: the next capacity or scale."""
+        _lib.tl_adv_observe(self.adv_state, obs_row(obs))
+        self.lockstep([self])()
+        return _lib.tl_adv_act(self.adv_state)
+
+    def score_by(self, spec: "AdversarySpec", reward: RewardParams) -> None:
+        """Have the loop sum the reward into `adv_state.total` and `.ok`."""
+        s, c = self.adv_state, spec.constraint
+        self._delays = s.delays = _ffi.new("double[]", c.window_h)
+        s.scored, s.naive = True, spec.reward_mode is RewardMode.NAIVE
+        s.tau_ms, s.alpha, s.window_h, s.delay_k = (c.tau_ms, c.alpha,
+                                                    c.window_h, c.window_k)
+        s.lam, s.gamma, s.reward_b_max = reward.lam, reward.gamma, reward.b_max
+
+    @staticmethod
+    def lockstep(advs):
+        """A slice's hook: one `policy_outputs` call for the slice, or one
+        draw per row; the slice's rows all have a policy, or none has."""
+        if not advs[0].adv_state.has_policy:
+            def draw():
+                for a in advs:
+                    a.adv_state.out = a._draw()
+            return draw
+        states = _ffi.new("tl_adv *[]", [a.adv_state for a in advs])
+        k, nf = len(advs), advs[0].n_features
+        x, out = np.zeros((k, nf)), np.zeros(k)
+        outputs = policy_outputs([a.policy for a in advs], x, out)
+        x_buf, out_buf = _ffi.from_buffer("double[]", x), _ffi.from_buffer("double[]", out)
+
+        def act():
+            _lib.tl_adv_gather(states, k, nf, x_buf)
+            outputs()
+            _lib.tl_adv_scatter(states, k, out_buf)
+        return act
+
+
+class FeatureIntercept(_Adversary):
     """Scales the controller-visible min-RTT/min-OWD estimate each interval."""
 
     def __init__(self, bound: FeatureBound, policy: PolicyNet | None = None,
                  b_max: float = 96.0, seed: int = 0):
-        self.bound = bound
-        self.policy = policy
-        self.b_max = b_max
-        self.seed = seed
+        super().__init__(_lib.TL_ADV_FEATURE, ADV_FEATURE_FEATURES, policy, b_max,
+                         bound.mode is PerturbMode.ADVERSARIAL and policy is not None)
+        self.bound, self.seed = bound, seed
+        self.adv_state.x_fraction = bound.x_fraction
         self.begin_episode()
 
     def begin_episode(self) -> None:
         self.rng = np.random.default_rng(self.seed)
-        self.prev_action = 0.0
-        self._scale = 1.0
+        _lib.tl_adv_begin(self.adv_state, 1.0)
 
-    def begin_interval(self, obs: Observation) -> None:
-        a = 0.0
-        if self.bound.mode is PerturbMode.ADVERSARIAL and self.policy is not None:
-            a = self.policy.act(observation_features(obs, self.b_max,
-                                                     self.prev_action))
-        self.prev_action = a
-        self._scale = perturb_min_rtt(1.0, a, self.bound, self.rng)
+    def _draw(self) -> float:
+        return perturb_min_rtt(1.0, 0.0, self.bound, self.rng)
+
+    begin_interval = _Adversary.step
 
     def scale(self) -> float:
-        return self._scale
+        return self.adv_state.value
 
 
-class EnvBandwidthDriver:
+class EnvBandwidthDriver(_Adversary):
     """Supplies the next interval's capacity online, inside the budget."""
 
     def __init__(self, budget: SmoothnessBudget, policy: PolicyNet | None = None,
                  b_max: float | None = None, seed: int = 0,
                  initial_capacity: float | None = None):
+        super().__init__(_lib.TL_ADV_ENV, ADV_ENV_FEATURES, policy,
+                         b_max if b_max is not None else budget.bw_max,
+                         policy is not None)
         self.budget = budget
-        self.policy = policy
-        self.b_max = b_max if b_max is not None else budget.bw_max
         self.rng = np.random.default_rng(seed)
         mid = 0.5 * (budget.bw_min + budget.bw_max)
         self.initial = initial_capacity if initial_capacity is not None else mid
-        self.history: list[float] = []
-        self.prev_action = 0.0
-
-    @property
-    def bw_max(self) -> float:
-        return self.budget.bw_max
+        s = self.adv_state
+        s.delta, s.bw_min, s.bw_max = budget.delta, budget.bw_min, budget.bw_max
+        # the last window_k capacities, which the projection reads
+        self._recent = s.recent = _ffi.new("double[]", budget.window_k)
+        s.window_k = budget.window_k
 
     def first_capacity(self) -> float:
-        self.history = [self.budget.clamp(self.initial)]
-        self.prev_action = 0.0
-        return self.history[0]
+        _lib.tl_adv_begin(self.adv_state, self.budget.clamp(self.initial))
+        return self.adv_state.value
 
-    def _propose(self, obs: Observation) -> float:
-        b = self.budget
-        if self.policy is None:
-            return float(self.rng.uniform(b.bw_min, b.bw_max))
-        feats = np.concatenate([
-            observation_features(obs, self.b_max, self.prev_action),
-            [obs.capacity_mbps / b.bw_max],
-        ])
-        a = self.policy.act(feats)
-        self.prev_action = a
-        mid = 0.5 * (b.bw_min + b.bw_max)
-        half = 0.5 * (b.bw_max - b.bw_min)
-        return mid + a * half
+    begin_episode = first_capacity
 
-    def next_capacity(self, obs: Observation) -> float:
-        value = project_next(self.history, self._propose(obs), self.budget)
-        self.history.append(value)
-        return value
+    def _draw(self) -> float:
+        return float(self.rng.uniform(self.budget.bw_min, self.budget.bw_max))
 
-
-ADV_ENV_FEATURES = 6   # controller features + current capacity
-ADV_FEATURE_FEATURES = 5
+    next_capacity = _Adversary.step
 
 
 def make_adversary_policy(surface: SurfaceMode) -> PolicyNet:
@@ -263,43 +294,48 @@ def adversarial_episode(spec: AdversarySpec, params, controller_factory,
                         seed: int, initial_capacity: float | None = None,
                         clean_traces=None) -> EpisodeEval:
     """One rollout of the adversary against a fresh controller."""
-    policy = spec.policy.with_params(params) if params is not None else spec.policy
-    intercept = None
-    driver = None
-    trace = None
-    if spec.surface is SurfaceMode.FEATURE_MIN_RTT:
-        intercept = FeatureIntercept(spec.feature_bound, policy,
-                                     b_max=reward.b_max, seed=seed)
-        trace = clean_traces[seed % len(clean_traces)]
-    else:
-        driver = EnvBandwidthDriver(spec.budget, policy, b_max=reward.b_max,
-                                    seed=seed, initial_capacity=initial_capacity)
-    log = run_episode(config, trace, controller_factory(), intercept=intercept,
-                      env_driver=driver)
+    return adversarial_episodes(spec, None if params is None else [params],
+                                controller_factory, config, reward, [seed],
+                                [initial_capacity], clean_traces)[0]
 
-    delays = deque(maxlen=spec.constraint.window_h)
-    total = 0.0
-    ok = 0
-    n = len(log.observations)
-    for obs in log.observations:
-        delays.append(queuing_delay(obs))
-        if spec.reward_mode is RewardMode.NAIVE:
-            r = naive_reward(controller_reward(obs, reward))
-        else:
-            if len(delays) < spec.constraint.window_h:
-                r = -obs.utilization
-            else:
-                r = env_reward(obs, delays, spec.constraint)
-        total += r
-        if obs.srtt_ms - obs.min_rtt_ms >= spec.constraint.tau_ms:
-            ok += 1
-    return EpisodeEval(
-        utilization=log.mean_utilization(),
-        mean_delay_ms=log.mean_queuing_delay_ms(),
-        adv_return=total / n if n else 0.0,
-        constraint_ok_rate=ok / n if n else 0.0,
-        trace_values=[o.capacity_mbps for o in log.observations],
-    )
+
+def adversarial_episodes(spec: AdversarySpec, params, controller_factory,
+                         config: SimConfig, reward: RewardParams, seeds,
+                         initial_capacities=None,
+                         clean_traces=None) -> list[EpisodeEval]:
+    """A slice of rollouts in lock-step, each against a fresh controller.
+    Row j has policy parameters params[j] (`spec.policy`'s when `params` is
+    None), episode seed seeds[j], which on the feature surface also picks its
+    clean trace, and initial capacity initial_capacities[j] (None for the
+    budget's midpoint). The loop scores each interval as `queuing_delay`,
+    `naive_reward` of `controller_reward` and `env_reward` define it."""
+    k = len(seeds)
+    policies = ([spec.policy] * k if params is None
+                else [spec.policy.with_params(p) for p in params])
+    if spec.surface is SurfaceMode.FEATURE_MIN_RTT:
+        advs = [FeatureIntercept(spec.feature_bound, policy, reward.b_max, seed)
+                for policy, seed in zip(policies, seeds)]
+        traces = [clean_traces[seed % len(clean_traces)] for seed in seeds]
+    else:
+        inits = [None] * k if initial_capacities is None else initial_capacities
+        advs = [EnvBandwidthDriver(spec.budget, policy, reward.b_max, seed, init)
+                for policy, seed, init in zip(policies, seeds, inits)]
+        traces = [None] * k
+    for adv in advs:
+        adv.score_by(spec, reward)
+    logs = run_episodes(config, traces, [controller_factory() for _ in range(k)],
+                        advs)
+    evals = []
+    for adv, log in zip(advs, logs):
+        n = len(log.observations)
+        evals.append(EpisodeEval(
+            utilization=log.mean_utilization(),
+            mean_delay_ms=log.mean_queuing_delay_ms(),
+            adv_return=adv.adv_state.total / n if n else 0.0,
+            constraint_ok_rate=adv.adv_state.ok / n if n else 0.0,
+            trace_values=[o.capacity_mbps for o in log.observations],
+        ))
+    return evals
 
 
 def train_adversary(spec: AdversarySpec, controller_factory, config: SimConfig,
@@ -313,21 +349,22 @@ def train_adversary(spec: AdversarySpec, controller_factory, config: SimConfig,
     if generations == 0:
         return spec.policy, []
 
-    objective = partial(_adversary_return, spec, controller_factory, config,
-                        reward, clean_traces)
+    objective = on_slices(partial(_adversary_returns, spec, controller_factory,
+                                  config, reward, clean_traces))
     result = cem_maximize(objective, dim=spec.policy.n_params,
                           generations=generations, config=cem,
                           init_mean=spec.policy.params)
     return spec.policy.with_params(result.best_params), result.history
 
 
-def _adversary_return(spec: AdversarySpec, controller_factory, config: SimConfig,
-                      reward: RewardParams, clean_traces, params,
-                      ep_seed: int) -> tuple[float, float]:
-    """`train_adversary`'s CEM objective: (return, constraint rate)."""
-    ev = adversarial_episode(spec, params, controller_factory, config, reward,
-                             seed=ep_seed, clean_traces=clean_traces)
-    return ev.adv_return, ev.constraint_ok_rate
+def _adversary_returns(spec: AdversarySpec, controller_factory,
+                       config: SimConfig, reward: RewardParams, clean_traces,
+                       params, seeds) -> list[tuple[float, float]]:
+    """`train_adversary`'s CEM objective: (return, constraint rate) per row."""
+    return [(ev.adv_return, ev.constraint_ok_rate)
+            for ev in adversarial_episodes(spec, params, controller_factory,
+                                           config, reward, seeds,
+                                           clean_traces=clean_traces)]
 
 
 def select_worst_trace(spec: AdversarySpec, policy: PolicyNet, controller_factory,
@@ -341,10 +378,10 @@ def select_worst_trace(spec: AdversarySpec, policy: PolicyNet, controller_factor
     rng = np.random.default_rng(seed)
     inits = [float(rng.uniform(budget.bw_min, budget.bw_max))
              for _ in range(n_rollouts)]
-    rollout = partial(adversarial_episode, spec, None, controller_factory,
-                      config, reward)
-    candidates = map_jobs(rollout, [(seed + i, init) for i, init in enumerate(inits)],
-                          workers)
+    rollouts = partial(adversarial_episodes, spec, None, controller_factory,
+                       config, reward)
+    jobs = slices(([seed + i for i in range(n_rollouts)], inits), workers)
+    candidates = [c for part in map_jobs(rollouts, jobs, workers) for c in part]
     feasible = [c for c in candidates if c.mean_delay_ms >= spec.constraint.tau_ms]
     if not feasible:
         return None

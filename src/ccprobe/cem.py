@@ -8,10 +8,11 @@ mean/std to the elite fraction, decay the exploration noise.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
-from .netsim import map_jobs
+from .netsim import map_jobs, slices
 
 
 class OptimizerError(RuntimeError):
@@ -50,17 +51,33 @@ class CemResult:
     history: list[GenerationStats] = field(default_factory=list)
 
 
+def on_slices(objective):
+    """`objective`, marked as taking whole slices in `cem_maximize`."""
+    objective.on_slices = True
+    return objective
+
+
+def _row_by_row(objective, params, seeds) -> list:
+    return [objective(p, s) for p, s in zip(params, seeds)]
+
+
 def cem_maximize(objective, dim: int, generations: int, config: CemConfig,
                  init_mean: np.ndarray | None = None) -> CemResult:
-    """Maximize objective(params, episode_seed) -> float (or (float, ok_rate)).
+    """Maximize the objective: objective(params, seeds), given a slice of k
+    candidates (a (k, dim) array) and their k episode seeds, returns one
+    result per row, a float or (float, ok_rate). An objective not marked by
+    `on_slices` takes one row, objective(params, episode_seed), instead.
 
-    A generation's episode seeds are drawn up front, then its population runs
-    through `map_jobs` on `config.workers` processes (its returns must pickle,
-    the objective need not); the result does not depend on it.
+    A generation's episode seeds are drawn up front, then its population is
+    cut into `config.workers` slices (`netsim.slices`), each evaluated whole
+    by one `map_jobs` process (results must pickle, the objective need not);
+    the result does not depend on the cut.
 
     Raises OptimizerError if a generation's returns have exactly zero
     variance before the budget is exhausted (degenerate reward signal).
     """
+    if not getattr(objective, "on_slices", False):
+        objective = partial(_row_by_row, objective)
     rng = np.random.default_rng(config.seed)
     mean = np.zeros(dim) if init_mean is None else np.asarray(init_mean, dtype=float).copy()
     std = np.full(dim, config.sigma0)
@@ -76,7 +93,9 @@ def cem_maximize(objective, dim: int, generations: int, config: CemConfig,
         seeds = [int(rng.integers(0, 2**31 - 1)) for _ in range(config.population)]
         returns = np.empty(config.population)
         ok = np.full(config.population, np.nan)
-        for i, out in enumerate(map_jobs(objective, zip(pop, seeds), config.workers)):
+        parts = map_jobs(objective, slices((pop, seeds), config.workers),
+                         config.workers)
+        for i, out in enumerate(out for part in parts for out in part):
             if isinstance(out, tuple):
                 returns[i], ok[i] = out
             else:

@@ -20,7 +20,7 @@ from functools import partial
 from . import advtrain
 from .adversary import (AdversarySpec, DelayConstraint, FeatureBound,
                         PerturbMode, RewardMode, SurfaceMode,
-                        adversarial_episode, clean_episode, clean_episodes,
+                        adversarial_episodes, clean_episode, clean_episodes,
                         mean_queuing_delay_ms, random_baseline_traces,
                         select_worst_trace, train_adversary)
 from .cc import RULE_BASED, make_controller
@@ -28,7 +28,7 @@ from .config import ExperimentConfig, SchemaError, load_config
 from .learned import PolicyNet, load_policy, save_policy, train_controller
 from .metrics import build_report, dump_series_csv
 from .netsim import (BandwidthTrace, ConfigError, SimConfig, export_mahimahi,
-                     map_jobs, read_trace, run_episode, write_trace)
+                     map_jobs, read_trace, run_episode, slices, write_trace)
 from .tracegen import (SmoothnessBudget, check_feasible, gen_burst_trace,
                        gen_random_trace, gen_unconstrained)
 
@@ -205,10 +205,10 @@ def cmd_attack(args, cfg: ExperimentConfig, out: str) -> int:
     ok = True
     rows = [[target, "baseline", base_util, base_delay, 0.0, 0.0]]
     if feature:
-        rollout = partial(adversarial_episode, spec, None, factory, cfg.sim,
-                          cfg.reward, clean_traces=baseline_traces)
-        evals = map_jobs(rollout, [(i,) for i in range(len(baseline_traces))],
-                         args.workers)
+        rollouts = partial(adversarial_episodes, spec, None, factory, cfg.sim,
+                           cfg.reward, clean_traces=baseline_traces)
+        jobs = slices((range(len(baseline_traces)),), args.workers)
+        evals = [e for part in map_jobs(rollouts, jobs, args.workers) for e in part]
         util = _mean([e.utilization for e in evals])
         delay = _mean([e.mean_delay_ms for e in evals])
     else:

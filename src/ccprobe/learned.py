@@ -11,17 +11,15 @@ are config keys; see the README for the caveats around them.
 
 from __future__ import annotations
 
-import dataclasses
-import math
 from dataclasses import dataclass, field
 from functools import partial
 
 import numpy as np
 
 from .cc import Controller, _Field
-from .cem import CemConfig, GenerationStats, cem_maximize
+from .cem import CemConfig, GenerationStats, cem_maximize, on_slices
 from .netsim import (ConfigError, DomainError, Observation, SimConfig, _ffi, _lib,
-                     map_jobs, run_episode)
+                     map_jobs, obs_row, run_episode)
 
 
 @dataclass
@@ -57,15 +55,12 @@ FEATURE_NAMES = ("rtt_ratio", "throughput_norm", "loss_rate", "qdelay_norm", "pr
 
 
 def observation_features(obs: Observation, b_max: float, prev_action: float) -> np.ndarray:
-    """Normalized feature vector shared by the learned controller and adversary."""
-    min_rtt = max(obs.visible_min_rtt_ms, 1e-6)
-    return np.array([
-        obs.srtt_ms / min_rtt,
-        obs.throughput_mbps / b_max,
-        obs.loss_rate,
-        (obs.srtt_ms - obs.visible_min_rtt_ms) / min_rtt,
-        prev_action,
-    ])
+    """Normalized feature vector shared by the learned controller and
+    adversary; the C function the tick loop uses computes it."""
+    f = np.empty(len(FEATURE_NAMES))
+    _lib.tl_obs_features(obs_row(obs), b_max, prev_action,
+                         _ffi.from_buffer("double[]", f))
+    return f
 
 
 @dataclass
@@ -95,25 +90,54 @@ class PolicyNet:
             return self.n_features + 1
         return self.hidden * (self.n_features + 1) + self.hidden + 1
 
-    def act(self, features: np.ndarray) -> float:
-        """Bounded action in [-a_max, a_max]; hard clamp after the tanh head."""
+    def output(self, features: np.ndarray) -> float:
+        """The head's input: the linear map, after the hidden layer if any."""
         x = np.asarray(features, dtype=float)
         p = self.params
         if self.hidden == 0:
-            out = float(p[:self.n_features] @ x + p[self.n_features])
-        else:
-            nf, nh = self.n_features, self.hidden
-            w1 = p[:nh * nf].reshape(nh, nf)
-            b1 = p[nh * nf:nh * nf + nh]
-            w2 = p[nh * nf + nh:nh * nf + nh + nh]
-            b2 = p[-1]
-            out = float(w2 @ np.tanh(w1 @ x + b1) + b2)
-        a = self.a_max * math.tanh(out)
-        return min(self.a_max, max(-self.a_max, a))
+            return float(p[:self.n_features] @ x + p[self.n_features])
+        nf, nh = self.n_features, self.hidden
+        w1 = p[:nh * nf].reshape(nh, nf)
+        b1 = p[nh * nf:nh * nf + nh]
+        w2 = p[nh * nf + nh:nh * nf + nh + nh]
+        b2 = p[-1]
+        return float(w2 @ np.tanh(w1 @ x + b1) + b2)
+
+    def act(self, features: np.ndarray) -> float:
+        """Bounded action in [-a_max, a_max]: a_max * tanh(output), then a hard
+        clamp, in the C function the tick loop uses."""
+        return _lib.tl_action(self.output(features), self.a_max)
 
     def with_params(self, params: np.ndarray) -> "PolicyNet":
         return PolicyNet(n_features=self.n_features, hidden=self.hidden,
                          a_max=self.a_max, params=np.asarray(params, dtype=float))
+
+
+def policy_outputs(policies: list[PolicyNet], x: np.ndarray, out: np.ndarray):
+    """A function setting out[j] = policies[j].output(x[j]), bit for bit, for
+    the rows of `x`. Hidden-layer policies of one shape run as one stack:
+    numpy's stacked matmul and tanh round as its one-row ones do (a test pins
+    this for this numpy and BLAS)."""
+    p0 = policies[0]
+    if p0.hidden == 0:
+        def row_by_row():
+            for j, policy in enumerate(policies):
+                out[j] = policy.output(x[j])
+        return row_by_row
+    k, nf, nh = len(policies), p0.n_features, p0.hidden
+    p, i, j = np.stack([policy.params for policy in policies]), nh * nf, nh * nf + nh
+    w1, b1 = p[:, :i].reshape(k, nh, nf).copy(), p[:, i:j].copy()
+    w2, b2 = p[:, j:j + nh].reshape(k, 1, nh).copy(), p[:, -1:].reshape(k, 1, 1).copy()
+    x3, t, o = x[:, :, None], np.empty((k, nh, 1)), out.reshape(k, 1, 1)
+    h = t[:, :, 0]
+
+    def batched():
+        np.matmul(w1, x3, out=t)
+        np.add(h, b1, out=h)
+        np.tanh(h, out=h)
+        np.matmul(w2, t, out=o)
+        np.add(o, b2, out=o)
+    return batched
 
 
 CHECKPOINT_MAGIC = "ccprobe-policy v1"
@@ -176,22 +200,19 @@ class LearnedController(Controller):
     def policy(self, policy: PolicyNet) -> None:
         self._policy = policy
         c = self.cc_state
+        c.a_max = policy.a_max
         if policy.hidden == 0 and policy.n_features == len(FEATURE_NAMES):
             c.kind = _lib.TL_LINEAR
             c.params = policy.params.tolist()
-            c.a_max = policy.a_max
         else:
             c.kind = _lib.TL_EXTERNAL
 
     def on_interval(self, obs: Observation) -> None:
         if self.cc_state.kind == _lib.TL_LINEAR:
-            row = _ffi.new("tl_obs *", dataclasses.astuple(obs)[1:])
-            _lib.cc_on_interval(self.cc_state, row)
+            _lib.cc_on_interval(self.cc_state, obs_row(obs))
             return
         feats = observation_features(obs, self.b_max, self.prev_action)
-        a = self.policy.act(feats)
-        self.cwnd = min(self.cwnd_max, max(1.0, self.cwnd * 2.0 ** a))
-        self.prev_action = a
+        _lib.cc_learned_step(self.cc_state, self.policy.output(feats))
 
 
 def episode_return(policy: PolicyNet, trace, sim: SimConfig,
@@ -203,11 +224,13 @@ def episode_return(policy: PolicyNet, trace, sim: SimConfig,
     return sum(rs) / len(rs) if rs else 0.0
 
 
-def _pool_return(policy: PolicyNet, traces, sim: SimConfig,
-                 reward: RewardParams, params, ep_seed: int) -> float:
-    """`train_controller`'s CEM objective: the episode seed picks the trace."""
-    return episode_return(policy.with_params(params),
-                          traces[ep_seed % len(traces)], sim, reward)
+def _pool_returns(policy: PolicyNet, traces, sim: SimConfig,
+                  reward: RewardParams, params, seeds) -> list[float]:
+    """`train_controller`'s CEM objective over a slice: each row's episode
+    seed picks its trace."""
+    return [episode_return(policy.with_params(p), traces[seed % len(traces)],
+                           sim, reward)
+            for p, seed in zip(params, seeds)]
 
 
 def train_controller(policy: PolicyNet, traces, episodes: int,
@@ -226,7 +249,8 @@ def train_controller(policy: PolicyNet, traces, episodes: int,
     if generations == 0:
         return policy, []
 
-    result = cem_maximize(partial(_pool_return, policy, traces, sim, reward),
+    result = cem_maximize(on_slices(partial(_pool_returns, policy, traces, sim,
+                                            reward)),
                           dim=policy.n_params, generations=generations,
                           config=cem, init_mean=policy.params)
 

@@ -11,11 +11,12 @@ from __future__ import annotations
 import hashlib
 import importlib
 import math
+import operator
 import os
 import pickle
 import subprocess
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -249,6 +250,15 @@ class Observation:
     cwnd: float
 
 
+# an Observation's fields after interval_idx, the fields of a `tl_obs` row
+_OBS_ROW_FIELDS = operator.attrgetter(*[f.name for f in fields(Observation)][1:])
+
+
+def obs_row(obs: Observation):
+    """`obs` as a C `tl_obs` row."""
+    return _ffi.new("tl_obs *", _OBS_ROW_FIELDS(obs))
+
+
 @dataclass
 class EpisodeLog:
     config: SimConfig
@@ -288,106 +298,143 @@ def run_episode(config: SimConfig, trace, controller, intercept=None,
     Exactly one of `trace` (pre-specified) or `env_driver` (supplies the next
     interval's bandwidth online) drives the link capacity. `intercept`, when
     given, scales the min-RTT estimate the controller reads; simulator ground
-    truth is never touched.
-
-    The ticks run in C (`_tickloop.c`), which also writes each interval's
-    observation into a buffer and steps the controller's `cc_state`: per ACK
-    batch and loss reaction for a rule controller, per interval for a
-    learned one with a linear policy. Such an episode on a trace runs to its
-    end in one call, and its observations are built from the buffer once.
-    The loop comes back here at every interval boundary only for work that
-    is Python's: the `on_interval` of a TL_EXTERNAL controller (`Pinned`, a
-    learned one with a hidden layer, any other `Controller` subclass), which
-    sets its next cwnd in `cc_state` itself, the intercept and the env
-    driver. `controller` is a `cc.Controller`: the loop drives its
-    `cc_state` and nothing else.
+    truth is never touched. The k = 1 case of `run_episodes`, which says how
+    the loop runs.
     """
-    config.validate()
     if (trace is None) == (env_driver is None):
         raise ConfigError("exactly one of trace / env_driver must be given")
-    if trace is not None and trace.interval_ms != config.trace_interval_ms:
-        raise ConfigError(f"trace interval {trace.interval_ms:g} ms differs "
-                          f"from sim trace_interval_ms "
-                          f"{config.trace_interval_ms:g} ms")
+    if intercept is not None and env_driver is not None:
+        raise ConfigError("an episode takes one adversary at most")
+    adversary = env_driver if intercept is None else intercept
+    return run_episodes(config, [trace], [controller], [adversary])[0]
 
-    pkt = int(config.packet_size)
-    tick_ms = config.tick_ms
-    interval_ticks = config.interval_ticks
-    n_intervals = config.n_intervals
-    base_rtt_ms = config.base_rtt_ms
 
-    # Fixed buffer: 2 x (max capacity x base RTT), as with a static Mahimahi queue.
-    if trace is not None:
-        max_cap = max(trace.values)
-    else:
-        max_cap = env_driver.bw_max
-    queue_cap_bytes = config.queue_capacity_bdp * (max_cap * 1e6 / 8.0) * (base_rtt_ms / 1000.0)
-    queue_cap_pkts = max(1, int(queue_cap_bytes // pkt))
-    n_ticks = n_intervals * interval_ticks
-    # a tick injects at most queue_cap_pkts + 8 packets, so this bounds every
-    # count the tick loop keeps in 64 bits
-    if n_ticks * (queue_cap_pkts + 8) >= 2**62:
-        raise ConfigError(f"capacity {max_cap:g} Mbps makes a queue of "
-                          f"{queue_cap_pkts:.3g} packets, too many to count "
-                          f"in 64 bits")
+def run_episodes(config: SimConfig, traces, controllers,
+                 adversaries=None) -> list[EpisodeLog]:
+    """k episodes in lock-step, row j of `traces`, `controllers` and
+    `adversaries` (None for none); each log equals the row's episode run alone.
 
-    st = _ffi.new("tl_state *")
-    st.pkt = pkt
-    # ACKs return two one-way delays after delivery
-    st.ack_delay = 2 * int(round(config.one_way_delay_ms / tick_ms))
-    st.interval_ticks = interval_ticks
-    st.n_ticks = n_ticks
-    st.queue_cap = queue_cap_pkts
-    st.burst_cap = queue_cap_pkts + 8
-    st.tick_ms = tick_ms
-    st.owd_ms = config.one_way_delay_ms
-    st.base_rtt_ms = base_rtt_ms
-    st.min_rtt = st.min_owd = math.inf
-    st.reaction_blocked_until = -1
-    rows = st.obs = _ffi.new("tl_obs[]", n_intervals)
-    flat = _ffi.cast("double *", rows)
+    The ticks run in C (`_tickloop.c`), which also writes each interval's
+    observation into a buffer, steps the controller's `cc_state` and does
+    every per-interval step of the adversary but its policy's matmuls: its
+    feature row, action, next capacity or min-RTT scale, and reward. A row
+    with no Python work runs to its end in one call; the others stop at each
+    interval boundary, where a TL_EXTERNAL controller's `on_interval` gets
+    its row's Observation, and the adversaries' hook then runs once for the
+    slice. Other Observations are built from the buffer once, at the end.
 
-    st.cc = controller.cc_state
-    acts = st.cc.kind == _lib.TL_EXTERNAL
-    hooked = st.hooked = acts or intercept is not None or env_driver is not None
-
-    if env_driver is not None:
-        st.capacity = env_driver.first_capacity()
-    else:
-        caps = st.caps = _ffi.new("double[]", trace.values)
-        st.n_caps = len(caps)
-        st.capacity = caps[0]
-
-    if intercept is not None:
-        intercept.begin_episode()
-    st.scale = 1.0 if intercept is None else intercept.scale()
-
-    log = EpisodeLog(config=config)
-    observations = log.observations
-    step = _lib.tl_step
+    A row with no trace takes its capacity from its adversary, an env driver.
+    An adversary has `adv_state`, its `tl_adv`; `begin_episode()`, which
+    resets it; and `lockstep(adversaries)`, the slice's hook, called at each
+    boundary but the last to leave every row's policy output or draw in its
+    `tl_adv`.
+    """
+    config.validate()
+    adversaries = adversaries or [None] * len(controllers)
+    n = config.n_intervals
+    rows = []
     try:
-        while True:
-            ev = step(st)
-            if ev == _INTERVAL:
-                i = len(observations)
-                obs = Observation(i, *_ffi.unpack(flat + i * _OBS_FIELDS, _OBS_FIELDS))
-                observations.append(obs)
-                if acts:
-                    controller.on_interval(obs)
-                if intercept is not None:
-                    intercept.begin_interval(obs)
-                    st.scale = intercept.scale()
-                if env_driver is not None and i + 1 < n_intervals:
-                    st.capacity = env_driver.next_capacity(obs)
-            elif ev == _DONE:
-                break
-            else:
-                raise _tick_loop_error(ev, st)
+        for row in zip(traces, controllers, adversaries, strict=True):
+            rows.append(_Row(config, *row))
+        advs = [a for a in adversaries if a is not None]
+        hook = advs[0].lockstep(advs) if advs else None
+        hooked = [row for row in rows if row.st.hooked]
+        step = _lib.tl_step
+        for row in rows:
+            if not row.st.hooked and (ev := step(row.st)) != _DONE:
+                raise _tick_loop_error(ev, row.st)
+        for i in range(n if hooked else 0):
+            for row in hooked:
+                if (ev := step(row.st)) != _INTERVAL:
+                    raise _tick_loop_error(ev, row.st)
+                if row.external:
+                    obs = Observation(i, *_ffi.unpack(row.flat + i * _OBS_FIELDS,
+                                                      _OBS_FIELDS))
+                    row.log.observations.append(obs)
+                    row.controller.on_interval(obs)
+            if hook is not None and i + 1 < n:
+                hook()
+        for row in hooked:
+            if (ev := step(row.st)) != _DONE:
+                raise _tick_loop_error(ev, row.st)
+        return [row.finish() for row in rows]
+    finally:
+        for row in rows:
+            _lib.tl_free(row.st)
 
-        if not hooked:
+
+class _Row:
+    """A `run_episodes` row: its `tl_state`, and the buffers it points to."""
+
+    def __init__(self, config: SimConfig, trace, controller, adversary):
+        adv = None if adversary is None else adversary.adv_state
+        env = adv is not None and adv.surface == _lib.TL_ADV_ENV
+        if (trace is None) != env:
+            raise ConfigError("an episode's capacity comes from exactly one of "
+                              "a trace and an env driver")
+        if trace is not None and trace.interval_ms != config.trace_interval_ms:
+            raise ConfigError(f"trace interval {trace.interval_ms:g} ms differs "
+                              f"from sim trace_interval_ms "
+                              f"{config.trace_interval_ms:g} ms")
+        pkt = int(config.packet_size)
+        tick_ms = config.tick_ms
+        interval_ticks = config.interval_ticks
+        self.n_intervals = n_intervals = config.n_intervals
+        base_rtt_ms = config.base_rtt_ms
+
+        # Fixed buffer: 2 x (max capacity x base RTT), as with a static Mahimahi queue.
+        max_cap = adv.bw_max if env else max(trace.values)
+        queue_cap_bytes = config.queue_capacity_bdp * (max_cap * 1e6 / 8.0) * (base_rtt_ms / 1000.0)
+        queue_cap_pkts = max(1, int(queue_cap_bytes // pkt))
+        n_ticks = n_intervals * interval_ticks
+        # a tick injects at most queue_cap_pkts + 8 packets, so this bounds every
+        # count the tick loop keeps in 64 bits
+        if n_ticks * (queue_cap_pkts + 8) >= 2**62:
+            raise ConfigError(f"capacity {max_cap:g} Mbps makes a queue of "
+                              f"{queue_cap_pkts:.3g} packets, too many to count "
+                              f"in 64 bits")
+
+        self.st = st = _ffi.new("tl_state *")
+        st.pkt = pkt
+        # ACKs return two one-way delays after delivery
+        st.ack_delay = 2 * int(round(config.one_way_delay_ms / tick_ms))
+        st.interval_ticks = interval_ticks
+        st.n_ticks = n_ticks
+        st.queue_cap = queue_cap_pkts
+        st.burst_cap = queue_cap_pkts + 8
+        st.tick_ms = tick_ms
+        st.owd_ms = config.one_way_delay_ms
+        st.base_rtt_ms = base_rtt_ms
+        st.min_rtt = st.min_owd = math.inf
+        st.reaction_blocked_until = -1
+        self.obs = st.obs = _ffi.new("tl_obs[]", n_intervals)
+        self.flat = _ffi.cast("double *", self.obs)
+
+        self.controller = controller
+        st.cc = controller.cc_state
+        self.external = st.cc.kind == _lib.TL_EXTERNAL
+        st.hooked = self.external or adv is not None
+        st.scale = 1.0
+        if adv is not None:
+            adversary.begin_episode()
+            st.adv = adv
+            if env:
+                st.capacity = adv.value
+            else:
+                st.scale = adv.value
+        if trace is not None:
+            self.caps = st.caps = _ffi.new("double[]", trace.values)
+            st.n_caps = len(self.caps)
+            st.capacity = self.caps[0]
+        self.log = EpisodeLog(config=config)
+
+    def finish(self) -> EpisodeLog:
+        """The episode's log, once `st` has run to the end."""
+        st, log, n = self.st, self.log, self.n_intervals
+        if not log.observations:
             # map draws _OBS_FIELDS values in a row for each Observation
-            values = iter(_ffi.unpack(flat, n_intervals * _OBS_FIELDS))
-            log.observations = list(map(Observation, range(n_intervals),
+            values = iter(_ffi.unpack(self.flat, n * _OBS_FIELDS))
+            log.observations = list(map(Observation, range(n),
                                         *[values] * _OBS_FIELDS))
         log.sent = st.sent
         log.delivered = st.delivered
@@ -397,14 +444,21 @@ def run_episode(config: SimConfig, trace, controller, intercept=None,
         log.triple_dups = st.triple_dups
         log.timeouts = st.timeouts
         # no ACK, no histogram buffer
-        hist = _ffi.unpack(st.hist, st.hist_len) if st.hist_len else ()
-        log.ack_rtt_ticks = {r: c for r, c in enumerate(hist) if c}
-    finally:
-        _lib.tl_free(st)
-    return log
+        hist = np.frombuffer(_ffi.buffer(st.hist, 8 * st.hist_len), np.int64)
+        rtts = hist.nonzero()[0]
+        log.ack_rtt_ticks = dict(zip(rtts.tolist(), hist[rtts].tolist()))
+        return log
+
+
+# the message of each TL_DOMAIN_* code: the adversarial reward's checks
+_DOMAIN_ERRORS = {_lib.TL_DOMAIN_RTT: "rtt < min_rtt: broken observation pipeline",
+                  _lib.TL_DOMAIN_MIN_RTT: "min_rtt must be > 0",
+                  _lib.TL_DOMAIN_UTILIZATION: "utilization out of [0, 1]"}
 
 
 def _tick_loop_error(ev: int, st) -> Exception:
+    if ev in _DOMAIN_ERRORS:
+        return DomainError(_DOMAIN_ERRORS[ev])
     if ev == _lib.TL_NOMEM:
         return MemoryError("tick loop: no memory left for the queue, ACK or "
                            "RTT buffers or BBR-lite's sample deques")
@@ -414,6 +468,17 @@ def _tick_loop_error(ev: int, st) -> Exception:
         return ValueError(f"pacing rate {st.cc.pacing_bps!r} bps "
                           f"leaves no finite pacing credit")
     return ValueError(f"capacity {st.capacity!r} Mbps leaves no finite link credit")
+
+
+def slices(columns, workers: int) -> list[tuple]:
+    """The rows of `columns`, sequences of one length, cut into
+    `min(workers, rows)` contiguous slices whose sizes differ by one at most:
+    one `map_jobs` job per process, each job the tuple of its columns' slices.
+    A job's function returns one result per row of its slice."""
+    n_rows = len(columns[0])
+    n = max(1, min(workers, n_rows))
+    cuts = [n_rows * i // n for i in range(n + 1)]
+    return [tuple(c[a:b] for c in columns) for a, b in zip(cuts, cuts[1:])]
 
 
 def map_jobs(fn, jobs, workers: int) -> list:

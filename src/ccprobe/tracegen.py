@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .netsim import BandwidthTrace
+from .netsim import BandwidthTrace, _lib
 
 
 @dataclass
@@ -48,18 +48,14 @@ def project_next(history, proposed: float, budget: SmoothnessBudget) -> float:
     """Nearest value to `proposed` keeping the extended sequence feasible.
 
     Always feasible: a zero step never violates the budget, so the previous
-    value is a fallback.
+    value is a fallback. Computed by the C function the env driver steps
+    with, over the last window_k values of `history`.
     """
-    prev = history[-1]
-    k = budget.window_k
-    # absolute differences of the last k-1 steps already committed
-    tail = 0.0
-    for i in range(max(1, len(history) - (k - 1)), len(history)):
-        tail += abs(history[i] - history[i - 1])
-    slack = max(0.0, k * budget.delta - tail)
-    lo = max(budget.bw_min, prev - slack)
-    hi = min(budget.bw_max, prev + slack)
-    return min(hi, max(lo, proposed))
+    recent = list(history[-budget.window_k:])
+    if not recent:
+        raise IndexError("project_next needs a non-empty history")
+    return _lib.tl_project_next(recent, len(recent), proposed, budget.delta,
+                                budget.window_k, budget.bw_min, budget.bw_max)
 
 
 def check_feasible(values, budget: SmoothnessBudget, tol: float = 1e-9) -> bool:

@@ -1,19 +1,25 @@
 """Adversary: perturbation bounds, intercepts, env driver, calibration."""
 
+import dataclasses
+from collections import deque
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ccprobe import netsim
 from ccprobe.adversary import (AdversarySpec, DelayConstraint, EnvBandwidthDriver,
                                FeatureBound, FeatureIntercept, PerturbMode,
                                RewardMode, SurfaceMode, adversarial_episode,
-                               calibrate_tau, make_adversary_policy,
-                               perturb_min_rtt, random_baseline_traces,
-                               select_worst_trace, train_adversary)
+                               adversarial_episodes, calibrate_tau, env_reward,
+                               make_adversary_policy, naive_reward,
+                               perturb_min_rtt, queuing_delay,
+                               random_baseline_traces, select_worst_trace,
+                               train_adversary)
 from ccprobe.cc import make_controller
 from ccprobe.cem import CemConfig
-from ccprobe.learned import RewardParams
-from ccprobe.netsim import Observation, run_episode
+from ccprobe.learned import DomainError, RewardParams, controller_reward
+from ccprobe.netsim import Observation, _lib, obs_row, run_episode
 from ccprobe.tracegen import SmoothnessBudget, check_feasible
 
 
@@ -163,3 +169,116 @@ def test_select_worst_trace_infeasible_returns_none(short_sim):
     assert select_worst_trace(spec, policy, lambda: make_controller("reno"),
                               short_sim, RewardParams(), n_rollouts=2,
                               seed=0) is None
+
+
+# --- lock-step slices and the reward scored in C ------------------------------
+
+def _python_scores(spec, reward, log):
+    """`adversarial_episode`'s scoring loop as written in Python before it
+    moved into the tick loop: (return, constraint rate)."""
+    delays = deque(maxlen=spec.constraint.window_h)
+    total, ok = 0.0, 0
+    for o in log.observations:
+        delays.append(queuing_delay(o))
+        if spec.reward_mode is RewardMode.NAIVE:
+            r = naive_reward(controller_reward(o, reward))
+        elif len(delays) < spec.constraint.window_h:
+            r = -o.utilization
+        else:
+            r = env_reward(o, delays, spec.constraint)
+        total += r
+        ok += o.srtt_ms - o.min_rtt_ms >= spec.constraint.tau_ms
+    n = len(log.observations)
+    return total / n, ok / n
+
+
+def _slice_specs():
+    traces = random_baseline_traces(SmoothnessBudget(), 3, 50, 100.0, seed=4)
+    for window_k in (1, 3):
+        constraint = DelayConstraint(tau_ms=15.0, alpha=0.7, window_h=5,
+                                     window_k=window_k)
+        for mode in RewardMode:
+            budget = SmoothnessBudget(delta=20.0, window_k=window_k)
+            for policy in (make_adversary_policy(SurfaceMode.ENV_BANDWIDTH), None):
+                yield AdversarySpec(SurfaceMode.ENV_BANDWIDTH, mode, constraint,
+                                    budget=budget, policy=policy), None
+            for perturb in PerturbMode:
+                yield AdversarySpec(SurfaceMode.FEATURE_MIN_RTT, mode, constraint,
+                                    feature_bound=FeatureBound(0.4, perturb),
+                                    policy=make_adversary_policy(
+                                        SurfaceMode.FEATURE_MIN_RTT)), traces
+
+
+def test_slice_of_episodes_equals_single_episodes(short_sim):
+    # both surfaces, both reward modes, every perturb mode, window_k 1 and 3,
+    # with and without a policy: row j of a slice of k is the single episode,
+    # field for field, and its return and constraint rate are the Python
+    # scoring loop's, bit for bit
+    rng = np.random.default_rng(9)
+    reward = RewardParams()
+    factory = lambda: make_controller("vegas")
+    for spec, traces in _slice_specs():
+        for k in (1, 2, 3, 5):
+            params = (None if spec.policy is None
+                      else rng.normal(0.0, 0.5, (k, spec.policy.n_params)))
+            seeds = [int(s) for s in rng.integers(0, 1000, k)]
+            inits = [None] + [float(v) for v in rng.uniform(1.0, 96.0, k - 1)]
+            evs = adversarial_episodes(spec, params, factory, short_sim, reward,
+                                       seeds, inits, clean_traces=traces)
+            assert len(evs) == k
+            for j, ev in enumerate(evs):
+                p = None if params is None else params[j]
+                one = adversarial_episode(spec, p, factory, short_sim, reward,
+                                          seeds[j], inits[j], clean_traces=traces)
+                assert dataclasses.astuple(ev) == dataclasses.astuple(one), spec
+            policy = spec.policy if p is None else spec.policy.with_params(p)
+            if spec.surface is SurfaceMode.ENV_BANDWIDTH:
+                log = run_episode(short_sim, None, factory(), env_driver=EnvBandwidthDriver(
+                    spec.budget, policy, b_max=reward.b_max, seed=seeds[-1],
+                    initial_capacity=inits[-1]))
+            else:
+                log = run_episode(short_sim, traces[seeds[-1] % len(traces)],
+                                  factory(), intercept=FeatureIntercept(
+                                      spec.feature_bound, policy, b_max=reward.b_max,
+                                      seed=seeds[-1]))
+            want = _python_scores(spec, reward, log)
+            assert [x.hex() for x in (ev.adv_return, ev.constraint_ok_rate)] == \
+                [x.hex() for x in want], spec
+            assert ev.trace_values == [o.capacity_mbps for o in log.observations]
+
+
+def test_reward_domain_errors_raise_through_the_c_code():
+    # each check of the Python reward pieces is a TL_DOMAIN_* code of the
+    # tick loop's scoring, raised as the same DomainError
+    reward = RewardParams()
+    cases = [(RewardMode.DELAY_CONSTRAINED, obs(srtt=15.0, min_rtt=20.0), 0,
+              lambda o: queuing_delay(o)),
+             (RewardMode.NAIVE, obs(srtt=5.0, min_rtt=0.0), 0,
+              lambda o: controller_reward(o, reward)),
+             (RewardMode.DELAY_CONSTRAINED, obs(util=1.5), 4,
+              lambda o: env_reward(o, [1.0] * 5, DelayConstraint(window_h=5)))]
+    for mode, bad, warmup, python in cases:
+        spec = AdversarySpec(SurfaceMode.ENV_BANDWIDTH, mode,
+                             DelayConstraint(tau_ms=1.0, window_h=5),
+                             budget=SmoothnessBudget())
+        driver = EnvBandwidthDriver(spec.budget)
+        driver.score_by(spec, reward)
+        for _ in range(warmup):
+            assert _lib.tl_adv_reward(driver.adv_state, obs_row(obs())) == 0
+        code = _lib.tl_adv_reward(driver.adv_state, obs_row(bad))
+        with pytest.raises(DomainError) as want:
+            python(bad)
+        err = netsim._tick_loop_error(code, None)
+        assert type(err) is DomainError and str(err) == str(want.value)
+
+
+@settings(max_examples=200)
+@given(st.floats(min_value=0.1, max_value=500.0),
+       st.floats(min_value=-5.0, max_value=5.0),
+       st.floats(min_value=0.0, max_value=0.9))
+def test_c_feature_scale_is_pythons(true_rtt, action, x):
+    # the adversarial branch as written in Python before it moved to C
+    a = min(1.0, max(-1.0, action))
+    want = true_rtt * (1.0 + a * x)
+    got = perturb_min_rtt(true_rtt, action, FeatureBound(x), np.random.default_rng(0))
+    assert got.hex() == want.hex()

@@ -511,19 +511,25 @@ def _training_runs(tmp_path):
     retrain = ["--init", _checkpoint(tmp_path), "--pool-adv",
                _worst_traces(tmp_path), "--episodes", "4"]
     env, feature = _training_cfg(tmp_path), _training_cfg(tmp_path, "feature")
-    attack_jobs = {"clean_episode", "_adversary_return", "adversarial_episode"}
+    attack_jobs = {"clean_episode", "_adversary_returns", "adversarial_episodes"}
     return [
         (["attack", "--config", env, "--controller", "cubic"], "attack",
          attack_jobs),
         (["attack", "--config", feature, "--controller", "vegas"], "attack",
          attack_jobs),
         (["train", "--config", env], "train",
-         {"_pool_return", "episode_return", "clean_episode"}),
+         {"_pool_returns", "episode_return", "clean_episode"}),
         (["retrain", "--config", env] + retrain, "retrain",
-         {"_mixed_return", "clean_episode"}),
+         {"_mixed_returns", "clean_episode"}),
         (["sweep-p", "--config", env] + retrain, "sweep",
-         {"_mixed_return", "clean_episode"}),
+         {"_mixed_returns", "clean_episode"}),
     ]
+
+
+# the job functions that take a whole slice of rows: a CEM population's
+# candidates or an attack's rollouts, run in lock-step
+SLICE_JOBS = {"_adversary_returns", "adversarial_episodes", "_pool_returns",
+              "_mixed_returns"}
 
 
 def test_training_commands_pass_workers_to_map_jobs(tmp_path, monkeypatch):
@@ -536,7 +542,12 @@ def test_training_commands_pass_workers_to_map_jobs(tmp_path, monkeypatch):
         jobs = list(jobs)
         # every objective and rollout job survives the trip to a worker
         fn2, jobs2 = pickle.loads(pickle.dumps((fn, jobs)))
-        calls.append((getattr(fn, "func", fn).__name__, workers))
+        name = getattr(fn, "func", fn).__name__
+        calls.append((name, workers))
+        if name in SLICE_JOBS:
+            # one contiguous slice per process, the rows shared out evenly
+            sizes = [len(job[-1]) for job in jobs]
+            assert len(jobs) <= workers and max(sizes) - min(sizes) <= 1, name
         return real(fn2, jobs2, 1)
 
     for mod in list(vars(ccprobe).values()):

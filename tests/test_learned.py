@@ -1,5 +1,7 @@
 """Learned controller: policy math, checkpoints, training contract."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,8 +9,8 @@ from hypothesis import given, settings, strategies as st
 from ccprobe.cem import CemConfig
 from ccprobe.learned import (FEATURE_NAMES, LearnedController, PolicyNet,
                              RewardParams, episode_return, load_policy,
-                             observation_features, save_policy,
-                             train_controller)
+                             observation_features, policy_outputs,
+                             save_policy, train_controller)
 from ccprobe.netsim import (BandwidthTrace, ConfigError, Observation, _lib,
                             run_episode)
 
@@ -208,3 +210,77 @@ def test_train_never_regresses_on_holdout(short_sim, const_trace):
 def test_train_requires_traces(short_sim):
     with pytest.raises(ValueError):
         train_controller(PolicyNet(5, 0), [], 32, short_sim, RewardParams())
+
+
+# --- the C feature row and action head, and the batched policy ----------------
+
+def _python_features(o, b_max, prev_action):
+    """`observation_features` as written in numpy before it moved to C."""
+    min_rtt = max(o.visible_min_rtt_ms, 1e-6)
+    return np.array([o.srtt_ms / min_rtt, o.throughput_mbps / b_max, o.loss_rate,
+                     (o.srtt_ms - o.visible_min_rtt_ms) / min_rtt, prev_action])
+
+
+def _python_act(policy, x):
+    """`PolicyNet.act` as written in numpy before its head moved to C."""
+    p, nf, nh = policy.params, policy.n_features, policy.hidden
+    if nh == 0:
+        out = float(p[:nf] @ x + p[nf])
+    else:
+        w1, b1 = p[:nh * nf].reshape(nh, nf), p[nh * nf:nh * nf + nh]
+        out = float(p[nh * nf + nh:nh * nf + 2 * nh] @ np.tanh(w1 @ x + b1) + p[-1])
+    a = policy.a_max * math.tanh(out)
+    return min(policy.a_max, max(-policy.a_max, a))
+
+
+@settings(max_examples=300)
+@given(srtt=_ms, visible=st.one_of(_ms, st.just(0.0), st.floats(0.0, 1e-6)),
+       thr=st.floats(0.0, 200.0), loss_rate=st.floats(0.0, 1.0),
+       b_max=st.sampled_from([96.0, 32.0, 1.5]), prev=st.floats(-3.7, 3.7))
+def test_c_features_are_pythons(srtt, visible, thr, loss_rate, b_max, prev):
+    o = Observation(0, 100.0, 48.0, thr, 0.0, loss_rate, srtt, srtt, visible,
+                    0.5, 10.0)
+    assert ([x.hex() for x in observation_features(o, b_max, prev)]
+            == [x.hex() for x in _python_features(o, b_max, prev)])
+
+
+def _spread(rng, shape):
+    """Signed values whose magnitudes span 1e-3 to 30, log-uniformly."""
+    return rng.choice([-1.0, 1.0], shape) * 10.0 ** rng.uniform(-3.0, math.log10(30.0), shape)
+
+
+@settings(max_examples=60, deadline=None)
+@given(k=st.integers(1, 33), nf=st.sampled_from([5, 6]),
+       hidden=st.sampled_from([16, 16, 16, 0]), seed=st.integers(0, 2**32 - 1))
+def test_batched_policy_outputs_are_act_bit_for_bit(k, nf, hidden, seed):
+    # the lock-step adversary's one evaluation per interval for a slice of k
+    # policies, then the C head, against each row's own PolicyNet.act and the
+    # numpy code it replaced; the equality is this numpy's and its BLAS's
+    rng = np.random.default_rng(seed)
+    shape = PolicyNet(nf, hidden=hidden)
+    policies = [shape.with_params(_spread(rng, shape.n_params)) for _ in range(k)]
+    x, out = _spread(rng, (k, nf)), np.empty(k)
+    policy_outputs(policies, x, out)()
+    for j, policy in enumerate(policies):
+        got = _lib.tl_action(out[j], policy.a_max).hex()
+        assert got == policy.act(x[j]).hex() == _python_act(policy, x[j]).hex()
+
+
+def test_hidden_learned_step_is_pythons():
+    # the external (hidden-layer) controller's step in C against the numpy
+    # cwnd update it replaced
+    rng = np.random.default_rng(21)
+    for _ in range(500):
+        policy = PolicyNet(5, hidden=16, a_max=rng.choice([1.0, 2.0]))
+        policy = policy.with_params(rng.normal(0.0, rng.choice([0.3, 3.0]),
+                                               policy.n_params))
+        visible = rng.uniform(1.0, 200.0)
+        o = Observation(0, 100.0, 48.0, rng.uniform(0.0, 100.0), 0.0,
+                        rng.uniform(0.0, 0.5), visible + rng.uniform(0.0, 300.0),
+                        visible, visible, 0.5, 10.0)
+        ctl = LearnedController(policy, cwnd_max=4096.0)
+        ctl.cwnd, ctl.prev_action = rng.uniform(1.0, 4096.0), rng.uniform(-2.0, 2.0)
+        a = _python_act(policy, _python_features(o, ctl.b_max, ctl.prev_action))
+        want = min(4096.0, max(1.0, ctl.cwnd * 2.0 ** a))
+        ctl.on_interval(o)
+        assert (ctl.cwnd.hex(), ctl.prev_action.hex()) == (want.hex(), a.hex())

@@ -97,3 +97,27 @@ def test_projection_respects_range(history, proposed):
     out = project_next(history, proposed, b)
     assert b.bw_min <= out <= b.bw_max
     assert abs(out - history[-1]) <= b.delta + 1e-9
+
+
+def _python_project_next(history, proposed, budget):
+    """`project_next` as written in Python before it moved to C."""
+    prev = history[-1]
+    k = budget.window_k
+    tail = 0.0
+    for i in range(max(1, len(history) - (k - 1)), len(history)):
+        tail += abs(history[i] - history[i - 1])
+    slack = max(0.0, k * budget.delta - tail)
+    lo = max(budget.bw_min, prev - slack)
+    hi = min(budget.bw_max, prev + slack)
+    return min(hi, max(lo, proposed))
+
+
+@settings(max_examples=300)
+@given(st.lists(st.floats(min_value=0.0, max_value=120.0), min_size=1, max_size=8),
+       st.floats(min_value=-50.0, max_value=150.0),
+       st.floats(min_value=0.5, max_value=60.0),
+       st.integers(min_value=1, max_value=4))
+def test_c_projection_is_pythons(history, proposed, delta, k):
+    b = SmoothnessBudget(delta=delta, window_k=k, bw_min=2.0, bw_max=96.0)
+    assert project_next(history, proposed, b).hex() == \
+        float(_python_project_next(history, proposed, b)).hex()
