@@ -11,9 +11,12 @@ population 8 around the fixed policy, and `evaluate_suite` of it, each over
 the 10 random traces of seeds 0-9), times 60 s env-surface adversary
 episodes against cubic (random hidden-16 policies, seeds 0-15) in slices of
 1, 4 and 16, and one env-adversary CEM generation of 8 against cubic at 1
-and 2 workers, and stores the result under `--label` in the JSON file
-`--out` (other labels already in the file are kept). Import ccprobe from the
-tree to measure, so two trees compare under identical settings:
+and 2 workers, times what an episode costs after its ticks (everything but
+`tl_step` in `episode_return` of the fixed policy and in `clean_episode` of
+cubic, over the same trace), and stores the result under `--label` in the
+JSON file `--out` (other labels already in the file are kept). Import
+ccprobe from the tree to measure, so two trees compare under identical
+settings:
 
     PYTHONPATH=/path/to/parent/src python3 scripts/bench_netsim.py \
         --label parent --out BENCH_<n>.json
@@ -25,13 +28,17 @@ episode time gives ticks/s (simulated ticks per host second) and ACKs/s
 into a temporary file, and gives ms per 60 s trace. The batches and the
 adversary slices are timed the same way too; a slice's time is given per
 episode. A tree without `adversary.adversarial_episodes` runs a slice as
-one `adversarial_episode` call per row.
+one `adversarial_episode` call per row, and a tree whose `evaluate_suite`
+takes one policy gets that one. The cost after the ticks is the median, over
+AFTER_TICKS_REPEATS episodes after one warm-up, of each episode's wall time
+minus the time spent in the calls `netsim.run_episodes` makes to `tl_step`.
 """
 
 from __future__ import annotations
 
 import argparse
 import hashlib
+import inspect
 import json
 import os
 import platform
@@ -54,6 +61,7 @@ from ccprobe.netsim import SimConfig, export_mahimahi, run_episode
 from ccprobe.tracegen import SmoothnessBudget, gen_random_trace
 
 REPEATS = 5
+AFTER_TICKS_REPEATS = 21
 # fixed linear policy over the five observation features plus a bias: it
 # grows cwnd while the queue is empty and backs off on queuing and loss
 LEARNED_PARAMS = [0.0, 0.0, -1.0, -4.0, 0.0, 0.3]
@@ -108,6 +116,13 @@ def _pool_return(policy, traces, sim, reward, params, seed):
                           sim, reward)
 
 
+def _suite(policy, trace_sets, sim, reward, workers):
+    """`evaluate_suite` of one policy, in either signature."""
+    if "policies" in inspect.signature(evaluate_suite).parameters:
+        return evaluate_suite([policy], trace_sets, sim, reward, workers)[0]
+    return evaluate_suite(policy, trace_sets, sim, reward, workers)
+
+
 def measure_pool() -> dict:
     sim, reward = SimConfig(), RewardParams()
     policy = PolicyNet(n_features=5, hidden=0, params=LEARNED_PARAMS)
@@ -118,8 +133,7 @@ def measure_pool() -> dict:
         "cem_generation": lambda w: cem_maximize(
             objective, dim=policy.n_params, generations=1,
             config=CemConfig(population=8, workers=w), init_mean=policy.params),
-        "evaluate_suite": lambda w: evaluate_suite(
-            policy, {"pool": traces}, sim, reward, w),
+        "evaluate_suite": lambda w: _suite(policy, {"pool": traces}, sim, reward, w),
     }
     out = {}
     for name, batch in batches.items():
@@ -159,6 +173,53 @@ def measure_adversary() -> dict:
     return out
 
 
+class _TimedSteps:
+    """Stands in for `netsim._lib`, adding the time of each `tl_step` call
+    to `in_step`."""
+
+    def __init__(self, lib):
+        self.lib, self.in_step = lib, 0.0
+
+    def __getattr__(self, name):
+        return getattr(self.lib, name)
+
+    def tl_step(self, st):
+        t0 = time.perf_counter()
+        try:
+            return self.lib.tl_step(st)
+        finally:
+            self.in_step += time.perf_counter() - t0
+
+
+def measure_after_ticks(trace) -> dict:
+    """ms per 60 s episode outside `tl_step`, and in all, for the learned
+    CEM objective (`episode_return`, fixed linear policy) and a clean-episode
+    job (`clean_episode`, cubic)."""
+    sim, reward = SimConfig(), RewardParams()
+    policy = PolicyNet(n_features=5, hidden=0, params=LEARNED_PARAMS)
+    cases = {"episode_return_learned": lambda: episode_return(policy, trace, sim, reward),
+             "clean_episode_cubic": lambda: adversary.clean_episode(
+                 sim, trace, partial(make_controller, "cubic"))}
+    out = {}
+    timed = _TimedSteps(netsim._lib)
+    netsim._lib = timed
+    try:
+        for name, episode in cases.items():
+            episode()
+            after, total = [], []
+            for _ in range(AFTER_TICKS_REPEATS):
+                timed.in_step = 0.0
+                t0 = time.perf_counter()
+                episode()
+                total.append(time.perf_counter() - t0)
+                after.append(total[-1] - timed.in_step)
+            out[name] = {"after_ticks_ms": round(statistics.median(after) * 1000, 3),
+                         "episode_ms": round(statistics.median(total) * 1000, 3)}
+    finally:
+        netsim._lib = timed.lib
+    return out
+
+
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("--label", required=True,
@@ -188,7 +249,8 @@ def main() -> None:
                                               "cases": measure(trace),
                                               "export": measure_export(trace),
                                               "pool": measure_pool(),
-                                              "adversary": measure_adversary()}
+                                              "adversary": measure_adversary(),
+                                              "after_ticks": measure_after_ticks(trace)}
     with open(args.out, "w") as f:
         json.dump(doc, f, indent=2, sort_keys=True)
         f.write("\n")
@@ -202,6 +264,9 @@ def main() -> None:
               f"{r['workers_2_ms']:>8.2f} ms at 2")
     for row, ms in doc["runs"][args.label]["adversary"].items():
         print(f"{args.label} adversary {row:36s} {ms:>8.2f} ms")
+    for case, r in doc["runs"][args.label]["after_ticks"].items():
+        print(f"{args.label} {case:22s} {r['after_ticks_ms']:>8.3f} ms after the ticks "
+              f"of {r['episode_ms']:>8.3f} ms")
 
 
 if __name__ == "__main__":

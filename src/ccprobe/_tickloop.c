@@ -30,6 +30,11 @@
  * and counts the constraint in `ok`; an observation outside the reward's
  * domain ends the episode with a TL_DOMAIN_* code.
  *
+ * An episode ends in `tl_obs_sums`, which sums its `tl_obs` rows into what
+ * its means are taken from: queuing delay, capacity, throughput and,
+ * for a learned controller's return, the controller reward
+ * (`tl_controller_reward`, the one definition of that reward).
+ *
  * The arithmetic is Python's, operation for operation, in IEEE doubles; the
  * build turns off FMA contraction and never uses fast-math, so the one
  * fused multiply-add is the explicit `fma` that repeats numpy's dot
@@ -102,6 +107,16 @@ typedef struct {
     double srtt_ms, min_rtt_ms, visible_min_rtt_ms, utilization, cwnd;
 } tl_obs;
 
+/* the controller reward's parameters, the fields of `learned.RewardParams` */
+typedef struct {
+    double lam, gamma, b_max;
+} tl_reward;
+
+/* an episode's sums over its rows, each left to right from 0.0 */
+typedef struct {
+    double queuing_delay_ms, capacity_mbps, throughput_mbps, reward;
+} tl_sums;
+
 /* a loss-based window: packets, fractional */
 typedef struct {
     double cwnd, ssthresh;
@@ -137,6 +152,8 @@ typedef struct {
     double c, alpha, beta;
     double w_max, epoch_start_ms;   /* epoch_start_ms is None until has_epoch */
     int has_epoch;
+    /* cubic's K, computed for w_max == k_w_max (NaN before the first) */
+    double k, k_w_max;
     /* vegas and illinois */
     double base_rtt_ms, next_adjust_ms;
     double alpha_min, alpha_max, beta_min, beta_max;
@@ -180,10 +197,11 @@ typedef struct {
     int64_t window_k, n_recent;
     double *recent;
     /* the reward, scored when `scored`: naive or delay-constrained, tau,
-     * alpha and the windows, `RewardParams`, and the last window_h queuing
+     * alpha, `RewardParams` and the windows, and the last window_h queuing
      * delays, a ring of `delays` (window_h doubles) holding n_delays in all */
     int scored, naive;
-    double tau_ms, alpha, lam, gamma, reward_b_max;
+    double tau_ms, alpha;
+    tl_reward reward;
     int64_t window_h, delay_k, n_delays;
     double *delays;
     /* the sum of rewards, and the intervals meeting the constraint */
@@ -253,7 +271,8 @@ void cc_init(tl_cc *c, int kind);
 int cc_on_ack(tl_cc *c, const tl_ackinfo *a);
 void cc_on_loss(tl_cc *c, int timeout);
 void cc_on_interval(tl_cc *c, const tl_obs *o);
-double cubic_window(double t_s, double w_max, double c, double beta);
+double cubic_k(double w_max, double c, double beta);
+double cubic_window(double t_s, double k, double w_max, double c);
 double vegas_diff(const tl_cc *c, double rtt_ms);
 void illinois_params(const tl_cc *c, double *alpha, double *beta);
 void lp_filter_init(tl_lp_filter *f, double threshold_fraction,
@@ -272,6 +291,10 @@ double tl_action(double out, double a_max);
 void tl_obs_features(const tl_obs *o, double b_max, double prev_action,
                      double *f);
 void cc_learned_step(tl_cc *c, double out);
+int tl_delay_factor(double srtt_ms, double min_rtt_ms, double gamma, double *d);
+int tl_controller_reward(const tl_obs *o, const tl_reward *p, double *r);
+int tl_obs_sums(const tl_obs *o, int64_t n, double base_rtt_ms,
+                const tl_reward *reward, tl_sums *s);
 double tl_project_next(const double *recent, int64_t n, double proposed,
                        double delta, int64_t k, double bw_min, double bw_max);
 double tl_feature_scale(double a, double x_fraction);
@@ -468,6 +491,7 @@ void cc_init(tl_cc *c, int kind)
     c->base_rtt_ms = INFINITY;
     c->grace_until_ms = -INFINITY;   /* lets a backoff act before re-checking */
     c->min_rtt_scale = 1.0;
+    c->k_w_max = NAN;
 }
 
 static void clamp(tl_window *w)
@@ -521,10 +545,15 @@ static void reno_loss(tl_window *w, int timeout)
     clamp(w);
 }
 
-/* W(t) = C(t-K)^3 + w_max with K = cbrt(w_max(1-beta)/C); W(K) == w_max. */
-double cubic_window(double t_s, double w_max, double c, double beta)
+/* K = cbrt(w_max(1-beta)/C), where cubic_window reaches w_max */
+double cubic_k(double w_max, double c, double beta)
 {
-    double k = pow(w_max * (1.0 - beta) / c, 1.0 / 3.0);
+    return pow(w_max * (1.0 - beta) / c, 1.0 / 3.0);
+}
+
+/* W(t) = C(t-K)^3 + w_max, K from cubic_k; W(K) == w_max. */
+double cubic_window(double t_s, double k, double w_max, double c)
+{
     return c * pow(t_s - k, 3.0) + w_max;
 }
 
@@ -543,8 +572,13 @@ static void cubic_ack(tl_cc *c, const tl_ackinfo *a)
             if (c->w_max < w->cwnd)
                 c->w_max = w->cwnd;
         }
+        /* K changes only with w_max; c and beta are constants */
+        if (c->k_w_max != c->w_max) {
+            c->k = cubic_k(c->w_max, c->c, c->beta);
+            c->k_w_max = c->w_max;
+        }
         double t = (a->now_ms - c->epoch_start_ms + a->rtt_ms) / 1000.0;
-        double target = cubic_window(t, c->w_max, c->c, c->beta);
+        double target = cubic_window(t, c->k, c->w_max, c->c);
         if (target > w->cwnd)
             w->cwnd += (target - w->cwnd) / w->cwnd * (double)a->acked_packets;
         else   /* gentle probing when at/above the plateau */
@@ -967,6 +1001,53 @@ void cc_on_interval(tl_cc *c, const tl_obs *o)
         linear_interval(c, o);
 }
 
+/* --- the controller reward and an episode's sums ---------------------------- */
+
+/* `learned.delay_factor`: gamma * min_rtt / srtt once srtt exceeds
+ * gamma * min_rtt, else 1. 0, or TL_DOMAIN_MIN_RTT when min_rtt <= 0. */
+int tl_delay_factor(double srtt_ms, double min_rtt_ms, double gamma, double *d)
+{
+    if (min_rtt_ms <= 0)
+        return TL_DOMAIN_MIN_RTT;
+    *d = gamma * min_rtt_ms < srtt_ms ? gamma * min_rtt_ms / srtt_ms : 1.0;
+    return 0;
+}
+
+/* `learned.controller_reward`: R_t = ((T_t - lam * L_t) / B_max) * D_t.
+ * 0, or tl_delay_factor's TL_DOMAIN_* code. */
+int tl_controller_reward(const tl_obs *o, const tl_reward *p, double *r)
+{
+    double d;
+    int err = tl_delay_factor(o->srtt_ms, o->min_rtt_ms, p->gamma, &d);
+    if (err)
+        return err;
+    *r = (o->throughput_mbps - p->lam * o->loss_mbps) / p->b_max * d;
+    return 0;
+}
+
+/* The sums `netsim.EpisodeLog` takes its means from, over the n rows of `o`:
+ * the queuing delay max(0, srtt - base_rtt_ms), the capacity, the throughput
+ * and, given `reward`, the controller reward (else 0). 0, or the TL_DOMAIN_*
+ * code of the first row outside the reward's domain. */
+int tl_obs_sums(const tl_obs *o, int64_t n, double base_rtt_ms,
+                const tl_reward *reward, tl_sums *s)
+{
+    *s = (tl_sums){0.0, 0.0, 0.0, 0.0};
+    for (int64_t i = 0; i < n; i++) {
+        s->queuing_delay_ms += py_max(0.0, o[i].srtt_ms - base_rtt_ms);
+        s->capacity_mbps += o[i].capacity_mbps;
+        s->throughput_mbps += o[i].throughput_mbps;
+        if (reward) {
+            double r;
+            int err = tl_controller_reward(&o[i], reward, &r);
+            if (err)
+                return err;
+            s->reward += r;
+        }
+    }
+    return 0;
+}
+
 /* --- the adversary --------------------------------------------------------- */
 
 /* `tracegen.project_next` over the last min(n, k) of the history, `recent`
@@ -1066,12 +1147,10 @@ int tl_adv_reward(tl_adv *a, const tl_obs *o)
     a->n_delays++;
     double r;
     if (a->naive) {
-        if (o->min_rtt_ms <= 0)
-            return TL_DOMAIN_MIN_RTT;
-        double f = 1.0;
-        if (a->gamma * o->min_rtt_ms < o->srtt_ms)
-            f = a->gamma * o->min_rtt_ms / o->srtt_ms;
-        r = -((o->throughput_mbps - a->lam * o->loss_mbps) / a->reward_b_max * f);
+        int err = tl_controller_reward(o, &a->reward, &r);
+        if (err)
+            return err;
+        r = -r;
     }
     else if (a->n_delays < a->window_h) {
         r = -o->utilization;

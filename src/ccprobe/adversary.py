@@ -161,7 +161,7 @@ class _Adversary:
         s.scored, s.naive = True, spec.reward_mode is RewardMode.NAIVE
         s.tau_ms, s.alpha, s.window_h, s.delay_k = (c.tau_ms, c.alpha,
                                                     c.window_h, c.window_k)
-        s.lam, s.gamma, s.reward_b_max = reward.lam, reward.gamma, reward.b_max
+        s.reward = reward.c_struct()[0]
 
     @staticmethod
     def lockstep(advs):
@@ -327,13 +327,13 @@ def adversarial_episodes(spec: AdversarySpec, params, controller_factory,
                         advs)
     evals = []
     for adv, log in zip(advs, logs):
-        n = len(log.observations)
+        n = len(log.rows)
         evals.append(EpisodeEval(
             utilization=log.mean_utilization(),
             mean_delay_ms=log.mean_queuing_delay_ms(),
             adv_return=adv.adv_state.total / n if n else 0.0,
             constraint_ok_rate=adv.adv_state.ok / n if n else 0.0,
-            trace_values=[o.capacity_mbps for o in log.observations],
+            trace_values=log.column("capacity_mbps").tolist(),
         ))
     return evals
 

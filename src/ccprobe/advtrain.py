@@ -7,10 +7,10 @@ from functools import partial
 
 import numpy as np
 
-from .adversary import clean_episodes, mean_queuing_delay_ms
+from .adversary import clean_episode, mean_queuing_delay_ms
 from .cem import CemConfig, GenerationStats, cem_maximize, on_slices
 from .learned import LearnedController, PolicyNet, RewardParams, episode_return
-from .netsim import BandwidthTrace, SimConfig
+from .netsim import BandwidthTrace, SimConfig, map_jobs
 
 
 def check_mix_p(mix_p: float) -> None:
@@ -80,21 +80,25 @@ class SuiteRow:
     mean_delay_ms: float
 
 
-def evaluate_suite(policy: PolicyNet, trace_sets: dict, sim: SimConfig,
-                   reward: RewardParams, workers: int = 1) -> list[SuiteRow]:
-    """Per-set mean utilization/delay, one episode per trace; every set's
-    episodes go through one `clean_episodes` call."""
-    if not trace_sets or not all(trace_sets.values()):
-        raise ValueError("need at least one trace set, and no empty one")
-    factory = partial(LearnedController, policy, b_max=reward.b_max)
-    reports = clean_episodes(factory,
-                             [t for ts in trace_sets.values() for t in ts],
-                             sim, workers)
-    rows = []
-    for name, traces in trace_sets.items():
-        mine, reports = reports[:len(traces)], reports[len(traces):]
-        rows.append(SuiteRow(
-            trace_set=name,
-            utilization=sum(r.utilization for r in mine) / len(mine),
-            mean_delay_ms=mean_queuing_delay_ms(mine)))
-    return rows
+def evaluate_suite(policies: list[PolicyNet], trace_sets: dict, sim: SimConfig,
+                   reward: RewardParams, workers: int = 1) -> list[list[SuiteRow]]:
+    """Each policy's per-set mean utilization/delay, one episode per trace;
+    every policy's episodes over every set go through one `map_jobs` batch."""
+    if not policies or not trace_sets or not all(trace_sets.values()):
+        raise ValueError("need a policy and a trace set, and no empty set")
+    traces = [t for ts in trace_sets.values() for t in ts]
+    reports = map_jobs(clean_episode,
+                       [(sim, trace, partial(LearnedController, policy,
+                                             b_max=reward.b_max))
+                        for policy in policies for trace in traces], workers)
+    suites = []
+    for _ in policies:
+        rows = []
+        for name, ts in trace_sets.items():
+            mine, reports = reports[:len(ts)], reports[len(ts):]
+            rows.append(SuiteRow(
+                trace_set=name,
+                utilization=sum(r.utilization for r in mine) / len(mine),
+                mean_delay_ms=mean_queuing_delay_ms(mine)))
+        suites.append(rows)
+    return suites

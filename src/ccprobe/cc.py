@@ -202,7 +202,7 @@ def cubic_window(t_s: float, w_max: float, c: float = 0.4, beta: float = 0.7) ->
     _check_cubic(c, beta)
     if w_max < 0:
         raise ValueError(f"w_max must be >= 0, got {w_max!r}")
-    return _lib.cubic_window(t_s, w_max, c, beta)
+    return _lib.cubic_window(t_s, _lib.cubic_k(w_max, c, beta), w_max, c)
 
 
 class Cubic(RuleController):
@@ -216,11 +216,6 @@ class Cubic(RuleController):
         c, beta = _finite(c=c, beta=beta)
         _check_cubic(c, beta)
         super().__init__(c=c, beta=beta)
-
-    @property
-    def epoch_start_ms(self) -> float | None:
-        s = self.cc_state
-        return s.epoch_start_ms if s.has_epoch else None
 
 
 class Vegas(RuleController):

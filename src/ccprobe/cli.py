@@ -332,8 +332,8 @@ def cmd_train(args, cfg: ExperimentConfig, out: str) -> int:
                ["generation", "elite_mean", "best_return"],
                [[r.generation, r.elite_mean, r.best_return] for r in log_rows],
                cfg)
-    suite = advtrain.evaluate_suite(policy, {"train_pool": traces}, cfg.sim,
-                                    cfg.reward, args.workers)
+    [suite] = advtrain.evaluate_suite([policy], {"train_pool": traces}, cfg.sim,
+                                      cfg.reward, args.workers)
     for row in suite:
         print(f"{row.trace_set}: util={row.utilization:.4f} "
               f"delay={row.mean_delay_ms:.2f}ms")
@@ -381,12 +381,10 @@ def cmd_retrain(args, cfg: ExperimentConfig, out: str) -> int:
     sets = {"random_baseline": benign}
     if adversarial:
         sets["adversarial"] = adversarial
-    rows = []
-    for tag, pol in [("before", policy), ("after", new_policy)]:
-        for srow in advtrain.evaluate_suite(pol, sets, cfg.sim, cfg.reward,
-                                            args.workers):
-            rows.append([tag, srow.trace_set, srow.utilization,
-                         srow.mean_delay_ms])
+    suites = advtrain.evaluate_suite([policy, new_policy], sets, cfg.sim,
+                                     cfg.reward, args.workers)
+    rows = [[tag, srow.trace_set, srow.utilization, srow.mean_delay_ms]
+            for tag, suite in zip(("before", "after"), suites) for srow in suite]
     _write_csv(os.path.join(out, "retrain_eval.csv"),
                ["stage", "trace_set", "utilization", "delay_ms"],
                rows, cfg)
@@ -407,8 +405,8 @@ def cmd_sweep_p(args, cfg: ExperimentConfig, out: str) -> int:
         new_policy, _ = advtrain.adversarial_retrain(
             policy, pool, episodes, cfg.sim, cfg.reward,
             cfg.train.cem(cfg.seed, args.workers))
-        suite = advtrain.evaluate_suite(
-            new_policy, {"random_baseline": benign, "adversarial": adversarial},
+        [suite] = advtrain.evaluate_suite(
+            [new_policy], {"random_baseline": benign, "adversarial": adversarial},
             cfg.sim, cfg.reward, args.workers)
         by = {s.trace_set: s for s in suite}
         rows.append([p, by["random_baseline"].utilization,

@@ -19,7 +19,7 @@ import numpy as np
 from .cc import Controller, _Field
 from .cem import CemConfig, GenerationStats, cem_maximize, on_slices
 from .netsim import (ConfigError, DomainError, Observation, SimConfig, _ffi, _lib,
-                     map_jobs, obs_row, run_episode)
+                     domain_check, map_jobs, obs_row, run_episode)
 
 
 @dataclass
@@ -36,19 +36,25 @@ class RewardParams:
         if self.b_max <= 0:
             raise ValueError("b_max must be > 0")
 
+    def c_struct(self):
+        """These parameters as a C `tl_reward`."""
+        return _ffi.new("tl_reward *", (self.lam, self.gamma, self.b_max))
+
 
 def delay_factor(srtt_ms: float, min_rtt_ms: float, gamma: float) -> float:
-    if min_rtt_ms <= 0:
-        raise DomainError("min_rtt must be > 0")
-    if gamma * min_rtt_ms < srtt_ms:
-        return gamma * min_rtt_ms / srtt_ms
-    return 1.0
+    """D_t = gamma * min_rtt / srtt once srtt exceeds gamma * min_rtt, else
+    1; the C function the reward uses computes it."""
+    d = _ffi.new("double *")
+    domain_check(_lib.tl_delay_factor(srtt_ms, min_rtt_ms, gamma, d))
+    return d[0]
 
 
 def controller_reward(obs: Observation, params: RewardParams) -> float:
-    """R_t = ((T_t - lam * L_t) / B_max) * D_t."""
-    d = delay_factor(obs.srtt_ms, obs.min_rtt_ms, params.gamma)
-    return (obs.throughput_mbps - params.lam * obs.loss_mbps) / params.b_max * d
+    """R_t = ((T_t - lam * L_t) / B_max) * D_t, in the C function that an
+    episode's reward sum and the naive adversarial reward use too."""
+    r = _ffi.new("double *")
+    domain_check(_lib.tl_controller_reward(obs_row(obs), params.c_struct(), r))
+    return r[0]
 
 
 FEATURE_NAMES = ("rtt_ratio", "throughput_norm", "loss_rate", "qdelay_norm", "prev_action")
@@ -217,11 +223,11 @@ class LearnedController(Controller):
 
 def episode_return(policy: PolicyNet, trace, sim: SimConfig,
                    reward: RewardParams) -> float:
-    """Mean per-interval controller reward over one episode."""
-    ctl = LearnedController(policy, b_max=reward.b_max)
-    log = run_episode(sim, trace, ctl)
-    rs = [controller_reward(o, reward) for o in log.observations]
-    return sum(rs) / len(rs) if rs else 0.0
+    """Mean per-interval controller reward over one episode, from the sum
+    the C reduction takes over its rows."""
+    log = run_episode(sim, trace, LearnedController(policy, b_max=reward.b_max))
+    n = len(log.rows)
+    return log.sums(reward).reward / n if n else 0.0
 
 
 def _pool_returns(policy: PolicyNet, traces, sim: SimConfig,

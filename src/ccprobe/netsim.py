@@ -250,8 +250,10 @@ class Observation:
     cwnd: float
 
 
-# an Observation's fields after interval_idx, the fields of a `tl_obs` row
-_OBS_ROW_FIELDS = operator.attrgetter(*[f.name for f in fields(Observation)][1:])
+# an Observation's fields after interval_idx: the fields of a `tl_obs` row,
+# and the columns of `EpisodeLog.rows`
+OBS_COLUMNS = tuple(f.name for f in fields(Observation))[1:]
+_OBS_ROW_FIELDS = operator.attrgetter(*OBS_COLUMNS)
 
 
 def obs_row(obs: Observation):
@@ -259,7 +261,9 @@ def obs_row(obs: Observation):
     return _ffi.new("tl_obs *", _OBS_ROW_FIELDS(obs))
 
 
-@dataclass
+# eq=False: a log holds an array, so logs compare by identity; compare
+# their `observations` or `rows` instead
+@dataclass(eq=False)
 class EpisodeLog:
     config: SimConfig
     # totals
@@ -271,24 +275,47 @@ class EpisodeLog:
     # loss reactions by kind
     triple_dups: int = 0
     timeouts: int = 0
-    # per-interval series
-    observations: list[Observation] = field(default_factory=list)
+    # per-interval series: row i is interval i's `tl_obs` row, as the tick
+    # loop wrote it (OBS_COLUMNS)
+    rows: np.ndarray = field(default_factory=lambda: np.empty((0, _OBS_FIELDS)))
     # per-ACK RTT histogram: RTT in ticks -> number of ACKs
     ack_rtt_ticks: dict[int, int] = field(default_factory=dict)
 
+    @property
+    def observations(self) -> list[Observation]:
+        """The rows as Observations, built anew on each read."""
+        # map draws _OBS_FIELDS values in a row for each Observation
+        values = iter(self.rows.ravel().tolist())
+        return list(map(Observation, range(len(self.rows)), *[values] * _OBS_FIELDS))
+
+    def column(self, name: str) -> np.ndarray:
+        """One field of every row, an Observation field after interval_idx."""
+        return self.rows[:, OBS_COLUMNS.index(name)]
+
+    def sums(self, reward=None):
+        """The rows' `tl_sums`, each summed left to right in C: queuing delay
+        (smoothed RTT minus true base RTT, floored at 0), capacity, throughput
+        and, given `reward` (a `learned.RewardParams`), the controller reward;
+        DomainError from the first row outside the reward's domain."""
+        rows = self.rows
+        if (rows.dtype != np.float64 or rows.shape[1:] != (_OBS_FIELDS,)
+                or not rows.flags.c_contiguous):
+            raise ValueError(f"rows must be a C-contiguous float64 array of "
+                             f"{_OBS_FIELDS} columns, got {rows.dtype} {rows.shape}")
+        s = _ffi.new("tl_sums *")
+        domain_check(_lib.tl_obs_sums(
+            _ffi.from_buffer("tl_obs[]", rows), len(rows), self.config.base_rtt_ms,
+            _ffi.NULL if reward is None else reward.c_struct(), s))
+        return s
+
     def mean_queuing_delay_ms(self) -> float:
         """Mean per-interval queuing delay (smoothed RTT minus true base RTT)."""
-        if not self.observations:
-            return 0.0
-        base = self.config.base_rtt_ms
-        return sum(max(0.0, o.srtt_ms - base) for o in self.observations) / len(self.observations)
+        n = len(self.rows)
+        return self.sums().queuing_delay_ms / n if n else 0.0
 
     def mean_utilization(self) -> float:
-        if not self.observations:
-            return 0.0
-        cap = sum(o.capacity_mbps for o in self.observations)
-        got = sum(o.throughput_mbps for o in self.observations)
-        return min(1.0, got / cap) if cap > 0 else 0.0
+        s = self.sums()
+        return min(1.0, s.throughput_mbps / s.capacity_mbps) if s.capacity_mbps > 0 else 0.0
 
 
 def run_episode(config: SimConfig, trace, controller, intercept=None,
@@ -321,7 +348,7 @@ def run_episodes(config: SimConfig, traces, controllers,
     with no Python work runs to its end in one call; the others stop at each
     interval boundary, where a TL_EXTERNAL controller's `on_interval` gets
     its row's Observation, and the adversaries' hook then runs once for the
-    slice. Other Observations are built from the buffer once, at the end.
+    slice. Each log's `rows` are the buffer the loop wrote, never copied.
 
     A row with no trace takes its capacity from its adversary, an env driver.
     An adversary has `adv_state`, its `tl_adv`; `begin_episode()`, which
@@ -348,10 +375,7 @@ def run_episodes(config: SimConfig, traces, controllers,
                 if (ev := step(row.st)) != _INTERVAL:
                     raise _tick_loop_error(ev, row.st)
                 if row.external:
-                    obs = Observation(i, *_ffi.unpack(row.flat + i * _OBS_FIELDS,
-                                                      _OBS_FIELDS))
-                    row.log.observations.append(obs)
-                    row.controller.on_interval(obs)
+                    row.controller.on_interval(Observation(i, *row.log.rows[i].tolist()))
             if hook is not None and i + 1 < n:
                 hook()
         for row in hooked:
@@ -379,7 +403,7 @@ class _Row:
         pkt = int(config.packet_size)
         tick_ms = config.tick_ms
         interval_ticks = config.interval_ticks
-        self.n_intervals = n_intervals = config.n_intervals
+        n_intervals = config.n_intervals
         base_rtt_ms = config.base_rtt_ms
 
         # Fixed buffer: 2 x (max capacity x base RTT), as with a static Mahimahi queue.
@@ -407,8 +431,9 @@ class _Row:
         st.base_rtt_ms = base_rtt_ms
         st.min_rtt = st.min_owd = math.inf
         st.reaction_blocked_until = -1
-        self.obs = st.obs = _ffi.new("tl_obs[]", n_intervals)
-        self.flat = _ffi.cast("double *", self.obs)
+        # the loop writes each of the log's rows before anything reads it
+        self.log = EpisodeLog(config=config, rows=np.empty((n_intervals, _OBS_FIELDS)))
+        self.obs = st.obs = _ffi.from_buffer("tl_obs[]", self.log.rows)
 
         self.controller = controller
         st.cc = controller.cc_state
@@ -426,16 +451,10 @@ class _Row:
             self.caps = st.caps = _ffi.new("double[]", trace.values)
             st.n_caps = len(self.caps)
             st.capacity = self.caps[0]
-        self.log = EpisodeLog(config=config)
 
     def finish(self) -> EpisodeLog:
         """The episode's log, once `st` has run to the end."""
-        st, log, n = self.st, self.log, self.n_intervals
-        if not log.observations:
-            # map draws _OBS_FIELDS values in a row for each Observation
-            values = iter(_ffi.unpack(self.flat, n * _OBS_FIELDS))
-            log.observations = list(map(Observation, range(n),
-                                        *[values] * _OBS_FIELDS))
+        st, log = self.st, self.log
         log.sent = st.sent
         log.delivered = st.delivered
         log.dropped = st.dropped
@@ -454,6 +473,12 @@ class _Row:
 _DOMAIN_ERRORS = {_lib.TL_DOMAIN_RTT: "rtt < min_rtt: broken observation pipeline",
                   _lib.TL_DOMAIN_MIN_RTT: "min_rtt must be > 0",
                   _lib.TL_DOMAIN_UTILIZATION: "utilization out of [0, 1]"}
+
+
+def domain_check(err: int) -> None:
+    """DomainError for a TL_DOMAIN_* code from C; nothing for 0."""
+    if err:
+        raise DomainError(_DOMAIN_ERRORS[err])
 
 
 def _tick_loop_error(ev: int, st) -> Exception:

@@ -96,7 +96,7 @@ def learned_stack(baseline_traces):
     adv_trace = BandwidthTrace(100.0, worst.trace_values)
     sets = {"random": baseline_traces, "adv": [adv_trace]}
     before = {r.trace_set: r.utilization
-              for r in evaluate_suite(policy, sets, EVAL_SIM, REWARD, WORKERS)}
+              for r in evaluate_suite([policy], sets, EVAL_SIM, REWARD, WORKERS)[0]}
     after = {}
     for p in (0.2, 1.0):
         pool = TracePool(benign=baseline_traces if p < 1 else [],
@@ -105,8 +105,8 @@ def learned_stack(baseline_traces):
                                       CemConfig(seed=4, sigma0=0.3,
                                                 workers=WORKERS))
         after[p] = {r.trace_set: r.utilization
-                    for r in evaluate_suite(newp, sets, EVAL_SIM, REWARD,
-                                            WORKERS)}
+                    for r in evaluate_suite([newp], sets, EVAL_SIM, REWARD,
+                                            WORKERS)[0]}
     return {"policy": policy, "tau": tau, "worst": worst,
             "adv_trace": adv_trace, "before": before, "after": after,
             "elapsed": time.time() - t0}

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import oracles
 from ccprobe import netsim
 from ccprobe.adversary import (AdversarySpec, DelayConstraint, EnvBandwidthDriver,
                                FeatureBound, FeatureIntercept, PerturbMode,
@@ -181,7 +182,7 @@ def _python_scores(spec, reward, log):
     for o in log.observations:
         delays.append(queuing_delay(o))
         if spec.reward_mode is RewardMode.NAIVE:
-            r = naive_reward(controller_reward(o, reward))
+            r = naive_reward(oracles.controller_reward(o, reward))
         elif len(delays) < spec.constraint.window_h:
             r = -o.utilization
         else:

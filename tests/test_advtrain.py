@@ -76,8 +76,8 @@ def test_retrain_does_not_mutate_input(short_sim, const_trace):
 def test_evaluate_suite_deterministic(short_sim, const_trace):
     p = PolicyNet(n_features=5, hidden=0)
     sets = {"one": [const_trace]}
-    a = evaluate_suite(p, sets, short_sim, RewardParams())
-    b = evaluate_suite(p, sets, short_sim, RewardParams())
+    [a] = evaluate_suite([p], sets, short_sim, RewardParams())
+    [b] = evaluate_suite([p], sets, short_sim, RewardParams())
     assert a[0].utilization == b[0].utilization
     assert a[0].mean_delay_ms == b[0].mean_delay_ms
 
@@ -85,7 +85,21 @@ def test_evaluate_suite_deterministic(short_sim, const_trace):
 def test_evaluate_suite_counts(short_sim):
     p = PolicyNet(n_features=5, hidden=0)
     trs = traces("b", n=10)
-    rows = evaluate_suite(p, {"ten": trs}, short_sim, RewardParams())
+    [rows] = evaluate_suite([p], {"ten": trs}, short_sim, RewardParams())
     assert len(rows) == 1               # one set, 10 episodes behind it
     with pytest.raises(ValueError):
-        evaluate_suite(p, {}, short_sim, RewardParams())
+        evaluate_suite([p], {}, short_sim, RewardParams())
+    with pytest.raises(ValueError):
+        evaluate_suite([], {"ten": trs}, short_sim, RewardParams())
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_evaluate_suite_of_two_policies_is_each_alone(short_sim, workers):
+    # retrain's before/after evaluation: one batch, the same rows as one
+    # batch per policy
+    sets = {"a": traces("a", n=3), "b": traces("b", n=2)}
+    p, q = PolicyNet(n_features=5, hidden=0), PolicyNet(
+        n_features=5, hidden=0, params=[0.0, 0.0, -1.0, -4.0, 0.0, 0.3])
+    both = evaluate_suite([p, q], sets, short_sim, RewardParams(), workers)
+    alone = [evaluate_suite([x], sets, short_sim, RewardParams())[0] for x in (p, q)]
+    assert both == alone
