@@ -819,6 +819,51 @@ def test_golden_hidden_learned_episode_digest(short_sim):
     assert h.hexdigest() == GOLDEN_HIDDEN_LEARNED_SHA256
 
 
+
+# a linear policy whose bias drives the action to -a_max: cwnd halves every
+# interval down to 1 and stays there, as a collapsed CEM candidate's does
+COLLAPSED_POLICY = [0.0, 0.0, 0.0, 0.0, 0.0, -5.0]
+
+
+def _quiescent_cases():
+    """(config, trace, factory) of episodes whose ticks are mostly quiescent:
+    no ACK due, a full window, an empty queue and no loss reaction due."""
+    short = SimConfig(episode_duration_s=5.0)
+    factories = [partial(Pinned, 1.0), partial(Pinned, 2.0),
+                 partial(_learned, COLLAPSED_POLICY), partial(_learned, FIXED_POLICY),
+                 partial(make_controller, "bbrlite")]
+    for tick_ms in (1.0, 0.5, 0.25):
+        full = SimConfig(tick_ms=tick_ms)
+        runs = [(full, gen_random_trace(full.n_intervals, SmoothnessBudget(), seed=0))]
+        for queue_bdp in (short.queue_capacity_bdp, 0.1):
+            sim = dataclasses.replace(short, tick_ms=tick_ms,
+                                      queue_capacity_bdp=queue_bdp)
+            runs += [(sim, trace) for trace in _golden_traces()]
+        for sim, trace in runs:
+            for factory in factories:
+                yield sim, trace, factory
+
+
+def test_golden_quiescent_episode_digest():
+    # Episodes in which the link credit is often all that moves, at 1, 0.5
+    # and 0.25 ms ticks: Pinned(1) and Pinned(2), a learned policy collapsed
+    # to cwnd 1, the bench's fixed policy and the paced bbrlite, on a 60 s
+    # random trace and on the golden traces, whose low walk carries less
+    # than a packet per tick. Behind a queue of a tenth of a BDP, drops leave
+    # only lost packets in flight: on the walk with the outage, quiet ticks
+    # run up to a retransmission timeout and up to the tick a blocked
+    # triple-dup reaction may fire at.
+    h = hashlib.sha256()
+    small = []
+    for sim, trace, factory in _quiescent_cases():
+        log = run_episode(sim, trace, factory())
+        _hash_episode(h, log)
+        if sim.queue_capacity_bdp == 0.1 and trace.values[25] == 0.0:
+            small.append(log)
+    assert sum(log.timeouts for log in small) > 0
+    assert sum(log.triple_dups for log in small) > 0
+    assert h.hexdigest() == GOLDEN_QUIESCENT_SHA256
+
 GOLDEN_HIDDEN_LEARNED_SHA256 = (
     "c7e6ea5dec721de65643412194edfe0765803fb55d5064449598590f5335941a")
 GOLDEN_EPISODES_SHA256 = (
@@ -829,3 +874,5 @@ GOLDEN_RULE_CONSTANTS_SHA256 = (
     "ac3681cee30cefcfdfff8fd968d7c396aeb666a804551660528fe9804bbef669")
 GOLDEN_EXPORT_SHA256 = (
     "1c59568f70032d19c72bcdea82121ca0a32f50942859a4a1d25e04927beed593")
+GOLDEN_QUIESCENT_SHA256 = (
+    "84a866ed3f803f622d1a860445122cb3f834a0cb266aacb9e7316acf52ee3a96")
