@@ -3,9 +3,10 @@
 trace/I/O layer's Mahimahi export, batches of episodes through `map_jobs`,
 and adversarial episodes run in lock-step slices.
 
-Runs one episode case per rule controller, a runaway `Pinned(4096)` sender
-and a `LearnedController` with a fixed linear policy, over one fixed 60 s
-random trace (seed 0, default budget), times `export_mahimahi` of the same
+Runs one episode case per rule controller, a runaway `Pinned(4096)` sender,
+a `Pinned(1)` sender, a `LearnedController` with a fixed linear policy and
+one whose policy has collapsed cwnd to 1, over one fixed 60 s random trace
+(seed 0, default budget), times `export_mahimahi` of the same
 trace, times two batches at 1 and 2 workers (one CEM generation of
 population 8 around the fixed policy, and `evaluate_suite` of it, each over
 the 10 random traces of seeds 0-9), times 60 s env-surface adversary
@@ -22,9 +23,14 @@ settings:
         --label parent --out BENCH_<n>.json
     PYTHONPATH=src python3 scripts/bench_netsim.py --label change --out BENCH_<n>.json
 
-Each case is timed REPEATS times after one untimed warm-up; the median
-episode time gives ticks/s (simulated ticks per host second) and ACKs/s
-(acknowledged packets per host second). The export is timed the same way,
+The episode cases run in CASE_ROUNDS rounds after one untimed warm-up of
+each, every round running every case once, so a slow spell of a shared host
+falls on all cases alike. Each case reports its median and its best episode
+time, ticks/s (simulated ticks per host second) and ACKs/s (acknowledged
+packets per host second) at both, and the share of its ticks the tick loop
+ran as quiescent stretches (`EpisodeLog.quiescent_ticks`; null on a tree
+that does not count them). Everything else is timed REPEATS times after one
+untimed warm-up, and reports the median. The export is timed the same way,
 into a temporary file, and gives ms per 60 s trace. The batches and the
 adversary slices are timed the same way too; a slice's time is given per
 episode. A tree without `adversary.adversarial_episodes` runs a slice as
@@ -61,18 +67,25 @@ from ccprobe.netsim import SimConfig, export_mahimahi, run_episode
 from ccprobe.tracegen import SmoothnessBudget, gen_random_trace
 
 REPEATS = 5
+CASE_ROUNDS = 15
 AFTER_TICKS_REPEATS = 21
 # fixed linear policy over the five observation features plus a bias: it
 # grows cwnd while the queue is empty and backs off on queuing and loss
 LEARNED_PARAMS = [0.0, 0.0, -1.0, -4.0, 0.0, 0.3]
+# a linear policy whose bias holds the action at -a_max: cwnd falls to 1 and
+# stays there, as a collapsed CEM candidate's does
+COLLAPSED_PARAMS = [0.0, 0.0, 0.0, 0.0, 0.0, -5.0]
 
 
 def _cases():
     for name in RULE_BASED:
         yield name, partial(make_controller, name)
     yield "pinned4096", partial(Pinned, 4096.0)
+    yield "pinned1", partial(Pinned, 1.0)
     policy = PolicyNet(n_features=5, hidden=0, params=LEARNED_PARAMS)
     yield "learned_fixed", partial(LearnedController, policy)
+    collapsed = PolicyNet(n_features=5, hidden=0, params=COLLAPSED_PARAMS)
+    yield "learned_collapsed", partial(LearnedController, collapsed)
 
 
 def _timed(fn):
@@ -98,13 +111,25 @@ def measure_export(trace) -> dict:
 def measure(trace) -> dict:
     sim = SimConfig()
     ticks = sim.n_intervals * sim.interval_ticks
+    cases = dict(_cases())
+    for factory in cases.values():
+        run_episode(sim, trace, factory())
+    times = {name: [] for name in cases}
+    logs = {}
+    for _ in range(CASE_ROUNDS):
+        for name, factory in cases.items():
+            t0 = time.perf_counter()
+            logs[name] = run_episode(sim, trace, factory())
+            times[name].append(time.perf_counter() - t0)
     out = {}
-    for name, factory in _cases():
-        t, log = _timed(lambda: run_episode(sim, trace, factory()))
+    for name, log in logs.items():
+        t, best = statistics.median(times[name]), min(times[name])
+        quiet = getattr(log, "quiescent_ticks", None)
         out[name] = {
-            "episode_s": round(t, 4),
-            "ticks_per_s": round(ticks / t),
-            "acks_per_s": round(log.acked / t),
+            "episode_s": round(t, 5), "best_episode_s": round(best, 5),
+            "ticks_per_s": round(ticks / t), "best_ticks_per_s": round(ticks / best),
+            "acks_per_s": round(log.acked / t), "best_acks_per_s": round(log.acked / best),
+            "quiescent_share": None if quiet is None else round(quiet / ticks, 4),
             "sent": log.sent, "dropped": log.dropped, "acked": log.acked,
         }
     return out
@@ -242,7 +267,7 @@ def main() -> None:
             doc = json.load(f)
     doc.update(nproc=os.cpu_count(), python=platform.python_version(),
                trace="gen_random_trace(600, SmoothnessBudget(), seed=0), 60 s",
-               repeats=REPEATS)
+               repeats=REPEATS, case_rounds=CASE_ROUNDS)
     sim = SimConfig()
     trace = gen_random_trace(sim.n_intervals, SmoothnessBudget(), seed=0)
     doc.setdefault("runs", {})[args.label] = {"netsim_sha256": netsim_sha,
@@ -255,8 +280,10 @@ def main() -> None:
         json.dump(doc, f, indent=2, sort_keys=True)
         f.write("\n")
     for case, r in doc["runs"][args.label]["cases"].items():
-        print(f"{args.label} {case:14s} {r['ticks_per_s']:>8d} ticks/s "
-              f"{r['acks_per_s']:>9d} acks/s")
+        quiet = r["quiescent_share"]
+        print(f"{args.label} {case:17s} {r['ticks_per_s']:>9d} ticks/s "
+              f"(best {r['best_ticks_per_s']:>9d}) {r['acks_per_s']:>9d} acks/s "
+              f"quiescent {'-' if quiet is None else f'{quiet:.3f}'}")
     print(f"{args.label} export         "
           f"{doc['runs'][args.label]['export']['ms_per_trace']:>8.2f} ms/trace")
     for batch, r in doc["runs"][args.label]["pool"].items():

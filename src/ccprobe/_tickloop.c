@@ -4,7 +4,20 @@
  *
  * `tl_step` advances one episode tick by tick. Every tick runs the same five
  * steps as the simulator has always had: ACK arrivals, loss reactions,
- * cwnd/pacing-gated injection, delivery and the interval boundary. The
+ * cwnd/pacing-gated injection, delivery and the interval boundary. A tick
+ * in which only the link credit can move is quiescent: it is neither its
+ * interval's first nor its last, no ACK run is due, the controller does
+ * not pace, the window admits no packet, the queue is empty and no loss
+ * reaction can fire. Nothing a quiescent tick reads changes before the
+ * next tick that does something else, so a stretch of them runs in one
+ * inner loop of step 4's credit operations, up to the earliest of the head
+ * ACK's tick, the interval's last tick, a blocked triple-dup reaction's
+ * reaction_blocked_until and the first tick whose RTO test passes
+ * (`quiet_until`); `quiescent_ticks` counts them. The link credit takes no
+ * division while the capacity per tick is below 2^52 bytes: the credit
+ * stays in [0, pkt), so each tick's delivery opportunities are floor(c /
+ * pkt) plus 0, 1 or 2, found by two comparisons against exact thresholds
+ * (`link_tick` has the proof); otherwise `tl_floordiv` divides. The
  * episode's controller is one `tl_cc`, which `tl_step` updates inline
  * (`cc_on_ack`, `cc_on_loss`, `cc_on_interval`) and reads cwnd and pacing
  * from. At each interval boundary the loop writes the interval's `tl_obs`
@@ -12,9 +25,10 @@
  * capacity itself, and steps the episode's adversary (`adv`), if any. It
  * returns TL_INTERVAL there only when the Python driver has work (`hooked`):
  * the `on_interval` of a TL_EXTERNAL controller, which ignores ACKs and
- * losses and sets its own next cwnd in its `tl_cc` (a controller without C
- * state, or a learned one whose policy has a hidden layer, which numpy
- * computes), or the adversary's next policy output or random draw. Any other
+ * losses and sets its own next cwnd in its `tl_cc` (a Python controller
+ * such as `Pinned`, or a learned one whose policy has a hidden layer, which
+ * numpy computes), or the adversary's next policy output or random draw.
+ * `tl_step` always starts at an interval's first tick. Any other
  * episode runs to TL_DONE, or an error, in one call.
  *
  * The adversary block (`tl_adv`) is a min-RTT intercept or an online
@@ -41,7 +55,8 @@
  * product. `tanh` and `pow` are libm's, which `math.tanh` and `**` call.
  * `py_floordiv` and `py_round` are CPython's float `//` and
  * `round()` (`tl_floordiv` is `//` by a packet size, faster on the usual
- * range), `tl_int_truediv` and `py_mul_float` are `/` and `float(a * b)` of
+ * range, and `link_tick` the link credit's `//` without a division),
+ * `tl_int_truediv` and `py_mul_float` are `/` and `float(a * b)` of
  * ints, and `min(a, b)` / `max(a, b)` keep Python's argument order
  * (`b < a ? b : a`). Sums of a list run left to right from 0.0, as
  * Python 3.11's `sum` does. Every buffer write is bounds-checked:
@@ -228,18 +243,19 @@ typedef struct {
     /* the adversary, or NULL; `adv_due` while its `out` waits to be acted on */
     tl_adv *adv;
     int adv_due;
-    /* this interval's capacity (Mbps) and link bytes per tick, and the
-     * min-RTT scale; the adversary sets `scale`, or `capacity` when `caps`
-     * is NULL, at each interval boundary */
-    double capacity, cap_bytes_per_tick, scale;
+    /* this interval's capacity (Mbps) and the min-RTT scale; the adversary
+     * sets `scale`, or `capacity` when `caps` is NULL, at each interval
+     * boundary */
+    double capacity, scale;
     /* one observation per interval, n_ticks / interval_ticks of them;
      * owned by the driver */
     tl_obs *obs;
     /* progress: the next tick */
     int64_t tick;
-    /* totals, loss reactions by kind, and this interval's counts */
+    /* totals, loss reactions by kind, the ticks run as part of a quiescent
+     * stretch, and this interval's counts */
     int64_t sent, delivered, dropped, acked, resolved_drops, qlen;
-    int64_t triple_dups, timeouts;
+    int64_t triple_dups, timeouts, quiescent_ticks;
     int64_t iv_sent, iv_delivered, iv_dropped;
     /* RTT estimates (ms); srtt is undefined until has_srtt */
     int has_srtt;
@@ -1200,6 +1216,136 @@ static void observe(const tl_state *s, int64_t tick, tl_obs *o)
     o->cwnd = s->cc->w.cwnd;
 }
 
+/* Python's `max(int(cwnd), 1)` for a finite cwnd: the packets the window
+ * admits. Python's int() truncates; past +-2^62 only the sign matters. */
+static int64_t window_pkts(double cwnd)
+{
+    int64_t c = cwnd >= 0x1p62 ? INT64_C(1) << 62
+        : cwnd <= -0x1p62 ? -(INT64_C(1) << 62) : (int64_t)cwnd;
+    return c > 1 ? c : 1;
+}
+
+/* The retransmission timeout in ms: twice srtt (or the base RTT), at least
+ * 200 ms. */
+static double rto_of(const tl_state *s)
+{
+    double rto_ms = 2.0 * srtt_or_base(s);
+    if (rto_ms < 200.0)
+        rto_ms = 200.0;
+    return rto_ms;
+}
+
+/* The first tick whose RTO test, (tick - last_ack_tick) * tick_ms > rto_ms,
+ * passes, or INT64_MAX when none before 2^61 ticks after the last ACK
+ * does. The test's left side never falls as the tick grows (the int
+ * converts exactly, and rounding a product by tick_ms > 0 is monotone), so
+ * the first passing tick is found next to rto_ms / tick_ms. */
+static int64_t rto_due(const tl_state *s, double rto_ms)
+{
+    double g = rto_ms / s->tick_ms;
+    if (!(g < 0x1p61))
+        return INT64_MAX;
+    int64_t d = (int64_t)g;
+    while (d > 0 && (double)(d - 1) * s->tick_ms > rto_ms)
+        d--;
+    while (!((double)d * s->tick_ms > rto_ms))
+        d++;
+    return s->last_ack_tick + d;
+}
+
+/* The end of the quiescent stretch that starts at `tick`, an interval tick
+ * with an empty queue and an unpaced controller, short of the interval's
+ * last tick `last`; `tick` itself when the tick is not quiescent. A
+ * quiescent tick has no ACK run due, a window that admits nothing, and no
+ * loss reaction that can fire. None of that can change before a tick that
+ * does something else, so the stretch ends at the earliest of the head
+ * ACK's tick, `last`, a pending triple-dup reaction's
+ * reaction_blocked_until and the first tick whose RTO test passes (rto_ms
+ * holds still while srtt does). */
+static int64_t quiet_until(const tl_state *s, int64_t tick, int64_t last)
+{
+    double cwnd = s->cc->w.cwnd;
+    int64_t in_flight = s->sent - s->acked - s->resolved_drops;
+    if (!isfinite(cwnd) || window_pkts(cwnd) > in_flight)
+        return tick;
+    int64_t end = last;
+    if (s->a_len && s->acks[s->a_head].ack_tick < end)
+        end = s->acks[s->a_head].ack_tick;
+    if (s->drop_pending && s->acks_after_drop >= 3
+            && s->reaction_blocked_until < end)
+        end = s->reaction_blocked_until;
+    if (in_flight > 0 && end > tick) {
+        int64_t due = rto_due(s, rto_of(s));
+        if (due < end)
+            end = due;
+    }
+    return end > tick ? end : tick;
+}
+
+/* One interval's link: c bytes of credit per tick, fixed for the interval.
+ * When `exact`, n0 = floor(c / pkt), and t0, t1 and t2 are n0, n0 + 1 and
+ * n0 + 2 packets in bytes; see link_tick. */
+typedef struct {
+    double c, pkt, n0, t0, t1, t2;
+    int exact;
+} tl_link;
+
+/* The link of an interval of `mbps`, entered with `credit` bytes. */
+static void link_plan(tl_link *l, double mbps, double tick_ms, double pkt,
+                      double credit)
+{
+    l->c = mbps * 1e6 / 8.0 * tick_ms / 1000.0;
+    l->pkt = pkt;
+    l->exact = l->c >= 0.0 && l->c < 0x1p52 && pkt <= 0x1p50
+        && credit >= 0.0 && credit < pkt;
+    if (l->exact) {
+        l->n0 = floor(l->c / pkt);
+        l->t0 = l->n0 * pkt;
+        l->t1 = (l->n0 + 1.0) * pkt;
+        l->t2 = (l->n0 + 2.0) * pkt;
+    }
+}
+
+/* Step 4's credit for one tick: `credit += c`, then n = credit // pkt
+ * delivery opportunities, whose bytes leave the credit; returns n. An n that
+ * is not finite and >= 0 is the caller's TL_BAD_CAPACITY.
+ *
+ * When `exact`, n comes from two comparisons. The credit stays in [0, pkt)
+ * through the interval: with x = credit + c below 2^53, `//` is the exact
+ * floor (tl_floordiv), so x - n * pkt lies in [0, pkt), and it is computed
+ * exactly (n * pkt is a whole number below 2^53; for n >= 1, x / 2 <
+ * n * pkt <= x, so the difference is exact by Sterbenz's lemma). Then
+ * c <= x, as rounding is monotone and c is a double, and x <= t2, as the
+ * exact sum is below c + pkt < (n0 + 2) * pkt = t2, a double. So n is n0,
+ * n0 + 1 or n0 + 2, the largest whose threshold x reaches; t2 < 2^53 holds
+ * for c < 2^52 and pkt <= 2^50. Busy ticks select n without a branch. */
+static inline double link_tick(const tl_link *l, double *credit)
+{
+    double x = *credit + l->c;
+    double n = l->exact ? l->n0 + (double)(x >= l->t1) + (double)(x >= l->t2)
+        : tl_floordiv(x, l->pkt);
+    *credit = x - n * l->pkt;
+    return n;
+}
+
+/* link_tick's credit after `ticks` quiescent ticks of an `exact` link. The
+ * same c arrives every tick, so here the thresholds are branches, which
+ * predict well and leave each tick only an add and a subtract to wait on;
+ * t0, t1 and t2 are the products link_tick subtracts. */
+static double link_idle(const tl_link *l, double credit, int64_t ticks)
+{
+    for (int64_t i = 0; i < ticks; i++) {
+        double x = credit + l->c;
+        if (x < l->t1)
+            credit = x - l->t0;
+        else if (x < l->t2)
+            credit = x - l->t1;
+        else
+            credit = x - l->t2;
+    }
+    return credit;
+}
+
 int tl_step(tl_state *s)
 {
     tl_cc *cc = s->cc;
@@ -1212,19 +1358,49 @@ int tl_step(tl_state *s)
         else
             s->scale = v;
     }
-    while (s->tick < s->n_ticks) {
-        int64_t tick = s->tick;
-
-        /* 1. ACK arrivals, after a new interval's counts and link rate */
-        if (tick % s->interval_ticks == 0) {
+    /* the tick, its place in the interval, and the link credit live in
+     * locals; every return writes them back */
+    const int64_t interval_ticks = s->interval_ticks;
+    const double pkt = (double)s->pkt;
+    int64_t tick = s->tick, pos = tick % interval_ticks;
+    double credit = s->byte_credit;
+    tl_link link;
+    link_plan(&link, s->capacity, s->tick_ms, pkt, credit);
+    int ret = TL_DONE;
+    while (tick < s->n_ticks) {
+        /* a new interval's counts and link rate; inside an interval, a
+         * quiescent stretch runs ahead to its end, which is a busy tick */
+        if (pos == 0) {
             s->iv_sent = s->iv_delivered = s->iv_dropped = 0;
-            s->cap_bytes_per_tick = s->capacity * 1e6 / 8.0 * s->tick_ms / 1000.0;
+            link_plan(&link, s->capacity, s->tick_ms, pkt, credit);
         }
+        else if (pos != interval_ticks - 1 && s->qlen == 0 && !cc->paced) {
+            int64_t end = quiet_until(s, tick, tick + (interval_ticks - 1 - pos));
+            if (end > tick) {
+                s->quiescent_ticks += end - tick;
+                pos += end - tick;
+                if (link.exact) {
+                    credit = link_idle(&link, credit, end - tick);
+                    tick = end;
+                }
+                for (; tick < end; tick++) {
+                    double n = link_tick(&link, &credit);
+                    if (!(n >= 0.0) || isinf(n)) {
+                        ret = TL_BAD_CAPACITY;
+                        goto out;
+                    }
+                }
+            }
+        }
+
+        /* 1. ACK arrivals; a controller that ignores ACKs gets no ACK info */
         if (s->a_len && s->acks[s->a_head].ack_tick == tick) {
             /* runs leave in send order: the first has the largest RTT, the
              * last the smallest */
-            if (hist_reserve(s, tick - s->acks[s->a_head].send_tick + 1))
-                return TL_NOMEM;
+            if (hist_reserve(s, tick - s->acks[s->a_head].send_tick + 1)) {
+                ret = TL_NOMEM;
+                goto out;
+            }
             int64_t n = 0, rtt_ticks = 0, r = 0;
             while (s->a_len && s->acks[s->a_head].ack_tick == tick) {
                 const tl_ack *a = &s->acks[s->a_head];
@@ -1251,11 +1427,15 @@ int tl_step(tl_state *s)
             s->last_ack_tick = tick;
             if (s->drop_pending)
                 s->acks_after_drop += n;
-            tl_ackinfo a = {tick * s->tick_ms, mean_rtt, owd, n, n * s->pkt,
-                            s->min_rtt * s->scale, s->min_owd * s->scale,
-                            s->srtt, s->scale};
-            if (cc_on_ack(cc, &a))
-                return TL_NOMEM;
+            if (cc->kind != TL_EXTERNAL && cc->kind != TL_LINEAR) {
+                tl_ackinfo a = {tick * s->tick_ms, mean_rtt, owd, n, n * s->pkt,
+                                s->min_rtt * s->scale, s->min_owd * s->scale,
+                                s->srtt, s->scale};
+                if (cc_on_ack(cc, &a)) {
+                    ret = TL_NOMEM;
+                    goto out;
+                }
+            }
         }
 
         /* 2. loss reactions: a triple duplicate ACK or a timeout */
@@ -1267,9 +1447,7 @@ int tl_step(tl_state *s)
             s->reaction_blocked_until = tick + (srtt_ticks > 1 ? srtt_ticks : 1);
         }
         else {
-            double rto_ms = 2.0 * srtt_or_base(s);
-            if (rto_ms < 200.0)
-                rto_ms = 200.0;
+            double rto_ms = rto_of(s);
             if (s->sent - s->acked - s->resolved_drops > 0
                     && (tick - s->last_ack_tick) * s->tick_ms > rto_ms) {
                 loss = timeout = 1;
@@ -1291,23 +1469,24 @@ int tl_step(tl_state *s)
 
         /* 3. injection, gated by cwnd and by pacing when the controller sets
          * a rate; a single tick can never usefully inject more than a full
-         * queue's worth, so the burst cap keeps runaway cwnd values cheap.
-         * Python's int(cwnd) truncates; past +-2^62 only the sign matters. */
+         * queue's worth, so the burst cap keeps runaway cwnd values cheap. */
         double cwnd = cc->w.cwnd;
-        if (isnan(cwnd) || isinf(cwnd))
-            return TL_BAD_CWND;
-        int64_t c = cwnd >= 0x1p62 ? INT64_C(1) << 62
-            : cwnd <= -0x1p62 ? -(INT64_C(1) << 62) : (int64_t)cwnd;
-        int64_t k = (c > 1 ? c : 1) - (s->sent - s->acked - s->resolved_drops);
+        if (isnan(cwnd) || isinf(cwnd)) {
+            ret = TL_BAD_CWND;
+            goto out;
+        }
+        int64_t k = window_pkts(cwnd) - (s->sent - s->acked - s->resolved_drops);
         if (k > s->burst_cap)
             k = s->burst_cap;
         if (cc->paced) {
-            double credit = s->pacing_credit + cc->pacing_bps / 8.0 * s->tick_ms / 1000.0;
+            double pc = s->pacing_credit + cc->pacing_bps / 8.0 * s->tick_ms / 1000.0;
             double top = 10.0 * s->pkt;
-            s->pacing_credit = top < credit ? top : credit;   /* min(credit, top) */
-            double q = tl_floordiv(s->pacing_credit, (double)s->pkt);
-            if (isnan(q) || isinf(q))
-                return TL_BAD_PACING;
+            s->pacing_credit = top < pc ? top : pc;   /* min(pc, top) */
+            double q = tl_floordiv(s->pacing_credit, pkt);
+            if (isnan(q) || isinf(q)) {
+                ret = TL_BAD_PACING;
+                goto out;
+            }
             if (q < (double)k)
                 k = q <= -0x1p62 ? -(INT64_C(1) << 62) : (int64_t)q;
             if (k > 0)
@@ -1320,8 +1499,10 @@ int tl_step(tl_state *s)
             int64_t enq = k < room ? k : room;
             if (enq) {
                 if (ring_reserve((void **)&s->queue, &s->q_head, s->q_len,
-                                 &s->q_cap, sizeof(tl_run), s->q_len + 1))
-                    return TL_NOMEM;
+                                 &s->q_cap, sizeof(tl_run), s->q_len + 1)) {
+                    ret = TL_NOMEM;
+                    goto out;
+                }
                 tl_run *run = &s->queue[ring_slot(s->q_head, s->q_len, s->q_cap)];
                 run->send_tick = tick;
                 run->count = enq;
@@ -1339,18 +1520,20 @@ int tl_step(tl_state *s)
         }
 
         /* 4. delivery */
-        s->byte_credit += s->cap_bytes_per_tick;
-        double n_opp = tl_floordiv(s->byte_credit, (double)s->pkt);
-        if (!(n_opp >= 0.0) || isinf(n_opp))
-            return TL_BAD_CAPACITY;
-        s->byte_credit -= n_opp * s->pkt;
+        double n_opp = link_tick(&link, &credit);
+        if (!(n_opp >= 0.0) || isinf(n_opp)) {
+            ret = TL_BAD_CAPACITY;
+            goto out;
+        }
         if (n_opp != 0.0 && s->qlen) {
             int64_t n_del = (double)s->qlen < n_opp ? s->qlen : (int64_t)n_opp;
             int64_t left = n_del;
             while (left) {
                 if (ring_reserve((void **)&s->acks, &s->a_head, s->a_len,
-                                 &s->a_cap, sizeof(tl_ack), s->a_len + 1))
-                    return TL_NOMEM;
+                                 &s->a_cap, sizeof(tl_ack), s->a_len + 1)) {
+                    ret = TL_NOMEM;
+                    goto out;
+                }
                 tl_run *run = &s->queue[s->q_head];
                 tl_ack *a = &s->acks[ring_slot(s->a_head, s->a_len, s->a_cap)];
                 a->send_tick = run->send_tick;
@@ -1376,31 +1559,39 @@ int tl_step(tl_state *s)
         /* 5. interval boundary: the observation, the controller's interval
          * step, the next interval's capacity from a trace, and the
          * adversary's score and feature row */
-        s->tick = tick + 1;
-        if (s->tick % s->interval_ticks == 0) {
-            int64_t i = s->tick / s->interval_ticks - 1;
-            observe(s, tick, &s->obs[i]);
+        tick++;
+        if (++pos == interval_ticks) {
+            pos = 0;
+            int64_t i = tick / interval_ticks - 1;
+            observe(s, tick - 1, &s->obs[i]);
             cc_on_interval(cc, &s->obs[i]);
             if (s->caps)
                 s->capacity = s->caps[(i + 1) % s->n_caps];
             if (s->adv) {
                 if (s->adv->scored) {
                     int err = tl_adv_reward(s->adv, &s->obs[i]);
-                    if (err)
-                        return err;
+                    if (err) {
+                        ret = err;
+                        goto out;
+                    }
                 }
                 /* after the last interval there is nothing left to act on */
-                if (s->tick < s->n_ticks) {
+                if (tick < s->n_ticks) {
                     if (s->adv->has_policy)
                         tl_adv_observe(s->adv, &s->obs[i]);
                     s->adv_due = 1;
                 }
             }
-            if (s->hooked)
-                return TL_INTERVAL;
+            if (s->hooked) {
+                ret = TL_INTERVAL;
+                goto out;
+            }
         }
     }
-    return TL_DONE;
+out:
+    s->tick = tick;
+    s->byte_credit = credit;
+    return ret;
 }
 
 void tl_free(tl_state *s)

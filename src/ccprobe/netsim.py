@@ -20,26 +20,37 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
+from ._tickloop_build import cflags
 
-def _load_tick_loop():
-    """The compiled tick loop (`_tickloop.c`, through cffi).
 
-    The module's name carries a hash of the files it is built from, so a
-    stale build is never loaded. When none is present, `_tickloop_build.py`
-    compiles one into this package (about a second with gcc).
-    """
+def _module_name(flags) -> str:
+    """The tick loop's module name: a hash of the files it is built from and
+    of the compiler flags it is built with."""
     here = os.path.dirname(os.path.abspath(__file__))
     h = hashlib.sha256()
     for fn in ("_tickloop.c", "_tickloop_build.py"):
         with open(os.path.join(here, fn), "rb") as f:
             h.update(f.read())
-    name = f"{__package__}._tickloop_{h.hexdigest()[:16]}"
+    h.update(" ".join(flags).encode())
+    return f"_tickloop_{h.hexdigest()[:16]}"
+
+
+def _load_tick_loop():
+    """The compiled tick loop (`_tickloop.c`, through cffi).
+
+    The module's name carries a hash of its sources and its build's flags,
+    so a stale build is never loaded. When none is present,
+    `_tickloop_build.py` compiles one into this package (about two seconds
+    with gcc).
+    """
+    name = f"{__package__}.{_module_name(cflags())}"
     try:
         return importlib.import_module(name)
     except ModuleNotFoundError as e:
         if e.name != name:
             raise
     # a separate process, so the compiler toolchain never loads in this one
+    here = os.path.dirname(os.path.abspath(__file__))
     build = subprocess.run([sys.executable, os.path.join(here, "_tickloop_build.py"),
                             name.rpartition(".")[2]],
                            capture_output=True, text=True)
@@ -275,6 +286,9 @@ class EpisodeLog:
     # loss reactions by kind
     triple_dups: int = 0
     timeouts: int = 0
+    # ticks the loop ran as part of a quiescent stretch, in which only the
+    # link credit moved
+    quiescent_ticks: int = 0
     # per-interval series: row i is interval i's `tl_obs` row, as the tick
     # loop wrote it (OBS_COLUMNS)
     rows: np.ndarray = field(default_factory=lambda: np.empty((0, _OBS_FIELDS)))
@@ -462,6 +476,7 @@ class _Row:
         log.in_flight_end = st.sent - st.delivered - st.dropped
         log.triple_dups = st.triple_dups
         log.timeouts = st.timeouts
+        log.quiescent_ticks = st.quiescent_ticks
         # no ACK, no histogram buffer
         hist = np.frombuffer(_ffi.buffer(st.hist, 8 * st.hist_len), np.int64)
         rtts = hist.nonzero()[0]

@@ -5,6 +5,7 @@ import dataclasses
 import hashlib
 import math
 import os
+import pickle
 import shutil
 import signal
 import subprocess
@@ -25,6 +26,7 @@ from ccprobe.learned import LearnedController, PolicyNet
 from ccprobe.netsim import (BandwidthTrace, ConfigError, SimConfig,
                             export_mahimahi, map_jobs, read_trace, run_episode,
                             write_trace)
+from ccprobe._tickloop_build import cflags
 from ccprobe.tracegen import SmoothnessBudget, gen_burst_trace, gen_random_trace
 
 
@@ -414,7 +416,19 @@ def test_tick_loop_module_is_named_after_its_sources():
     for fn in ("_tickloop.c", "_tickloop_build.py"):
         with open(os.path.join(here, fn), "rb") as f:
             h.update(f.read())
+    h.update(" ".join(cflags()).encode())
     assert netsim._tick_loop.__name__ == f"ccprobe._tickloop_{h.hexdigest()[:16]}"
+
+
+def test_tick_loop_module_is_named_after_its_flags():
+    # flags resolved at build time (numpy's baseline ISA) name another module
+    flags = cflags()
+    assert flags[:3] == ["-O3", "-ffp-contract=off", "-fno-fast-math"]
+    assert not any("native" in f for f in flags)
+    assert netsim._module_name(flags) == netsim._tick_loop.__name__.rpartition(".")[2]
+    assert netsim._module_name(flags[:3]) != netsim._module_name(
+        flags[:3] + ["-march=x86-64-v2"])
+    assert netsim._module_name(["-O2"]) != netsim._module_name(["-O3"])
 
 
 # setuptools' build_py lays out the package as a wheel or an install ships it
@@ -643,8 +657,12 @@ def test_episode_invariants_on_feasible_traces(seed, delta, bw_min, span):
     queue_cap = max(1, int(sim.queue_capacity_bdp * max(trace.values) * 1e6 / 8.0
                            * sim.base_rtt_ms / 1000.0 // pkt))
     base_ticks = 2 * round(sim.one_way_delay_ms / sim.tick_ms)
-    for name in RULE_BASED:
-        log = run_episode(sim, trace, make_controller(name))
+    factories = {name: partial(make_controller, name) for name in RULE_BASED}
+    # controllers whose ticks are mostly quiescent
+    factories.update(pinned1=partial(Pinned, 1.0),
+                     collapsed=partial(_learned, COLLAPSED_POLICY))
+    for name, factory in factories.items():
+        log = run_episode(sim, trace, factory())
         assert log.acked <= log.delivered <= log.sent, name
         # one histogram entry per ACK, none faster than the propagation RTT
         assert sum(log.ack_rtt_ticks.values()) == log.acked, name
@@ -863,6 +881,26 @@ def test_golden_quiescent_episode_digest():
     assert sum(log.timeouts for log in small) > 0
     assert sum(log.triple_dups for log in small) > 0
     assert h.hexdigest() == GOLDEN_QUIESCENT_SHA256
+
+
+def test_quiescent_ticks_are_counted():
+    # On the seed-0 60 s random trace, cwnd 1 leaves most ticks quiescent:
+    # a packet waits 20 ticks for its ACK and nothing else happens. bbrlite
+    # paces from its first ACK on, so only ticks before that can be quiet.
+    sim = SimConfig()
+    trace = gen_random_trace(sim.n_intervals, SmoothnessBudget(), seed=0)
+    ticks = sim.n_intervals * sim.interval_ticks
+    for factory in (partial(Pinned, 1.0), partial(_learned, COLLAPSED_POLICY)):
+        log = run_episode(sim, trace, factory())
+        assert log.quiescent_ticks >= 0.85 * ticks, factory
+        again = pickle.loads(pickle.dumps(log))
+        assert again.quiescent_ticks == log.quiescent_ticks
+    bbr = run_episode(sim, trace, make_controller("bbrlite"))
+    first_ack = min(bbr.ack_rtt_ticks)
+    assert 0 <= bbr.quiescent_ticks < first_ack
+    # a rule controller with a standing queue is hardly ever quiet
+    reno = run_episode(sim, trace, make_controller("reno"))
+    assert reno.quiescent_ticks < 0.01 * ticks
 
 GOLDEN_HIDDEN_LEARNED_SHA256 = (
     "c7e6ea5dec721de65643412194edfe0765803fb55d5064449598590f5335941a")
