@@ -19,6 +19,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ccprobe import netsim
+from ccprobe._tickloop_build import cflags
 from ccprobe.adversary import (EnvBandwidthDriver, FeatureBound, FeatureIntercept,
                                PerturbMode, SurfaceMode, make_adversary_policy)
 from ccprobe.cc import RULE_BASED, Controller, Pinned, make_controller
@@ -26,7 +27,6 @@ from ccprobe.learned import LearnedController, PolicyNet
 from ccprobe.netsim import (BandwidthTrace, ConfigError, SimConfig,
                             export_mahimahi, map_jobs, read_trace, run_episode,
                             write_trace)
-from ccprobe._tickloop_build import cflags
 from ccprobe.tracegen import SmoothnessBudget, gen_burst_trace, gen_random_trace
 
 
@@ -837,7 +837,6 @@ def test_golden_hidden_learned_episode_digest(short_sim):
     assert h.hexdigest() == GOLDEN_HIDDEN_LEARNED_SHA256
 
 
-
 # a linear policy whose bias drives the action to -a_max: cwnd halves every
 # interval down to 1 and stays there, as a collapsed CEM candidate's does
 COLLAPSED_POLICY = [0.0, 0.0, 0.0, 0.0, 0.0, -5.0]
@@ -895,12 +894,13 @@ def test_quiescent_ticks_are_counted():
         assert log.quiescent_ticks >= 0.85 * ticks, factory
         again = pickle.loads(pickle.dumps(log))
         assert again.quiescent_ticks == log.quiescent_ticks
+    # its first ACK comes no sooner than its smallest RTT
     bbr = run_episode(sim, trace, make_controller("bbrlite"))
-    first_ack = min(bbr.ack_rtt_ticks)
-    assert 0 <= bbr.quiescent_ticks < first_ack
+    assert 0 <= bbr.quiescent_ticks < min(bbr.ack_rtt_ticks)
     # a rule controller with a standing queue is hardly ever quiet
     reno = run_episode(sim, trace, make_controller("reno"))
     assert reno.quiescent_ticks < 0.01 * ticks
+
 
 GOLDEN_HIDDEN_LEARNED_SHA256 = (
     "c7e6ea5dec721de65643412194edfe0765803fb55d5064449598590f5335941a")
