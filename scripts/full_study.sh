@@ -3,7 +3,7 @@
 # controllers, delay-constrained attacks on each rule-based target and on the
 # learned controller, transfer matrix, burst-trace case study, and the
 # retraining mixing-probability sweep. At configs/default.yaml it runs to
-# the end in about 20 s of wall time (20.9 and 19.2 s measured, 29 s of
+# the end in about 23 s of wall time (25.0 and 22.2 s measured, 32 s of
 # user CPU) at --workers 2 on a 2-core host with Python 3.11.
 set -euo pipefail
 cd "$(dirname "$0")/.."

@@ -1274,7 +1274,7 @@ static int64_t quiet_until(const tl_state *s, int64_t tick, int64_t last)
     if (s->drop_pending && s->acks_after_drop >= 3
             && s->reaction_blocked_until < end)
         end = s->reaction_blocked_until;
-    if (in_flight > 0 && end > tick) {
+    if (end > tick) {
         int64_t due = rto_due(s, rto_of(s));
         if (due < end)
             end = due;
@@ -1318,7 +1318,7 @@ static void link_plan(tl_link *l, double mbps, double tick_ms, double pkt,
  * c <= x, as rounding is monotone and c is a double, and x <= t2, as the
  * exact sum is below c + pkt < (n0 + 2) * pkt = t2, a double. So n is n0,
  * n0 + 1 or n0 + 2, the largest whose threshold x reaches; t2 < 2^53 holds
- * for c < 2^52 and pkt <= 2^50. Busy ticks select n without a branch. */
+ * for c < 2^52 and pkt <= 2^50. */
 static inline double link_tick(const tl_link *l, double *credit)
 {
     double x = *credit + l->c;
@@ -1326,24 +1326,6 @@ static inline double link_tick(const tl_link *l, double *credit)
         : tl_floordiv(x, l->pkt);
     *credit = x - n * l->pkt;
     return n;
-}
-
-/* link_tick's credit after `ticks` quiescent ticks of an `exact` link. The
- * same c arrives every tick, so here the thresholds are branches, which
- * predict well and leave each tick only an add and a subtract to wait on;
- * t0, t1 and t2 are the products link_tick subtracts. */
-static double link_idle(const tl_link *l, double credit, int64_t ticks)
-{
-    for (int64_t i = 0; i < ticks; i++) {
-        double x = credit + l->c;
-        if (x < l->t1)
-            credit = x - l->t0;
-        else if (x < l->t2)
-            credit = x - l->t1;
-        else
-            credit = x - l->t2;
-    }
-    return credit;
 }
 
 int tl_step(tl_state *s)
@@ -1358,49 +1340,46 @@ int tl_step(tl_state *s)
         else
             s->scale = v;
     }
-    /* the tick, its place in the interval, and the link credit live in
-     * locals; every return writes them back */
+    /* the tick's place in its interval, counted down; every call starts at
+     * an interval's first tick, which plans the interval's link */
     const int64_t interval_ticks = s->interval_ticks;
     const double pkt = (double)s->pkt;
-    int64_t tick = s->tick, pos = tick % interval_ticks;
-    double credit = s->byte_credit;
-    tl_link link;
-    link_plan(&link, s->capacity, s->tick_ms, pkt, credit);
-    int ret = TL_DONE;
-    while (tick < s->n_ticks) {
+    int64_t pos = s->tick % interval_ticks;
+    tl_link link = {0};
+    while (s->tick < s->n_ticks) {
+        int64_t tick = s->tick;
+
         /* a new interval's counts and link rate; inside an interval, a
          * quiescent stretch runs ahead to its end, which is a busy tick */
         if (pos == 0) {
             s->iv_sent = s->iv_delivered = s->iv_dropped = 0;
-            link_plan(&link, s->capacity, s->tick_ms, pkt, credit);
+            link_plan(&link, s->capacity, s->tick_ms, pkt, s->byte_credit);
         }
         else if (pos != interval_ticks - 1 && s->qlen == 0 && !cc->paced) {
             int64_t end = quiet_until(s, tick, tick + (interval_ticks - 1 - pos));
             if (end > tick) {
                 s->quiescent_ticks += end - tick;
                 pos += end - tick;
-                if (link.exact) {
-                    credit = link_idle(&link, credit, end - tick);
-                    tick = end;
-                }
+                double credit = s->byte_credit;
                 for (; tick < end; tick++) {
                     double n = link_tick(&link, &credit);
                     if (!(n >= 0.0) || isinf(n)) {
-                        ret = TL_BAD_CAPACITY;
-                        goto out;
+                        s->tick = tick;
+                        s->byte_credit = credit;
+                        return TL_BAD_CAPACITY;
                     }
                 }
+                s->tick = tick;
+                s->byte_credit = credit;
             }
         }
 
-        /* 1. ACK arrivals; a controller that ignores ACKs gets no ACK info */
+        /* 1. ACK arrivals */
         if (s->a_len && s->acks[s->a_head].ack_tick == tick) {
             /* runs leave in send order: the first has the largest RTT, the
              * last the smallest */
-            if (hist_reserve(s, tick - s->acks[s->a_head].send_tick + 1)) {
-                ret = TL_NOMEM;
-                goto out;
-            }
+            if (hist_reserve(s, tick - s->acks[s->a_head].send_tick + 1))
+                return TL_NOMEM;
             int64_t n = 0, rtt_ticks = 0, r = 0;
             while (s->a_len && s->acks[s->a_head].ack_tick == tick) {
                 const tl_ack *a = &s->acks[s->a_head];
@@ -1427,15 +1406,11 @@ int tl_step(tl_state *s)
             s->last_ack_tick = tick;
             if (s->drop_pending)
                 s->acks_after_drop += n;
-            if (cc->kind != TL_EXTERNAL && cc->kind != TL_LINEAR) {
-                tl_ackinfo a = {tick * s->tick_ms, mean_rtt, owd, n, n * s->pkt,
-                                s->min_rtt * s->scale, s->min_owd * s->scale,
-                                s->srtt, s->scale};
-                if (cc_on_ack(cc, &a)) {
-                    ret = TL_NOMEM;
-                    goto out;
-                }
-            }
+            tl_ackinfo a = {tick * s->tick_ms, mean_rtt, owd, n, n * s->pkt,
+                            s->min_rtt * s->scale, s->min_owd * s->scale,
+                            s->srtt, s->scale};
+            if (cc_on_ack(cc, &a))
+                return TL_NOMEM;
         }
 
         /* 2. loss reactions: a triple duplicate ACK or a timeout */
@@ -1471,22 +1446,18 @@ int tl_step(tl_state *s)
          * a rate; a single tick can never usefully inject more than a full
          * queue's worth, so the burst cap keeps runaway cwnd values cheap. */
         double cwnd = cc->w.cwnd;
-        if (isnan(cwnd) || isinf(cwnd)) {
-            ret = TL_BAD_CWND;
-            goto out;
-        }
+        if (isnan(cwnd) || isinf(cwnd))
+            return TL_BAD_CWND;
         int64_t k = window_pkts(cwnd) - (s->sent - s->acked - s->resolved_drops);
         if (k > s->burst_cap)
             k = s->burst_cap;
         if (cc->paced) {
-            double pc = s->pacing_credit + cc->pacing_bps / 8.0 * s->tick_ms / 1000.0;
+            double credit = s->pacing_credit + cc->pacing_bps / 8.0 * s->tick_ms / 1000.0;
             double top = 10.0 * s->pkt;
-            s->pacing_credit = top < pc ? top : pc;   /* min(pc, top) */
-            double q = tl_floordiv(s->pacing_credit, pkt);
-            if (isnan(q) || isinf(q)) {
-                ret = TL_BAD_PACING;
-                goto out;
-            }
+            s->pacing_credit = top < credit ? top : credit;   /* min(credit, top) */
+            double q = tl_floordiv(s->pacing_credit, (double)s->pkt);
+            if (isnan(q) || isinf(q))
+                return TL_BAD_PACING;
             if (q < (double)k)
                 k = q <= -0x1p62 ? -(INT64_C(1) << 62) : (int64_t)q;
             if (k > 0)
@@ -1499,10 +1470,8 @@ int tl_step(tl_state *s)
             int64_t enq = k < room ? k : room;
             if (enq) {
                 if (ring_reserve((void **)&s->queue, &s->q_head, s->q_len,
-                                 &s->q_cap, sizeof(tl_run), s->q_len + 1)) {
-                    ret = TL_NOMEM;
-                    goto out;
-                }
+                                 &s->q_cap, sizeof(tl_run), s->q_len + 1))
+                    return TL_NOMEM;
                 tl_run *run = &s->queue[ring_slot(s->q_head, s->q_len, s->q_cap)];
                 run->send_tick = tick;
                 run->count = enq;
@@ -1520,20 +1489,16 @@ int tl_step(tl_state *s)
         }
 
         /* 4. delivery */
-        double n_opp = link_tick(&link, &credit);
-        if (!(n_opp >= 0.0) || isinf(n_opp)) {
-            ret = TL_BAD_CAPACITY;
-            goto out;
-        }
+        double n_opp = link_tick(&link, &s->byte_credit);
+        if (!(n_opp >= 0.0) || isinf(n_opp))
+            return TL_BAD_CAPACITY;
         if (n_opp != 0.0 && s->qlen) {
             int64_t n_del = (double)s->qlen < n_opp ? s->qlen : (int64_t)n_opp;
             int64_t left = n_del;
             while (left) {
                 if (ring_reserve((void **)&s->acks, &s->a_head, s->a_len,
-                                 &s->a_cap, sizeof(tl_ack), s->a_len + 1)) {
-                    ret = TL_NOMEM;
-                    goto out;
-                }
+                                 &s->a_cap, sizeof(tl_ack), s->a_len + 1))
+                    return TL_NOMEM;
                 tl_run *run = &s->queue[s->q_head];
                 tl_ack *a = &s->acks[ring_slot(s->a_head, s->a_len, s->a_cap)];
                 a->send_tick = run->send_tick;
@@ -1559,39 +1524,32 @@ int tl_step(tl_state *s)
         /* 5. interval boundary: the observation, the controller's interval
          * step, the next interval's capacity from a trace, and the
          * adversary's score and feature row */
-        tick++;
+        s->tick = tick + 1;
         if (++pos == interval_ticks) {
             pos = 0;
-            int64_t i = tick / interval_ticks - 1;
-            observe(s, tick - 1, &s->obs[i]);
+            int64_t i = s->tick / interval_ticks - 1;
+            observe(s, tick, &s->obs[i]);
             cc_on_interval(cc, &s->obs[i]);
             if (s->caps)
                 s->capacity = s->caps[(i + 1) % s->n_caps];
             if (s->adv) {
                 if (s->adv->scored) {
                     int err = tl_adv_reward(s->adv, &s->obs[i]);
-                    if (err) {
-                        ret = err;
-                        goto out;
-                    }
+                    if (err)
+                        return err;
                 }
                 /* after the last interval there is nothing left to act on */
-                if (tick < s->n_ticks) {
+                if (s->tick < s->n_ticks) {
                     if (s->adv->has_policy)
                         tl_adv_observe(s->adv, &s->obs[i]);
                     s->adv_due = 1;
                 }
             }
-            if (s->hooked) {
-                ret = TL_INTERVAL;
-                goto out;
-            }
+            if (s->hooked)
+                return TL_INTERVAL;
         }
     }
-out:
-    s->tick = tick;
-    s->byte_credit = credit;
-    return ret;
+    return TL_DONE;
 }
 
 void tl_free(tl_state *s)

@@ -3,57 +3,33 @@
     python3 _tickloop_build.py <name>
 
 `ccprobe.netsim` runs this script once, on the first import that finds no
-module built from the current sources and flags (`cflags()`, which it
-imports from here, so the build's own imports wait for `build`). The build
-happens in a temporary directory next to this file, and the finished module
-is moved into the package with `os.replace`, so no import ever sees a partly
-written file. Modules built from earlier sources for the same Python are
-then removed.
+module built from the current sources. The build happens in a temporary
+directory next to this file, and the finished module is moved into the
+package with `os.replace`, so no import ever sees a partly written file.
+Modules built from earlier sources for the same Python are then removed.
 """
 
 import os
-import platform
+import shutil
 import sys
+import sysconfig
+import tempfile
 
-import numpy as np
+import cffi
 
 HERE = os.path.dirname(os.path.abspath(__file__))
-# numpy's baseline CPU features, as numpy itself names them, and the x86-64
-# level they make up: a host that runs numpy runs that level
-_X86_LEVELS = (("X86_V4", "x86-64-v4"), ("X86_V3", "x86-64-v3"),
-               ("X86_V2", "x86-64-v2"))
-
-
-def cflags() -> list[str]:
-    """The compiler flags. Python's double arithmetic, operation for
-    operation: no FMA contraction and no fast-math. On x86-64 the code may
-    use the instruction set numpy's own build requires (never the building
-    host's `-march=native`), which lets gcc inline floor() as one roundsd;
-    a numpy without `_core` gets the compiler's baseline."""
-    flags = ["-O3", "-ffp-contract=off", "-fno-fast-math"]
-    if platform.machine().lower() in ("x86_64", "amd64"):
-        baseline = getattr(getattr(np, "_core", None), "_multiarray_umath", None)
-        features = set(getattr(baseline, "__cpu_baseline__", ()))
-        for feature, level in _X86_LEVELS:
-            if feature in features:
-                flags.append(f"-march={level}")
-                break
-    return flags
+# Python's double arithmetic, operation for operation: no FMA contraction
+# and no fast-math
+CFLAGS = ["-O3", "-ffp-contract=off", "-fno-fast-math"]
 
 
 def build(name: str) -> None:
-    import shutil
-    import sysconfig
-    import tempfile
-
-    import cffi
-
     with open(os.path.join(HERE, "_tickloop.c")) as f:
         source = f.read()
     decls = source.split("/* cdef-begin */")[1].split("/* cdef-end */")[0]
     ffi = cffi.FFI()
     ffi.cdef(decls)
-    ffi.set_source(f"ccprobe.{name}", source, extra_compile_args=cflags())
+    ffi.set_source(f"ccprobe.{name}", source, extra_compile_args=CFLAGS)
     tmp = tempfile.mkdtemp(prefix=".tickloop-build-", dir=HERE)
     try:
         path = ffi.compile(tmpdir=tmp)

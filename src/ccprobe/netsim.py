@@ -20,37 +20,26 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from ._tickloop_build import cflags
 
+def _load_tick_loop():
+    """The compiled tick loop (`_tickloop.c`, through cffi).
 
-def _module_name(flags) -> str:
-    """The tick loop's module name: a hash of the files it is built from and
-    of the compiler flags it is built with."""
+    The module's name carries a hash of the files it is built from, so a
+    stale build is never loaded. When none is present, `_tickloop_build.py`
+    compiles one into this package (about 2.5 seconds with gcc).
+    """
     here = os.path.dirname(os.path.abspath(__file__))
     h = hashlib.sha256()
     for fn in ("_tickloop.c", "_tickloop_build.py"):
         with open(os.path.join(here, fn), "rb") as f:
             h.update(f.read())
-    h.update(" ".join(flags).encode())
-    return f"_tickloop_{h.hexdigest()[:16]}"
-
-
-def _load_tick_loop():
-    """The compiled tick loop (`_tickloop.c`, through cffi).
-
-    The module's name carries a hash of its sources and its build's flags,
-    so a stale build is never loaded. When none is present,
-    `_tickloop_build.py` compiles one into this package (about two seconds
-    with gcc).
-    """
-    name = f"{__package__}.{_module_name(cflags())}"
+    name = f"{__package__}._tickloop_{h.hexdigest()[:16]}"
     try:
         return importlib.import_module(name)
     except ModuleNotFoundError as e:
         if e.name != name:
             raise
     # a separate process, so the compiler toolchain never loads in this one
-    here = os.path.dirname(os.path.abspath(__file__))
     build = subprocess.run([sys.executable, os.path.join(here, "_tickloop_build.py"),
                             name.rpartition(".")[2]],
                            capture_output=True, text=True)

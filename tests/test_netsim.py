@@ -19,7 +19,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ccprobe import netsim
-from ccprobe._tickloop_build import cflags
 from ccprobe.adversary import (EnvBandwidthDriver, FeatureBound, FeatureIntercept,
                                PerturbMode, SurfaceMode, make_adversary_policy)
 from ccprobe.cc import RULE_BASED, Controller, Pinned, make_controller
@@ -416,19 +415,7 @@ def test_tick_loop_module_is_named_after_its_sources():
     for fn in ("_tickloop.c", "_tickloop_build.py"):
         with open(os.path.join(here, fn), "rb") as f:
             h.update(f.read())
-    h.update(" ".join(cflags()).encode())
     assert netsim._tick_loop.__name__ == f"ccprobe._tickloop_{h.hexdigest()[:16]}"
-
-
-def test_tick_loop_module_is_named_after_its_flags():
-    # flags resolved at build time (numpy's baseline ISA) name another module
-    flags = cflags()
-    assert flags[:3] == ["-O3", "-ffp-contract=off", "-fno-fast-math"]
-    assert not any("native" in f for f in flags)
-    assert netsim._module_name(flags) == netsim._tick_loop.__name__.rpartition(".")[2]
-    assert netsim._module_name(flags[:3]) != netsim._module_name(
-        flags[:3] + ["-march=x86-64-v2"])
-    assert netsim._module_name(["-O2"]) != netsim._module_name(["-O3"])
 
 
 # setuptools' build_py lays out the package as a wheel or an install ships it
