@@ -1,12 +1,13 @@
 #!/usr/bin/env bash
 # End-to-end smoke run with tiny budgets (about 5 s on 2 cores). Exercises
-# every subcommand; outputs land under runs/smoke.
+# every subcommand; outputs land under $CCPROBE_OUT, by default runs/smoke.
+# tests/test_smoke.py checks every output against tests/smoke_manifest.json.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 # ccprobe runs from its source tree
 export PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH}
 
-OUT=runs/smoke
+OUT=${CCPROBE_OUT:-runs/smoke}
 CFG=$OUT/cfg.yaml
 mkdir -p "$OUT"
 cat > "$CFG" <<'EOF'
