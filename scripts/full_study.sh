@@ -46,9 +46,8 @@ ccprobe transfer --config "$CFG" --traces "$OUT/attacks" \
 ccprobe lp-case --config "$CFG" --checkpoint "$OUT/train/learned.ckpt" \
     --out "$OUT/lp-case"
 
-ccprobe retrain --config "$CFG" --init "$OUT/train/learned.ckpt" \
-    --pool-adv "$OUT/attacks" --mix-p 0.2 --out "$OUT/retrain" \
-    --workers "$(nproc)"
+# sweep-p also writes the configured mix_p's retrained.ckpt and
+# retrain_eval.csv, which a retrain call would compute again
 ccprobe sweep-p --config "$CFG" --init "$OUT/train/learned.ckpt" \
     --pool-adv "$OUT/attacks" --out "$OUT/sweep" --workers "$(nproc)"
 

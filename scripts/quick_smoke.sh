@@ -39,7 +39,7 @@ python3 -m ccprobe baseline --config "$CFG" --controllers reno,learned \
     --checkpoint "$OUT/train/learned.ckpt" --setting clean \
     --out "$OUT/baseline-learned" --workers "$(nproc)"
 python3 -m ccprobe retrain --config "$CFG" --init "$OUT/train/learned.ckpt" \
-    --pool-adv "$OUT/attacks" --mix-p 0.2 --episodes 32 --out "$OUT/retrain" \
+    --pool-adv "$OUT/attacks" --episodes 32 --out "$OUT/retrain" \
     --workers "$(nproc)"
 python3 -m ccprobe sweep-p --config "$CFG" --init "$OUT/train/learned.ckpt" \
     --pool-adv "$OUT/attacks" --episodes 32 --out "$OUT/sweep" \

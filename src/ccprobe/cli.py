@@ -1,11 +1,12 @@
 """Experiment runner: baselines, attacks, transfer matrix, retraining.
 
 Commands: baseline | attack | transfer | lp-case | train | retrain |
-sweep-p | gen-trace | export. The output root comes from --out, then the
-CCPROBE_OUT env var, then the config's output_dir. Every CSV starts with a
-provenance comment line (# config=<hash> seed=<n>) and carries no
-timestamps, so reruns with identical inputs are byte-identical. Exit code
-is 0 only when all invariant checks pass.
+sweep-p | gen-trace | export; retrain and sweep-p are one command, run at
+train.mix_p alone or over P_GRID too. The output root comes from --out,
+then the CCPROBE_OUT env var, then the config's output_dir. Every CSV
+starts with a provenance comment line (# config=<hash> seed=<n>) and
+carries no timestamps, so reruns with identical inputs are byte-identical.
+Exit code is 0 only when all invariant checks pass.
 """
 
 from __future__ import annotations
@@ -355,69 +356,60 @@ def _pool_dir(path: str, flag: str) -> list[BandwidthTrace]:
     return traces
 
 
-def _retrain_inputs(args, cfg: ExperimentConfig):
-    """(initial policy, benign, adversarial traces, episodes) of retrain/sweep-p."""
-    benign = (_pool_dir(args.pool_benign, "--pool-benign")
-              if args.pool_benign else _build_traces(cfg))
-    adversarial = _pool_dir(args.pool_adv, "--pool-adv") if args.pool_adv else []
-    return (load_policy(args.init), benign, adversarial,
-            args.episodes or cfg.train.episodes)
-
-
-def cmd_retrain(args, cfg: ExperimentConfig, out: str) -> int:
-    policy, benign, adversarial, episodes = _retrain_inputs(args, cfg)
-    mix_p = cfg.train.mix_p if args.mix_p is None else args.mix_p
-    try:
-        pool = advtrain.TracePool(benign=benign, adversarial=adversarial,
-                                  mix_p=mix_p)
-    except ValueError as e:   # a mix_p outside [0, 1], or no trace to draw
-        raise UsageError(f"{e} (mix_p comes from --mix-p or train.mix_p, "
-                         f"adversarial traces from --pool-adv)") from e
-    new_policy, _ = advtrain.adversarial_retrain(
-        policy, pool, episodes, cfg.sim, cfg.reward,
-        cfg.train.cem(cfg.seed, args.workers))
-    ckpt = args.checkpoint_out or os.path.join(out, "retrained.ckpt")
-    save_policy(new_policy, ckpt)
-    sets = {"random_baseline": benign}
-    if adversarial:
-        sets["adversarial"] = adversarial
-    suites = advtrain.evaluate_suite([policy, new_policy], sets, cfg.sim,
-                                     cfg.reward, args.workers)
-    rows = [[tag, srow.trace_set, srow.utilization, srow.mean_delay_ms]
-            for tag, suite in zip(("before", "after"), suites) for srow in suite]
-    _write_csv(os.path.join(out, "retrain_eval.csv"),
-               ["stage", "trace_set", "utilization", "delay_ms"],
-               rows, cfg)
-    print(f"wrote {ckpt} and {out}/retrain_eval.csv")
-    return 0
-
-
 P_GRID = (0.0, 0.1, 0.2, 0.5, 0.8, 1.0)
 
 
-def cmd_sweep_p(args, cfg: ExperimentConfig, out: str) -> int:
-    policy, benign, adversarial, episodes = _retrain_inputs(args, cfg)
-    rows = []
-    for p in P_GRID:
-        pool = advtrain.TracePool(
-            benign=benign if p < 1 else [],
-            adversarial=adversarial if p > 0 else [], mix_p=p)
-        new_policy, _ = advtrain.adversarial_retrain(
-            policy, pool, episodes, cfg.sim, cfg.reward,
-            cfg.train.cem(cfg.seed, args.workers))
-        [suite] = advtrain.evaluate_suite(
-            [new_policy], {"random_baseline": benign, "adversarial": adversarial},
-            cfg.sim, cfg.reward, args.workers)
-        by = {s.trace_set: s for s in suite}
-        rows.append([p, by["random_baseline"].utilization,
-                     by["random_baseline"].mean_delay_ms,
-                     by["adversarial"].utilization,
-                     by["adversarial"].mean_delay_ms])
-        print(f"p={p}: random util={rows[-1][1]:.4f} adv util={rows[-1][3]:.4f}")
-    _write_csv(os.path.join(out, "sweep_p.csv"),
-               ["mix_p", "random_util", "random_delay_ms",
-                "adv_util", "adv_delay_ms"],
-               rows, cfg)
+def cmd_retrain(args, cfg: ExperimentConfig, out: str) -> int:
+    """Retrain `--init` once per p of `args.p_grid` and `train.mix_p`.
+
+    Every p's pool is built before any episode runs. The incoming policy
+    and each retrained one are evaluated in one batch. The configured p's
+    policy goes to `retrained.ckpt` with its before/after rows in
+    `retrain_eval.csv`; a non-empty grid also writes `sweep_p.csv`.
+    """
+    benign = (_pool_dir(args.pool_benign, "--pool-benign")
+              if args.pool_benign else _build_traces(cfg))
+    adversarial = _pool_dir(args.pool_adv, "--pool-adv") if args.pool_adv else []
+    policy = load_policy(args.init)
+    mix_p = cfg.train.mix_p
+    grid = sorted({*args.p_grid, mix_p})
+    try:
+        pools = [advtrain.TracePool(benign if p < 1 else [],
+                                    adversarial if p > 0 else [], p)
+                 for p in grid]
+    except ValueError as e:
+        raise UsageError(f"{e} (adversarial traces come from --pool-adv)") from e
+    episodes = args.episodes or cfg.train.episodes
+    cem = cfg.train.cem(cfg.seed, args.workers)
+    retrained = [advtrain.adversarial_retrain(policy, pool, episodes, cfg.sim,
+                                              cfg.reward, cem)[0]
+                 for pool in pools]
+    sets = {"random_baseline": benign}
+    if adversarial:
+        sets["adversarial"] = adversarial
+    before, *after = advtrain.evaluate_suite([policy, *retrained], sets,
+                                             cfg.sim, cfg.reward, args.workers)
+    mine = grid.index(mix_p)
+    save_policy(retrained[mine], os.path.join(out, "retrained.ckpt"))
+    _write_csv(os.path.join(out, "retrain_eval.csv"),
+               ["stage", "trace_set", "utilization", "delay_ms"],
+               [[stage, s.trace_set, s.utilization, s.mean_delay_ms]
+                for stage, suite in (("before", before), ("after", after[mine]))
+                for s in suite],
+               cfg)
+    for p, suite in zip(grid, after):
+        print(f"p={p}: " + " ".join(f"{s.trace_set} util={s.utilization:.4f}"
+                                    for s in suite))
+    print(f"wrote {out}/retrained.ckpt and {out}/retrain_eval.csv")
+    if args.p_grid:
+        _write_csv(os.path.join(out, "sweep_p.csv"),
+                   ["mix_p", "random_util", "random_delay_ms",
+                    "adv_util", "adv_delay_ms"],
+                   [[p] + [v for s in suite for v in (s.utilization,
+                                                      s.mean_delay_ms)]
+                    for p, suite in zip(grid, after)],
+                   cfg)
+        print(f"wrote {out}/sweep_p.csv")
     return 0
 
 
@@ -510,23 +502,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint-out")
     p.set_defaults(fn=cmd_train)
 
-    p = sub.add_parser("retrain", help="continue training on a mixed pool")
-    _common(p)
-    p.add_argument("--init", required=True, help="starting checkpoint")
-    p.add_argument("--mix-p", type=float)
-    p.add_argument("--pool-benign", help="directory of benign .trace files")
-    p.add_argument("--pool-adv", help="directory of adversarial .trace files")
-    p.add_argument("--episodes", type=_positive_int)
-    p.add_argument("--checkpoint-out")
-    p.set_defaults(fn=cmd_retrain)
-
-    p = sub.add_parser("sweep-p", help="mixing-probability sweep")
-    _common(p)
-    p.add_argument("--init", required=True)
-    p.add_argument("--pool-benign")
-    p.add_argument("--pool-adv", required=True)
-    p.add_argument("--episodes", type=_positive_int)
-    p.set_defaults(fn=cmd_sweep_p)
+    # one command over a grid of mixing probabilities; train.mix_p is always
+    # in it, so retrain is sweep-p's run at the configured p alone
+    for name, grid, text in (("retrain", (), "continue training on a mixed pool"),
+                             ("sweep-p", P_GRID, "mixing-probability sweep")):
+        p = sub.add_parser(name, help=text)
+        _common(p)
+        p.add_argument("--init", required=True, help="starting checkpoint")
+        p.add_argument("--pool-benign", help="directory of benign .trace files")
+        p.add_argument("--pool-adv", help="directory of adversarial .trace files")
+        p.add_argument("--episodes", type=_positive_int)
+        p.set_defaults(fn=cmd_retrain, p_grid=grid)
 
     p = sub.add_parser("gen-trace", help="generate bandwidth traces")
     _common(p)

@@ -276,14 +276,15 @@ def test_bad_packet_size_exits_2(tmp_path, capsys, size):
 
 
 def test_train_and_retrain_small(tmp_path):
-    cfg = _write_cfg(tmp_path, "train:\n  episodes: 32\n  population: 16\n")
+    cfg = _write_cfg(tmp_path, "train:\n  episodes: 32\n  population: 16\n"
+                               "  mix_p: 0\n")
     out = str(tmp_path / "tr")
     assert main(["train", "--config", cfg, "--out", out]) == 0
     ckpt = os.path.join(out, "learned.ckpt")
     assert os.path.exists(ckpt)
     # retrain from it, benign-only pool
     out2 = str(tmp_path / "rt")
-    assert main(["retrain", "--config", cfg, "--init", ckpt, "--mix-p", "0",
+    assert main(["retrain", "--config", cfg, "--init", ckpt,
                  "--episodes", "32", "--out", out2]) == 0
     assert os.path.exists(os.path.join(out2, "retrained.ckpt"))
     body = open(os.path.join(out2, "retrain_eval.csv")).read()
@@ -701,16 +702,62 @@ def test_bad_config_value_exits_2_at_load(tmp_path, monkeypatch, capsys, doc, ke
 def test_retrain_and_sweep_p_reject_an_unusable_trace_pool(tmp_path, monkeypatch,
                                                            capsys):
     cfg = _write_cfg(tmp_path)
+    bad_p = tmp_path / "bad_p.yaml"
+    bad_p.write_text("train: {mix_p: 1.5}\n")
     ckpt = _checkpoint(tmp_path)
+    worst = _worst_traces(tmp_path)
     empty = tmp_path / "empty"
     empty.mkdir()
-    common = ["--config", cfg, "--init", ckpt, "--episodes", "16"]
+    common = ["--init", ckpt, "--episodes", "16"]
     for argv, key in (
-            (["retrain"], "adversarial traces required"),
-            (["retrain", "--mix-p", "1.5", "--pool-adv", _worst_traces(tmp_path)],
+            (["retrain", "--config", cfg], "adversarial traces required"),
+            (["sweep-p", "--config", cfg], "adversarial traces required"),
+            (["retrain", "--config", str(bad_p), "--pool-adv", worst],
              "mix_p must be in [0, 1]"),
-            (["retrain", "--pool-adv", str(empty)], "holds no .trace file"),
-            (["sweep-p", "--pool-adv", str(empty)], "holds no .trace file")):
+            (["sweep-p", "--config", str(bad_p), "--pool-adv", worst],
+             "mix_p must be in [0, 1]"),
+            (["retrain", "--config", cfg, "--pool-adv", str(empty)],
+             "holds no .trace file"),
+            (["sweep-p", "--config", cfg, "--pool-adv", str(empty)],
+             "holds no .trace file")):
         err = _exits_2_before_any_episode(tmp_path, monkeypatch, capsys,
                                           argv + common)
         assert key in err
+
+
+@pytest.mark.parametrize("mix_p", [0.2, 0.3])
+def test_sweep_p_writes_retrains_outputs_at_the_configured_p(tmp_path,
+                                                             monkeypatch, mix_p):
+    # 0.2 is in P_GRID; 0.3 is not, and joins the sweep in sorted order
+    cfg = _write_cfg(tmp_path, "train: {episodes: 8, population: 4, "
+                               f"mix_p: {mix_p}}}\n")
+    calls = {"adversarial_retrain": [], "evaluate_suite": []}
+    for name in calls:
+        def spy(*args, _real=getattr(cli.advtrain, name), _name=name):
+            calls[_name].append(args)
+            return _real(*args)
+        monkeypatch.setattr(cli.advtrain, name, spy)
+    argv = ["--config", cfg, "--init", _checkpoint(tmp_path),
+            "--pool-adv", _worst_traces(tmp_path)]
+    grid = sorted({*cli.P_GRID, mix_p})
+    rt, sw = str(tmp_path / "rt"), str(tmp_path / "sw")
+    for sub, out, ps in (("retrain", rt, [mix_p]), ("sweep-p", sw, grid)):
+        for got in calls.values():
+            got.clear()
+        assert main([sub, *argv, "--out", out]) == 0
+        # one CEM run per p, and one evaluation batch for every policy
+        assert [args[1].mix_p for args in calls["adversarial_retrain"]] == ps
+        [(policies, *_)] = calls["evaluate_suite"]
+        assert len(policies) == len(ps) + 1
+
+    assert sorted(os.listdir(rt)) == ["retrain_eval.csv", "retrained.ckpt"]
+    for name in ("retrained.ckpt", "retrain_eval.csv"):
+        assert (open(os.path.join(rt, name), "rb").read()
+                == open(os.path.join(sw, name), "rb").read())
+    sweep = [row.split(",") for row in _body(sw, "sweep_p.csv")]
+    assert [float(row[0]) for row in sweep] == grid
+    after = {row[1]: row[2:] for row in
+             (line.split(",") for line in _body(rt, "retrain_eval.csv"))
+             if row[0] == "after"}
+    assert sweep[grid.index(mix_p)][1:] == (after["random_baseline"]
+                                            + after["adversarial"])

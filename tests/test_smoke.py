@@ -51,6 +51,10 @@ def test_smoke_outputs_match_the_manifest(tmp_path):
                          text=True, timeout=300)
     assert run.returncode == 0, run.stderr
     check_against_manifest(out)
+    # sweep-p's run at the configured mix_p is retrain's run
+    for name in ("retrained.ckpt", "retrain_eval.csv"):
+        assert (file_digest(os.path.join(out, "sweep", name))
+                == file_digest(os.path.join(out, "retrain", name)))
 
 
 if __name__ == "__main__":
