@@ -3,8 +3,8 @@
 # controllers, delay-constrained attacks on each rule-based target and on the
 # learned controller, transfer matrix, burst-trace case study, and the
 # retraining mixing-probability sweep. At configs/default.yaml it runs to
-# the end in about 23 s of wall time (25.0 and 22.2 s measured, 32 s of
-# user CPU) at --workers 2 on a 2-core host with Python 3.11.
+# the end in about 21 s of wall time (22.1, 20.9 and 19.5 s measured) at
+# --workers 2 on a 2-core host with Python 3.11.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 # ccprobe runs from its source tree

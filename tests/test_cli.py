@@ -729,7 +729,7 @@ def test_retrain_and_sweep_p_reject_an_unusable_trace_pool(tmp_path, monkeypatch
 def test_sweep_p_writes_retrains_outputs_at_the_configured_p(tmp_path,
                                                              monkeypatch, mix_p):
     # 0.2 is in P_GRID; 0.3 is not, and joins the sweep in sorted order
-    cfg = _write_cfg(tmp_path, "train: {episodes: 8, population: 4, "
+    cfg = _write_cfg(tmp_path, "train: {episodes: 128, population: 4, "
                                f"mix_p: {mix_p}}}\n")
     calls = {"adversarial_retrain": [], "evaluate_suite": []}
     for name in calls:
@@ -756,6 +756,9 @@ def test_sweep_p_writes_retrains_outputs_at_the_configured_p(tmp_path,
                 == open(os.path.join(sw, name), "rb").read())
     sweep = [row.split(",") for row in _body(sw, "sweep_p.csv")]
     assert [float(row[0]) for row in sweep] == grid
+    # at this budget every p retrains to a policy of its own, so outputs
+    # taken from another p would differ
+    assert len({tuple(row[1:]) for row in sweep}) == len(grid)
     after = {row[1]: row[2:] for row in
              (line.split(",") for line in _body(rt, "retrain_eval.csv"))
              if row[0] == "after"}

@@ -5,8 +5,8 @@ the sha256 of its bytes, a CSV's leading `# config=` provenance line
 dropped first. A change that moves output bytes on purpose re-records it
 and lists the moved files in CHANGES.md:
 
-    CCPROBE_OUT=/tmp/smoke scripts/quick_smoke.sh
-    python tests/test_smoke.py /tmp/smoke > tests/smoke_manifest.json
+    rm -rf runs/smoke && scripts/quick_smoke.sh
+    python tests/test_smoke.py runs/smoke > tests/smoke_manifest.json
 """
 
 import hashlib
