@@ -7,9 +7,10 @@ Runs one episode case per rule controller, a runaway `Pinned(4096)` sender,
 a `Pinned(1)` sender, a `LearnedController` with a fixed linear policy and
 one whose policy has collapsed cwnd to 1, over one fixed 60 s random trace
 (seed 0, default budget), times `export_mahimahi` of the same
-trace, times two batches at 1 and 2 workers (one CEM generation of
-population 8 around the fixed policy, and `evaluate_suite` of it, each over
-the 10 random traces of seeds 0-9), times 60 s env-surface adversary
+trace, times three batches at 1 and 2 workers (one CEM generation of
+population 8 around the fixed policy, one around a fixed hidden-16 policy,
+and `evaluate_suite` of the fixed policy, each over the 10 random traces of
+seeds 0-9), times 60 s env-surface adversary
 episodes against cubic (random hidden-16 policies, seeds 0-15) in slices of
 1, 4 and 16, and one env-adversary CEM generation of 8 against cubic at 1
 and 2 workers, times what an episode costs after its ticks (everything but
@@ -33,8 +34,16 @@ that does not count them). Everything else is timed REPEATS times after one
 untimed warm-up, and reports the median. The export is timed the same way,
 into a temporary file, and gives ms per 60 s trace. The batches and the
 adversary slices are timed the same way too; a slice's time is given per
-episode. A tree without `adversary.adversarial_episodes` runs a slice as
-one `adversarial_episode` call per row, and a tree whose `evaluate_suite`
+episode. Each batch and adversary CEM generation also reports the median
+CPU time it used: the process's user + system time, reaped children's
+included, so a batch that forks shows its children's work too. On a host
+that gives a second thread or process no core of its own, wall time at 2
+workers cannot fall, while CPU time still shows work added or removed. The
+hidden-16 generation's episodes return to Python at every interval
+(TL_EXTERNAL) and hold the GIL there, so on threads they overlap only in
+their ticks and little is to be gained. A tree without
+`adversary.adversarial_episodes` runs a slice as one `adversarial_episode`
+call per row, and a tree whose `evaluate_suite`
 takes one policy gets that one. The cost after the ticks is the median, over
 AFTER_TICKS_REPEATS episodes after one warm-up, of each episode's wall time
 minus the time spent in the calls `netsim.run_episodes` makes to `tl_step`.
@@ -48,6 +57,7 @@ import inspect
 import json
 import os
 import platform
+import resource
 import statistics
 import tempfile
 import time
@@ -98,6 +108,26 @@ def _timed(fn):
         result = fn()
         times.append(time.perf_counter() - t0)
     return statistics.median(times), result
+
+
+def _cpu_s() -> float:
+    """User + system seconds of this process and its reaped children."""
+    return sum(r.ru_utime + r.ru_stime
+               for r in (resource.getrusage(resource.RUSAGE_SELF),
+                         resource.getrusage(resource.RUSAGE_CHILDREN)))
+
+
+def _timed_cpu(fn):
+    """Median wall and median CPU seconds of REPEATS calls after one untimed
+    warm-up."""
+    fn()
+    wall, cpu = [], []
+    for _ in range(REPEATS):
+        c0, t0 = _cpu_s(), time.perf_counter()
+        fn()
+        wall.append(time.perf_counter() - t0)
+        cpu.append(_cpu_s() - c0)
+    return statistics.median(wall), statistics.median(cpu)
 
 
 def measure_export(trace) -> dict:
@@ -153,24 +183,33 @@ def measure_pool() -> dict:
     policy = PolicyNet(n_features=5, hidden=0, params=LEARNED_PARAMS)
     traces = random_baseline_traces(SmoothnessBudget(), 10, sim.n_intervals,
                                     sim.trace_interval_ms, seed=0)
-    objective = partial(_pool_return, policy, traces, sim, reward)
+    hidden = PolicyNet(n_features=5, hidden=16)
+    hidden = hidden.with_params(np.random.default_rng(0).normal(0.0, 0.5, hidden.n_params))
+
+    def generation(policy, w):
+        return cem_maximize(partial(_pool_return, policy, traces, sim, reward),
+                            dim=policy.n_params, generations=1,
+                            config=CemConfig(population=8, workers=w),
+                            init_mean=policy.params)
+
     batches = {
-        "cem_generation": lambda w: cem_maximize(
-            objective, dim=policy.n_params, generations=1,
-            config=CemConfig(population=8, workers=w), init_mean=policy.params),
+        "cem_generation": partial(generation, policy),
+        "cem_generation_hidden": partial(generation, hidden),
         "evaluate_suite": lambda w: _suite(policy, {"pool": traces}, sim, reward, w),
     }
     out = {}
     for name, batch in batches.items():
         for w in (1, 2):
-            t, _ = _timed(lambda: batch(w))
-            out.setdefault(name, {})[f"workers_{w}_ms"] = round(t * 1000, 2)
+            t, cpu = _timed_cpu(lambda: batch(w))
+            out.setdefault(name, {}).update({f"workers_{w}_ms": round(t * 1000, 2),
+                                             f"workers_{w}_cpu_ms": round(cpu * 1000, 2)})
     return out
 
 
 def measure_adversary() -> dict:
-    """ms per env-adversary episode in slices of 1, 4 and 16, and ms per
-    env-adversary CEM generation of 8 at 1 and 2 workers, against cubic."""
+    """ms per env-adversary episode in slices of 1, 4 and 16, and ms (wall
+    and CPU) per env-adversary CEM generation of 8 at 1 and 2 workers,
+    against cubic."""
     sim, reward = SimConfig(), RewardParams()
     spec = AdversarySpec(surface=SurfaceMode.ENV_BANDWIDTH,
                          constraint=DelayConstraint(tau_ms=50.0),
@@ -192,9 +231,10 @@ def measure_adversary() -> dict:
         t, _ = _timed(lambda: episodes(k))
         out[f"slice_{k}_ms_per_episode"] = round(t * 1000 / k, 2)
     for w in (1, 2):
-        t, _ = _timed(lambda: train_adversary(spec, factory, sim, 8, reward,
-                                              CemConfig(population=8, workers=w)))
+        t, cpu = _timed_cpu(lambda: train_adversary(spec, factory, sim, 8, reward,
+                                                    CemConfig(population=8, workers=w)))
         out[f"env_cem_generation_workers_{w}_ms"] = round(t * 1000, 2)
+        out[f"env_cem_generation_workers_{w}_cpu_ms"] = round(cpu * 1000, 2)
     return out
 
 
@@ -287,8 +327,9 @@ def main() -> None:
     print(f"{args.label} export         "
           f"{doc['runs'][args.label]['export']['ms_per_trace']:>8.2f} ms/trace")
     for batch, r in doc["runs"][args.label]["pool"].items():
-        print(f"{args.label} {batch:14s} {r['workers_1_ms']:>8.2f} ms at 1 worker "
-              f"{r['workers_2_ms']:>8.2f} ms at 2")
+        print(f"{args.label} {batch:21s} {r['workers_1_ms']:>8.2f} ms "
+              f"({r['workers_1_cpu_ms']:>8.2f} ms CPU) at 1 worker "
+              f"{r['workers_2_ms']:>8.2f} ms ({r['workers_2_cpu_ms']:>8.2f} ms CPU) at 2")
     for row, ms in doc["runs"][args.label]["adversary"].items():
         print(f"{args.label} adversary {row:36s} {ms:>8.2f} ms")
     for case, r in doc["runs"][args.label]["after_ticks"].items():

@@ -17,11 +17,11 @@ from functools import partial
 
 import numpy as np
 
-from .cem import CemConfig, cem_maximize, on_slices
+from .cem import CemConfig, cem_maximize, lockstep
 from .learned import DomainError, PolicyNet, RewardParams, policy_outputs
 from .metrics import EpisodeReport, build_report
 from .netsim import (Observation, SimConfig, _ffi, _lib, map_jobs, obs_row,
-                     run_episode, run_episodes, slices)
+                     run_episode, run_episodes)
 from .tracegen import SmoothnessBudget, gen_random_trace
 
 
@@ -259,8 +259,8 @@ def clean_episodes(controller_factory, traces, config: SimConfig,
 
 def clean_episode(config: SimConfig, trace, controller_factory) -> EpisodeReport:
     """The one clean-episode job: a fresh controller from its factory, so no
-    episode starts from another's state, and the episode's report, built where
-    the episode ran so that only the report, never the whole log, is pickled."""
+    episode starts from another's state, and the episode's report, built in
+    the job so that a batch keeps only the reports, never the whole logs."""
     return build_report(run_episode(config, trace, controller_factory()))
 
 
@@ -349,8 +349,8 @@ def train_adversary(spec: AdversarySpec, controller_factory, config: SimConfig,
     if generations == 0:
         return spec.policy, []
 
-    objective = on_slices(partial(_adversary_returns, spec, controller_factory,
-                                  config, reward, clean_traces))
+    objective = lockstep(partial(_adversary_returns, spec, controller_factory,
+                                 config, reward, clean_traces))
     result = cem_maximize(objective, dim=spec.policy.n_params,
                           generations=generations, config=cem,
                           init_mean=spec.policy.params)
@@ -369,19 +369,18 @@ def _adversary_returns(spec: AdversarySpec, controller_factory,
 
 def select_worst_trace(spec: AdversarySpec, policy: PolicyNet, controller_factory,
                        config: SimConfig, reward: RewardParams,
-                       n_rollouts: int = 8, seed: int = 0,
-                       workers: int = 1) -> EpisodeEval | None:
+                       n_rollouts: int = 8, seed: int = 0) -> EpisodeEval | None:
     """Env-surface selection: among rollout traces with mean delay >= tau,
-    the one minimizing utilization. None if no rollout meets the constraint."""
+    the one minimizing utilization. None if no rollout meets the constraint.
+    The rollouts run as one lock-step slice."""
     spec = dataclasses.replace(spec, policy=policy)
     budget = spec.budget
     rng = np.random.default_rng(seed)
     inits = [float(rng.uniform(budget.bw_min, budget.bw_max))
              for _ in range(n_rollouts)]
-    rollouts = partial(adversarial_episodes, spec, None, controller_factory,
-                       config, reward)
-    jobs = slices(([seed + i for i in range(n_rollouts)], inits), workers)
-    candidates = [c for part in map_jobs(rollouts, jobs, workers) for c in part]
+    candidates = adversarial_episodes(spec, None, controller_factory, config,
+                                      reward, [seed + i for i in range(n_rollouts)],
+                                      inits)
     feasible = [c for c in candidates if c.mean_delay_ms >= spec.constraint.tau_ms]
     if not feasible:
         return None

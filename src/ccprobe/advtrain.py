@@ -8,7 +8,7 @@ from functools import partial
 import numpy as np
 
 from .adversary import clean_episode, mean_queuing_delay_ms
-from .cem import CemConfig, GenerationStats, cem_maximize, on_slices
+from .cem import CemConfig, GenerationStats, cem_maximize
 from .learned import LearnedController, PolicyNet, RewardParams, episode_return
 from .netsim import BandwidthTrace, SimConfig, map_jobs
 
@@ -41,14 +41,13 @@ def sample_trace(pool: TracePool, rng) -> BandwidthTrace:
     return traces[int(rng.integers(0, len(traces)))]
 
 
-def _mixed_returns(policy: PolicyNet, pool: TracePool, sim: SimConfig,
-                   reward: RewardParams, params, seeds) -> list[float]:
-    """`adversarial_retrain`'s CEM objective over a slice: each row's episode
-    seed samples its trace from the pool."""
-    return [episode_return(policy.with_params(p),
-                           sample_trace(pool, np.random.default_rng(seed)),
-                           sim, reward)
-            for p, seed in zip(params, seeds)]
+def _mixed_return(policy: PolicyNet, pool: TracePool, sim: SimConfig,
+                  reward: RewardParams, params, seed: int) -> float:
+    """`adversarial_retrain`'s CEM objective: the episode seed samples the
+    trace from the pool."""
+    return episode_return(policy.with_params(params),
+                          sample_trace(pool, np.random.default_rng(seed)),
+                          sim, reward)
 
 
 def adversarial_retrain(policy: PolicyNet, pool: TracePool, episodes: int,
@@ -66,8 +65,7 @@ def adversarial_retrain(policy: PolicyNet, pool: TracePool, episodes: int,
     if generations == 0:
         return policy, []
 
-    result = cem_maximize(on_slices(partial(_mixed_returns, policy, pool, sim,
-                                            reward)),
+    result = cem_maximize(partial(_mixed_return, policy, pool, sim, reward),
                           dim=policy.n_params, generations=generations,
                           config=cem, init_mean=policy.params)
     return policy.with_params(result.best_params), result.history

@@ -8,11 +8,9 @@ mean/std to the elite fraction, decay the exploration noise.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
-
 import numpy as np
 
-from .netsim import map_jobs, slices
+from .netsim import map_jobs
 
 
 class OptimizerError(RuntimeError):
@@ -27,7 +25,7 @@ class CemConfig:
     extra_noise: float = 0.25       # additive std floor, decayed per generation
     noise_decay: float = 0.9
     seed: int = 0
-    workers: int = 1                # processes evaluating a population
+    workers: int = 1                # threads evaluating a row objective's population
 
     def __post_init__(self):
         if not self.population >= 1:
@@ -51,33 +49,31 @@ class CemResult:
     history: list[GenerationStats] = field(default_factory=list)
 
 
-def on_slices(objective):
-    """`objective`, marked as taking whole slices in `cem_maximize`."""
-    objective.on_slices = True
+def lockstep(objective):
+    """`objective`, marked as running whole populations in lock-step in
+    `cem_maximize`."""
+    objective.lockstep = True
     return objective
-
-
-def _row_by_row(objective, params, seeds) -> list:
-    return [objective(p, s) for p, s in zip(params, seeds)]
 
 
 def cem_maximize(objective, dim: int, generations: int, config: CemConfig,
                  init_mean: np.ndarray | None = None) -> CemResult:
-    """Maximize the objective: objective(params, seeds), given a slice of k
-    candidates (a (k, dim) array) and their k episode seeds, returns one
-    result per row, a float or (float, ok_rate). An objective not marked by
-    `on_slices` takes one row, objective(params, episode_seed), instead.
+    """Maximize the objective: objective(params, episode_seed), given one
+    candidate's parameters and its episode seed, returns a float or (float,
+    ok_rate).
 
-    A generation's episode seeds are drawn up front, then its population is
-    cut into `config.workers` slices (`netsim.slices`), each evaluated whole
-    by one `map_jobs` process (results must pickle, the objective need not);
-    the result does not depend on the cut.
+    A generation's episode seeds are drawn up front. Its population then goes
+    through `map_jobs` as one job per candidate on `config.workers` threads,
+    which overlap while the tick loop runs without the GIL. An objective
+    marked by `lockstep` is called once per generation instead, on this
+    thread, as objective(params, seeds) with the whole (population, dim)
+    array and every seed, and returns one result per row: its per-interval
+    Python holds the GIL, so threads would only queue for it. The result does
+    not depend on the worker count.
 
     Raises OptimizerError if a generation's returns have exactly zero
     variance before the budget is exhausted (degenerate reward signal).
     """
-    if not getattr(objective, "on_slices", False):
-        objective = partial(_row_by_row, objective)
     rng = np.random.default_rng(config.seed)
     mean = np.zeros(dim) if init_mean is None else np.asarray(init_mean, dtype=float).copy()
     std = np.full(dim, config.sigma0)
@@ -93,9 +89,11 @@ def cem_maximize(objective, dim: int, generations: int, config: CemConfig,
         seeds = [int(rng.integers(0, 2**31 - 1)) for _ in range(config.population)]
         returns = np.empty(config.population)
         ok = np.full(config.population, np.nan)
-        parts = map_jobs(objective, slices((pop, seeds), config.workers),
-                         config.workers)
-        for i, out in enumerate(out for part in parts for out in part):
+        if getattr(objective, "lockstep", False):
+            outs = objective(pop, seeds)
+        else:
+            outs = map_jobs(objective, zip(pop, seeds), config.workers)
+        for i, out in enumerate(outs):
             if isinstance(out, tuple):
                 returns[i], ok[i] = out
             else:

@@ -29,7 +29,7 @@ from .config import ExperimentConfig, SchemaError, load_config
 from .learned import PolicyNet, load_policy, save_policy, train_controller
 from .metrics import build_report, dump_series_csv
 from .netsim import (BandwidthTrace, ConfigError, SimConfig, export_mahimahi,
-                     map_jobs, read_trace, run_episode, slices, write_trace)
+                     map_jobs, read_trace, run_episode, write_trace)
 from .tracegen import (SmoothnessBudget, check_feasible, gen_burst_trace,
                        gen_random_trace, gen_unconstrained)
 
@@ -206,16 +206,14 @@ def cmd_attack(args, cfg: ExperimentConfig, out: str) -> int:
     ok = True
     rows = [[target, "baseline", base_util, base_delay, 0.0, 0.0]]
     if feature:
-        rollouts = partial(adversarial_episodes, spec, None, factory, cfg.sim,
-                           cfg.reward, clean_traces=baseline_traces)
-        jobs = slices((range(len(baseline_traces)),), args.workers)
-        evals = [e for part in map_jobs(rollouts, jobs, args.workers) for e in part]
+        evals = adversarial_episodes(spec, None, factory, cfg.sim, cfg.reward,
+                                     range(len(baseline_traces)),
+                                     clean_traces=baseline_traces)
         util = _mean([e.utilization for e in evals])
         delay = _mean([e.mean_delay_ms for e in evals])
     else:
         worst = select_worst_trace(spec, policy, factory, cfg.sim, cfg.reward,
-                                   n_rollouts=adv.rollouts, seed=cfg.seed,
-                                   workers=args.workers)
+                                   n_rollouts=adv.rollouts, seed=cfg.seed)
         if worst is None:
             print("no rollout satisfied the delay constraint", file=sys.stderr)
             return 1
@@ -459,9 +457,10 @@ def _common(p):
     p.add_argument("--out", help="output directory (overrides CCPROBE_OUT)")
     p.add_argument("--seed", type=int, help="override the config seed")
     p.add_argument("--workers", type=_positive_int, default=1,
-                   help="processes that run episodes (>= 1; outputs do not "
-                        "depend on it); gen-trace and lp-case accept it for "
-                        "script uniformity and run serially")
+                   help="threads that run a batch of episodes (>= 1; outputs "
+                        "do not depend on it); lock-step adversarial batches "
+                        "run whole on one thread, and gen-trace and lp-case "
+                        "accept it for script uniformity and run serially")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -17,7 +17,7 @@ from functools import partial
 import numpy as np
 
 from .cc import Controller, _Field
-from .cem import CemConfig, GenerationStats, cem_maximize, on_slices
+from .cem import CemConfig, GenerationStats, cem_maximize
 from .netsim import (ConfigError, DomainError, Observation, SimConfig, _ffi, _lib,
                      domain_check, map_jobs, obs_row, run_episode)
 
@@ -230,13 +230,11 @@ def episode_return(policy: PolicyNet, trace, sim: SimConfig,
     return log.sums(reward).reward / n if n else 0.0
 
 
-def _pool_returns(policy: PolicyNet, traces, sim: SimConfig,
-                  reward: RewardParams, params, seeds) -> list[float]:
-    """`train_controller`'s CEM objective over a slice: each row's episode
-    seed picks its trace."""
-    return [episode_return(policy.with_params(p), traces[seed % len(traces)],
-                           sim, reward)
-            for p, seed in zip(params, seeds)]
+def _pool_return(policy: PolicyNet, traces, sim: SimConfig,
+                 reward: RewardParams, params, seed: int) -> float:
+    """`train_controller`'s CEM objective: the episode seed picks the trace."""
+    return episode_return(policy.with_params(params), traces[seed % len(traces)],
+                          sim, reward)
 
 
 def train_controller(policy: PolicyNet, traces, episodes: int,
@@ -255,8 +253,7 @@ def train_controller(policy: PolicyNet, traces, episodes: int,
     if generations == 0:
         return policy, []
 
-    result = cem_maximize(on_slices(partial(_pool_returns, policy, traces, sim,
-                                            reward)),
+    result = cem_maximize(partial(_pool_return, policy, traces, sim, reward),
                           dim=policy.n_params, generations=generations,
                           config=cem, init_mean=policy.params)
 

@@ -13,9 +13,9 @@ import importlib
 import math
 import operator
 import os
-import pickle
 import subprocess
 import sys
+import threading
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -499,78 +499,47 @@ def _tick_loop_error(ev: int, st) -> Exception:
     return ValueError(f"capacity {st.capacity!r} Mbps leaves no finite link credit")
 
 
-def slices(columns, workers: int) -> list[tuple]:
-    """The rows of `columns`, sequences of one length, cut into
-    `min(workers, rows)` contiguous slices whose sizes differ by one at most:
-    one `map_jobs` job per process, each job the tuple of its columns' slices.
-    A job's function returns one result per row of its slice."""
-    n_rows = len(columns[0])
-    n = max(1, min(workers, n_rows))
-    cuts = [n_rows * i // n for i in range(n + 1)]
-    return [tuple(c[a:b] for c in columns) for a, b in zip(cuts, cuts[1:])]
-
-
 def map_jobs(fn, jobs, workers: int) -> list:
     """`[fn(*job) for job in jobs]`, in order, on `n = min(workers, len(jobs))`
-    processes: this one and `n - 1` children forked for the batch. Child k runs
-    jobs k, k + n, ... and this process jobs 0, n, ..., then reads each child's
-    pickled results from a pipe. Children inherit `fn` and the jobs, so only
-    results must pickle. A child's exception is raised here (as a RuntimeError
-    with its repr if it does not pickle); every child is reaped first. A child
-    ends in `os._exit`: stdio output it leaves buffered is dropped, not doubled."""
+    threads: this one and `n - 1` started for the batch. Each thread takes the
+    next job no thread has taken yet. The tick loop runs without the GIL, so
+    episodes that run to their end in one `tl_step` call overlap. Once a job
+    raises, no thread starts another; after every thread has joined, the
+    exception of the lowest-indexed failed job is raised unchanged."""
     jobs = list(jobs)
     n = min(workers, len(jobs))
     if n <= 1:
         return [fn(*job) for job in jobs]
-    results, children = [None] * len(jobs), []     # (pid, pipe's read end)
-    try:
-        for k in range(1, n):
-            r, w = os.pipe()
+    results, failed = [None] * len(jobs), {}
+    lock, untaken = threading.Lock(), iter(range(len(jobs)))
+
+    def work():
+        while True:
+            with lock:
+                i = None if failed else next(untaken, None)
+            if i is None:
+                return
             try:
-                pid = os.fork()
-            except BaseException:
-                os.close(r), os.close(w)
-                raise
-            if pid == 0:
-                _child(fn, jobs[k::n], w, [r] + [f.fileno() for _, f in children])
-            os.close(w)
-            children.append((pid, open(r, "rb")))
-        results[::n] = [fn(*job) for job in jobs[::n]]
-        sent = [f.read() for _, f in children]
+                results[i] = fn(*jobs[i])
+            except BaseException as e:
+                with lock:
+                    failed[i] = e
+
+    threads = []
+    try:
+        for _ in range(n - 1):
+            t = threading.Thread(target=work)
+            t.start()
+            threads.append(t)
+        work()
+    except BaseException as e:
+        # a thread that would not start, or an interrupt: stop the others
+        with lock:
+            failed[-1] = e
+        raise
     finally:
-        # a child blocked on a full pipe gets EPIPE once its read end closes
-        for _, f in children:
-            f.close()
-        ended = [os.waitpid(pid, 0)[1] for pid, _ in children]
-    for k, (pid, _), data, status in zip(range(1, n), children, sent, ended):
-        if status or not data:
-            code = os.waitstatus_to_exitcode(status)
-            raise RuntimeError(f"map_jobs worker {pid} sent no results: " + (
-                f"exit status {code}" if code >= 0 else f"killed by signal {-code}"))
-        ok, value = pickle.loads(data)
-        if not ok:
-            raise value
-        results[k::n] = value
+        for t in threads:
+            t.join()
+    if failed:
+        raise failed[min(failed)]
     return results
-
-
-def _child(fn, jobs: list, w: int, inherited: list[int]) -> None:
-    """A forked worker: run `jobs`, write `(True, results)` or `(False,
-    exception)` to `w`, and leave by `os._exit`, never by the caller's stack."""
-    status = 1
-    try:
-        for fd in inherited:
-            os.close(fd)
-        try:
-            data = pickle.dumps((True, [fn(*job) for job in jobs]))
-        except BaseException as e:
-            try:
-                data = pickle.dumps((False, e))
-                pickle.loads(data)
-            except Exception:
-                data = pickle.dumps((False, RuntimeError(repr(e))))
-        with open(w, "wb") as f:
-            f.write(data)
-        status = 0
-    finally:
-        os._exit(status)

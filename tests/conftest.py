@@ -1,4 +1,4 @@
-import os
+import threading
 
 import pytest
 
@@ -18,16 +18,21 @@ def const_trace():
 
 
 @pytest.fixture
-def forked_pids(monkeypatch):
-    """The pids of the children `map_jobs` forks in this process during the
-    test, in order."""
-    pids, fork = [], os.fork
+def started_threads(monkeypatch):
+    """The threads `map_jobs` creates in this process during the test, in
+    order."""
+    made, real = [], threading.Thread
 
-    def spy():
-        pid = fork()
-        if pid:
-            pids.append(pid)
-        return pid
+    def spy(*args, **kwargs):
+        made.append(real(*args, **kwargs))
+        return made[-1]
 
-    monkeypatch.setattr(netsim.os, "fork", spy)
-    return pids
+    monkeypatch.setattr(netsim.threading, "Thread", spy)
+    return made
+
+
+@pytest.fixture
+def no_thread_left():
+    """A check that no thread started since the test began is still alive."""
+    before = set(threading.enumerate())
+    return lambda: set(threading.enumerate()) <= before

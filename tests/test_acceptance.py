@@ -65,7 +65,7 @@ def run_attack(factory, baseline_traces, seed):
                                 reward=REWARD,
                                 cem=CemConfig(seed=seed, workers=WORKERS))
     worst = select_worst_trace(spec, policy, factory, EVAL_SIM, REWARD,
-                               n_rollouts=8, seed=seed, workers=WORKERS)
+                               n_rollouts=8, seed=seed)
     return tau, worst, time.time() - t0
 
 

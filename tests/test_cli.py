@@ -6,6 +6,7 @@ import os
 import pickle
 import subprocess
 import sys
+import threading
 
 import pytest
 
@@ -404,13 +405,13 @@ def test_learned_reports_match_across_worker_counts(tmp_path):
     for cmd, extra, csv in (
             ("baseline", ["--setting", "both"], "baseline.csv"),
             ("transfer", ["--traces", traces], "transfer.csv")):
-        outs = [str(tmp_path / f"{cmd}{w}") for w in (1, 2)]
-        for w, out in zip((1, 2), outs):
+        outs = [str(tmp_path / f"{cmd}{w}") for w in (1, 2, 3)]
+        for w, out in zip((1, 2, 3), outs):
             assert main([cmd, "--config", cfg, "--controllers", "reno,learned",
                          "--checkpoint", ckpt, "--workers", str(w),
                          "--out", out] + extra) == 0
-        a, b = (open(os.path.join(o, csv)).read() for o in outs)
-        assert a == b and "learned," in a
+        a, b, c = (open(os.path.join(o, csv)).read() for o in outs)
+        assert a == b == c and "learned," in a
 
 
 def test_transfer_applies_constants_to_config_controller(tmp_path):
@@ -507,57 +508,66 @@ def _training_cfg(tmp_path, surface="env"):
 
 
 def _training_runs(tmp_path):
-    """(argv without --out, output subdirectory, expected job functions) for
-    every command that trains."""
+    """(argv without --out, output subdirectory, expected `map_jobs` job
+    functions) for every command that trains."""
     retrain = ["--init", _checkpoint(tmp_path), "--pool-adv",
                _worst_traces(tmp_path), "--episodes", "4"]
     env, feature = _training_cfg(tmp_path), _training_cfg(tmp_path, "feature")
-    attack_jobs = {"clean_episode", "_adversary_returns", "adversarial_episodes"}
     return [
         (["attack", "--config", env, "--controller", "cubic"], "attack",
-         attack_jobs),
+         {"clean_episode"}),
         (["attack", "--config", feature, "--controller", "vegas"], "attack",
-         attack_jobs),
+         {"clean_episode"}),
         (["train", "--config", env], "train",
-         {"_pool_returns", "episode_return", "clean_episode"}),
+         {"_pool_return", "episode_return", "clean_episode"}),
         (["retrain", "--config", env] + retrain, "retrain",
-         {"_mixed_returns", "clean_episode"}),
+         {"_mixed_return", "clean_episode"}),
         (["sweep-p", "--config", env] + retrain, "sweep",
-         {"_mixed_returns", "clean_episode"}),
+         {"_mixed_return", "clean_episode"}),
     ]
 
 
-# the job functions that take a whole slice of rows: a CEM population's
-# candidates or an attack's rollouts, run in lock-step
-SLICE_JOBS = {"_adversary_returns", "adversarial_episodes", "_pool_returns",
-              "_mixed_returns"}
-
-
-def test_training_commands_pass_workers_to_map_jobs(tmp_path, monkeypatch):
+def _spy_on_map_jobs(monkeypatch, spy):
     import ccprobe
     from ccprobe import netsim
-    calls = []
-    real = netsim.map_jobs
-
-    def spy(fn, jobs, workers):
-        jobs = list(jobs)
-        # every objective and rollout job survives the trip to a worker
-        fn2, jobs2 = pickle.loads(pickle.dumps((fn, jobs)))
-        name = getattr(fn, "func", fn).__name__
-        calls.append((name, workers))
-        if name in SLICE_JOBS:
-            # one contiguous slice per process, the rows shared out evenly
-            sizes = [len(job[-1]) for job in jobs]
-            assert len(jobs) <= workers and max(sizes) - min(sizes) <= 1, name
-        return real(fn2, jobs2, 1)
-
     for mod in list(vars(ccprobe).values()):
         if mod is not netsim and hasattr(mod, "map_jobs"):
             monkeypatch.setattr(mod, "map_jobs", spy)
+    return netsim.map_jobs
+
+
+def test_training_commands_pass_workers_to_map_jobs(tmp_path, monkeypatch):
+    # row jobs go through map_jobs with --workers; a lock-step adversarial
+    # batch never does: each CEM generation's whole population (4) and the
+    # attack's rollouts (3 selection rollouts, or 2 feature evaluations)
+    # run as one call on the calling thread
+    from ccprobe import adversary
+    calls, slices = [], []
+    caller = threading.current_thread()
+
+    def spy(fn, jobs, workers):
+        calls.append((getattr(fn, "func", fn).__name__, workers))
+        return real(fn, jobs, workers)
+
+    real = _spy_on_map_jobs(monkeypatch, spy)
+    real_episodes = adversary.adversarial_episodes
+
+    def episodes(spec, params, factory, config, reward, seeds, *args, **kwargs):
+        slices.append((len(seeds), threading.current_thread() is caller))
+        return real_episodes(spec, params, factory, config, reward, seeds,
+                             *args, **kwargs)
+
+    monkeypatch.setattr(adversary, "adversarial_episodes", episodes)
+    monkeypatch.setattr(cli, "adversarial_episodes", episodes)
     for argv, sub, fns in _training_runs(tmp_path):
-        calls.clear()
+        calls.clear(), slices.clear()
         assert main(argv + ["--out", str(tmp_path / sub), "--workers", "2"]) == 0
         assert {f for f, _ in calls} == fns and {w for _, w in calls} == {2}
+        want = []
+        if argv[0] == "attack":
+            last = 3 if argv[2].endswith("env.yaml") else 2
+            want = [(4, True), (4, True), (last, True)]
+        assert slices == want, argv
 
 
 def test_training_outputs_match_across_worker_counts(tmp_path):
@@ -575,83 +585,81 @@ def test_training_outputs_match_across_worker_counts(tmp_path):
         assert a == b, rel
 
 
-# --- each batch forks its own children, all reaped before it returns ----------
+# --- each batch starts its own threads, all joined before it returns ----------
 
-def _assert_no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
-def test_train_and_env_attack_fork_per_batch(tmp_path, monkeypatch, forked_pids):
-    # each makes several batches: CEM generations, then the check episodes,
-    # the evaluation, the clean baseline or the selection rollouts; a batch
-    # of n jobs at 2 workers forks min(2, n) - 1 children
-    import ccprobe
-    from ccprobe import netsim
-    batches, real = [], netsim.map_jobs
+def test_train_and_env_attack_start_threads_per_batch(tmp_path, monkeypatch,
+                                                      started_threads,
+                                                      no_thread_left):
+    # each makes several batches: CEM generations or the clean baseline, then
+    # the check episodes and the evaluation; a batch of n jobs at 2 workers
+    # starts min(2, n) - 1 threads
+    batches = []
 
     def spy(fn, jobs, workers):
         jobs = list(jobs)
         batches.append(min(workers, len(jobs)))
         return real(fn, jobs, workers)
 
-    for mod in list(vars(ccprobe).values()):
-        if mod is not netsim and hasattr(mod, "map_jobs"):
-            monkeypatch.setattr(mod, "map_jobs", spy)
+    real = _spy_on_map_jobs(monkeypatch, spy)
     cfg = _training_cfg(tmp_path)
-    for argv in (["train"], ["attack", "--controller", "cubic"]):
-        forked_pids.clear(), batches.clear()
+    for argv, least in ((["train"], 3), (["attack", "--controller", "cubic"], 1)):
+        started_threads.clear(), batches.clear()
         assert main(argv + ["--config", cfg, "--out", str(tmp_path / argv[0]),
                             "--workers", "2"]) == 0
-        assert len(batches) >= 3 and set(batches) == {2}, argv
-        assert len(forked_pids) == sum(m - 1 for m in batches), argv
-        assert len(set(forked_pids)) == len(forked_pids), argv
-        _assert_no_child_left()
+        assert len(batches) >= least and set(batches) == {2}, argv
+        assert len(started_threads) == sum(m - 1 for m in batches), argv
+        assert len(set(map(id, started_threads))) == len(started_threads), argv
+        assert no_thread_left(), argv
 
 
-def test_each_batch_forks_its_own_children(forked_pids):
-    # no child is kept for a later batch, whether it needs fewer or more
+def test_each_batch_starts_its_own_threads(started_threads, no_thread_left):
+    # no thread is kept for a later batch, whether it needs fewer or more
     from ccprobe import netsim
     jobs = [(2, 3), (3, 2), (2, 2), (3, 3)]
     assert netsim.map_jobs(pow, jobs[:2], 4) == [8, 9]
-    assert len(forked_pids) == 1
+    assert len(started_threads) == 1
     assert netsim.map_jobs(pow, jobs, 4) == [8, 9, 4, 27]
-    assert len(forked_pids) == 4
+    assert len(started_threads) == 4
     assert netsim.map_jobs(pow, jobs[:2], 4) == [8, 9]
-    assert len(forked_pids) == 5 and len(set(forked_pids)) == 5
-    _assert_no_child_left()
+    assert len(started_threads) == 5
+    assert len(set(map(id, started_threads))) == 5
+    assert not any(t.is_alive() for t in started_threads)
+    assert no_thread_left()
 
 
-def test_no_worker_outlives_a_command(tmp_path, monkeypatch, forked_pids):
+def test_no_worker_outlives_a_command(tmp_path, monkeypatch, started_threads,
+                                      no_thread_left):
     from ccprobe import adversary
     cfg = _write_cfg(tmp_path)
     baseline = ["baseline", "--config", cfg, "--controllers", "reno,lp",
                 "--workers", "2"]
     assert main(baseline + ["--out", str(tmp_path / "ok")]) == 0
-    assert len(forked_pids) == 1
-    _assert_no_child_left()
+    assert len(started_threads) == 1 and no_thread_left()
 
-    # exit 2 after the children have run the training episodes
+    # exit 2 after the threads have run the training episodes
     assert main(["train", "--config", _training_cfg(tmp_path), "--workers", "2",
                  "--out", str(tmp_path / "t"),
                  "--checkpoint-out", str(tmp_path / "missing" / "x.ckpt")]) == 2
-    assert len(forked_pids) > 1
-    _assert_no_child_left()
+    assert len(started_threads) > 1 and no_thread_left()
 
-    # a job that raises only in a child: its message reaches the caller
-    caller, real = os.getpid(), adversary.build_report
+    # a job that raises only on a worker thread: the exception itself
+    # reaches the caller
+    caller, real = threading.current_thread(), adversary.build_report
+
+    class ReportFailed(Exception):
+        pass
 
     def raise_in_worker(log):
-        if os.getpid() != caller:
-            raise RuntimeError(f"report failed in process {os.getpid()}")
+        if threading.current_thread() is not caller:
+            raise ReportFailed(threading.current_thread().name)
         return real(log)
 
     monkeypatch.setattr(adversary, "build_report", raise_in_worker)
-    forked_pids.clear()
-    with pytest.raises(RuntimeError, match="report failed in process") as e:
+    started_threads.clear()
+    with pytest.raises(ReportFailed) as e:
         main(baseline + ["--out", str(tmp_path / "raise")])
-    assert forked_pids == [int(str(e.value).rsplit(" ", 1)[1])]
-    _assert_no_child_left()
+    assert [t.name for t in started_threads] == [str(e.value)]
+    assert no_thread_left()
 
 
 def test_a_piped_attack_prints_each_line_once(tmp_path):

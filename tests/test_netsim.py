@@ -7,11 +7,12 @@ import math
 import os
 import pickle
 import shutil
-import signal
 import subprocess
 import sys
 import sysconfig
 import tempfile
+import threading
+import time
 from functools import partial
 
 import numpy as np
@@ -149,148 +150,144 @@ def test_trace_interval_must_match_sim(short_sim, tmp_path):
         run_episode(short_sim, read_trace(str(path)), Pinned(10.0))
 
 
-def test_map_jobs_forks_are_capped_by_jobs(forked_pids):
-    # a batch of n jobs at w workers forks min(w, n) - 1 children, since the
+def test_map_jobs_threads_are_capped_by_jobs(started_threads, no_thread_left):
+    # a batch of n jobs at w workers starts min(w, n) - 1 threads, since the
     # caller runs a share; results stay in order when n does not divide evenly
     jobs = [(2, 3), (3, 2), (2, 2), (3, 3), (5, 2)]
     expect = [8, 9, 4, 27, 25]
     assert map_jobs(pow, jobs[:2], 64) == [8, 9]
-    assert len(forked_pids) == 1            # one process per job, no more
+    assert len(started_threads) == 1        # one thread per job, no more
     assert map_jobs(pow, jobs[:1], 8) == [8]
     assert map_jobs(pow, jobs, 1) == expect
-    assert len(forked_pids) == 1            # a single process runs here
-    assert map_jobs(pow, jobs, 2) == expect
-    assert len(forked_pids) == 2
-    assert map_jobs(pow, jobs, 3) == expect
-    assert len(forked_pids) == 4 and len(set(forked_pids)) == 4
-    assert map_jobs(pow, iter(jobs), 5) == expect
-    assert len(forked_pids) == 8
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)          # every child was reaped
+    assert len(started_threads) == 1        # the caller alone runs these
+    for w, total in ((2, 2), (3, 4), (4, 7), (5, 11)):
+        assert map_jobs(pow, iter(jobs), w) == expect
+        assert len(started_threads) == total
+    assert len(set(map(id, started_threads))) == 11
+    assert no_thread_left()
 
 
-def _in_a_child(script):
-    """Run `script` after `from ccprobe.netsim import map_jobs` in a fresh
-    interpreter, so a hang fails the test instead of blocking the suite; the
-    interpreter gets a session of its own, and a hung one is killed with every
-    process it forked."""
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
-    with subprocess.Popen([sys.executable, "-c", "import os, time\n"
-                           "from ccprobe.netsim import map_jobs\n" + script],
-                          stdout=subprocess.PIPE, stderr=subprocess.PIPE,
-                          text=True, env=env, start_new_session=True) as proc:
-        try:
-            out, err = proc.communicate(timeout=60)
-        except subprocess.TimeoutExpired:
-            os.killpg(proc.pid, signal.SIGKILL)
-            raise
-    return subprocess.CompletedProcess(proc.args, proc.returncode, out, err)
+def test_map_jobs_runs_each_job_once_under_frequent_switches():
+    # more threads than cores, switching every microsecond: no job is taken
+    # twice or skipped, and every result lands in its own slot
+    ran, interval = [], sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        out = map_jobs(lambda i: ran.append(i) or i * i,
+                       [(i,) for i in range(3000)], 8)
+    finally:
+        sys.setswitchinterval(interval)
+    assert sorted(ran) == list(range(3000))
+    assert out == [i * i for i in range(3000)]
 
 
-# the end of a script whose map_jobs call has returned or raised
-_NO_CHILD_LEFT = ("try:\n"
-                  "    os.waitpid(-1, os.WNOHANG)\n"
-                  "except ChildProcessError:\n"
-                  "    print('no child left')\n")
+def _wait(event):
+    assert event.wait(timeout=30), "a job waited 30 s for another"
 
 
-def test_map_jobs_names_a_child_that_dies_without_results():
-    run = _in_a_child(
-        "caller = os.getpid()\n"
-        "def job(x):\n"
-        "    if os.getpid() != caller:\n"
-        "        os._exit(3)\n"
-        "    return x\n"
-        "try:\n"
-        "    map_jobs(job, [(1,), (2,)], 2)\n"
-        "except RuntimeError as e:\n"
-        "    print(e)\n" + _NO_CHILD_LEFT)
-    assert run.returncode == 0, run.stderr
-    assert run.stdout.startswith("map_jobs worker "), run.stdout
-    assert run.stdout.endswith(" sent no results: exit status 3\nno child left\n")
+def test_map_jobs_raises_a_workers_exception_here(no_thread_left):
+    # unchanged: the same object, with its own type, even one that would not
+    # survive pickling; no thread is left behind
+    class Two(Exception):
+        def __init__(self, a, b):
+            super().__init__(f"{a} and {b}")
+
+    caller = threading.current_thread()
+    for exc in (KeyError("k"), Two(1, 2)):
+        ran_elsewhere = threading.Event()
+
+        def job(x):
+            if threading.current_thread() is caller:
+                _wait(ran_elsewhere)
+                return x
+            ran_elsewhere.set()
+            raise exc
+
+        with pytest.raises(type(exc)) as e:
+            map_jobs(job, [(1,), (2,)], 2)
+        assert e.value is exc
+        assert no_thread_left()
 
 
-def test_map_jobs_raises_a_childs_exception_here():
-    # with its type and message; one that does not survive pickling comes
-    # back as a RuntimeError carrying its repr
-    run = _in_a_child(
-        "class Two(Exception):\n"
-        "    def __init__(self, a, b):\n"
-        "        super().__init__(f'{a} and {b}')\n"
-        "caller = os.getpid()\n"
-        "def job(exc):\n"
-        "    if os.getpid() != caller:\n"
-        "        raise exc\n"
-        "for exc in (KeyError('k'), Two(1, 2)):\n"
-        "    try:\n"
-        "        map_jobs(job, [(None,), (exc,)], 2)\n"
-        "    except Exception as e:\n"
-        "        print(repr(e))\n" + _NO_CHILD_LEFT)
-    assert run.returncode == 0, run.stderr
-    assert run.stdout == ("KeyError('k')\nRuntimeError(\"Two('1 and 2')\")\n"
-                          "no child left\n")
+def test_map_jobs_raises_the_lowest_failed_job():
+    # "late" raises only after "early" has: whichever of the two has the
+    # lower index is raised, not the first to fail
+    for kinds, want in ((["ok", "late", "ok", "early"], "late"),
+                        (["ok", "early", "ok", "late"], "early")):
+        early_failed = threading.Event()
+
+        def job(kind):
+            if kind == "late":
+                _wait(early_failed)
+            elif kind == "early":
+                early_failed.set()
+            else:
+                return kind
+            raise ValueError(kind)
+
+        with pytest.raises(ValueError) as e:
+            map_jobs(job, [(k,) for k in kinds], 4)
+        assert e.value.args == (want,)
 
 
-def test_map_jobs_names_a_child_killed_halfway_through_its_results():
-    # SIGALRM ends the child while it is blocked writing 1 MB into a pipe
-    # that holds less, so part of a pickle arrived; the status tells
-    run = _in_a_child(
-        "import signal\n"
-        "caller = os.getpid()\n"
-        "def job(x):\n"
-        "    if os.getpid() == caller:\n"
-        "        time.sleep(1.0)\n"
-        "        return x\n"
-        "    signal.alarm(1)\n"
-        "    return b'x' * 2**20\n"
-        "try:\n"
-        "    map_jobs(job, [(1,), (2,)], 2)\n"
-        "except RuntimeError as e:\n"
-        "    print(e)\n" + _NO_CHILD_LEFT)
-    assert run.returncode == 0, run.stderr
-    assert run.stdout.endswith(
-        f" sent no results: killed by signal {int(signal.SIGALRM)}\nno child left\n"), run.stdout
+def test_map_jobs_starts_no_job_after_a_failure():
+    # job 0 raises while job 1 runs; the thread that ran job 1 then stops,
+    # and so does the one that raised, so jobs 2-7 never start
+    started, one_started, raised = [], threading.Event(), threading.Event()
+
+    def job(i):
+        started.append(i)
+        if i == 0:
+            _wait(one_started)
+            raised.set()
+            raise ValueError("job 0")
+        one_started.set()
+        _wait(raised)
+        time.sleep(0.2)
+        return i
+
+    with pytest.raises(ValueError, match="job 0"):
+        map_jobs(job, [(i,) for i in range(8)], 2)
+    assert sorted(started) == [0, 1]
 
 
-def test_map_jobs_returns_results_larger_than_a_pipe_intact():
-    run = _in_a_child(
-        "out = map_jobs(lambda x: bytes([x]) * 2**20, [(x,) for x in range(5)], 3)\n"
-        "print([r == bytes([x]) * 2**20 for x, r in enumerate(out)])\n")
-    assert run.returncode == 0, run.stderr
-    assert run.stdout == "[True, True, True, True, True]\n"
+def test_map_jobs_raises_promptly_when_its_own_share_raises(no_thread_left):
+    # once all three jobs have started, the caller's raises at once; the
+    # workers' jobs still run to their end before map_jobs returns, and no
+    # thread outlives it
+    caller, all_started = threading.current_thread(), threading.Barrier(3)
+    finished = []
+
+    def job(x):
+        all_started.wait(timeout=30)
+        if threading.current_thread() is caller:
+            raise ValueError("caller share failed")
+        time.sleep(0.3)
+        finished.append(x)
+        return x
+
+    t = time.perf_counter()
+    with pytest.raises(ValueError, match="caller share failed"):
+        map_jobs(job, [(x,) for x in range(3)], 3)
+    assert time.perf_counter() - t < 10
+    assert len(finished) == 2 and no_thread_left()
 
 
-def test_map_jobs_raises_promptly_when_its_own_share_raises():
-    # the children block writing 1 MB into pipes nobody reads; closing the
-    # read ends gives them EPIPE, so reaping them cannot hang
-    run = _in_a_child(
-        "caller = os.getpid()\n"
-        "def job(x):\n"
-        "    if os.getpid() == caller:\n"
-        "        time.sleep(0.5)\n"
-        "        raise ValueError('caller share failed')\n"
-        "    return b'x' * 2**20\n"
-        "t = time.perf_counter()\n"
-        "try:\n"
-        "    map_jobs(job, [(x,) for x in range(3)], 3)\n"
-        "except ValueError as e:\n"
-        "    print(e, time.perf_counter() - t < 10)\n" + _NO_CHILD_LEFT)
-    assert run.returncode == 0, run.stderr
-    assert run.stdout == "caller share failed True\nno child left\n"
+def test_map_jobs_inside_a_worker_gets_a_pool_of_its_own(no_thread_left):
+    # a job may run a batch of its own on threads of its own
+    def inner(x):
+        return sum(map_jobs(pow, [(x, 2), (x, 3)], 2))
+
+    assert map_jobs(inner, [(2,), (3,)], 2) == [12, 36]
+    assert no_thread_left()
 
 
-def test_map_jobs_inside_a_worker_gets_a_pool_of_its_own():
-    # the worker inherits its parent's open pool, which it cannot use; in a
-    # child process, so a hang fails instead of blocking
-    script = ("from ccprobe.netsim import map_jobs\n"
-              "def inner(x):\n"
-              "    return sum(map_jobs(pow, [(x, 2), (x, 3)], 2))\n"
-              "print(map_jobs(inner, [(2,), (3,)], 2))\n")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
-    run = subprocess.run([sys.executable, "-c", script], capture_output=True,
-                         text=True, env=env, timeout=60)
-    assert run.returncode == 0, run.stderr
-    assert run.stdout == "[12, 36]\n"
+def test_map_jobs_returns_unpicklable_results_intact():
+    # results are the objects the jobs returned: nothing is pickled
+    out = map_jobs(lambda x: (threading.Lock(), lambda: x, bytes([x]) * 2**20),
+                   [(x,) for x in range(5)], 3)
+    assert [r[1]() for r in out] == list(range(5))
+    assert all(r[2] == bytes([x]) * 2**20 for x, r in enumerate(out))
 
 
 def test_mahimahi_export_opportunity_count(tmp_path):
@@ -617,8 +614,8 @@ def _whole_log(config, trace, controller_factory):
 
 
 def test_slotted_observations_equal_at_workers_1_and_2(short_sim):
-    # whole episode logs come back from a forked worker by pickle; each job
-    # builds its own controller from a factory
+    # whole episode logs come back from a worker thread; each job builds its
+    # own controller from a factory
     trace = _golden_traces()[0]
     jobs = [(short_sim, trace, partial(make_controller, name)) for name in RULE_BASED]
     one, two = map_jobs(_whole_log, jobs, 1), map_jobs(_whole_log, jobs, 2)
@@ -627,6 +624,64 @@ def test_slotted_observations_equal_at_workers_1_and_2(short_sim):
         assert a.observations == b.observations
         assert (a.sent, a.delivered, a.dropped, a.acked, a.ack_rtt_ticks) == \
             (b.sent, b.delivered, b.dropped, b.acked, b.ack_rtt_ticks)
+
+
+def _slice_bytes(config, traces, factories, adversary_factories=None):
+    """Each episode of a `run_episodes` slice as its rows' bytes, totals,
+    counters and RTT histogram; every controller and adversary is built by
+    the job, so no two jobs share one."""
+    adversaries = adversary_factories and [f() for f in adversary_factories]
+    logs = netsim.run_episodes(config, traces, [f() for f in factories],
+                               adversaries)
+    return [(log.rows.tobytes(), log.sent, log.delivered, log.dropped,
+             log.acked, log.in_flight_end, log.triple_dups, log.timeouts,
+             log.quiescent_ticks, sorted(log.ack_rtt_ticks.items()))
+            for log in logs]
+
+
+class _Overlap:
+    """A job wrapper that counts how many jobs run at once, at most."""
+
+    def __init__(self, fn):
+        self.fn, self.lock, self.now, self.most = fn, threading.Lock(), 0, 0
+
+    def __call__(self, *job):
+        with self.lock:
+            self.now += 1
+            self.most = max(self.most, self.now)
+        try:
+            return self.fn(*job)
+        finally:
+            with self.lock:
+                self.now -= 1
+
+
+def test_episodes_on_four_threads_equal_serial_ones(short_sim):
+    # every rule controller, linear learned controllers (one runaway), Pinned
+    # (TL_EXTERNAL) and an env and a feature slice of hidden-16 adversaries:
+    # the same bytes when four threads run them at once as when run serially
+    traces = _golden_traces()
+    single = ([partial(make_controller, name) for name in RULE_BASED]
+              + [partial(_learned, FIXED_POLICY), partial(_learned, RUNAWAY_POLICY),
+                 partial(Pinned, 240.0), partial(Pinned, 4096.0)])
+    budget = SmoothnessBudget(delta=12.0, bw_min=2.0, bw_max=48.0)
+    env = [partial(EnvBandwidthDriver, budget,
+                   _adversary_policy(SurfaceMode.ENV_BANDWIDTH, s), seed=s)
+           for s in range(3)]
+    feat = [partial(FeatureIntercept, FeatureBound(0.5),
+                    _adversary_policy(SurfaceMode.FEATURE_MIN_RTT, s), seed=s)
+            for s in range(3)]
+    jobs = [(short_sim, [trace], [f]) for trace in traces for f in single]
+    jobs.append((short_sim, [None] * 3,
+                 [partial(make_controller, n) for n in ("reno", "cubic", "bbrlite")],
+                 env))
+    jobs.append((short_sim, traces,
+                 [partial(make_controller, n) for n in ("vegas", "lp", "illinois")],
+                 feat))
+    serial = map_jobs(_slice_bytes, jobs, 1)
+    overlap = _Overlap(_slice_bytes)
+    assert map_jobs(overlap, jobs * 3, 4) == serial * 3
+    assert overlap.most >= 2
 
 
 @settings(max_examples=8, deadline=None)
