@@ -1,13 +1,13 @@
 #!/usr/bin/env python3
 """Layer benchmark of the simulator: ticks/s and ACKs/s of `run_episode`, the
-trace/I/O layer's Mahimahi export, batches of episodes through `map_jobs`,
-and adversarial episodes run in lock-step slices.
+trace/I/O layer's Mahimahi export and random-trace generation, batches of
+episodes through `map_jobs`, and adversarial episodes run in lock-step slices.
 
 Runs one episode case per rule controller, a runaway `Pinned(4096)` sender,
 a `Pinned(1)` sender, a `LearnedController` with a fixed linear policy and
 one whose policy has collapsed cwnd to 1, over one fixed 60 s random trace
-(seed 0, default budget), times `export_mahimahi` of the same
-trace, times three batches at 1 and 2 workers (one CEM generation of
+(seed 0, default budget), times `export_mahimahi` and `gen_random_trace` of
+the same trace, times three batches at 1 and 2 workers (one CEM generation of
 population 8 around the fixed policy, one around a fixed hidden-16 policy,
 and `evaluate_suite` of the fixed policy, each over the 10 random traces of
 seeds 0-9), times 60 s env-surface adversary
@@ -31,9 +31,11 @@ time, ticks/s (simulated ticks per host second) and ACKs/s (acknowledged
 packets per host second) at both, and the share of its ticks the tick loop
 ran as quiescent stretches (`EpisodeLog.quiescent_ticks`; null on a tree
 that does not count them). Everything else is timed REPEATS times after one
-untimed warm-up, and reports the median. The export is timed the same way,
-into a temporary file, and gives ms per 60 s trace. The batches and the
-adversary slices are timed the same way too; a slice's time is given per
+untimed warm-up, and reports the median. The export (into a temporary
+file) and the generation are timed TRACE_IO_REPEATS times after one warm-up,
+and each gives its median and best ms per 60 s trace and its median CPU ms;
+at 5 repeats the export's median moved by half between runs. The batches and
+the adversary slices are timed REPEATS times; a slice's time is given per
 episode. Each batch and adversary CEM generation also reports the median
 CPU time it used: the process's user + system time, reaped children's
 included, so a batch that forks shows its children's work too. On a host
@@ -77,6 +79,7 @@ from ccprobe.netsim import SimConfig, export_mahimahi, run_episode
 from ccprobe.tracegen import SmoothnessBudget, gen_random_trace
 
 REPEATS = 5
+TRACE_IO_REPEATS = 41
 CASE_ROUNDS = 15
 AFTER_TICKS_REPEATS = 21
 # fixed linear policy over the five observation features plus a bias: it
@@ -117,25 +120,34 @@ def _cpu_s() -> float:
                          resource.getrusage(resource.RUSAGE_CHILDREN)))
 
 
-def _timed_cpu(fn):
-    """Median wall and median CPU seconds of REPEATS calls after one untimed
-    warm-up."""
+def _timed_cpu(fn, repeats=REPEATS):
+    """Median wall, median CPU and best wall seconds of `repeats` calls after
+    one untimed warm-up."""
     fn()
     wall, cpu = [], []
-    for _ in range(REPEATS):
+    for _ in range(repeats):
         c0, t0 = _cpu_s(), time.perf_counter()
         fn()
         wall.append(time.perf_counter() - t0)
         cpu.append(_cpu_s() - c0)
-    return statistics.median(wall), statistics.median(cpu)
+    return statistics.median(wall), statistics.median(cpu), min(wall)
 
 
-def measure_export(trace) -> dict:
+def _trace_io_row(fn) -> dict:
+    t, cpu, best = _timed_cpu(fn, TRACE_IO_REPEATS)
+    return {"ms_per_trace": round(t * 1000, 3), "best_ms_per_trace": round(best * 1000, 3),
+            "cpu_ms_per_trace": round(cpu * 1000, 3)}
+
+
+def measure_trace_io(trace) -> dict:
+    """The export of `trace` and the generation of a trace like it."""
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "trace.mahi")
-        t, _ = _timed(lambda: export_mahimahi(trace, path))
-        size = os.path.getsize(path)
-    return {"ms_per_trace": round(t * 1000, 2), "bytes": size}
+        export = _trace_io_row(lambda: export_mahimahi(trace, path))
+        export["bytes"] = os.path.getsize(path)
+    n = len(trace.values)
+    gen = _trace_io_row(lambda: gen_random_trace(n, SmoothnessBudget(), seed=0))
+    return {"export": export, "gen_random_trace": gen}
 
 
 def measure(trace) -> dict:
@@ -200,7 +212,7 @@ def measure_pool() -> dict:
     out = {}
     for name, batch in batches.items():
         for w in (1, 2):
-            t, cpu = _timed_cpu(lambda: batch(w))
+            t, cpu, _ = _timed_cpu(lambda: batch(w))
             out.setdefault(name, {}).update({f"workers_{w}_ms": round(t * 1000, 2),
                                              f"workers_{w}_cpu_ms": round(cpu * 1000, 2)})
     return out
@@ -231,7 +243,7 @@ def measure_adversary() -> dict:
         t, _ = _timed(lambda: episodes(k))
         out[f"slice_{k}_ms_per_episode"] = round(t * 1000 / k, 2)
     for w in (1, 2):
-        t, cpu = _timed_cpu(lambda: train_adversary(spec, factory, sim, 8, reward,
+        t, cpu, _ = _timed_cpu(lambda: train_adversary(spec, factory, sim, 8, reward,
                                                     CemConfig(population=8, workers=w)))
         out[f"env_cem_generation_workers_{w}_ms"] = round(t * 1000, 2)
         out[f"env_cem_generation_workers_{w}_cpu_ms"] = round(cpu * 1000, 2)
@@ -307,12 +319,13 @@ def main() -> None:
             doc = json.load(f)
     doc.update(nproc=os.cpu_count(), python=platform.python_version(),
                trace="gen_random_trace(600, SmoothnessBudget(), seed=0), 60 s",
-               repeats=REPEATS, case_rounds=CASE_ROUNDS)
+               repeats=REPEATS, trace_io_repeats=TRACE_IO_REPEATS,
+               case_rounds=CASE_ROUNDS)
     sim = SimConfig()
     trace = gen_random_trace(sim.n_intervals, SmoothnessBudget(), seed=0)
     doc.setdefault("runs", {})[args.label] = {"netsim_sha256": netsim_sha,
                                               "cases": measure(trace),
-                                              "export": measure_export(trace),
+                                              **measure_trace_io(trace),
                                               "pool": measure_pool(),
                                               "adversary": measure_adversary(),
                                               "after_ticks": measure_after_ticks(trace)}
@@ -324,8 +337,10 @@ def main() -> None:
         print(f"{args.label} {case:17s} {r['ticks_per_s']:>9d} ticks/s "
               f"(best {r['best_ticks_per_s']:>9d}) {r['acks_per_s']:>9d} acks/s "
               f"quiescent {'-' if quiet is None else f'{quiet:.3f}'}")
-    print(f"{args.label} export         "
-          f"{doc['runs'][args.label]['export']['ms_per_trace']:>8.2f} ms/trace")
+    for row in ("export", "gen_random_trace"):
+        r = doc["runs"][args.label][row]
+        print(f"{args.label} {row:17s} {r['ms_per_trace']:>8.3f} ms/trace "
+              f"(best {r['best_ms_per_trace']:.3f}, CPU {r['cpu_ms_per_trace']:.3f})")
     for batch, r in doc["runs"][args.label]["pool"].items():
         print(f"{args.label} {batch:21s} {r['workers_1_ms']:>8.2f} ms "
               f"({r['workers_1_cpu_ms']:>8.2f} ms CPU) at 1 worker "

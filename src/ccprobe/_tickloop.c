@@ -1,6 +1,8 @@
 /* The tick loop of `ccprobe.netsim.run_episodes`, the six rule-based
  * congestion controllers of `ccprobe.cc`, the learned controller of
- * `ccprobe.learned` and the closed-loop adversary of `ccprobe.adversary`.
+ * `ccprobe.learned`, the closed-loop adversary of `ccprobe.adversary`, and
+ * the per-interval projection of `ccprobe.tracegen.gen_random_trace` and the
+ * line writer of `ccprobe.netsim.export_mahimahi`.
  *
  * `tl_step` advances one episode tick by tick. Every tick runs the same five
  * steps as the simulator has always had: ACK arrivals, loss reactions,
@@ -313,6 +315,11 @@ int tl_obs_sums(const tl_obs *o, int64_t n, double base_rtt_ms,
                 const tl_reward *reward, tl_sums *s);
 double tl_project_next(const double *recent, int64_t n, double proposed,
                        double delta, int64_t k, double bw_min, double bw_max);
+void tl_project_trace(double *values, int64_t n, double delta, int64_t k,
+                      double bw_min, double bw_max);
+int64_t tl_mahi_lines(const double *cum, int64_t n, int64_t first_ms,
+                      double pkt, int64_t *done, int64_t *pos, char *buf,
+                      int64_t cap);
 double tl_feature_scale(double a, double x_fraction);
 void tl_adv_begin(tl_adv *a, double value);
 void tl_adv_observe(tl_adv *a, const tl_obs *o);
@@ -1064,6 +1071,43 @@ int tl_obs_sums(const tl_obs *o, int64_t n, double base_rtt_ms,
     return 0;
 }
 
+/* --- the Mahimahi export ---------------------------------------------------- */
+
+/* `netsim.export_mahimahi`'s lines for one block of cumulative byte counts
+ * (cum[i] bytes carried by the end of ms first_ms + i, each below 2^53):
+ * from row *pos on, the line "first_ms + i + 1" once for every k with
+ * *done < k <= floor(cum[i] / pkt), the exact count there (`tl_floordiv`).
+ * Stops before a line would pass `cap` bytes (cap >= 24) and returns the
+ * bytes written to `buf`, leaving *pos and *done where it stopped, so a
+ * millisecond with more lines than one buffer holds goes on in the next
+ * call; *pos == n once the block is done. */
+int64_t tl_mahi_lines(const double *cum, int64_t n, int64_t first_ms,
+                      double pkt, int64_t *done, int64_t *pos, char *buf,
+                      int64_t cap)
+{
+    int64_t len = 0;
+    for (int64_t i = *pos; i < n; i++) {
+        int64_t k = (int64_t)floor(cum[i] / pkt);
+        if (k <= *done)
+            continue;
+        char line[24], *p = line + sizeof line;
+        *--p = '\n';
+        for (int64_t ms = first_ms + i + 1; ms; ms /= 10)
+            *--p = (char)('0' + ms % 10);
+        int64_t w = line + sizeof line - p;
+        for (; *done < k; (*done)++) {
+            if (len + w > cap) {
+                *pos = i;
+                return len;
+            }
+            memcpy(buf + len, p, (size_t)w);
+            len += w;
+        }
+    }
+    *pos = n;
+    return len;
+}
+
 /* --- the adversary --------------------------------------------------------- */
 
 /* `tracegen.project_next` over the last min(n, k) of the history, `recent`
@@ -1080,6 +1124,18 @@ double tl_project_next(const double *recent, int64_t n, double proposed,
     double lo = py_max(bw_min, prev - slack);
     double hi = py_min(bw_max, prev + slack);
     return py_min(hi, py_max(lo, proposed));
+}
+
+/* `tracegen.gen_random_trace`'s projection, in place: each of values[1..n)
+ * becomes `tl_project_next` of itself over the up to k values before it */
+void tl_project_trace(double *values, int64_t n, double delta, int64_t k,
+                      double bw_min, double bw_max)
+{
+    for (int64_t t = 1; t < n; t++) {
+        int64_t m = t < k ? t : k;
+        values[t] = tl_project_next(values + t - m, m, values[t], delta, k,
+                                    bw_min, bw_max);
+    }
 }
 
 /* `adversary.perturb_min_rtt`'s adversarial scale: 1 + clamp(a, -1, 1) * x */

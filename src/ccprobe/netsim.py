@@ -171,9 +171,10 @@ def write_trace(trace: BandwidthTrace, path: str) -> None:
             f.write(f"{v:.6f}\n")
 
 
-# export block length in ms: a 60 s trace raises peak RSS by ~0.25 MB in
-# blocks of 4,096 ms, ~0.65 MB in blocks of 8,192 and ~2.3 MB all at once
+# export block length in ms: an export holds one block of sums (32 KiB) and
+# one chunk of lines (64 KiB) at a time, however many lines one ms holds
 _EXPORT_BLOCK_MS = 4096
+_EXPORT_CHUNK = 1 << 16
 # the longest trace exported: one day, walked in ~21,000 blocks
 EXPORT_MAX_MS = 86_400_000
 
@@ -222,15 +223,15 @@ def export_mahimahi(trace: BandwidthTrace, path: str, packet_size: int = 1500) -
             raise ConfigError(f"trace carries {block[-1]:.4g} bytes by ms "
                               f"{start + len(block)}, too many to count "
                               f"delivery opportunities exactly (limit 2^53)")
-    with open(path, "w") as f:
-        done = 0.0
+    buf = _ffi.new("char[]", _EXPORT_CHUNK)
+    done, pos = _ffi.new("int64_t *"), _ffi.new("int64_t *")
+    with open(path, "wb") as f:
         for start, block in _cum_bytes_blocks(trace):
-            # max{k : k * pkt <= cum}, exactly: see tl_floordiv in _tickloop.c
-            k = np.floor(np.divide(block, pkt, out=block), out=block)
-            counts = np.diff(k, prepend=done).astype(np.int64).tolist()
-            done = k[-1]
-            f.writelines(f"{ms}\n" * c
-                         for ms, c in enumerate(counts, start + 1) if c)
+            cum, pos[0] = _ffi.from_buffer("double[]", block), 0
+            while pos[0] < len(block):
+                n = _lib.tl_mahi_lines(cum, len(block), start, pkt, done, pos, buf,
+                                       _EXPORT_CHUNK)
+                f.write(_ffi.buffer(buf, n))
 
 
 @dataclass(slots=True)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .netsim import BandwidthTrace, _lib
+from .netsim import BandwidthTrace, _ffi, _lib
 
 
 @dataclass
@@ -72,15 +72,14 @@ def check_feasible(values, budget: SmoothnessBudget, tol: float = 1e-9) -> bool:
 
 def gen_random_trace(length: int, budget: SmoothnessBudget, seed: int,
                      interval_ms: float = 100.0) -> BandwidthTrace:
-    """Uniform proposals in [bw_min, bw_max], projected step by step."""
+    """Uniform proposals in [bw_min, bw_max], each after the first projected
+    (`project_next`) over the values before it, in one C loop."""
     if length < 1:
         raise ValueError("length must be >= 1")
-    rng = np.random.default_rng(seed)
-    values = [float(rng.uniform(budget.bw_min, budget.bw_max))]
-    for _ in range(length - 1):
-        proposed = float(rng.uniform(budget.bw_min, budget.bw_max))
-        values.append(project_next(values, proposed, budget))
-    return BandwidthTrace(interval_ms=interval_ms, values=values)
+    values = np.random.default_rng(seed).uniform(budget.bw_min, budget.bw_max, length)
+    _lib.tl_project_trace(_ffi.from_buffer("double[]", values), length, budget.delta,
+                          budget.window_k, budget.bw_min, budget.bw_max)
+    return BandwidthTrace(interval_ms=interval_ms, values=values.tolist())
 
 
 def gen_unconstrained(length: int, bw_min: float, bw_max: float, seed: int,
@@ -88,10 +87,9 @@ def gen_unconstrained(length: int, bw_min: float, bw_max: float, seed: int,
     """No smoothness projection; i.i.d. uniform values."""
     if length < 1:
         raise ValueError("length must be >= 1")
-    rng = np.random.default_rng(seed)
-    values = [min(bw_max, max(bw_min, float(rng.uniform(bw_min, bw_max))))
-              for _ in range(length)]
-    return BandwidthTrace(interval_ms=interval_ms, values=values)
+    values = np.random.default_rng(seed).uniform(bw_min, bw_max, length)
+    return BandwidthTrace(interval_ms=interval_ms,
+                          values=np.clip(values, bw_min, bw_max).tolist())
 
 
 def gen_burst_trace(length: int, peak: float = 80.0, trough: float = 4.0,

@@ -369,6 +369,67 @@ def test_export_matches_the_per_ms_loop(rates, interval_ms, pkt):
             assert a.read() == b.read()
 
 
+def _export_as_reference(tmp_path, trace, pkt):
+    """The export's bytes, after checking them against the per-ms loop's."""
+    want, got = tmp_path / "want", tmp_path / "got"
+    _export_reference(trace, str(want), packet_size=pkt)
+    export_mahimahi(trace, str(got), packet_size=pkt)
+    assert got.read_bytes() == want.read_bytes()
+    return got.read_bytes()
+
+
+def test_export_ms_with_more_lines_than_a_chunk(tmp_path):
+    # 1 B packets at 1,000 Mbps in 1 ms intervals: 125,000 lines in each
+    # of ms 1 and 2, almost four chunks each, then 62 lines in ms 3
+    data = _export_as_reference(tmp_path, BandwidthTrace(1.0, [1000.0, 1000.0, 0.5]), 1)
+    assert 125_000 * 2 > netsim._EXPORT_CHUNK
+    assert data == b"1\n" * 125_000 + b"2\n" * 125_000 + b"3\n" * 62
+
+
+@pytest.mark.parametrize("lines", [netsim._EXPORT_CHUNK // 2 - 1,
+                                   netsim._EXPORT_CHUNK // 2,
+                                   netsim._EXPORT_CHUNK // 2 + 1])
+def test_export_lines_around_the_chunk_edge(tmp_path, lines):
+    # ms 1's lines of 2 bytes end one line before, at and one line after the
+    # first chunk's edge; the lines of ms 2 (2 bytes) and ms 10 (3 bytes) follow
+    first = lines * 8.0 / 1000.0          # Mbps of `lines` 1 B packets per ms
+    assert math.floor(first * 1e6 / 8.0 / 1000.0) == lines
+    trace = BandwidthTrace(1.0, [first, 0.008, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.024])
+    data = _export_as_reference(tmp_path, trace, 1)
+    assert data == b"1\n" * lines + b"2\n" + b"10\n" * 3
+
+
+def test_export_ms_across_digit_widths(tmp_path):
+    # timestamps 9 -> 10, 99 -> 100, 9,999 -> 10,000 and 99,999 -> 100,000,
+    # at 0 to 9 lines per ms, over 25 export blocks of about two chunks each
+    trace = BandwidthTrace(100.0, [12.0, 36.0, 0.0, 24.0] * 251)
+    data = _export_as_reference(tmp_path, trace, 500)
+    for a, b in ((9, 10), (99, 100), (9_999, 10_000), (99_999, 100_000)):
+        assert f"\n{a}\n{b}\n".encode() in data
+
+
+def test_mahi_lines_never_write_past_the_chunk():
+    # chunks of 24 bytes in a 64-byte buffer: every call stops at a line's
+    # end within 24 bytes and leaves the rest of the buffer as it was
+    cum = np.array([3.0, 3.0, 40.0, 41.5])
+    ffi, buf = netsim._ffi, netsim._ffi.new("char[]", 64)
+    done, pos = ffi.new("int64_t *"), ffi.new("int64_t *")
+    out = b""
+    while pos[0] < len(cum):
+        ffi.memmove(buf, b"\xff" * 64, 64)
+        n = netsim._lib.tl_mahi_lines(ffi.from_buffer("double[]", cum), len(cum), 998,
+                                      1.0, done, pos, buf, 24)
+        assert 0 < n <= 24 and ffi.buffer(buf)[24:] == b"\xff" * 40
+        out += ffi.buffer(buf, n)[:]
+    assert out == b"999\n" * 3 + b"1001\n" * 37 + b"1002\n"
+    assert done[0] == 41
+
+
+def test_export_of_an_all_zero_trace_is_empty(tmp_path):
+    assert _export_as_reference(tmp_path, BandwidthTrace(100.0, [0.0] * 10), 1500) == b""
+    assert (tmp_path / "got").exists()
+
+
 def test_export_counts_exactly_up_to_2_53_bytes(tmp_path):
     # one 1 ms interval whose bytes are just below, then at, 2^53
     mbps = 2.0**53 / 125.0

@@ -1,7 +1,11 @@
 """Trace generation: budget projection, feasibility, burst shape."""
 
+import hashlib
+
 import pytest
 from hypothesis import given, settings, strategies as st
+
+import oracles
 
 from ccprobe.tracegen import (SmoothnessBudget, avg_abs_slope, check_feasible,
                               gen_burst_trace, gen_random_trace,
@@ -121,3 +125,44 @@ def test_c_projection_is_pythons(history, proposed, delta, k):
     b = SmoothnessBudget(delta=delta, window_k=k, bw_min=2.0, bw_max=96.0)
     assert project_next(history, proposed, b).hex() == \
         float(_python_project_next(history, proposed, b)).hex()
+
+
+def _generation_cases():
+    tight = SmoothnessBudget(delta=2.5, window_k=3)
+    from_zero = SmoothnessBudget(bw_min=0.0, bw_max=12.0)
+    return ([gen_random_trace(600, SmoothnessBudget(), seed=s) for s in range(3)]
+            + [gen_random_trace(600, tight, seed=4),
+               gen_random_trace(600, from_zero, seed=5)]
+            + [gen_random_trace(n, tight, seed=n) for n in (1, 2, 700)]
+            + [gen_unconstrained(600, 1.0, 96.0, seed=6),
+               gen_unconstrained(3, 20.0, 21.0, seed=7)])
+
+
+def test_golden_random_trace_digest():
+    # Pins every value gen_random_trace and gen_unconstrained return: the
+    # default budget, a tight window of 3, bw_min 0, lengths 1, 2 and 700
+    h = hashlib.sha256()
+    for trace in _generation_cases():
+        h.update(" ".join(v.hex() for v in trace.values).encode() + b"\n")
+    assert h.hexdigest() == GOLDEN_RANDOM_TRACE_SHA256
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       length=st.integers(1, 700),
+       k=st.integers(1, 8),
+       delta=st.floats(0.01, 120.0),
+       bw_min=st.floats(0.0, 50.0),
+       width=st.floats(0.01, 100.0))
+def test_generation_is_the_per_step_loop(seed, length, k, delta, bw_min, width):
+    b = SmoothnessBudget(delta=delta, window_k=k, bw_min=bw_min, bw_max=bw_min + width)
+    got = gen_random_trace(length, b, seed=seed).values
+    want = oracles.gen_random_trace_values(length, b, seed)
+    assert [v.hex() for v in got] == [v.hex() for v in want]
+    got = gen_unconstrained(length, b.bw_min, b.bw_max, seed=seed).values
+    want = oracles.gen_unconstrained_values(length, b.bw_min, b.bw_max, seed)
+    assert [v.hex() for v in got] == [v.hex() for v in want]
+
+
+GOLDEN_RANDOM_TRACE_SHA256 = (
+    "a69ce9dfc8eb093e1f9b0b55ec61867ed6d9350b59fc693abebe19346214322c")
