@@ -34,7 +34,7 @@ python3 -m ccprobe transfer --config "$CFG" --traces "$OUT/attacks" \
 
 python3 -m ccprobe train --config "$CFG" --out "$OUT/train" --workers "$(nproc)"
 # the learned factory (policy read once from the checkpoint) reaches the
-# forked workers with its jobs
+# worker threads with its jobs
 python3 -m ccprobe baseline --config "$CFG" --controllers reno,learned \
     --checkpoint "$OUT/train/learned.ckpt" --setting clean \
     --out "$OUT/baseline-learned" --workers "$(nproc)"

@@ -18,10 +18,9 @@ from functools import partial
 import numpy as np
 
 from .cem import CemConfig, cem_maximize, lockstep
-from .learned import DomainError, PolicyNet, RewardParams, policy_outputs
+from .learned import PolicyNet, RewardParams, policy_outputs
 from .metrics import EpisodeReport, build_report
-from .netsim import (Observation, SimConfig, _ffi, _lib, map_jobs, obs_row,
-                     run_episode, run_episodes)
+from .netsim import SimConfig, _ffi, _lib, map_jobs, run_episode, run_episodes
 from .tracegen import SmoothnessBudget, gen_random_trace
 
 
@@ -83,39 +82,6 @@ class AdversarySpec:
             raise ValueError("env surface requires a smoothness budget")
 
 
-# --- reward pieces -----------------------------------------------------------
-
-def naive_reward(controller_reward_value: float) -> float:
-    return -controller_reward_value
-
-
-def queuing_delay(obs: Observation) -> float:
-    """d_t = smoothed RTT minus minimum RTT, in ms."""
-    if obs.srtt_ms < obs.min_rtt_ms:
-        raise DomainError("rtt < min_rtt: broken observation pipeline")
-    return obs.srtt_ms - obs.min_rtt_ms
-
-
-def delay_penalty(history, constraint: DelayConstraint) -> float:
-    """-alpha iff both the H-window mean and K-window mean sit strictly below tau."""
-    h, k = constraint.window_h, constraint.window_k
-    if len(history) < h:
-        raise ValueError(f"need at least H={h} delay samples")
-    recent = list(history)[-h:]
-    d_bar = sum(recent) / h
-    d_tilde = sum(recent[-k:]) / k
-    if d_bar < constraint.tau_ms and d_tilde < constraint.tau_ms:
-        return -constraint.alpha
-    return 0.0
-
-
-def env_reward(obs: Observation, history, constraint: DelayConstraint) -> float:
-    """Overall adversarial reward: -U_t plus the delay penalty."""
-    if not 0 <= obs.utilization <= 1:
-        raise DomainError("utilization out of [0, 1]")
-    return -obs.utilization + delay_penalty(history, constraint)
-
-
 ADV_ENV_FEATURES = 6   # controller features + current capacity
 ADV_FEATURE_FEATURES = 5
 
@@ -147,12 +113,6 @@ class _Adversary:
         s.surface, s.b_max, s.has_policy = surface, b_max, has_policy
         if policy is not None:
             s.a_max = policy.a_max
-
-    def step(self, obs: Observation) -> float:
-        """The loop's boundary step, outside it: the next capacity or scale."""
-        _lib.tl_adv_observe(self.adv_state, obs_row(obs))
-        self.lockstep([self])()
-        return _lib.tl_adv_act(self.adv_state)
 
     def score_by(self, spec: "AdversarySpec", reward: RewardParams) -> None:
         """Have the loop sum the reward into `adv_state.total` and `.ok`."""
@@ -203,11 +163,6 @@ class FeatureIntercept(_Adversary):
     def _draw(self) -> float:
         return perturb_min_rtt(1.0, 0.0, self.bound, self.rng)
 
-    begin_interval = _Adversary.step
-
-    def scale(self) -> float:
-        return self.adv_state.value
-
 
 class EnvBandwidthDriver(_Adversary):
     """Supplies the next interval's capacity online, inside the budget."""
@@ -236,8 +191,6 @@ class EnvBandwidthDriver(_Adversary):
 
     def _draw(self) -> float:
         return float(self.rng.uniform(self.budget.bw_min, self.budget.bw_max))
-
-    next_capacity = _Adversary.step
 
 
 def make_adversary_policy(surface: SurfaceMode) -> PolicyNet:
@@ -307,8 +260,9 @@ def adversarial_episodes(spec: AdversarySpec, params, controller_factory,
     Row j has policy parameters params[j] (`spec.policy`'s when `params` is
     None), episode seed seeds[j], which on the feature surface also picks its
     clean trace, and initial capacity initial_capacities[j] (None for the
-    budget's midpoint). The loop scores each interval as `queuing_delay`,
-    `naive_reward` of `controller_reward` and `env_reward` define it."""
+    budget's midpoint). The loop scores each interval in C: `tl_adv_reward`
+    holds the naive and the delay-constrained reward, whose Python
+    formulas are test oracles."""
     k = len(seeds)
     policies = ([spec.policy] * k if params is None
                 else [spec.policy.with_params(p) for p in params])

@@ -26,7 +26,7 @@ from .adversary import (AdversarySpec, DelayConstraint, FeatureBound,
                         select_worst_trace, train_adversary)
 from .cc import RULE_BASED, make_controller
 from .config import ExperimentConfig, SchemaError, load_config
-from .learned import PolicyNet, load_policy, save_policy, train_controller
+from .learned import load_policy, save_policy, train_controller
 from .metrics import build_report, dump_series_csv
 from .netsim import (BandwidthTrace, ConfigError, SimConfig, export_mahimahi,
                      map_jobs, read_trace, run_episode, write_trace)
@@ -319,8 +319,7 @@ def cmd_lp_case(args, cfg: ExperimentConfig, out: str) -> int:
 
 def cmd_train(args, cfg: ExperimentConfig, out: str) -> int:
     traces = _build_traces(cfg)
-    policy = PolicyNet(n_features=5, hidden=cfg.train.hidden,
-                       a_max=cfg.train.a_max)
+    policy = cfg.train.policy()
     episodes = args.episodes or cfg.train.episodes
     policy, log_rows = train_controller(policy, traces, episodes, cfg.sim,
                                         cfg.reward,

@@ -110,8 +110,7 @@ class TrainSpec:
                   population=self.population)
         # built only to check the values, whose domains are defined there
         self.cem(seed=0, workers=1)
-        PolicyNet(n_features=len(FEATURE_NAMES), hidden=self.hidden,
-                  a_max=self.a_max)
+        self.policy()
         check_mix_p(self.mix_p)
 
     def cem(self, seed: int, workers: int) -> CemConfig:
@@ -119,6 +118,11 @@ class TrainSpec:
                          sigma0=self.sigma0, extra_noise=self.extra_noise,
                          noise_decay=self.noise_decay, seed=seed,
                          workers=workers)
+
+    def policy(self) -> PolicyNet:
+        """The learned policy training starts from: all parameters zero."""
+        return PolicyNet(n_features=len(FEATURE_NAMES), hidden=self.hidden,
+                         a_max=self.a_max)
 
 
 @dataclass

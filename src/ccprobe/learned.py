@@ -18,8 +18,8 @@ import numpy as np
 
 from .cc import Controller, _Field
 from .cem import CemConfig, GenerationStats, cem_maximize
-from .netsim import (ConfigError, DomainError, Observation, SimConfig, _ffi, _lib,
-                     domain_check, map_jobs, obs_row, run_episode)
+from .netsim import (ConfigError, Observation, SimConfig, _ffi, _lib, map_jobs,
+                     obs_row, run_episode)
 
 
 @dataclass
@@ -41,22 +41,6 @@ class RewardParams:
         return _ffi.new("tl_reward *", (self.lam, self.gamma, self.b_max))
 
 
-def delay_factor(srtt_ms: float, min_rtt_ms: float, gamma: float) -> float:
-    """D_t = gamma * min_rtt / srtt once srtt exceeds gamma * min_rtt, else
-    1; the C function the reward uses computes it."""
-    d = _ffi.new("double *")
-    domain_check(_lib.tl_delay_factor(srtt_ms, min_rtt_ms, gamma, d))
-    return d[0]
-
-
-def controller_reward(obs: Observation, params: RewardParams) -> float:
-    """R_t = ((T_t - lam * L_t) / B_max) * D_t, in the C function that an
-    episode's reward sum and the naive adversarial reward use too."""
-    r = _ffi.new("double *")
-    domain_check(_lib.tl_controller_reward(obs_row(obs), params.c_struct(), r))
-    return r[0]
-
-
 FEATURE_NAMES = ("rtt_ratio", "throughput_norm", "loss_rate", "qdelay_norm", "prev_action")
 
 
@@ -71,7 +55,9 @@ def observation_features(obs: Observation, b_max: float, prev_action: float) -> 
 
 @dataclass
 class PolicyNet:
-    """Flat-vector parametric policy: linear head, optional tanh hidden layer."""
+    """Flat-vector parametric policy: linear head, optional tanh hidden layer.
+    The bounded action, a_max * tanh(output) with a hard clamp, is taken in
+    C (`tl_action`)."""
 
     n_features: int
     hidden: int = 16
@@ -108,11 +94,6 @@ class PolicyNet:
         w2 = p[nh * nf + nh:nh * nf + nh + nh]
         b2 = p[-1]
         return float(w2 @ np.tanh(w1 @ x + b1) + b2)
-
-    def act(self, features: np.ndarray) -> float:
-        """Bounded action in [-a_max, a_max]: a_max * tanh(output), then a hard
-        clamp, in the C function the tick loop uses."""
-        return _lib.tl_action(self.output(features), self.a_max)
 
     def with_params(self, params: np.ndarray) -> "PolicyNet":
         return PolicyNet(n_features=self.n_features, hidden=self.hidden,
@@ -190,7 +171,6 @@ class LearnedController(Controller):
     name = "learned"
     prev_action = _Field("cc_state.prev_action")
     b_max = _Field("cc_state.b_max")
-    cwnd_max = _Field("cc_state.cwnd_max")
 
     def __init__(self, policy: PolicyNet, b_max: float = 96.0,
                  cwnd_max: float = 4096.0):

@@ -1,4 +1,4 @@
-"""Post-episode analysis: utilization, queuing-delay stats, cwnd smoothness.
+"""Post-episode analysis: utilization and queuing-delay stats.
 
 Metrics always use ground truth (the true base RTT, the realized capacities),
 never the controller's possibly-perturbed estimates.
@@ -11,8 +11,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import accumulate
 
-from .netsim import DomainError, EmptyLog, EpisodeLog
-from .tracegen import avg_abs_slope
+from .netsim import EmptyLog, EpisodeLog
 
 
 @dataclass(slots=True)
@@ -39,32 +38,6 @@ def delay_stats(log: EpisodeLog) -> tuple[float, float]:
     n = cum[-1]
     mean = (sum(k * c for k, c in hist.items()) * tick_ms - n * base) / n
     return mean, keys[bisect_left(cum, math.ceil(0.95 * n))] * tick_ms - base
-
-
-def cwnd_smoothness(series, k: int = 1) -> tuple[float, float]:
-    """(linear, log_scaled) smoothness of a (time_s, cwnd) series.
-
-    linear: mean over t of the windowed average absolute slope of cwnd
-    (no time normalization). log_scaled: same windowing over
-    |log(b_i) - log(b_{i-1})| / (t_i - t_{i-1}), natural log. The two metrics
-    deliberately differ in time units; log_scaled is invariant under
-    multiplicative rescaling of cwnd.
-    """
-    if len(series) < k + 1:
-        raise ValueError(f"need at least {k + 1} samples")
-    times = [t for t, _ in series]
-    cwnds = [c for _, c in series]
-    if any(c <= 0 for c in cwnds):
-        raise DomainError("cwnd values must be positive")
-    if any(t2 <= t1 for t1, t2 in zip(times, times[1:])):
-        raise DomainError("timestamps must be strictly increasing")
-    n = len(series)
-    linear_terms = [avg_abs_slope(cwnds, t, k) for t in range(k, n)]
-    log_rates = [abs(math.log(cwnds[i]) - math.log(cwnds[i - 1])) / (times[i] - times[i - 1])
-                 for i in range(1, n)]
-    # same windowing applied to the time-normalized log differences
-    log_terms = [sum(log_rates[i] for i in range(t - k, t)) / k for t in range(k, n)]
-    return sum(linear_terms) / len(linear_terms), sum(log_terms) / len(log_terms)
 
 
 def build_report(log: EpisodeLog) -> EpisodeReport:

@@ -121,7 +121,8 @@ class SimConfig:
 
 @dataclass
 class BandwidthTrace:
-    """Time-indexed available capacity; one value per interval, in Mbps."""
+    """Time-indexed available capacity; one value per interval, in Mbps,
+    cycled like a Mahimahi replay."""
 
     interval_ms: float
     values: list[float]
@@ -136,10 +137,6 @@ class BandwidthTrace:
             if not 0 <= v < math.inf:
                 raise ConfigError(f"bandwidth must be finite and >= 0 Mbps, "
                                   f"got {v}")
-
-    def capacity_at(self, interval_idx: int) -> float:
-        # cycles like Mahimahi replays
-        return self.values[interval_idx % len(self.values)]
 
 
 def read_trace(path: str) -> BandwidthTrace:
@@ -322,22 +319,11 @@ class EpisodeLog:
         return min(1.0, s.throughput_mbps / s.capacity_mbps) if s.capacity_mbps > 0 else 0.0
 
 
-def run_episode(config: SimConfig, trace, controller, intercept=None,
-                env_driver=None) -> EpisodeLog:
-    """Closed-loop episode: sim <-> controller, optionally with an adversary.
-
-    Exactly one of `trace` (pre-specified) or `env_driver` (supplies the next
-    interval's bandwidth online) drives the link capacity. `intercept`, when
-    given, scales the min-RTT estimate the controller reads; simulator ground
-    truth is never touched. The k = 1 case of `run_episodes`, which says how
-    the loop runs.
-    """
-    if (trace is None) == (env_driver is None):
-        raise ConfigError("exactly one of trace / env_driver must be given")
-    if intercept is not None and env_driver is not None:
-        raise ConfigError("an episode takes one adversary at most")
-    adversary = env_driver if intercept is None else intercept
-    return run_episodes(config, [trace], [controller], [adversary])[0]
+def run_episode(config: SimConfig, trace, controller) -> EpisodeLog:
+    """Closed-loop episode of `controller` on `trace`, with no adversary: the
+    k = 1 case of `run_episodes`, which says how the loop runs and takes an
+    adversary."""
+    return run_episodes(config, [trace], [controller])[0]
 
 
 def run_episodes(config: SimConfig, traces, controllers,

@@ -1,13 +1,17 @@
 """The Python formulas of an episode's summary, kept as test oracles now that
 C computes them: the controller reward and the per-interval means, over an
 `EpisodeLog`'s Observations, summed as Python 3.11's `sum` adds floats (left
-to right from 0); and the per-step loops that generated random traces before
-one C call projected them."""
+to right from 0); the adversarial reward's pieces that `tl_adv_reward`
+scores; the cwnd smoothness acceptance criterion 7 ranks controllers by; and
+the per-step loops that generated random traces before one C call projected
+them."""
+
+import math
 
 import numpy as np
 
 from ccprobe.netsim import DomainError
-from ccprobe.tracegen import project_next
+from ccprobe.tracegen import avg_abs_slope, project_next
 
 
 def controller_reward(o, params) -> float:
@@ -18,6 +22,63 @@ def controller_reward(o, params) -> float:
     if params.gamma * o.min_rtt_ms < o.srtt_ms:
         d = params.gamma * o.min_rtt_ms / o.srtt_ms
     return (o.throughput_mbps - params.lam * o.loss_mbps) / params.b_max * d
+
+
+def naive_reward(controller_reward_value: float) -> float:
+    return -controller_reward_value
+
+
+def queuing_delay(obs) -> float:
+    """d_t = smoothed RTT minus minimum RTT, in ms."""
+    if obs.srtt_ms < obs.min_rtt_ms:
+        raise DomainError("rtt < min_rtt: broken observation pipeline")
+    return obs.srtt_ms - obs.min_rtt_ms
+
+
+def delay_penalty(history, constraint) -> float:
+    """-alpha iff both the H-window mean and K-window mean sit strictly below tau."""
+    h, k = constraint.window_h, constraint.window_k
+    if len(history) < h:
+        raise ValueError(f"need at least H={h} delay samples")
+    recent = list(history)[-h:]
+    d_bar = sum(recent) / h
+    d_tilde = sum(recent[-k:]) / k
+    if d_bar < constraint.tau_ms and d_tilde < constraint.tau_ms:
+        return -constraint.alpha
+    return 0.0
+
+
+def env_reward(obs, history, constraint) -> float:
+    """Overall adversarial reward: -U_t plus the delay penalty."""
+    if not 0 <= obs.utilization <= 1:
+        raise DomainError("utilization out of [0, 1]")
+    return -obs.utilization + delay_penalty(history, constraint)
+
+
+def cwnd_smoothness(series, k: int = 1) -> tuple[float, float]:
+    """(linear, log_scaled) smoothness of a (time_s, cwnd) series.
+
+    linear: mean over t of the windowed average absolute slope of cwnd
+    (no time normalization). log_scaled: same windowing over
+    |log(b_i) - log(b_{i-1})| / (t_i - t_{i-1}), natural log. The two metrics
+    deliberately differ in time units; log_scaled is invariant under
+    multiplicative rescaling of cwnd.
+    """
+    if len(series) < k + 1:
+        raise ValueError(f"need at least {k + 1} samples")
+    times = [t for t, _ in series]
+    cwnds = [c for _, c in series]
+    if any(c <= 0 for c in cwnds):
+        raise DomainError("cwnd values must be positive")
+    if any(t2 <= t1 for t1, t2 in zip(times, times[1:])):
+        raise DomainError("timestamps must be strictly increasing")
+    n = len(series)
+    linear_terms = [avg_abs_slope(cwnds, t, k) for t in range(k, n)]
+    log_rates = [abs(math.log(cwnds[i]) - math.log(cwnds[i - 1])) / (times[i] - times[i - 1])
+                 for i in range(1, n)]
+    # same windowing applied to the time-normalized log differences
+    log_terms = [sum(log_rates[i] for i in range(t - k, t)) / k for t in range(k, n)]
+    return sum(linear_terms) / len(linear_terms), sum(log_terms) / len(log_terms)
 
 
 def mean_queuing_delay_ms(log) -> float:

@@ -26,12 +26,13 @@ from ccprobe.cem import CemConfig
 from ccprobe.cli import burst_case, main
 from ccprobe.config import ExperimentConfig
 from ccprobe.learned import (LearnedController, PolicyNet, RewardParams,
-                             controller_reward, train_controller)
-from ccprobe.metrics import cwnd_smoothness
-from ccprobe.netsim import (BandwidthTrace, Observation, SimConfig,
-                            run_episode)
+                             train_controller)
+from ccprobe.netsim import (BandwidthTrace, Observation, SimConfig, _lib,
+                            obs_row, run_episode)
 from ccprobe.tracegen import (SmoothnessBudget, check_feasible,
                               gen_random_trace)
+from drivers import adv_step, c_double
+from oracles import cwnd_smoothness, delay_penalty, naive_reward
 
 BUDGET = SmoothnessBudget(delta=48.0, window_k=1, bw_min=1.0, bw_max=96.0)
 REWARD = RewardParams()
@@ -115,8 +116,6 @@ def learned_stack(baseline_traces):
 # --- criterion 1: reward-math oracles ---------------------------------------
 
 def test_criterion_1_reward_oracles():
-    from ccprobe.adversary import delay_penalty, naive_reward
-    from ccprobe.metrics import cwnd_smoothness as smooth
     from ccprobe.tracegen import avg_abs_slope
     t0 = time.time()
     rnd = random.Random(11)
@@ -130,7 +129,8 @@ def test_criterion_1_reward_oracles():
         obs = Observation(0, 0.0, 48.0, thr, loss, 0.0, srtt, mr, mr, 0.5, 1.0)
         d = (1.2 * mr / srtt) if 1.2 * mr < srtt else 1.0
         expect = (thr - 10.0 * loss) / 96.0 * d
-        ok &= abs(controller_reward(obs, REWARD) - expect) <= 1e-9 * max(1, abs(expect))
+        got = c_double(_lib.tl_controller_reward, obs_row(obs), REWARD.c_struct())
+        ok &= abs(got - expect) <= 1e-9 * max(1, abs(expect))
         ok &= naive_reward(expect) == -expect
         # windowed delay penalty
         h = rnd.randint(1, 6)
@@ -151,7 +151,7 @@ def test_criterion_1_reward_oracles():
         # cwnd smoothness, both variants
         series = [(float(i) + rnd.random() * 0.3, rnd.uniform(1, 400))
                   for i in range(8)]
-        lin, lg = smooth(series, 1)
+        lin, lg = cwnd_smoothness(series, 1)
         import math
         blin = sum(abs(series[i][1] - series[i - 1][1])
                    for i in range(1, 8)) / 7
@@ -184,7 +184,7 @@ def test_criterion_2_thousand_traces_feasible():
         for j in range(599):
             obs = Observation(j, float(j), values[-1], values[-1] * 0.8,
                               0.0, 0.0, 25.0, 20.0, 20.0, 0.8, 10.0)
-            values.append(drv.next_capacity(obs))
+            values.append(adv_step(drv, obs))
         ok &= check_feasible(values, BUDGET)
     elapsed = time.time() - t0
     report(2, f"1000 generated traces satisfy the budget "

@@ -12,16 +12,17 @@ from ccprobe import netsim
 from ccprobe.adversary import (AdversarySpec, DelayConstraint, EnvBandwidthDriver,
                                FeatureBound, FeatureIntercept, PerturbMode,
                                RewardMode, SurfaceMode, adversarial_episode,
-                               adversarial_episodes, calibrate_tau, env_reward,
-                               make_adversary_policy, naive_reward,
-                               perturb_min_rtt, queuing_delay,
+                               adversarial_episodes, calibrate_tau,
+                               make_adversary_policy, perturb_min_rtt,
                                random_baseline_traces, select_worst_trace,
                                train_adversary)
 from ccprobe.cc import make_controller
-from ccprobe.cem import CemConfig
-from ccprobe.learned import DomainError, RewardParams, controller_reward
-from ccprobe.netsim import Observation, _lib, obs_row, run_episode
+from ccprobe.learned import RewardParams
+from ccprobe.netsim import (DomainError, Observation, _lib, obs_row, run_episode,
+                            run_episodes)
 from ccprobe.tracegen import SmoothnessBudget, check_feasible
+from drivers import adv_step
+from oracles import env_reward, naive_reward, queuing_delay
 
 
 def obs(srtt=25.0, min_rtt=20.0, cap=48.0, util=0.8):
@@ -71,11 +72,9 @@ def test_feature_intercept_episode_reset():
     bound = FeatureBound(0.5, PerturbMode.RANDOM_NOISE)
     it = FeatureIntercept(bound, seed=3)
     it.begin_episode()
-    it.begin_interval(obs())
-    first = it.scale()
+    first = adv_step(it, obs())
     it.begin_episode()
-    it.begin_interval(obs())
-    assert it.scale() == first      # reseeded -> same draw
+    assert adv_step(it, obs()) == first      # reseeded -> same draw
 
 
 def test_env_driver_traces_always_feasible():
@@ -86,7 +85,7 @@ def test_env_driver_traces_always_feasible():
     drv = EnvBandwidthDriver(budget, policy, seed=0)
     values = [drv.first_capacity()]
     for i in range(100):
-        values.append(drv.next_capacity(obs(cap=values[-1])))
+        values.append(adv_step(drv, obs(cap=values[-1])))
     assert check_feasible(values, budget)
 
 
@@ -95,7 +94,7 @@ def test_env_driver_random_when_no_policy():
     drv = EnvBandwidthDriver(budget, policy=None, seed=1)
     values = [drv.first_capacity()]
     for _ in range(50):
-        values.append(drv.next_capacity(obs()))
+        values.append(adv_step(drv, obs()))
     assert check_feasible(values, budget)
     assert len(set(values)) > 10
 
@@ -234,14 +233,13 @@ def test_slice_of_episodes_equals_single_episodes(short_sim):
                 assert dataclasses.astuple(ev) == dataclasses.astuple(one), spec
             policy = spec.policy if p is None else spec.policy.with_params(p)
             if spec.surface is SurfaceMode.ENV_BANDWIDTH:
-                log = run_episode(short_sim, None, factory(), env_driver=EnvBandwidthDriver(
+                trace, adv = None, EnvBandwidthDriver(
                     spec.budget, policy, b_max=reward.b_max, seed=seeds[-1],
-                    initial_capacity=inits[-1]))
+                    initial_capacity=inits[-1])
             else:
-                log = run_episode(short_sim, traces[seeds[-1] % len(traces)],
-                                  factory(), intercept=FeatureIntercept(
-                                      spec.feature_bound, policy, b_max=reward.b_max,
-                                      seed=seeds[-1]))
+                trace, adv = traces[seeds[-1] % len(traces)], FeatureIntercept(
+                    spec.feature_bound, policy, b_max=reward.b_max, seed=seeds[-1])
+            [log] = run_episodes(short_sim, [trace], [factory()], [adv])
             want = _python_scores(spec, reward, log)
             assert [x.hex() for x in (ev.adv_return, ev.constraint_ok_rate)] == \
                 [x.hex() for x in want], spec
@@ -255,7 +253,7 @@ def test_reward_domain_errors_raise_through_the_c_code():
     cases = [(RewardMode.DELAY_CONSTRAINED, obs(srtt=15.0, min_rtt=20.0), 0,
               lambda o: queuing_delay(o)),
              (RewardMode.NAIVE, obs(srtt=5.0, min_rtt=0.0), 0,
-              lambda o: controller_reward(o, reward)),
+              lambda o: oracles.controller_reward(o, reward)),
              (RewardMode.DELAY_CONSTRAINED, obs(util=1.5), 4,
               lambda o: env_reward(o, [1.0] * 5, DelayConstraint(window_h=5)))]
     for mode, bad, warmup, python in cases:

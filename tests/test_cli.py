@@ -390,7 +390,7 @@ def test_controller_factories_pickle(tmp_path):
     cfg = config_from_dict({"controller": "cubic",
                             "controller_constants": {"c": 0.5}})
     ctl = pickle.loads(pickle.dumps(cli._controller_factory(cfg, "cubic")))()
-    assert isinstance(ctl, Cubic) and ctl.c == 0.5
+    assert isinstance(ctl, Cubic) and ctl.cc_state.c == 0.5
     factory = cli._controller_factory(cfg, "learned", _checkpoint(tmp_path))
     ctl = pickle.loads(pickle.dumps(factory))()
     assert isinstance(ctl, LearnedController)
@@ -474,7 +474,10 @@ def test_init_not_a_checkpoint_exits_2(tmp_path, capsys, body):
                                    # exits 2 at every length, not only when
                                    # the walk happens to go below zero
                                    ["--bw-min", "-1"],
-                                   ["--bw-min", "-1", "--length", "5"]])
+                                   ["--bw-min", "-1", "--length", "5"],
+                                   # non-finite values, once constant traces
+                                   # or an OverflowError traceback
+                                   ["--delta", "nan"], ["--bw-max", "inf"]])
 def test_gen_trace_bad_budget_exits_2(tmp_path, capsys, flags):
     assert main(["gen-trace", "--out", str(tmp_path / "t")] + flags) == 2
     err = capsys.readouterr().err
@@ -695,7 +698,9 @@ def _exits_2_before_any_episode(tmp_path, monkeypatch, capsys, argv):
     ("train: {mix_p: 2}", "mix_p"),
     ("traces: {rise_intervals: -5}", "rise_intervals"),
     ("sim: [1, 2", "not valid YAML"), ("seed: abc", "seed"),
-    ("seed: 1.5", "seed"), ("seed: -1", "seed"), ("traces: {n: 1.5}", "n")])
+    ("seed: 1.5", "seed"), ("seed: -1", "seed"), ("traces: {n: 1.5}", "n"),
+    ("budget: {delta: .nan}", "delta"), ("budget: {bw_max: .inf}", "bw_max"),
+    ("budget: {window_k: 1.5}", "window_k"), ("budget: {window_k: true}", "window_k")])
 def test_bad_config_value_exits_2_at_load(tmp_path, monkeypatch, capsys, doc, key):
     # a value outside its domain, malformed YAML or a non-integer count
     p = tmp_path / "cfg.yaml"

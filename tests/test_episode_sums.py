@@ -15,9 +15,8 @@ from ccprobe.adversary import (AdversarySpec, DelayConstraint, EnvBandwidthDrive
                                SurfaceMode, adversarial_episodes, clean_episode,
                                make_adversary_policy)
 from ccprobe.cc import RULE_BASED, make_controller
-from ccprobe.learned import (DomainError, LearnedController, PolicyNet,
-                             RewardParams, episode_return)
-from ccprobe.netsim import EpisodeLog, SimConfig, run_episode
+from ccprobe.learned import LearnedController, PolicyNet, RewardParams, episode_return
+from ccprobe.netsim import DomainError, EpisodeLog, SimConfig, run_episode, run_episodes
 from ccprobe.tracegen import SmoothnessBudget, gen_random_trace
 
 SIM = SimConfig(episode_duration_s=2.0)
@@ -85,12 +84,13 @@ def test_c_sums_of_adversarial_episodes_are_the_python_formulas(
     for ev, p, s in zip(evs, params, seeds):
         # the row's episode again, alone, for its Observations
         if surface is SurfaceMode.ENV_BANDWIDTH:
-            log = run_episode(SIM, None, factory(), env_driver=EnvBandwidthDriver(
-                spec.budget, policy.with_params(p), b_max=reward.b_max, seed=s))
+            row, adv = None, EnvBandwidthDriver(
+                spec.budget, policy.with_params(p), b_max=reward.b_max, seed=s)
         else:
-            log = run_episode(SIM, trace, factory(), intercept=FeatureIntercept(
+            row, adv = trace, FeatureIntercept(
                 spec.feature_bound, policy.with_params(p), b_max=reward.b_max,
-                seed=s))
+                seed=s)
+        [log] = run_episodes(SIM, [row], [factory()], [adv])
         assert _hex(ev.utilization, ev.mean_delay_ms) == \
             _hex(oracles.mean_utilization(log), oracles.mean_queuing_delay_ms(log))
         assert ev.trace_values == [o.capacity_mbps for o in log.observations]

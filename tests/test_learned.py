@@ -11,8 +11,7 @@ from ccprobe.learned import (FEATURE_NAMES, LearnedController, PolicyNet,
                              RewardParams, episode_return, load_policy,
                              observation_features, policy_outputs,
                              save_policy, train_controller)
-from ccprobe.netsim import (BandwidthTrace, ConfigError, Observation, _lib,
-                            run_episode)
+from ccprobe.netsim import ConfigError, Observation, _lib
 
 
 def obs(srtt=25.0, min_rtt=20.0, thr=40.0, loss_rate=0.0):
@@ -20,6 +19,11 @@ def obs(srtt=25.0, min_rtt=20.0, thr=40.0, loss_rate=0.0):
                        throughput_mbps=thr, loss_mbps=0.0, loss_rate=loss_rate,
                        srtt_ms=srtt, min_rtt_ms=min_rtt, visible_min_rtt_ms=min_rtt,
                        utilization=0.8, cwnd=10.0)
+
+
+def act(policy, features):
+    """The policy's bounded action: the C head on its output."""
+    return _lib.tl_action(policy.output(features), policy.a_max)
 
 
 def test_feature_vector_layout():
@@ -50,13 +54,13 @@ def test_action_always_bounded(feats, seed):
     for hidden in (0, 16):
         p = PolicyNet(n_features=5, hidden=hidden,
                       params=rng.normal(size=PolicyNet(5, hidden).n_params) * 10)
-        a = p.act(np.array(feats))
+        a = act(p, np.array(feats))
         assert -p.a_max <= a <= p.a_max
 
 
 def test_zero_params_zero_action():
     p = PolicyNet(n_features=5, hidden=0)
-    assert p.act(np.ones(5)) == 0.0
+    assert act(p, np.ones(5)) == 0.0
 
 
 def test_checkpoint_roundtrip_exact(tmp_path):
@@ -108,7 +112,7 @@ def test_controller_cwnd_capped():
 def _python_interval(policy, b_max, cwnd_max, cwnd, prev_action, o):
     """The learned controller's interval step in numpy, as it was written
     before the linear policy moved into the tick loop: (cwnd, action)."""
-    a = policy.act(observation_features(o, b_max, prev_action))
+    a = act(policy, observation_features(o, b_max, prev_action))
     return min(cwnd_max, max(1.0, cwnd * 2.0 ** a)), a
 
 
@@ -142,7 +146,7 @@ _ms = st.floats(min_value=1.0, max_value=2000.0)
        loss_rate=st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=1.0)))
 def test_c_linear_interval_step_is_numpys(params, a_max, b_max, cwnd, prev, srtt,
                                          visible, same_rtt, thr, loss_rate):
-    # C's TL_LINEAR step against PolicyNet.act plus the Python cwnd update,
+    # C's TL_LINEAR step against the policy's action plus the Python cwnd update,
     # including srtt == visible min-RTT and a visible min-RTT below the
     # features' 1e-6 floor
     if same_rtt:
@@ -254,7 +258,7 @@ def _spread(rng, shape):
        hidden=st.sampled_from([16, 16, 16, 0]), seed=st.integers(0, 2**32 - 1))
 def test_batched_policy_outputs_are_act_bit_for_bit(k, nf, hidden, seed):
     # the lock-step adversary's one evaluation per interval for a slice of k
-    # policies, then the C head, against each row's own PolicyNet.act and the
+    # policies, then the C head, against each row's own `act` and the
     # numpy code it replaced; the equality is this numpy's and its BLAS's
     rng = np.random.default_rng(seed)
     shape = PolicyNet(nf, hidden=hidden)
@@ -263,7 +267,7 @@ def test_batched_policy_outputs_are_act_bit_for_bit(k, nf, hidden, seed):
     policy_outputs(policies, x, out)()
     for j, policy in enumerate(policies):
         got = _lib.tl_action(out[j], policy.a_max).hex()
-        assert got == policy.act(x[j]).hex() == _python_act(policy, x[j]).hex()
+        assert got == act(policy, x[j]).hex() == _python_act(policy, x[j]).hex()
 
 
 def test_hidden_learned_step_is_pythons():

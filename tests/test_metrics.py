@@ -2,6 +2,7 @@
 
 import math
 import random
+import sys
 from collections import Counter
 from fractions import Fraction
 
@@ -9,9 +10,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 from ccprobe.cc import Pinned
-from ccprobe.metrics import DomainError, cwnd_smoothness, delay_stats
-from ccprobe.netsim import (BandwidthTrace, EmptyLog, EpisodeLog, SimConfig,
-                            run_episode)
+from ccprobe.metrics import delay_stats
+from ccprobe.netsim import (BandwidthTrace, DomainError, EmptyLog, EpisodeLog,
+                            SimConfig, run_episode)
+from oracles import cwnd_smoothness
 
 
 def sample_delays(log):
@@ -121,8 +123,11 @@ def test_log_smoothness_rescale_invariant():
 
 
 def test_one_domain_error_class():
-    from ccprobe import learned, metrics
-    assert metrics.DomainError is learned.DomainError
+    import ccprobe.cli  # noqa: F401  (imports every module)
+    from ccprobe import netsim
+    mods = [m for name, m in sys.modules.items() if name.startswith("ccprobe.")]
+    assert all(getattr(m, "DomainError", netsim.DomainError) is netsim.DomainError
+               for m in mods)
 
 
 def test_smoothness_domain_checks():

@@ -24,9 +24,9 @@ from ccprobe.adversary import (EnvBandwidthDriver, FeatureBound, FeatureIntercep
                                PerturbMode, SurfaceMode, make_adversary_policy)
 from ccprobe.cc import RULE_BASED, Controller, Pinned, make_controller
 from ccprobe.learned import LearnedController, PolicyNet
-from ccprobe.netsim import (BandwidthTrace, ConfigError, SimConfig,
+from ccprobe.netsim import (BandwidthTrace, ConfigError, SimConfig, _lib,
                             export_mahimahi, map_jobs, read_trace, run_episode,
-                            write_trace)
+                            run_episodes, write_trace)
 from ccprobe.tracegen import SmoothnessBudget, gen_burst_trace, gen_random_trace
 
 
@@ -114,8 +114,8 @@ def test_exactly_one_capacity_source(short_sim, const_trace):
     with pytest.raises(ConfigError):
         run_episode(short_sim, None, Pinned(10.0))
     with pytest.raises(ConfigError):
-        run_episode(short_sim, const_trace, Pinned(10.0),
-                    env_driver=object())
+        run_episodes(short_sim, [const_trace], [Pinned(10.0)],
+                     [EnvBandwidthDriver(SmoothnessBudget())])
 
 
 def test_trace_roundtrip(tmp_path):
@@ -309,7 +309,8 @@ def _export_reference(trace, path, packet_size=1500):
         total_ms = int(round(len(trace.values) * trace.interval_ms))
         for ms in range(total_ms):
             idx = int(ms // trace.interval_ms)
-            cum += trace.capacity_at(idx) * 1e6 / 8.0 / 1000.0
+            # the trace cycles like a Mahimahi replay
+            cum += trace.values[idx % len(trace.values)] * 1e6 / 8.0 / 1000.0
             while cum >= next_k * packet_size:
                 f.write(f"{ms + 1}\n")
                 next_k += 1
@@ -459,10 +460,11 @@ def test_export_rejects_bad_packet_size(tmp_path):
             export_mahimahi(trace, str(tmp_path / "mm"), packet_size=size)
 
 
-def test_trace_cycles_like_replay():
+def test_trace_cycles_like_replay(short_sim):
+    # the tick loop replays a trace shorter than the episode from its start
     trace = BandwidthTrace(100.0, [10.0, 20.0])
-    assert trace.capacity_at(0) == 10.0
-    assert trace.capacity_at(5) == 20.0
+    log = run_episode(short_sim, trace, Pinned(10.0))
+    assert log.column("capacity_mbps").tolist() == [10.0, 20.0] * 25
 
 
 # --- the compiled tick loop -----------------------------------------------------
@@ -639,7 +641,7 @@ def test_trace_driven_c_controller_runs_to_the_end_in_one_step(
                 (partial(_learned, FIXED_POLICY), clean, n + 1)])
     for factory, intercept, steps in cases:
         spy.steps = 0
-        log = run_episode(short_sim, trace, factory(), intercept=intercept)
+        [log] = run_episodes(short_sim, [trace], [factory()], [intercept])
         assert spy.steps == steps, factory
         assert [o.interval_idx for o in log.observations] == list(range(n))
 
@@ -652,8 +654,8 @@ def test_run_to_end_episode_equals_the_hooked_one(short_sim):
                  + [partial(_learned, FIXED_POLICY), partial(_learned, RUNAWAY_POLICY)])
     for trace in _golden_traces():
         for factory in factories:
-            a, b = run_episode(short_sim, trace, factory()), run_episode(
-                short_sim, trace, factory(), intercept=FeatureIntercept(clean))
+            a, b = run_episode(short_sim, trace, factory()), run_episodes(
+                short_sim, [trace], [factory()], [FeatureIntercept(clean)])[0]
             assert repr(a) == repr(b), factory
 
 
@@ -843,15 +845,14 @@ def test_golden_episode_hashes_beyond_rule_traces(short_sim):
                         partial(make_controller, "bbrlite"),
                         partial(_learned, FIXED_POLICY)):
             driver = EnvBandwidthDriver(budget, policy, seed=seed)
-            logs.append(run_episode(short_sim, None, factory(),
-                                    env_driver=driver))
+            logs += run_episodes(short_sim, [None], [factory()], [driver])
     env_log = logs[-1]
     for bound, seed in ((FeatureBound(0.5), 5),
                         (FeatureBound(0.3, PerturbMode.RANDOM_NOISE), 6)):
         for name in ("vegas", "lp", "bbrlite"):
             intercept = FeatureIntercept(bound, feat_policy, seed=seed)
-            logs.append(run_episode(short_sim, traces[0], make_controller(name),
-                                    intercept=intercept))
+            logs += run_episodes(short_sim, [traces[0]], [make_controller(name)],
+                                 [intercept])
     feat_log = logs[-4]
     for trace in (traces[0], traces[2]):
         for name in RULE_BASED:
@@ -883,10 +884,16 @@ RULE_CONSTANT_CASES = (
                     "packet_size": 9000})])
 
 
+_PHASE_NAMES = ("slow_start", "congestion_avoidance", "fast_recovery",
+                "lp_inference")
+
+
 def _controller_state(ctl):
-    return (ctl.cwnd, ctl.ssthresh, ctl.phase.value,
-            getattr(ctl, "indications", 0), getattr(ctl, "gain_index", None),
-            ctl.pacing_rate_bps)
+    s = ctl.cc_state
+    return (ctl.cwnd, ctl.ssthresh, _PHASE_NAMES[s.w.phase],
+            getattr(ctl, "indications", 0),
+            s.gain_index if s.kind == _lib.TL_BBRLITE else None,
+            s.pacing_bps if s.paced else None)
 
 
 def test_golden_rule_controller_digest():
@@ -935,7 +942,7 @@ def test_golden_hidden_learned_episode_digest(short_sim):
                                                  seed=8)))
         for trace, intercept in runs:
             ctl = LearnedController(policy)
-            _hash_episode(h, run_episode(short_sim, trace, ctl, intercept=intercept))
+            _hash_episode(h, run_episodes(short_sim, [trace], [ctl], [intercept])[0])
             h.update(repr((ctl.cwnd, ctl.prev_action)).encode())
     assert h.hexdigest() == GOLDEN_HIDDEN_LEARNED_SHA256
 

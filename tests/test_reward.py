@@ -1,17 +1,18 @@
-"""Reward arithmetic against independent brute-force oracles (1e-9 relative)."""
+"""Reward arithmetic against independent brute-force oracles (1e-9 relative):
+the C controller reward and delay factor, and the adversarial reward's
+Python formulas that `tests/oracles.py` keeps as references."""
 
-import math
 import random
 
 import pytest
 from hypothesis import given, strategies as st
 
-from ccprobe.adversary import (DelayConstraint, delay_penalty, env_reward,
-                               naive_reward, queuing_delay)
-from ccprobe.learned import (DomainError, RewardParams, controller_reward,
-                             delay_factor)
-from ccprobe.netsim import Observation
+from ccprobe.adversary import DelayConstraint
+from ccprobe.learned import RewardParams
+from ccprobe.netsim import DomainError, Observation, _lib, obs_row
 from ccprobe.tracegen import avg_abs_slope
+from drivers import c_double
+from oracles import delay_penalty, env_reward, naive_reward, queuing_delay
 
 
 def make_obs(thr=40.0, loss=0.0, srtt=25.0, min_rtt=20.0, util=0.8,
@@ -42,19 +43,20 @@ def test_controller_reward_randomized_oracle():
         obs = make_obs(thr=thr, loss=loss, srtt=srtt, min_rtt=min_rtt)
         expect = oracle_reward(thr, loss, srtt, min_rtt,
                                params.lam, params.gamma, params.b_max)
-        assert controller_reward(obs, params) == pytest.approx(expect, rel=1e-9)
+        got = c_double(_lib.tl_controller_reward, obs_row(obs), params.c_struct())
+        assert got == pytest.approx(expect, rel=1e-9)
 
 
 def test_delay_factor_branch_boundary():
     # at srtt exactly gamma * min_rtt the factor is 1 (strict inequality)
-    assert delay_factor(24.0, 20.0, 1.2) == 1.0
-    assert delay_factor(24.0 + 1e-9, 20.0, 1.2) < 1.0
-    assert delay_factor(10.0, 20.0, 1.2) == 1.0
+    assert c_double(_lib.tl_delay_factor, 24.0, 20.0, 1.2) == 1.0
+    assert c_double(_lib.tl_delay_factor, 24.0 + 1e-9, 20.0, 1.2) < 1.0
+    assert c_double(_lib.tl_delay_factor, 10.0, 20.0, 1.2) == 1.0
 
 
 def test_delay_factor_domain():
     with pytest.raises(DomainError):
-        delay_factor(20.0, 0.0, 1.2)
+        c_double(_lib.tl_delay_factor, 20.0, 0.0, 1.2)
 
 
 def test_naive_reward_is_negation():
