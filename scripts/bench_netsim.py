@@ -12,10 +12,11 @@ population 8 around the fixed policy, one around a fixed hidden-16 policy,
 and `evaluate_suite` of the fixed policy, each over the 10 random traces of
 seeds 0-9), times 60 s env-surface adversary
 episodes against cubic (random hidden-16 policies, seeds 0-15) in slices of
-1, 4 and 16, and one env-adversary CEM generation of 8 against cubic at 1
-and 2 workers, times what an episode costs after its ticks (everything but
-`tl_step` in `episode_return` of the fixed policy and in `clean_episode` of
-cubic, over the same trace), and stores the result under `--label` in the
+1, 4 and 16, and one env-adversary CEM generation of 8 against cubic (a
+lock-step slice on the calling thread at any worker count), times what an
+episode costs after its ticks (everything but `tl_step` in `episode_return`
+of the fixed policy and in `clean_episode` of cubic, over the same trace),
+and stores the result under `--label` in the
 JSON file `--out` (other labels already in the file are kept). Import
 ccprobe from the tree to measure, so two trees compare under identical
 settings:
@@ -46,7 +47,8 @@ hidden-16 generation's episodes return to Python at every interval
 their ticks and little is to be gained. A tree without
 `adversary.adversarial_episodes` runs a slice as one `adversarial_episode`
 call per row, and a tree whose `evaluate_suite`
-takes one policy gets that one. The cost after the ticks is the median, over
+takes one policy gets that one. A tree whose `cem_maximize` still calls its
+objective once per candidate is not supported. The cost after the ticks is the median, over
 AFTER_TICKS_REPEATS episodes after one warm-up, of each episode's wall time
 minus the time spent in the calls `netsim.run_episodes` makes to `tl_step`.
 """
@@ -74,7 +76,8 @@ from ccprobe.adversary import (AdversarySpec, DelayConstraint, SurfaceMode,
 from ccprobe.advtrain import evaluate_suite
 from ccprobe.cc import RULE_BASED, Pinned, make_controller
 from ccprobe.cem import CemConfig, cem_maximize
-from ccprobe.learned import LearnedController, PolicyNet, RewardParams, episode_return
+from ccprobe.learned import (LearnedController, PolicyNet, RewardParams, _pool_return,
+                             episode_return)
 from ccprobe.netsim import SimConfig, export_mahimahi, run_episode
 from ccprobe.tracegen import SmoothnessBudget, gen_random_trace
 
@@ -177,12 +180,6 @@ def measure(trace) -> dict:
     return out
 
 
-def _pool_return(policy, traces, sim, reward, params, seed):
-    """The learned CEM objective of one candidate: the seed picks its trace."""
-    return episode_return(policy.with_params(params), traces[seed % len(traces)],
-                          sim, reward)
-
-
 def _suite(policy, trace_sets, sim, reward, workers):
     """`evaluate_suite` of one policy, in either signature."""
     if "policies" in inspect.signature(evaluate_suite).parameters:
@@ -199,9 +196,9 @@ def measure_pool() -> dict:
     hidden = hidden.with_params(np.random.default_rng(0).normal(0.0, 0.5, hidden.n_params))
 
     def generation(policy, w):
-        return cem_maximize(partial(_pool_return, policy, traces, sim, reward),
+        return cem_maximize(partial(_pool_return, policy, traces, sim, reward, w),
                             dim=policy.n_params, generations=1,
-                            config=CemConfig(population=8, workers=w),
+                            config=CemConfig(population=8),
                             init_mean=policy.params)
 
     batches = {
@@ -220,8 +217,7 @@ def measure_pool() -> dict:
 
 def measure_adversary() -> dict:
     """ms per env-adversary episode in slices of 1, 4 and 16, and ms (wall
-    and CPU) per env-adversary CEM generation of 8 at 1 and 2 workers,
-    against cubic."""
+    and CPU) per env-adversary CEM generation of 8, against cubic."""
     sim, reward = SimConfig(), RewardParams()
     spec = AdversarySpec(surface=SurfaceMode.ENV_BANDWIDTH,
                          constraint=DelayConstraint(tau_ms=50.0),
@@ -242,11 +238,10 @@ def measure_adversary() -> dict:
     for k in (1, 4, 16):
         t, _ = _timed(lambda: episodes(k))
         out[f"slice_{k}_ms_per_episode"] = round(t * 1000 / k, 2)
-    for w in (1, 2):
-        t, cpu, _ = _timed_cpu(lambda: train_adversary(spec, factory, sim, 8, reward,
-                                                    CemConfig(population=8, workers=w)))
-        out[f"env_cem_generation_workers_{w}_ms"] = round(t * 1000, 2)
-        out[f"env_cem_generation_workers_{w}_cpu_ms"] = round(cpu * 1000, 2)
+    t, cpu, _ = _timed_cpu(lambda: train_adversary(spec, factory, sim, 8, reward,
+                                                CemConfig(population=8)))
+    out["env_cem_generation_ms"] = round(t * 1000, 2)
+    out["env_cem_generation_cpu_ms"] = round(cpu * 1000, 2)
     return out
 
 

@@ -27,11 +27,13 @@
  * capacity itself, and steps the episode's adversary (`adv`), if any. It
  * returns TL_INTERVAL there only when the Python driver has work (`hooked`):
  * the `on_interval` of a TL_EXTERNAL controller, which ignores ACKs and
- * losses and sets its own next cwnd in its `tl_cc` (a Python controller
- * such as `Pinned`, or a learned one whose policy has a hidden layer, which
- * numpy computes), or the adversary's next policy output or random draw.
- * `tl_step` always starts at an interval's first tick. Any other
- * episode runs to TL_DONE, or an error, in one call.
+ * losses and sets its own next cwnd in its `tl_cc` (a user's Python
+ * controller, or a learned one whose policy has a hidden layer, which numpy
+ * computes), or the adversary's next policy output or random draw.
+ * `tl_step` always starts at an interval's first tick. Any other episode,
+ * a TL_PINNED one at its fixed cwnd too, runs to TL_DONE, or an error, in
+ * one call. `tl_step_rows` steps a lock-step slice of hooked episodes to
+ * their next boundary in one call.
  *
  * The adversary block (`tl_adv`) is a min-RTT intercept or an online
  * capacity driver. At each boundary but the last it writes the policy's
@@ -95,6 +97,7 @@
 #define TL_BBRLITE 5
 #define TL_EXTERNAL 6
 #define TL_LINEAR 7
+#define TL_PINNED 8
 #define TL_SLOW_START 0
 #define TL_CONGESTION_AVOIDANCE 1
 #define TL_FAST_RECOVERY 2
@@ -110,7 +113,7 @@ typedef struct {
     int64_t send_tick, count;
 } tl_run;
 
-/* one ACK batch, as `cc.AckInfo` has it */
+/* one ACK batch, the argument of `cc_on_ack` */
 typedef struct {
     double now_ms, rtt_ms, owd_ms;
     int64_t acked_packets, acked_bytes;
@@ -281,6 +284,8 @@ typedef struct {
 extern const double tl_gain_cycle[8];
 
 int tl_step(tl_state *s);
+int tl_step_rows(tl_state *const *rows, int64_t k, int want, const double *out,
+                 double *x, int64_t nf, int64_t *failed);
 void tl_free(tl_state *s);
 
 void *tl_cc_alloc(size_t size);
@@ -325,8 +330,6 @@ void tl_adv_begin(tl_adv *a, double value);
 void tl_adv_observe(tl_adv *a, const tl_obs *o);
 double tl_adv_act(tl_adv *a);
 int tl_adv_reward(tl_adv *a, const tl_obs *o);
-void tl_adv_gather(tl_adv *const *advs, int64_t k, int64_t nf, double *x);
-void tl_adv_scatter(tl_adv *const *advs, int64_t k, const double *out);
 /* cdef-end */
 
 /* CPython's float floor division (floatobject.c, _float_div_mod). */
@@ -928,8 +931,8 @@ static void bbr_loss(tl_cc *c, int timeout)
     clamp(&c->w);
 }
 
-/* One ACK batch; nonzero when a buffer could not grow. A TL_EXTERNAL
- * controller ignores ACKs and losses. */
+/* One ACK batch; nonzero when a buffer could not grow. A TL_EXTERNAL or
+ * TL_PINNED controller ignores ACKs and losses. */
 int cc_on_ack(tl_cc *c, const tl_ackinfo *a)
 {
     switch (c->kind) {
@@ -976,7 +979,7 @@ void cc_on_loss(tl_cc *c, int timeout)
     }
 }
 
-/* `PolicyNet.act`'s head: a_max * tanh(out), clamped to [-a_max, a_max] */
+/* A policy's bounded action: a_max * tanh(out), clamped to [-a_max, a_max] */
 double tl_action(double out, double a_max)
 {
     return py_min(a_max, py_max(-a_max, a_max * tanh(out)));
@@ -1026,7 +1029,7 @@ void cc_on_interval(tl_cc *c, const tl_obs *o)
 
 /* --- the controller reward and an episode's sums ---------------------------- */
 
-/* `learned.delay_factor`: gamma * min_rtt / srtt once srtt exceeds
+/* The reward's delay factor: gamma * min_rtt / srtt once srtt exceeds
  * gamma * min_rtt, else 1. 0, or TL_DOMAIN_MIN_RTT when min_rtt <= 0. */
 int tl_delay_factor(double srtt_ms, double min_rtt_ms, double gamma, double *d)
 {
@@ -1036,7 +1039,8 @@ int tl_delay_factor(double srtt_ms, double min_rtt_ms, double gamma, double *d)
     return 0;
 }
 
-/* `learned.controller_reward`: R_t = ((T_t - lam * L_t) / B_max) * D_t.
+/* The controller reward, `tests/oracles.py`'s `controller_reward`:
+ * R_t = ((T_t - lam * L_t) / B_max) * D_t.
  * 0, or tl_delay_factor's TL_DOMAIN_* code. */
 int tl_controller_reward(const tl_obs *o, const tl_reward *p, double *r)
 {
@@ -1205,7 +1209,7 @@ static double delay_sum(const tl_adv *a, int64_t n)
 }
 
 /* `adversary.adversarial_episode`'s score of one interval: the queuing delay
- * srtt - min_rtt joins the window; the reward is -`controller_reward`
+ * srtt - min_rtt joins the window; the reward is -`tl_controller_reward`
  * (naive) or, delay-constrained, -utilization until the window holds
  * window_h delays, then -utilization plus -alpha iff the means of the last
  * window_h and window_k delays both sit below tau. 0, or the TL_DOMAIN_* code
@@ -1239,20 +1243,6 @@ int tl_adv_reward(tl_adv *a, const tl_obs *o)
     if (d >= a->tau_ms)
         a->ok++;
     return 0;
-}
-
-/* Copies the feature rows of a slice's k adversaries into the k x nf `x`. */
-void tl_adv_gather(tl_adv *const *advs, int64_t k, int64_t nf, double *x)
-{
-    for (int64_t j = 0; j < k; j++)
-        memcpy(x + j * nf, advs[j]->x, (size_t)nf * sizeof *x);
-}
-
-/* Hands each of a slice's k adversaries its `out`. */
-void tl_adv_scatter(tl_adv *const *advs, int64_t k, const double *out)
-{
-    for (int64_t j = 0; j < k; j++)
-        advs[j]->out = out[j];
 }
 
 /* The observation of the interval whose last tick is `tick`. */
@@ -1606,6 +1596,28 @@ int tl_step(tl_state *s)
         }
     }
     return TL_DONE;
+}
+
+/* `tl_step` on each of a slice's k rows, in order. When `out` is set, row
+ * j's adversary, if any, first gets out[j]; when `x` is set, its policy's
+ * feature row is then copied into row j of the k x nf `x`. Returns `want`
+ * once every row has reached it, or else the first other event, with its
+ * row in *failed. */
+int tl_step_rows(tl_state *const *rows, int64_t k, int want, const double *out,
+                 double *x, int64_t nf, int64_t *failed)
+{
+    for (int64_t j = 0; j < k; j++) {
+        if (out && rows[j]->adv)
+            rows[j]->adv->out = out[j];
+        int ev = tl_step(rows[j]);
+        if (ev != want) {
+            *failed = j;
+            return ev;
+        }
+        if (x && rows[j]->adv)
+            memcpy(x + j * nf, rows[j]->adv->x, (size_t)nf * sizeof *x);
+    }
+    return want;
 }
 
 void tl_free(tl_state *s)

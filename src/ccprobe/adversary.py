@@ -17,7 +17,7 @@ from functools import partial
 
 import numpy as np
 
-from .cem import CemConfig, cem_maximize, lockstep
+from .cem import CemConfig, cem_maximize
 from .learned import PolicyNet, RewardParams, policy_outputs
 from .metrics import EpisodeReport, build_report
 from .netsim import SimConfig, _ffi, _lib, map_jobs, run_episode, run_episodes
@@ -124,25 +124,17 @@ class _Adversary:
         s.reward = reward.c_struct()[0]
 
     @staticmethod
-    def lockstep(advs):
-        """A slice's hook: one `policy_outputs` call for the slice, or one
-        draw per row; the slice's rows all have a policy, or none has."""
-        if not advs[0].adv_state.has_policy:
-            def draw():
-                for a in advs:
-                    a.adv_state.out = a._draw()
-            return draw
-        states = _ffi.new("tl_adv *[]", [a.adv_state for a in advs])
-        k, nf = len(advs), advs[0].n_features
-        x, out = np.zeros((k, nf)), np.zeros(k)
-        outputs = policy_outputs([a.policy for a in advs], x, out)
-        x_buf, out_buf = _ffi.from_buffer("double[]", x), _ffi.from_buffer("double[]", out)
+    def lockstep(advs, x, out):
+        """A slice's hook, leaving out[j] for advs[j]: one `policy_outputs`
+        call over the feature rows `x`, or one draw per row; the slice's rows
+        all have a policy, or none has."""
+        if advs[0].adv_state.has_policy:
+            return policy_outputs([a.policy for a in advs], x, out)
 
-        def act():
-            _lib.tl_adv_gather(states, k, nf, x_buf)
-            outputs()
-            _lib.tl_adv_scatter(states, k, out_buf)
-        return act
+        def draw():
+            for j, a in enumerate(advs):
+                out[j] = a._draw()
+        return draw
 
 
 class FeatureIntercept(_Adversary):
@@ -303,8 +295,8 @@ def train_adversary(spec: AdversarySpec, controller_factory, config: SimConfig,
     if generations == 0:
         return spec.policy, []
 
-    objective = lockstep(partial(_adversary_returns, spec, controller_factory,
-                                 config, reward, clean_traces))
+    objective = partial(_adversary_returns, spec, controller_factory, config,
+                        reward, clean_traces)
     result = cem_maximize(objective, dim=spec.policy.n_params,
                           generations=generations, config=cem,
                           init_mean=spec.policy.params)

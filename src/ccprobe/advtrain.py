@@ -42,19 +42,20 @@ def sample_trace(pool: TracePool, rng) -> BandwidthTrace:
 
 
 def _mixed_return(policy: PolicyNet, pool: TracePool, sim: SimConfig,
-                  reward: RewardParams, params, seed: int) -> float:
-    """`adversarial_retrain`'s CEM objective: the episode seed samples the
-    trace from the pool."""
-    return episode_return(policy.with_params(params),
-                          sample_trace(pool, np.random.default_rng(seed)),
-                          sim, reward)
+                  reward: RewardParams, workers: int, params, seeds) -> list[float]:
+    """`adversarial_retrain`'s CEM objective: each row's episode on `workers`
+    threads, its seed sampling its trace from the pool."""
+    return map_jobs(episode_return,
+                    [(policy.with_params(p), sample_trace(pool, np.random.default_rng(s)),
+                      sim, reward) for p, s in zip(params, seeds)], workers)
 
 
 def adversarial_retrain(policy: PolicyNet, pool: TracePool, episodes: int,
                         sim: SimConfig, reward: RewardParams,
-                        cem: CemConfig | None = None
+                        cem: CemConfig | None = None, workers: int = 1
                         ) -> tuple[PolicyNet, list[GenerationStats]]:
-    """Continue CEM training from `policy`, one sampled trace per episode.
+    """Continue CEM training from `policy`, one sampled trace per episode,
+    each generation's on `workers` threads.
 
     Reward, topology and optimizer are identical to the original training;
     only the trace distribution changes. The input policy object is never
@@ -65,7 +66,7 @@ def adversarial_retrain(policy: PolicyNet, pool: TracePool, episodes: int,
     if generations == 0:
         return policy, []
 
-    result = cem_maximize(partial(_mixed_return, policy, pool, sim, reward),
+    result = cem_maximize(partial(_mixed_return, policy, pool, sim, reward, workers),
                           dim=policy.n_params, generations=generations,
                           config=cem, init_mean=policy.params)
     return policy.with_params(result.best_params), result.history

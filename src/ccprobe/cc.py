@@ -13,11 +13,11 @@ Python method drives them. `cwnd`, `ssthresh` and LP's `indications` are
 views of the struct's fields, and any other state is read from `cc_state`
 itself. So on a trace, with no intercept, their episodes never return to
 Python before the end. The learned controller with a linear policy runs in
-the loop the same way (`learned.py`). Any other
-controller (`Pinned`, a learned one whose policy has a hidden layer, any
-other `Controller` subclass) is TL_EXTERNAL: it acts in `on_interval`, so
-the tick loop returns to Python once per interval for it; ACKs and losses
-reach it only through the interval's `Observation`.
+the loop the same way (`learned.py`), and so does `Pinned` (TL_PINNED), whose
+cwnd never moves. Any other controller (a learned one whose policy has a
+hidden layer, any other `Controller` subclass) is TL_EXTERNAL: it acts in
+`on_interval`, so the tick loop returns to Python once per interval for it;
+ACKs and losses reach it only through the interval's `Observation`.
 
 Constants not pinned by any single reference are taken from the canonical
 kernel implementations and are overridable via the factory kwargs. Every
@@ -216,9 +216,11 @@ class BbrLite(RuleController):
 
 class Pinned(Controller):
     """Oracle controller pinned at a fixed cwnd; used by tests and by
-    `scripts/bench_netsim.py`."""
+    `scripts/bench_netsim.py`. The tick loop ignores its ACKs, losses and
+    intervals, and never calls `on_interval`, not even a subclass's override."""
 
     name = "pinned"
+    KIND = _lib.TL_PINNED
 
     def __init__(self, cwnd: float):
         super().__init__()

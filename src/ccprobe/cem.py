@@ -10,8 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 import numpy as np
 
-from .netsim import map_jobs
-
 
 class OptimizerError(RuntimeError):
     pass
@@ -25,7 +23,6 @@ class CemConfig:
     extra_noise: float = 0.25       # additive std floor, decayed per generation
     noise_decay: float = 0.9
     seed: int = 0
-    workers: int = 1                # threads evaluating a row objective's population
 
     def __post_init__(self):
         if not self.population >= 1:
@@ -49,27 +46,12 @@ class CemResult:
     history: list[GenerationStats] = field(default_factory=list)
 
 
-def lockstep(objective):
-    """`objective`, marked as running whole populations in lock-step in
-    `cem_maximize`."""
-    objective.lockstep = True
-    return objective
-
-
 def cem_maximize(objective, dim: int, generations: int, config: CemConfig,
                  init_mean: np.ndarray | None = None) -> CemResult:
-    """Maximize the objective: objective(params, episode_seed), given one
-    candidate's parameters and its episode seed, returns a float or (float,
-    ok_rate).
-
-    A generation's episode seeds are drawn up front. Its population then goes
-    through `map_jobs` as one job per candidate on `config.workers` threads,
-    which overlap while the tick loop runs without the GIL. An objective
-    marked by `lockstep` is called once per generation instead, on this
-    thread, as objective(params, seeds) with the whole (population, dim)
-    array and every seed, and returns one result per row: its per-interval
-    Python holds the GIL, so threads would only queue for it. The result does
-    not depend on the worker count.
+    """Maximize the objective: objective(params, seeds), given a generation's
+    whole (population, dim) array of candidates and their episode seeds,
+    drawn up front, returns one result per row, a float or (float, ok_rate).
+    It is called once per generation and decides itself how its rows run.
 
     Raises OptimizerError if a generation's returns have exactly zero
     variance before the budget is exhausted (degenerate reward signal).
@@ -89,11 +71,7 @@ def cem_maximize(objective, dim: int, generations: int, config: CemConfig,
         seeds = [int(rng.integers(0, 2**31 - 1)) for _ in range(config.population)]
         returns = np.empty(config.population)
         ok = np.full(config.population, np.nan)
-        if getattr(objective, "lockstep", False):
-            outs = objective(pop, seeds)
-        else:
-            outs = map_jobs(objective, zip(pop, seeds), config.workers)
-        for i, out in enumerate(outs):
+        for i, out in enumerate(objective(pop, seeds)):
             if isinstance(out, tuple):
                 returns[i], ok[i] = out
             else:

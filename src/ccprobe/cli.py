@@ -191,7 +191,7 @@ def cmd_attack(args, cfg: ExperimentConfig, out: str) -> int:
 
     policy, history = train_adversary(spec, factory, cfg.sim, adv.episodes,
                                       cfg.reward,
-                                      cfg.train.cem(cfg.seed, args.workers),
+                                      cfg.train.cem(cfg.seed),
                                       clean_traces=baseline_traces)
     spec = dataclasses.replace(spec, policy=policy)
     _write_csv(os.path.join(out, f"adv_train_{target}.csv"),
@@ -322,8 +322,8 @@ def cmd_train(args, cfg: ExperimentConfig, out: str) -> int:
     policy = cfg.train.policy()
     episodes = args.episodes or cfg.train.episodes
     policy, log_rows = train_controller(policy, traces, episodes, cfg.sim,
-                                        cfg.reward,
-                                        cfg.train.cem(cfg.seed, args.workers))
+                                        cfg.reward, cfg.train.cem(cfg.seed),
+                                        workers=args.workers)
     ckpt = args.checkpoint_out or os.path.join(out, "learned.ckpt")
     save_policy(policy, ckpt)
     _write_csv(os.path.join(out, "train_log.csv"),
@@ -377,9 +377,9 @@ def cmd_retrain(args, cfg: ExperimentConfig, out: str) -> int:
     except ValueError as e:
         raise UsageError(f"{e} (adversarial traces come from --pool-adv)") from e
     episodes = args.episodes or cfg.train.episodes
-    cem = cfg.train.cem(cfg.seed, args.workers)
+    cem = cfg.train.cem(cfg.seed)
     retrained = [advtrain.adversarial_retrain(policy, pool, episodes, cfg.sim,
-                                              cfg.reward, cem)[0]
+                                              cfg.reward, cem, args.workers)[0]
                  for pool in pools]
     sets = {"random_baseline": benign}
     if adversarial:
@@ -457,9 +457,10 @@ def _common(p):
     p.add_argument("--seed", type=int, help="override the config seed")
     p.add_argument("--workers", type=_positive_int, default=1,
                    help="threads that run a batch of episodes (>= 1; outputs "
-                        "do not depend on it); lock-step adversarial batches "
-                        "run whole on one thread, and gen-trace and lp-case "
-                        "accept it for script uniformity and run serially")
+                        "do not depend on it); a lock-step adversarial batch "
+                        "runs whole on one thread, one C call per interval, "
+                        "and gen-trace and lp-case accept it for script "
+                        "uniformity and run serially")
 
 
 def build_parser() -> argparse.ArgumentParser:

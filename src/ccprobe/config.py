@@ -109,15 +109,14 @@ class TrainSpec:
         _integers(episodes=self.episodes, hidden=self.hidden,
                   population=self.population)
         # built only to check the values, whose domains are defined there
-        self.cem(seed=0, workers=1)
+        self.cem(seed=0)
         self.policy()
         check_mix_p(self.mix_p)
 
-    def cem(self, seed: int, workers: int) -> CemConfig:
+    def cem(self, seed: int) -> CemConfig:
         return CemConfig(population=self.population, elite_frac=self.elite_frac,
                          sigma0=self.sigma0, extra_noise=self.extra_noise,
-                         noise_decay=self.noise_decay, seed=seed,
-                         workers=workers)
+                         noise_decay=self.noise_decay, seed=seed)
 
     def policy(self) -> PolicyNet:
         """The learned policy training starts from: all parameters zero."""

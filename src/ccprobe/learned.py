@@ -11,6 +11,7 @@ are config keys; see the README for the caveats around them.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import partial
 
@@ -29,12 +30,12 @@ class RewardParams:
     b_max: float = 96.0   # normalizing bandwidth, Mbps
 
     def __post_init__(self):
-        if self.lam < 0:
-            raise ValueError("lam must be >= 0")
-        if self.gamma < 1:
-            raise ValueError("gamma must be >= 1")
-        if self.b_max <= 0:
-            raise ValueError("b_max must be > 0")
+        if not 0 <= self.lam < math.inf:
+            raise ValueError("lam must be finite and >= 0")
+        if not 1 <= self.gamma < math.inf:
+            raise ValueError("gamma must be finite and >= 1")
+        if not 0 < self.b_max < math.inf:
+            raise ValueError("b_max must be finite and > 0")
 
     def c_struct(self):
         """These parameters as a C `tl_reward`."""
@@ -210,21 +211,24 @@ def episode_return(policy: PolicyNet, trace, sim: SimConfig,
     return log.sums(reward).reward / n if n else 0.0
 
 
-def _pool_return(policy: PolicyNet, traces, sim: SimConfig,
-                 reward: RewardParams, params, seed: int) -> float:
-    """`train_controller`'s CEM objective: the episode seed picks the trace."""
-    return episode_return(policy.with_params(params), traces[seed % len(traces)],
-                          sim, reward)
+def _pool_return(policy: PolicyNet, traces, sim: SimConfig, reward: RewardParams,
+                 workers: int, params, seeds) -> list[float]:
+    """`train_controller`'s CEM objective: each row's episode on `workers`
+    threads, its seed picking its trace."""
+    return map_jobs(episode_return, [(policy.with_params(p), traces[s % len(traces)],
+                                      sim, reward) for p, s in zip(params, seeds)],
+                    workers)
 
 
 def train_controller(policy: PolicyNet, traces, episodes: int,
                      sim: SimConfig, reward: RewardParams,
-                     cem: CemConfig | None = None,
-                     holdout=None) -> tuple[PolicyNet, list[GenerationStats]]:
+                     cem: CemConfig | None = None, holdout=None,
+                     workers: int = 1) -> tuple[PolicyNet, list[GenerationStats]]:
     """CEM training over a trace pool; returns (policy, per-generation log).
 
     `episodes` is a total rollout budget; generations = episodes // population.
-    With a zero budget the policy is returned unchanged.
+    With a zero budget the policy is returned unchanged. Each batch of
+    episodes runs on `workers` threads.
     """
     if not traces:
         raise ValueError("trace pool must be non-empty")
@@ -233,7 +237,7 @@ def train_controller(policy: PolicyNet, traces, episodes: int,
     if generations == 0:
         return policy, []
 
-    result = cem_maximize(partial(_pool_return, policy, traces, sim, reward),
+    result = cem_maximize(partial(_pool_return, policy, traces, sim, reward, workers),
                           dim=policy.n_params, generations=generations,
                           config=cem, init_mean=policy.params)
 
@@ -241,6 +245,5 @@ def train_controller(policy: PolicyNet, traces, episodes: int,
     # monotone-improvement contract, checked on a held-out trace
     check = holdout if holdout is not None else traces[0]
     new, old = map_jobs(episode_return, [(candidate, check, sim, reward),
-                                         (policy, check, sim, reward)],
-                        cem.workers)
+                                         (policy, check, sim, reward)], workers)
     return (candidate if new >= old else policy), result.history

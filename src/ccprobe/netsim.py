@@ -97,8 +97,8 @@ class SimConfig:
         if not 1 - 1e-9 <= owd < math.inf or abs(owd - round(owd)) > 1e-9:
             raise ConfigError("one_way_delay_ms must be a positive integer "
                               "multiple of tick_ms")
-        if self.queue_capacity_bdp <= 0:
-            raise ConfigError("queue_capacity_bdp must be > 0")
+        if not 0 < self.queue_capacity_bdp < math.inf:
+            raise ConfigError("queue_capacity_bdp must be finite and > 0")
         ratio = self.trace_interval_ms / self.tick_ms
         if abs(ratio - round(ratio)) > 1e-9:
             raise ConfigError("trace_interval_ms must be an integer multiple of tick_ms")
@@ -335,16 +335,20 @@ def run_episodes(config: SimConfig, traces, controllers,
     observation into a buffer, steps the controller's `cc_state` and does
     every per-interval step of the adversary but its policy's matmuls: its
     feature row, action, next capacity or min-RTT scale, and reward. A row
-    with no Python work runs to its end in one call; the others stop at each
-    interval boundary, where a TL_EXTERNAL controller's `on_interval` gets
-    its row's Observation, and the adversaries' hook then runs once for the
-    slice. Each log's `rows` are the buffer the loop wrote, never copied.
+    with no Python work runs to its end in one `tl_step` call. The others
+    stop at each interval boundary, all in one `tl_step_rows` call per
+    interval, which copies out the adversaries' feature rows. Then each
+    TL_EXTERNAL controller's `on_interval` gets its row's Observation, and
+    the adversaries' hook leaves their outputs, which the next call hands
+    them. Rows are independent, so stepping all of them before any
+    `on_interval` changes nothing. Each log's `rows` are the buffer the loop
+    wrote, never copied.
 
     A row with no trace takes its capacity from its adversary, an env driver.
-    An adversary has `adv_state`, its `tl_adv`; `begin_episode()`, which
-    resets it; and `lockstep(adversaries)`, the slice's hook, called at each
-    boundary but the last to leave every row's policy output or draw in its
-    `tl_adv`.
+    An adversary has `adv_state`, its `tl_adv`; `n_features`; and
+    `begin_episode()`, which resets it. `lockstep(adversaries, x, out)`
+    returns the slice's hook, called at each boundary but the last to fill
+    out[j] from row j of the feature rows `x`.
     """
     config.validate()
     adversaries = adversaries or [None] * len(controllers)
@@ -353,24 +357,31 @@ def run_episodes(config: SimConfig, traces, controllers,
     try:
         for row in zip(traces, controllers, adversaries, strict=True):
             rows.append(_Row(config, *row))
-        advs = [a for a in adversaries if a is not None]
-        hook = advs[0].lockstep(advs) if advs else None
-        hooked = [row for row in rows if row.st.hooked]
-        step = _lib.tl_step
         for row in rows:
-            if not row.st.hooked and (ev := step(row.st)) != _DONE:
+            if not row.st.hooked and (ev := _lib.tl_step(row.st)) != _DONE:
                 raise _tick_loop_error(ev, row.st)
-        for i in range(n if hooked else 0):
-            for row in hooked:
-                if (ev := step(row.st)) != _INTERVAL:
-                    raise _tick_loop_error(ev, row.st)
-                if row.external:
-                    row.controller.on_interval(Observation(i, *row.log.rows[i].tolist()))
-            if hook is not None and i + 1 < n:
+        # the rows with an adversary first, so that row j's output is out[j]
+        hooked = sorted((row for row in rows if row.st.hooked),
+                        key=lambda row: not row.st.adv)
+        external = [row for row in rows if row.external]
+        advs = [a for a in adversaries if a is not None]
+        nf = advs[0].n_features if advs else 0
+        x, out = np.zeros((len(hooked), nf)), np.zeros(len(hooked))
+        hook = advs and advs[0].lockstep(advs, x[:len(advs)], out[:len(advs)])
+        c_out = _ffi.from_buffer("double[]", out) if advs else _ffi.NULL
+        c_x = (_ffi.from_buffer("double[]", x) if advs and advs[0].adv_state.has_policy
+               else _ffi.NULL)
+        states = _ffi.new("tl_state *[]", [row.st for row in hooked])
+        failed = _ffi.new("int64_t *")
+        for i in range(n + 1 if hooked else 0):
+            want = _INTERVAL if i < n else _DONE
+            if (ev := _lib.tl_step_rows(states, len(hooked), want, c_out, c_x, nf,
+                                        failed)) != want:
+                raise _tick_loop_error(ev, hooked[failed[0]].st)
+            for row in external if i < n else ():
+                row.controller.on_interval(Observation(i, *row.log.rows[i].tolist()))
+            if hook and i + 1 < n:
                 hook()
-        for row in hooked:
-            if (ev := step(row.st)) != _DONE:
-                raise _tick_loop_error(ev, row.st)
         return [row.finish() for row in rows]
     finally:
         for row in rows:

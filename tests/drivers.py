@@ -2,6 +2,8 @@
 controller's per-ACK and per-loss callbacks, an adversary's interval step,
 and a C function that writes its one result through a pointer."""
 
+import numpy as np
+
 from ccprobe.netsim import _ffi, _lib, domain_check, obs_row
 
 
@@ -20,9 +22,12 @@ def on_loss(ctl, timeout: bool = False) -> None:
 def adv_step(adv, obs) -> float:
     """The loop's boundary step of one adversary, outside it: the next
     capacity or min-RTT scale."""
-    _lib.tl_adv_observe(adv.adv_state, obs_row(obs))
-    adv.lockstep([adv])()
-    return _lib.tl_adv_act(adv.adv_state)
+    s = adv.adv_state
+    _lib.tl_adv_observe(s, obs_row(obs))
+    x, out = np.array([list(s.x)[:adv.n_features]]), np.zeros(1)
+    adv.lockstep([adv], x, out)()
+    s.out = out[0]
+    return _lib.tl_adv_act(s)
 
 
 def c_double(fn, *args) -> float:

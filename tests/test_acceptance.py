@@ -64,7 +64,7 @@ def run_attack(factory, baseline_traces, seed):
                          constraint=DelayConstraint(tau_ms=tau), budget=BUDGET)
     policy, _ = train_adversary(spec, factory, TRAIN_SIM, episodes=160,
                                 reward=REWARD,
-                                cem=CemConfig(seed=seed, workers=WORKERS))
+                                cem=CemConfig(seed=seed))
     worst = select_worst_trace(spec, policy, factory, EVAL_SIM, REWARD,
                                n_rollouts=8, seed=seed)
     return tau, worst, time.time() - t0
@@ -90,7 +90,7 @@ def learned_stack(baseline_traces):
     t0 = time.time()
     policy = PolicyNet(n_features=5, hidden=0)
     policy, _ = train_controller(policy, baseline_traces, 960, TRAIN_SIM,
-                                 REWARD, CemConfig(seed=2, workers=WORKERS))
+                                 REWARD, CemConfig(seed=2), workers=WORKERS)
     factory = partial(LearnedController, policy, b_max=REWARD.b_max)
     tau, worst, _ = run_attack(factory, baseline_traces, seed=3)
     assert worst is not None, "no feasible adversarial trace against learned"
@@ -103,8 +103,7 @@ def learned_stack(baseline_traces):
         pool = TracePool(benign=baseline_traces if p < 1 else [],
                          adversarial=[adv_trace], mix_p=p)
         newp, _ = adversarial_retrain(policy, pool, 320, TRAIN_SIM, REWARD,
-                                      CemConfig(seed=4, sigma0=0.3,
-                                                workers=WORKERS))
+                                      CemConfig(seed=4, sigma0=0.3), WORKERS)
         after[p] = {r.trace_set: r.utilization
                     for r in evaluate_suite([newp], sets, EVAL_SIM, REWARD,
                                             WORKERS)[0]}
@@ -226,7 +225,7 @@ def test_criterion_5_naive_mode_lowers_both(baseline_traces):
                          reward_mode=RewardMode.NAIVE,
                          feature_bound=FeatureBound(0.5, PerturbMode.ADVERSARIAL))
     policy, _ = train_adversary(spec, factory, TRAIN_SIM, 96, REWARD,
-                                CemConfig(seed=5, workers=WORKERS),
+                                CemConfig(seed=5),
                                 clean_traces=baseline_traces[:3])
     import dataclasses
     spec = dataclasses.replace(spec, policy=policy)

@@ -6,9 +6,15 @@ import pytest
 from ccprobe.cem import CemConfig, OptimizerError, cem_maximize
 
 
+def _per_row(fn):
+    """A population objective that calls fn(params, seed) on each row."""
+    return lambda pop, seeds: [fn(params, seed) for params, seed in zip(pop, seeds)]
+
+
 def test_optimizes_quadratic():
     target = np.array([2.0, -1.0, 0.5])
 
+    @_per_row
     def objective(params, seed):
         return -float(np.sum((params - target) ** 2))
 
@@ -20,6 +26,7 @@ def test_optimizes_quadratic():
 
 
 def test_deterministic_given_seed():
+    @_per_row
     def objective(params, seed):
         return -float(np.sum(params ** 2))
 
@@ -30,6 +37,7 @@ def test_deterministic_given_seed():
 
 
 def test_different_seed_differs():
+    @_per_row
     def objective(params, seed):
         return -float(np.sum(params ** 2))
 
@@ -39,6 +47,7 @@ def test_different_seed_differs():
 
 
 def test_zero_variance_raises():
+    @_per_row
     def objective(params, seed):
         return 1.0
 
@@ -47,6 +56,7 @@ def test_zero_variance_raises():
 
 
 def test_zero_variance_on_final_generation_ok():
+    @_per_row
     def objective(params, seed):
         return 1.0
 
@@ -55,6 +65,7 @@ def test_zero_variance_on_final_generation_ok():
 
 
 def test_constraint_rate_plumbed_through():
+    @_per_row
     def objective(params, seed):
         return float(params[0]), 0.75
 
@@ -65,9 +76,21 @@ def test_constraint_rate_plumbed_through():
 def test_init_mean_respected():
     start = np.array([100.0, 100.0])
 
+    @_per_row
     def objective(params, seed):
         return -float(np.sum((params - start) ** 2))
 
     res = cem_maximize(objective, 2, 3, CemConfig(seed=0, sigma0=0.1),
                        init_mean=start)
     assert np.allclose(res.best_params, start, atol=1.0)
+
+
+def test_objective_sees_each_generation_whole():
+    calls = []
+
+    def objective(pop, seeds):
+        calls.append((pop.shape, len(seeds)))
+        return list(pop[:, 0])
+
+    cem_maximize(objective, 3, 4, CemConfig(population=6, seed=0))
+    assert calls == [((6, 3), 6)] * 4

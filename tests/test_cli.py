@@ -521,12 +521,11 @@ def _training_runs(tmp_path):
          {"clean_episode"}),
         (["attack", "--config", feature, "--controller", "vegas"], "attack",
          {"clean_episode"}),
-        (["train", "--config", env], "train",
-         {"_pool_return", "episode_return", "clean_episode"}),
+        (["train", "--config", env], "train", {"episode_return", "clean_episode"}),
         (["retrain", "--config", env] + retrain, "retrain",
-         {"_mixed_return", "clean_episode"}),
+         {"episode_return", "clean_episode"}),
         (["sweep-p", "--config", env] + retrain, "sweep",
-         {"_mixed_return", "clean_episode"}),
+         {"episode_return", "clean_episode"}),
     ]
 
 
@@ -700,7 +699,12 @@ def _exits_2_before_any_episode(tmp_path, monkeypatch, capsys, argv):
     ("sim: [1, 2", "not valid YAML"), ("seed: abc", "seed"),
     ("seed: 1.5", "seed"), ("seed: -1", "seed"), ("traces: {n: 1.5}", "n"),
     ("budget: {delta: .nan}", "delta"), ("budget: {bw_max: .inf}", "bw_max"),
-    ("budget: {window_k: 1.5}", "window_k"), ("budget: {window_k: true}", "window_k")])
+    ("budget: {window_k: 1.5}", "window_k"), ("budget: {window_k: true}", "window_k"),
+    ("sim: {queue_capacity_bdp: .nan}", "queue_capacity_bdp"),
+    ("sim: {queue_capacity_bdp: .inf}", "queue_capacity_bdp"),
+    ("reward: {lam: .nan}", "lam"), ("reward: {lam: .inf}", "lam"),
+    ("reward: {gamma: .nan}", "gamma"), ("reward: {gamma: .inf}", "gamma"),
+    ("reward: {b_max: .nan}", "b_max"), ("reward: {b_max: .inf}", "b_max")])
 def test_bad_config_value_exits_2_at_load(tmp_path, monkeypatch, capsys, doc, key):
     # a value outside its domain, malformed YAML or a non-integer count
     p = tmp_path / "cfg.yaml"

@@ -20,10 +20,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ccprobe import netsim
-from ccprobe.adversary import (EnvBandwidthDriver, FeatureBound, FeatureIntercept,
-                               PerturbMode, SurfaceMode, make_adversary_policy)
+from ccprobe.adversary import (AdversarySpec, EnvBandwidthDriver, FeatureBound,
+                               FeatureIntercept, PerturbMode, SurfaceMode,
+                               adversarial_episodes, make_adversary_policy)
 from ccprobe.cc import RULE_BASED, Controller, Pinned, make_controller
-from ccprobe.learned import LearnedController, PolicyNet
+from ccprobe.learned import LearnedController, PolicyNet, RewardParams
 from ccprobe.netsim import (BandwidthTrace, ConfigError, SimConfig, _lib,
                             export_mahimahi, map_jobs, read_trace, run_episode,
                             run_episodes, write_trace)
@@ -545,14 +546,14 @@ def test_interval_only_controller_sets_the_next_intervals_cwnd(short_sim, const_
         2 * low.observations[-1].throughput_mbps)
 
 
-class _Broken(Pinned):
+class _Broken(Controller):
     def on_interval(self, obs):
         self.cwnd = math.nan
 
 
 def test_non_finite_cwnd_raises(short_sim, const_trace):
     with pytest.raises(ValueError, match="cwnd nan is not finite"):
-        run_episode(short_sim, const_trace, _Broken(10.0))
+        run_episode(short_sim, const_trace, _Broken())
 
 
 def test_capacity_beyond_64_bit_counts_rejected(short_sim):
@@ -609,10 +610,11 @@ def test_int_true_division_beyond_2_53_rounds_once():
 
 
 class _CountingLib:
-    """The tick loop's C library, counting `tl_step` calls."""
+    """The tick loop's C library, counting `tl_step` and `tl_step_rows`
+    calls."""
 
     def __init__(self, lib):
-        self.lib, self.steps = lib, 0
+        self.lib, self.steps, self.row_steps = lib, 0, 0
 
     def __getattr__(self, name):
         return getattr(self.lib, name)
@@ -621,29 +623,47 @@ class _CountingLib:
         self.steps += 1
         return self.lib.tl_step(st)
 
+    def tl_step_rows(self, *args):
+        self.row_steps += 1
+        return self.lib.tl_step_rows(*args)
+
 
 def test_trace_driven_c_controller_runs_to_the_end_in_one_step(
         short_sim, monkeypatch):
-    # a rule or linear learned controller on a trace has no Python work at
-    # an interval boundary; a Python controller, a hidden-layer policy and
-    # an intercept each bring the loop back once per interval
+    # a rule, linear learned or Pinned controller on a trace has no Python
+    # work at an interval boundary; a Python controller, a hidden-layer
+    # policy and an intercept each bring the loop back once per interval, in
+    # one `tl_step_rows` call for the whole slice, and a lock-step slice of
+    # rollouts on either surface makes no per-row `tl_step` call
     spy = _CountingLib(netsim._lib)
     monkeypatch.setattr(netsim, "_lib", spy)
     trace = _golden_traces()[0]
     hidden = PolicyNet(n_features=5, hidden=16)
     clean = FeatureIntercept(FeatureBound(0.5, PerturbMode.CLEAN))
     n = short_sim.n_intervals
-    cases = ([(partial(make_controller, name), None, 1) for name in RULE_BASED]
-             + [(partial(_learned, FIXED_POLICY), None, 1),
-                (partial(Pinned, 40.0), None, n + 1),
-                (partial(LearnedController, hidden), None, n + 1),
-                (partial(make_controller, "reno"), clean, n + 1),
-                (partial(_learned, FIXED_POLICY), clean, n + 1)])
-    for factory, intercept, steps in cases:
-        spy.steps = 0
+    cases = ([(partial(make_controller, name), None, (1, 0)) for name in RULE_BASED]
+             + [(partial(_learned, FIXED_POLICY), None, (1, 0)),
+                (partial(Pinned, 40.0), None, (1, 0)),
+                (_IntervalOnly, None, (0, n + 1)),
+                (partial(LearnedController, hidden), None, (0, n + 1)),
+                (partial(make_controller, "reno"), clean, (0, n + 1)),
+                (partial(_learned, FIXED_POLICY), clean, (0, n + 1))])
+    for factory, intercept, calls in cases:
+        spy.steps = spy.row_steps = 0
         [log] = run_episodes(short_sim, [trace], [factory()], [intercept])
-        assert spy.steps == steps, factory
+        assert (spy.steps, spy.row_steps) == calls, factory
         assert [o.interval_idx for o in log.observations] == list(range(n))
+    reward = RewardParams()
+    for spec in (AdversarySpec(SurfaceMode.ENV_BANDWIDTH, budget=SmoothnessBudget()),
+                 AdversarySpec(SurfaceMode.FEATURE_MIN_RTT,
+                               feature_bound=FeatureBound(0.5))):
+        spec.policy = make_adversary_policy(spec.surface)
+        params = np.random.default_rng(0).normal(0.0, 0.5, (3, spec.policy.n_params))
+        spy.steps = spy.row_steps = 0
+        evals = adversarial_episodes(spec, params, partial(make_controller, "cubic"),
+                                     short_sim, reward, [0, 1, 2],
+                                     clean_traces=[trace])
+        assert (len(evals), spy.steps, spy.row_steps) == (3, 0, n + 1), spec.surface
 
 
 def test_run_to_end_episode_equals_the_hooked_one(short_sim):
