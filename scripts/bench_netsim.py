@@ -43,8 +43,8 @@ included, so a batch that forks shows its children's work too. On a host
 that gives a second thread or process no core of its own, wall time at 2
 workers cannot fall, while CPU time still shows work added or removed. The
 hidden-16 generation's episodes return to Python at every interval
-(TL_EXTERNAL) and hold the GIL there, so on threads they overlap only in
-their ticks and little is to be gained. A tree without
+(TL_HIDDEN), where numpy runs their policy holding the GIL, so on threads
+they overlap only in their ticks and little is to be gained. A tree without
 `adversary.adversarial_episodes` runs a slice as one `adversarial_episode`
 call per row, and a tree whose `evaluate_suite`
 takes one policy gets that one. A tree whose `cem_maximize` still calls its

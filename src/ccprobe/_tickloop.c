@@ -25,21 +25,21 @@
  * from. At each interval boundary the loop writes the interval's `tl_obs`
  * row, steps the controller, on a trace (`caps`) sets the next interval's
  * capacity itself, and steps the episode's adversary (`adv`), if any. It
- * returns TL_INTERVAL there only when the Python driver has work (`hooked`):
- * the `on_interval` of a TL_EXTERNAL controller, which ignores ACKs and
- * losses and sets its own next cwnd in its `tl_cc` (a user's Python
- * controller, or a learned one whose policy has a hidden layer, which numpy
- * computes), or the adversary's next policy output or random draw.
- * `tl_step` always starts at an interval's first tick. Any other episode,
- * a TL_PINNED one at its fixed cwnd too, runs to TL_DONE, or an error, in
- * one call. `tl_step_rows` steps a lock-step slice of hooked episodes to
- * their next boundary in one call.
+ * returns TL_INTERVAL there only when the driver has a policy to run
+ * (`hooked`): the adversary's, or a TL_HIDDEN controller's, a learned one
+ * with a hidden layer, which numpy runs. A policy reads its feature row from
+ * `x` and leaves its output in `*out`, pointers into the driver's buffers. A
+ * TL_HIDDEN controller ignores ACKs and losses, and takes its
+ * `cc_learned_step` on `*out` at the start of every `tl_step` call after
+ * the first. `tl_step` always starts at an interval's first tick. Any other
+ * episode, a TL_PINNED one too, runs to TL_DONE, or an error, in one call.
+ * `tl_step_rows` steps a lock-step slice of hooked episodes to a boundary.
  *
  * The adversary block (`tl_adv`) is a min-RTT intercept or an online
  * capacity driver. At each boundary but the last it writes the policy's
  * feature row into `x` (the controller features plus, on the env surface,
  * capacity / bw_max); the driver leaves the policy's output before its tanh
- * head, or the drawn value of a policy-less adversary, in `out`, and the
+ * head, or the drawn value of a policy-less adversary, in `*out`, and the
  * next `tl_step` call turns it into the next interval's min-RTT scale or
  * capacity: the action a_max * tanh(out) and its clamp, then the scale
  * 1 + a * x_fraction, or the proposal projected onto the smoothness budget
@@ -95,7 +95,7 @@
 #define TL_ILLINOIS 3
 #define TL_LP 4
 #define TL_BBRLITE 5
-#define TL_EXTERNAL 6
+#define TL_HIDDEN 6
 #define TL_LINEAR 7
 #define TL_PINNED 8
 #define TL_SLOW_START 0
@@ -195,6 +195,9 @@ typedef struct {
      * and the last action */
     double params[6];
     double a_max, b_max, cwnd_max, prev_action;
+    /* TL_HIDDEN: its feature row and policy output, as in `tl_adv` */
+    double *x;
+    const double *out;
 } tl_cc;
 
 /* One episode's adversary, `adversary.FeatureIntercept` (TL_ADV_FEATURE) or
@@ -203,9 +206,9 @@ typedef struct {
 typedef struct {
     int surface, has_policy;
     /* the policy's feature row at the last boundary; its output before the
-     * tanh head, or without a policy the next value itself, set by the driver */
-    double x[6];
-    double out;
+     * tanh head, or without a policy the next value itself; the driver's */
+    double *x;
+    const double *out;
     double a_max, b_max, prev_action;
     /* this interval's capacity (env) or min-RTT scale (feature) */
     double value;
@@ -284,8 +287,7 @@ typedef struct {
 extern const double tl_gain_cycle[8];
 
 int tl_step(tl_state *s);
-int tl_step_rows(tl_state *const *rows, int64_t k, int want, const double *out,
-                 double *x, int64_t nf, int64_t *failed);
+int tl_step_rows(tl_state *const *rows, int64_t k, int want, int64_t *failed);
 void tl_free(tl_state *s);
 
 void *tl_cc_alloc(size_t size);
@@ -931,7 +933,7 @@ static void bbr_loss(tl_cc *c, int timeout)
     clamp(&c->w);
 }
 
-/* One ACK batch; nonzero when a buffer could not grow. A TL_EXTERNAL or
+/* One ACK batch; nonzero when a buffer could not grow. A learned or
  * TL_PINNED controller ignores ACKs and losses. */
 int cc_on_ack(tl_cc *c, const tl_ackinfo *a)
 {
@@ -1020,11 +1022,13 @@ static void linear_interval(tl_cc *c, const tl_obs *o)
     cc_learned_step(c, (0.0 + dot) + c->params[5]);
 }
 
-/* One interval's end; only a TL_LINEAR controller acts on it. */
+/* One interval's end: TL_LINEAR steps, TL_HIDDEN writes its feature row. */
 void cc_on_interval(tl_cc *c, const tl_obs *o)
 {
     if (c->kind == TL_LINEAR)
         linear_interval(c, o);
+    else if (c->kind == TL_HIDDEN)
+        tl_obs_features(o, c->b_max, c->prev_action, c->x);
 }
 
 /* --- the controller reward and an episode's sums ---------------------------- */
@@ -1173,17 +1177,17 @@ void tl_adv_observe(tl_adv *a, const tl_obs *o)
 /* Acts on `out`; returns the next interval's capacity or scale. */
 double tl_adv_act(tl_adv *a)
 {
-    double v = a->out;
+    double v = *a->out;
     if (a->surface == TL_ADV_FEATURE) {
         a->prev_action = 0.0;
         if (a->has_policy) {
-            a->prev_action = tl_action(a->out, a->a_max);
+            a->prev_action = tl_action(v, a->a_max);
             v = tl_feature_scale(a->prev_action, a->x_fraction);
         }
     }
     else {
         if (a->has_policy) {
-            double act = tl_action(a->out, a->a_max);
+            double act = tl_action(v, a->a_max);
             a->prev_action = act;
             double mid = 0.5 * (a->bw_min + a->bw_max);
             double half = 0.5 * (a->bw_max - a->bw_min);
@@ -1377,6 +1381,9 @@ static inline double link_tick(const tl_link *l, double *credit)
 int tl_step(tl_state *s)
 {
     tl_cc *cc = s->cc;
+    /* the hidden-layer policy's output for the boundary this call resumes at */
+    if (cc->kind == TL_HIDDEN && s->tick > 0)
+        cc_learned_step(cc, *cc->out);
     if (s->adv_due) {
         /* the adversary acts on the output the driver left at the boundary */
         s->adv_due = 0;
@@ -1598,24 +1605,17 @@ int tl_step(tl_state *s)
     return TL_DONE;
 }
 
-/* `tl_step` on each of a slice's k rows, in order. When `out` is set, row
- * j's adversary, if any, first gets out[j]; when `x` is set, its policy's
- * feature row is then copied into row j of the k x nf `x`. Returns `want`
- * once every row has reached it, or else the first other event, with its
- * row in *failed. */
-int tl_step_rows(tl_state *const *rows, int64_t k, int want, const double *out,
-                 double *x, int64_t nf, int64_t *failed)
+/* `tl_step` on each of a slice's k rows, in order. Returns `want` once every
+ * row has reached it, or else the first other event, with its row in
+ * *failed. */
+int tl_step_rows(tl_state *const *rows, int64_t k, int want, int64_t *failed)
 {
     for (int64_t j = 0; j < k; j++) {
-        if (out && rows[j]->adv)
-            rows[j]->adv->out = out[j];
         int ev = tl_step(rows[j]);
         if (ev != want) {
             *failed = j;
             return ev;
         }
-        if (x && rows[j]->adv)
-            memcpy(x + j * nf, rows[j]->adv->x, (size_t)nf * sizeof *x);
     }
     return want;
 }

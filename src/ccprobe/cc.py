@@ -14,10 +14,9 @@ views of the struct's fields, and any other state is read from `cc_state`
 itself. So on a trace, with no intercept, their episodes never return to
 Python before the end. The learned controller with a linear policy runs in
 the loop the same way (`learned.py`), and so does `Pinned` (TL_PINNED), whose
-cwnd never moves. Any other controller (a learned one whose policy has a
-hidden layer, any other `Controller` subclass) is TL_EXTERNAL: it acts in
-`on_interval`, so the tick loop returns to Python once per interval for it;
-ACKs and losses reach it only through the interval's `Observation`.
+cwnd never moves. A learned controller whose policy has a hidden layer is
+TL_HIDDEN: the loop returns to Python at each interval boundary for numpy
+to run its policy, as for an adversary. No other `Controller` is run.
 
 Constants not pinned by any single reference are taken from the canonical
 kernel implementations and are overridable via the factory kwargs. Every
@@ -32,7 +31,7 @@ import math
 import numbers
 import operator
 
-from .netsim import Observation, _ffi, _lib
+from .netsim import _ffi, _lib
 
 
 # no episode reads it; perfbench's tracer looks it up by name
@@ -79,19 +78,10 @@ _new_cc = _ffi.new_allocator(alloc=_lib.tl_cc_alloc, free=_lib.tl_cc_release)
 
 class Controller:
     """Base controller: owns the C `tl_cc`, `cc_state`, that the tick loop
-    reads cwnd (packets, fractional) and pacing from; `cc_init` sets the
-    initial window, then `fields` are set on the struct.
-
-    A Python controller subclasses this class, calls `super().__init__()`
-    and acts in `on_interval`, which the loop, returning to Python at every
-    interval boundary, calls at each interval's end. A `RuleController`
-    instead has a `cc_state` that the loop updates per ACK
-    batch and per loss reaction, and a linear `LearnedController` one that it
-    steps per interval; neither's `on_interval` is called by the loop.
-    """
+    reads cwnd (packets, fractional) and pacing from, and acts on alone;
+    `cc_init` makes it a `KIND` controller, then `fields` are set on it."""
 
     name = "base"
-    KIND = _lib.TL_EXTERNAL
     cwnd = _Field("cc_state.w.cwnd")
 
     def __init__(self, **fields):
@@ -100,16 +90,10 @@ class Controller:
         for field, value in fields.items():
             setattr(self.cc_state, field, value)
 
-    def on_interval(self, obs: Observation) -> None:
-        pass
-
 
 class RuleController(Controller):
-    """A controller whose constants and state are one C `tl_cc`, `cc_state`.
-
-    The tick loop runs the C functions on `cc_state` itself and never calls
-    `on_interval`, not even a subclass's override.
-    """
+    """A controller whose constants and state are one C `tl_cc`, `cc_state`,
+    which the tick loop updates per ACK batch and per loss reaction."""
 
     ssthresh = _Field("cc_state.w.ssthresh")
 
@@ -216,8 +200,7 @@ class BbrLite(RuleController):
 
 class Pinned(Controller):
     """Oracle controller pinned at a fixed cwnd; used by tests and by
-    `scripts/bench_netsim.py`. The tick loop ignores its ACKs, losses and
-    intervals, and never calls `on_interval`, not even a subclass's override."""
+    `scripts/bench_netsim.py`. The tick loop ignores its ACKs and losses."""
 
     name = "pinned"
     KIND = _lib.TL_PINNED

@@ -26,7 +26,7 @@ from .adversary import (AdversarySpec, DelayConstraint, FeatureBound,
                         select_worst_trace, train_adversary)
 from .cc import RULE_BASED, make_controller
 from .config import ExperimentConfig, SchemaError, load_config
-from .learned import load_policy, save_policy, train_controller
+from .learned import LearnedController, load_policy, save_policy, train_controller
 from .metrics import build_report, dump_series_csv
 from .netsim import (BandwidthTrace, ConfigError, SimConfig, export_mahimahi,
                      map_jobs, read_trace, run_episode, write_trace)
@@ -99,7 +99,7 @@ def _controller_factory(cfg: ExperimentConfig, name: str,
         raise UsageError("the learned controller requires --checkpoint")
     kwargs = dict(defaults)
     if name == "learned":
-        kwargs.update(policy=load_policy(checkpoint), b_max=cfg.reward.b_max)
+        kwargs.update(policy=_learned_policy(checkpoint), b_max=cfg.reward.b_max)
     try:
         if name == cfg.controller:
             kwargs.update(cfg.controller_constants)
@@ -108,6 +108,15 @@ def _controller_factory(cfg: ExperimentConfig, name: str,
     except (TypeError, ValueError) as e:
         raise UsageError(f"controller {name!r}: {e}") from e
     return factory
+
+
+def _learned_policy(path: str):
+    """Checkpoint `path`'s policy; UsageError unless a learned controller runs it."""
+    policy = load_policy(path)
+    try:
+        return LearnedController(policy).policy
+    except ValueError as e:
+        raise UsageError(f"{path}: {e}") from e
 
 
 def _controller_factories(args, cfg: ExperimentConfig) -> dict[str, partial]:
@@ -367,7 +376,7 @@ def cmd_retrain(args, cfg: ExperimentConfig, out: str) -> int:
     benign = (_pool_dir(args.pool_benign, "--pool-benign")
               if args.pool_benign else _build_traces(cfg))
     adversarial = _pool_dir(args.pool_adv, "--pool-adv") if args.pool_adv else []
-    policy = load_policy(args.init)
+    policy = _learned_policy(args.init)
     mix_p = cfg.train.mix_p
     grid = sorted({*args.p_grid, mix_p})
     try:

@@ -162,14 +162,15 @@ class LearnedController(Controller):
     """Interval-driven controller: cwnd <- max(1, cwnd * 2^a) per interval.
 
     Its cwnd, previous action and scales live in a C `tl_cc`, `cc_state`,
-    like a `RuleController`'s. A linear policy over FEATURE_NAMES is copied
-    into it when `policy` is set, and makes it a TL_LINEAR controller: the
-    tick loop steps it at each interval boundary with the C function
-    `on_interval` calls too. A policy with a hidden layer stays in numpy,
-    so the tick loop returns to Python for `on_interval` every interval.
+    like a `RuleController`'s. Its policy reads FEATURE_NAMES. A linear one
+    is copied into `cc_state` when `policy` is set: a TL_LINEAR controller,
+    which the tick loop steps at each interval boundary. One with a hidden
+    layer (TL_HIDDEN) stays in numpy, which `lockstep` runs at each boundary.
     """
 
     name = "learned"
+    KIND = _lib.TL_LINEAR   # until `policy` is set
+    n_features = len(FEATURE_NAMES)
     prev_action = _Field("cc_state.prev_action")
     b_max = _Field("cc_state.b_max")
 
@@ -185,21 +186,22 @@ class LearnedController(Controller):
 
     @policy.setter
     def policy(self, policy: PolicyNet) -> None:
+        if policy.n_features != self.n_features:
+            raise ValueError(f"a learned controller's policy reads the {self.n_features}"
+                             f" features {FEATURE_NAMES}, not {policy.n_features}")
         self._policy = policy
         c = self.cc_state
         c.a_max = policy.a_max
-        if policy.hidden == 0 and policy.n_features == len(FEATURE_NAMES):
+        if policy.hidden == 0:
             c.kind = _lib.TL_LINEAR
             c.params = policy.params.tolist()
         else:
-            c.kind = _lib.TL_EXTERNAL
+            c.kind = _lib.TL_HIDDEN
 
-    def on_interval(self, obs: Observation) -> None:
-        if self.cc_state.kind == _lib.TL_LINEAR:
-            _lib.cc_on_interval(self.cc_state, obs_row(obs))
-            return
-        feats = observation_features(obs, self.b_max, self.prev_action)
-        _lib.cc_learned_step(self.cc_state, self.policy.output(feats))
+    @staticmethod
+    def lockstep(ctls, x, out):
+        """`_Adversary.lockstep` for TL_HIDDEN controllers: `policy_outputs`."""
+        return policy_outputs([c.policy for c in ctls], x, out)
 
 
 def episode_return(policy: PolicyNet, trace, sim: SimConfig,

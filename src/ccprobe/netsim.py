@@ -208,27 +208,33 @@ def export_mahimahi(trace: BandwidthTrace, path: str, packet_size: int = 1500) -
     bytes the link has carried by the end of ms `ms`. The counts are exact
     while the trace carries fewer than 2^53 bytes in all; a trace that
     carries more, or lasts longer than EXPORT_MAX_MS, raises ConfigError
-    before anything is written.
-    """
+    and leaves `path` as it was: the lines go to a new file next to `path`,
+    which replaces it once the last block has passed the check."""
     pkt = float(_packet_size(packet_size))
     total_ms = len(trace.values) * trace.interval_ms
     if total_ms > EXPORT_MAX_MS:
         raise ConfigError(f"trace lasts {total_ms:.4g} ms, longer than the "
                           f"{EXPORT_MAX_MS} ms (one day) an export may cover")
-    for start, block in _cum_bytes_blocks(trace):
-        if not block[-1] < 2.0**53:   # the sums only grow: the last is the largest
-            raise ConfigError(f"trace carries {block[-1]:.4g} bytes by ms "
-                              f"{start + len(block)}, too many to count "
-                              f"delivery opportunities exactly (limit 2^53)")
     buf = _ffi.new("char[]", _EXPORT_CHUNK)
     done, pos = _ffi.new("int64_t *"), _ffi.new("int64_t *")
-    with open(path, "wb") as f:
-        for start, block in _cum_bytes_blocks(trace):
-            cum, pos[0] = _ffi.from_buffer("double[]", block), 0
-            while pos[0] < len(block):
-                n = _lib.tl_mahi_lines(cum, len(block), start, pkt, done, pos, buf,
-                                       _EXPORT_CHUNK)
-                f.write(_ffi.buffer(buf, n))
+    tmp = f"{path}.{os.urandom(8).hex()}.tmp"
+    f = open(tmp, "xb")
+    try:
+        with f:
+            for start, block in _cum_bytes_blocks(trace):
+                if not block[-1] < 2.0**53:   # the sums only grow: the last is the largest
+                    raise ConfigError(f"trace carries {block[-1]:.4g} bytes by ms "
+                                      f"{start + len(block)}, too many to count "
+                                      f"delivery opportunities exactly (limit 2^53)")
+                cum, pos[0] = _ffi.from_buffer("double[]", block), 0
+                while pos[0] < len(block):
+                    n = _lib.tl_mahi_lines(cum, len(block), start, pkt, done, pos,
+                                           buf, _EXPORT_CHUNK)
+                    f.write(_ffi.buffer(buf, n))
+        os.replace(tmp, path)
+    except BaseException:
+        os.remove(tmp)
+        raise
 
 
 @dataclass(slots=True)
@@ -335,20 +341,17 @@ def run_episodes(config: SimConfig, traces, controllers,
     observation into a buffer, steps the controller's `cc_state` and does
     every per-interval step of the adversary but its policy's matmuls: its
     feature row, action, next capacity or min-RTT scale, and reward. A row
-    with no Python work runs to its end in one `tl_step` call. The others
-    stop at each interval boundary, all in one `tl_step_rows` call per
-    interval, which copies out the adversaries' feature rows. Then each
-    TL_EXTERNAL controller's `on_interval` gets its row's Observation, and
-    the adversaries' hook leaves their outputs, which the next call hands
-    them. Rows are independent, so stepping all of them before any
-    `on_interval` changes nothing. Each log's `rows` are the buffer the loop
-    wrote, never copied.
+    with no policy for numpy runs to its end in one `tl_step` call. The
+    others, with a TL_HIDDEN controller or an adversary, stop at each
+    interval boundary, all in one `tl_step_rows` call per interval; there
+    each group's hook (`_lockstep`) leaves its members' outputs for the next
+    call to act on. Rows are independent, so stepping all of them before any
+    hook changes nothing. Each log's `rows` are the buffer the loop wrote.
 
     A row with no trace takes its capacity from its adversary, an env driver.
-    An adversary has `adv_state`, its `tl_adv`; `n_features`; and
-    `begin_episode()`, which resets it. `lockstep(adversaries, x, out)`
-    returns the slice's hook, called at each boundary but the last to fill
-    out[j] from row j of the feature rows `x`.
+    A slice's hidden-layer controllers share one policy shape, as its
+    adversaries must. An adversary has `adv_state`, its `tl_adv`;
+    `n_features`; and `begin_episode()`, which resets it.
     """
     config.validate()
     adversaries = adversaries or [None] * len(controllers)
@@ -360,32 +363,36 @@ def run_episodes(config: SimConfig, traces, controllers,
         for row in rows:
             if not row.st.hooked and (ev := _lib.tl_step(row.st)) != _DONE:
                 raise _tick_loop_error(ev, row.st)
-        # the rows with an adversary first, so that row j's output is out[j]
-        hooked = sorted((row for row in rows if row.st.hooked),
-                        key=lambda row: not row.st.adv)
-        external = [row for row in rows if row.external]
+        hidden = [c for c in controllers if c.cc_state.kind == _lib.TL_HIDDEN]
         advs = [a for a in adversaries if a is not None]
-        nf = advs[0].n_features if advs else 0
-        x, out = np.zeros((len(hooked), nf)), np.zeros(len(hooked))
-        hook = advs and advs[0].lockstep(advs, x[:len(advs)], out[:len(advs)])
-        c_out = _ffi.from_buffer("double[]", out) if advs else _ffi.NULL
-        c_x = (_ffi.from_buffer("double[]", x) if advs and advs[0].adv_state.has_policy
-               else _ffi.NULL)
-        states = _ffi.new("tl_state *[]", [row.st for row in hooked])
+        # each group's hook, and the number of boundaries it runs at
+        hooks = [(_lockstep(group, struct), m) for group, struct, m in
+                 ((hidden, "cc_state", n), (advs, "adv_state", n - 1)) if group]
+        hooked = [row.st for row in rows if row.st.hooked]
+        states = _ffi.new("tl_state *[]", hooked)
         failed = _ffi.new("int64_t *")
         for i in range(n + 1 if hooked else 0):
             want = _INTERVAL if i < n else _DONE
-            if (ev := _lib.tl_step_rows(states, len(hooked), want, c_out, c_x, nf,
-                                        failed)) != want:
-                raise _tick_loop_error(ev, hooked[failed[0]].st)
-            for row in external if i < n else ():
-                row.controller.on_interval(Observation(i, *row.log.rows[i].tolist()))
-            if hook and i + 1 < n:
-                hook()
+            if (ev := _lib.tl_step_rows(states, len(hooked), want, failed)) != want:
+                raise _tick_loop_error(ev, hooked[failed[0]])
+            for hook, m in hooks:
+                if i < m:
+                    hook()
         return [row.finish() for row in rows]
     finally:
         for row in rows:
             _lib.tl_free(row.st)
+
+
+def _lockstep(members, struct: str):
+    """A slice group's hook, `members[0].lockstep(members, x, out)`, filling
+    out[j] from x[j]; member j's C struct `struct` points at both, it keeps them."""
+    x, out = np.zeros((len(members), members[0].n_features)), np.zeros(len(members))
+    for j, member in enumerate(members):
+        s = getattr(member, struct)
+        member._x = s.x = _ffi.from_buffer("double[]", x[j])
+        member._out = s.out = _ffi.from_buffer("double[]", out[j:j + 1])
+    return members[0].lockstep(members, x, out)
 
 
 class _Row:
@@ -436,10 +443,8 @@ class _Row:
         self.log = EpisodeLog(config=config, rows=np.empty((n_intervals, _OBS_FIELDS)))
         self.obs = st.obs = _ffi.from_buffer("tl_obs[]", self.log.rows)
 
-        self.controller = controller
         st.cc = controller.cc_state
-        self.external = st.cc.kind == _lib.TL_EXTERNAL
-        st.hooked = self.external or adv is not None
+        st.hooked = st.cc.kind == _lib.TL_HIDDEN or adv is not None
         st.scale = 1.0
         if adv is not None:
             adversary.begin_episode()

@@ -1,10 +1,10 @@
 """Test-side drivers of the C that the tick loop runs, one call at a time: a
-controller's per-ACK and per-loss callbacks, an adversary's interval step,
-and a C function that writes its one result through a pointer."""
+controller's per-ACK and per-loss callbacks, a learned controller's and an
+adversary's interval step, and a C function that writes its one result
+through a pointer."""
 
-import numpy as np
-
-from ccprobe.netsim import _ffi, _lib, domain_check, obs_row
+from ccprobe.learned import observation_features
+from ccprobe.netsim import _ffi, _lib, _lockstep, domain_check, obs_row
 
 
 def on_ack(ctl, ack) -> None:
@@ -19,15 +19,24 @@ def on_loss(ctl, timeout: bool = False) -> None:
     _lib.cc_on_loss(ctl.cc_state, timeout)
 
 
+def learned_step(ctl, obs) -> None:
+    """A learned controller's interval step on `obs`, outside the loop: C's
+    TL_LINEAR step, or its hidden-layer policy's output on the observation's
+    features, then `cc_learned_step`."""
+    if ctl.cc_state.kind == _lib.TL_LINEAR:
+        _lib.cc_on_interval(ctl.cc_state, obs_row(obs))
+        return
+    feats = observation_features(obs, ctl.b_max, ctl.prev_action)
+    _lib.cc_learned_step(ctl.cc_state, ctl.policy.output(feats))
+
+
 def adv_step(adv, obs) -> float:
     """The loop's boundary step of one adversary, outside it: the next
     capacity or min-RTT scale."""
-    s = adv.adv_state
-    _lib.tl_adv_observe(s, obs_row(obs))
-    x, out = np.array([list(s.x)[:adv.n_features]]), np.zeros(1)
-    adv.lockstep([adv], x, out)()
-    s.out = out[0]
-    return _lib.tl_adv_act(s)
+    hook = _lockstep([adv], "adv_state")   # points `adv_state` at its buffers
+    _lib.tl_adv_observe(adv.adv_state, obs_row(obs))
+    hook()
+    return _lib.tl_adv_act(adv.adv_state)
 
 
 def c_double(fn, *args) -> float:

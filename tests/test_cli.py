@@ -453,7 +453,14 @@ def test_bad_trace_file_exits_2(tmp_path, capsys, header, value):
     assert err.count("\n") == 1 and err.startswith("error: ")
 
 
-@pytest.mark.parametrize("body", ["not a policy\n", "ccprobe-policy v1\n"])
+# a well-formed hidden-16 checkpoint whose policy reads 6 features, not the
+# learned controller's 5; it once failed deep in numpy, with a traceback
+_SIX_FEATURES = ("ccprobe-policy v1\nfeatures a b c d e f\nhidden 16\na_max 2.0\n"
+                 + "0.1\n" * PolicyNet(n_features=6, hidden=16).n_params)
+
+
+@pytest.mark.parametrize("body", ["not a policy\n", "ccprobe-policy v1\n",
+                                  pytest.param(_SIX_FEATURES, id="six-features")])
 def test_init_not_a_checkpoint_exits_2(tmp_path, capsys, body):
     cfg = _write_cfg(tmp_path)
     bogus = tmp_path / "bogus.ckpt"

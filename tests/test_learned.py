@@ -12,6 +12,7 @@ from ccprobe.learned import (FEATURE_NAMES, LearnedController, PolicyNet,
                              observation_features, policy_outputs,
                              save_policy, train_controller)
 from ccprobe.netsim import ConfigError, Observation, _lib
+from drivers import learned_step
 
 
 def obs(srtt=25.0, min_rtt=20.0, thr=40.0, loss_rate=0.0):
@@ -43,6 +44,18 @@ def test_param_count_linear_and_hidden():
 def test_param_shape_rejected():
     with pytest.raises(ValueError):
         PolicyNet(n_features=5, hidden=0, params=np.zeros(3))
+
+
+def test_controller_rejects_a_policy_of_other_features():
+    # a learned controller's policy reads FEATURE_NAMES; another one is
+    # refused when set, not deep in an episode
+    for hidden in (0, 16):
+        with pytest.raises(ValueError, match="reads the 5 features"):
+            LearnedController(PolicyNet(n_features=6, hidden=hidden))
+    ctl = LearnedController(PolicyNet(n_features=5, hidden=16))
+    with pytest.raises(ValueError, match="not 6"):
+        ctl.policy = PolicyNet(n_features=6, hidden=0)
+    assert ctl.policy.n_features == 5 and ctl.cc_state.kind == _lib.TL_HIDDEN
 
 
 @settings(max_examples=60)
@@ -90,13 +103,13 @@ def test_controller_cwnd_update_rule():
     ctl = LearnedController(p)
     ctl.cwnd = 100.0
     ctl.policy = p.with_params(np.zeros(6))
-    ctl.on_interval(obs())
+    learned_step(ctl, obs())
     assert ctl.cwnd == 100.0            # a=0 -> 2^0
     # a = +a_max doubles at most 2^a_max per interval; floor at 1
     strong = PolicyNet(n_features=5, hidden=0, params=np.array([0, 0, 0, 0, 0, 99.0]))
     ctl = LearnedController(strong)
     ctl.cwnd = 1.0
-    ctl.on_interval(obs())
+    learned_step(ctl, obs())
     assert ctl.cwnd == pytest.approx(2.0 ** strong.a_max)
 
 
@@ -105,7 +118,7 @@ def test_controller_cwnd_capped():
     ctl = LearnedController(strong, cwnd_max=500.0)
     ctl.cwnd = 499.0
     for _ in range(5):
-        ctl.on_interval(obs())
+        learned_step(ctl, obs())
     assert ctl.cwnd == 500.0
 
 
@@ -121,7 +134,7 @@ def _assert_c_step_is_pythons(params, a_max, b_max, cwnd_max, cwnd, prev, o):
     ctl = LearnedController(policy, b_max=b_max, cwnd_max=cwnd_max)
     assert ctl.cc_state.kind == _lib.TL_LINEAR
     ctl.cwnd, ctl.prev_action = cwnd, prev
-    ctl.on_interval(o)
+    learned_step(ctl, o)
     want = _python_interval(policy, b_max, cwnd_max, cwnd, prev, o)
     # bitwise: hex tells -0.0 from 0.0 and shows every bit
     assert (ctl.cwnd.hex(), ctl.prev_action.hex()) == tuple(
@@ -177,7 +190,7 @@ def test_c_linear_interval_step_over_random_policies():
 def test_hidden_policy_stays_in_python():
     hidden = PolicyNet(n_features=5, hidden=16)
     ctl = LearnedController(hidden)
-    assert ctl.cc_state.kind == _lib.TL_EXTERNAL
+    assert ctl.cc_state.kind == _lib.TL_HIDDEN
     # a linear policy set later moves the controller into the tick loop
     ctl.policy = PolicyNet(n_features=5, hidden=0, params=np.arange(6.0))
     assert ctl.cc_state.kind == _lib.TL_LINEAR
@@ -271,8 +284,8 @@ def test_batched_policy_outputs_are_act_bit_for_bit(k, nf, hidden, seed):
 
 
 def test_hidden_learned_step_is_pythons():
-    # the external (hidden-layer) controller's step in C against the numpy
-    # cwnd update it replaced
+    # the hidden-layer controller's step, its policy's output and the C
+    # cwnd update, against the numpy cwnd update it replaced
     rng = np.random.default_rng(21)
     for _ in range(500):
         policy = PolicyNet(5, hidden=16, a_max=rng.choice([1.0, 2.0]))
@@ -286,5 +299,5 @@ def test_hidden_learned_step_is_pythons():
         ctl.cwnd, ctl.prev_action = rng.uniform(1.0, 4096.0), rng.uniform(-2.0, 2.0)
         a = _python_act(policy, _python_features(o, ctl.b_max, ctl.prev_action))
         want = min(4096.0, max(1.0, ctl.cwnd * 2.0 ** a))
-        ctl.on_interval(o)
+        learned_step(ctl, o)
         assert (ctl.cwnd.hex(), ctl.prev_action.hex()) == (want.hex(), a.hex())

@@ -23,7 +23,7 @@ from ccprobe import netsim
 from ccprobe.adversary import (AdversarySpec, EnvBandwidthDriver, FeatureBound,
                                FeatureIntercept, PerturbMode, SurfaceMode,
                                adversarial_episodes, make_adversary_policy)
-from ccprobe.cc import RULE_BASED, Controller, Pinned, make_controller
+from ccprobe.cc import RULE_BASED, Pinned, make_controller
 from ccprobe.learned import LearnedController, PolicyNet, RewardParams
 from ccprobe.netsim import (BandwidthTrace, ConfigError, SimConfig, _lib,
                             export_mahimahi, map_jobs, read_trace, run_episode,
@@ -448,10 +448,18 @@ def test_export_counts_exactly_up_to_2_53_bytes(tmp_path):
         mbps = math.nextafter(mbps, math.inf)
     for trace in (BandwidthTrace(1.0, [mbps]),
                   BandwidthTrace(100.0, [48.0, 1e303]),   # inf bytes
-                  BandwidthTrace(100.0, [1.7e302] * 100)):  # sum overflows
+                  BandwidthTrace(100.0, [1.7e302] * 100),  # sum overflows
+                  # refused in its second block, after the first was written
+                  BandwidthTrace(1000.0, [2.0**53 / 4500 / 125] * 5)):
         with pytest.raises(ConfigError, match="2\\^53"):
             export_mahimahi(trace, str(tmp_path / "no"), packet_size=pkt)
-        assert not (tmp_path / "no").exists()
+        # a refused export leaves no file, not even a temporary one, and a
+        # file already at its path as it was
+        assert sorted(os.listdir(tmp_path)) == ["got", "want"]
+        with pytest.raises(ConfigError, match="2\\^53"):
+            export_mahimahi(trace, str(got), packet_size=pkt)
+        assert got.read_bytes() == want.read_bytes()
+        assert sorted(os.listdir(tmp_path)) == ["got", "want"]
 
 
 def test_export_rejects_bad_packet_size(tmp_path):
@@ -522,38 +530,11 @@ def test_tick_loop_builds_on_first_import(tmp_path):
     assert again.stdout.strip() == built and os.stat(built).st_mtime_ns == mtime
 
 
-class _IntervalOnly(Controller):
-    # a Python controller: it calls Controller's __init__ and acts in
-    # on_interval, whose cwnd the next interval sends at
-    def __init__(self):
-        super().__init__()
-        self.cwnd = 20.0
-
-    def on_interval(self, obs):
-        self.cwnd = 40.0
-
-
-def test_interval_only_controller_sets_the_next_intervals_cwnd(short_sim, const_trace):
-    log = run_episode(short_sim, const_trace, _IntervalOnly())
-    low = run_episode(short_sim, const_trace, Pinned(20.0))
-    high = run_episode(short_sim, const_trace, Pinned(40.0))
-    assert [o.cwnd for o in log.observations] == [20.0] + [40.0] * 49
-    # the first interval is Pinned(20)'s; every later one sends at twice the
-    # rate, below the 80-packet BDP
-    assert log.observations[0] == low.observations[0]
-    assert low.sent < log.sent < high.sent
-    assert log.observations[-1].throughput_mbps == pytest.approx(
-        2 * low.observations[-1].throughput_mbps)
-
-
-class _Broken(Controller):
-    def on_interval(self, obs):
-        self.cwnd = math.nan
-
-
 def test_non_finite_cwnd_raises(short_sim, const_trace):
+    broken = Pinned(20.0)
+    broken.cwnd = math.nan
     with pytest.raises(ValueError, match="cwnd nan is not finite"):
-        run_episode(short_sim, const_trace, _Broken())
+        run_episode(short_sim, const_trace, broken)
 
 
 def test_capacity_beyond_64_bit_counts_rejected(short_sim):
@@ -631,10 +612,10 @@ class _CountingLib:
 def test_trace_driven_c_controller_runs_to_the_end_in_one_step(
         short_sim, monkeypatch):
     # a rule, linear learned or Pinned controller on a trace has no Python
-    # work at an interval boundary; a Python controller, a hidden-layer
-    # policy and an intercept each bring the loop back once per interval, in
-    # one `tl_step_rows` call for the whole slice, and a lock-step slice of
-    # rollouts on either surface makes no per-row `tl_step` call
+    # work at an interval boundary; a hidden-layer policy and an intercept
+    # each bring the loop back once per interval, in one `tl_step_rows` call
+    # for the whole slice, and a lock-step slice of rollouts on either
+    # surface makes no per-row `tl_step` call
     spy = _CountingLib(netsim._lib)
     monkeypatch.setattr(netsim, "_lib", spy)
     trace = _golden_traces()[0]
@@ -644,7 +625,6 @@ def test_trace_driven_c_controller_runs_to_the_end_in_one_step(
     cases = ([(partial(make_controller, name), None, (1, 0)) for name in RULE_BASED]
              + [(partial(_learned, FIXED_POLICY), None, (1, 0)),
                 (partial(Pinned, 40.0), None, (1, 0)),
-                (_IntervalOnly, None, (0, n + 1)),
                 (partial(LearnedController, hidden), None, (0, n + 1)),
                 (partial(make_controller, "reno"), clean, (0, n + 1)),
                 (partial(_learned, FIXED_POLICY), clean, (0, n + 1))])
@@ -677,6 +657,52 @@ def test_run_to_end_episode_equals_the_hooked_one(short_sim):
             a, b = run_episode(short_sim, trace, factory()), run_episodes(
                 short_sim, [trace], [factory()], [FeatureIntercept(clean)])[0]
             assert repr(a) == repr(b), factory
+
+
+def _hidden(seed):
+    policy = PolicyNet(n_features=5, hidden=16)
+    rng = np.random.default_rng(seed)
+    return LearnedController(policy.with_params(rng.normal(0.0, 1.0, policy.n_params)))
+
+
+def test_hidden_learned_slice_equals_single_episodes(short_sim):
+    # hidden-16 learned controllers in one slice: alone, beside rule and
+    # linear rows, and under env drivers (with and without a policy) or
+    # min-RTT intercepts on rows of their own and on other rows; each row's
+    # log and final controller state are its episode's run alone
+    t0, t1, t2 = _golden_traces()
+    budget = SmoothnessBudget(delta=12.0, bw_min=2.0, bw_max=48.0)
+
+    def env(seed, policy=True):
+        return EnvBandwidthDriver(budget, _adversary_policy(
+            SurfaceMode.ENV_BANDWIDTH, seed) if policy else None, seed=seed)
+
+    def feat(seed):
+        return FeatureIntercept(FeatureBound(0.5), _adversary_policy(
+            SurfaceMode.FEATURE_MIN_RTT, seed), seed=seed)
+
+    reno, linear = partial(make_controller, "reno"), partial(_learned, FIXED_POLICY)
+    h = [partial(_hidden, s) for s in range(11)]
+    slices = [
+        [(t0, h[0], None), (t1, h[1], None), (t2, h[2], None)],
+        [(None, h[3], partial(env, 1)), (t0, h[4], None), (None, reno, partial(env, 2)),
+         (None, h[5], partial(env, 3)), (t2, linear, None)],
+        [(t1, linear, partial(feat, 4)), (t0, h[6], partial(feat, 5)), (t2, h[7], None),
+         (t1, h[8], partial(feat, 6))],
+        [(None, h[9], partial(env, 7, False)), (t0, h[10], None),
+         (None, reno, partial(env, 8, False))],
+    ]
+    for rows in slices:
+        ctls = [factory() for _, factory, _ in rows]
+        logs = run_episodes(short_sim, [trace for trace, _, _ in rows], ctls,
+                            [adv and adv() for _, _, adv in rows])
+        for (trace, factory, adv), ctl, log in zip(rows, ctls, logs):
+            alone = factory()
+            [one] = run_episodes(short_sim, [trace], [alone], [adv and adv()])
+            assert repr(log) == repr(one), (factory, adv)
+            assert log.rows.tobytes() == one.rows.tobytes(), (factory, adv)
+            assert ((ctl.cwnd, getattr(ctl, "prev_action", None))
+                    == (alone.cwnd, getattr(alone, "prev_action", None)))
 
 
 def test_loss_reactions_are_counted_by_kind(short_sim, const_trace):
@@ -741,7 +767,7 @@ class _Overlap:
 
 def test_episodes_on_four_threads_equal_serial_ones(short_sim):
     # every rule controller, linear learned controllers (one runaway), Pinned
-    # (TL_EXTERNAL) and an env and a feature slice of hidden-16 adversaries:
+    # (TL_PINNED) and an env and a feature slice of hidden-16 adversaries:
     # the same bytes when four threads run them at once as when run serially
     traces = _golden_traces()
     single = ([partial(make_controller, name) for name in RULE_BASED]
@@ -945,9 +971,8 @@ def test_golden_rule_controller_digest():
 
 
 def test_golden_hidden_learned_episode_digest(short_sim):
-    # Learned controllers with a tanh hidden layer of 16, which stay
-    # external controllers acting from Python once per interval: three
-    # random policies on every golden trace, one under a min-RTT intercept,
+    # Learned controllers with a tanh hidden layer of 16, whose policies
+    # numpy runs at each interval boundary (TL_HIDDEN): three random policies on every golden trace, one under a min-RTT intercept,
     # each hashed with its final cwnd and previous action
     traces = _golden_traces()
     rng = np.random.default_rng(16)
