@@ -16,7 +16,8 @@ episodes against cubic (random hidden-16 policies, seeds 0-15) in slices of
 lock-step slice on the calling thread at any worker count), times what an
 episode costs after its ticks (everything but `tl_step` in `episode_return`
 of the fixed policy and in `clean_episode` of cubic, over the same trace),
-and stores the result under `--label` in the
+times start-up (a warm re-import of `ccprobe.cli` and a fresh interpreter
+importing it), and stores the result under `--label` in the
 JSON file `--out` (other labels already in the file are kept). Import
 ccprobe from the tree to measure, so two trees compare under identical
 settings:
@@ -51,18 +52,29 @@ takes one policy gets that one. A tree whose `cem_maximize` still calls its
 objective once per candidate is not supported. The cost after the ticks is the median, over
 AFTER_TICKS_REPEATS episodes after one warm-up, of each episode's wall time
 minus the time spent in the calls `netsim.run_episodes` makes to `tl_step`.
+Start-up is timed with ccprobe's bytecode cached under a temporary prefix,
+whatever PYTHONDONTWRITEBYTECODE says, after one untimed import that writes
+it: the warm re-import is perfbench's `setup_s` import (drop every ccprobe
+module, collect garbage, import `ccprobe.cli`), its median over
+WARM_IMPORTS; the cold one is a `python3 -c "import ccprobe.cli"` process,
+its median over COLD_IMPORTS, beside the median of a process importing only
+numpy, yaml and cffi, which every ccprobe process imports too.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import hashlib
+import importlib
 import inspect
 import json
 import os
 import platform
 import resource
 import statistics
+import subprocess
+import sys
 import tempfile
 import time
 from functools import partial
@@ -85,6 +97,8 @@ REPEATS = 5
 TRACE_IO_REPEATS = 41
 CASE_ROUNDS = 15
 AFTER_TICKS_REPEATS = 21
+WARM_IMPORTS = 20
+COLD_IMPORTS = 10
 # fixed linear policy over the five observation features plus a bias: it
 # grows cwnd while the queue is empty and backs off on queuing and loss
 LEARNED_PARAMS = [0.0, 0.0, -1.0, -4.0, 0.0, 0.3]
@@ -292,6 +306,43 @@ def measure_after_ticks(trace) -> dict:
     return out
 
 
+def _process_ms(code: str, env: dict) -> float:
+    """Median ms of COLD_IMPORTS `python3 -c code` processes, after one."""
+    times = []
+    for _ in range(COLD_IMPORTS + 1):
+        t0 = time.perf_counter()
+        subprocess.run([sys.executable, "-c", code], env=env, check=True)
+        times.append(time.perf_counter() - t0)
+    return statistics.median(times[1:]) * 1000
+
+
+def measure_startup() -> dict:
+    """ms of a warm re-import of `ccprobe.cli` and of a fresh interpreter
+    importing it, the bytecode cached (module docstring)."""
+    src = os.path.dirname(os.path.dirname(netsim.__file__))
+    saved = {n: m for n, m in sys.modules.items() if n.split(".")[0] == "ccprobe"}
+    prefix, write = sys.pycache_prefix, sys.dont_write_bytecode
+    with tempfile.TemporaryDirectory() as cache:
+        sys.pycache_prefix, sys.dont_write_bytecode = cache, False
+        times = []
+        try:
+            for _ in range(WARM_IMPORTS + 1):
+                for name in [n for n in sys.modules if n.split(".")[0] == "ccprobe"]:
+                    del sys.modules[name]
+                gc.collect()
+                t0 = time.perf_counter()
+                importlib.import_module("ccprobe.cli")
+                times.append(time.perf_counter() - t0)
+        finally:
+            sys.pycache_prefix, sys.dont_write_bytecode = prefix, write
+            sys.modules.update(saved)
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONDONTWRITEBYTECODE"}
+        env.update(PYTHONPATH=src, PYTHONPYCACHEPREFIX=cache)
+        return {"warm_import_ms": round(statistics.median(times[1:]) * 1000, 3),
+                "cold_import_ms": round(_process_ms("import ccprobe.cli", env), 3),
+                "cold_deps_ms": round(_process_ms("import numpy, yaml, cffi", env), 3)}
+
+
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("--label", required=True,
@@ -315,7 +366,8 @@ def main() -> None:
     doc.update(nproc=os.cpu_count(), python=platform.python_version(),
                trace="gen_random_trace(600, SmoothnessBudget(), seed=0), 60 s",
                repeats=REPEATS, trace_io_repeats=TRACE_IO_REPEATS,
-               case_rounds=CASE_ROUNDS)
+               case_rounds=CASE_ROUNDS, warm_imports=WARM_IMPORTS,
+               cold_imports=COLD_IMPORTS)
     sim = SimConfig()
     trace = gen_random_trace(sim.n_intervals, SmoothnessBudget(), seed=0)
     doc.setdefault("runs", {})[args.label] = {"netsim_sha256": netsim_sha,
@@ -323,7 +375,8 @@ def main() -> None:
                                               **measure_trace_io(trace),
                                               "pool": measure_pool(),
                                               "adversary": measure_adversary(),
-                                              "after_ticks": measure_after_ticks(trace)}
+                                              "after_ticks": measure_after_ticks(trace),
+                                              "startup": measure_startup()}
     with open(args.out, "w") as f:
         json.dump(doc, f, indent=2, sort_keys=True)
         f.write("\n")
@@ -345,6 +398,10 @@ def main() -> None:
     for case, r in doc["runs"][args.label]["after_ticks"].items():
         print(f"{args.label} {case:22s} {r['after_ticks_ms']:>8.3f} ms after the ticks "
               f"of {r['episode_ms']:>8.3f} ms")
+    r = doc["runs"][args.label]["startup"]
+    print(f"{args.label} startup: warm import {r['warm_import_ms']:.3f} ms, cold "
+          f"import {r['cold_import_ms']:.3f} ms (numpy, yaml, cffi alone "
+          f"{r['cold_deps_ms']:.3f} ms)")
 
 
 if __name__ == "__main__":

@@ -10,9 +10,7 @@ sits below the calibrated baseline threshold tau).
 
 from __future__ import annotations
 
-import dataclasses
 import enum
-from dataclasses import dataclass, field
 from functools import partial
 
 import numpy as np
@@ -20,7 +18,8 @@ import numpy as np
 from .cem import CemConfig, cem_maximize
 from .learned import PolicyNet, RewardParams, policy_outputs
 from .metrics import EpisodeReport, build_report
-from .netsim import SimConfig, _ffi, _lib, map_jobs, run_episode, run_episodes
+from .netsim import (SimConfig, _ffi, _lib, map_jobs, replace, run_episode,
+                     run_episodes)
 from .tracegen import SmoothnessBudget, gen_random_trace
 
 
@@ -40,14 +39,13 @@ class PerturbMode(enum.Enum):
     CLEAN = "clean"
 
 
-@dataclass
 class DelayConstraint:
-    tau_ms: float = 0.0
-    alpha: float = 1.0
-    window_h: int = 5
-    window_k: int = 1
-
-    def __post_init__(self):
+    def __init__(self, tau_ms: float = 0.0, alpha: float = 1.0, window_h: int = 5,
+                 window_k: int = 1):
+        self.tau_ms = tau_ms
+        self.alpha = alpha
+        self.window_h = window_h
+        self.window_k = window_k
         if self.tau_ms < 0:
             raise ValueError("tau must be >= 0")
         if self.alpha <= 0:
@@ -56,26 +54,28 @@ class DelayConstraint:
             raise ValueError("need 1 <= window_k <= window_h")
 
 
-@dataclass
 class FeatureBound:
-    x_fraction: float = 0.5
-    mode: PerturbMode = PerturbMode.ADVERSARIAL
-
-    def __post_init__(self):
+    def __init__(self, x_fraction: float = 0.5,
+                 mode: PerturbMode = PerturbMode.ADVERSARIAL):
+        self.x_fraction = x_fraction
+        self.mode = mode
         if not 0 <= self.x_fraction < 1:
             raise ValueError("x_fraction must be in [0, 1)")
 
 
-@dataclass
 class AdversarySpec:
-    surface: SurfaceMode
-    reward_mode: RewardMode = RewardMode.DELAY_CONSTRAINED
-    constraint: DelayConstraint = field(default_factory=DelayConstraint)
-    feature_bound: FeatureBound | None = None
-    budget: SmoothnessBudget | None = None
-    policy: PolicyNet | None = None
-
-    def __post_init__(self):
+    def __init__(self, surface: SurfaceMode,
+                 reward_mode: RewardMode = RewardMode.DELAY_CONSTRAINED,
+                 constraint: DelayConstraint | None = None,
+                 feature_bound: FeatureBound | None = None,
+                 budget: SmoothnessBudget | None = None,
+                 policy: PolicyNet | None = None):
+        self.surface = surface
+        self.reward_mode = reward_mode
+        self.constraint = DelayConstraint() if constraint is None else constraint
+        self.feature_bound = feature_bound
+        self.budget = budget
+        self.policy = policy
         if self.surface is SurfaceMode.FEATURE_MIN_RTT and self.feature_bound is None:
             raise ValueError("feature surface requires a feature_bound")
         if self.surface is SurfaceMode.ENV_BANDWIDTH and self.budget is None:
@@ -225,13 +225,14 @@ def random_baseline_traces(budget: SmoothnessBudget, n: int, length: int,
             for i in range(n)]
 
 
-@dataclass
 class EpisodeEval:
-    utilization: float
-    mean_delay_ms: float
-    adv_return: float
-    constraint_ok_rate: float
-    trace_values: list[float] = field(default_factory=list)
+    def __init__(self, utilization: float, mean_delay_ms: float, adv_return: float,
+                 constraint_ok_rate: float, trace_values: list[float] | None = None):
+        self.utilization = utilization
+        self.mean_delay_ms = mean_delay_ms
+        self.adv_return = adv_return
+        self.constraint_ok_rate = constraint_ok_rate
+        self.trace_values = [] if trace_values is None else trace_values
 
 
 def adversarial_episode(spec: AdversarySpec, params, controller_factory,
@@ -319,7 +320,7 @@ def select_worst_trace(spec: AdversarySpec, policy: PolicyNet, controller_factor
     """Env-surface selection: among rollout traces with mean delay >= tau,
     the one minimizing utilization. None if no rollout meets the constraint.
     The rollouts run as one lock-step slice."""
-    spec = dataclasses.replace(spec, policy=policy)
+    spec = replace(spec, policy=policy)
     budget = spec.budget
     rng = np.random.default_rng(seed)
     inits = [float(rng.uniform(budget.bw_min, budget.bw_max))

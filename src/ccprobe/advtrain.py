@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import partial
 
 import numpy as np
@@ -18,13 +17,12 @@ def check_mix_p(mix_p: float) -> None:
         raise ValueError(f"mix_p must be in [0, 1], got {mix_p!r}")
 
 
-@dataclass
 class TracePool:
-    benign: list[BandwidthTrace] = field(default_factory=list)
-    adversarial: list[BandwidthTrace] = field(default_factory=list)
-    mix_p: float = 0.2
-
-    def __post_init__(self):
+    def __init__(self, benign: list[BandwidthTrace] | None = None,
+                 adversarial: list[BandwidthTrace] | None = None, mix_p: float = 0.2):
+        self.benign = [] if benign is None else benign
+        self.adversarial = [] if adversarial is None else adversarial
+        self.mix_p = mix_p
         check_mix_p(self.mix_p)
         if self.mix_p < 1 and not self.benign:
             raise ValueError("benign traces required when mix_p < 1")
@@ -72,11 +70,11 @@ def adversarial_retrain(policy: PolicyNet, pool: TracePool, episodes: int,
     return policy.with_params(result.best_params), result.history
 
 
-@dataclass
 class SuiteRow:
-    trace_set: str
-    utilization: float
-    mean_delay_ms: float
+    def __init__(self, trace_set: str, utilization: float, mean_delay_ms: float):
+        self.trace_set = trace_set
+        self.utilization = utilization
+        self.mean_delay_ms = mean_delay_ms
 
 
 def evaluate_suite(policies: list[PolicyNet], trace_sets: dict, sim: SimConfig,

@@ -7,7 +7,6 @@ mean/std to the elite fraction, decay the exploration noise.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 import numpy as np
 
 
@@ -15,16 +14,16 @@ class OptimizerError(RuntimeError):
     pass
 
 
-@dataclass
 class CemConfig:
-    population: int = 32
-    elite_frac: float = 0.25
-    sigma0: float = 1.0
-    extra_noise: float = 0.25       # additive std floor, decayed per generation
-    noise_decay: float = 0.9
-    seed: int = 0
-
-    def __post_init__(self):
+    def __init__(self, population: int = 32, elite_frac: float = 0.25,
+                 sigma0: float = 1.0, extra_noise: float = 0.25,
+                 noise_decay: float = 0.9, seed: int = 0):
+        self.population = population
+        self.elite_frac = elite_frac
+        self.sigma0 = sigma0
+        self.extra_noise = extra_noise   # additive std floor, decayed per generation
+        self.noise_decay = noise_decay
+        self.seed = seed
         if not self.population >= 1:
             raise ValueError(f"population must be >= 1, got {self.population!r}")
         if not 0 < self.elite_frac <= 1:
@@ -32,18 +31,20 @@ class CemConfig:
                              f"got {self.elite_frac!r}")
 
 
-@dataclass
 class GenerationStats:
-    generation: int
-    elite_mean: float
-    best_return: float
-    constraint_satisfaction_rate: float = float("nan")
+    def __init__(self, generation: int, elite_mean: float, best_return: float,
+                 constraint_satisfaction_rate: float = float("nan")):
+        self.generation = generation
+        self.elite_mean = elite_mean
+        self.best_return = best_return
+        self.constraint_satisfaction_rate = constraint_satisfaction_rate
 
 
-@dataclass
 class CemResult:
-    best_params: np.ndarray
-    history: list[GenerationStats] = field(default_factory=list)
+    def __init__(self, best_params: np.ndarray,
+                 history: list[GenerationStats] | None = None):
+        self.best_params = best_params
+        self.history = [] if history is None else history
 
 
 def cem_maximize(objective, dim: int, generations: int, config: CemConfig,

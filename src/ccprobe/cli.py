@@ -12,7 +12,6 @@ Exit code is 0 only when all invariant checks pass.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import os
 import sys
@@ -29,7 +28,7 @@ from .config import ExperimentConfig, SchemaError, load_config
 from .learned import LearnedController, load_policy, save_policy, train_controller
 from .metrics import build_report, dump_series_csv
 from .netsim import (BandwidthTrace, ConfigError, SimConfig, export_mahimahi,
-                     map_jobs, read_trace, run_episode, write_trace)
+                     map_jobs, read_trace, replace, run_episode, write_trace)
 from .tracegen import (SmoothnessBudget, check_feasible, gen_burst_trace,
                        gen_random_trace, gen_unconstrained)
 
@@ -51,7 +50,7 @@ def _out_dir(args, cfg: ExperimentConfig) -> str:
 def _load_cfg(args) -> ExperimentConfig:
     cfg = load_config(args.config) if args.config else ExperimentConfig()
     if args.seed is not None:   # checked as the config's own seed is
-        cfg = dataclasses.replace(cfg, seed=args.seed)
+        cfg = replace(cfg, seed=args.seed)
     return cfg
 
 
@@ -202,7 +201,7 @@ def cmd_attack(args, cfg: ExperimentConfig, out: str) -> int:
                                       cfg.reward,
                                       cfg.train.cem(cfg.seed),
                                       clean_traces=baseline_traces)
-    spec = dataclasses.replace(spec, policy=policy)
+    spec = replace(spec, policy=policy)
     _write_csv(os.path.join(out, f"adv_train_{target}.csv"),
                ["generation", "elite_mean", "best_return",
                 "constraint_satisfaction_rate"],
@@ -281,7 +280,7 @@ def burst_case(cfg: ExperimentConfig) -> tuple[SimConfig, BandwidthTrace]:
     t = cfg.traces
     period = t.rise_intervals + t.fall_intervals
     iv = cfg.sim.trace_interval_ms
-    sim = dataclasses.replace(cfg.sim, episode_duration_s=period * iv / 1000.0)
+    sim = replace(cfg.sim, episode_duration_s=period * iv / 1000.0)
     return sim, gen_burst_trace(period, t.peak, t.trough, t.rise_intervals,
                                 t.fall_intervals, interval_ms=iv)
 

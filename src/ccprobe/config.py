@@ -1,6 +1,6 @@
 """Experiment configuration: one YAML document, schema-validated.
 
-Every section maps onto a dataclass; unknown keys anywhere are rejected so a
+Every section maps onto a record class; unknown keys anywhere are rejected so a
 typo fails fast instead of silently running the defaults. The canonical hash
 of a config is embedded in every CSV the runner emits, which together with
 the seed makes reruns byte-comparable.
@@ -8,10 +8,8 @@ the seed makes reruns byte-comparable.
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import json
-from dataclasses import dataclass, field, fields
 
 import yaml
 
@@ -34,21 +32,22 @@ def _integers(**counts) -> None:
             raise SchemaError(f"{name} must be an integer, got {value!r}")
 
 
-@dataclass
 class TraceSpec:
     """Where episode traces come from."""
 
-    source: str = "random"        # random | constant | files | burst
-    n: int = 10                   # number of random traces
-    constant_mbps: float = 48.0
-    paths: list[str] = field(default_factory=list)
-    # burst parameters (triangle pattern)
-    peak: float = 80.0
-    trough: float = 4.0
-    rise_intervals: int = 20
-    fall_intervals: int = 60
-
-    def __post_init__(self):
+    def __init__(self, source: str = "random", n: int = 10,
+                 constant_mbps: float = 48.0, paths: list[str] | None = None,
+                 peak: float = 80.0, trough: float = 4.0, rise_intervals: int = 20,
+                 fall_intervals: int = 60):
+        self.source = source          # random | constant | files | burst
+        self.n = n                    # number of random traces
+        self.constant_mbps = constant_mbps
+        self.paths = [] if paths is None else paths
+        # burst parameters (triangle pattern)
+        self.peak = peak
+        self.trough = trough
+        self.rise_intervals = rise_intervals
+        self.fall_intervals = fall_intervals
         _integers(n=self.n, rise_intervals=self.rise_intervals,
                   fall_intervals=self.fall_intervals)
         if self.source not in ("random", "constant", "files", "burst"):
@@ -63,20 +62,21 @@ class TraceSpec:
                               "with a burst period of >= 1 interval")
 
 
-@dataclass
 class AdversaryConfig:
-    surface: str = "env"          # env | feature
-    reward_mode: str = "delay_constrained"   # naive | delay_constrained
-    x_fraction: float = 0.05
-    perturb_mode: str = "adversarial"        # adversarial | random_noise | clean
-    alpha: float = 1.0
-    window_h: int = 5
-    window_k: int = 1
-    tau_ms: float | None = None   # None -> calibrate from the baseline runs
-    episodes: int = 320
-    rollouts: int = 8
-
-    def __post_init__(self):
+    def __init__(self, surface: str = "env", reward_mode: str = "delay_constrained",
+                 x_fraction: float = 0.05, perturb_mode: str = "adversarial",
+                 alpha: float = 1.0, window_h: int = 5, window_k: int = 1,
+                 tau_ms: float | None = None, episodes: int = 320, rollouts: int = 8):
+        self.surface = surface            # env | feature
+        self.reward_mode = reward_mode    # naive | delay_constrained
+        self.x_fraction = x_fraction
+        self.perturb_mode = perturb_mode  # adversarial | random_noise | clean
+        self.alpha = alpha
+        self.window_h = window_h
+        self.window_k = window_k
+        self.tau_ms = tau_ms   # None -> calibrate from the baseline runs
+        self.episodes = episodes
+        self.rollouts = rollouts
         if self.surface not in ("env", "feature"):
             raise SchemaError(f"unknown surface {self.surface!r}")
         if self.reward_mode not in ("naive", "delay_constrained"):
@@ -93,19 +93,20 @@ class AdversaryConfig:
             raise SchemaError("rollouts must be >= 1")
 
 
-@dataclass
 class TrainSpec:
-    episodes: int = 640
-    hidden: int = 0               # 0 = linear policy
-    a_max: float = 2.0
-    mix_p: float = 0.2
-    population: int = 32
-    elite_frac: float = 0.25
-    sigma0: float = 1.0
-    extra_noise: float = 0.25
-    noise_decay: float = 0.9
-
-    def __post_init__(self):
+    def __init__(self, episodes: int = 640, hidden: int = 0, a_max: float = 2.0,
+                 mix_p: float = 0.2, population: int = 32, elite_frac: float = 0.25,
+                 sigma0: float = 1.0, extra_noise: float = 0.25,
+                 noise_decay: float = 0.9):
+        self.episodes = episodes
+        self.hidden = hidden   # 0 = linear policy
+        self.a_max = a_max
+        self.mix_p = mix_p
+        self.population = population
+        self.elite_frac = elite_frac
+        self.sigma0 = sigma0
+        self.extra_noise = extra_noise
+        self.noise_decay = noise_decay
         _integers(episodes=self.episodes, hidden=self.hidden,
                   population=self.population)
         # built only to check the values, whose domains are defined there
@@ -124,28 +125,41 @@ class TrainSpec:
                          a_max=self.a_max)
 
 
-@dataclass
 class ExperimentConfig:
-    sim: SimConfig = field(default_factory=SimConfig)
-    reward: RewardParams = field(default_factory=RewardParams)
-    budget: SmoothnessBudget = field(default_factory=SmoothnessBudget)
-    traces: TraceSpec = field(default_factory=TraceSpec)
-    adversary: AdversaryConfig = field(default_factory=AdversaryConfig)
-    train: TrainSpec = field(default_factory=TrainSpec)
-    controller: str = "reno"
-    controller_constants: dict = field(default_factory=dict)
-    seed: int = 0
-    output_dir: str = "runs"
+    """The sections (None for a section's defaults) and the scalars."""
 
-    def __post_init__(self):
+    def __init__(self, sim: SimConfig | None = None, reward: RewardParams | None = None,
+                 budget: SmoothnessBudget | None = None,
+                 traces: TraceSpec | None = None,
+                 adversary: AdversaryConfig | None = None,
+                 train: TrainSpec | None = None, controller: str = "reno",
+                 controller_constants: dict | None = None, seed: int = 0,
+                 output_dir: str = "runs"):
+        self.sim = SimConfig() if sim is None else sim
+        self.reward = RewardParams() if reward is None else reward
+        self.budget = SmoothnessBudget() if budget is None else budget
+        self.traces = TraceSpec() if traces is None else traces
+        self.adversary = AdversaryConfig() if adversary is None else adversary
+        self.train = TrainSpec() if train is None else train
+        self.controller = controller
+        self.controller_constants = ({} if controller_constants is None
+                                     else controller_constants)
+        self.seed = seed
+        self.output_dir = output_dir
         self.sim.validate()
         _integers(seed=self.seed)
         if self.seed < 0:
             raise SchemaError(f"seed must be >= 0, got {self.seed}")
 
     def config_hash(self) -> str:
-        blob = json.dumps(dataclasses.asdict(self), sort_keys=True, default=str)
+        blob = json.dumps(self, sort_keys=True, default=_json_fields)
         return hashlib.sha256(blob.encode()).hexdigest()[:16]
+
+
+def _json_fields(value):
+    """`config_hash`'s JSON form of a value JSON has none for: a record's
+    fields, nested records in turn; anything else's str."""
+    return vars(value) if hasattr(value, "__dict__") else str(value)
 
 
 _SECTIONS = {
@@ -160,8 +174,8 @@ _SCALARS = ("controller", "controller_constants", "seed", "output_dir")
 
 
 def _build(cls, data: dict, where: str):
-    allowed = {f.name for f in fields(cls)}
-    unknown = set(data) - allowed
+    init = cls.__init__.__code__   # the allowed keys: its parameters after self
+    unknown = set(data) - set(init.co_varnames[1:init.co_argcount])
     if unknown:
         raise SchemaError(f"{where}: unknown keys {sorted(unknown)}")
     try:

@@ -12,7 +12,6 @@ are config keys; see the README for the caveats around them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from functools import partial
 
 import numpy as np
@@ -23,13 +22,11 @@ from .netsim import (ConfigError, Observation, SimConfig, _ffi, _lib, map_jobs,
                      obs_row, run_episode)
 
 
-@dataclass
 class RewardParams:
-    lam: float = 10.0     # loss-penalty coefficient
-    gamma: float = 1.2    # delay margin coefficient, >= 1
-    b_max: float = 96.0   # normalizing bandwidth, Mbps
-
-    def __post_init__(self):
+    def __init__(self, lam: float = 10.0, gamma: float = 1.2, b_max: float = 96.0):
+        self.lam = lam       # loss-penalty coefficient
+        self.gamma = gamma   # delay margin coefficient, >= 1
+        self.b_max = b_max   # normalizing bandwidth, Mbps
         if not 0 <= self.lam < math.inf:
             raise ValueError("lam must be finite and >= 0")
         if not 1 <= self.gamma < math.inf:
@@ -54,26 +51,24 @@ def observation_features(obs: Observation, b_max: float, prev_action: float) -> 
     return f
 
 
-@dataclass
 class PolicyNet:
     """Flat-vector parametric policy: linear head, optional tanh hidden layer.
     The bounded action, a_max * tanh(output) with a hard clamp, is taken in
     C (`tl_action`)."""
 
-    n_features: int
-    hidden: int = 16
-    a_max: float = 2.0
-    params: np.ndarray = field(default=None)
-
-    def __post_init__(self):
+    def __init__(self, n_features: int, hidden: int = 16, a_max: float = 2.0,
+                 params: np.ndarray | None = None):
+        self.n_features = n_features
+        self.hidden = hidden
+        self.a_max = a_max
         if not self.hidden >= 0:
             raise ValueError(f"hidden must be >= 0, got {self.hidden!r}")
         if not self.a_max > 0:
             raise ValueError(f"a_max must be > 0, got {self.a_max!r}")
-        if self.params is None:
+        if params is None:
             self.params = np.zeros(self.n_params)
         else:
-            self.params = np.asarray(self.params, dtype=float)
+            self.params = np.asarray(params, dtype=float)
             if self.params.shape != (self.n_params,):
                 raise ValueError(f"expected {self.n_params} parameters, got {self.params.shape}")
 

@@ -8,21 +8,25 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from dataclasses import dataclass
 from itertools import accumulate
 
 from .netsim import EmptyLog, EpisodeLog
 
 
-@dataclass(slots=True)
 class EpisodeReport:
     """One episode's summary: all that a clean-episode job sends back."""
 
-    utilization: float
-    interval_delay_ms: float   # mean over intervals of srtt - base RTT
-    mean_delay_ms: float       # mean over ACKs of rtt - base RTT
-    p95_delay_ms: float        # nearest-rank P95 over ACKs
-    dropped: int
+    __slots__ = ("utilization", "interval_delay_ms", "mean_delay_ms",
+                 "p95_delay_ms", "dropped")
+
+    def __init__(self, utilization: float, interval_delay_ms: float,
+                 mean_delay_ms: float, p95_delay_ms: float, dropped: int):
+        self.utilization = utilization
+        # mean over intervals of srtt - base RTT
+        self.interval_delay_ms = interval_delay_ms
+        self.mean_delay_ms = mean_delay_ms   # mean over ACKs of rtt - base RTT
+        self.p95_delay_ms = p95_delay_ms     # nearest-rank P95 over ACKs
+        self.dropped = dropped
 
 
 def delay_stats(log: EpisodeLog) -> tuple[float, float]:

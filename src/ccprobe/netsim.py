@@ -13,10 +13,8 @@ import importlib
 import math
 import operator
 import os
-import subprocess
 import sys
 import threading
-from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -39,7 +37,10 @@ def _load_tick_loop():
     except ModuleNotFoundError as e:
         if e.name != name:
             raise
-    # a separate process, so the compiler toolchain never loads in this one
+    # a separate process, so the compiler toolchain never loads in this one;
+    # subprocess is imported only here, so an import that finds a build
+    # never loads it
+    import subprocess
     build = subprocess.run([sys.executable, os.path.join(here, "_tickloop_build.py"),
                             name.rpartition(".")[2]],
                            capture_output=True, text=True)
@@ -52,8 +53,24 @@ def _load_tick_loop():
 _tick_loop = _load_tick_loop()
 _ffi, _lib = _tick_loop.ffi, _tick_loop.lib
 _DONE, _INTERVAL = _lib.TL_DONE, _lib.TL_INTERVAL
-# doubles per `tl_obs` row: an Observation's fields after interval_idx
+# the fields of a `tl_obs` row, in order: an Observation's fields after
+# interval_idx, and the columns of `EpisodeLog.rows`
+OBS_COLUMNS = tuple(name for name, _ in _ffi.typeof("tl_obs").fields)
+_OBS_ROW_FIELDS = operator.attrgetter(*OBS_COLUMNS)
+# doubles per `tl_obs` row
 _OBS_FIELDS = _ffi.sizeof("tl_obs") // _ffi.sizeof("double")
+
+
+def replace(record, **changes):
+    """A new `record` with `changes`, built through its class's constructor,
+    so that the constructor's checks run again."""
+    return type(record)(**{**vars(record), **changes})
+
+
+def _fields_repr(record) -> str:
+    """`Name(field=value, ...)`, the fields in constructor order."""
+    fields = ", ".join(f"{k}={v!r}" for k, v in vars(record).items())
+    return f"{type(record).__qualname__}({fields})"
 
 
 class ConfigError(ValueError):
@@ -76,14 +93,18 @@ def _packet_size(size) -> int:
     return int(size)
 
 
-@dataclass
 class SimConfig:
-    tick_ms: float = 1.0
-    one_way_delay_ms: float = 10.0
-    queue_capacity_bdp: float = 2.0
-    packet_size: int = 1500
-    episode_duration_s: float = 60.0
-    trace_interval_ms: float = 100.0
+    def __init__(self, tick_ms: float = 1.0, one_way_delay_ms: float = 10.0,
+                 queue_capacity_bdp: float = 2.0, packet_size: int = 1500,
+                 episode_duration_s: float = 60.0, trace_interval_ms: float = 100.0):
+        self.tick_ms = tick_ms
+        self.one_way_delay_ms = one_way_delay_ms
+        self.queue_capacity_bdp = queue_capacity_bdp
+        self.packet_size = packet_size
+        self.episode_duration_s = episode_duration_s
+        self.trace_interval_ms = trace_interval_ms
+
+    __repr__ = _fields_repr
 
     def validate(self) -> None:
         if self.tick_ms <= 0:
@@ -119,15 +140,13 @@ class SimConfig:
         return 2.0 * self.one_way_delay_ms
 
 
-@dataclass
 class BandwidthTrace:
     """Time-indexed available capacity; one value per interval, in Mbps,
     cycled like a Mahimahi replay."""
 
-    interval_ms: float
-    values: list[float]
-
-    def __post_init__(self):
+    def __init__(self, interval_ms: float, values: list[float]):
+        self.interval_ms = interval_ms
+        self.values = values
         if not self.values:
             raise ConfigError("trace must be non-empty")
         if not 0 < self.interval_ms < math.inf:
@@ -237,27 +256,34 @@ def export_mahimahi(trace: BandwidthTrace, path: str, packet_size: int = 1500) -
         raise
 
 
-@dataclass(slots=True)
 class Observation:
-    """Per-monitoring-interval snapshot consumed by controllers and adversary."""
+    """Per-monitoring-interval snapshot consumed by controllers and adversary.
+    Observations compare field by field."""
 
-    interval_idx: int
-    now_ms: float
-    capacity_mbps: float
-    throughput_mbps: float   # delivered goodput over the interval
-    loss_mbps: float         # dropped-byte rate over the interval
-    loss_rate: float         # dropped / sent packets (0 if nothing sent)
-    srtt_ms: float           # smoothed RTT (ground truth)
-    min_rtt_ms: float        # running minimum RTT (ground truth)
-    visible_min_rtt_ms: float  # what the controller's min-RTT estimate reads
-    utilization: float       # delivered / capacity over the interval
-    cwnd: float
+    __slots__ = ("interval_idx",) + OBS_COLUMNS
 
+    def __init__(self, interval_idx: int, now_ms: float, capacity_mbps: float,
+                 throughput_mbps: float, loss_mbps: float, loss_rate: float,
+                 srtt_ms: float, min_rtt_ms: float, visible_min_rtt_ms: float,
+                 utilization: float, cwnd: float):
+        self.interval_idx = interval_idx
+        self.now_ms = now_ms
+        self.capacity_mbps = capacity_mbps
+        self.throughput_mbps = throughput_mbps  # delivered goodput over the interval
+        self.loss_mbps = loss_mbps   # dropped-byte rate over the interval
+        self.loss_rate = loss_rate   # dropped / sent packets (0 if nothing sent)
+        self.srtt_ms = srtt_ms       # smoothed RTT (ground truth)
+        self.min_rtt_ms = min_rtt_ms  # running minimum RTT (ground truth)
+        # what the controller's min-RTT estimate reads
+        self.visible_min_rtt_ms = visible_min_rtt_ms
+        self.utilization = utilization  # delivered / capacity over the interval
+        self.cwnd = cwnd
 
-# an Observation's fields after interval_idx: the fields of a `tl_obs` row,
-# and the columns of `EpisodeLog.rows`
-OBS_COLUMNS = tuple(f.name for f in fields(Observation))[1:]
-_OBS_ROW_FIELDS = operator.attrgetter(*OBS_COLUMNS)
+    def __eq__(self, other):
+        if type(other) is not Observation:
+            return NotImplemented
+        return ((self.interval_idx, _OBS_ROW_FIELDS(self))
+                == (other.interval_idx, _OBS_ROW_FIELDS(other)))
 
 
 def obs_row(obs: Observation):
@@ -265,28 +291,35 @@ def obs_row(obs: Observation):
     return _ffi.new("tl_obs *", _OBS_ROW_FIELDS(obs))
 
 
-# eq=False: a log holds an array, so logs compare by identity; compare
-# their `observations` or `rows` instead
-@dataclass(eq=False)
 class EpisodeLog:
-    config: SimConfig
-    # totals
-    sent: int = 0
-    delivered: int = 0
-    dropped: int = 0
-    acked: int = 0
-    in_flight_end: int = 0
-    # loss reactions by kind
-    triple_dups: int = 0
-    timeouts: int = 0
-    # ticks the loop ran as part of a quiescent stretch, in which only the
-    # link credit moved
-    quiescent_ticks: int = 0
-    # per-interval series: row i is interval i's `tl_obs` row, as the tick
-    # loop wrote it (OBS_COLUMNS)
-    rows: np.ndarray = field(default_factory=lambda: np.empty((0, _OBS_FIELDS)))
-    # per-ACK RTT histogram: RTT in ticks -> number of ACKs
-    ack_rtt_ticks: dict[int, int] = field(default_factory=dict)
+    """An episode's totals and series. A log holds an array, so logs compare
+    by identity; compare their `observations` or `rows` instead."""
+
+    def __init__(self, config: SimConfig, sent: int = 0, delivered: int = 0,
+                 dropped: int = 0, acked: int = 0, in_flight_end: int = 0,
+                 triple_dups: int = 0, timeouts: int = 0, quiescent_ticks: int = 0,
+                 rows: np.ndarray | None = None,
+                 ack_rtt_ticks: dict[int, int] | None = None):
+        self.config = config
+        # totals
+        self.sent = sent
+        self.delivered = delivered
+        self.dropped = dropped
+        self.acked = acked
+        self.in_flight_end = in_flight_end
+        # loss reactions by kind
+        self.triple_dups = triple_dups
+        self.timeouts = timeouts
+        # ticks the loop ran as part of a quiescent stretch, in which only
+        # the link credit moved
+        self.quiescent_ticks = quiescent_ticks
+        # per-interval series: row i is interval i's `tl_obs` row, as the
+        # tick loop wrote it (OBS_COLUMNS)
+        self.rows = np.empty((0, _OBS_FIELDS)) if rows is None else rows
+        # per-ACK RTT histogram: RTT in ticks -> number of ACKs
+        self.ack_rtt_ticks = {} if ack_rtt_ticks is None else ack_rtt_ticks
+
+    __repr__ = _fields_repr
 
     @property
     def observations(self) -> list[Observation]:
@@ -349,13 +382,22 @@ def run_episodes(config: SimConfig, traces, controllers,
     hook changes nothing. Each log's `rows` are the buffer the loop wrote.
 
     A row with no trace takes its capacity from its adversary, an env driver.
-    A slice's hidden-layer controllers share one policy shape, as its
-    adversaries must. An adversary has `adv_state`, its `tl_adv`;
-    `n_features`; and `begin_episode()`, which resets it.
+    A slice's hidden-layer controllers share one policy shape, and its
+    adversaries share one or have no policy the loop acts on; ValueError,
+    before any tick runs, names the rows of a slice that does not. An
+    adversary has `adv_state`, its `tl_adv`; `policy`; `n_features`; and
+    `begin_episode()`, which resets it.
     """
     config.validate()
     adversaries = adversaries or [None] * len(controllers)
     n = config.n_intervals
+    hidden = {j: c for j, c in enumerate(controllers)
+              if c.cc_state.kind == _lib.TL_HIDDEN}
+    advs = {j: a for j, a in enumerate(adversaries) if a is not None}
+    _one_policy_shape("hidden-layer controllers",
+                      {j: c.policy for j, c in hidden.items()})
+    _one_policy_shape("adversaries", {j: a.policy if a.adv_state.has_policy
+                                      else None for j, a in advs.items()})
     rows = []
     try:
         for row in zip(traces, controllers, adversaries, strict=True):
@@ -363,11 +405,9 @@ def run_episodes(config: SimConfig, traces, controllers,
         for row in rows:
             if not row.st.hooked and (ev := _lib.tl_step(row.st)) != _DONE:
                 raise _tick_loop_error(ev, row.st)
-        hidden = [c for c in controllers if c.cc_state.kind == _lib.TL_HIDDEN]
-        advs = [a for a in adversaries if a is not None]
         # each group's hook, and the number of boundaries it runs at
-        hooks = [(_lockstep(group, struct), m) for group, struct, m in
-                 ((hidden, "cc_state", n), (advs, "adv_state", n - 1)) if group]
+        hooks = [(_lockstep(list(group.values()), struct), m) for group, struct, m
+                 in ((hidden, "cc_state", n), (advs, "adv_state", n - 1)) if group]
         hooked = [row.st for row in rows if row.st.hooked]
         states = _ffi.new("tl_state *[]", hooked)
         failed = _ffi.new("int64_t *")
@@ -382,6 +422,22 @@ def run_episodes(config: SimConfig, traces, controllers,
     finally:
         for row in rows:
             _lib.tl_free(row.st)
+
+
+def _one_policy_shape(what: str, policies: dict) -> None:
+    """ValueError naming the rows unless a slice group's `policies` (row ->
+    the policy the loop acts on, or None) share one shape, (features, hidden
+    width), or are all None: the group's hook stacks them, or draws every
+    output."""
+    rows = {}
+    for j, p in policies.items():
+        rows.setdefault(None if p is None else (p.n_features, p.hidden), []).append(j)
+    if len(rows) > 1:
+        shapes = "; ".join(f"rows {js}: " + ("no policy" if shape is None else
+                                             "{} features, hidden {}".format(*shape))
+                           for shape, js in rows.items())
+        raise ValueError(f"a lock-step slice's {what} need one policy shape or "
+                         f"no policy, got {shapes}")
 
 
 def _lockstep(members, struct: str):

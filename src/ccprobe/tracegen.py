@@ -10,21 +10,19 @@ set, so feasibility holds by construction and is cheap to re-check post hoc.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .netsim import BandwidthTrace, _ffi, _lib
 
 
-@dataclass
 class SmoothnessBudget:
-    delta: float = 48.0   # Mbps per trace interval
-    window_k: int = 1
-    bw_min: float = 1.0
-    bw_max: float = 96.0
-
-    def __post_init__(self):
+    def __init__(self, delta: float = 48.0, window_k: int = 1, bw_min: float = 1.0,
+                 bw_max: float = 96.0):
+        self.delta = delta   # Mbps per trace interval
+        self.window_k = window_k
+        self.bw_min = bw_min
+        self.bw_max = bw_max
         if not self.delta > 0:   # NaN too
             raise ValueError(f"delta must be > 0, got {self.delta}")
         if not self.bw_min >= 0:   # a capacity below zero has no meaning

@@ -28,7 +28,7 @@ from ccprobe.config import ExperimentConfig
 from ccprobe.learned import (LearnedController, PolicyNet, RewardParams,
                              train_controller)
 from ccprobe.netsim import (BandwidthTrace, Observation, SimConfig, _lib,
-                            obs_row, run_episode)
+                            obs_row, replace, run_episode)
 from ccprobe.tracegen import (SmoothnessBudget, check_feasible,
                               gen_random_trace)
 from drivers import adv_step, c_double
@@ -227,8 +227,7 @@ def test_criterion_5_naive_mode_lowers_both(baseline_traces):
     policy, _ = train_adversary(spec, factory, TRAIN_SIM, 96, REWARD,
                                 CemConfig(seed=5),
                                 clean_traces=baseline_traces[:3])
-    import dataclasses
-    spec = dataclasses.replace(spec, policy=policy)
+    spec = replace(spec, policy=policy)
     utils, delays = [], []
     for i in range(3):
         ev = adversarial_episode(spec, None, factory, TRAIN_SIM, REWARD,

@@ -102,4 +102,5 @@ def test_evaluate_suite_of_two_policies_is_each_alone(short_sim, workers):
         n_features=5, hidden=0, params=[0.0, 0.0, -1.0, -4.0, 0.0, 0.3])
     both = evaluate_suite([p, q], sets, short_sim, RewardParams(), workers)
     alone = [evaluate_suite([x], sets, short_sim, RewardParams())[0] for x in (p, q)]
-    assert both == alone
+    assert ([[vars(row) for row in rows] for rows in both]
+            == [[vars(row) for row in rows] for rows in alone])

@@ -82,6 +82,44 @@ def test_config_hash_tracks_content():
     assert a.config_hash() != b.config_hash()
 
 
+def test_config_hash_is_pinned():
+    # the hash every CSV's provenance line carries, of the default config and
+    # of one with every section and scalar set away from its default
+    assert ExperimentConfig().config_hash() == "00b1512155ab5ed9"
+    doc = {
+        "sim": {"tick_ms": 0.5, "one_way_delay_ms": 20.0, "queue_capacity_bdp": 1.5,
+                "packet_size": 1200, "episode_duration_s": 5.0,
+                "trace_interval_ms": 50.0},
+        "reward": {"lam": 5.0, "gamma": 1.5, "b_max": 48.0},
+        "budget": {"delta": 12.0, "window_k": 3, "bw_min": 2.0, "bw_max": 48.0},
+        "traces": {"source": "files", "n": 3, "constant_mbps": 24.0,
+                   "paths": ["a.trace", "b.trace"], "peak": 60.0, "trough": 6.0,
+                   "rise_intervals": 10, "fall_intervals": 30},
+        "adversary": {"surface": "feature", "reward_mode": "naive",
+                      "x_fraction": 0.25, "perturb_mode": "random_noise",
+                      "alpha": 2.0, "window_h": 4, "window_k": 2, "tau_ms": 7.5,
+                      "episodes": 64, "rollouts": 3},
+        "train": {"episodes": 128, "hidden": 16, "a_max": 1.0, "mix_p": 0.5,
+                  "population": 16, "elite_frac": 0.5, "sigma0": 0.5,
+                  "extra_noise": 0.1, "noise_decay": 0.8},
+        "controller": "cubic", "controller_constants": {"c": 0.3, "beta": 0.8},
+        "seed": 7, "output_dir": "elsewhere"}
+    assert config_from_dict(doc).config_hash() == "df5e47cdfefcc97c"
+
+
+def test_import_loads_no_code_generator_or_build_tools():
+    # with the tick loop built, importing the CLI builds its record classes
+    # without generating code (no dataclasses) and loads nothing that only a
+    # build of the tick loop uses (no subprocess)
+    probe = ("import sys, ccprobe.cli; "
+             "print(sorted({'dataclasses', 'subprocess'} & set(sys.modules)))")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    run = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                         text=True, timeout=60)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == "[]"
+
+
 def test_load_config_yaml(tmp_path):
     p = tmp_path / "c.yaml"
     p.write_text("sim:\n  episode_duration_s: 5.0\nseed: 9\n")
@@ -721,6 +759,14 @@ def test_bad_config_value_exits_2_at_load(tmp_path, monkeypatch, capsys, doc, ke
         ["baseline", "--config", str(p), "--controllers", "reno",
          "--setting", "clean"])
     assert key in err
+
+
+def test_negative_seed_flag_exits_2(tmp_path, monkeypatch, capsys):
+    # --seed replaces the config's seed through the config's own checks
+    err = _exits_2_before_any_episode(
+        tmp_path, monkeypatch, capsys,
+        ["baseline", "--seed", "-1", "--controllers", "reno", "--setting", "clean"])
+    assert "seed must be >= 0" in err
 
 
 def test_retrain_and_sweep_p_reject_an_unusable_trace_pool(tmp_path, monkeypatch,

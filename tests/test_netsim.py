@@ -1,7 +1,6 @@
 """Simulator oracles: BDP arithmetic, queue saturation, determinism, trace IO,
 invariants over random traces and golden episode hashes."""
 
-import dataclasses
 import hashlib
 import math
 import os
@@ -25,9 +24,9 @@ from ccprobe.adversary import (AdversarySpec, EnvBandwidthDriver, FeatureBound,
                                adversarial_episodes, make_adversary_policy)
 from ccprobe.cc import RULE_BASED, Pinned, make_controller
 from ccprobe.learned import LearnedController, PolicyNet, RewardParams
-from ccprobe.netsim import (BandwidthTrace, ConfigError, SimConfig, _lib,
-                            export_mahimahi, map_jobs, read_trace, run_episode,
-                            run_episodes, write_trace)
+from ccprobe.netsim import (OBS_COLUMNS, BandwidthTrace, ConfigError, SimConfig,
+                            _lib, export_mahimahi, map_jobs, read_trace, replace,
+                            run_episode, run_episodes, write_trace)
 from ccprobe.tracegen import SmoothnessBudget, gen_burst_trace, gen_random_trace
 
 
@@ -104,7 +103,7 @@ def test_integral_float_packet_size_is_the_integer(short_sim):
     # 1500.0 (as YAML may spell it) runs the same episode as 1500
     trace = _golden_traces()[2]
     a = run_episode(short_sim, trace, make_controller("cubic"))
-    b = run_episode(dataclasses.replace(short_sim, packet_size=1500.0), trace,
+    b = run_episode(replace(short_sim, packet_size=1500.0), trace,
                     make_controller("cubic"))
     assert a.observations == b.observations
     assert a.ack_rtt_ticks == b.ack_rtt_ticks
@@ -849,10 +848,35 @@ def test_golden_episode_hashes(short_sim):
     assert h.hexdigest() == GOLDEN_EPISODES_SHA256
 
 
+def test_slice_of_mixed_policy_shapes_is_rejected(short_sim, monkeypatch):
+    # a group's hook stacks policies of one shape, or draws every row's
+    # output; a slice mixing shapes, or policies and draws, fails before any
+    # tick runs, naming the rows
+    spy = _CountingLib(netsim._lib)
+    monkeypatch.setattr(netsim, "_lib", spy)
+    t0, t1, _ = _golden_traces()
+    budget = SmoothnessBudget(delta=12.0, bw_min=2.0, bw_max=48.0)
+    cases = [
+        ([t0, t1], [LearnedController(PolicyNet(n_features=5, hidden=16)),
+                    LearnedController(PolicyNet(n_features=5, hidden=8))], None,
+         r"hidden-layer controllers .*rows \[0\]: 5 features, hidden 16; "
+         r"rows \[1\]: 5 features, hidden 8"),
+        ([None, None], [make_controller("reno"), make_controller("reno")],
+         [EnvBandwidthDriver(budget, seed=1), EnvBandwidthDriver(
+             budget, _adversary_policy(SurfaceMode.ENV_BANDWIDTH, 2), seed=2)],
+         r"adversaries .*rows \[0\]: no policy; rows \[1\]: 6 features, hidden 16"),
+    ]
+    for traces, ctls, advs, message in cases:
+        with pytest.raises(ValueError, match=message):
+            run_episodes(short_sim, traces, ctls, advs)
+    assert (spy.steps, spy.row_steps) == (0, 0)
+
+
 def _hash_episode(h, log):
     h.update(repr((log.sent, log.delivered, log.dropped, log.acked,
                    log.in_flight_end,
-                   [dataclasses.astuple(o) for o in log.observations],
+                   [(o.interval_idx, *(getattr(o, c) for c in OBS_COLUMNS))
+                    for o in log.observations],
                    sorted(log.ack_rtt_ticks.items()))).encode())
 
 
@@ -880,7 +904,7 @@ def test_golden_episode_hashes_beyond_rule_traces(short_sim):
     budget = SmoothnessBudget(delta=12.0, bw_min=2.0, bw_max=48.0)
     env_policy = _adversary_policy(SurfaceMode.ENV_BANDWIDTH, 1)
     feat_policy = _adversary_policy(SurfaceMode.FEATURE_MIN_RTT, 2)
-    half_tick = dataclasses.replace(short_sim, tick_ms=0.5)
+    half_tick = replace(short_sim, tick_ms=0.5)
     logs = []
     for trace in traces:
         for params in (FIXED_POLICY, RUNAWAY_POLICY):
@@ -953,7 +977,7 @@ def test_golden_rule_controller_digest():
     h = hashlib.sha256()
     digests = {}
     for name, constants in RULE_CONSTANT_CASES:
-        cfg = dataclasses.replace(sim, packet_size=constants.get("packet_size", 1500))
+        cfg = replace(sim, packet_size=constants.get("packet_size", 1500))
         for i, trace in enumerate(traces):
             ctl = make_controller(name, **constants)
             log = run_episode(cfg, trace, ctl)
@@ -1008,7 +1032,7 @@ def _quiescent_cases():
         full = SimConfig(tick_ms=tick_ms)
         runs = [(full, gen_random_trace(full.n_intervals, SmoothnessBudget(), seed=0))]
         for queue_bdp in (short.queue_capacity_bdp, 0.1):
-            sim = dataclasses.replace(short, tick_ms=tick_ms,
+            sim = replace(short, tick_ms=tick_ms,
                                       queue_capacity_bdp=queue_bdp)
             runs += [(sim, trace) for trace in _golden_traces()]
         for sim, trace in runs:
