@@ -49,7 +49,8 @@ they overlap only in their ticks and little is to be gained. A tree without
 `adversary.adversarial_episodes` runs a slice as one `adversarial_episode`
 call per row, and a tree whose `evaluate_suite`
 takes one policy gets that one. A tree whose `cem_maximize` still calls its
-objective once per candidate is not supported. The cost after the ticks is the median, over
+objective once per candidate, or whose adversary settings are enums rather
+than the config's strings, is not supported. The cost after the ticks is the median, over
 AFTER_TICKS_REPEATS episodes after one warm-up, of each episode's wall time
 minus the time spent in the calls `netsim.run_episodes` makes to `tl_step`.
 Start-up is timed with ccprobe's bytecode cached under a temporary prefix,
@@ -82,14 +83,14 @@ from functools import partial
 import numpy as np
 
 from ccprobe import adversary, netsim
-from ccprobe.adversary import (AdversarySpec, DelayConstraint, SurfaceMode,
+from ccprobe.adversary import (AdversarySpec, DelayConstraint,
                                make_adversary_policy, random_baseline_traces,
                                train_adversary)
 from ccprobe.advtrain import evaluate_suite
 from ccprobe.cc import RULE_BASED, Pinned, make_controller
 from ccprobe.cem import CemConfig, cem_maximize
-from ccprobe.learned import (LearnedController, PolicyNet, RewardParams, _pool_return,
-                             episode_return)
+from ccprobe.learned import (LearnedController, PolicyNet, RewardParams,
+                             candidate_returns, episode_return)
 from ccprobe.netsim import SimConfig, export_mahimahi, run_episode
 from ccprobe.tracegen import SmoothnessBudget, gen_random_trace
 
@@ -210,7 +211,8 @@ def measure_pool() -> dict:
     hidden = hidden.with_params(np.random.default_rng(0).normal(0.0, 0.5, hidden.n_params))
 
     def generation(policy, w):
-        return cem_maximize(partial(_pool_return, policy, traces, sim, reward, w),
+        trace_of = lambda s: traces[s % len(traces)]  # noqa: E731
+        return cem_maximize(partial(candidate_returns, policy, trace_of, sim, reward, w),
                             dim=policy.n_params, generations=1,
                             config=CemConfig(population=8),
                             init_mean=policy.params)
@@ -233,10 +235,9 @@ def measure_adversary() -> dict:
     """ms per env-adversary episode in slices of 1, 4 and 16, and ms (wall
     and CPU) per env-adversary CEM generation of 8, against cubic."""
     sim, reward = SimConfig(), RewardParams()
-    spec = AdversarySpec(surface=SurfaceMode.ENV_BANDWIDTH,
-                         constraint=DelayConstraint(tau_ms=50.0),
+    spec = AdversarySpec(surface="env", constraint=DelayConstraint(tau_ms=50.0),
                          budget=SmoothnessBudget(),
-                         policy=make_adversary_policy(SurfaceMode.ENV_BANDWIDTH))
+                         policy=make_adversary_policy("env"))
     factory = partial(make_controller, "cubic")
     rng = np.random.default_rng(0)
     params = rng.normal(0.0, 0.5, (16, spec.policy.n_params))

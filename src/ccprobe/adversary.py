@@ -10,12 +10,11 @@ sits below the calibrated baseline threshold tau).
 
 from __future__ import annotations
 
-import enum
 from functools import partial
 
 import numpy as np
 
-from .cem import CemConfig, cem_maximize
+from .cem import CemConfig, train_policy
 from .learned import PolicyNet, RewardParams, policy_outputs
 from .metrics import EpisodeReport, build_report
 from .netsim import (SimConfig, _ffi, _lib, map_jobs, replace, run_episode,
@@ -23,20 +22,19 @@ from .netsim import (SimConfig, _ffi, _lib, map_jobs, replace, run_episode,
 from .tracegen import SmoothnessBudget, gen_random_trace
 
 
-class SurfaceMode(enum.Enum):
-    FEATURE_MIN_RTT = "feature_min_rtt"
-    ENV_BANDWIDTH = "env_bandwidth"
+# Each adversary setting's values, spelt as the config's `adversary` section
+# spells them; a setting is one of these strings everywhere.
+SETTINGS = {
+    "surface": ("env", "feature"),
+    "reward_mode": ("naive", "delay_constrained"),
+    "perturb_mode": ("adversarial", "random_noise", "clean"),
+}
 
 
-class RewardMode(enum.Enum):
-    NAIVE = "naive"
-    DELAY_CONSTRAINED = "delay_constrained"
-
-
-class PerturbMode(enum.Enum):
-    ADVERSARIAL = "adversarial"
-    RANDOM_NOISE = "random_noise"
-    CLEAN = "clean"
+def check_setting(name: str, value) -> None:
+    """ValueError unless `value` is one of setting `name`'s values."""
+    if value not in SETTINGS[name]:
+        raise ValueError(f"unknown {name} {value!r}")
 
 
 class DelayConstraint:
@@ -55,17 +53,16 @@ class DelayConstraint:
 
 
 class FeatureBound:
-    def __init__(self, x_fraction: float = 0.5,
-                 mode: PerturbMode = PerturbMode.ADVERSARIAL):
+    def __init__(self, x_fraction: float = 0.5, mode: str = "adversarial"):
         self.x_fraction = x_fraction
-        self.mode = mode
+        self.mode = mode   # a perturb_mode
         if not 0 <= self.x_fraction < 1:
             raise ValueError("x_fraction must be in [0, 1)")
+        check_setting("perturb_mode", self.mode)
 
 
 class AdversarySpec:
-    def __init__(self, surface: SurfaceMode,
-                 reward_mode: RewardMode = RewardMode.DELAY_CONSTRAINED,
+    def __init__(self, surface: str, reward_mode: str = "delay_constrained",
                  constraint: DelayConstraint | None = None,
                  feature_bound: FeatureBound | None = None,
                  budget: SmoothnessBudget | None = None,
@@ -76,9 +73,11 @@ class AdversarySpec:
         self.feature_bound = feature_bound
         self.budget = budget
         self.policy = policy
-        if self.surface is SurfaceMode.FEATURE_MIN_RTT and self.feature_bound is None:
+        check_setting("surface", self.surface)
+        check_setting("reward_mode", self.reward_mode)
+        if self.surface == "feature" and self.feature_bound is None:
             raise ValueError("feature surface requires a feature_bound")
-        if self.surface is SurfaceMode.ENV_BANDWIDTH and self.budget is None:
+        if self.surface == "env" and self.budget is None:
             raise ValueError("env surface requires a smoothness budget")
 
 
@@ -94,9 +93,9 @@ def perturb_min_rtt(true_min_rtt_ms: float, action: float, bound: FeatureBound,
     if true_min_rtt_ms <= 0:
         raise ValueError("true_min_rtt must be > 0")
     x = bound.x_fraction
-    if bound.mode is PerturbMode.CLEAN:
+    if bound.mode == "clean":
         return true_min_rtt_ms
-    if bound.mode is PerturbMode.RANDOM_NOISE:
+    if bound.mode == "random_noise":
         return true_min_rtt_ms * float(rng.uniform(1.0 - x, 1.0 + x))
     return true_min_rtt_ms * _lib.tl_feature_scale(action, x)
 
@@ -118,7 +117,7 @@ class _Adversary:
         """Have the loop sum the reward into `adv_state.total` and `.ok`."""
         s, c = self.adv_state, spec.constraint
         self._delays = s.delays = _ffi.new("double[]", c.window_h)
-        s.scored, s.naive = True, spec.reward_mode is RewardMode.NAIVE
+        s.scored, s.naive = True, spec.reward_mode == "naive"
         s.tau_ms, s.alpha, s.window_h, s.delay_k = (c.tau_ms, c.alpha,
                                                     c.window_h, c.window_k)
         s.reward = reward.c_struct()[0]
@@ -143,7 +142,7 @@ class FeatureIntercept(_Adversary):
     def __init__(self, bound: FeatureBound, policy: PolicyNet | None = None,
                  b_max: float = 96.0, seed: int = 0):
         super().__init__(_lib.TL_ADV_FEATURE, ADV_FEATURE_FEATURES, policy, b_max,
-                         bound.mode is PerturbMode.ADVERSARIAL and policy is not None)
+                         bound.mode == "adversarial" and policy is not None)
         self.bound, self.seed = bound, seed
         self.adv_state.x_fraction = bound.x_fraction
         self.begin_episode()
@@ -185,22 +184,12 @@ class EnvBandwidthDriver(_Adversary):
         return float(self.rng.uniform(self.budget.bw_min, self.budget.bw_max))
 
 
-def make_adversary_policy(surface: SurfaceMode) -> PolicyNet:
-    nf = ADV_ENV_FEATURES if surface is SurfaceMode.ENV_BANDWIDTH else ADV_FEATURE_FEATURES
+def make_adversary_policy(surface: str) -> PolicyNet:
+    nf = ADV_ENV_FEATURES if surface == "env" else ADV_FEATURE_FEATURES
     return PolicyNet(n_features=nf, hidden=16, a_max=1.0)
 
 
 # --- calibration and training ------------------------------------------------
-
-def clean_episodes(controller_factory, traces, config: SimConfig,
-                   workers: int = 1) -> list[EpisodeReport]:
-    """One unperturbed episode per trace, each summarized where it ran."""
-    if not traces:
-        raise ValueError("trace set must be non-empty")
-    return map_jobs(clean_episode,
-                    [(config, trace, controller_factory) for trace in traces],
-                    workers)
-
 
 def clean_episode(config: SimConfig, trace, controller_factory) -> EpisodeReport:
     """The one clean-episode job: a fresh controller from its factory, so no
@@ -214,9 +203,17 @@ def mean_queuing_delay_ms(reports) -> float:
     return sum(r.interval_delay_ms for r in reports) / len(reports)
 
 
-def calibrate_tau(controller_factory, traces, config: SimConfig) -> float:
-    """Mean queuing delay of the unperturbed controller over the baseline set."""
-    return mean_queuing_delay_ms(clean_episodes(controller_factory, traces, config))
+def calibrate_tau(controller_factory, traces, config: SimConfig,
+                  workers: int = 1) -> tuple[float, list[EpisodeReport]]:
+    """Mean queuing delay of the unperturbed controller over the baseline
+    set, with the reports it is the mean of: one clean episode per trace,
+    each summarized where it ran, the batch on `workers` threads."""
+    if not traces:
+        raise ValueError("trace set must be non-empty")
+    reports = map_jobs(clean_episode,
+                       [(config, trace, controller_factory) for trace in traces],
+                       workers)
+    return mean_queuing_delay_ms(reports), reports
 
 
 def random_baseline_traces(budget: SmoothnessBudget, n: int, length: int,
@@ -259,7 +256,7 @@ def adversarial_episodes(spec: AdversarySpec, params, controller_factory,
     k = len(seeds)
     policies = ([spec.policy] * k if params is None
                 else [spec.policy.with_params(p) for p in params])
-    if spec.surface is SurfaceMode.FEATURE_MIN_RTT:
+    if spec.surface == "feature":
         advs = [FeatureIntercept(spec.feature_bound, policy, reward.b_max, seed)
                 for policy, seed in zip(policies, seeds)]
         traces = [clean_traces[seed % len(clean_traces)] for seed in seeds]
@@ -289,19 +286,12 @@ def train_adversary(spec: AdversarySpec, controller_factory, config: SimConfig,
                     episodes: int, reward: RewardParams,
                     cem: CemConfig | None = None, clean_traces=None):
     """CEM training of the adversary policy; returns (policy, history)."""
-    cem = cem or CemConfig()
-    generations = episodes // cem.population
     if spec.policy is None:
         spec.policy = make_adversary_policy(spec.surface)
-    if generations == 0:
-        return spec.policy, []
-
-    objective = partial(_adversary_returns, spec, controller_factory, config,
-                        reward, clean_traces)
-    result = cem_maximize(objective, dim=spec.policy.n_params,
-                          generations=generations, config=cem,
-                          init_mean=spec.policy.params)
-    return spec.policy.with_params(result.best_params), result.history
+    return train_policy(spec.policy,
+                        partial(_adversary_returns, spec, controller_factory,
+                                config, reward, clean_traces),
+                        episodes, cem or CemConfig())
 
 
 def _adversary_returns(spec: AdversarySpec, controller_factory,

@@ -7,8 +7,8 @@ from functools import partial
 import numpy as np
 
 from .adversary import clean_episode, mean_queuing_delay_ms
-from .cem import CemConfig, GenerationStats, cem_maximize
-from .learned import LearnedController, PolicyNet, RewardParams, episode_return
+from .cem import CemConfig, GenerationStats, train_policy
+from .learned import LearnedController, PolicyNet, RewardParams, candidate_returns
 from .netsim import BandwidthTrace, SimConfig, map_jobs
 
 
@@ -39,35 +39,22 @@ def sample_trace(pool: TracePool, rng) -> BandwidthTrace:
     return traces[int(rng.integers(0, len(traces)))]
 
 
-def _mixed_return(policy: PolicyNet, pool: TracePool, sim: SimConfig,
-                  reward: RewardParams, workers: int, params, seeds) -> list[float]:
-    """`adversarial_retrain`'s CEM objective: each row's episode on `workers`
-    threads, its seed sampling its trace from the pool."""
-    return map_jobs(episode_return,
-                    [(policy.with_params(p), sample_trace(pool, np.random.default_rng(s)),
-                      sim, reward) for p, s in zip(params, seeds)], workers)
-
-
 def adversarial_retrain(policy: PolicyNet, pool: TracePool, episodes: int,
                         sim: SimConfig, reward: RewardParams,
                         cem: CemConfig | None = None, workers: int = 1
                         ) -> tuple[PolicyNet, list[GenerationStats]]:
-    """Continue CEM training from `policy`, one sampled trace per episode,
-    each generation's on `workers` threads.
+    """Continue CEM training from `policy`, each row's seed sampling its
+    trace from the pool, each generation's episodes on `workers` threads.
 
     Reward, topology and optimizer are identical to the original training;
     only the trace distribution changes. The input policy object is never
     mutated; a new one is returned.
     """
-    cem = cem or CemConfig()
-    generations = episodes // cem.population
-    if generations == 0:
-        return policy, []
-
-    result = cem_maximize(partial(_mixed_return, policy, pool, sim, reward, workers),
-                          dim=policy.n_params, generations=generations,
-                          config=cem, init_mean=policy.params)
-    return policy.with_params(result.best_params), result.history
+    return train_policy(
+        policy, partial(candidate_returns, policy,
+                        lambda s: sample_trace(pool, np.random.default_rng(s)),
+                        sim, reward, workers),
+        episodes, cem or CemConfig())
 
 
 class SuiteRow:

@@ -1,8 +1,8 @@
 """Cross-entropy method over a flat parameter vector.
 
-Shared by the learned controller and the adversary. Gradient-free,
-deterministic given the seed: sample a Gaussian population, evaluate, refit
-mean/std to the elite fraction, decay the exploration noise.
+Shared by the learned controller and the adversary through `train_policy`.
+Gradient-free, deterministic given the seed: sample a Gaussian population,
+evaluate, refit mean/std to the elite fraction, decay the exploration noise.
 """
 
 from __future__ import annotations
@@ -93,3 +93,16 @@ def cem_maximize(objective, dim: int, generations: int, config: CemConfig,
         if gen < generations - 1 and float(returns.std()) == 0.0:
             raise OptimizerError("population returns collapsed to zero variance")
     return CemResult(best_params=best_params, history=history)
+
+
+def train_policy(policy, objective, episodes: int, config: CemConfig):
+    """The one CEM driver of every trained policy: `episodes` is a total
+    rollout budget of `episodes // population` generations, searched from
+    `policy`'s own parameters. Returns (best policy, per-generation log),
+    or (policy, []) unchanged when the budget buys no generation."""
+    generations = episodes // config.population
+    if generations == 0:
+        return policy, []
+    result = cem_maximize(objective, dim=policy.n_params, generations=generations,
+                          config=config, init_mean=policy.params)
+    return policy.with_params(result.best_params), result.history

@@ -19,18 +19,17 @@ from functools import partial
 
 from . import advtrain
 from .adversary import (AdversarySpec, DelayConstraint, FeatureBound,
-                        PerturbMode, RewardMode, SurfaceMode,
-                        adversarial_episodes, clean_episode, clean_episodes,
-                        mean_queuing_delay_ms, random_baseline_traces,
-                        select_worst_trace, train_adversary)
+                        adversarial_episodes, calibrate_tau, clean_episode,
+                        random_baseline_traces, select_worst_trace,
+                        train_adversary)
 from .cc import RULE_BASED, make_controller
 from .config import ExperimentConfig, SchemaError, load_config
 from .learned import LearnedController, load_policy, save_policy, train_controller
 from .metrics import build_report, dump_series_csv
 from .netsim import (BandwidthTrace, ConfigError, SimConfig, export_mahimahi,
                      map_jobs, read_trace, replace, run_episode, write_trace)
-from .tracegen import (SmoothnessBudget, check_feasible, gen_burst_trace,
-                       gen_random_trace, gen_unconstrained)
+from .tracegen import (check_feasible, gen_burst_trace, gen_random_trace,
+                       gen_unconstrained)
 
 ALL_CONTROLLERS = tuple(RULE_BASED) + ("learned",)
 
@@ -180,9 +179,8 @@ def cmd_attack(args, cfg: ExperimentConfig, out: str) -> int:
     baseline_traces = _build_traces(cfg)
 
     # one clean episode per baseline trace gives both tau and the baseline row
-    base = clean_episodes(factory, baseline_traces, cfg.sim, args.workers)
+    base_delay, base = calibrate_tau(factory, baseline_traces, cfg.sim, args.workers)
     base_util = _mean([r.utilization for r in base])
-    base_delay = mean_queuing_delay_ms(base)
     tau = adv.tau_ms
     if tau is None and adv.reward_mode == "delay_constrained":
         tau = base_delay
@@ -191,10 +189,8 @@ def cmd_attack(args, cfg: ExperimentConfig, out: str) -> int:
                                  window_h=adv.window_h, window_k=adv.window_k)
     feature = adv.surface == "feature"
     spec = AdversarySpec(
-        surface=SurfaceMode.FEATURE_MIN_RTT if feature else SurfaceMode.ENV_BANDWIDTH,
-        reward_mode=RewardMode(adv.reward_mode), constraint=constraint,
-        feature_bound=(FeatureBound(adv.x_fraction, PerturbMode(adv.perturb_mode))
-                       if feature else None),
+        adv.surface, adv.reward_mode, constraint,
+        feature_bound=FeatureBound(adv.x_fraction, adv.perturb_mode) if feature else None,
         budget=None if feature else cfg.budget)
 
     policy, history = train_adversary(spec, factory, cfg.sim, adv.episodes,
@@ -245,8 +241,8 @@ def cmd_transfer(args, cfg: ExperimentConfig, out: str) -> int:
     named = [(name.removeprefix("worst_"), trace)
              for name, trace in _load_trace_dir(args.traces).items()]
     if len(named) < 2:
-        print("transfer needs >= 2 worst-trace artifacts", file=sys.stderr)
-        return 1
+        raise UsageError(f"transfer needs >= 2 worst-trace artifacts, "
+                         f"found {len(named)} in {args.traces}")
     factories = _controller_factories(args, cfg)
     controllers = list(factories)
 
@@ -419,11 +415,9 @@ def cmd_retrain(args, cfg: ExperimentConfig, out: str) -> int:
 
 
 def cmd_gen_trace(args, cfg: ExperimentConfig, out: str) -> int:
-    try:
-        budget = SmoothnessBudget(delta=args.delta, window_k=args.window_k,
-                                  bw_min=args.bw_min, bw_max=args.bw_max)
-    except ValueError as e:
-        raise UsageError(e) from e
+    """`--n` traces of `--length` intervals in `--mode`, under the config's
+    smoothness budget (random, unconstrained) or burst shape (burst)."""
+    budget, t = cfg.budget, cfg.traces
     iv = cfg.sim.trace_interval_ms
     ok = True
     for i in range(args.n):
@@ -434,10 +428,11 @@ def cmd_gen_trace(args, cfg: ExperimentConfig, out: str) -> int:
                 print(f"trace {i} failed the budget check", file=sys.stderr)
                 ok = False
         elif args.mode == "unconstrained":
-            trace = gen_unconstrained(args.length, args.bw_min, args.bw_max,
+            trace = gen_unconstrained(args.length, budget.bw_min, budget.bw_max,
                                       seed=cfg.seed + i, interval_ms=iv)
         else:
-            trace = gen_burst_trace(args.length, interval_ms=iv)
+            trace = gen_burst_trace(args.length, t.peak, t.trough, t.rise_intervals,
+                                    t.fall_intervals, interval_ms=iv)
         write_trace(trace, os.path.join(out, f"trace_{i:03d}.trace"))
     print(f"wrote {args.n} trace(s) to {out}")
     return 0 if ok else 1
@@ -527,10 +522,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--length", type=_positive_int, default=600)
     p.add_argument("--mode", choices=["random", "unconstrained", "burst"],
                    default="random")
-    p.add_argument("--delta", type=float, default=48.0)
-    p.add_argument("--window-k", type=int, default=1)
-    p.add_argument("--bw-min", type=float, default=1.0)
-    p.add_argument("--bw-max", type=float, default=96.0)
     p.set_defaults(fn=cmd_gen_trace)
 
     p = sub.add_parser("export", help="convert a trace to mahimahi format")
@@ -548,7 +539,9 @@ def main(argv=None) -> int:
             return cmd_export(args)
         cfg = _load_cfg(args)
         return args.fn(args, cfg, _out_dir(args, cfg))
-    except (SchemaError, ConfigError, UsageError, FileNotFoundError) as e:
+    except (SchemaError, ConfigError, UsageError, FileNotFoundError,
+            FileExistsError, IsADirectoryError, NotADirectoryError,
+            PermissionError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

@@ -13,7 +13,7 @@ import json
 
 import yaml
 
-from .adversary import DelayConstraint, FeatureBound
+from .adversary import SETTINGS, DelayConstraint, FeatureBound, check_setting
 from .advtrain import check_mix_p
 from .cem import CemConfig
 from .learned import FEATURE_NAMES, PolicyNet, RewardParams
@@ -67,22 +67,18 @@ class AdversaryConfig:
                  x_fraction: float = 0.05, perturb_mode: str = "adversarial",
                  alpha: float = 1.0, window_h: int = 5, window_k: int = 1,
                  tau_ms: float | None = None, episodes: int = 320, rollouts: int = 8):
-        self.surface = surface            # env | feature
-        self.reward_mode = reward_mode    # naive | delay_constrained
+        self.surface = surface   # each setting one of adversary.SETTINGS
+        self.reward_mode = reward_mode
         self.x_fraction = x_fraction
-        self.perturb_mode = perturb_mode  # adversarial | random_noise | clean
+        self.perturb_mode = perturb_mode
         self.alpha = alpha
         self.window_h = window_h
         self.window_k = window_k
         self.tau_ms = tau_ms   # None -> calibrate from the baseline runs
         self.episodes = episodes
         self.rollouts = rollouts
-        if self.surface not in ("env", "feature"):
-            raise SchemaError(f"unknown surface {self.surface!r}")
-        if self.reward_mode not in ("naive", "delay_constrained"):
-            raise SchemaError(f"unknown reward_mode {self.reward_mode!r}")
-        if self.perturb_mode not in ("adversarial", "random_noise", "clean"):
-            raise SchemaError(f"unknown perturb_mode {self.perturb_mode!r}")
+        for name in SETTINGS:
+            check_setting(name, getattr(self, name))
         _integers(window_h=self.window_h, window_k=self.window_k,
                   episodes=self.episodes, rollouts=self.rollouts)
         # built only to check the values, whose domains are defined there

@@ -17,7 +17,7 @@ from functools import partial
 import numpy as np
 
 from .cc import Controller, _Field
-from .cem import CemConfig, GenerationStats, cem_maximize
+from .cem import CemConfig, GenerationStats, train_policy
 from .netsim import (ConfigError, Observation, SimConfig, _ffi, _lib, map_jobs,
                      obs_row, run_episode)
 
@@ -208,39 +208,31 @@ def episode_return(policy: PolicyNet, trace, sim: SimConfig,
     return log.sums(reward).reward / n if n else 0.0
 
 
-def _pool_return(policy: PolicyNet, traces, sim: SimConfig, reward: RewardParams,
-                 workers: int, params, seeds) -> list[float]:
-    """`train_controller`'s CEM objective: each row's episode on `workers`
-    threads, its seed picking its trace."""
-    return map_jobs(episode_return, [(policy.with_params(p), traces[s % len(traces)],
-                                      sim, reward) for p, s in zip(params, seeds)],
-                    workers)
+def candidate_returns(policy: PolicyNet, trace_of, sim: SimConfig,
+                      reward: RewardParams, workers: int, params, seeds) -> list[float]:
+    """A learned controller's CEM objective: each row's episode on `workers`
+    threads, on the trace `trace_of(seed)` gives for its seed."""
+    return map_jobs(episode_return, [(policy.with_params(p), trace_of(s), sim, reward)
+                                     for p, s in zip(params, seeds)], workers)
 
 
 def train_controller(policy: PolicyNet, traces, episodes: int,
                      sim: SimConfig, reward: RewardParams,
-                     cem: CemConfig | None = None, holdout=None,
+                     cem: CemConfig | None = None,
                      workers: int = 1) -> tuple[PolicyNet, list[GenerationStats]]:
-    """CEM training over a trace pool; returns (policy, per-generation log).
-
-    `episodes` is a total rollout budget; generations = episodes // population.
-    With a zero budget the policy is returned unchanged. Each batch of
-    episodes runs on `workers` threads.
+    """CEM training over a trace pool, each row's seed picking its trace;
+    returns (policy, per-generation log), from `cem.train_policy`. Each batch
+    of episodes runs on `workers` threads.
     """
     if not traces:
         raise ValueError("trace pool must be non-empty")
-    cem = cem or CemConfig()
-    generations = episodes // cem.population
-    if generations == 0:
-        return policy, []
-
-    result = cem_maximize(partial(_pool_return, policy, traces, sim, reward, workers),
-                          dim=policy.n_params, generations=generations,
-                          config=cem, init_mean=policy.params)
-
-    candidate = policy.with_params(result.best_params)
-    # monotone-improvement contract, checked on a held-out trace
-    check = holdout if holdout is not None else traces[0]
-    new, old = map_jobs(episode_return, [(candidate, check, sim, reward),
-                                         (policy, check, sim, reward)], workers)
-    return (candidate if new >= old else policy), result.history
+    candidate, history = train_policy(
+        policy, partial(candidate_returns, policy, lambda s: traces[s % len(traces)],
+                        sim, reward, workers),
+        episodes, cem or CemConfig())
+    if not history:
+        return policy, history
+    # monotone-improvement contract, checked on the pool's first trace
+    new, old = map_jobs(episode_return, [(candidate, traces[0], sim, reward),
+                                         (policy, traces[0], sim, reward)], workers)
+    return (candidate if new >= old else policy), history

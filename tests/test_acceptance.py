@@ -15,11 +15,9 @@ import numpy as np
 import pytest
 
 from ccprobe.adversary import (AdversarySpec, DelayConstraint, FeatureBound,
-                               PerturbMode, RewardMode, SurfaceMode,
-                               adversarial_episode, clean_episodes,
-                               make_adversary_policy, mean_queuing_delay_ms,
-                               random_baseline_traces, select_worst_trace,
-                               train_adversary)
+                               adversarial_episode, calibrate_tau,
+                               make_adversary_policy, random_baseline_traces,
+                               select_worst_trace, train_adversary)
 from ccprobe.advtrain import TracePool, adversarial_retrain, evaluate_suite
 from ccprobe.cc import Lp, make_controller
 from ccprobe.cem import CemConfig
@@ -58,9 +56,8 @@ def run_attack(factory, baseline_traces, seed):
     """Delay-constrained env attack: calibrate, train, select. Returns
     (tau, worst, elapsed_s)."""
     t0 = time.time()
-    tau = mean_queuing_delay_ms(clean_episodes(factory, baseline_traces, TRAIN_SIM,
-                                               WORKERS))
-    spec = AdversarySpec(surface=SurfaceMode.ENV_BANDWIDTH,
+    tau, _ = calibrate_tau(factory, baseline_traces, TRAIN_SIM, WORKERS)
+    spec = AdversarySpec(surface="env",
                          constraint=DelayConstraint(tau_ms=tau), budget=BUDGET)
     policy, _ = train_adversary(spec, factory, TRAIN_SIM, episodes=160,
                                 reward=REWARD,
@@ -76,8 +73,8 @@ def rule_attacks(baseline_traces):
     out = {}
     for i, name in enumerate(RULE_TARGETS):
         factory = partial(make_controller, name)
-        utils = [r.utilization for r in
-                 clean_episodes(factory, baseline_traces, EVAL_SIM, WORKERS)]
+        _, reports = calibrate_tau(factory, baseline_traces, EVAL_SIM, WORKERS)
+        utils = [r.utilization for r in reports]
         base = sum(utils) / len(utils)
         tau, worst, secs = run_attack(factory, baseline_traces, seed=1 + i)
         out[name] = (base, tau, worst, secs)
@@ -176,7 +173,7 @@ def test_criterion_2_thousand_traces_feasible():
     from ccprobe.adversary import EnvBandwidthDriver
     rng = np.random.default_rng(0)
     for i in range(100):
-        pol = make_adversary_policy(SurfaceMode.ENV_BANDWIDTH)
+        pol = make_adversary_policy("env")
         pol = pol.with_params(rng.normal(size=pol.n_params) * 3.0)
         drv = EnvBandwidthDriver(BUDGET, pol, seed=i)
         values = [drv.first_capacity()]
@@ -221,9 +218,9 @@ def test_criterion_5_naive_mode_lowers_both(baseline_traces):
         log = run_episode(TRAIN_SIM, tr, factory())
         clean_utils.append(log.mean_utilization())
         clean_delays.append(log.mean_queuing_delay_ms())
-    spec = AdversarySpec(surface=SurfaceMode.FEATURE_MIN_RTT,
-                         reward_mode=RewardMode.NAIVE,
-                         feature_bound=FeatureBound(0.5, PerturbMode.ADVERSARIAL))
+    spec = AdversarySpec(surface="feature",
+                         reward_mode="naive",
+                         feature_bound=FeatureBound(0.5, "adversarial"))
     policy, _ = train_adversary(spec, factory, TRAIN_SIM, 96, REWARD,
                                 CemConfig(seed=5),
                                 clean_traces=baseline_traces[:3])

@@ -9,8 +9,8 @@ from hypothesis import given, settings, strategies as st
 import oracles
 from ccprobe import netsim
 from ccprobe.adversary import (AdversarySpec, DelayConstraint, EnvBandwidthDriver,
-                               FeatureBound, FeatureIntercept, PerturbMode,
-                               RewardMode, SurfaceMode, adversarial_episode,
+                               SETTINGS, FeatureBound, FeatureIntercept,
+                               adversarial_episode,
                                adversarial_episodes, calibrate_tau,
                                make_adversary_policy, perturb_min_rtt,
                                random_baseline_traces, select_worst_trace,
@@ -44,9 +44,9 @@ def test_perturbation_stays_within_x(true_rtt, action, x):
 
 def test_perturbation_modes():
     rng = np.random.default_rng(0)
-    clean = FeatureBound(0.5, PerturbMode.CLEAN)
+    clean = FeatureBound(0.5, "clean")
     assert perturb_min_rtt(20.0, 0.9, clean, rng) == 20.0
-    noise = FeatureBound(0.5, PerturbMode.RANDOM_NOISE)
+    noise = FeatureBound(0.5, "random_noise")
     vals = {perturb_min_rtt(20.0, 0.0, noise, rng) for _ in range(10)}
     assert len(vals) > 1
     assert all(10.0 <= v <= 30.0 for v in vals)
@@ -61,14 +61,20 @@ def test_perturbation_rejects_bad_inputs():
 
 def test_spec_surface_requirements():
     with pytest.raises(ValueError):
-        AdversarySpec(surface=SurfaceMode.FEATURE_MIN_RTT)
+        AdversarySpec(surface="feature")
     with pytest.raises(ValueError):
-        AdversarySpec(surface=SurfaceMode.ENV_BANDWIDTH)
-    AdversarySpec(surface=SurfaceMode.ENV_BANDWIDTH, budget=SmoothnessBudget())
+        AdversarySpec(surface="env")
+    AdversarySpec(surface="env", budget=SmoothnessBudget())
+    # every setting is one of SETTINGS' strings, the config's spelling
+    for bad in (lambda: AdversarySpec("env_bandwidth", budget=SmoothnessBudget()),
+                lambda: AdversarySpec("env", "NAIVE", budget=SmoothnessBudget()),
+                lambda: FeatureBound(0.5, "noise")):
+        with pytest.raises(ValueError, match="unknown"):
+            bad()
 
 
 def test_feature_intercept_episode_reset():
-    bound = FeatureBound(0.5, PerturbMode.RANDOM_NOISE)
+    bound = FeatureBound(0.5, "random_noise")
     it = FeatureIntercept(bound, seed=3)
     it.begin_episode()
     first = adv_step(it, obs())
@@ -78,7 +84,7 @@ def test_feature_intercept_episode_reset():
 
 def test_env_driver_traces_always_feasible():
     budget = SmoothnessBudget(delta=10.0)
-    policy = make_adversary_policy(SurfaceMode.ENV_BANDWIDTH)
+    policy = make_adversary_policy("env")
     rng = np.random.default_rng(0)
     policy = policy.with_params(rng.normal(size=policy.n_params))
     drv = EnvBandwidthDriver(budget, policy, seed=0)
@@ -102,11 +108,12 @@ def test_calibrate_tau_is_mean_of_means(short_sim):
     budget = SmoothnessBudget()
     traces = random_baseline_traces(budget, 2, 50, 100.0, seed=0)
     factory = lambda: make_controller("reno")
-    tau = calibrate_tau(factory, traces, short_sim)
+    tau, reports = calibrate_tau(factory, traces, short_sim, workers=2)
     # oracle: same runs, averaged by hand
     delays = [run_episode(short_sim, tr, factory()).mean_queuing_delay_ms()
               for tr in traces]
     assert tau == pytest.approx(sum(delays) / len(delays), rel=1e-12)
+    assert [r.interval_delay_ms for r in reports] == pytest.approx(delays, rel=1e-12)
     assert tau > 0.0
 
 
@@ -116,9 +123,9 @@ def test_calibrate_tau_needs_traces(short_sim):
 
 
 def test_adversarial_episode_clean_mode_matches_unperturbed(short_sim, const_trace):
-    spec = AdversarySpec(surface=SurfaceMode.FEATURE_MIN_RTT,
-                         reward_mode=RewardMode.NAIVE,
-                         feature_bound=FeatureBound(0.5, PerturbMode.CLEAN))
+    spec = AdversarySpec(surface="feature",
+                         reward_mode="naive",
+                         feature_bound=FeatureBound(0.5, "clean"))
     factory = lambda: make_controller("vegas")
     ev = adversarial_episode(spec, None, factory, short_sim, RewardParams(),
                              seed=0, clean_traces=[const_trace])
@@ -128,9 +135,9 @@ def test_adversarial_episode_clean_mode_matches_unperturbed(short_sim, const_tra
 
 def test_reno_ignores_min_rtt_perturbation(short_sim, const_trace):
     # loss-only controller: scaling its min-RTT estimate changes nothing
-    spec = AdversarySpec(surface=SurfaceMode.FEATURE_MIN_RTT,
-                         reward_mode=RewardMode.NAIVE,
-                         feature_bound=FeatureBound(0.5, PerturbMode.RANDOM_NOISE))
+    spec = AdversarySpec(surface="feature",
+                         reward_mode="naive",
+                         feature_bound=FeatureBound(0.5, "random_noise"))
     factory = lambda: make_controller("reno")
     ev = adversarial_episode(spec, None, factory, short_sim, RewardParams(),
                              seed=0, clean_traces=[const_trace])
@@ -140,7 +147,7 @@ def test_reno_ignores_min_rtt_perturbation(short_sim, const_trace):
 
 
 def test_train_adversary_zero_budget(short_sim):
-    spec = AdversarySpec(surface=SurfaceMode.ENV_BANDWIDTH,
+    spec = AdversarySpec(surface="env",
                          budget=SmoothnessBudget())
     policy, hist = train_adversary(spec, lambda: make_controller("reno"),
                                    short_sim, episodes=0, reward=RewardParams())
@@ -150,9 +157,9 @@ def test_train_adversary_zero_budget(short_sim):
 
 def test_select_worst_trace_respects_constraint(short_sim):
     budget = SmoothnessBudget()
-    spec = AdversarySpec(surface=SurfaceMode.ENV_BANDWIDTH, budget=budget,
+    spec = AdversarySpec(surface="env", budget=budget,
                          constraint=DelayConstraint(tau_ms=5.0))
-    policy = make_adversary_policy(SurfaceMode.ENV_BANDWIDTH)
+    policy = make_adversary_policy("env")
     worst = select_worst_trace(spec, policy, lambda: make_controller("reno"),
                                short_sim, RewardParams(), n_rollouts=4, seed=0)
     if worst is not None:
@@ -162,9 +169,9 @@ def test_select_worst_trace_respects_constraint(short_sim):
 
 def test_select_worst_trace_infeasible_returns_none(short_sim):
     budget = SmoothnessBudget()
-    spec = AdversarySpec(surface=SurfaceMode.ENV_BANDWIDTH, budget=budget,
+    spec = AdversarySpec(surface="env", budget=budget,
                          constraint=DelayConstraint(tau_ms=1e6))
-    policy = make_adversary_policy(SurfaceMode.ENV_BANDWIDTH)
+    policy = make_adversary_policy("env")
     assert select_worst_trace(spec, policy, lambda: make_controller("reno"),
                               short_sim, RewardParams(), n_rollouts=2,
                               seed=0) is None
@@ -179,7 +186,7 @@ def _python_scores(spec, reward, log):
     total, ok = 0.0, 0
     for o in log.observations:
         delays.append(queuing_delay(o))
-        if spec.reward_mode is RewardMode.NAIVE:
+        if spec.reward_mode == "naive":
             r = naive_reward(oracles.controller_reward(o, reward))
         elif len(delays) < spec.constraint.window_h:
             r = -o.utilization
@@ -196,16 +203,16 @@ def _slice_specs():
     for window_k in (1, 3):
         constraint = DelayConstraint(tau_ms=15.0, alpha=0.7, window_h=5,
                                      window_k=window_k)
-        for mode in RewardMode:
+        for mode in SETTINGS["reward_mode"]:
             budget = SmoothnessBudget(delta=20.0, window_k=window_k)
-            for policy in (make_adversary_policy(SurfaceMode.ENV_BANDWIDTH), None):
-                yield AdversarySpec(SurfaceMode.ENV_BANDWIDTH, mode, constraint,
+            for policy in (make_adversary_policy("env"), None):
+                yield AdversarySpec("env", mode, constraint,
                                     budget=budget, policy=policy), None
-            for perturb in PerturbMode:
-                yield AdversarySpec(SurfaceMode.FEATURE_MIN_RTT, mode, constraint,
+            for perturb in SETTINGS["perturb_mode"]:
+                yield AdversarySpec("feature", mode, constraint,
                                     feature_bound=FeatureBound(0.4, perturb),
                                     policy=make_adversary_policy(
-                                        SurfaceMode.FEATURE_MIN_RTT)), traces
+                                        "feature")), traces
 
 
 def _fields(ev):
@@ -236,7 +243,7 @@ def test_slice_of_episodes_equals_single_episodes(short_sim):
                                           seeds[j], inits[j], clean_traces=traces)
                 assert _fields(ev) == _fields(one), spec
             policy = spec.policy if p is None else spec.policy.with_params(p)
-            if spec.surface is SurfaceMode.ENV_BANDWIDTH:
+            if spec.surface == "env":
                 trace, adv = None, EnvBandwidthDriver(
                     spec.budget, policy, b_max=reward.b_max, seed=seeds[-1],
                     initial_capacity=inits[-1])
@@ -254,14 +261,14 @@ def test_reward_domain_errors_raise_through_the_c_code():
     # each check of the Python reward pieces is a TL_DOMAIN_* code of the
     # tick loop's scoring, raised as the same DomainError
     reward = RewardParams()
-    cases = [(RewardMode.DELAY_CONSTRAINED, obs(srtt=15.0, min_rtt=20.0), 0,
+    cases = [("delay_constrained", obs(srtt=15.0, min_rtt=20.0), 0,
               lambda o: queuing_delay(o)),
-             (RewardMode.NAIVE, obs(srtt=5.0, min_rtt=0.0), 0,
+             ("naive", obs(srtt=5.0, min_rtt=0.0), 0,
               lambda o: oracles.controller_reward(o, reward)),
-             (RewardMode.DELAY_CONSTRAINED, obs(util=1.5), 4,
+             ("delay_constrained", obs(util=1.5), 4,
               lambda o: env_reward(o, [1.0] * 5, DelayConstraint(window_h=5)))]
     for mode, bad, warmup, python in cases:
-        spec = AdversarySpec(SurfaceMode.ENV_BANDWIDTH, mode,
+        spec = AdversarySpec("env", mode,
                              DelayConstraint(tau_ms=1.0, window_h=5),
                              budget=SmoothnessBudget())
         driver = EnvBandwidthDriver(spec.budget)

@@ -9,6 +9,7 @@ import sys
 import threading
 
 import pytest
+import yaml
 
 from ccprobe import cli
 from ccprobe.adversary import calibrate_tau, random_baseline_traces
@@ -19,7 +20,8 @@ from ccprobe.config import (ExperimentConfig, SchemaError, config_from_dict,
 from ccprobe.learned import LearnedController, PolicyNet, save_policy
 from ccprobe.metrics import build_report
 from ccprobe.netsim import BandwidthTrace, read_trace, run_episode, write_trace
-from ccprobe.tracegen import SmoothnessBudget, gen_random_trace
+from ccprobe.tracegen import (SmoothnessBudget, gen_burst_trace, gen_random_trace,
+                              gen_unconstrained)
 
 
 def test_default_config_valid():
@@ -241,7 +243,7 @@ def test_attack_baseline_delay_is_calibrated_tau(tmp_path, capsys):
     cfg = load_config(cfg_path)
     traces = random_baseline_traces(cfg.budget, cfg.traces.n, cfg.sim.n_intervals,
                                     cfg.sim.trace_interval_ms, cfg.seed)
-    tau = calibrate_tau(lambda: make_controller("vegas"), traces, cfg.sim)
+    tau, _ = calibrate_tau(lambda: make_controller("vegas"), traces, cfg.sim)
     assert f"calibrated tau = {tau:.3f} ms" in capsys.readouterr().out
     rows = open(os.path.join(out, "attack_vegas.csv")).read().splitlines()
     model, condition, _, delay_ms = rows[2].split(",")[:4]
@@ -290,12 +292,14 @@ def test_lp_case_backoff_check_counts_renos_loss_reactions(tmp_path, capsys):
     assert "[FAIL] reno performs zero backoffs" in printed
 
 
-def test_transfer_requires_two_traces(tmp_path):
+def test_transfer_requires_two_traces(tmp_path, capsys):
     cfg = _write_cfg(tmp_path)
     empty = str(tmp_path / "none")
     os.makedirs(empty)
     assert main(["transfer", "--config", cfg, "--traces", empty,
-                 "--out", str(tmp_path / "o")]) == 1
+                 "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and ">= 2 worst-trace artifacts" in err
 
 
 def test_schema_error_exit_code(tmp_path):
@@ -367,7 +371,7 @@ def test_baseline_random_row_follows_trace_source(tmp_path):
 def _no_episodes(monkeypatch):
     def fail(*args, **kwargs):
         raise AssertionError("an episode ran")
-    for name in ("map_jobs", "clean_episodes", "run_episode"):
+    for name in ("map_jobs", "calibrate_tau", "run_episode"):
         monkeypatch.setattr(cli, name, fail)
     monkeypatch.setattr(cli.advtrain, "adversarial_retrain", fail)
 
@@ -514,20 +518,75 @@ def test_init_not_a_checkpoint_exits_2(tmp_path, capsys, body):
         assert "bogus.ckpt" in err
 
 
-@pytest.mark.parametrize("flags", [["--bw-min", "5", "--bw-max", "1"],
-                                   ["--delta", "0"],
+# each case the budget that gen-trace's removed --delta/--window-k/--bw-min/
+# --bw-max flags once gave, now given as the config's budget section
+@pytest.mark.parametrize("flags", [{"bw_min": 5, "bw_max": 1}, {"delta": 0},
                                    # exits 2 at every length, not only when
                                    # the walk happens to go below zero
-                                   ["--bw-min", "-1"],
-                                   ["--bw-min", "-1", "--length", "5"],
+                                   {"bw_min": -1}, {"bw_min": -1, "window_k": 3},
                                    # non-finite values, once constant traces
                                    # or an OverflowError traceback
-                                   ["--delta", "nan"], ["--bw-max", "inf"]])
+                                   {"delta": math.nan}, {"bw_max": math.inf}])
 def test_gen_trace_bad_budget_exits_2(tmp_path, capsys, flags):
-    assert main(["gen-trace", "--out", str(tmp_path / "t")] + flags) == 2
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(yaml.safe_dump({"budget": flags}))
+    out = tmp_path / "t"
+    for length in ("5", "600"):
+        assert main(["gen-trace", "--config", str(cfg), "--length", length,
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: budget: ")
+    assert not out.exists()
+
+
+def test_gen_trace_reads_budget_and_burst_from_the_config(tmp_path):
+    # the budget and burst shape baseline and attack use, not built-in ones
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text("budget: {delta: 6, window_k: 2, bw_min: 10, bw_max: 20}\n"
+                   "traces: {peak: 30, trough: 7, rise_intervals: 3, "
+                   "fall_intervals: 5}\nseed: 4\n")
+    budget = SmoothnessBudget(delta=6.0, window_k=2, bw_min=10.0, bw_max=20.0)
+    for mode in ("random", "unconstrained", "burst"):
+        out = str(tmp_path / mode)
+        assert main(["gen-trace", "--config", str(cfg), "--mode", mode,
+                     "--n", "2", "--length", "200", "--out", out]) == 0
+        for i in range(2):
+            tr = read_trace(os.path.join(out, f"trace_{i:03d}.trace"))
+            if mode == "random":
+                # trace files hold 6 decimals
+                assert tr.values == pytest.approx(
+                    gen_random_trace(200, budget, seed=4 + i).values, abs=5e-7)
+            elif mode == "unconstrained":
+                assert tr.values == pytest.approx(
+                    gen_unconstrained(200, 10.0, 20.0, seed=4 + i).values, abs=5e-7)
+            else:
+                assert tr.values == pytest.approx(
+                    gen_burst_trace(200, 30.0, 7.0, 3, 5).values, abs=5e-7)
+
+
+@pytest.mark.parametrize("argv", [
+    ["baseline", "--config", "{dir}"],
+    ["export", "--trace", "{dir}", "--dest", "{tmp}/x.mahi"],
+    ["retrain", "--init", "{dir}", "--config", "{cfg}"],
+    ["baseline", "--controllers", "learned", "--checkpoint", "{dir}",
+     "--config", "{cfg}"],
+    ["transfer", "--traces", "{cfg}", "--config", "{cfg}"],
+    ["gen-trace", "--out", "{cfg}"]],
+    ids=["config-dir", "export-trace-dir", "retrain-init-dir",
+         "checkpoint-dir", "transfer-traces-file", "out-file"])
+def test_bad_input_path_exits_2(tmp_path, monkeypatch, capsys, argv):
+    # a directory where a file belongs, or a file where a directory belongs:
+    # one error line, not a traceback
+    _no_episodes(monkeypatch)
+    d = tmp_path / "d"
+    d.mkdir()
+    cfg = _write_cfg(tmp_path)
+    argv = [a.format(dir=d, tmp=tmp_path, cfg=cfg) for a in argv]
+    if "--out" not in argv and argv[0] != "export":
+        argv += ["--out", str(tmp_path / "o")]
+    assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith("error: ")
-    assert not os.listdir(tmp_path / "t")
 
 
 @pytest.mark.parametrize("count", ["0", "-1"])
@@ -737,6 +796,10 @@ def _exits_2_before_any_episode(tmp_path, monkeypatch, capsys, argv):
     ("adversary: {alpha: 0}", "alpha"), ("adversary: {window_h: 0}", "window_h"),
     ("adversary: {tau_ms: -1}", "tau"), ("adversary: {x_fraction: 2}", "x_fraction"),
     ("adversary: {rollouts: 0}", "rollouts"),
+    # the one spelling of each setting is the config's, never an enum value
+    ("adversary: {surface: env_bandwidth}", "surface"),
+    ("adversary: {reward_mode: NAIVE}", "reward_mode"),
+    ("adversary: {perturb_mode: noise}", "perturb_mode"),
     ("train: {population: 0}", "population"), ("train: {hidden: -1}", "hidden"),
     ("train: {a_max: -1}", "a_max"), ("train: {elite_frac: 2}", "elite_frac"),
     ("train: {mix_p: 2}", "mix_p"),

@@ -11,8 +11,8 @@ from hypothesis import given, settings, strategies as st
 import oracles
 from ccprobe import learned, netsim
 from ccprobe.adversary import (AdversarySpec, DelayConstraint, EnvBandwidthDriver,
-                               FeatureBound, FeatureIntercept, RewardMode,
-                               SurfaceMode, adversarial_episodes, clean_episode,
+                               SETTINGS, FeatureBound, FeatureIntercept,
+                               adversarial_episodes, clean_episode,
                                make_adversary_policy)
 from ccprobe.cc import RULE_BASED, make_controller
 from ccprobe.learned import LearnedController, PolicyNet, RewardParams, episode_return
@@ -65,13 +65,14 @@ def test_c_sums_are_the_python_formulas(trace, name, seed, reward):
 
 
 @settings(max_examples=12, deadline=None)
-@given(traces, st.sampled_from(list(SurfaceMode)), st.sampled_from(list(RewardMode)),
+@given(traces, st.sampled_from(SETTINGS["surface"]),
+       st.sampled_from(SETTINGS["reward_mode"]),
        st.sampled_from(["cubic", "vegas", "bbrlite"]), st.integers(0, 1000), rewards)
 def test_c_sums_of_adversarial_episodes_are_the_python_formulas(
         trace, surface, mode, name, seed, reward):
     policy = make_adversary_policy(surface)
     params = np.random.default_rng(seed).normal(0.0, 0.5, (2, policy.n_params))
-    if surface is SurfaceMode.ENV_BANDWIDTH:
+    if surface == "env":
         spec = AdversarySpec(surface, mode, DelayConstraint(tau_ms=5.0),
                              budget=SmoothnessBudget(), policy=policy)
     else:
@@ -83,7 +84,7 @@ def test_c_sums_of_adversarial_episodes_are_the_python_formulas(
                                clean_traces=[trace])
     for ev, p, s in zip(evs, params, seeds):
         # the row's episode again, alone, for its Observations
-        if surface is SurfaceMode.ENV_BANDWIDTH:
+        if surface == "env":
             row, adv = None, EnvBandwidthDriver(
                 spec.budget, policy.with_params(p), b_max=reward.b_max, seed=s)
         else:

@@ -214,11 +214,11 @@ def test_train_zero_budget_noop(short_sim, const_trace):
 
 
 def test_train_never_regresses_on_holdout(short_sim, const_trace):
+    # the check that keeps the incoming policy runs on the pool's first trace
     p = PolicyNet(n_features=5, hidden=0)
     reward = RewardParams()
     cem = CemConfig(population=8, seed=0)
-    out, rows = train_controller(p, [const_trace], 24, short_sim, reward,
-                                 cem, holdout=const_trace)
+    out, rows = train_controller(p, [const_trace], 24, short_sim, reward, cem)
     assert episode_return(out, const_trace, short_sim, reward) >= \
         episode_return(p, const_trace, short_sim, reward)
     assert len(rows) == 3

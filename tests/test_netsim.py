@@ -20,8 +20,8 @@ from hypothesis import given, settings, strategies as st
 
 from ccprobe import netsim
 from ccprobe.adversary import (AdversarySpec, EnvBandwidthDriver, FeatureBound,
-                               FeatureIntercept, PerturbMode, SurfaceMode,
-                               adversarial_episodes, make_adversary_policy)
+                               FeatureIntercept, adversarial_episodes,
+                               make_adversary_policy)
 from ccprobe.cc import RULE_BASED, Pinned, make_controller
 from ccprobe.learned import LearnedController, PolicyNet, RewardParams
 from ccprobe.netsim import (OBS_COLUMNS, BandwidthTrace, ConfigError, SimConfig,
@@ -619,7 +619,7 @@ def test_trace_driven_c_controller_runs_to_the_end_in_one_step(
     monkeypatch.setattr(netsim, "_lib", spy)
     trace = _golden_traces()[0]
     hidden = PolicyNet(n_features=5, hidden=16)
-    clean = FeatureIntercept(FeatureBound(0.5, PerturbMode.CLEAN))
+    clean = FeatureIntercept(FeatureBound(0.5, "clean"))
     n = short_sim.n_intervals
     cases = ([(partial(make_controller, name), None, (1, 0)) for name in RULE_BASED]
              + [(partial(_learned, FIXED_POLICY), None, (1, 0)),
@@ -633,8 +633,8 @@ def test_trace_driven_c_controller_runs_to_the_end_in_one_step(
         assert (spy.steps, spy.row_steps) == calls, factory
         assert [o.interval_idx for o in log.observations] == list(range(n))
     reward = RewardParams()
-    for spec in (AdversarySpec(SurfaceMode.ENV_BANDWIDTH, budget=SmoothnessBudget()),
-                 AdversarySpec(SurfaceMode.FEATURE_MIN_RTT,
+    for spec in (AdversarySpec("env", budget=SmoothnessBudget()),
+                 AdversarySpec("feature",
                                feature_bound=FeatureBound(0.5))):
         spec.policy = make_adversary_policy(spec.surface)
         params = np.random.default_rng(0).normal(0.0, 0.5, (3, spec.policy.n_params))
@@ -648,7 +648,7 @@ def test_trace_driven_c_controller_runs_to_the_end_in_one_step(
 def test_run_to_end_episode_equals_the_hooked_one(short_sim):
     # the same episode with a clean intercept returns at every interval and
     # reads each observation row there, instead of all of them at the end
-    clean = FeatureBound(0.5, PerturbMode.CLEAN)
+    clean = FeatureBound(0.5, "clean")
     factories = ([partial(make_controller, name) for name in RULE_BASED]
                  + [partial(_learned, FIXED_POLICY), partial(_learned, RUNAWAY_POLICY)])
     for trace in _golden_traces():
@@ -674,11 +674,11 @@ def test_hidden_learned_slice_equals_single_episodes(short_sim):
 
     def env(seed, policy=True):
         return EnvBandwidthDriver(budget, _adversary_policy(
-            SurfaceMode.ENV_BANDWIDTH, seed) if policy else None, seed=seed)
+            "env", seed) if policy else None, seed=seed)
 
     def feat(seed):
         return FeatureIntercept(FeatureBound(0.5), _adversary_policy(
-            SurfaceMode.FEATURE_MIN_RTT, seed), seed=seed)
+            "feature", seed), seed=seed)
 
     reno, linear = partial(make_controller, "reno"), partial(_learned, FIXED_POLICY)
     h = [partial(_hidden, s) for s in range(11)]
@@ -774,10 +774,10 @@ def test_episodes_on_four_threads_equal_serial_ones(short_sim):
                  partial(Pinned, 240.0), partial(Pinned, 4096.0)])
     budget = SmoothnessBudget(delta=12.0, bw_min=2.0, bw_max=48.0)
     env = [partial(EnvBandwidthDriver, budget,
-                   _adversary_policy(SurfaceMode.ENV_BANDWIDTH, s), seed=s)
+                   _adversary_policy("env", s), seed=s)
            for s in range(3)]
     feat = [partial(FeatureIntercept, FeatureBound(0.5),
-                    _adversary_policy(SurfaceMode.FEATURE_MIN_RTT, s), seed=s)
+                    _adversary_policy("feature", s), seed=s)
             for s in range(3)]
     jobs = [(short_sim, [trace], [f]) for trace in traces for f in single]
     jobs.append((short_sim, [None] * 3,
@@ -863,7 +863,7 @@ def test_slice_of_mixed_policy_shapes_is_rejected(short_sim, monkeypatch):
          r"rows \[1\]: 5 features, hidden 8"),
         ([None, None], [make_controller("reno"), make_controller("reno")],
          [EnvBandwidthDriver(budget, seed=1), EnvBandwidthDriver(
-             budget, _adversary_policy(SurfaceMode.ENV_BANDWIDTH, 2), seed=2)],
+             budget, _adversary_policy("env", 2), seed=2)],
          r"adversaries .*rows \[0\]: no policy; rows \[1\]: 6 features, hidden 16"),
     ]
     for traces, ctls, advs, message in cases:
@@ -902,8 +902,8 @@ def test_golden_episode_hashes_beyond_rule_traces(short_sim):
     # online env driver, a min-RTT intercept, and a 0.5 ms tick.
     traces = _golden_traces()
     budget = SmoothnessBudget(delta=12.0, bw_min=2.0, bw_max=48.0)
-    env_policy = _adversary_policy(SurfaceMode.ENV_BANDWIDTH, 1)
-    feat_policy = _adversary_policy(SurfaceMode.FEATURE_MIN_RTT, 2)
+    env_policy = _adversary_policy("env", 1)
+    feat_policy = _adversary_policy("feature", 2)
     half_tick = replace(short_sim, tick_ms=0.5)
     logs = []
     for trace in traces:
@@ -918,7 +918,7 @@ def test_golden_episode_hashes_beyond_rule_traces(short_sim):
             logs += run_episodes(short_sim, [None], [factory()], [driver])
     env_log = logs[-1]
     for bound, seed in ((FeatureBound(0.5), 5),
-                        (FeatureBound(0.3, PerturbMode.RANDOM_NOISE), 6)):
+                        (FeatureBound(0.3, "random_noise"), 6)):
         for name in ("vegas", "lp", "bbrlite"):
             intercept = FeatureIntercept(bound, feat_policy, seed=seed)
             logs += run_episodes(short_sim, [traces[0]], [make_controller(name)],
@@ -1007,7 +1007,7 @@ def test_golden_hidden_learned_episode_digest(short_sim):
         runs = [(trace, None) for trace in traces]
         runs.append((traces[0], FeatureIntercept(FeatureBound(0.5),
                                                  _adversary_policy(
-                                                     SurfaceMode.FEATURE_MIN_RTT, 7),
+                                                     "feature", 7),
                                                  seed=8)))
         for trace, intercept in runs:
             ctl = LearnedController(policy)
