@@ -14,8 +14,8 @@ seeds 0-9), times 60 s env-surface adversary
 episodes against cubic (random hidden-16 policies, seeds 0-15) in slices of
 1, 4 and 16, and one env-adversary CEM generation of 8 against cubic (a
 lock-step slice on the calling thread at any worker count), times what an
-episode costs after its ticks (everything but `tl_step` in `episode_return`
-of the fixed policy and in `clean_episode` of cubic, over the same trace),
+episode costs after its ticks (everything but `tl_step` in `clean_episode`
+of the fixed policy with its reward and of cubic, over the same trace),
 times start-up (a warm re-import of `ccprobe.cli` and a fresh interpreter
 importing it), and stores the result under `--label` in the
 JSON file `--out` (other labels already in the file are kept). Import
@@ -49,8 +49,9 @@ they overlap only in their ticks and little is to be gained. A tree without
 `adversary.adversarial_episodes` runs a slice as one `adversarial_episode`
 call per row, and a tree whose `evaluate_suite`
 takes one policy gets that one. A tree whose `cem_maximize` still calls its
-objective once per candidate, or whose adversary settings are enums rather
-than the config's strings, is not supported. The cost after the ticks is the median, over
+objective once per candidate, whose adversary settings are enums rather
+than the config's strings, or whose `metrics.clean_episode` takes no reward,
+is not supported. The cost after the ticks is the median, over
 AFTER_TICKS_REPEATS episodes after one warm-up, of each episode's wall time
 minus the time spent in the calls `netsim.run_episodes` makes to `tl_step`.
 Start-up is timed with ccprobe's bytecode cached under a temporary prefix,
@@ -90,7 +91,8 @@ from ccprobe.advtrain import evaluate_suite
 from ccprobe.cc import RULE_BASED, Pinned, make_controller
 from ccprobe.cem import CemConfig, cem_maximize
 from ccprobe.learned import (LearnedController, PolicyNet, RewardParams,
-                             candidate_returns, episode_return)
+                             candidate_returns)
+from ccprobe.metrics import clean_episode
 from ccprobe.netsim import SimConfig, export_mahimahi, run_episode
 from ccprobe.tracegen import SmoothnessBudget, gen_random_trace
 
@@ -279,13 +281,14 @@ class _TimedSteps:
 
 
 def measure_after_ticks(trace) -> dict:
-    """ms per 60 s episode outside `tl_step`, and in all, for the learned
-    CEM objective (`episode_return`, fixed linear policy) and a clean-episode
-    job (`clean_episode`, cubic)."""
+    """ms per 60 s episode outside `tl_step`, and in all, for the episode
+    job as the learned CEM objective runs it (fixed linear policy, with its
+    reward) and as a clean episode of cubic runs it."""
     sim, reward = SimConfig(), RewardParams()
     policy = PolicyNet(n_features=5, hidden=0, params=LEARNED_PARAMS)
-    cases = {"episode_return_learned": lambda: episode_return(policy, trace, sim, reward),
-             "clean_episode_cubic": lambda: adversary.clean_episode(
+    learned = partial(LearnedController, policy, b_max=reward.b_max)
+    cases = {"clean_episode_learned": lambda: clean_episode(sim, trace, learned, reward),
+             "clean_episode_cubic": lambda: clean_episode(
                  sim, trace, partial(make_controller, "cubic"))}
     out = {}
     timed = _TimedSteps(netsim._lib)

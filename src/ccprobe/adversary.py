@@ -16,9 +16,8 @@ import numpy as np
 
 from .cem import CemConfig, train_policy
 from .learned import PolicyNet, RewardParams, policy_outputs
-from .metrics import EpisodeReport, build_report
-from .netsim import (SimConfig, _ffi, _lib, map_jobs, replace, run_episode,
-                     run_episodes)
+from .metrics import EpisodeReport, build_report, clean_episode, means
+from .netsim import SimConfig, _ffi, _lib, map_jobs, replace, run_episodes
 from .tracegen import SmoothnessBudget, gen_random_trace
 
 
@@ -191,29 +190,18 @@ def make_adversary_policy(surface: str) -> PolicyNet:
 
 # --- calibration and training ------------------------------------------------
 
-def clean_episode(config: SimConfig, trace, controller_factory) -> EpisodeReport:
-    """The one clean-episode job: a fresh controller from its factory, so no
-    episode starts from another's state, and the episode's report, built in
-    the job so that a batch keeps only the reports, never the whole logs."""
-    return build_report(run_episode(config, trace, controller_factory()))
-
-
-def mean_queuing_delay_ms(reports) -> float:
-    """Mean over episodes of each one's mean per-interval queuing delay."""
-    return sum(r.interval_delay_ms for r in reports) / len(reports)
-
-
 def calibrate_tau(controller_factory, traces, config: SimConfig,
                   workers: int = 1) -> tuple[float, list[EpisodeReport]]:
-    """Mean queuing delay of the unperturbed controller over the baseline
-    set, with the reports it is the mean of: one clean episode per trace,
-    each summarized where it ran, the batch on `workers` threads."""
+    """Mean per-interval queuing delay of the unperturbed controller over
+    the baseline set, with the reports it is the mean of: one clean episode
+    per trace, each summarized where it ran, the batch on `workers`
+    threads."""
     if not traces:
         raise ValueError("trace set must be non-empty")
     reports = map_jobs(clean_episode,
                        [(config, trace, controller_factory) for trace in traces],
                        workers)
-    return mean_queuing_delay_ms(reports), reports
+    return means(reports, "interval_delay_ms")[0], reports
 
 
 def random_baseline_traces(budget: SmoothnessBudget, n: int, length: int,
@@ -222,20 +210,10 @@ def random_baseline_traces(budget: SmoothnessBudget, n: int, length: int,
             for i in range(n)]
 
 
-class EpisodeEval:
-    def __init__(self, utilization: float, mean_delay_ms: float, adv_return: float,
-                 constraint_ok_rate: float, trace_values: list[float] | None = None):
-        self.utilization = utilization
-        self.mean_delay_ms = mean_delay_ms
-        self.adv_return = adv_return
-        self.constraint_ok_rate = constraint_ok_rate
-        self.trace_values = [] if trace_values is None else trace_values
-
-
 def adversarial_episode(spec: AdversarySpec, params, controller_factory,
                         config: SimConfig, reward: RewardParams,
                         seed: int, initial_capacity: float | None = None,
-                        clean_traces=None) -> EpisodeEval:
+                        clean_traces=None) -> EpisodeReport:
     """One rollout of the adversary against a fresh controller."""
     return adversarial_episodes(spec, None if params is None else [params],
                                 controller_factory, config, reward, [seed],
@@ -245,14 +223,15 @@ def adversarial_episode(spec: AdversarySpec, params, controller_factory,
 def adversarial_episodes(spec: AdversarySpec, params, controller_factory,
                          config: SimConfig, reward: RewardParams, seeds,
                          initial_capacities=None,
-                         clean_traces=None) -> list[EpisodeEval]:
+                         clean_traces=None) -> list[EpisodeReport]:
     """A slice of rollouts in lock-step, each against a fresh controller.
     Row j has policy parameters params[j] (`spec.policy`'s when `params` is
     None), episode seed seeds[j], which on the feature surface also picks its
     clean trace, and initial capacity initial_capacities[j] (None for the
     budget's midpoint). The loop scores each interval in C: `tl_adv_reward`
     holds the naive and the delay-constrained reward, whose Python
-    formulas are test oracles."""
+    formulas are test oracles. Each row's report carries its adversary's
+    score and capacities."""
     k = len(seeds)
     policies = ([spec.policy] * k if params is None
                 else [spec.policy.with_params(p) for p in params])
@@ -269,28 +248,19 @@ def adversarial_episodes(spec: AdversarySpec, params, controller_factory,
         adv.score_by(spec, reward)
     logs = run_episodes(config, traces, [controller_factory() for _ in range(k)],
                         advs)
-    evals = []
-    for adv, log in zip(advs, logs):
-        n = len(log.rows)
-        evals.append(EpisodeEval(
-            utilization=log.mean_utilization(),
-            mean_delay_ms=log.mean_queuing_delay_ms(),
-            adv_return=adv.adv_state.total / n if n else 0.0,
-            constraint_ok_rate=adv.adv_state.ok / n if n else 0.0,
-            trace_values=log.column("capacity_mbps").tolist(),
-        ))
-    return evals
+    return [build_report(log, adversary=adv) for adv, log in zip(advs, logs)]
 
 
 def train_adversary(spec: AdversarySpec, controller_factory, config: SimConfig,
                     episodes: int, reward: RewardParams,
                     cem: CemConfig | None = None, clean_traces=None):
-    """CEM training of the adversary policy; returns (policy, history)."""
-    if spec.policy is None:
-        spec.policy = make_adversary_policy(spec.surface)
-    return train_policy(spec.policy,
-                        partial(_adversary_returns, spec, controller_factory,
-                                config, reward, clean_traces),
+    """CEM training of the adversary policy, from `spec.policy` or, with
+    none, a fresh one; returns (policy, history)."""
+    policy = (make_adversary_policy(spec.surface) if spec.policy is None
+              else spec.policy)
+    return train_policy(policy,
+                        partial(_adversary_returns, replace(spec, policy=policy),
+                                controller_factory, config, reward, clean_traces),
                         episodes, cem or CemConfig())
 
 
@@ -298,18 +268,19 @@ def _adversary_returns(spec: AdversarySpec, controller_factory,
                        config: SimConfig, reward: RewardParams, clean_traces,
                        params, seeds) -> list[tuple[float, float]]:
     """`train_adversary`'s CEM objective: (return, constraint rate) per row."""
-    return [(ev.adv_return, ev.constraint_ok_rate)
-            for ev in adversarial_episodes(spec, params, controller_factory,
-                                           config, reward, seeds,
-                                           clean_traces=clean_traces)]
+    return [(r.adv_return, r.ok_rate)
+            for r in adversarial_episodes(spec, params, controller_factory,
+                                          config, reward, seeds,
+                                          clean_traces=clean_traces)]
 
 
 def select_worst_trace(spec: AdversarySpec, policy: PolicyNet, controller_factory,
                        config: SimConfig, reward: RewardParams,
-                       n_rollouts: int = 8, seed: int = 0) -> EpisodeEval | None:
-    """Env-surface selection: among rollout traces with mean delay >= tau,
-    the one minimizing utilization. None if no rollout meets the constraint.
-    The rollouts run as one lock-step slice."""
+                       n_rollouts: int = 8, seed: int = 0) -> EpisodeReport | None:
+    """Env-surface selection: among rollouts whose mean per-interval queuing
+    delay is >= tau, the report of the one minimizing utilization. None if
+    no rollout meets the constraint. The rollouts run as one lock-step
+    slice."""
     spec = replace(spec, policy=policy)
     budget = spec.budget
     rng = np.random.default_rng(seed)
@@ -318,7 +289,8 @@ def select_worst_trace(spec: AdversarySpec, policy: PolicyNet, controller_factor
     candidates = adversarial_episodes(spec, None, controller_factory, config,
                                       reward, [seed + i for i in range(n_rollouts)],
                                       inits)
-    feasible = [c for c in candidates if c.mean_delay_ms >= spec.constraint.tau_ms]
+    feasible = [c for c in candidates
+                if c.interval_delay_ms >= spec.constraint.tau_ms]
     if not feasible:
         return None
     return min(feasible, key=lambda c: c.utilization)

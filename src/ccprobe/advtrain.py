@@ -6,9 +6,9 @@ from functools import partial
 
 import numpy as np
 
-from .adversary import clean_episode, mean_queuing_delay_ms
 from .cem import CemConfig, GenerationStats, train_policy
 from .learned import LearnedController, PolicyNet, RewardParams, candidate_returns
+from .metrics import clean_episode, means
 from .netsim import BandwidthTrace, SimConfig, map_jobs
 
 
@@ -57,32 +57,19 @@ def adversarial_retrain(policy: PolicyNet, pool: TracePool, episodes: int,
         episodes, cem or CemConfig())
 
 
-class SuiteRow:
-    def __init__(self, trace_set: str, utilization: float, mean_delay_ms: float):
-        self.trace_set = trace_set
-        self.utilization = utilization
-        self.mean_delay_ms = mean_delay_ms
-
-
 def evaluate_suite(policies: list[PolicyNet], trace_sets: dict, sim: SimConfig,
-                   reward: RewardParams, workers: int = 1) -> list[list[SuiteRow]]:
-    """Each policy's per-set mean utilization/delay, one episode per trace;
-    every policy's episodes over every set go through one `map_jobs` batch."""
+                   reward: RewardParams, workers: int = 1
+                   ) -> list[dict[str, tuple[float, float]]]:
+    """Each policy's {set name: (mean utilization, mean per-interval queuing
+    delay)}, one episode per trace; every policy's episodes over every set
+    go through one `map_jobs` batch."""
     if not policies or not trace_sets or not all(trace_sets.values()):
         raise ValueError("need a policy and a trace set, and no empty set")
     traces = [t for ts in trace_sets.values() for t in ts]
-    reports = map_jobs(clean_episode,
-                       [(sim, trace, partial(LearnedController, policy,
-                                             b_max=reward.b_max))
-                        for policy in policies for trace in traces], workers)
-    suites = []
-    for _ in policies:
-        rows = []
-        for name, ts in trace_sets.items():
-            mine, reports = reports[:len(ts)], reports[len(ts):]
-            rows.append(SuiteRow(
-                trace_set=name,
-                utilization=sum(r.utilization for r in mine) / len(mine),
-                mean_delay_ms=mean_queuing_delay_ms(mine)))
-        suites.append(rows)
-    return suites
+    reports = iter(map_jobs(clean_episode,
+                            [(sim, trace, partial(LearnedController, policy,
+                                                  b_max=reward.b_max))
+                             for policy in policies for trace in traces], workers))
+    return [{name: means([next(reports) for _ in ts], "utilization",
+                         "interval_delay_ms")
+             for name, ts in trace_sets.items()} for _ in policies]

@@ -40,19 +40,14 @@ class GenerationStats:
         self.constraint_satisfaction_rate = constraint_satisfaction_rate
 
 
-class CemResult:
-    def __init__(self, best_params: np.ndarray,
-                 history: list[GenerationStats] | None = None):
-        self.best_params = best_params
-        self.history = [] if history is None else history
-
-
 def cem_maximize(objective, dim: int, generations: int, config: CemConfig,
-                 init_mean: np.ndarray | None = None) -> CemResult:
-    """Maximize the objective: objective(params, seeds), given a generation's
-    whole (population, dim) array of candidates and their episode seeds,
-    drawn up front, returns one result per row, a float or (float, ok_rate).
-    It is called once per generation and decides itself how its rows run.
+                 init_mean: np.ndarray | None = None
+                 ) -> tuple[np.ndarray, list[GenerationStats]]:
+    """Maximize the objective; returns (best parameters, per-generation log).
+    objective(params, seeds), given a generation's whole (population, dim)
+    array of candidates and their episode seeds, drawn up front, returns one
+    result per row, a float or (float, ok_rate). It is called once per
+    generation and decides itself how its rows run.
 
     Raises OptimizerError if a generation's returns have exactly zero
     variance before the budget is exhausted (degenerate reward signal).
@@ -92,7 +87,7 @@ def cem_maximize(objective, dim: int, generations: int, config: CemConfig,
         ))
         if gen < generations - 1 and float(returns.std()) == 0.0:
             raise OptimizerError("population returns collapsed to zero variance")
-    return CemResult(best_params=best_params, history=history)
+    return best_params, history
 
 
 def train_policy(policy, objective, episodes: int, config: CemConfig):
@@ -103,6 +98,7 @@ def train_policy(policy, objective, episodes: int, config: CemConfig):
     generations = episodes // config.population
     if generations == 0:
         return policy, []
-    result = cem_maximize(objective, dim=policy.n_params, generations=generations,
-                          config=config, init_mean=policy.params)
-    return policy.with_params(result.best_params), result.history
+    best_params, history = cem_maximize(objective, dim=policy.n_params,
+                                        generations=generations, config=config,
+                                        init_mean=policy.params)
+    return policy.with_params(best_params), history

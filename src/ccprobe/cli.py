@@ -19,23 +19,19 @@ from functools import partial
 
 from . import advtrain
 from .adversary import (AdversarySpec, DelayConstraint, FeatureBound,
-                        adversarial_episodes, calibrate_tau, clean_episode,
+                        adversarial_episodes, calibrate_tau,
                         random_baseline_traces, select_worst_trace,
                         train_adversary)
 from .cc import RULE_BASED, make_controller
-from .config import ExperimentConfig, SchemaError, load_config
+from .config import ExperimentConfig, load_config
 from .learned import LearnedController, load_policy, save_policy, train_controller
-from .metrics import build_report, dump_series_csv
+from .metrics import build_report, clean_episode, dump_series_csv, means
 from .netsim import (BandwidthTrace, ConfigError, SimConfig, export_mahimahi,
                      map_jobs, read_trace, replace, run_episode, write_trace)
 from .tracegen import (check_feasible, gen_burst_trace, gen_random_trace,
                        gen_unconstrained)
 
 ALL_CONTROLLERS = tuple(RULE_BASED) + ("learned",)
-
-
-class UsageError(ValueError):
-    """Arguments that cannot run; reported on one line with exit code 2."""
 
 
 # --- plumbing ----------------------------------------------------------------
@@ -94,7 +90,7 @@ def _controller_factory(cfg: ExperimentConfig, name: str,
     before any episode runs.
     """
     if name == "learned" and checkpoint is None:
-        raise UsageError("the learned controller requires --checkpoint")
+        raise ConfigError("the learned controller requires --checkpoint")
     kwargs = dict(defaults)
     if name == "learned":
         kwargs.update(policy=_learned_policy(checkpoint), b_max=cfg.reward.b_max)
@@ -104,17 +100,17 @@ def _controller_factory(cfg: ExperimentConfig, name: str,
         factory = partial(make_controller, name, **kwargs)
         factory()
     except (TypeError, ValueError) as e:
-        raise UsageError(f"controller {name!r}: {e}") from e
+        raise ConfigError(f"controller {name!r}: {e}") from e
     return factory
 
 
 def _learned_policy(path: str):
-    """Checkpoint `path`'s policy; UsageError unless a learned controller runs it."""
+    """Checkpoint `path`'s policy; ConfigError unless a learned controller runs it."""
     policy = load_policy(path)
     try:
         return LearnedController(policy).policy
     except ValueError as e:
-        raise UsageError(f"{path}: {e}") from e
+        raise ConfigError(f"{path}: {e}") from e
 
 
 def _controller_factories(args, cfg: ExperimentConfig) -> dict[str, partial]:
@@ -124,10 +120,6 @@ def _controller_factories(args, cfg: ExperimentConfig) -> dict[str, partial]:
              else [c for c in ALL_CONTROLLERS if c != "learned" or args.checkpoint])
     return {name: _controller_factory(cfg, name, args.checkpoint)
             for name in names}
-
-
-def _mean(xs):
-    return sum(xs) / len(xs)
 
 
 # --- commands ----------------------------------------------------------------
@@ -154,10 +146,8 @@ def cmd_baseline(args, cfg: ExperimentConfig, out: str) -> int:
         for setting, _ in settings:
             got = [r for r, key in zip(results, keys)
                    if key[0] == name and key[1] == setting]
-            rows.append([name, setting,
-                         _mean([g.utilization for g in got]),
-                         _mean([g.mean_delay_ms for g in got]),
-                         _mean([g.p95_delay_ms for g in got])])
+            rows.append([name, setting, *means(got, "utilization", "mean_delay_ms",
+                                               "p95_delay_ms")])
     _write_csv(os.path.join(out, "baseline.csv"),
                ["model", "setting", "utilization", "delay_ms", "p95_ms"],
                rows, cfg)
@@ -180,7 +170,7 @@ def cmd_attack(args, cfg: ExperimentConfig, out: str) -> int:
 
     # one clean episode per baseline trace gives both tau and the baseline row
     base_delay, base = calibrate_tau(factory, baseline_traces, cfg.sim, args.workers)
-    base_util = _mean([r.utilization for r in base])
+    [base_util] = means(base, "utilization")
     tau = adv.tau_ms
     if tau is None and adv.reward_mode == "delay_constrained":
         tau = base_delay
@@ -213,20 +203,19 @@ def cmd_attack(args, cfg: ExperimentConfig, out: str) -> int:
         evals = adversarial_episodes(spec, None, factory, cfg.sim, cfg.reward,
                                      range(len(baseline_traces)),
                                      clean_traces=baseline_traces)
-        util = _mean([e.utilization for e in evals])
-        delay = _mean([e.mean_delay_ms for e in evals])
+        util, delay = means(evals, "utilization", "interval_delay_ms")
     else:
         worst = select_worst_trace(spec, policy, factory, cfg.sim, cfg.reward,
                                    n_rollouts=adv.rollouts, seed=cfg.seed)
         if worst is None:
             print("no rollout satisfied the delay constraint", file=sys.stderr)
             return 1
-        trace = BandwidthTrace(cfg.sim.trace_interval_ms, worst.trace_values)
+        trace = BandwidthTrace(cfg.sim.trace_interval_ms, worst.capacities)
         if not check_feasible(trace.values, cfg.budget):
             print("selected trace violates the smoothness budget", file=sys.stderr)
             ok = False
         write_trace(trace, os.path.join(out, f"worst_{target}.trace"))
-        util, delay = worst.utilization, worst.mean_delay_ms
+        util, delay = worst.utilization, worst.interval_delay_ms
     rows.append([target, "attack", util, delay,
                  util - base_util, delay - base_delay])
     _write_csv(os.path.join(out, f"attack_{target}.csv"),
@@ -241,7 +230,7 @@ def cmd_transfer(args, cfg: ExperimentConfig, out: str) -> int:
     named = [(name.removeprefix("worst_"), trace)
              for name, trace in _load_trace_dir(args.traces).items()]
     if len(named) < 2:
-        raise UsageError(f"transfer needs >= 2 worst-trace artifacts, "
+        raise ConfigError(f"transfer needs >= 2 worst-trace artifacts, "
                          f"found {len(named)} in {args.traces}")
     factories = _controller_factories(args, cfg)
     controllers = list(factories)
@@ -336,9 +325,8 @@ def cmd_train(args, cfg: ExperimentConfig, out: str) -> int:
                cfg)
     [suite] = advtrain.evaluate_suite([policy], {"train_pool": traces}, cfg.sim,
                                       cfg.reward, args.workers)
-    for row in suite:
-        print(f"{row.trace_set}: util={row.utilization:.4f} "
-              f"delay={row.mean_delay_ms:.2f}ms")
+    for name, (util, delay) in suite.items():
+        print(f"{name}: util={util:.4f} delay={delay:.2f}ms")
     print(f"wrote {ckpt}")
     return 0
 
@@ -350,10 +338,10 @@ def _load_trace_dir(path: str) -> dict[str, BandwidthTrace]:
 
 
 def _pool_dir(path: str, flag: str) -> list[BandwidthTrace]:
-    """The traces of a `--pool-*` directory; UsageError if it holds none."""
+    """The traces of a `--pool-*` directory; ConfigError if it holds none."""
     traces = list(_load_trace_dir(path).values())
     if not traces:
-        raise UsageError(f"{flag} {path} holds no .trace file")
+        raise ConfigError(f"{flag} {path} holds no .trace file")
     return traces
 
 
@@ -379,7 +367,7 @@ def cmd_retrain(args, cfg: ExperimentConfig, out: str) -> int:
                                     adversarial if p > 0 else [], p)
                  for p in grid]
     except ValueError as e:
-        raise UsageError(f"{e} (adversarial traces come from --pool-adv)") from e
+        raise ConfigError(f"{e} (adversarial traces come from --pool-adv)") from e
     episodes = args.episodes or cfg.train.episodes
     cem = cfg.train.cem(cfg.seed)
     retrained = [advtrain.adversarial_retrain(policy, pool, episodes, cfg.sim,
@@ -394,20 +382,19 @@ def cmd_retrain(args, cfg: ExperimentConfig, out: str) -> int:
     save_policy(retrained[mine], os.path.join(out, "retrained.ckpt"))
     _write_csv(os.path.join(out, "retrain_eval.csv"),
                ["stage", "trace_set", "utilization", "delay_ms"],
-               [[stage, s.trace_set, s.utilization, s.mean_delay_ms]
+               [[stage, name, util, delay]
                 for stage, suite in (("before", before), ("after", after[mine]))
-                for s in suite],
+                for name, (util, delay) in suite.items()],
                cfg)
     for p, suite in zip(grid, after):
-        print(f"p={p}: " + " ".join(f"{s.trace_set} util={s.utilization:.4f}"
-                                    for s in suite))
+        print(f"p={p}: " + " ".join(f"{name} util={util:.4f}"
+                                    for name, (util, _) in suite.items()))
     print(f"wrote {out}/retrained.ckpt and {out}/retrain_eval.csv")
     if args.p_grid:
         _write_csv(os.path.join(out, "sweep_p.csv"),
                    ["mix_p", "random_util", "random_delay_ms",
                     "adv_util", "adv_delay_ms"],
-                   [[p] + [v for s in suite for v in (s.utilization,
-                                                      s.mean_delay_ms)]
+                   [[p] + [v for pair in suite.values() for v in pair]
                     for p, suite in zip(grid, after)],
                    cfg)
         print(f"wrote {out}/sweep_p.csv")
@@ -539,9 +526,8 @@ def main(argv=None) -> int:
             return cmd_export(args)
         cfg = _load_cfg(args)
         return args.fn(args, cfg, _out_dir(args, cfg))
-    except (SchemaError, ConfigError, UsageError, FileNotFoundError,
-            FileExistsError, IsADirectoryError, NotADirectoryError,
-            PermissionError) as e:
+    except (ConfigError, FileNotFoundError, FileExistsError, IsADirectoryError,
+            NotADirectoryError, PermissionError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

@@ -21,15 +21,11 @@ from .netsim import ConfigError, SimConfig
 from .tracegen import SmoothnessBudget
 
 
-class SchemaError(ValueError):
-    pass
-
-
 def _integers(**counts) -> None:
-    """SchemaError unless each count is an int (a YAML `1.5` or `abc` is not)."""
+    """ConfigError unless each count is an int (a YAML `1.5` or `abc` is not)."""
     for name, value in counts.items():
         if isinstance(value, bool) or not isinstance(value, int):
-            raise SchemaError(f"{name} must be an integer, got {value!r}")
+            raise ConfigError(f"{name} must be an integer, got {value!r}")
 
 
 class TraceSpec:
@@ -51,14 +47,14 @@ class TraceSpec:
         _integers(n=self.n, rise_intervals=self.rise_intervals,
                   fall_intervals=self.fall_intervals)
         if self.source not in ("random", "constant", "files", "burst"):
-            raise SchemaError(f"unknown trace source {self.source!r}")
+            raise ConfigError(f"unknown trace source {self.source!r}")
         if self.source == "files" and not self.paths:
-            raise SchemaError("trace source 'files' needs non-empty paths")
+            raise ConfigError("trace source 'files' needs non-empty paths")
         if self.n < 1:
-            raise SchemaError("trace n must be >= 1")
+            raise ConfigError("trace n must be >= 1")
         if not (min(self.rise_intervals, self.fall_intervals) >= 0
                 and self.rise_intervals + self.fall_intervals >= 1):
-            raise SchemaError("rise_intervals and fall_intervals must be >= 0, "
+            raise ConfigError("rise_intervals and fall_intervals must be >= 0, "
                               "with a burst period of >= 1 interval")
 
 
@@ -85,8 +81,10 @@ class AdversaryConfig:
         DelayConstraint(self.tau_ms or 0.0, self.alpha, self.window_h,
                         self.window_k)
         FeatureBound(self.x_fraction)
+        if self.episodes < 0:
+            raise ConfigError(f"episodes must be >= 0, got {self.episodes}")
         if self.rollouts < 1:
-            raise SchemaError("rollouts must be >= 1")
+            raise ConfigError("rollouts must be >= 1")
 
 
 class TrainSpec:
@@ -105,6 +103,8 @@ class TrainSpec:
         self.noise_decay = noise_decay
         _integers(episodes=self.episodes, hidden=self.hidden,
                   population=self.population)
+        if self.episodes < 0:
+            raise ConfigError(f"episodes must be >= 0, got {self.episodes}")
         # built only to check the values, whose domains are defined there
         self.cem(seed=0)
         self.policy()
@@ -145,7 +145,7 @@ class ExperimentConfig:
         self.sim.validate()
         _integers(seed=self.seed)
         if self.seed < 0:
-            raise SchemaError(f"seed must be >= 0, got {self.seed}")
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
     def config_hash(self) -> str:
         blob = json.dumps(self, sort_keys=True, default=_json_fields)
@@ -173,24 +173,24 @@ def _build(cls, data: dict, where: str):
     init = cls.__init__.__code__   # the allowed keys: its parameters after self
     unknown = set(data) - set(init.co_varnames[1:init.co_argcount])
     if unknown:
-        raise SchemaError(f"{where}: unknown keys {sorted(unknown)}")
+        raise ConfigError(f"{where}: unknown keys {sorted(unknown)}")
     try:
         return cls(**data)
-    except (TypeError, ValueError, ConfigError) as e:
-        raise SchemaError(f"{where}: {e}") from e
+    except (TypeError, ValueError) as e:   # a ConfigError is a ValueError
+        raise ConfigError(f"{where}: {e}") from e
 
 
 def config_from_dict(doc: dict) -> ExperimentConfig:
     if not isinstance(doc, dict):
-        raise SchemaError("config document must be a mapping")
+        raise ConfigError("config document must be a mapping")
     unknown = set(doc) - set(_SECTIONS) - set(_SCALARS)
     if unknown:
-        raise SchemaError(f"top level: unknown keys {sorted(unknown)}")
+        raise ConfigError(f"top level: unknown keys {sorted(unknown)}")
     kwargs = {}
     for name, cls in _SECTIONS.items():
         section = doc.get(name, {})
         if not isinstance(section, dict):
-            raise SchemaError(f"section {name!r} must be a mapping")
+            raise ConfigError(f"section {name!r} must be a mapping")
         kwargs[name] = _build(cls, section, name)
     for name in _SCALARS:
         if name in doc:
@@ -207,5 +207,5 @@ def load_config(path: str) -> ExperimentConfig:
             mark = getattr(e, "problem_mark", None)
             at = f" at line {mark.line + 1}, column {mark.column + 1}" if mark else ""
             problem = getattr(e, "problem", None) or " ".join(str(e).split())
-            raise SchemaError(f"{path}: not valid YAML: {problem}{at}") from e
+            raise ConfigError(f"{path}: not valid YAML: {problem}{at}") from e
     return config_from_dict(doc or {})

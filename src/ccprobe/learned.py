@@ -18,8 +18,9 @@ import numpy as np
 
 from .cc import Controller, _Field
 from .cem import CemConfig, GenerationStats, train_policy
+from .metrics import clean_episode
 from .netsim import (ConfigError, Observation, SimConfig, _ffi, _lib, map_jobs,
-                     obs_row, run_episode)
+                     obs_row)
 
 
 class RewardParams:
@@ -199,21 +200,15 @@ class LearnedController(Controller):
         return policy_outputs([c.policy for c in ctls], x, out)
 
 
-def episode_return(policy: PolicyNet, trace, sim: SimConfig,
-                   reward: RewardParams) -> float:
-    """Mean per-interval controller reward over one episode, from the sum
-    the C reduction takes over its rows."""
-    log = run_episode(sim, trace, LearnedController(policy, b_max=reward.b_max))
-    n = len(log.rows)
-    return log.sums(reward).reward / n if n else 0.0
-
-
 def candidate_returns(policy: PolicyNet, trace_of, sim: SimConfig,
                       reward: RewardParams, workers: int, params, seeds) -> list[float]:
-    """A learned controller's CEM objective: each row's episode on `workers`
-    threads, on the trace `trace_of(seed)` gives for its seed."""
-    return map_jobs(episode_return, [(policy.with_params(p), trace_of(s), sim, reward)
-                                     for p, s in zip(params, seeds)], workers)
+    """A learned controller's CEM objective: each row's mean controller
+    reward, its episode on `workers` threads, on the trace `trace_of(seed)`
+    gives for its seed."""
+    jobs = [(sim, trace_of(s),
+             partial(LearnedController, policy.with_params(p), b_max=reward.b_max),
+             reward) for p, s in zip(params, seeds)]
+    return [r.reward for r in map_jobs(clean_episode, jobs, workers)]
 
 
 def train_controller(policy: PolicyNet, traces, episodes: int,
@@ -233,6 +228,6 @@ def train_controller(policy: PolicyNet, traces, episodes: int,
     if not history:
         return policy, history
     # monotone-improvement contract, checked on the pool's first trace
-    new, old = map_jobs(episode_return, [(candidate, traces[0], sim, reward),
-                                         (policy, traces[0], sim, reward)], workers)
+    new, old = candidate_returns(policy, lambda _: traces[0], sim, reward, workers,
+                                 [candidate.params, policy.params], [0, 0])
     return (candidate if new >= old else policy), history

@@ -1,4 +1,5 @@
-"""Post-episode analysis: utilization and queuing-delay stats.
+"""The one episode job and its report: utilization, queuing-delay stats and,
+on request, the controller reward and an adversary's score.
 
 Metrics always use ground truth (the true base RTT, the realized capacities),
 never the controller's possibly-perturbed estimates.
@@ -10,23 +11,35 @@ import math
 from bisect import bisect_left
 from itertools import accumulate
 
-from .netsim import EmptyLog, EpisodeLog
+from .netsim import EmptyLog, EpisodeLog, SimConfig, run_episode
 
 
 class EpisodeReport:
-    """One episode's summary: all that a clean-episode job sends back."""
+    """One episode's summary, the only one an episode job sends back. Given a
+    reward, `reward` is the mean controller reward; given the row's
+    adversary, `adv_return` and `ok_rate` are its mean return and constraint
+    rate, and `capacities` the capacity of each interval. Otherwise each of
+    these is None."""
 
     __slots__ = ("utilization", "interval_delay_ms", "mean_delay_ms",
-                 "p95_delay_ms", "dropped")
+                 "p95_delay_ms", "dropped", "reward", "adv_return", "ok_rate",
+                 "capacities")
 
     def __init__(self, utilization: float, interval_delay_ms: float,
-                 mean_delay_ms: float, p95_delay_ms: float, dropped: int):
+                 mean_delay_ms: float, p95_delay_ms: float, dropped: int,
+                 reward: float | None = None, adv_return: float | None = None,
+                 ok_rate: float | None = None,
+                 capacities: list[float] | None = None):
         self.utilization = utilization
         # mean over intervals of srtt - base RTT
         self.interval_delay_ms = interval_delay_ms
         self.mean_delay_ms = mean_delay_ms   # mean over ACKs of rtt - base RTT
         self.p95_delay_ms = p95_delay_ms     # nearest-rank P95 over ACKs
         self.dropped = dropped
+        self.reward = reward
+        self.adv_return = adv_return
+        self.ok_rate = ok_rate
+        self.capacities = capacities
 
 
 def delay_stats(log: EpisodeLog) -> tuple[float, float]:
@@ -44,15 +57,42 @@ def delay_stats(log: EpisodeLog) -> tuple[float, float]:
     return mean, keys[bisect_left(cum, math.ceil(0.95 * n))] * tick_ms - base
 
 
-def build_report(log: EpisodeLog) -> EpisodeReport:
+def build_report(log: EpisodeLog, reward=None, adversary=None) -> EpisodeReport:
+    """The episode's report: with `reward` (a `learned.RewardParams`) its
+    mean controller reward, from the sum the C reduction takes over the
+    rows; with `adversary`, the one that ran in it, what its `adv_state`
+    summed and the capacities of the rows."""
     interval_d = log.mean_queuing_delay_ms()
     if log.ack_rtt_ticks:
         mean_d, p95_d = delay_stats(log)
     else:  # no ACK arrived at all
         mean_d, p95_d = interval_d, float("nan")
-    return EpisodeReport(utilization=log.mean_utilization(),
-                         interval_delay_ms=interval_d, mean_delay_ms=mean_d,
-                         p95_delay_ms=p95_d, dropped=log.dropped)
+    report = EpisodeReport(log.mean_utilization(), interval_d, mean_d, p95_d,
+                           log.dropped)
+    n = len(log.rows)
+    if reward is not None:
+        report.reward = log.sums(reward).reward / n if n else 0.0
+    if adversary is not None:
+        s = adversary.adv_state
+        report.adv_return = s.total / n if n else 0.0
+        report.ok_rate = s.ok / n if n else 0.0
+        report.capacities = log.column("capacity_mbps").tolist()
+    return report
+
+
+def clean_episode(config: SimConfig, trace, controller_factory,
+                  reward=None) -> EpisodeReport:
+    """The one episode job of every batch: a fresh controller from its
+    factory, so no episode starts from another's state, and the episode's
+    report, built in the job so that a batch keeps only the reports, never
+    the whole logs."""
+    return build_report(run_episode(config, trace, controller_factory()), reward)
+
+
+def means(reports, *fields: str) -> tuple[float, ...]:
+    """Each report field's mean over `reports`, summed in their order."""
+    return tuple(sum(getattr(r, f) for r in reports) / len(reports)
+                 for f in fields)
 
 
 def dump_series_csv(log: EpisodeLog, path: str) -> None:

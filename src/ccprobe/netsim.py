@@ -74,7 +74,8 @@ def _fields_repr(record) -> str:
 
 
 class ConfigError(ValueError):
-    pass
+    """A config, trace, checkpoint or argument that cannot run; the CLI
+    reports it on one line and exits 2."""
 
 
 class EmptyLog(ValueError):

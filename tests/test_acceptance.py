@@ -91,19 +91,19 @@ def learned_stack(baseline_traces):
     factory = partial(LearnedController, policy, b_max=REWARD.b_max)
     tau, worst, _ = run_attack(factory, baseline_traces, seed=3)
     assert worst is not None, "no feasible adversarial trace against learned"
-    adv_trace = BandwidthTrace(100.0, worst.trace_values)
+    adv_trace = BandwidthTrace(100.0, worst.capacities)
     sets = {"random": baseline_traces, "adv": [adv_trace]}
-    before = {r.trace_set: r.utilization
-              for r in evaluate_suite([policy], sets, EVAL_SIM, REWARD, WORKERS)[0]}
+    before = {name: util for name, (util, _) in
+              evaluate_suite([policy], sets, EVAL_SIM, REWARD, WORKERS)[0].items()}
     after = {}
     for p in (0.2, 1.0):
         pool = TracePool(benign=baseline_traces if p < 1 else [],
                          adversarial=[adv_trace], mix_p=p)
         newp, _ = adversarial_retrain(policy, pool, 320, TRAIN_SIM, REWARD,
                                       CemConfig(seed=4, sigma0=0.3), WORKERS)
-        after[p] = {r.trace_set: r.utilization
-                    for r in evaluate_suite([newp], sets, EVAL_SIM, REWARD,
-                                            WORKERS)[0]}
+        after[p] = {name: util for name, (util, _) in
+                    evaluate_suite([newp], sets, EVAL_SIM, REWARD,
+                                   WORKERS)[0].items()}
     return {"policy": policy, "tau": tau, "worst": worst,
             "adv_trace": adv_trace, "before": before, "after": after,
             "elapsed": time.time() - t0}

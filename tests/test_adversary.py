@@ -16,6 +16,7 @@ from ccprobe.adversary import (AdversarySpec, DelayConstraint, EnvBandwidthDrive
                                random_baseline_traces, select_worst_trace,
                                train_adversary)
 from ccprobe.cc import make_controller
+from ccprobe.cem import CemConfig
 from ccprobe.learned import RewardParams
 from ccprobe.netsim import (DomainError, Observation, _lib, obs_row, run_episode,
                             run_episodes)
@@ -143,7 +144,8 @@ def test_reno_ignores_min_rtt_perturbation(short_sim, const_trace):
                              seed=0, clean_traces=[const_trace])
     ref = run_episode(short_sim, const_trace, factory())
     assert ev.utilization == pytest.approx(ref.mean_utilization(), rel=1e-12)
-    assert ev.mean_delay_ms == pytest.approx(ref.mean_queuing_delay_ms(), rel=1e-12)
+    assert ev.interval_delay_ms == pytest.approx(ref.mean_queuing_delay_ms(),
+                                                 rel=1e-12)
 
 
 def test_train_adversary_zero_budget(short_sim):
@@ -155,6 +157,16 @@ def test_train_adversary_zero_budget(short_sim):
     assert policy is not None
 
 
+def test_train_adversary_leaves_the_callers_spec_as_it_was(short_sim):
+    # a spec with no policy trains a fresh one, and still has none after
+    spec = AdversarySpec(surface="env", budget=SmoothnessBudget())
+    policy, hist = train_adversary(spec, lambda: make_controller("reno"),
+                                   short_sim, episodes=4, reward=RewardParams(),
+                                   cem=CemConfig(population=4))
+    assert len(hist) == 1 and policy.n_features == 6
+    assert spec.policy is None
+
+
 def test_select_worst_trace_respects_constraint(short_sim):
     budget = SmoothnessBudget()
     spec = AdversarySpec(surface="env", budget=budget,
@@ -163,8 +175,8 @@ def test_select_worst_trace_respects_constraint(short_sim):
     worst = select_worst_trace(spec, policy, lambda: make_controller("reno"),
                                short_sim, RewardParams(), n_rollouts=4, seed=0)
     if worst is not None:
-        assert worst.mean_delay_ms >= 5.0
-        assert check_feasible(worst.trace_values, budget)
+        assert worst.interval_delay_ms >= 5.0
+        assert check_feasible(worst.capacities, budget)
 
 
 def test_select_worst_trace_infeasible_returns_none(short_sim):
@@ -216,8 +228,8 @@ def _slice_specs():
 
 
 def _fields(ev):
-    return (ev.utilization, ev.mean_delay_ms, ev.adv_return, ev.constraint_ok_rate,
-            ev.trace_values)
+    return (ev.utilization, ev.interval_delay_ms, ev.mean_delay_ms, ev.adv_return,
+            ev.ok_rate, ev.capacities)
 
 
 def test_slice_of_episodes_equals_single_episodes(short_sim):
@@ -252,9 +264,9 @@ def test_slice_of_episodes_equals_single_episodes(short_sim):
                     spec.feature_bound, policy, b_max=reward.b_max, seed=seeds[-1])
             [log] = run_episodes(short_sim, [trace], [factory()], [adv])
             want = _python_scores(spec, reward, log)
-            assert [x.hex() for x in (ev.adv_return, ev.constraint_ok_rate)] == \
+            assert [x.hex() for x in (ev.adv_return, ev.ok_rate)] == \
                 [x.hex() for x in want], spec
-            assert ev.trace_values == [o.capacity_mbps for o in log.observations]
+            assert ev.capacities == [o.capacity_mbps for o in log.observations]
 
 
 def test_reward_domain_errors_raise_through_the_c_code():

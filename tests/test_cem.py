@@ -18,11 +18,11 @@ def test_optimizes_quadratic():
     def objective(params, seed):
         return -float(np.sum((params - target) ** 2))
 
-    res = cem_maximize(objective, dim=3, generations=30,
-                       config=CemConfig(population=32, seed=0))
-    assert np.allclose(res.best_params, target, atol=0.1)
+    best, history = cem_maximize(objective, dim=3, generations=30,
+                                 config=CemConfig(population=32, seed=0))
+    assert np.allclose(best, target, atol=0.1)
     # elite mean improves over training
-    assert res.history[-1].elite_mean > res.history[0].elite_mean
+    assert history[-1].elite_mean > history[0].elite_mean
 
 
 def test_deterministic_given_seed():
@@ -32,8 +32,8 @@ def test_deterministic_given_seed():
 
     a = cem_maximize(objective, 4, 5, CemConfig(seed=3))
     b = cem_maximize(objective, 4, 5, CemConfig(seed=3))
-    assert np.array_equal(a.best_params, b.best_params)
-    assert [h.best_return for h in a.history] == [h.best_return for h in b.history]
+    assert np.array_equal(a[0], b[0])
+    assert [h.best_return for h in a[1]] == [h.best_return for h in b[1]]
 
 
 def test_different_seed_differs():
@@ -43,7 +43,7 @@ def test_different_seed_differs():
 
     a = cem_maximize(objective, 4, 3, CemConfig(seed=3))
     b = cem_maximize(objective, 4, 3, CemConfig(seed=4))
-    assert not np.array_equal(a.best_params, b.best_params)
+    assert not np.array_equal(a[0], b[0])
 
 
 def test_zero_variance_raises():
@@ -60,8 +60,8 @@ def test_zero_variance_on_final_generation_ok():
     def objective(params, seed):
         return 1.0
 
-    res = cem_maximize(objective, 2, 1, CemConfig(seed=0))
-    assert len(res.history) == 1
+    _, history = cem_maximize(objective, 2, 1, CemConfig(seed=0))
+    assert len(history) == 1
 
 
 def test_constraint_rate_plumbed_through():
@@ -69,8 +69,8 @@ def test_constraint_rate_plumbed_through():
     def objective(params, seed):
         return float(params[0]), 0.75
 
-    res = cem_maximize(objective, 1, 2, CemConfig(seed=1))
-    assert res.history[0].constraint_satisfaction_rate == pytest.approx(0.75)
+    _, history = cem_maximize(objective, 1, 2, CemConfig(seed=1))
+    assert history[0].constraint_satisfaction_rate == pytest.approx(0.75)
 
 
 def test_init_mean_respected():
@@ -80,9 +80,9 @@ def test_init_mean_respected():
     def objective(params, seed):
         return -float(np.sum((params - start) ** 2))
 
-    res = cem_maximize(objective, 2, 3, CemConfig(seed=0, sigma0=0.1),
-                       init_mean=start)
-    assert np.allclose(res.best_params, start, atol=1.0)
+    best, _ = cem_maximize(objective, 2, 3, CemConfig(seed=0, sigma0=0.1),
+                           init_mean=start)
+    assert np.allclose(best, start, atol=1.0)
 
 
 def test_objective_sees_each_generation_whole():

@@ -15,11 +15,11 @@ from ccprobe import cli
 from ccprobe.adversary import calibrate_tau, random_baseline_traces
 from ccprobe.cc import Cubic, make_controller
 from ccprobe.cli import main
-from ccprobe.config import (ExperimentConfig, SchemaError, config_from_dict,
-                            load_config)
+from ccprobe.config import ExperimentConfig, config_from_dict, load_config
 from ccprobe.learned import LearnedController, PolicyNet, save_policy
 from ccprobe.metrics import build_report
-from ccprobe.netsim import BandwidthTrace, read_trace, run_episode, write_trace
+from ccprobe.netsim import (BandwidthTrace, ConfigError, read_trace, run_episode,
+                            write_trace)
 from ccprobe.tracegen import (SmoothnessBudget, gen_burst_trace, gen_random_trace,
                               gen_unconstrained)
 
@@ -31,14 +31,14 @@ def test_default_config_valid():
 
 
 def test_unknown_top_level_key_rejected():
-    with pytest.raises(SchemaError, match="unknown keys"):
+    with pytest.raises(ConfigError, match="unknown keys"):
         config_from_dict({"simm": {}})
 
 
 def test_unknown_section_key_rejected():
-    with pytest.raises(SchemaError, match="unknown keys"):
+    with pytest.raises(ConfigError, match="unknown keys"):
         config_from_dict({"sim": {"tick": 1.0}})
-    with pytest.raises(SchemaError, match="unknown keys"):
+    with pytest.raises(ConfigError, match="unknown keys"):
         config_from_dict({"adversary": {"surfaces": "env"}})
 
 
@@ -49,7 +49,7 @@ def test_removed_repetition_keys_rejected(tmp_path):
                       ({"sim": {"rng_seed": 1}}, "sim: {rng_seed: 1}\n"),
                       ({"sim": {"record_acks": False}},
                        "sim: {record_acks: false}\n")):
-        with pytest.raises(SchemaError, match="unknown keys"):
+        with pytest.raises(ConfigError, match="unknown keys"):
             config_from_dict(doc)
         p = tmp_path / "old.yaml"
         p.write_text(text)
@@ -58,23 +58,23 @@ def test_removed_repetition_keys_rejected(tmp_path):
 
 
 def test_bad_values_rejected():
-    with pytest.raises(SchemaError):
+    with pytest.raises(ConfigError):
         config_from_dict({"sim": {"tick_ms": 0.0}})
-    with pytest.raises(SchemaError):
+    with pytest.raises(ConfigError):
         config_from_dict({"adversary": {"surface": "kernel"}})
-    with pytest.raises(SchemaError):
+    with pytest.raises(ConfigError):
         config_from_dict({"traces": {"source": "nope"}})
     # a zero delay files ACKs under a tick already processed; 10.4 ms at 1 ms
     # ticks would measure every delay against a base RTT the sim never has
     for owd in (0, 10.4):
-        with pytest.raises(SchemaError, match="one_way_delay_ms"):
+        with pytest.raises(ConfigError, match="one_way_delay_ms"):
             config_from_dict({"sim": {"one_way_delay_ms": owd}})
     # the tick loop counts whole packets of whole bytes
     for size in (0, -1500, 1500.5, 0.5, math.inf, math.nan, True, "1500"):
-        with pytest.raises(SchemaError, match="packet_size"):
+        with pytest.raises(ConfigError, match="packet_size"):
             config_from_dict({"sim": {"packet_size": size}})
     # a budget may not hand the link a negative capacity
-    with pytest.raises(SchemaError, match="bw_min"):
+    with pytest.raises(ConfigError, match="bw_min"):
         config_from_dict({"budget": {"bw_min": -1.0}})
 
 
@@ -625,11 +625,9 @@ def _training_runs(tmp_path):
          {"clean_episode"}),
         (["attack", "--config", feature, "--controller", "vegas"], "attack",
          {"clean_episode"}),
-        (["train", "--config", env], "train", {"episode_return", "clean_episode"}),
-        (["retrain", "--config", env] + retrain, "retrain",
-         {"episode_return", "clean_episode"}),
-        (["sweep-p", "--config", env] + retrain, "sweep",
-         {"episode_return", "clean_episode"}),
+        (["train", "--config", env], "train", {"clean_episode"}),
+        (["retrain", "--config", env] + retrain, "retrain", {"clean_episode"}),
+        (["sweep-p", "--config", env] + retrain, "sweep", {"clean_episode"}),
     ]
 
 
@@ -735,7 +733,7 @@ def test_each_batch_starts_its_own_threads(started_threads, no_thread_left):
 
 def test_no_worker_outlives_a_command(tmp_path, monkeypatch, started_threads,
                                       no_thread_left):
-    from ccprobe import adversary
+    from ccprobe import metrics
     cfg = _write_cfg(tmp_path)
     baseline = ["baseline", "--config", cfg, "--controllers", "reno,lp",
                 "--workers", "2"]
@@ -750,17 +748,17 @@ def test_no_worker_outlives_a_command(tmp_path, monkeypatch, started_threads,
 
     # a job that raises only on a worker thread: the exception itself
     # reaches the caller
-    caller, real = threading.current_thread(), adversary.build_report
+    caller, real = threading.current_thread(), metrics.build_report
 
     class ReportFailed(Exception):
         pass
 
-    def raise_in_worker(log):
+    def raise_in_worker(log, *args):
         if threading.current_thread() is not caller:
             raise ReportFailed(threading.current_thread().name)
-        return real(log)
+        return real(log, *args)
 
-    monkeypatch.setattr(adversary, "build_report", raise_in_worker)
+    monkeypatch.setattr(metrics, "build_report", raise_in_worker)
     started_threads.clear()
     with pytest.raises(ReportFailed) as e:
         main(baseline + ["--out", str(tmp_path / "raise")])
@@ -796,6 +794,9 @@ def _exits_2_before_any_episode(tmp_path, monkeypatch, capsys, argv):
     ("adversary: {alpha: 0}", "alpha"), ("adversary: {window_h: 0}", "window_h"),
     ("adversary: {tau_ms: -1}", "tau"), ("adversary: {x_fraction: 2}", "x_fraction"),
     ("adversary: {rollouts: 0}", "rollouts"),
+    # a negative budget would train nothing and go on as if it had
+    ("adversary: {episodes: -1}", "episodes must be >= 0"),
+    ("train: {episodes: -1}", "episodes must be >= 0"),
     # the one spelling of each setting is the config's, never an enum value
     ("adversary: {surface: env_bandwidth}", "surface"),
     ("adversary: {reward_mode: NAIVE}", "reward_mode"),

@@ -9,13 +9,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from ccprobe import learned, netsim
+from ccprobe import metrics, netsim
 from ccprobe.adversary import (AdversarySpec, DelayConstraint, EnvBandwidthDriver,
                                SETTINGS, FeatureBound, FeatureIntercept,
-                               adversarial_episodes, clean_episode,
-                               make_adversary_policy)
+                               adversarial_episodes, make_adversary_policy)
 from ccprobe.cc import RULE_BASED, make_controller
-from ccprobe.learned import LearnedController, PolicyNet, RewardParams, episode_return
+from ccprobe.learned import LearnedController, PolicyNet, RewardParams
+from ccprobe.metrics import clean_episode
 from ccprobe.netsim import DomainError, EpisodeLog, SimConfig, run_episode, run_episodes
 from ccprobe.tracegen import SmoothnessBudget, gen_random_trace
 
@@ -56,12 +56,10 @@ def test_c_sums_are_the_python_formulas(trace, name, seed, reward):
         _hex(oracles.mean_queuing_delay_ms(log), oracles.mean_utilization(log))
     n = len(log.rows)
     assert _hex(log.sums(reward).reward / n) == _hex(oracles.episode_return(log, reward))
-    report = clean_episode(SIM, trace, factory)
-    assert _hex(report.interval_delay_ms, report.utilization) == \
-        _hex(oracles.mean_queuing_delay_ms(log), oracles.mean_utilization(log))
-    if name.startswith("learned"):
-        assert _hex(episode_return(policy, trace, SIM, reward)) == \
-            _hex(oracles.episode_return(log, reward))
+    report = clean_episode(SIM, trace, factory, reward)
+    assert _hex(report.interval_delay_ms, report.utilization, report.reward) == \
+        _hex(oracles.mean_queuing_delay_ms(log), oracles.mean_utilization(log),
+             oracles.episode_return(log, reward))
 
 
 @settings(max_examples=12, deadline=None)
@@ -92,9 +90,9 @@ def test_c_sums_of_adversarial_episodes_are_the_python_formulas(
                 spec.feature_bound, policy.with_params(p), b_max=reward.b_max,
                 seed=s)
         [log] = run_episodes(SIM, [row], [factory()], [adv])
-        assert _hex(ev.utilization, ev.mean_delay_ms) == \
+        assert _hex(ev.utilization, ev.interval_delay_ms) == \
             _hex(oracles.mean_utilization(log), oracles.mean_queuing_delay_ms(log))
-        assert ev.trace_values == [o.capacity_mbps for o in log.observations]
+        assert ev.capacities == [o.capacity_mbps for o in log.observations]
 
 
 values = st.floats(-1e3, 1e3)
@@ -127,11 +125,12 @@ def test_episode_return_raises_domain_error_on_zero_min_rtt(monkeypatch, const_t
         oracles.episode_return(log, reward)
     with pytest.raises(DomainError, match="min_rtt must be > 0"):
         log.sums(reward)
-    real = learned.run_episode
-    monkeypatch.setattr(learned, "run_episode",
+    real = metrics.run_episode
+    monkeypatch.setattr(metrics, "run_episode",
                         lambda *args: _zero_min_rtt_at(0, real(*args)))
     with pytest.raises(DomainError, match="min_rtt must be > 0"):
-        episode_return(PolicyNet(n_features=5, hidden=0), const_trace, sim, reward)
+        clean_episode(sim, const_trace, partial(
+            LearnedController, PolicyNet(n_features=5, hidden=0)), reward)
     # the means take no reward, so no reward domain
     assert log.mean_utilization() == oracles.mean_utilization(log)
 
@@ -162,9 +161,10 @@ def test_summaries_build_no_observation(monkeypatch, short_sim, const_trace):
 
     monkeypatch.setattr(netsim, "Observation", spy)
     clean_episode(short_sim, const_trace, partial(make_controller, "reno"))
-    episode_return(PolicyNet(n_features=5, hidden=0), const_trace, short_sim,
-                   RewardParams())
-    # nor does a hidden-layer policy's episode, whose features the loop writes
-    episode_return(PolicyNet(n_features=5, hidden=16), const_trace, short_sim,
-                   RewardParams())
+    for hidden in (0, 16):
+        # nor does a learned one's with its reward, a hidden-layer policy's
+        # included, whose features the loop writes
+        clean_episode(short_sim, const_trace, partial(
+            LearnedController, PolicyNet(n_features=5, hidden=hidden)),
+            RewardParams())
     assert built == []

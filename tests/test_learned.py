@@ -1,17 +1,19 @@
 """Learned controller: policy math, checkpoints, training contract."""
 
 import math
+from functools import partial
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import oracles
 from ccprobe.cem import CemConfig
 from ccprobe.learned import (FEATURE_NAMES, LearnedController, PolicyNet,
-                             RewardParams, episode_return, load_policy,
-                             observation_features, policy_outputs,
-                             save_policy, train_controller)
-from ccprobe.netsim import ConfigError, Observation, _lib
+                             RewardParams, load_policy, observation_features,
+                             policy_outputs, save_policy, train_controller)
+from ccprobe.metrics import clean_episode
+from ccprobe.netsim import ConfigError, Observation, _lib, run_episode
 from drivers import learned_step
 
 
@@ -219,8 +221,14 @@ def test_train_never_regresses_on_holdout(short_sim, const_trace):
     reward = RewardParams()
     cem = CemConfig(population=8, seed=0)
     out, rows = train_controller(p, [const_trace], 24, short_sim, reward, cem)
-    assert episode_return(out, const_trace, short_sim, reward) >= \
-        episode_return(p, const_trace, short_sim, reward)
+    new, old = (clean_episode(short_sim, const_trace, partial(
+        LearnedController, x, b_max=reward.b_max), reward).reward for x in (out, p))
+    assert new >= old
+    # each is the oracle's mean reward over its episode, bit for bit
+    for x, got in ((out, new), (p, old)):
+        log = run_episode(short_sim, const_trace,
+                          LearnedController(x, b_max=reward.b_max))
+        assert got.hex() == oracles.episode_return(log, reward).hex()
     assert len(rows) == 3
 
 
