@@ -192,8 +192,8 @@ def test_criterion_2_thousand_traces_feasible():
 def test_criterion_3_delay_constraint_zero_exceptions(rule_attacks, learned_stack):
     ok = True
     for name, (_, tau, worst, _) in rule_attacks.items():
-        ok &= worst is not None and worst.mean_delay_ms >= tau
-    ok &= learned_stack["worst"].mean_delay_ms >= learned_stack["tau"]
+        ok &= worst is not None and worst.interval_delay_ms >= tau
+    ok &= learned_stack["worst"].interval_delay_ms >= learned_stack["tau"]
     report(3, "every selected trace meets mean delay >= tau", ok)
 
 
@@ -230,7 +230,7 @@ def test_criterion_5_naive_mode_lowers_both(baseline_traces):
         ev = adversarial_episode(spec, None, factory, TRAIN_SIM, REWARD,
                                  seed=i, clean_traces=baseline_traces[:3])
         utils.append(ev.utilization)
-        delays.append(ev.mean_delay_ms)
+        delays.append(ev.interval_delay_ms)
     u0, u1 = sum(clean_utils) / 3, sum(utils) / 3
     d0, d1 = sum(clean_delays) / 3, sum(delays) / 3
     print(f"    vegas clean util={u0:.3f} delay={d0:.2f}ms; "
