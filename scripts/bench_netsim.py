@@ -16,8 +16,9 @@ episodes against cubic (random hidden-16 policies, seeds 0-15) in slices of
 lock-step slice on the calling thread at any worker count), times what an
 episode costs after its ticks (everything but `tl_step` in `clean_episode`
 of the fixed policy with its reward and of cubic, over the same trace),
-times start-up (a warm re-import of `ccprobe.cli` and a fresh interpreter
-importing it), and stores the result under `--label` in the
+times the random draws (the `rng` row, below), times start-up (a warm
+re-import of `ccprobe.cli` and a fresh interpreter importing it), and
+stores the result under `--label` in the
 JSON file `--out` (other labels already in the file are kept). Import
 ccprobe from the tree to measure, so two trees compare under identical
 settings:
@@ -60,7 +61,15 @@ it: the warm re-import is perfbench's `setup_s` import (drop every ccprobe
 module, collect garbage, import `ccprobe.cli`), its median over
 WARM_IMPORTS; the cold one is a `python3 -c "import ccprobe.cli"` process,
 its median over COLD_IMPORTS, beside the median of a process importing only
-numpy, yaml and cffi, which every ccprobe process imports too.
+numpy, yaml and cffi, which every ccprobe process imports too, and of a
+process that imports `ccprobe.cli` and then generates one 600-interval
+random trace, the first draw of every command that draws, with that
+process's peak RSS. The `rng` row gives the median us per call, over
+RNG_SAMPLES samples of RNG_CALLS calls after one untimed sample, of one
+seeding plus the 600 uniforms of a trace, and of one CEM generation's draws
+at population 32 and dim 6 (a (32, 6) normal draw, then 32 episode seeds),
+each for `netsim.Rng` (null on a tree without it) and for numpy's
+`Generator` drawing as the code did before `Rng`, the seeds one call each.
 """
 
 from __future__ import annotations
@@ -102,6 +111,8 @@ CASE_ROUNDS = 15
 AFTER_TICKS_REPEATS = 21
 WARM_IMPORTS = 20
 COLD_IMPORTS = 10
+RNG_CALLS = 200
+RNG_SAMPLES = 21
 # fixed linear policy over the five observation features plus a bias: it
 # grows cwnd while the queue is empty and backs off on queuing and loss
 LEARNED_PARAMS = [0.0, 0.0, -1.0, -4.0, 0.0, 0.3]
@@ -310,12 +321,49 @@ def measure_after_ticks(trace) -> dict:
     return out
 
 
+def _per_call_us(fn) -> float:
+    """Median us per call of `fn` (module docstring)."""
+    samples = []
+    for _ in range(RNG_SAMPLES + 1):
+        t0 = time.perf_counter()
+        for _ in range(RNG_CALLS):
+            fn()
+        samples.append((time.perf_counter() - t0) / RNG_CALLS)
+    return round(statistics.median(samples[1:]) * 1e6, 3)
+
+
+def measure_rng() -> dict:
+    """us per call of a trace's seeding and uniforms, and of one CEM
+    generation's draws, by `netsim.Rng` and by numpy's `Generator`."""
+    out = {}
+    rng_class = getattr(netsim, "Rng", None)
+    if rng_class is None:
+        out["rng"] = None
+    else:
+        r = rng_class(0)
+        out["rng"] = {
+            "seed_uniform600_us": _per_call_us(
+                lambda: rng_class(0).uniform(1.0, 96.0, 600)),
+            "cem_generation_us": _per_call_us(
+                lambda: (r.standard_normal((32, 6)),
+                         r.integers(0, 2**31 - 1, 32).tolist()))}
+    g = np.random.default_rng(0)
+    out["generator"] = {
+        "seed_uniform600_us": _per_call_us(
+            lambda: np.random.default_rng(0).uniform(1.0, 96.0, 600)),
+        "cem_generation_us": _per_call_us(
+            lambda: (g.standard_normal((32, 6)),
+                     [int(g.integers(0, 2**31 - 1)) for _ in range(32)]))}
+    return out
+
+
 def _process_ms(code: str, env: dict) -> float:
     """Median ms of COLD_IMPORTS `python3 -c code` processes, after one."""
     times = []
     for _ in range(COLD_IMPORTS + 1):
         t0 = time.perf_counter()
-        subprocess.run([sys.executable, "-c", code], env=env, check=True)
+        subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                       stdout=subprocess.DEVNULL)
         times.append(time.perf_counter() - t0)
     return statistics.median(times[1:]) * 1000
 
@@ -342,9 +390,19 @@ def measure_startup() -> dict:
             sys.modules.update(saved)
         env = {k: v for k, v in os.environ.items() if k != "PYTHONDONTWRITEBYTECODE"}
         env.update(PYTHONPATH=src, PYTHONPYCACHEPREFIX=cache)
+        # the peak of the process's own memory (VmHWM): a child's ru_maxrss
+        # would also count this process's, from before the exec
+        first_trace = ("import ccprobe.cli, ccprobe.tracegen as t; "
+                       "t.gen_random_trace(600, t.SmoothnessBudget(), seed=0); "
+                       "print(open('/proc/self/status').read()"
+                       ".split('VmHWM:')[1].split()[0])")
+        kib = subprocess.run([sys.executable, "-c", first_trace], env=env,
+                             check=True, capture_output=True, text=True).stdout
         return {"warm_import_ms": round(statistics.median(times[1:]) * 1000, 3),
                 "cold_import_ms": round(_process_ms("import ccprobe.cli", env), 3),
-                "cold_deps_ms": round(_process_ms("import numpy, yaml, cffi", env), 3)}
+                "cold_deps_ms": round(_process_ms("import numpy, yaml, cffi", env), 3),
+                "cold_first_trace_ms": round(_process_ms(first_trace, env), 3),
+                "first_trace_peak_rss_mb": round(int(kib) / 1024, 2)}
 
 
 def main() -> None:
@@ -380,6 +438,7 @@ def main() -> None:
                                               "pool": measure_pool(),
                                               "adversary": measure_adversary(),
                                               "after_ticks": measure_after_ticks(trace),
+                                              "rng": measure_rng(),
                                               "startup": measure_startup()}
     with open(args.out, "w") as f:
         json.dump(doc, f, indent=2, sort_keys=True)
@@ -405,7 +464,13 @@ def main() -> None:
     r = doc["runs"][args.label]["startup"]
     print(f"{args.label} startup: warm import {r['warm_import_ms']:.3f} ms, cold "
           f"import {r['cold_import_ms']:.3f} ms (numpy, yaml, cffi alone "
-          f"{r['cold_deps_ms']:.3f} ms)")
+          f"{r['cold_deps_ms']:.3f} ms), import and one trace "
+          f"{r['cold_first_trace_ms']:.3f} ms at {r['first_trace_peak_rss_mb']:.2f} MB")
+    for impl, r in doc["runs"][args.label]["rng"].items():
+        if r is not None:
+            print(f"{args.label} rng {impl:9s} seeding + 600 uniforms "
+                  f"{r['seed_uniform600_us']:.3f} us, CEM generation "
+                  f"{r['cem_generation_us']:.3f} us")
 
 
 if __name__ == "__main__":

@@ -53,6 +53,18 @@
  * for a learned controller's return, the controller reward
  * (`tl_controller_reward`, the one definition of that reward).
  *
+ * `tl_rng` is every random stream of the code (`netsim.Rng`): numpy's
+ * PCG64 bit generator, the 128-bit LCG of O'Neill's PCG with the XSL-RR
+ * output, and numpy's buffered 32-bit draws (the high half of a 64-bit
+ * output waits in `uinteger` for the next one), seeded as numpy's
+ * `SeedSequence` seeds it from an integer's 32-bit words. Its draws go
+ * through the C distributions numpy ships in its static libnpyrandom, linked
+ * at build time: `random_uniform`, the ziggurat of `random_standard_normal`
+ * with its tables, and Lemire's bounded integers. So `tl_rng_uniform`,
+ * `tl_rng_normal_fill` and `tl_rng_integers_fill` are, draw for draw,
+ * `Generator.uniform`, `.standard_normal` and `.integers` of
+ * `default_rng(seed)` for the numpy built against, without its `Generator`.
+ *
  * The arithmetic is Python's, operation for operation, in IEEE doubles; the
  * build turns off FMA contraction and never uses fast-math, so the one
  * fused multiply-add is the explicit `fma` that repeats numpy's dot
@@ -75,6 +87,8 @@
 #include <stdint.h>
 #include <stdlib.h>
 #include <string.h>
+
+#include "numpy/random/distributions.h"
 
 /* cdef-begin */
 #define TL_DONE 0
@@ -332,6 +346,22 @@ void tl_adv_begin(tl_adv *a, double value);
 void tl_adv_observe(tl_adv *a, const tl_obs *o);
 double tl_adv_act(tl_adv *a);
 int tl_adv_reward(tl_adv *a, const tl_obs *o);
+/* A PCG64 stream, numpy's `PCG64` bit generator: the 128-bit LCG state and
+ * increment, each as its high and low words, and the high half of a 64-bit
+ * output that a 32-bit draw left for the next one (when has_uint32) */
+typedef struct {
+    uint64_t state_hi, state_lo, inc_hi, inc_lo;
+    int has_uint32;
+    uint32_t uinteger;
+} tl_rng;
+
+void tl_rng_seed(tl_rng *r, const uint32_t *entropy, int64_t n);
+double tl_rng_uniform(tl_rng *r, double low, double range);
+void tl_rng_uniform_fill(tl_rng *r, double low, double range, double *out,
+                         int64_t n);
+void tl_rng_normal_fill(tl_rng *r, double *out, int64_t n);
+void tl_rng_integers_fill(tl_rng *r, uint64_t off, uint64_t range,
+                          uint64_t *out, int64_t n);
 /* cdef-end */
 
 /* CPython's float floor division (floatobject.c, _float_div_mod). */
@@ -1114,6 +1144,146 @@ int64_t tl_mahi_lines(const double *cum, int64_t n, int64_t first_ms,
     }
     *pos = n;
     return len;
+}
+
+/* --- random streams -------------------------------------------------------- */
+
+/* PCG64 (O'Neill 2014) as numpy's `PCG64` runs it: an LCG step of the
+ * 128-bit state, then the XSL-RR output of the new state, its halves
+ * xored and rotated right by its top six bits */
+static const __uint128_t tl_pcg_mult =
+    ((__uint128_t)2549297995355413924ULL << 64) | 4865540595714422341ULL;
+
+static __uint128_t tl_u128(uint64_t hi, uint64_t lo)
+{
+    return (__uint128_t)hi << 64 | lo;
+}
+
+static void tl_pcg_set(tl_rng *r, __uint128_t state)
+{
+    r->state_hi = (uint64_t)(state >> 64);
+    r->state_lo = (uint64_t)state;
+}
+
+static void tl_pcg_step(tl_rng *r)
+{
+    tl_pcg_set(r, tl_u128(r->state_hi, r->state_lo) * tl_pcg_mult
+                  + tl_u128(r->inc_hi, r->inc_lo));
+}
+
+static uint64_t tl_rng_next64(void *st)
+{
+    tl_rng *r = st;
+    tl_pcg_step(r);
+    uint64_t x = r->state_hi ^ r->state_lo;
+    unsigned rot = (unsigned)(r->state_hi >> 58);
+    return (x >> rot) | (x << ((64 - rot) & 63));
+}
+
+/* the low half of a 64-bit output, keeping the high half for the next call */
+static uint32_t tl_rng_next32(void *st)
+{
+    tl_rng *r = st;
+    if (r->has_uint32) {
+        r->has_uint32 = 0;
+        return r->uinteger;
+    }
+    uint64_t next = tl_rng_next64(r);
+    r->has_uint32 = 1;
+    r->uinteger = (uint32_t)(next >> 32);
+    return (uint32_t)next;
+}
+
+/* the top 53 bits of an output, as a double in [0, 1) */
+static double tl_rng_next_double(void *st)
+{
+    return (double)(tl_rng_next64(st) >> 11) * (1.0 / 9007199254740992.0);
+}
+
+/* the bit generator libnpyrandom's distributions draw through */
+#define TL_BITGEN(r) \
+    {(r), tl_rng_next64, tl_rng_next32, tl_rng_next_double, tl_rng_next64}
+
+/* SeedSequence's hash of a word, which advances its multiplier *h */
+static uint32_t tl_hashmix(uint32_t value, uint32_t *h)
+{
+    value ^= *h;
+    *h *= 0x931e8875u;
+    value *= *h;
+    return value ^ (value >> 16);
+}
+
+static uint32_t tl_mix(uint32_t x, uint32_t y)
+{
+    uint32_t r = 0xca01f9ddu * x - 0x4973f715u * y;
+    return r ^ (r >> 16);
+}
+
+/* numpy's `PCG64(seed)`: `SeedSequence(seed)` mixes the seed's n >= 1
+ * 32-bit words, least significant first, into its pool of four, whose
+ * `generate_state(4, uint64)` gives the 64-bit words v, each two 32-bit
+ * ones, low first; PCG's srandom takes (v[0], v[1]) as initial state and
+ * (v[2], v[3]) as sequence, high words first */
+void tl_rng_seed(tl_rng *r, const uint32_t *entropy, int64_t n)
+{
+    uint32_t pool[4], h = 0x43b0d7e5u;
+    uint64_t v[4] = {0};
+    for (int i = 0; i < 4; i++)
+        pool[i] = tl_hashmix(i < n ? entropy[i] : 0, &h);
+    for (int src = 0; src < 4; src++)
+        for (int dst = 0; dst < 4; dst++)
+            if (src != dst)
+                pool[dst] = tl_mix(pool[dst], tl_hashmix(pool[src], &h));
+    for (int64_t src = 4; src < n; src++)
+        for (int dst = 0; dst < 4; dst++)
+            pool[dst] = tl_mix(pool[dst], tl_hashmix(entropy[src], &h));
+    h = 0x8b51f9ddu;
+    for (int i = 0; i < 8; i++) {
+        uint32_t x = pool[i % 4] ^ h;
+        h *= 0x58f38dedu;
+        x *= h;
+        v[i / 2] |= (uint64_t)(x ^ (x >> 16)) << (32 * (i % 2));
+    }
+    __uint128_t inc = tl_u128(v[2], v[3]) << 1 | 1u;
+    r->inc_hi = (uint64_t)(inc >> 64);
+    r->inc_lo = (uint64_t)inc;
+    tl_pcg_set(r, 0);
+    tl_pcg_step(r);
+    tl_pcg_set(r, tl_u128(r->state_hi, r->state_lo) + tl_u128(v[0], v[1]));
+    tl_pcg_step(r);
+    r->has_uint32 = 0;
+    r->uinteger = 0;
+}
+
+/* `Generator.uniform(low, low + range)` */
+double tl_rng_uniform(tl_rng *r, double low, double range)
+{
+    bitgen_t g = TL_BITGEN(r);
+    return random_uniform(&g, low, range);
+}
+
+void tl_rng_uniform_fill(tl_rng *r, double low, double range, double *out,
+                         int64_t n)
+{
+    bitgen_t g = TL_BITGEN(r);
+    for (int64_t i = 0; i < n; i++)
+        out[i] = random_uniform(&g, low, range);
+}
+
+/* `Generator.standard_normal`: numpy's ziggurat */
+void tl_rng_normal_fill(tl_rng *r, double *out, int64_t n)
+{
+    bitgen_t g = TL_BITGEN(r);
+    random_standard_normal_fill(&g, n, out);
+}
+
+/* `Generator.integers` in [off, off + range], modulo 2^64: Lemire's
+ * rejection, on 32-bit draws while range < 2^32 */
+void tl_rng_integers_fill(tl_rng *r, uint64_t off, uint64_t range,
+                          uint64_t *out, int64_t n)
+{
+    bitgen_t g = TL_BITGEN(r);
+    random_bounded_uint64_fill(&g, off, range, n, false, out);
 }
 
 /* --- the adversary --------------------------------------------------------- */

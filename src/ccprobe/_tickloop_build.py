@@ -7,6 +7,10 @@ module built from the current sources. The build happens in a temporary
 directory next to this file, and the finished module is moved into the
 package with `os.replace`, so no import ever sees a partly written file.
 Modules built from earlier sources for the same Python are then removed.
+
+The random streams (`tl_rng`) draw through the C distributions of the
+numpy installed at build time, the static library numpy ships for this, so
+their bytes follow that numpy's version and never load numpy's `Generator`.
 """
 
 import os
@@ -16,11 +20,16 @@ import sysconfig
 import tempfile
 
 import cffi
+import numpy
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 # Python's double arithmetic, operation for operation: no FMA contraction
 # and no fast-math
 CFLAGS = ["-O3", "-ffp-contract=off", "-fno-fast-math"]
+# numpy's headers, and its C distributions (`random_uniform`, the ziggurat
+# of `random_standard_normal`, the bounded integers) with their tables
+INCLUDE = numpy.get_include()
+NPYRANDOM = os.path.join(os.path.dirname(numpy.__file__), "random", "lib")
 
 
 def build(name: str) -> None:
@@ -29,7 +38,9 @@ def build(name: str) -> None:
     decls = source.split("/* cdef-begin */")[1].split("/* cdef-end */")[0]
     ffi = cffi.FFI()
     ffi.cdef(decls)
-    ffi.set_source(f"ccprobe.{name}", source, extra_compile_args=CFLAGS)
+    ffi.set_source(f"ccprobe.{name}", source, extra_compile_args=CFLAGS,
+                   include_dirs=[INCLUDE], library_dirs=[NPYRANDOM],
+                   libraries=["npyrandom", "m"])
     tmp = tempfile.mkdtemp(prefix=".tickloop-build-", dir=HERE)
     try:
         path = ffi.compile(tmpdir=tmp)

@@ -12,12 +12,10 @@ from __future__ import annotations
 
 from functools import partial
 
-import numpy as np
-
 from .cem import CemConfig, train_policy
 from .learned import PolicyNet, RewardParams, policy_outputs
 from .metrics import EpisodeReport, build_report, clean_episode, means
-from .netsim import SimConfig, _ffi, _lib, map_jobs, replace, run_episodes
+from .netsim import Rng, SimConfig, _ffi, _lib, map_jobs, replace, run_episodes
 from .tracegen import SmoothnessBudget, gen_random_trace
 
 
@@ -147,7 +145,7 @@ class FeatureIntercept(_Adversary):
         self.begin_episode()
 
     def begin_episode(self) -> None:
-        self.rng = np.random.default_rng(self.seed)
+        self.rng = Rng(self.seed)
         _lib.tl_adv_begin(self.adv_state, 1.0)
 
     def _draw(self) -> float:
@@ -164,7 +162,7 @@ class EnvBandwidthDriver(_Adversary):
                          b_max if b_max is not None else budget.bw_max,
                          policy is not None)
         self.budget = budget
-        self.rng = np.random.default_rng(seed)
+        self.rng = Rng(seed)
         mid = 0.5 * (budget.bw_min + budget.bw_max)
         self.initial = initial_capacity if initial_capacity is not None else mid
         s = self.adv_state
@@ -180,7 +178,7 @@ class EnvBandwidthDriver(_Adversary):
     begin_episode = first_capacity
 
     def _draw(self) -> float:
-        return float(self.rng.uniform(self.budget.bw_min, self.budget.bw_max))
+        return self.rng.uniform(self.budget.bw_min, self.budget.bw_max)
 
 
 def make_adversary_policy(surface: str) -> PolicyNet:
@@ -283,9 +281,7 @@ def select_worst_trace(spec: AdversarySpec, policy: PolicyNet, controller_factor
     slice."""
     spec = replace(spec, policy=policy)
     budget = spec.budget
-    rng = np.random.default_rng(seed)
-    inits = [float(rng.uniform(budget.bw_min, budget.bw_max))
-             for _ in range(n_rollouts)]
+    inits = Rng(seed).uniform(budget.bw_min, budget.bw_max, n_rollouts).tolist()
     candidates = adversarial_episodes(spec, None, controller_factory, config,
                                       reward, [seed + i for i in range(n_rollouts)],
                                       inits)

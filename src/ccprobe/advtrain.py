@@ -4,12 +4,10 @@ from __future__ import annotations
 
 from functools import partial
 
-import numpy as np
-
 from .cem import CemConfig, GenerationStats, train_policy
 from .learned import LearnedController, PolicyNet, RewardParams, candidate_returns
 from .metrics import clean_episode, means
-from .netsim import BandwidthTrace, SimConfig, map_jobs
+from .netsim import BandwidthTrace, Rng, SimConfig, map_jobs
 
 
 def check_mix_p(mix_p: float) -> None:
@@ -52,7 +50,7 @@ def adversarial_retrain(policy: PolicyNet, pool: TracePool, episodes: int,
     """
     return train_policy(
         policy, partial(candidate_returns, policy,
-                        lambda s: sample_trace(pool, np.random.default_rng(s)),
+                        lambda s: sample_trace(pool, Rng(s)),
                         sim, reward, workers),
         episodes, cem or CemConfig())
 

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .netsim import Rng
+
 
 class OptimizerError(RuntimeError):
     pass
@@ -52,7 +54,7 @@ def cem_maximize(objective, dim: int, generations: int, config: CemConfig,
     Raises OptimizerError if a generation's returns have exactly zero
     variance before the budget is exhausted (degenerate reward signal).
     """
-    rng = np.random.default_rng(config.seed)
+    rng = Rng(config.seed)
     mean = np.zeros(dim) if init_mean is None else np.asarray(init_mean, dtype=float).copy()
     std = np.full(dim, config.sigma0)
     n_elite = max(1, int(round(config.population * config.elite_frac)))
@@ -64,7 +66,7 @@ def cem_maximize(objective, dim: int, generations: int, config: CemConfig,
     for gen in range(generations):
         noise = config.extra_noise * (config.noise_decay ** gen)
         pop = mean + (std + noise) * rng.standard_normal((config.population, dim))
-        seeds = [int(rng.integers(0, 2**31 - 1)) for _ in range(config.population)]
+        seeds = rng.integers(0, 2**31 - 1, config.population).tolist()
         returns = np.empty(config.population)
         ok = np.full(config.population, np.nan)
         for i, out in enumerate(objective(pop, seeds)):
@@ -94,7 +96,10 @@ def train_policy(policy, objective, episodes: int, config: CemConfig):
     """The one CEM driver of every trained policy: `episodes` is a total
     rollout budget of `episodes // population` generations, searched from
     `policy`'s own parameters. Returns (best policy, per-generation log),
-    or (policy, []) unchanged when the budget buys no generation."""
+    or (policy, []) unchanged when the budget buys no generation; a
+    negative budget is a ValueError."""
+    if episodes < 0:
+        raise ValueError(f"episodes must be >= 0, got {episodes!r}")
     generations = episodes // config.population
     if generations == 0:
         return policy, []

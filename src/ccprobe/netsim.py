@@ -22,12 +22,13 @@ import numpy as np
 def _load_tick_loop():
     """The compiled tick loop (`_tickloop.c`, through cffi).
 
-    The module's name carries a hash of the files it is built from, so a
-    stale build is never loaded. When none is present, `_tickloop_build.py`
-    compiles one into this package (about 2.5 seconds with gcc).
+    The module's name carries a hash of the files it is built from and of
+    numpy's version, whose C distributions it links, so a stale build is
+    never loaded. When none is present, `_tickloop_build.py` compiles one
+    into this package (about 2.5 seconds with gcc).
     """
     here = os.path.dirname(os.path.abspath(__file__))
-    h = hashlib.sha256()
+    h = hashlib.sha256(np.__version__.encode())
     for fn in ("_tickloop.c", "_tickloop_build.py"):
         with open(os.path.join(here, fn), "rb") as f:
             h.update(f.read())
@@ -59,6 +60,63 @@ OBS_COLUMNS = tuple(name for name, _ in _ffi.typeof("tl_obs").fields)
 _OBS_ROW_FIELDS = operator.attrgetter(*OBS_COLUMNS)
 # doubles per `tl_obs` row
 _OBS_FIELDS = _ffi.sizeof("tl_obs") // _ffi.sizeof("double")
+
+
+class Rng:
+    """A seeded PCG64 stream (`tl_rng`), bit for bit the `Generator` of
+    numpy's `default_rng(seed)` in the four draws below, each with numpy's
+    errors; a draw of `size` values fills one array in one C call."""
+
+    __slots__ = ("_s",)
+
+    def __init__(self, seed: int):
+        seed = operator.index(seed)
+        if seed < 0:
+            raise ValueError("expected non-negative integer")
+        words = [seed >> i & 0xFFFFFFFF for i in range(0, seed.bit_length() or 1, 32)]
+        self._s = _ffi.new("tl_rng *")
+        _lib.tl_rng_seed(self._s, words, len(words))
+
+    def __repr__(self) -> str:
+        s = self._s
+        return (f"Rng(state={s.state_hi << 64 | s.state_lo:#x}, "
+                f"inc={s.inc_hi << 64 | s.inc_lo:#x}, has_uint32={s.has_uint32}, "
+                f"uinteger={s.uinteger})")
+
+    def uniform(self, low: float, high: float, size=None):
+        low = float(low)
+        span = float(high) - low
+        if not math.isfinite(span):
+            raise OverflowError("high - low range exceeds valid bounds")
+        if size is None:
+            return _lib.tl_rng_uniform(self._s, low, span)
+        out = np.empty(size)
+        _lib.tl_rng_uniform_fill(self._s, low, span, _ffi.from_buffer("double[]", out),
+                                 out.size)
+        return out
+
+    def random(self) -> float:
+        # low + range * u with low 0 and range 1 is u itself
+        return _lib.tl_rng_uniform(self._s, 0.0, 1.0)
+
+    def integers(self, low: int, high: int, size=None):
+        """Integers in [low, high), as int64."""
+        low, last = operator.index(low), operator.index(high) - 1
+        if low < -2**63:
+            raise ValueError("low is out of bounds for int64")
+        if last >= 2**63:
+            raise ValueError("high is out of bounds for int64")
+        if low > last:
+            raise ValueError("low >= high")
+        out = np.empty(1 if size is None else size, np.int64)
+        _lib.tl_rng_integers_fill(self._s, low % 2**64, last - low,
+                                  _ffi.from_buffer("uint64_t[]", out), out.size)
+        return int(out[0]) if size is None else out
+
+    def standard_normal(self, size):
+        out = np.empty(size)
+        _lib.tl_rng_normal_fill(self._s, _ffi.from_buffer("double[]", out), out.size)
+        return out
 
 
 def replace(record, **changes):

@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from .netsim import BandwidthTrace, _ffi, _lib
+from .netsim import BandwidthTrace, Rng, _ffi, _lib
 
 
 class SmoothnessBudget:
@@ -78,7 +78,7 @@ def gen_random_trace(length: int, budget: SmoothnessBudget, seed: int,
     (`project_next`) over the values before it, in one C loop."""
     if length < 1:
         raise ValueError("length must be >= 1")
-    values = np.random.default_rng(seed).uniform(budget.bw_min, budget.bw_max, length)
+    values = Rng(seed).uniform(budget.bw_min, budget.bw_max, length)
     _lib.tl_project_trace(_ffi.from_buffer("double[]", values), length, budget.delta,
                           budget.window_k, budget.bw_min, budget.bw_max)
     return BandwidthTrace(interval_ms=interval_ms, values=values.tolist())
@@ -89,7 +89,7 @@ def gen_unconstrained(length: int, bw_min: float, bw_max: float, seed: int,
     """No smoothness projection; i.i.d. uniform values."""
     if length < 1:
         raise ValueError("length must be >= 1")
-    values = np.random.default_rng(seed).uniform(bw_min, bw_max, length)
+    values = Rng(seed).uniform(bw_min, bw_max, length)
     return BandwidthTrace(interval_ms=interval_ms,
                           values=np.clip(values, bw_min, bw_max).tolist())
 

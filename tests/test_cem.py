@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from ccprobe.cem import CemConfig, OptimizerError, cem_maximize
+from ccprobe.cem import CemConfig, OptimizerError, cem_maximize, train_policy
+from ccprobe.learned import PolicyNet
 
 
 def _per_row(fn):
@@ -94,3 +95,20 @@ def test_objective_sees_each_generation_whole():
 
     cem_maximize(objective, 3, 4, CemConfig(population=6, seed=0))
     assert calls == [((6, 3), 6)] * 4
+
+
+def test_train_policy_rejects_a_negative_budget():
+    # a negative budget buys no generation, and must not come back as if
+    # trained; a budget below one population trains nothing, unchanged
+    calls = []
+
+    def objective(pop, seeds):
+        calls.append(len(seeds))
+        return [0.0] * len(seeds)
+
+    policy = PolicyNet(5, 0)
+    for episodes in (-32, -1):
+        with pytest.raises(ValueError, match="episodes must be >= 0"):
+            train_policy(policy, objective, episodes, CemConfig(population=4))
+    assert train_policy(policy, objective, 3, CemConfig(population=4)) == (policy, [])
+    assert calls == []

@@ -122,6 +122,52 @@ def test_import_loads_no_code_generator_or_build_tools():
     assert run.stdout.strip() == "[]"
 
 
+_EVERY_COMMAND = """
+import os, sys
+from ccprobe.cli import main
+d = sys.argv[1]
+cfg = os.path.join(d, "c.yaml")
+with open(cfg, "w") as f:
+    f.write("sim: {episode_duration_s: 2.0}\\ntraces: {n: 2}\\n"
+            "adversary: {episodes: 4, rollouts: 2}\\n"
+            "train: {episodes: 4, population: 2, mix_p: 0.5}\\nseed: 3\\n")
+feature = os.path.join(d, "f.yaml")
+with open(feature, "w") as f:
+    f.write("sim: {episode_duration_s: 2.0}\\ntraces: {n: 2}\\n"
+            "adversary: {surface: feature, perturb_mode: random_noise, "
+            "episodes: 4, rollouts: 2}\\n")
+t = os.path.join(d, "t")
+runs = [["gen-trace", "--n", "2", "--length", "20", "--out", t],
+        ["gen-trace", "--mode", "unconstrained", "--length", "20",
+         "--out", os.path.join(d, "u")],
+        ["export", "--trace", os.path.join(t, "trace_000.trace"),
+         "--dest", os.path.join(d, "mm")],
+        ["baseline", "--config", cfg, "--controllers", "reno"],
+        ["transfer", "--config", cfg, "--traces", t, "--controllers", "reno"],
+        ["attack", "--config", cfg, "--controller", "cubic"],
+        ["attack", "--config", feature, "--controller", "vegas"],
+        ["train", "--config", cfg],
+        ["retrain", "--config", cfg, "--init", os.path.join(d, "train", "learned.ckpt"),
+         "--pool-adv", t, "--episodes", "4"]]
+for argv in runs:
+    if argv[0] not in ("gen-trace", "export"):
+        argv += ["--out", os.path.join(d, argv[0])]
+    assert main(argv) == 0, argv
+print("numpy.random" in sys.modules)
+"""
+
+
+def test_no_command_loads_numpy_random(tmp_path):
+    # every draw comes from `netsim.Rng`, so no command imports numpy's
+    # Generator: gen-trace in both random modes, export, baseline, transfer,
+    # attack on both surfaces, train and retrain, in one process
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    run = subprocess.run([sys.executable, "-c", _EVERY_COMMAND, str(tmp_path)],
+                         env=env, capture_output=True, text=True, timeout=300)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip().splitlines()[-1] == "False"
+
+
 def test_load_config_yaml(tmp_path):
     p = tmp_path / "c.yaml"
     p.write_text("sim:\n  episode_duration_s: 5.0\nseed: 9\n")

@@ -478,8 +478,9 @@ def test_trace_cycles_like_replay(short_sim):
 # --- the compiled tick loop -----------------------------------------------------
 
 def test_tick_loop_module_is_named_after_its_sources():
+    # and after numpy's version, whose C distributions the module links
     here = os.path.dirname(netsim.__file__)
-    h = hashlib.sha256()
+    h = hashlib.sha256(np.__version__.encode())
     for fn in ("_tickloop.c", "_tickloop_build.py"):
         with open(os.path.join(here, fn), "rb") as f:
             h.update(f.read())
