@@ -28,12 +28,6 @@ SETTINGS = {
 }
 
 
-def check_setting(name: str, value) -> None:
-    """ValueError unless `value` is one of setting `name`'s values."""
-    if value not in SETTINGS[name]:
-        raise ValueError(f"unknown {name} {value!r}")
-
-
 class DelayConstraint:
     def __init__(self, tau_ms: float = 0.0, alpha: float = 1.0, window_h: int = 5,
                  window_k: int = 1):
@@ -41,21 +35,12 @@ class DelayConstraint:
         self.alpha = alpha
         self.window_h = window_h
         self.window_k = window_k
-        if self.tau_ms < 0:
-            raise ValueError("tau must be >= 0")
-        if self.alpha <= 0:
-            raise ValueError("alpha must be > 0")
-        if not 1 <= self.window_k <= self.window_h:
-            raise ValueError("need 1 <= window_k <= window_h")
 
 
 class FeatureBound:
     def __init__(self, x_fraction: float = 0.5, mode: str = "adversarial"):
         self.x_fraction = x_fraction
         self.mode = mode   # a perturb_mode
-        if not 0 <= self.x_fraction < 1:
-            raise ValueError("x_fraction must be in [0, 1)")
-        check_setting("perturb_mode", self.mode)
 
 
 class AdversarySpec:
@@ -70,8 +55,9 @@ class AdversarySpec:
         self.feature_bound = feature_bound
         self.budget = budget
         self.policy = policy
-        check_setting("surface", self.surface)
-        check_setting("reward_mode", self.reward_mode)
+        for name in ("surface", "reward_mode"):
+            if getattr(self, name) not in SETTINGS[name]:
+                raise ValueError(f"unknown {name} {getattr(self, name)!r}")
         if self.surface == "feature" and self.feature_bound is None:
             raise ValueError("feature surface requires a feature_bound")
         if self.surface == "env" and self.budget is None:

@@ -10,18 +10,12 @@ from .metrics import clean_episode, means
 from .netsim import BandwidthTrace, Rng, SimConfig, map_jobs
 
 
-def check_mix_p(mix_p: float) -> None:
-    if not 0 <= mix_p <= 1:
-        raise ValueError(f"mix_p must be in [0, 1], got {mix_p!r}")
-
-
 class TracePool:
     def __init__(self, benign: list[BandwidthTrace] | None = None,
                  adversarial: list[BandwidthTrace] | None = None, mix_p: float = 0.2):
         self.benign = [] if benign is None else benign
         self.adversarial = [] if adversarial is None else adversarial
         self.mix_p = mix_p
-        check_mix_p(self.mix_p)
         if self.mix_p < 1 and not self.benign:
             raise ValueError("benign traces required when mix_p < 1")
         if self.mix_p > 0 and not self.adversarial:

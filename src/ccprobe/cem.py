@@ -26,11 +26,6 @@ class CemConfig:
         self.extra_noise = extra_noise   # additive std floor, decayed per generation
         self.noise_decay = noise_decay
         self.seed = seed
-        if not self.population >= 1:
-            raise ValueError(f"population must be >= 1, got {self.population!r}")
-        if not 0 < self.elite_frac <= 1:
-            raise ValueError(f"elite_frac must be in (0, 1], "
-                             f"got {self.elite_frac!r}")
 
 
 class GenerationStats:
@@ -88,7 +83,8 @@ def cem_maximize(objective, dim: int, generations: int, config: CemConfig,
             constraint_satisfaction_rate=float(np.nanmean(ok)) if not np.all(np.isnan(ok)) else float("nan"),
         ))
         if gen < generations - 1 and float(returns.std()) == 0.0:
-            raise OptimizerError("population returns collapsed to zero variance")
+            raise OptimizerError(f"CEM generation {gen + 1} of {generations}: "
+                                 f"population returns collapsed to zero variance")
     return best_params, history
 
 

@@ -22,17 +22,15 @@ from .adversary import (AdversarySpec, DelayConstraint, FeatureBound,
                         adversarial_episodes, calibrate_tau,
                         random_baseline_traces, select_worst_trace,
                         train_adversary)
-from .cc import RULE_BASED, make_controller
-from .config import ExperimentConfig, load_config
+from .cc import make_controller
+from .cem import OptimizerError
+from .config import DOMAINS, ExperimentConfig, check, load_config
 from .learned import LearnedController, load_policy, save_policy, train_controller
 from .metrics import build_report, clean_episode, dump_series_csv, means
 from .netsim import (BandwidthTrace, ConfigError, SimConfig, export_mahimahi,
                      map_jobs, read_trace, replace, run_episode, write_trace)
 from .tracegen import (check_feasible, gen_burst_trace, gen_random_trace,
                        gen_unconstrained)
-
-ALL_CONTROLLERS = tuple(RULE_BASED) + ("learned",)
-
 
 # --- plumbing ----------------------------------------------------------------
 
@@ -45,6 +43,7 @@ def _out_dir(args, cfg: ExperimentConfig) -> str:
 def _load_cfg(args) -> ExperimentConfig:
     cfg = load_config(args.config) if args.config else ExperimentConfig()
     if args.seed is not None:   # checked as the config's own seed is
+        check("--seed", args.seed, DOMAINS["seed"])
         cfg = replace(cfg, seed=args.seed)
     return cfg
 
@@ -117,7 +116,7 @@ def _controller_factories(args, cfg: ExperimentConfig) -> dict[str, partial]:
     """`--controllers` (by default every controller, `learned` only with
     `--checkpoint`), each name mapped to its factory."""
     names = (args.controllers.split(",") if args.controllers
-             else [c for c in ALL_CONTROLLERS if c != "learned" or args.checkpoint])
+             else [c for c in DOMAINS["controller"] if c != "learned" or args.checkpoint])
     return {name: _controller_factory(cfg, name, args.checkpoint)
             for name in names}
 
@@ -530,6 +529,9 @@ def main(argv=None) -> int:
             NotADirectoryError, PermissionError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
+    except OptimizerError as e:   # a run's result, not bad input
+        print(f"error: {e}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

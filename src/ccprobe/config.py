@@ -1,31 +1,115 @@
-"""Experiment configuration: one YAML document, schema-validated.
+"""Experiment configuration: one YAML document, checked against one table.
 
-Every section maps onto a record class; unknown keys anywhere are rejected so a
-typo fails fast instead of silently running the defaults. The canonical hash
-of a config is embedded in every CSV the runner emits, which together with
-the seed makes reruns byte-comparable.
+`DOMAINS` lists every key of every section and of the top level, once each,
+with its kind and its domain. `config_from_dict` checks the raw document
+against it before it builds any record, and a key the table does not list,
+or a value outside its key's domain, is one ConfigError naming the key. The
+table only checks values and never converts them; each record keeps what
+its fields must satisfy together. The canonical hash of a config is
+embedded in every CSV the runner emits, which together with the seed makes
+reruns byte-comparable.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
 
 import yaml
 
-from .adversary import SETTINGS, DelayConstraint, FeatureBound, check_setting
-from .advtrain import check_mix_p
+from .adversary import SETTINGS
+from .cc import RULE_BASED
 from .cem import CemConfig
 from .learned import FEATURE_NAMES, PolicyNet, RewardParams
 from .netsim import ConfigError, SimConfig
 from .tracegen import SmoothnessBudget
 
+# Every config key, once, with its domain: the tuple of the strings allowed;
+# "paths", "text" (a non-empty string) or "mapping"; or a finite number's
+# bounds ("> a", ">= a", or "in [a, b)" whose brackets say which ends it
+# holds), after "int " for an integer and "null or " where null may stand for
+# it. A bool is never a number. Times are at most a day, as an exported
+# trace, and capacities (Mbps) at most 1 Tbps.
+DOMAINS = {
+    "sim": {"tick_ms": "> 0", "one_way_delay_ms": "in (0, 86400000]",
+            "queue_capacity_bdp": "in (0, 1000]",
+            "packet_size": "int in [1, 65535]",   # the largest IP packet
+            "episode_duration_s": "in (0, 86400]", "trace_interval_ms": "> 0"},
+    "reward": {"lam": ">= 0", "gamma": ">= 1", "b_max": "> 0"},
+    "budget": {"delta": "> 0", "window_k": "int >= 1", "bw_min": "in [0, 1e6]",
+               "bw_max": "in (0, 1e6]"},
+    "traces": {"source": ("random", "constant", "files", "burst"), "n": "int >= 1",
+               "constant_mbps": "in [0, 1e6]", "paths": "paths",
+               "peak": "in [0, 1e6]", "trough": "in [0, 1e6]",
+               "rise_intervals": "int >= 0", "fall_intervals": "int >= 0"},
+    "adversary": {"surface": SETTINGS["surface"],
+                  "reward_mode": SETTINGS["reward_mode"],
+                  "x_fraction": "in [0, 1)", "perturb_mode": SETTINGS["perturb_mode"],
+                  "alpha": "> 0", "window_h": "int >= 1", "window_k": "int >= 1",
+                  "tau_ms": "null or >= 0", "episodes": "int >= 0",
+                  "rollouts": "int >= 1"},
+    "train": {"episodes": "int >= 0", "hidden": "int >= 0", "a_max": "> 0",
+              "mix_p": "in [0, 1]", "population": "int >= 1",
+              "elite_frac": "in (0, 1]", "sigma0": ">= 0", "extra_noise": ">= 0",
+              "noise_decay": "in (0, 1]"},
+    "controller": (*RULE_BASED, "learned"), "controller_constants": "mapping",
+    "seed": "int >= 0", "output_dir": "text",
+}
 
-def _integers(**counts) -> None:
-    """ConfigError unless each count is an int (a YAML `1.5` or `abc` is not)."""
-    for name, value in counts.items():
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ConfigError(f"{name} must be an integer, got {value!r}")
+
+def _number(value, integer: bool) -> bool:
+    """`value` is an int (given `integer`) or a finite number; a bool is neither."""
+    try:
+        return (type(value) is int if integer or isinstance(value, bool)
+                else math.isfinite(value))
+    except (TypeError, OverflowError):   # not a number, or an int past any float
+        return False
+
+
+def _within(value, bounds: str) -> bool:
+    if bounds.startswith("in "):
+        low, high = (float(end) for end in bounds[4:-1].split(","))
+        return ((low < value if bounds[3] == "(" else low <= value)
+                and (value < high if bounds[-1] == ")" else value <= high))
+    op, bound = bounds.split()
+    return value > float(bound) if op == ">" else value >= float(bound)
+
+
+def check(where: str, value, domain) -> None:
+    """ConfigError naming `where` unless `value` lies in DOMAINS entry `domain`."""
+    if isinstance(domain, tuple):
+        what, ok = f"one of {domain}", isinstance(value, str) and value in domain
+    elif domain == "paths":
+        what = "a list of path strings"
+        ok = isinstance(value, list) and all(isinstance(p, str) for p in value)
+    elif domain == "text":
+        what, ok = "a non-empty string", isinstance(value, str) and value != ""
+    elif domain == "mapping":
+        what, ok = "a mapping", isinstance(value, dict)
+    elif value is None and domain.startswith("null or "):
+        return
+    else:
+        integer = "int " in domain
+        what, ok = "an integer" if integer else "a finite number", _number(value, integer)
+        if ok:
+            bounds = domain.removeprefix("null or ").removeprefix("int ")
+            what, ok = bounds, _within(value, bounds)
+    if not ok:
+        raise ConfigError(f"{where} must be {what}, got {value!r}")
+
+
+def _check_keys(doc: dict, domains: dict, prefix: str) -> None:
+    """Check `doc`, the top level or (`prefix` "<section>.") a section."""
+    unknown = set(doc) - set(domains)
+    if unknown:
+        raise ConfigError(f"{prefix[:-1] or 'top level'}: unknown keys {sorted(unknown)}")
+    for key, value in doc.items():
+        if isinstance(domains[key], dict):   # a section
+            check(key, value, "mapping")
+            _check_keys(value, domains[key], f"{key}.")
+        else:
+            check(prefix + key, value, domains[key])
 
 
 class TraceSpec:
@@ -39,23 +123,14 @@ class TraceSpec:
         self.n = n                    # number of random traces
         self.constant_mbps = constant_mbps
         self.paths = [] if paths is None else paths
-        # burst parameters (triangle pattern)
-        self.peak = peak
+        self.peak = peak   # the burst triangle: peak, trough, rise and fall
         self.trough = trough
         self.rise_intervals = rise_intervals
         self.fall_intervals = fall_intervals
-        _integers(n=self.n, rise_intervals=self.rise_intervals,
-                  fall_intervals=self.fall_intervals)
-        if self.source not in ("random", "constant", "files", "burst"):
-            raise ConfigError(f"unknown trace source {self.source!r}")
         if self.source == "files" and not self.paths:
             raise ConfigError("trace source 'files' needs non-empty paths")
-        if self.n < 1:
-            raise ConfigError("trace n must be >= 1")
-        if not (min(self.rise_intervals, self.fall_intervals) >= 0
-                and self.rise_intervals + self.fall_intervals >= 1):
-            raise ConfigError("rise_intervals and fall_intervals must be >= 0, "
-                              "with a burst period of >= 1 interval")
+        if self.rise_intervals + self.fall_intervals < 1:
+            raise ConfigError("rise_intervals + fall_intervals must be >= 1")
 
 
 class AdversaryConfig:
@@ -73,18 +148,9 @@ class AdversaryConfig:
         self.tau_ms = tau_ms   # None -> calibrate from the baseline runs
         self.episodes = episodes
         self.rollouts = rollouts
-        for name in SETTINGS:
-            check_setting(name, getattr(self, name))
-        _integers(window_h=self.window_h, window_k=self.window_k,
-                  episodes=self.episodes, rollouts=self.rollouts)
-        # built only to check the values, whose domains are defined there
-        DelayConstraint(self.tau_ms or 0.0, self.alpha, self.window_h,
-                        self.window_k)
-        FeatureBound(self.x_fraction)
-        if self.episodes < 0:
-            raise ConfigError(f"episodes must be >= 0, got {self.episodes}")
-        if self.rollouts < 1:
-            raise ConfigError("rollouts must be >= 1")
+        if not self.window_k <= self.window_h:
+            raise ConfigError(f"need window_k <= window_h, got window_k="
+                              f"{self.window_k}, window_h={self.window_h}")
 
 
 class TrainSpec:
@@ -101,14 +167,6 @@ class TrainSpec:
         self.sigma0 = sigma0
         self.extra_noise = extra_noise
         self.noise_decay = noise_decay
-        _integers(episodes=self.episodes, hidden=self.hidden,
-                  population=self.population)
-        if self.episodes < 0:
-            raise ConfigError(f"episodes must be >= 0, got {self.episodes}")
-        # built only to check the values, whose domains are defined there
-        self.cem(seed=0)
-        self.policy()
-        check_mix_p(self.mix_p)
 
     def cem(self, seed: int) -> CemConfig:
         return CemConfig(population=self.population, elite_frac=self.elite_frac,
@@ -143,9 +201,6 @@ class ExperimentConfig:
         self.seed = seed
         self.output_dir = output_dir
         self.sim.validate()
-        _integers(seed=self.seed)
-        if self.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
     def config_hash(self) -> str:
         blob = json.dumps(self, sort_keys=True, default=_json_fields)
@@ -158,43 +213,29 @@ def _json_fields(value):
     return vars(value) if hasattr(value, "__dict__") else str(value)
 
 
-_SECTIONS = {
-    "sim": SimConfig,
-    "reward": RewardParams,
-    "budget": SmoothnessBudget,
-    "traces": TraceSpec,
-    "adversary": AdversaryConfig,
-    "train": TrainSpec,
-}
-_SCALARS = ("controller", "controller_constants", "seed", "output_dir")
+_SECTIONS = {"sim": SimConfig, "reward": RewardParams, "budget": SmoothnessBudget,
+             "traces": TraceSpec, "adversary": AdversaryConfig, "train": TrainSpec}
 
 
 def _build(cls, data: dict, where: str):
-    init = cls.__init__.__code__   # the allowed keys: its parameters after self
-    unknown = set(data) - set(init.co_varnames[1:init.co_argcount])
-    if unknown:
-        raise ConfigError(f"{where}: unknown keys {sorted(unknown)}")
     try:
         return cls(**data)
-    except (TypeError, ValueError) as e:   # a ConfigError is a ValueError
+    except ValueError as e:   # a check across fields; a ConfigError is one
         raise ConfigError(f"{where}: {e}") from e
 
 
 def config_from_dict(doc: dict) -> ExperimentConfig:
-    if not isinstance(doc, dict):
-        raise ConfigError("config document must be a mapping")
-    unknown = set(doc) - set(_SECTIONS) - set(_SCALARS)
-    if unknown:
-        raise ConfigError(f"top level: unknown keys {sorted(unknown)}")
-    kwargs = {}
-    for name, cls in _SECTIONS.items():
-        section = doc.get(name, {})
-        if not isinstance(section, dict):
-            raise ConfigError(f"section {name!r} must be a mapping")
-        kwargs[name] = _build(cls, section, name)
-    for name in _SCALARS:
-        if name in doc:
-            kwargs[name] = doc[name]
+    check("config document", doc, "mapping")
+    _check_keys(doc, DOMAINS, "")
+    adversary = doc.get("adversary", {})
+    for key in ("x_fraction", "perturb_mode"):   # read by the feature surface alone
+        if key in adversary and adversary.get("surface", "env") == "env":
+            raise ConfigError(f"adversary.{key} is read only under surface: "
+                              "feature, not env")
+    kwargs = {key: (_build(_SECTIONS[key], doc.get(key, {}), key)
+                    if isinstance(entry, dict) else doc[key])
+              for key, entry in DOMAINS.items()
+              if isinstance(entry, dict) or key in doc}
     return _build(ExperimentConfig, kwargs, "experiment")
 
 

@@ -11,7 +11,6 @@ are config keys; see the README for the caveats around them.
 
 from __future__ import annotations
 
-import math
 from functools import partial
 
 import numpy as np
@@ -28,12 +27,6 @@ class RewardParams:
         self.lam = lam       # loss-penalty coefficient
         self.gamma = gamma   # delay margin coefficient, >= 1
         self.b_max = b_max   # normalizing bandwidth, Mbps
-        if not 0 <= self.lam < math.inf:
-            raise ValueError("lam must be finite and >= 0")
-        if not 1 <= self.gamma < math.inf:
-            raise ValueError("gamma must be finite and >= 1")
-        if not 0 < self.b_max < math.inf:
-            raise ValueError("b_max must be finite and > 0")
 
     def c_struct(self):
         """These parameters as a C `tl_reward`."""

@@ -9,8 +9,6 @@ set, so feasibility holds by construction and is cheap to re-check post hoc.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .netsim import BandwidthTrace, Rng, _ffi, _lib
@@ -23,17 +21,9 @@ class SmoothnessBudget:
         self.window_k = window_k
         self.bw_min = bw_min
         self.bw_max = bw_max
-        if not self.delta > 0:   # NaN too
-            raise ValueError(f"delta must be > 0, got {self.delta}")
-        if not self.bw_min >= 0:   # a capacity below zero has no meaning
-            raise ValueError(f"bw_min must be >= 0, got {self.bw_min}")
-        if not self.bw_min < self.bw_max < math.inf:
-            raise ValueError(f"need bw_min < bw_max < inf, got bw_min="
-                             f"{self.bw_min}, bw_max={self.bw_max}")
-        if (isinstance(self.window_k, bool) or not isinstance(self.window_k, int)
-                or self.window_k < 1):
-            raise ValueError(f"window_k must be an integer >= 1, "
-                             f"got {self.window_k!r}")
+        if not self.bw_min < self.bw_max:
+            raise ValueError(f"need bw_min < bw_max, got bw_min={self.bw_min}, "
+                             f"bw_max={self.bw_max}")
 
     def clamp(self, value: float) -> float:
         return min(self.bw_max, max(self.bw_min, value))

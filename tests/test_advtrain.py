@@ -20,8 +20,6 @@ def test_pool_invariants():
         TracePool(benign=[], adversarial=traces("a"), mix_p=0.5)
     with pytest.raises(ValueError):
         TracePool(benign=traces("b"), adversarial=[], mix_p=0.5)
-    with pytest.raises(ValueError):
-        TracePool(benign=traces("b"), adversarial=traces("a"), mix_p=1.5)
     TracePool(benign=traces("b"), adversarial=[], mix_p=0.0)
     TracePool(benign=[], adversarial=traces("a"), mix_p=1.0)
 

@@ -361,7 +361,9 @@ def test_bad_packet_size_exits_2(tmp_path, capsys, size):
     cfg.write_text(f"sim: {{episode_duration_s: 1.0, packet_size: {size}}}\n")
     assert main(["baseline", "--config", str(cfg), "--controllers", "reno",
                  "--setting", "random", "--out", str(tmp_path / "x")]) == 2
-    assert "packet_size must be an integer >= 1" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("error: sim.packet_size must be ")
+    assert err.endswith(f", got {size}\n")
 
 
 def test_train_and_retrain_small(tmp_path):
@@ -581,7 +583,9 @@ def test_gen_trace_bad_budget_exits_2(tmp_path, capsys, flags):
         assert main(["gen-trace", "--config", str(cfg), "--length", length,
                      "--out", str(out)]) == 2
         err = capsys.readouterr().err
-        assert err.count("\n") == 1 and err.startswith("error: budget: ")
+        # a field's own domain, or bw_min < bw_max
+        assert err.count("\n") == 1 and err.startswith(("error: budget.",
+                                                        "error: budget: "))
     assert not out.exists()
 
 
@@ -859,7 +863,31 @@ def _exits_2_before_any_episode(tmp_path, monkeypatch, capsys, argv):
     ("sim: {queue_capacity_bdp: .inf}", "queue_capacity_bdp"),
     ("reward: {lam: .nan}", "lam"), ("reward: {lam: .inf}", "lam"),
     ("reward: {gamma: .nan}", "gamma"), ("reward: {gamma: .inf}", "gamma"),
-    ("reward: {b_max: .nan}", "b_max"), ("reward: {b_max: .inf}", "b_max")])
+    ("reward: {b_max: .nan}", "b_max"), ("reward: {b_max: .inf}", "b_max"),
+    # once each record's own check, now the config table's
+    ("reward: {gamma: 0.5}", "reward.gamma"), ("reward: {lam: -1}", "reward.lam"),
+    ("reward: {b_max: 0}", "reward.b_max"), ("budget: {delta: 0}", "budget.delta"),
+    ("budget: {window_k: 0}", "budget.window_k"), ("sim: {tick_ms: 0}", "sim.tick_ms"),
+    ("adversary: {surface: feature, x_fraction: 1.0}", "adversary.x_fraction"),
+    ("train: {mix_p: 1.5}", "train.mix_p"),
+    # once a traceback
+    ("sim: {trace_interval_ms: 0}", "sim.trace_interval_ms"),
+    ("sim: {packet_size: 1e300}", "sim.packet_size"),
+    ("sim: {episode_duration_s: 1e300}", "sim.episode_duration_s"),
+    ("traces: {constant_mbps: abc}", "traces.constant_mbps"),
+    ("traces: {paths: 1.5}", "traces.paths"),
+    ("train: {extra_noise: -1}", "train.extra_noise"),
+    ("train: {noise_decay: []}", "train.noise_decay"),
+    ("output_dir: 0", "output_dir"),
+    # once exit 1 after a run
+    ("adversary: {tau_ms: .nan}", "adversary.tau_ms"),
+    ("adversary: {alpha: .nan}", "adversary.alpha"),
+    # once run, as 1 or as nothing
+    ("sim: {tick_ms: true}", "sim.tick_ms"), ("train: {sigma0: abc}", "train.sigma0"),
+    ("train: {sigma0: .nan}", "train.sigma0"), ("adversary: {alpha: .inf}", "adversary.alpha"),
+    ("budget: {delta: .inf}", "budget.delta"), ("traces: {trough: -1}", "traces.trough"),
+    ("controller: abc", "controller"), ("controller_constants: []", "controller_constants"),
+    ("train: {noise_decay: 1.5}", "train.noise_decay")])
 def test_bad_config_value_exits_2_at_load(tmp_path, monkeypatch, capsys, doc, key):
     # a value outside its domain, malformed YAML or a non-integer count
     p = tmp_path / "cfg.yaml"

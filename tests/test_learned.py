@@ -199,15 +199,6 @@ def test_hidden_policy_stays_in_python():
     assert list(ctl.cc_state.params) == list(np.arange(6.0))
 
 
-def test_reward_params_invariants():
-    with pytest.raises(ValueError):
-        RewardParams(gamma=0.5)
-    with pytest.raises(ValueError):
-        RewardParams(lam=-1.0)
-    with pytest.raises(ValueError):
-        RewardParams(b_max=0.0)
-
-
 def test_train_zero_budget_noop(short_sim, const_trace):
     p = PolicyNet(n_features=5, hidden=0)
     out, rows = train_controller(p, [const_trace], 0, short_sim, RewardParams())
