@@ -882,7 +882,7 @@ def _exits_2_before_any_episode(tmp_path, monkeypatch, capsys, argv):
     # once exit 1 after a run
     ("adversary: {tau_ms: .nan}", "adversary.tau_ms"),
     ("adversary: {alpha: .nan}", "adversary.alpha"),
-    # once run, as 1 or as nothing
+    # once accepted: `true` ran as 1, the rest ran as given or went unread
     ("sim: {tick_ms: true}", "sim.tick_ms"), ("train: {sigma0: abc}", "train.sigma0"),
     ("train: {sigma0: .nan}", "train.sigma0"), ("adversary: {alpha: .inf}", "adversary.alpha"),
     ("budget: {delta: .inf}", "budget.delta"), ("traces: {trough: -1}", "traces.trough"),
