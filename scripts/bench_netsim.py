@@ -5,8 +5,10 @@ episodes through `map_jobs`, and adversarial episodes run in lock-step slices.
 
 Runs one episode case per rule controller, a runaway `Pinned(4096)` sender,
 a `Pinned(1)` sender, a `LearnedController` with a fixed linear policy and
-one whose policy has collapsed cwnd to 1, over one fixed 60 s random trace
-(seed 0, default budget), times `export_mahimahi` and `gen_random_trace` of
+one whose policy has collapsed cwnd to 1, and vegas under a policy-less
+random-noise min-RTT intercept (x 0.05, seed 1), over one fixed 60 s random
+trace (seed 0, default budget), and cubic under a policy-less env driver
+(default budget, seed 1), which draws its own capacities; times `export_mahimahi` and `gen_random_trace` of
 the same trace, times three batches at 1 and 2 workers (one CEM generation of
 population 8 around the fixed policy, one around a fixed hidden-16 policy,
 and `evaluate_suite` of the fixed policy, each over the 10 random traces of
@@ -93,7 +95,8 @@ from functools import partial
 import numpy as np
 
 from ccprobe import adversary, netsim
-from ccprobe.adversary import (AdversarySpec, DelayConstraint,
+from ccprobe.adversary import (AdversarySpec, DelayConstraint, EnvBandwidthDriver,
+                               FeatureBound, FeatureIntercept,
                                make_adversary_policy, random_baseline_traces,
                                train_adversary)
 from ccprobe.advtrain import evaluate_suite
@@ -102,7 +105,7 @@ from ccprobe.cem import CemConfig, cem_maximize
 from ccprobe.learned import (LearnedController, PolicyNet, RewardParams,
                              candidate_returns)
 from ccprobe.metrics import clean_episode
-from ccprobe.netsim import SimConfig, export_mahimahi, run_episode
+from ccprobe.netsim import SimConfig, export_mahimahi, run_episode, run_episodes
 from ccprobe.tracegen import SmoothnessBudget, gen_random_trace
 
 REPEATS = 5
@@ -122,14 +125,24 @@ COLLAPSED_PARAMS = [0.0, 0.0, 0.0, 0.0, 0.0, -5.0]
 
 
 def _cases():
+    """Each episode case's name and its episode, a function of (sim, trace)."""
+    def alone(factory):
+        return lambda sim, trace: run_episode(sim, trace, factory())
+
     for name in RULE_BASED:
-        yield name, partial(make_controller, name)
-    yield "pinned4096", partial(Pinned, 4096.0)
-    yield "pinned1", partial(Pinned, 1.0)
+        yield name, alone(partial(make_controller, name))
+    yield "pinned4096", alone(partial(Pinned, 4096.0))
+    yield "pinned1", alone(partial(Pinned, 1.0))
     policy = PolicyNet(n_features=5, hidden=0, params=LEARNED_PARAMS)
-    yield "learned_fixed", partial(LearnedController, policy)
+    yield "learned_fixed", alone(partial(LearnedController, policy))
     collapsed = PolicyNet(n_features=5, hidden=0, params=COLLAPSED_PARAMS)
-    yield "learned_collapsed", partial(LearnedController, collapsed)
+    yield "learned_collapsed", alone(partial(LearnedController, collapsed))
+    noise = FeatureBound(0.05, "random_noise")
+    yield "vegas_noise", lambda sim, trace: run_episodes(
+        sim, [trace], [make_controller("vegas")], [FeatureIntercept(noise, seed=1)])[0]
+    yield "cubic_env_driver", lambda sim, trace: run_episodes(
+        sim, [None], [make_controller("cubic")],
+        [EnvBandwidthDriver(SmoothnessBudget(), seed=1)])[0]
 
 
 def _timed(fn):
@@ -185,14 +198,14 @@ def measure(trace) -> dict:
     sim = SimConfig()
     ticks = sim.n_intervals * sim.interval_ticks
     cases = dict(_cases())
-    for factory in cases.values():
-        run_episode(sim, trace, factory())
+    for episode in cases.values():
+        episode(sim, trace)
     times = {name: [] for name in cases}
     logs = {}
     for _ in range(CASE_ROUNDS):
-        for name, factory in cases.items():
+        for name, episode in cases.items():
             t0 = time.perf_counter()
-            logs[name] = run_episode(sim, trace, factory())
+            logs[name] = episode(sim, trace)
             times[name].append(time.perf_counter() - t0)
     out = {}
     for name, log in logs.items():

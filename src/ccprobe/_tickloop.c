@@ -26,23 +26,28 @@
  * row, steps the controller, on a trace (`caps`) sets the next interval's
  * capacity itself, and steps the episode's adversary (`adv`), if any. It
  * returns TL_INTERVAL there only when the driver has a policy to run
- * (`hooked`): the adversary's, or a TL_HIDDEN controller's, a learned one
- * with a hidden layer, which numpy runs. A policy reads its feature row from
- * `x` and leaves its output in `*out`, pointers into the driver's buffers. A
- * TL_HIDDEN controller ignores ACKs and losses, and takes its
- * `cc_learned_step` on `*out` at the start of every `tl_step` call after
- * the first. `tl_step` always starts at an interval's first tick. Any other
- * episode, a TL_PINNED one too, runs to TL_DONE, or an error, in one call.
- * `tl_step_rows` steps a lock-step slice of hooked episodes to a boundary.
+ * (`hooked`): an adversary's with a policy, or a TL_HIDDEN controller's, a
+ * learned one with a hidden layer, which numpy runs. A policy reads its
+ * feature row from `x` and leaves its output in `*out`, pointers into the
+ * driver's buffers. A TL_HIDDEN controller ignores ACKs and losses, and
+ * takes its `cc_learned_step` on `*out` at the start of every `tl_step`
+ * call after the first. `tl_step` always starts at an interval's first
+ * tick. Any other episode, a TL_PINNED one and one whose adversary has no
+ * policy too, runs to TL_DONE, or an error, in one call. `tl_step_rows`
+ * steps a lock-step slice of hooked episodes to a boundary.
  *
  * The adversary block (`tl_adv`) is a min-RTT intercept or an online
- * capacity driver. At each boundary but the last it writes the policy's
- * feature row into `x` (the controller features plus, on the env surface,
- * capacity / bw_max); the driver leaves the policy's output before its tanh
- * head, or the drawn value of a policy-less adversary, in `*out`, and the
- * next `tl_step` call turns it into the next interval's min-RTT scale or
- * capacity: the action a_max * tanh(out) and its clamp, then the scale
- * 1 + a * x_fraction, or the proposal projected onto the smoothness budget
+ * capacity driver. At each boundary but the last, one with a policy writes
+ * the policy's feature row into `x` (the controller features plus, on the
+ * env surface, capacity / bw_max), and the driver leaves the policy's
+ * output before its tanh head in `*out`. One without a policy draws instead,
+ * from its own stream (`rng`, the adversary's `netsim.Rng`), uniform in its
+ * capacity range or, under random noise, its min-RTT scale range; a
+ * feature intercept that neither runs a policy nor draws keeps the scale
+ * 1.0. The next interval's first tick, before it plans the link, turns the
+ * output or draw into the interval's min-RTT scale or capacity: the action
+ * a_max * tanh(out) and its clamp, then the scale 1 + a * x_fraction, or
+ * the capacity, drawn or proposed, projected onto the smoothness budget
  * over the last window_k capacities. When `scored`, every boundary also adds
  * the interval's adversarial reward (naive or delay-constrained) to `total`
  * and counts the constraint in `ok`; an observation outside the reward's
@@ -214,15 +219,29 @@ typedef struct {
     const double *out;
 } tl_cc;
 
+/* A PCG64 stream, numpy's `PCG64` bit generator: the 128-bit LCG state and
+ * increment, each as its high and low words, and the high half of a 64-bit
+ * output that a 32-bit draw left for the next one (when has_uint32) */
+typedef struct {
+    uint64_t state_hi, state_lo, inc_hi, inc_lo;
+    int has_uint32;
+    uint32_t uinteger;
+} tl_rng;
+
 /* One episode's adversary, `adversary.FeatureIntercept` (TL_ADV_FEATURE) or
  * `adversary.EnvBandwidthDriver` (TL_ADV_ENV), and the reward
  * `adversary.adversarial_episodes` scores it by. */
 typedef struct {
     int surface, has_policy;
-    /* the policy's feature row at the last boundary; its output before the
-     * tanh head, or without a policy the next value itself; the driver's */
+    /* the policy's feature row at the last boundary and its output before
+     * the tanh head; the driver's */
     double *x;
     const double *out;
+    /* without a policy, the next value: when `draws`, a draw from the
+     * adversary's own stream, uniform in [low, low + span); else 1.0 */
+    int draws;
+    tl_rng *rng;
+    double low, span;
     double a_max, b_max, prev_action;
     /* this interval's capacity (env) or min-RTT scale (feature) */
     double value;
@@ -260,11 +279,10 @@ typedef struct {
      * `capacity` at each TL_INTERVAL */
     const double *caps;
     int64_t n_caps;
-    /* nonzero when the driver has work at every interval boundary */
+    /* nonzero when the driver runs a policy at every interval boundary */
     int hooked;
-    /* the adversary, or NULL; `adv_due` while its `out` waits to be acted on */
+    /* the adversary, or NULL */
     tl_adv *adv;
-    int adv_due;
     /* this interval's capacity (Mbps) and the min-RTT scale; the adversary
      * sets `scale`, or `capacity` when `caps` is NULL, at each interval
      * boundary */
@@ -346,15 +364,6 @@ void tl_adv_begin(tl_adv *a, double value);
 void tl_adv_observe(tl_adv *a, const tl_obs *o);
 double tl_adv_act(tl_adv *a);
 int tl_adv_reward(tl_adv *a, const tl_obs *o);
-/* A PCG64 stream, numpy's `PCG64` bit generator: the 128-bit LCG state and
- * increment, each as its high and low words, and the high half of a 64-bit
- * output that a 32-bit draw left for the next one (when has_uint32) */
-typedef struct {
-    uint64_t state_hi, state_lo, inc_hi, inc_lo;
-    int has_uint32;
-    uint32_t uinteger;
-} tl_rng;
-
 void tl_rng_seed(tl_rng *r, const uint32_t *entropy, int64_t n);
 double tl_rng_uniform(tl_rng *r, double low, double range);
 void tl_rng_uniform_fill(tl_rng *r, double low, double range, double *out,
@@ -1316,7 +1325,7 @@ void tl_project_trace(double *values, int64_t n, double delta, int64_t k,
     }
 }
 
-/* `adversary.perturb_min_rtt`'s adversarial scale: 1 + clamp(a, -1, 1) * x */
+/* A feature intercept's adversarial min-RTT scale: 1 + clamp(a, -1, 1) * x */
 double tl_feature_scale(double a, double x_fraction)
 {
     return 1.0 + py_min(1.0, py_max(-1.0, a)) * x_fraction;
@@ -1344,25 +1353,27 @@ void tl_adv_observe(tl_adv *a, const tl_obs *o)
         a->x[5] = o->capacity_mbps / a->bw_max;
 }
 
-/* Acts on `out`; returns the next interval's capacity or scale. */
+/* Acts on `out`, or without a policy draws; returns the next interval's
+ * capacity or scale. */
 double tl_adv_act(tl_adv *a)
 {
-    double v = *a->out;
-    if (a->surface == TL_ADV_FEATURE) {
-        a->prev_action = 0.0;
-        if (a->has_policy) {
-            a->prev_action = tl_action(v, a->a_max);
-            v = tl_feature_scale(a->prev_action, a->x_fraction);
+    double v = 1.0;
+    if (a->has_policy) {
+        double act = tl_action(*a->out, a->a_max);
+        a->prev_action = act;
+        if (a->surface == TL_ADV_FEATURE) {
+            v = tl_feature_scale(act, a->x_fraction);
         }
-    }
-    else {
-        if (a->has_policy) {
-            double act = tl_action(v, a->a_max);
-            a->prev_action = act;
+        else {
             double mid = 0.5 * (a->bw_min + a->bw_max);
             double half = 0.5 * (a->bw_max - a->bw_min);
             v = mid + act * half;
         }
+    }
+    else if (a->draws) {
+        v = tl_rng_uniform(a->rng, a->low, a->span);
+    }
+    if (a->surface == TL_ADV_ENV) {
         v = tl_project_next(a->recent, a->n_recent, v, a->delta, a->window_k,
                             a->bw_min, a->bw_max);
         if (a->n_recent == a->window_k)
@@ -1554,15 +1565,6 @@ int tl_step(tl_state *s)
     /* the hidden-layer policy's output for the boundary this call resumes at */
     if (cc->kind == TL_HIDDEN && s->tick > 0)
         cc_learned_step(cc, *cc->out);
-    if (s->adv_due) {
-        /* the adversary acts on the output the driver left at the boundary */
-        s->adv_due = 0;
-        double v = tl_adv_act(s->adv);
-        if (s->adv->surface == TL_ADV_ENV)
-            s->capacity = v;
-        else
-            s->scale = v;
-    }
     /* the tick's place in its interval, counted down; every call starts at
      * an interval's first tick, which plans the interval's link */
     const int64_t interval_ticks = s->interval_ticks;
@@ -1572,9 +1574,18 @@ int tl_step(tl_state *s)
     while (s->tick < s->n_ticks) {
         int64_t tick = s->tick;
 
-        /* a new interval's counts and link rate; inside an interval, a
-         * quiescent stretch runs ahead to its end, which is a busy tick */
+        /* a new interval: after a boundary the adversary acts, on the
+         * output the driver left there or on a draw, then the interval's
+         * counts and link rate; inside an interval, a quiescent stretch
+         * runs ahead to its end, which is a busy tick */
         if (pos == 0) {
+            if (tick > 0 && s->adv) {
+                double v = tl_adv_act(s->adv);
+                if (s->adv->surface == TL_ADV_ENV)
+                    s->capacity = v;
+                else
+                    s->scale = v;
+            }
             s->iv_sent = s->iv_delivered = s->iv_dropped = 0;
             link_plan(&link, s->capacity, s->tick_ms, pkt, s->byte_credit);
         }
@@ -1762,11 +1773,8 @@ int tl_step(tl_state *s)
                         return err;
                 }
                 /* after the last interval there is nothing left to act on */
-                if (s->tick < s->n_ticks) {
-                    if (s->adv->has_policy)
-                        tl_adv_observe(s->adv, &s->obs[i]);
-                    s->adv_due = 1;
-                }
+                if (s->adv->has_policy && s->tick < s->n_ticks)
+                    tl_adv_observe(s->adv, &s->obs[i]);
             }
             if (s->hooked)
                 return TL_INTERVAL;

@@ -13,7 +13,7 @@ from __future__ import annotations
 from functools import partial
 
 from .cem import CemConfig, train_policy
-from .learned import PolicyNet, RewardParams, policy_outputs
+from .learned import PolicyNet, RewardParams
 from .metrics import EpisodeReport, build_report, clean_episode, means
 from .netsim import Rng, SimConfig, _ffi, _lib, map_jobs, replace, run_episodes
 from .tracegen import SmoothnessBudget, gen_random_trace
@@ -70,31 +70,35 @@ ADV_FEATURE_FEATURES = 5
 
 # --- action surfaces ---------------------------------------------------------
 
-def perturb_min_rtt(true_min_rtt_ms: float, action: float, bound: FeatureBound,
-                    rng) -> float:
-    """Perturbed min-RTT estimate as read by the controller."""
-    if true_min_rtt_ms <= 0:
-        raise ValueError("true_min_rtt must be > 0")
-    x = bound.x_fraction
-    if bound.mode == "clean":
-        return true_min_rtt_ms
-    if bound.mode == "random_noise":
-        return true_min_rtt_ms * float(rng.uniform(1.0 - x, 1.0 + x))
-    return true_min_rtt_ms * _lib.tl_feature_scale(action, x)
-
-
 class _Adversary:
     """The surfaces' shared part: a C `tl_adv`, `adv_state`, that the tick loop
-    steps (`netsim.run_episodes`), and at each interval boundary its policy's
-    output or, with no policy, a draw from `rng`."""
+    steps (`netsim.run_episodes`), and at each interval boundary acts on its
+    policy's output or, with no policy, on its own draw from `rng`, uniform
+    on `draw`'s (low, high), or with `draw` None on 1.0."""
 
     def __init__(self, surface: int, n_features: int, policy: PolicyNet | None,
-                 b_max: float, has_policy: bool):
+                 b_max: float, has_policy: bool, seed: int,
+                 draw: tuple[float, float] | None):
         self.policy, self.b_max, self.n_features = policy, b_max, n_features
+        self.seed = seed
         s = self.adv_state = _ffi.new("tl_adv *")
         s.surface, s.b_max, s.has_policy = surface, b_max, has_policy
         if policy is not None:
             s.a_max = policy.a_max
+        if draw is not None:
+            # the loop's draws have no error path: Rng.uniform's
+            # OverflowError here, from a draw of no values
+            Rng(seed).uniform(*draw, 0)
+            s.draws, s.low = True, draw[0]
+            s.span = float(draw[1]) - s.low
+
+    def _begin(self, value: float) -> float:
+        """Reseeds `rng`, which the loop draws from, and starts an episode
+        whose first capacity or scale is `value`; returns it."""
+        self.rng = Rng(self.seed)
+        self.adv_state.rng = self.rng._s
+        _lib.tl_adv_begin(self.adv_state, value)
+        return self.adv_state.value
 
     def score_by(self, spec: "AdversarySpec", reward: RewardParams) -> None:
         """Have the loop sum the reward into `adv_state.total` and `.ok`."""
@@ -105,50 +109,38 @@ class _Adversary:
                                                     c.window_h, c.window_k)
         s.reward = reward.c_struct()[0]
 
-    @staticmethod
-    def lockstep(advs, x, out):
-        """A slice's hook, leaving out[j] for advs[j]: one `policy_outputs`
-        call over the feature rows `x`, or one draw per row; the slice's rows
-        all have a policy, or none has."""
-        if advs[0].adv_state.has_policy:
-            return policy_outputs([a.policy for a in advs], x, out)
-
-        def draw():
-            for j, a in enumerate(advs):
-                out[j] = a._draw()
-        return draw
-
 
 class FeatureIntercept(_Adversary):
-    """Scales the controller-visible min-RTT/min-OWD estimate each interval."""
+    """Scales the controller-visible min-RTT/min-OWD estimate each interval:
+    by its policy's bounded action under `adversarial`, by a draw from
+    [1 - x, 1 + x] under `random_noise`, and else by 1."""
 
     def __init__(self, bound: FeatureBound, policy: PolicyNet | None = None,
                  b_max: float = 96.0, seed: int = 0):
+        x = bound.x_fraction
         super().__init__(_lib.TL_ADV_FEATURE, ADV_FEATURE_FEATURES, policy, b_max,
-                         bound.mode == "adversarial" and policy is not None)
-        self.bound, self.seed = bound, seed
-        self.adv_state.x_fraction = bound.x_fraction
+                         bound.mode == "adversarial" and policy is not None, seed,
+                         (1.0 - x, 1.0 + x) if bound.mode == "random_noise" else None)
+        self.bound = bound
+        self.adv_state.x_fraction = x
         self.begin_episode()
 
     def begin_episode(self) -> None:
-        self.rng = Rng(self.seed)
-        _lib.tl_adv_begin(self.adv_state, 1.0)
-
-    def _draw(self) -> float:
-        return perturb_min_rtt(1.0, 0.0, self.bound, self.rng)
+        self._begin(1.0)
 
 
 class EnvBandwidthDriver(_Adversary):
-    """Supplies the next interval's capacity online, inside the budget."""
+    """Supplies the next interval's capacity online, inside the budget: its
+    policy's proposal or, with none, a draw from [bw_min, bw_max]."""
 
     def __init__(self, budget: SmoothnessBudget, policy: PolicyNet | None = None,
                  b_max: float | None = None, seed: int = 0,
                  initial_capacity: float | None = None):
         super().__init__(_lib.TL_ADV_ENV, ADV_ENV_FEATURES, policy,
                          b_max if b_max is not None else budget.bw_max,
-                         policy is not None)
+                         policy is not None, seed,
+                         None if policy is not None else (budget.bw_min, budget.bw_max))
         self.budget = budget
-        self.rng = Rng(seed)
         mid = 0.5 * (budget.bw_min + budget.bw_max)
         self.initial = initial_capacity if initial_capacity is not None else mid
         s = self.adv_state
@@ -156,15 +148,12 @@ class EnvBandwidthDriver(_Adversary):
         # the last window_k capacities, which the projection reads
         self._recent = s.recent = _ffi.new("double[]", budget.window_k)
         s.window_k = budget.window_k
+        self.begin_episode()
 
     def first_capacity(self) -> float:
-        _lib.tl_adv_begin(self.adv_state, self.budget.clamp(self.initial))
-        return self.adv_state.value
+        return self._begin(self.budget.clamp(self.initial))
 
     begin_episode = first_capacity
-
-    def _draw(self) -> float:
-        return self.rng.uniform(self.budget.bw_min, self.budget.bw_max)
 
 
 def make_adversary_policy(surface: str) -> PolicyNet:

@@ -182,19 +182,21 @@ def cmd_attack(args, cfg: ExperimentConfig, out: str) -> int:
         feature_bound=FeatureBound(adv.x_fraction, adv.perturb_mode) if feature else None,
         budget=None if feature else cfg.budget)
 
-    policy, history = train_adversary(spec, factory, cfg.sim, adv.episodes,
-                                      cfg.reward,
-                                      cfg.train.cem(cfg.seed),
-                                      clean_traces=baseline_traces)
-    spec = replace(spec, policy=policy)
-    _write_csv(os.path.join(out, f"adv_train_{target}.csv"),
-               ["generation", "elite_mean", "best_return",
-                "constraint_satisfaction_rate"],
-               [[h.generation, h.elite_mean, h.best_return,
-                 h.constraint_satisfaction_rate] for h in history],
-               cfg)
-    save_policy(policy, os.path.join(out, f"adv_policy_{target}.ckpt"),
-                feature_names=tuple(f"f{i}" for i in range(policy.n_features)))
+    # a random-noise or clean intercept reads no policy: none is trained
+    if not feature or adv.perturb_mode == "adversarial":
+        policy, history = train_adversary(spec, factory, cfg.sim, adv.episodes,
+                                          cfg.reward,
+                                          cfg.train.cem(cfg.seed),
+                                          clean_traces=baseline_traces)
+        spec = replace(spec, policy=policy)
+        _write_csv(os.path.join(out, f"adv_train_{target}.csv"),
+                   ["generation", "elite_mean", "best_return",
+                    "constraint_satisfaction_rate"],
+                   [[h.generation, h.elite_mean, h.best_return,
+                     h.constraint_satisfaction_rate] for h in history],
+                   cfg)
+        save_policy(policy, os.path.join(out, f"adv_policy_{target}.ckpt"),
+                    feature_names=tuple(f"f{i}" for i in range(policy.n_features)))
 
     ok = True
     rows = [[target, "baseline", base_util, base_delay, 0.0, 0.0]]
@@ -447,9 +449,10 @@ def _common(p):
     p.add_argument("--workers", type=_positive_int, default=1,
                    help="threads that run a batch of episodes (>= 1; outputs "
                         "do not depend on it); a lock-step adversarial batch "
-                        "runs whole on one thread, one C call per interval, "
-                        "and gen-trace and lp-case accept it for script "
-                        "uniformity and run serially")
+                        "runs whole on one thread, one C call per interval "
+                        "for its rows with a policy and one per episode for "
+                        "the others, and gen-trace and lp-case accept it for "
+                        "script uniformity and run serially")
 
 
 def build_parser() -> argparse.ArgumentParser:

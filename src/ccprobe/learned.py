@@ -154,7 +154,8 @@ class LearnedController(Controller):
     like a `RuleController`'s. Its policy reads FEATURE_NAMES. A linear one
     is copied into `cc_state` when `policy` is set: a TL_LINEAR controller,
     which the tick loop steps at each interval boundary. One with a hidden
-    layer (TL_HIDDEN) stays in numpy, which `lockstep` runs at each boundary.
+    layer (TL_HIDDEN) stays in numpy, whose `policy_outputs` runs at each
+    boundary.
     """
 
     name = "learned"
@@ -186,11 +187,6 @@ class LearnedController(Controller):
             c.params = policy.params.tolist()
         else:
             c.kind = _lib.TL_HIDDEN
-
-    @staticmethod
-    def lockstep(ctls, x, out):
-        """`_Adversary.lockstep` for TL_HIDDEN controllers: `policy_outputs`."""
-        return policy_outputs([c.policy for c in ctls], x, out)
 
 
 def candidate_returns(policy: PolicyNet, trace_of, sim: SimConfig,

@@ -427,31 +427,32 @@ def run_episodes(config: SimConfig, traces, controllers,
     The ticks run in C (`_tickloop.c`), which also writes each interval's
     observation into a buffer, steps the controller's `cc_state` and does
     every per-interval step of the adversary but its policy's matmuls: its
-    feature row, action, next capacity or min-RTT scale, and reward. A row
-    with no policy for numpy runs to its end in one `tl_step` call. The
-    others, with a TL_HIDDEN controller or an adversary, stop at each
-    interval boundary, all in one `tl_step_rows` call per interval; there
-    each group's hook (`_lockstep`) leaves its members' outputs for the next
-    call to act on. Rows are independent, so stepping all of them before any
-    hook changes nothing. Each log's `rows` are the buffer the loop wrote.
+    feature row, action or, with no policy, its random draw, next capacity
+    or min-RTT scale, and reward. A row with no policy for numpy runs to its
+    end in one `tl_step` call. The others, with a TL_HIDDEN controller or an
+    adversary that has a policy, stop at each interval boundary, all in one
+    `tl_step_rows` call per interval; there each group's hook (`_lockstep`),
+    one stacked `learned.policy_outputs` call, leaves its members' outputs
+    for the next call to act on. Rows are independent, so stepping all of
+    them before any hook changes nothing. Each log's `rows` are the buffer
+    the loop wrote.
 
     A row with no trace takes its capacity from its adversary, an env driver.
-    A slice's hidden-layer controllers share one policy shape, and its
-    adversaries share one or have no policy the loop acts on; ValueError,
-    before any tick runs, names the rows of a slice that does not. An
-    adversary has `adv_state`, its `tl_adv`; `policy`; `n_features`; and
-    `begin_episode()`, which resets it.
+    A slice's hidden-layer controllers share one policy shape, and so do its
+    adversaries that have a policy; ValueError, before any tick runs, names
+    the rows of a slice whose policies do not. An adversary has
+    `adv_state`, its `tl_adv`; `policy`; `n_features`; and `begin_episode()`,
+    which resets it.
     """
     config.validate()
     adversaries = adversaries or [None] * len(controllers)
     n = config.n_intervals
     hidden = {j: c for j, c in enumerate(controllers)
               if c.cc_state.kind == _lib.TL_HIDDEN}
-    advs = {j: a for j, a in enumerate(adversaries) if a is not None}
-    _one_policy_shape("hidden-layer controllers",
-                      {j: c.policy for j, c in hidden.items()})
-    _one_policy_shape("adversaries", {j: a.policy if a.adv_state.has_policy
-                                      else None for j, a in advs.items()})
+    advs = {j: a for j, a in enumerate(adversaries)
+            if a is not None and a.adv_state.has_policy}
+    _one_policy_shape("hidden-layer controllers", hidden)
+    _one_policy_shape("adversaries", advs)
     rows = []
     try:
         for row in zip(traces, controllers, adversaries, strict=True):
@@ -478,31 +479,30 @@ def run_episodes(config: SimConfig, traces, controllers,
             _lib.tl_free(row.st)
 
 
-def _one_policy_shape(what: str, policies: dict) -> None:
-    """ValueError naming the rows unless a slice group's `policies` (row ->
-    the policy the loop acts on, or None) share one shape, (features, hidden
-    width), or are all None: the group's hook stacks them, or draws every
-    output."""
+def _one_policy_shape(what: str, members: dict) -> None:
+    """ValueError naming the rows unless a slice group's `members` (row ->
+    controller or adversary) have policies of one shape, (features, hidden
+    width): the group's hook stacks them."""
     rows = {}
-    for j, p in policies.items():
-        rows.setdefault(None if p is None else (p.n_features, p.hidden), []).append(j)
+    for j, m in members.items():
+        rows.setdefault((m.policy.n_features, m.policy.hidden), []).append(j)
     if len(rows) > 1:
-        shapes = "; ".join(f"rows {js}: " + ("no policy" if shape is None else
-                                             "{} features, hidden {}".format(*shape))
-                           for shape, js in rows.items())
-        raise ValueError(f"a lock-step slice's {what} need one policy shape or "
-                         f"no policy, got {shapes}")
+        shapes = "; ".join(f"rows {js}: {nf} features, hidden {nh}"
+                           for (nf, nh), js in rows.items())
+        raise ValueError(f"a lock-step slice's {what} need one policy shape, "
+                         f"got {shapes}")
 
 
 def _lockstep(members, struct: str):
-    """A slice group's hook, `members[0].lockstep(members, x, out)`, filling
+    """A slice group's hook, one stacked `learned.policy_outputs` call, filling
     out[j] from x[j]; member j's C struct `struct` points at both, it keeps them."""
+    from .learned import policy_outputs   # learned imports this module
     x, out = np.zeros((len(members), members[0].n_features)), np.zeros(len(members))
     for j, member in enumerate(members):
         s = getattr(member, struct)
         member._x = s.x = _ffi.from_buffer("double[]", x[j])
         member._out = s.out = _ffi.from_buffer("double[]", out[j:j + 1])
-    return members[0].lockstep(members, x, out)
+    return policy_outputs([member.policy for member in members], x, out)
 
 
 class _Row:
@@ -554,7 +554,7 @@ class _Row:
         self.obs = st.obs = _ffi.from_buffer("tl_obs[]", self.log.rows)
 
         st.cc = controller.cc_state
-        st.hooked = st.cc.kind == _lib.TL_HIDDEN or adv is not None
+        st.hooked = st.cc.kind == _lib.TL_HIDDEN or (adv is not None and adv.has_policy)
         st.scale = 1.0
         if adv is not None:
             adversary.begin_episode()

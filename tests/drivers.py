@@ -32,10 +32,12 @@ def learned_step(ctl, obs) -> None:
 
 def adv_step(adv, obs) -> float:
     """The loop's boundary step of one adversary, outside it: the next
-    capacity or min-RTT scale."""
-    hook = _lockstep([adv], "adv_state")   # points `adv_state` at its buffers
-    _lib.tl_adv_observe(adv.adv_state, obs_row(obs))
-    hook()
+    capacity or min-RTT scale, from its policy's output on `obs` or, with no
+    policy, as C draws it."""
+    if adv.adv_state.has_policy:
+        hook = _lockstep([adv], "adv_state")   # points `adv_state` at its buffers
+        _lib.tl_adv_observe(adv.adv_state, obs_row(obs))
+        hook()
     return _lib.tl_adv_act(adv.adv_state)
 
 

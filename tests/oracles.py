@@ -2,9 +2,9 @@
 C computes them: the controller reward and the per-interval means, over an
 `EpisodeLog`'s Observations, summed as Python 3.11's `sum` adds floats (left
 to right from 0); the adversarial reward's pieces that `tl_adv_reward`
-scores; the cwnd smoothness acceptance criterion 7 ranks controllers by; and
-the per-step loops that generated random traces before one C call projected
-them."""
+scores; the min-RTT estimate the feature surface hands the controller; the
+cwnd smoothness acceptance criterion 7 ranks controllers by; and the per-step
+loops that generated random traces before one C call projected them."""
 
 import math
 
@@ -53,6 +53,18 @@ def env_reward(obs, history, constraint) -> float:
     if not 0 <= obs.utilization <= 1:
         raise DomainError("utilization out of [0, 1]")
     return -obs.utilization + delay_penalty(history, constraint)
+
+
+def perturb_min_rtt(true_min_rtt_ms: float, action: float, bound, rng) -> float:
+    """The min-RTT estimate a feature intercept under `bound` hands the
+    controller: unchanged (clean), scaled by a draw `rng.uniform(1 - x, 1 + x)`
+    (random_noise) or by 1 + clamp(action, -1, 1) * x (adversarial)."""
+    x = bound.x_fraction
+    if bound.mode == "clean":
+        return true_min_rtt_ms
+    if bound.mode == "random_noise":
+        return true_min_rtt_ms * float(rng.uniform(1.0 - x, 1.0 + x))
+    return true_min_rtt_ms * (1.0 + min(1.0, max(-1.0, action)) * x)
 
 
 def cwnd_smoothness(series, k: int = 1) -> tuple[float, float]:

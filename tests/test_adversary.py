@@ -12,17 +12,17 @@ from ccprobe.adversary import (AdversarySpec, DelayConstraint, EnvBandwidthDrive
                                SETTINGS, FeatureBound, FeatureIntercept,
                                adversarial_episode,
                                adversarial_episodes, calibrate_tau,
-                               make_adversary_policy, perturb_min_rtt,
+                               make_adversary_policy,
                                random_baseline_traces, select_worst_trace,
                                train_adversary)
 from ccprobe.cc import make_controller
 from ccprobe.cem import CemConfig
 from ccprobe.learned import RewardParams
-from ccprobe.netsim import (DomainError, Observation, _lib, obs_row, run_episode,
-                            run_episodes)
-from ccprobe.tracegen import SmoothnessBudget, check_feasible
+from ccprobe.netsim import (DomainError, Observation, Rng, _lib, obs_row,
+                            run_episode, run_episodes)
+from ccprobe.tracegen import SmoothnessBudget, check_feasible, project_next
 from drivers import adv_step
-from oracles import env_reward, naive_reward, queuing_delay
+from oracles import env_reward, naive_reward, perturb_min_rtt, queuing_delay
 
 
 def obs(srtt=25.0, min_rtt=20.0, cap=48.0, util=0.8):
@@ -35,28 +35,39 @@ def obs(srtt=25.0, min_rtt=20.0, cap=48.0, util=0.8):
 @settings(max_examples=60)
 @given(st.floats(min_value=0.1, max_value=500.0),
        st.floats(min_value=-5.0, max_value=5.0),
-       st.floats(min_value=0.0, max_value=0.9))
-def test_perturbation_stays_within_x(true_rtt, action, x):
-    rng = np.random.default_rng(0)
-    bound = FeatureBound(x_fraction=x)
-    out = perturb_min_rtt(true_rtt, action, bound, rng)
-    assert true_rtt * (1 - x) - 1e-9 <= out <= true_rtt * (1 + x) + 1e-9
+       st.floats(min_value=0.0, max_value=0.9),
+       st.integers(min_value=0, max_value=2**32))
+def test_perturbation_stays_within_x(true_rtt, action, x, seed):
+    # the adversarial scale of any action, and a random-noise draw
+    noise = FeatureIntercept(FeatureBound(x, "random_noise"), seed=seed)
+    for scale in (_lib.tl_feature_scale(action, x), adv_step(noise, obs())):
+        out = true_rtt * scale
+        assert true_rtt * (1 - x) - 1e-9 <= out <= true_rtt * (1 + x) + 1e-9
 
 
 def test_perturbation_modes():
-    rng = np.random.default_rng(0)
-    clean = FeatureBound(0.5, "clean")
-    assert perturb_min_rtt(20.0, 0.9, clean, rng) == 20.0
-    noise = FeatureBound(0.5, "random_noise")
-    vals = {perturb_min_rtt(20.0, 0.0, noise, rng) for _ in range(10)}
+    # clean keeps the scale 1 even with a policy; random noise draws
+    policy = make_adversary_policy("feature")
+    policy = policy.with_params(np.full(policy.n_params, 0.5))
+    clean = FeatureIntercept(FeatureBound(0.5, "clean"), policy)
+    assert not clean.adv_state.has_policy and adv_step(clean, obs()) == 1.0
+    noise = FeatureIntercept(FeatureBound(0.5, "random_noise"), policy)
+    vals = {adv_step(noise, obs()) for _ in range(10)}
     assert len(vals) > 1
-    assert all(10.0 <= v <= 30.0 for v in vals)
+    assert all(0.5 <= v <= 1.5 for v in vals)
 
 
 def test_perturbation_rejects_bad_inputs():
-    # x_fraction's domain is the config table's (test_cli's exit-2 cases)
-    with pytest.raises(ValueError):
-        perturb_min_rtt(0.0, 0.0, FeatureBound(0.1), np.random.default_rng(0))
+    # x_fraction's domain is the config table's (test_cli's exit-2 cases); a
+    # draw range wider than a double raises Rng.uniform's OverflowError when
+    # the adversary is built, as the loop's draws have no error path
+    wide = SmoothnessBudget(bw_min=-1e308, bw_max=1e308)
+    for build in (lambda: FeatureIntercept(FeatureBound(1e308, "random_noise")),
+                  lambda: EnvBandwidthDriver(wide)):
+        with pytest.raises(OverflowError, match="high - low range"):
+            build()
+    # with a policy an env driver draws nothing, and builds
+    EnvBandwidthDriver(wide, make_adversary_policy("env"))
 
 
 def test_spec_surface_requirements():
@@ -91,6 +102,42 @@ def test_env_driver_traces_always_feasible():
     for i in range(100):
         values.append(adv_step(drv, obs(cap=values[-1])))
     assert check_feasible(values, budget)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=2**64),
+       st.floats(min_value=0.0, max_value=0.9),
+       st.floats(min_value=0.5, max_value=48.0),
+       st.floats(min_value=0.5, max_value=24.0),
+       st.floats(min_value=1.0, max_value=96.0),
+       st.integers(min_value=1, max_value=4))
+def test_c_draws_are_rngs(seed, x, delta, bw_min, span, window_k):
+    # a policy-less adversary's draws in C are its seed's Rng.uniform, bit
+    # for bit: on the feature surface the oracle's random-noise scale, on
+    # the env surface the proposal the budget projects
+    bound = FeatureBound(x, "random_noise")
+    it, rng = FeatureIntercept(bound, seed=seed), Rng(seed)
+    got = [adv_step(it, obs()) for _ in range(20)]
+    want = [perturb_min_rtt(1.0, 0.0, bound, rng) for _ in range(20)]
+    assert [v.hex() for v in got] == [v.hex() for v in want]
+    budget = SmoothnessBudget(delta=delta, window_k=window_k, bw_min=bw_min,
+                              bw_max=bw_min + span)
+    drv, rng = EnvBandwidthDriver(budget, seed=seed), Rng(seed)
+    got, want = [drv.first_capacity()], [budget.clamp(drv.initial)]
+    for _ in range(20):
+        got.append(adv_step(drv, obs()))
+        want.append(project_next(want, rng.uniform(budget.bw_min, budget.bw_max),
+                                 budget))
+    assert [v.hex() for v in got] == [v.hex() for v in want]
+
+
+def test_reused_env_driver_repeats_its_capacities(short_sim):
+    # each episode reseeds a policy-less driver's stream, as it does an
+    # intercept's: one driver run twice gives one capacity sequence
+    drv = EnvBandwidthDriver(SmoothnessBudget(), seed=1)
+    a, b = (run_episodes(short_sim, [None], [make_controller("reno")], [drv])[0]
+            for _ in range(2))
+    assert np.array_equal(a.column("capacity_mbps"), b.column("capacity_mbps"))
 
 
 def test_env_driver_random_when_no_policy():
@@ -298,7 +345,6 @@ def test_reward_domain_errors_raise_through_the_c_code():
        st.floats(min_value=0.0, max_value=0.9))
 def test_c_feature_scale_is_pythons(true_rtt, action, x):
     # the adversarial branch as written in Python before it moved to C
-    a = min(1.0, max(-1.0, action))
-    want = true_rtt * (1.0 + a * x)
-    got = perturb_min_rtt(true_rtt, action, FeatureBound(x), np.random.default_rng(0))
+    want = perturb_min_rtt(true_rtt, action, FeatureBound(x), None)
+    got = true_rtt * _lib.tl_feature_scale(action, x)
     assert got.hex() == want.hex()

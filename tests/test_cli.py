@@ -8,16 +8,19 @@ import subprocess
 import sys
 import threading
 
+import numpy as np
 import pytest
 import yaml
 
 from ccprobe import cli
-from ccprobe.adversary import calibrate_tau, random_baseline_traces
+from ccprobe.adversary import (AdversarySpec, FeatureBound, adversarial_episodes,
+                               calibrate_tau, make_adversary_policy,
+                               random_baseline_traces)
 from ccprobe.cc import Cubic, make_controller
 from ccprobe.cli import main
 from ccprobe.config import ExperimentConfig, config_from_dict, load_config
 from ccprobe.learned import LearnedController, PolicyNet, save_policy
-from ccprobe.metrics import build_report
+from ccprobe.metrics import build_report, means
 from ccprobe.netsim import (BandwidthTrace, ConfigError, read_trace, run_episode,
                             write_trace)
 from ccprobe.tracegen import (SmoothnessBudget, gen_burst_trace, gen_random_trace,
@@ -294,6 +297,34 @@ def test_attack_baseline_delay_is_calibrated_tau(tmp_path, capsys):
     rows = open(os.path.join(out, "attack_vegas.csv")).read().splitlines()
     model, condition, _, delay_ms = rows[2].split(",")[:4]
     assert (model, condition, delay_ms) == ("vegas", "baseline", f"{tau:.6f}")
+
+
+@pytest.mark.parametrize("mode", ["random_noise", "clean"])
+def test_policy_less_feature_attack_trains_no_policy(tmp_path, monkeypatch, mode):
+    # a random-noise or clean intercept reads no policy, so attack trains and
+    # writes none; its attack row is the one any policy would give
+    cfg_path = _write_cfg(tmp_path, f"adversary:\n  surface: feature\n"
+                                    f"  perturb_mode: {mode}\n  x_fraction: 0.3\n"
+                                    f"  episodes: 8\n")
+    monkeypatch.setattr(cli, "train_adversary",
+                        lambda *a, **k: pytest.fail("trained a policy no row reads"))
+    out = str(tmp_path / "a")
+    assert main(["attack", "--config", cfg_path, "--controller", "vegas",
+                 "--out", out]) == 0
+    assert os.listdir(out) == ["attack_vegas.csv"]
+    cfg = load_config(cfg_path)
+    traces = random_baseline_traces(cfg.budget, cfg.traces.n, cfg.sim.n_intervals,
+                                    cfg.sim.trace_interval_ms, cfg.seed)
+    policy = make_adversary_policy("feature")
+    policy = policy.with_params(np.random.default_rng(0).normal(size=policy.n_params))
+    spec = AdversarySpec("feature", feature_bound=FeatureBound(0.3, mode),
+                         policy=policy)
+    evals = adversarial_episodes(spec, None, lambda: make_controller("vegas"),
+                                 cfg.sim, cfg.reward, range(len(traces)),
+                                 clean_traces=traces)
+    util, delay = means(evals, "utilization", "interval_delay_ms")
+    rows = open(os.path.join(out, "attack_vegas.csv")).read().splitlines()
+    assert rows[3].split(",")[:4] == ["vegas", "attack", f"{util:.6f}", f"{delay:.6f}"]
 
 
 def test_baseline_random_setting(tmp_path):

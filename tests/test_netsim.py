@@ -592,10 +592,10 @@ def test_int_true_division_beyond_2_53_rounds_once():
 
 class _CountingLib:
     """The tick loop's C library, counting `tl_step` and `tl_step_rows`
-    calls."""
+    calls, with the row count of the last `tl_step_rows` call."""
 
     def __init__(self, lib):
-        self.lib, self.steps, self.row_steps = lib, 0, 0
+        self.lib, self.steps, self.row_steps, self.rows = lib, 0, 0, 0
 
     def __getattr__(self, name):
         return getattr(self.lib, name)
@@ -604,35 +604,63 @@ class _CountingLib:
         self.steps += 1
         return self.lib.tl_step(st)
 
-    def tl_step_rows(self, *args):
-        self.row_steps += 1
-        return self.lib.tl_step_rows(*args)
+    def tl_step_rows(self, states, k, *args):
+        self.row_steps, self.rows = self.row_steps + 1, k
+        return self.lib.tl_step_rows(states, k, *args)
 
 
 def test_trace_driven_c_controller_runs_to_the_end_in_one_step(
         short_sim, monkeypatch):
-    # a rule, linear learned or Pinned controller on a trace has no Python
-    # work at an interval boundary; a hidden-layer policy and an intercept
-    # each bring the loop back once per interval, in one `tl_step_rows` call
-    # for the whole slice, and a lock-step slice of rollouts on either
-    # surface makes no per-row `tl_step` call
+    # a rule, linear learned or Pinned controller on a trace, and any
+    # controller but a hidden-layer one under a policy-less adversary (an env
+    # driver, or a random-noise or clean intercept, which draws in C), has no
+    # Python work at an interval boundary; a hidden-layer policy and an
+    # adversary's policy each bring the loop back once per interval, in one
+    # `tl_step_rows` call for the whole slice, and a lock-step slice of
+    # rollouts on either surface makes no per-row `tl_step` call
     spy = _CountingLib(netsim._lib)
     monkeypatch.setattr(netsim, "_lib", spy)
     trace = _golden_traces()[0]
     hidden = PolicyNet(n_features=5, hidden=16)
-    clean = FeatureIntercept(FeatureBound(0.5, "clean"))
+    budget = SmoothnessBudget(delta=12.0, bw_min=2.0, bw_max=48.0)
+    feat_policy = _adversary_policy("feature", 2)
     n = short_sim.n_intervals
-    cases = ([(partial(make_controller, name), None, (1, 0)) for name in RULE_BASED]
-             + [(partial(_learned, FIXED_POLICY), None, (1, 0)),
-                (partial(Pinned, 40.0), None, (1, 0)),
-                (partial(LearnedController, hidden), None, (0, n + 1)),
-                (partial(make_controller, "reno"), clean, (0, n + 1)),
-                (partial(_learned, FIXED_POLICY), clean, (0, n + 1))])
-    for factory, intercept, calls in cases:
+
+    def intercept(mode, policy=None):
+        return partial(FeatureIntercept, FeatureBound(0.5, mode), policy, seed=3)
+
+    def env(policy=None):
+        return partial(EnvBandwidthDriver, budget, policy, seed=4)
+
+    reno, linear = partial(make_controller, "reno"), partial(_learned, FIXED_POLICY)
+    cases = ([(partial(make_controller, name), trace, None, (1, 0))
+              for name in RULE_BASED]
+             + [(linear, trace, None, (1, 0)),
+                (partial(Pinned, 40.0), trace, None, (1, 0)),
+                (partial(LearnedController, hidden), trace, None, (0, n + 1)),
+                (reno, trace, intercept("adversarial", feat_policy), (0, n + 1)),
+                (linear, trace, intercept("adversarial", feat_policy), (0, n + 1)),
+                (reno, None, env(_adversary_policy("env", 1)), (0, n + 1)),
+                (partial(LearnedController, hidden), trace,
+                 intercept("random_noise"), (0, n + 1))]
+             + [(factory, trace, intercept(mode, policy), (1, 0))
+                for factory in (reno, linear) for mode in ("random_noise", "clean")
+                for policy in (None, feat_policy)]
+             + [(factory, None, env(), (1, 0)) for factory in (reno, linear)])
+    for factory, tr, adv, calls in cases:
         spy.steps = spy.row_steps = 0
-        [log] = run_episodes(short_sim, [trace], [factory()], [intercept])
-        assert (spy.steps, spy.row_steps) == calls, factory
+        [log] = run_episodes(short_sim, [tr], [factory()], [adv and adv()])
+        assert (spy.steps, spy.row_steps) == calls, (factory, adv)
         assert [o.interval_idx for o in log.observations] == list(range(n))
+    # a slice of policy and policy-less adversaries: only the two rows with a
+    # policy are hooked, and the other three each run in one `tl_step`
+    spy.steps = spy.row_steps = 0
+    rows = [(None, env(_adversary_policy("env", 1))), (None, env()),
+            (trace, intercept("random_noise", feat_policy)),
+            (trace, intercept("clean")), (None, env(_adversary_policy("env", 2)))]
+    run_episodes(short_sim, [tr for tr, _ in rows], [reno() for _ in rows],
+                 [adv() for _, adv in rows])
+    assert (spy.steps, spy.row_steps, spy.rows) == (3, n + 1, 2)
     reward = RewardParams()
     for spec in (AdversarySpec("env", budget=SmoothnessBudget()),
                  AdversarySpec("feature",
@@ -647,15 +675,17 @@ def test_trace_driven_c_controller_runs_to_the_end_in_one_step(
 
 
 def test_run_to_end_episode_equals_the_hooked_one(short_sim):
-    # the same episode with a clean intercept returns at every interval and
-    # reads each observation row there, instead of all of them at the end
-    clean = FeatureBound(0.5, "clean")
+    # the same episode under an intercept with a policy returns at every
+    # interval and reads each observation row there, instead of all of them
+    # at the end; a bound of 0 makes its min-RTT scale exactly 1.0
+    zero = FeatureBound(0.0)
+    policy = _adversary_policy("feature", 2)
     factories = ([partial(make_controller, name) for name in RULE_BASED]
                  + [partial(_learned, FIXED_POLICY), partial(_learned, RUNAWAY_POLICY)])
     for trace in _golden_traces():
         for factory in factories:
             a, b = run_episode(short_sim, trace, factory()), run_episodes(
-                short_sim, [trace], [factory()], [FeatureIntercept(clean)])[0]
+                short_sim, [trace], [factory()], [FeatureIntercept(zero, policy)])[0]
             assert repr(a) == repr(b), factory
 
 
@@ -850,9 +880,9 @@ def test_golden_episode_hashes(short_sim):
 
 
 def test_slice_of_mixed_policy_shapes_is_rejected(short_sim, monkeypatch):
-    # a group's hook stacks policies of one shape, or draws every row's
-    # output; a slice mixing shapes, or policies and draws, fails before any
-    # tick runs, naming the rows
+    # a group's hook stacks policies of one shape; a slice mixing shapes
+    # fails before any tick runs, naming the rows. Policy-less adversaries
+    # are in no group: a slice of them beside policy rows is its rows alone.
     spy = _CountingLib(netsim._lib)
     monkeypatch.setattr(netsim, "_lib", spy)
     t0, t1, _ = _golden_traces()
@@ -862,15 +892,29 @@ def test_slice_of_mixed_policy_shapes_is_rejected(short_sim, monkeypatch):
                     LearnedController(PolicyNet(n_features=5, hidden=8))], None,
          r"hidden-layer controllers .*rows \[0\]: 5 features, hidden 16; "
          r"rows \[1\]: 5 features, hidden 8"),
-        ([None, None], [make_controller("reno"), make_controller("reno")],
-         [EnvBandwidthDriver(budget, seed=1), EnvBandwidthDriver(
-             budget, _adversary_policy("env", 2), seed=2)],
-         r"adversaries .*rows \[0\]: no policy; rows \[1\]: 6 features, hidden 16"),
+        ([None, t0], [make_controller("reno"), make_controller("reno")],
+         [EnvBandwidthDriver(budget, _adversary_policy("env", 1), seed=1),
+          FeatureIntercept(FeatureBound(0.5), _adversary_policy("feature", 2))],
+         r"adversaries .*rows \[0\]: 6 features, hidden 16; "
+         r"rows \[1\]: 5 features, hidden 16"),
     ]
     for traces, ctls, advs, message in cases:
         with pytest.raises(ValueError, match=message):
             run_episodes(short_sim, traces, ctls, advs)
     assert (spy.steps, spy.row_steps) == (0, 0)
+    monkeypatch.undo()
+    rows = [(None, lambda: EnvBandwidthDriver(budget, seed=1)),
+            (None, lambda: EnvBandwidthDriver(budget, _adversary_policy("env", 2),
+                                              seed=2)),
+            (t0, lambda: FeatureIntercept(FeatureBound(0.3, "random_noise"),
+                                          seed=3)),
+            (t1, lambda: None)]
+    logs = run_episodes(short_sim, [tr for tr, _ in rows],
+                        [make_controller("vegas") for _ in rows],
+                        [adv() for _, adv in rows])
+    for (tr, adv), log in zip(rows, logs):
+        [alone] = run_episodes(short_sim, [tr], [make_controller("vegas")], [adv()])
+        assert repr(log) == repr(alone)
 
 
 def _hash_episode(h, log):
