@@ -33,10 +33,8 @@ The episode cases run in CASE_ROUNDS rounds after one untimed warm-up of
 each, every round running every case once, so a slow spell of a shared host
 falls on all cases alike. Each case reports its median and its best episode
 time, ticks/s (simulated ticks per host second) and ACKs/s (acknowledged
-packets per host second) at both, and the share of its ticks the tick loop
-ran as quiescent stretches (`EpisodeLog.quiescent_ticks`; null on a tree
-that does not count them). Everything else is timed REPEATS times after one
-untimed warm-up, and reports the median. The export (into a temporary
+packets per host second) at both. All else is timed REPEATS times after
+one untimed warm-up, and reports the median. The export (into a temporary
 file) and the generation are timed TRACE_IO_REPEATS times after one warm-up,
 and each gives its median and best ms per 60 s trace and its median CPU ms;
 at 5 repeats the export's median moved by half between runs. The batches and
@@ -210,12 +208,10 @@ def measure(trace) -> dict:
     out = {}
     for name, log in logs.items():
         t, best = statistics.median(times[name]), min(times[name])
-        quiet = getattr(log, "quiescent_ticks", None)
         out[name] = {
             "episode_s": round(t, 5), "best_episode_s": round(best, 5),
             "ticks_per_s": round(ticks / t), "best_ticks_per_s": round(ticks / best),
             "acks_per_s": round(log.acked / t), "best_acks_per_s": round(log.acked / best),
-            "quiescent_share": None if quiet is None else round(quiet / ticks, 4),
             "sent": log.sent, "dropped": log.dropped, "acked": log.acked,
         }
     return out
@@ -457,10 +453,8 @@ def main() -> None:
         json.dump(doc, f, indent=2, sort_keys=True)
         f.write("\n")
     for case, r in doc["runs"][args.label]["cases"].items():
-        quiet = r["quiescent_share"]
         print(f"{args.label} {case:17s} {r['ticks_per_s']:>9d} ticks/s "
-              f"(best {r['best_ticks_per_s']:>9d}) {r['acks_per_s']:>9d} acks/s "
-              f"quiescent {'-' if quiet is None else f'{quiet:.3f}'}")
+              f"(best {r['best_ticks_per_s']:>9d}) {r['acks_per_s']:>9d} acks/s")
     for row in ("export", "gen_random_trace"):
         r = doc["runs"][args.label][row]
         print(f"{args.label} {row:17s} {r['ms_per_trace']:>8.3f} ms/trace "

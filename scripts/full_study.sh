@@ -3,7 +3,7 @@
 # controllers, delay-constrained attacks on each rule-based target and on the
 # learned controller, transfer matrix, burst-trace case study, and the
 # retraining mixing-probability sweep. At configs/default.yaml it runs to
-# the end in about 18 s of wall time (17.7, 16.8 and 18.5 s measured) at
+# the end in about 16 s of wall time (16.5, 16.4 and 15.8 s measured) at
 # --workers 2 on a 2-core host with Python 3.11.
 set -euo pipefail
 cd "$(dirname "$0")/.."

@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# End-to-end smoke run with tiny budgets (about 5 s on 2 cores). Exercises
+# End-to-end smoke run with tiny budgets (about 4 s on 2 cores). Exercises
 # every subcommand; outputs land under $CCPROBE_OUT, by default runs/smoke.
 # tests/test_smoke.py checks every output against tests/smoke_manifest.json.
 set -euo pipefail

@@ -5,21 +5,12 @@
  * line writer of `ccprobe.netsim.export_mahimahi`.
  *
  * `tl_step` advances one episode tick by tick. Every tick runs the same five
- * steps as the simulator has always had: ACK arrivals, loss reactions,
- * cwnd/pacing-gated injection, delivery and the interval boundary. A tick
- * in which only the link credit can move is quiescent: it is neither its
- * interval's first nor its last, no ACK run is due, the controller does
- * not pace, the window admits no packet, the queue is empty and no loss
- * reaction can fire. Nothing a quiescent tick reads changes before the
- * next tick that does something else, so a stretch of them runs in one
- * inner loop of step 4's credit operations, up to the earliest of the head
- * ACK's tick, the interval's last tick, a blocked triple-dup reaction's
- * reaction_blocked_until and the first tick whose RTO test passes
- * (`quiet_until`); `quiescent_ticks` counts them. The link credit takes no
- * division while the capacity per tick is below 2^52 bytes: the credit
- * stays in [0, pkt), so each tick's delivery opportunities are floor(c /
- * pkt) plus 0, 1 or 2, found by two comparisons against exact thresholds
- * (`link_tick` has the proof); otherwise `tl_floordiv` divides. The
+ * steps: ACK arrivals, loss reactions, cwnd/pacing-gated injection, delivery
+ * and the interval boundary. Step 4's link credit takes no division while
+ * the capacity per tick is below 2^52 bytes: the credit stays in [0, pkt),
+ * so each tick's delivery opportunities are floor(c / pkt) plus 0, 1 or 2,
+ * found by two comparisons against exact thresholds (`link_tick` has the
+ * proof); otherwise `tl_floordiv` divides. The
  * episode's controller is one `tl_cc`, which `tl_step` updates inline
  * (`cc_on_ack`, `cc_on_loss`, `cc_on_interval`) and reads cwnd and pacing
  * from. At each interval boundary the loop writes the interval's `tl_obs`
@@ -292,10 +283,9 @@ typedef struct {
     tl_obs *obs;
     /* progress: the next tick */
     int64_t tick;
-    /* totals, loss reactions by kind, the ticks run as part of a quiescent
-     * stretch, and this interval's counts */
+    /* totals, loss reactions by kind and this interval's counts */
     int64_t sent, delivered, dropped, acked, resolved_drops, qlen;
-    int64_t triple_dups, timeouts, quiescent_ticks;
+    int64_t triple_dups, timeouts;
     int64_t iv_sent, iv_delivered, iv_dropped;
     /* RTT estimates (ms); srtt is undefined until has_srtt */
     int has_srtt;
@@ -1466,53 +1456,6 @@ static double rto_of(const tl_state *s)
     return rto_ms;
 }
 
-/* The first tick whose RTO test, (tick - last_ack_tick) * tick_ms > rto_ms,
- * passes, or INT64_MAX when none before 2^61 ticks after the last ACK
- * does. The test's left side never falls as the tick grows (the int
- * converts exactly, and rounding a product by tick_ms > 0 is monotone), so
- * the first passing tick is found next to rto_ms / tick_ms. */
-static int64_t rto_due(const tl_state *s, double rto_ms)
-{
-    double g = rto_ms / s->tick_ms;
-    if (!(g < 0x1p61))
-        return INT64_MAX;
-    int64_t d = (int64_t)g;
-    while (d > 0 && (double)(d - 1) * s->tick_ms > rto_ms)
-        d--;
-    while (!((double)d * s->tick_ms > rto_ms))
-        d++;
-    return s->last_ack_tick + d;
-}
-
-/* The end of the quiescent stretch that starts at `tick`, an interval tick
- * with an empty queue and an unpaced controller, short of the interval's
- * last tick `last`; `tick` itself when the tick is not quiescent. A
- * quiescent tick has no ACK run due, a window that admits nothing, and no
- * loss reaction that can fire. None of that can change before a tick that
- * does something else, so the stretch ends at the earliest of the head
- * ACK's tick, `last`, a pending triple-dup reaction's
- * reaction_blocked_until and the first tick whose RTO test passes (rto_ms
- * holds still while srtt does). */
-static int64_t quiet_until(const tl_state *s, int64_t tick, int64_t last)
-{
-    double cwnd = s->cc->w.cwnd;
-    int64_t in_flight = s->sent - s->acked - s->resolved_drops;
-    if (!isfinite(cwnd) || window_pkts(cwnd) > in_flight)
-        return tick;
-    int64_t end = last;
-    if (s->a_len && s->acks[s->a_head].ack_tick < end)
-        end = s->acks[s->a_head].ack_tick;
-    if (s->drop_pending && s->acks_after_drop >= 3
-            && s->reaction_blocked_until < end)
-        end = s->reaction_blocked_until;
-    if (end > tick) {
-        int64_t due = rto_due(s, rto_of(s));
-        if (due < end)
-            end = due;
-    }
-    return end > tick ? end : tick;
-}
-
 /* One interval's link: c bytes of credit per tick, fixed for the interval.
  * When `exact`, n0 = floor(c / pkt), and t0, t1 and t2 are n0, n0 + 1 and
  * n0 + 2 packets in bytes; see link_tick. */
@@ -1565,8 +1508,8 @@ int tl_step(tl_state *s)
     /* the hidden-layer policy's output for the boundary this call resumes at */
     if (cc->kind == TL_HIDDEN && s->tick > 0)
         cc_learned_step(cc, *cc->out);
-    /* the tick's place in its interval, counted down; every call starts at
-     * an interval's first tick, which plans the interval's link */
+    /* the tick's place in its interval; every call starts at an interval's
+     * first tick, which plans the interval's link */
     const int64_t interval_ticks = s->interval_ticks;
     const double pkt = (double)s->pkt;
     int64_t pos = s->tick % interval_ticks;
@@ -1576,8 +1519,7 @@ int tl_step(tl_state *s)
 
         /* a new interval: after a boundary the adversary acts, on the
          * output the driver left there or on a draw, then the interval's
-         * counts and link rate; inside an interval, a quiescent stretch
-         * runs ahead to its end, which is a busy tick */
+         * counts and link rate */
         if (pos == 0) {
             if (tick > 0 && s->adv) {
                 double v = tl_adv_act(s->adv);
@@ -1588,24 +1530,6 @@ int tl_step(tl_state *s)
             }
             s->iv_sent = s->iv_delivered = s->iv_dropped = 0;
             link_plan(&link, s->capacity, s->tick_ms, pkt, s->byte_credit);
-        }
-        else if (pos != interval_ticks - 1 && s->qlen == 0 && !cc->paced) {
-            int64_t end = quiet_until(s, tick, tick + (interval_ticks - 1 - pos));
-            if (end > tick) {
-                s->quiescent_ticks += end - tick;
-                pos += end - tick;
-                double credit = s->byte_credit;
-                for (; tick < end; tick++) {
-                    double n = link_tick(&link, &credit);
-                    if (!(n >= 0.0) || isinf(n)) {
-                        s->tick = tick;
-                        s->byte_credit = credit;
-                        return TL_BAD_CAPACITY;
-                    }
-                }
-                s->tick = tick;
-                s->byte_credit = credit;
-            }
         }
 
         /* 1. ACK arrivals */
@@ -1652,8 +1576,11 @@ int tl_step(tl_state *s)
         if (s->drop_pending && s->acks_after_drop >= 3
                 && tick >= s->reaction_blocked_until) {
             loss = 1;
-            int64_t srtt_ticks = (int64_t)py_round(srtt_or_base(s) / s->tick_ms);
-            s->reaction_blocked_until = tick + (srtt_ticks > 1 ? srtt_ticks : 1);
+            /* at least 2 ticks, with no floor needed: every RTT sample, and
+             * so srtt, is at least ack_delay >= 2 ticks, and the base RTT,
+             * 2 * owd with owd a whole number of ticks >= 1, too */
+            s->reaction_blocked_until =
+                tick + (int64_t)py_round(srtt_or_base(s) / s->tick_ms);
         }
         else {
             double rto_ms = rto_of(s);

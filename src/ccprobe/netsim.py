@@ -351,7 +351,7 @@ class EpisodeLog:
 
     def __init__(self, config: SimConfig, sent: int = 0, delivered: int = 0,
                  dropped: int = 0, acked: int = 0, in_flight_end: int = 0,
-                 triple_dups: int = 0, timeouts: int = 0, quiescent_ticks: int = 0,
+                 triple_dups: int = 0, timeouts: int = 0,
                  rows: np.ndarray | None = None,
                  ack_rtt_ticks: dict[int, int] | None = None):
         self.config = config
@@ -364,9 +364,6 @@ class EpisodeLog:
         # loss reactions by kind
         self.triple_dups = triple_dups
         self.timeouts = timeouts
-        # ticks the loop ran as part of a quiescent stretch, in which only
-        # the link credit moved
-        self.quiescent_ticks = quiescent_ticks
         # per-interval series: row i is interval i's `tl_obs` row, as the
         # tick loop wrote it (OBS_COLUMNS)
         self.rows = np.empty((0, _OBS_FIELDS)) if rows is None else rows
@@ -578,7 +575,6 @@ class _Row:
         log.in_flight_end = st.sent - st.delivered - st.dropped
         log.triple_dups = st.triple_dups
         log.timeouts = st.timeouts
-        log.quiescent_ticks = st.quiescent_ticks
         # no ACK, no histogram buffer
         hist = np.frombuffer(_ffi.buffer(st.hist, 8 * st.hist_len), np.int64)
         rtts = hist.nonzero()[0]
