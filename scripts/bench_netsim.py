@@ -46,13 +46,12 @@ that gives a second thread or process no core of its own, wall time at 2
 workers cannot fall, while CPU time still shows work added or removed. The
 hidden-16 generation's episodes return to Python at every interval
 (TL_HIDDEN), where numpy runs their policy holding the GIL, so on threads
-they overlap only in their ticks and little is to be gained. A tree without
-`adversary.adversarial_episodes` runs a slice as one `adversarial_episode`
-call per row, and a tree whose `evaluate_suite`
-takes one policy gets that one. A tree whose `cem_maximize` still calls its
-objective once per candidate, whose adversary settings are enums rather
-than the config's strings, or whose `metrics.clean_episode` takes no reward,
-is not supported. The cost after the ticks is the median, over
+they overlap only in their ticks and little is to be gained. A tree whose
+`evaluate_suite` takes one policy gets that one. A tree whose `cem_maximize`
+still calls its objective once per candidate, whose adversary settings are
+enums rather than the config's strings, whose adversary runs on a spec
+record rather than the config's `adversary` section (`AdversaryConfig`), or
+whose `metrics.clean_episode` takes no reward, is not supported. The cost after the ticks is the median, over
 AFTER_TICKS_REPEATS episodes after one warm-up, of each episode's wall time
 minus the time spent in the calls `netsim.run_episodes` makes to `tl_step`.
 Start-up is timed with ccprobe's bytecode cached under a temporary prefix,
@@ -92,10 +91,9 @@ from functools import partial
 
 import numpy as np
 
-from ccprobe import adversary, netsim
-from ccprobe.adversary import (AdversarySpec, DelayConstraint, EnvBandwidthDriver,
-                               FeatureBound, FeatureIntercept,
-                               make_adversary_policy, random_baseline_traces,
+from ccprobe import netsim
+from ccprobe.adversary import (AdversaryConfig, EnvBandwidthDriver, FeatureIntercept,
+                               adversarial_episodes, make_adversary_policy,
                                train_adversary)
 from ccprobe.advtrain import evaluate_suite
 from ccprobe.cc import RULE_BASED, Pinned, make_controller
@@ -135,7 +133,7 @@ def _cases():
     yield "learned_fixed", alone(partial(LearnedController, policy))
     collapsed = PolicyNet(n_features=5, hidden=0, params=COLLAPSED_PARAMS)
     yield "learned_collapsed", alone(partial(LearnedController, collapsed))
-    noise = FeatureBound(0.05, "random_noise")
+    noise = AdversaryConfig(0.05, "random_noise")
     yield "vegas_noise", lambda sim, trace: run_episodes(
         sim, [trace], [make_controller("vegas")], [FeatureIntercept(noise, seed=1)])[0]
     yield "cubic_env_driver", lambda sim, trace: run_episodes(
@@ -227,8 +225,8 @@ def _suite(policy, trace_sets, sim, reward, workers):
 def measure_pool() -> dict:
     sim, reward = SimConfig(), RewardParams()
     policy = PolicyNet(n_features=5, hidden=0, params=LEARNED_PARAMS)
-    traces = random_baseline_traces(SmoothnessBudget(), 10, sim.n_intervals,
-                                    sim.trace_interval_ms, seed=0)
+    traces = [gen_random_trace(sim.n_intervals, SmoothnessBudget(), seed=i,
+                               interval_ms=sim.trace_interval_ms) for i in range(10)]
     hidden = PolicyNet(n_features=5, hidden=16)
     hidden = hidden.with_params(np.random.default_rng(0).normal(0.0, 0.5, hidden.n_params))
 
@@ -257,26 +255,20 @@ def measure_adversary() -> dict:
     """ms per env-adversary episode in slices of 1, 4 and 16, and ms (wall
     and CPU) per env-adversary CEM generation of 8, against cubic."""
     sim, reward = SimConfig(), RewardParams()
-    spec = AdversarySpec(surface="env", constraint=DelayConstraint(tau_ms=50.0),
-                         budget=SmoothnessBudget(),
-                         policy=make_adversary_policy("env"))
+    adv = AdversaryConfig(surface="env", tau_ms=50.0, episodes=8)
+    budget, policy = SmoothnessBudget(), make_adversary_policy("env")
     factory = partial(make_controller, "cubic")
     rng = np.random.default_rng(0)
-    params = rng.normal(0.0, 0.5, (16, spec.policy.n_params))
-    sliced = getattr(adversary, "adversarial_episodes", None)
-
-    def episodes(k):
-        if sliced is not None:
-            return sliced(spec, params[:k], factory, sim, reward, list(range(k)))
-        return [adversary.adversarial_episode(spec, p, factory, sim, reward, seed=i)
-                for i, p in enumerate(params[:k])]
+    params = rng.normal(0.0, 0.5, (16, policy.n_params))
 
     out = {}
     for k in (1, 4, 16):
-        t, _ = _timed(lambda: episodes(k))
+        t, _ = _timed(lambda: adversarial_episodes(adv, budget, policy, params[:k],
+                                                   factory, sim, reward,
+                                                   list(range(k))))
         out[f"slice_{k}_ms_per_episode"] = round(t * 1000 / k, 2)
-    t, cpu, _ = _timed_cpu(lambda: train_adversary(spec, factory, sim, 8, reward,
-                                                CemConfig(population=8)))
+    t, cpu, _ = _timed_cpu(lambda: train_adversary(adv, budget, policy, factory, sim,
+                                                reward, CemConfig(population=8)))
     out["env_cem_generation_ms"] = round(t * 1000, 2)
     out["env_cem_generation_cpu_ms"] = round(cpu * 1000, 2)
     return out

@@ -5,7 +5,9 @@ minimum-delay estimate is scaled; simulator ground truth never changes) and
 an environment-level next-bandwidth action (projected onto the smoothness
 budget). Two reward modes: naive (negated controller reward) and
 delay-constrained (-U_t plus a penalty that fires only while queuing delay
-sits below the calibrated baseline threshold tau).
+sits below the calibrated baseline threshold tau). The config's `adversary`
+section, `AdversaryConfig`, lives here; the attack runs on it, the
+smoothness budget and a policy.
 """
 
 from __future__ import annotations
@@ -15,8 +17,8 @@ from functools import partial
 from .cem import CemConfig, train_policy
 from .learned import PolicyNet, RewardParams
 from .metrics import EpisodeReport, build_report, clean_episode, means
-from .netsim import Rng, SimConfig, _ffi, _lib, map_jobs, replace, run_episodes
-from .tracegen import SmoothnessBudget, gen_random_trace
+from .netsim import ConfigError, Rng, SimConfig, _ffi, _lib, map_jobs, run_episodes
+from .tracegen import SmoothnessBudget
 
 
 # Each adversary setting's values, spelt as the config's `adversary` section
@@ -28,40 +30,32 @@ SETTINGS = {
 }
 
 
-class DelayConstraint:
-    def __init__(self, tau_ms: float = 0.0, alpha: float = 1.0, window_h: int = 5,
-                 window_k: int = 1):
-        self.tau_ms = tau_ms
+class AdversaryConfig:
+    """The config's `adversary` section, which the attack runs on as it is:
+    the surface and its bound, the reward and its delay constraint, and the
+    training and selection budgets."""
+
+    def __init__(self, x_fraction: float = 0.05, perturb_mode: str = "adversarial",
+                 surface: str = "env", reward_mode: str = "delay_constrained",
+                 alpha: float = 1.0, window_h: int = 5, window_k: int = 1,
+                 tau_ms: float | None = None, episodes: int = 320, rollouts: int = 8):
+        self.x_fraction = x_fraction   # the feature surface's bound
+        self.perturb_mode = perturb_mode
+        self.surface = surface   # each setting one of SETTINGS
+        self.reward_mode = reward_mode
         self.alpha = alpha
         self.window_h = window_h
         self.window_k = window_k
+        self.tau_ms = tau_ms   # None -> calibrate from the baseline runs
+        self.episodes = episodes
+        self.rollouts = rollouts
+        if not self.window_k <= self.window_h:
+            raise ConfigError(f"need window_k <= window_h, got window_k="
+                              f"{self.window_k}, window_h={self.window_h}")
 
 
-class FeatureBound:
-    def __init__(self, x_fraction: float = 0.5, mode: str = "adversarial"):
-        self.x_fraction = x_fraction
-        self.mode = mode   # a perturb_mode
-
-
-class AdversarySpec:
-    def __init__(self, surface: str, reward_mode: str = "delay_constrained",
-                 constraint: DelayConstraint | None = None,
-                 feature_bound: FeatureBound | None = None,
-                 budget: SmoothnessBudget | None = None,
-                 policy: PolicyNet | None = None):
-        self.surface = surface
-        self.reward_mode = reward_mode
-        self.constraint = DelayConstraint() if constraint is None else constraint
-        self.feature_bound = feature_bound
-        self.budget = budget
-        self.policy = policy
-        for name in ("surface", "reward_mode"):
-            if getattr(self, name) not in SETTINGS[name]:
-                raise ValueError(f"unknown {name} {getattr(self, name)!r}")
-        if self.surface == "feature" and self.feature_bound is None:
-            raise ValueError("feature surface requires a feature_bound")
-        if self.surface == "env" and self.budget is None:
-            raise ValueError("env surface requires a smoothness budget")
+# no command builds it by this name; perfbench builds FeatureBound(x) by position
+FeatureBound = AdversaryConfig
 
 
 ADV_ENV_FEATURES = 6   # controller features + current capacity
@@ -100,13 +94,13 @@ class _Adversary:
         _lib.tl_adv_begin(self.adv_state, value)
         return self.adv_state.value
 
-    def score_by(self, spec: "AdversarySpec", reward: RewardParams) -> None:
+    def score_by(self, adv: AdversaryConfig, reward: RewardParams) -> None:
         """Have the loop sum the reward into `adv_state.total` and `.ok`."""
-        s, c = self.adv_state, spec.constraint
-        self._delays = s.delays = _ffi.new("double[]", c.window_h)
-        s.scored, s.naive = True, spec.reward_mode == "naive"
-        s.tau_ms, s.alpha, s.window_h, s.delay_k = (c.tau_ms, c.alpha,
-                                                    c.window_h, c.window_k)
+        s = self.adv_state
+        self._delays = s.delays = _ffi.new("double[]", adv.window_h)
+        s.scored, s.naive = True, adv.reward_mode == "naive"
+        s.tau_ms, s.alpha, s.window_h, s.delay_k = (adv.tau_ms, adv.alpha,
+                                                    adv.window_h, adv.window_k)
         s.reward = reward.c_struct()[0]
 
 
@@ -115,13 +109,13 @@ class FeatureIntercept(_Adversary):
     by its policy's bounded action under `adversarial`, by a draw from
     [1 - x, 1 + x] under `random_noise`, and else by 1."""
 
-    def __init__(self, bound: FeatureBound, policy: PolicyNet | None = None,
+    def __init__(self, adv: AdversaryConfig, policy: PolicyNet | None = None,
                  b_max: float = 96.0, seed: int = 0):
-        x = bound.x_fraction
+        x, mode = adv.x_fraction, adv.perturb_mode
         super().__init__(_lib.TL_ADV_FEATURE, ADV_FEATURE_FEATURES, policy, b_max,
-                         bound.mode == "adversarial" and policy is not None, seed,
-                         (1.0 - x, 1.0 + x) if bound.mode == "random_noise" else None)
-        self.bound = bound
+                         mode == "adversarial" and policy is not None, seed,
+                         (1.0 - x, 1.0 + x) if mode == "random_noise" else None)
+        self.adv = adv
         self.adv_state.x_fraction = x
         self.begin_episode()
 
@@ -177,91 +171,89 @@ def calibrate_tau(controller_factory, traces, config: SimConfig,
     return means(reports, "interval_delay_ms")[0], reports
 
 
-def random_baseline_traces(budget: SmoothnessBudget, n: int, length: int,
-                           interval_ms: float, seed: int):
-    return [gen_random_trace(length, budget, seed=seed + i, interval_ms=interval_ms)
-            for i in range(n)]
-
-
-def adversarial_episode(spec: AdversarySpec, params, controller_factory,
+# no command calls it; perfbench's tracer looks it up by name
+def adversarial_episode(adv: AdversaryConfig, budget: SmoothnessBudget,
+                        policy: PolicyNet | None, params, controller_factory,
                         config: SimConfig, reward: RewardParams,
                         seed: int, initial_capacity: float | None = None,
                         clean_traces=None) -> EpisodeReport:
     """One rollout of the adversary against a fresh controller."""
-    return adversarial_episodes(spec, None if params is None else [params],
+    return adversarial_episodes(adv, budget, policy,
+                                None if params is None else [params],
                                 controller_factory, config, reward, [seed],
                                 [initial_capacity], clean_traces)[0]
 
 
-def adversarial_episodes(spec: AdversarySpec, params, controller_factory,
+def adversarial_episodes(adv: AdversaryConfig, budget: SmoothnessBudget,
+                         policy: PolicyNet | None, params, controller_factory,
                          config: SimConfig, reward: RewardParams, seeds,
                          initial_capacities=None,
                          clean_traces=None) -> list[EpisodeReport]:
     """A slice of rollouts in lock-step, each against a fresh controller.
-    Row j has policy parameters params[j] (`spec.policy`'s when `params` is
-    None), episode seed seeds[j], which on the feature surface also picks its
+    Row j has policy parameters params[j] (`policy`'s when `params` is None),
+    episode seed seeds[j], which on the feature surface also picks its
     clean trace, and initial capacity initial_capacities[j] (None for the
     budget's midpoint). The loop scores each interval in C: `tl_adv_reward`
     holds the naive and the delay-constrained reward, whose Python
     formulas are test oracles. Each row's report carries its adversary's
     score and capacities."""
     k = len(seeds)
-    policies = ([spec.policy] * k if params is None
-                else [spec.policy.with_params(p) for p in params])
-    if spec.surface == "feature":
-        advs = [FeatureIntercept(spec.feature_bound, policy, reward.b_max, seed)
-                for policy, seed in zip(policies, seeds)]
+    policies = ([policy] * k if params is None
+                else [policy.with_params(p) for p in params])
+    if adv.surface == "feature":
+        rows = [FeatureIntercept(adv, row_policy, reward.b_max, seed)
+                for row_policy, seed in zip(policies, seeds)]
         traces = [clean_traces[seed % len(clean_traces)] for seed in seeds]
     else:
         inits = [None] * k if initial_capacities is None else initial_capacities
-        advs = [EnvBandwidthDriver(spec.budget, policy, reward.b_max, seed, init)
-                for policy, seed, init in zip(policies, seeds, inits)]
+        rows = [EnvBandwidthDriver(budget, row_policy, reward.b_max, seed, init)
+                for row_policy, seed, init in zip(policies, seeds, inits)]
         traces = [None] * k
-    for adv in advs:
-        adv.score_by(spec, reward)
+    for row in rows:
+        row.score_by(adv, reward)
     logs = run_episodes(config, traces, [controller_factory() for _ in range(k)],
-                        advs)
-    return [build_report(log, adversary=adv) for adv, log in zip(advs, logs)]
+                        rows)
+    return [build_report(log, adversary=row) for row, log in zip(rows, logs)]
 
 
-def train_adversary(spec: AdversarySpec, controller_factory, config: SimConfig,
-                    episodes: int, reward: RewardParams,
-                    cem: CemConfig | None = None, clean_traces=None):
-    """CEM training of the adversary policy, from `spec.policy` or, with
-    none, a fresh one; returns (policy, history)."""
-    policy = (make_adversary_policy(spec.surface) if spec.policy is None
-              else spec.policy)
+def train_adversary(adv: AdversaryConfig, budget: SmoothnessBudget,
+                    policy: PolicyNet | None, controller_factory, config: SimConfig,
+                    reward: RewardParams, cem: CemConfig | None = None,
+                    clean_traces=None):
+    """CEM training of the adversary policy over `adv.episodes` rollouts,
+    from `policy` or, with none, a fresh one; returns (policy, history)."""
+    if policy is None:
+        policy = make_adversary_policy(adv.surface)
     return train_policy(policy,
-                        partial(_adversary_returns, replace(spec, policy=policy),
+                        partial(_adversary_returns, adv, budget, policy,
                                 controller_factory, config, reward, clean_traces),
-                        episodes, cem or CemConfig())
+                        adv.episodes, cem or CemConfig())
 
 
-def _adversary_returns(spec: AdversarySpec, controller_factory,
-                       config: SimConfig, reward: RewardParams, clean_traces,
+def _adversary_returns(adv: AdversaryConfig, budget: SmoothnessBudget,
+                       policy: PolicyNet, controller_factory, config: SimConfig,
+                       reward: RewardParams, clean_traces,
                        params, seeds) -> list[tuple[float, float]]:
     """`train_adversary`'s CEM objective: (return, constraint rate) per row."""
     return [(r.adv_return, r.ok_rate)
-            for r in adversarial_episodes(spec, params, controller_factory,
-                                          config, reward, seeds,
-                                          clean_traces=clean_traces)]
+            for r in adversarial_episodes(adv, budget, policy, params,
+                                          controller_factory, config, reward,
+                                          seeds, clean_traces=clean_traces)]
 
 
-def select_worst_trace(spec: AdversarySpec, policy: PolicyNet, controller_factory,
-                       config: SimConfig, reward: RewardParams,
-                       n_rollouts: int = 8, seed: int = 0) -> EpisodeReport | None:
-    """Env-surface selection: among rollouts whose mean per-interval queuing
-    delay is >= tau, the report of the one minimizing utilization. None if
-    no rollout meets the constraint. The rollouts run as one lock-step
-    slice."""
-    spec = replace(spec, policy=policy)
-    budget = spec.budget
-    inits = Rng(seed).uniform(budget.bw_min, budget.bw_max, n_rollouts).tolist()
-    candidates = adversarial_episodes(spec, None, controller_factory, config,
-                                      reward, [seed + i for i in range(n_rollouts)],
-                                      inits)
-    feasible = [c for c in candidates
-                if c.interval_delay_ms >= spec.constraint.tau_ms]
+def select_worst_trace(adv: AdversaryConfig, budget: SmoothnessBudget,
+                       policy: PolicyNet, controller_factory, config: SimConfig,
+                       reward: RewardParams, seed: int = 0) -> EpisodeReport | None:
+    """Env-surface selection: among `adv.rollouts` rollouts, those whose
+    mean per-interval queuing delay is >= `adv.tau_ms`, the report of the
+    one minimizing utilization. None if no rollout meets the constraint.
+    The rollouts run as one lock-step slice."""
+    n = adv.rollouts
+    inits = Rng(seed).uniform(budget.bw_min, budget.bw_max, n).tolist()
+    candidates = adversarial_episodes(adv, budget, policy, None,
+                                      controller_factory, config, reward,
+                                      [seed + i for i in range(n)], inits)
+    feasible = [c for c in candidates if c.interval_delay_ms >= adv.tau_ms]
     if not feasible:
         return None
     return min(feasible, key=lambda c: c.utilization)

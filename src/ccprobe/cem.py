@@ -69,7 +69,8 @@ def cem_maximize(objective, dim: int, generations: int, config: CemConfig,
                 returns[i], ok[i] = out
             else:
                 returns[i] = out
-        order = np.argsort(returns)[::-1]
+        # best first; tied returns by index, the later index first
+        order = np.argsort(returns, kind="stable")[::-1]
         elite_idx = order[:n_elite]
         mean = pop[elite_idx].mean(axis=0)
         std = pop[elite_idx].std(axis=0)

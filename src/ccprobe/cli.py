@@ -18,9 +18,7 @@ import sys
 from functools import partial
 
 from . import advtrain
-from .adversary import (AdversarySpec, DelayConstraint, FeatureBound,
-                        adversarial_episodes, calibrate_tau,
-                        random_baseline_traces, select_worst_trace,
+from .adversary import (adversarial_episodes, calibrate_tau, select_worst_trace,
                         train_adversary)
 from .cc import make_controller
 from .cem import OptimizerError
@@ -69,7 +67,8 @@ def _build_traces(cfg: ExperimentConfig,
     length = cfg.sim.n_intervals
     source = source or t.source
     if source == "random":
-        return random_baseline_traces(cfg.budget, t.n, length, iv, cfg.seed)
+        return [gen_random_trace(length, cfg.budget, seed=cfg.seed + i, interval_ms=iv)
+                for i in range(t.n)]
     if source == "constant":
         return [BandwidthTrace(iv, [t.constant_mbps] * length)]
     if source == "burst":
@@ -162,7 +161,6 @@ def cmd_baseline(args, cfg: ExperimentConfig, out: str) -> int:
 
 
 def cmd_attack(args, cfg: ExperimentConfig, out: str) -> int:
-    adv = cfg.adversary
     target = args.controller or cfg.controller
     factory = _controller_factory(cfg, target, args.checkpoint)
     baseline_traces = _build_traces(cfg)
@@ -170,25 +168,19 @@ def cmd_attack(args, cfg: ExperimentConfig, out: str) -> int:
     # one clean episode per baseline trace gives both tau and the baseline row
     base_delay, base = calibrate_tau(factory, baseline_traces, cfg.sim, args.workers)
     [base_util] = means(base, "utilization")
-    tau = adv.tau_ms
-    if tau is None and adv.reward_mode == "delay_constrained":
+    tau = cfg.adversary.tau_ms
+    if tau is None and cfg.adversary.reward_mode == "delay_constrained":
         tau = base_delay
         print(f"calibrated tau = {tau:.3f} ms")
-    constraint = DelayConstraint(tau_ms=tau or 0.0, alpha=adv.alpha,
-                                 window_h=adv.window_h, window_k=adv.window_k)
+    adv = replace(cfg.adversary, tau_ms=tau or 0.0)
     feature = adv.surface == "feature"
-    spec = AdversarySpec(
-        adv.surface, adv.reward_mode, constraint,
-        feature_bound=FeatureBound(adv.x_fraction, adv.perturb_mode) if feature else None,
-        budget=None if feature else cfg.budget)
 
     # a random-noise or clean intercept reads no policy: none is trained
+    policy = None
     if not feature or adv.perturb_mode == "adversarial":
-        policy, history = train_adversary(spec, factory, cfg.sim, adv.episodes,
-                                          cfg.reward,
-                                          cfg.train.cem(cfg.seed),
+        policy, history = train_adversary(adv, cfg.budget, None, factory, cfg.sim,
+                                          cfg.reward, cfg.train.cem(cfg.seed),
                                           clean_traces=baseline_traces)
-        spec = replace(spec, policy=policy)
         _write_csv(os.path.join(out, f"adv_train_{target}.csv"),
                    ["generation", "elite_mean", "best_return",
                     "constraint_satisfaction_rate"],
@@ -201,13 +193,13 @@ def cmd_attack(args, cfg: ExperimentConfig, out: str) -> int:
     ok = True
     rows = [[target, "baseline", base_util, base_delay, 0.0, 0.0]]
     if feature:
-        evals = adversarial_episodes(spec, None, factory, cfg.sim, cfg.reward,
-                                     range(len(baseline_traces)),
+        evals = adversarial_episodes(adv, cfg.budget, policy, None, factory, cfg.sim,
+                                     cfg.reward, range(len(baseline_traces)),
                                      clean_traces=baseline_traces)
         util, delay = means(evals, "utilization", "interval_delay_ms")
     else:
-        worst = select_worst_trace(spec, policy, factory, cfg.sim, cfg.reward,
-                                   n_rollouts=adv.rollouts, seed=cfg.seed)
+        worst = select_worst_trace(adv, cfg.budget, policy, factory, cfg.sim,
+                                   cfg.reward, seed=cfg.seed)
         if worst is None:
             print("no rollout satisfied the delay constraint", file=sys.stderr)
             return 1

@@ -5,9 +5,11 @@ with its kind and its domain. `config_from_dict` checks the raw document
 against it before it builds any record, and a key the table does not list,
 or a value outside its key's domain, is one ConfigError naming the key. The
 table only checks values and never converts them; each record keeps what
-its fields must satisfy together. The canonical hash of a config is
-embedded in every CSV the runner emits, which together with the seed makes
-reruns byte-comparable.
+its fields must satisfy together. A section's record lives in the module
+that runs on it (`sim` in netsim, `reward` in learned, `budget` in
+tracegen, `adversary` in adversary); `traces` and `train` live here. The
+canonical hash of a config is embedded in every CSV the runner emits, which
+together with the seed makes reruns byte-comparable.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import math
 
 import yaml
 
-from .adversary import SETTINGS
+from .adversary import SETTINGS, AdversaryConfig
 from .cc import RULE_BASED
 from .cem import CemConfig
 from .learned import FEATURE_NAMES, PolicyNet, RewardParams
@@ -43,9 +45,9 @@ DOMAINS = {
                "constant_mbps": "in [0, 1e6]", "paths": "paths",
                "peak": "in [0, 1e6]", "trough": "in [0, 1e6]",
                "rise_intervals": "int >= 0", "fall_intervals": "int >= 0"},
-    "adversary": {"surface": SETTINGS["surface"],
+    "adversary": {"x_fraction": "in [0, 1)", "perturb_mode": SETTINGS["perturb_mode"],
+                  "surface": SETTINGS["surface"],
                   "reward_mode": SETTINGS["reward_mode"],
-                  "x_fraction": "in [0, 1)", "perturb_mode": SETTINGS["perturb_mode"],
                   "alpha": "> 0", "window_h": "int >= 1", "window_k": "int >= 1",
                   "tau_ms": "null or >= 0", "episodes": "int >= 0",
                   "rollouts": "int >= 1"},
@@ -131,26 +133,6 @@ class TraceSpec:
             raise ConfigError("trace source 'files' needs non-empty paths")
         if self.rise_intervals + self.fall_intervals < 1:
             raise ConfigError("rise_intervals + fall_intervals must be >= 1")
-
-
-class AdversaryConfig:
-    def __init__(self, surface: str = "env", reward_mode: str = "delay_constrained",
-                 x_fraction: float = 0.05, perturb_mode: str = "adversarial",
-                 alpha: float = 1.0, window_h: int = 5, window_k: int = 1,
-                 tau_ms: float | None = None, episodes: int = 320, rollouts: int = 8):
-        self.surface = surface   # each setting one of adversary.SETTINGS
-        self.reward_mode = reward_mode
-        self.x_fraction = x_fraction
-        self.perturb_mode = perturb_mode
-        self.alpha = alpha
-        self.window_h = window_h
-        self.window_k = window_k
-        self.tau_ms = tau_ms   # None -> calibrate from the baseline runs
-        self.episodes = episodes
-        self.rollouts = rollouts
-        if not self.window_k <= self.window_h:
-            raise ConfigError(f"need window_k <= window_h, got window_k="
-                              f"{self.window_k}, window_h={self.window_h}")
 
 
 class TrainSpec:

@@ -35,34 +35,36 @@ def queuing_delay(obs) -> float:
     return obs.srtt_ms - obs.min_rtt_ms
 
 
-def delay_penalty(history, constraint) -> float:
-    """-alpha iff both the H-window mean and K-window mean sit strictly below tau."""
-    h, k = constraint.window_h, constraint.window_k
+def delay_penalty(history, adv) -> float:
+    """-alpha iff both the H-window mean and K-window mean sit strictly below
+    tau, each of them `adv`'s, an `adversary` section."""
+    h, k = adv.window_h, adv.window_k
     if len(history) < h:
         raise ValueError(f"need at least H={h} delay samples")
     recent = list(history)[-h:]
     d_bar = sum(recent) / h
     d_tilde = sum(recent[-k:]) / k
-    if d_bar < constraint.tau_ms and d_tilde < constraint.tau_ms:
-        return -constraint.alpha
+    if d_bar < adv.tau_ms and d_tilde < adv.tau_ms:
+        return -adv.alpha
     return 0.0
 
 
-def env_reward(obs, history, constraint) -> float:
+def env_reward(obs, history, adv) -> float:
     """Overall adversarial reward: -U_t plus the delay penalty."""
     if not 0 <= obs.utilization <= 1:
         raise DomainError("utilization out of [0, 1]")
-    return -obs.utilization + delay_penalty(history, constraint)
+    return -obs.utilization + delay_penalty(history, adv)
 
 
-def perturb_min_rtt(true_min_rtt_ms: float, action: float, bound, rng) -> float:
-    """The min-RTT estimate a feature intercept under `bound` hands the
-    controller: unchanged (clean), scaled by a draw `rng.uniform(1 - x, 1 + x)`
-    (random_noise) or by 1 + clamp(action, -1, 1) * x (adversarial)."""
-    x = bound.x_fraction
-    if bound.mode == "clean":
+def perturb_min_rtt(true_min_rtt_ms: float, action: float, adv, rng) -> float:
+    """The min-RTT estimate a feature intercept under `adv`, an `adversary`
+    section, hands the controller: unchanged (clean), scaled by a draw
+    `rng.uniform(1 - x, 1 + x)` (random_noise) or by
+    1 + clamp(action, -1, 1) * x (adversarial)."""
+    x = adv.x_fraction
+    if adv.perturb_mode == "clean":
         return true_min_rtt_ms
-    if bound.mode == "random_noise":
+    if adv.perturb_mode == "random_noise":
         return true_min_rtt_ms * float(rng.uniform(1.0 - x, 1.0 + x))
     return true_min_rtt_ms * (1.0 + min(1.0, max(-1.0, action)) * x)
 

@@ -14,10 +14,9 @@ from functools import partial
 import numpy as np
 import pytest
 
-from ccprobe.adversary import (AdversarySpec, DelayConstraint, FeatureBound,
-                               adversarial_episode, calibrate_tau,
-                               make_adversary_policy, random_baseline_traces,
-                               select_worst_trace, train_adversary)
+from ccprobe.adversary import (AdversaryConfig, adversarial_episode, calibrate_tau,
+                               make_adversary_policy, select_worst_trace,
+                               train_adversary)
 from ccprobe.advtrain import TracePool, adversarial_retrain, evaluate_suite
 from ccprobe.cc import Lp, make_controller
 from ccprobe.cem import CemConfig
@@ -26,7 +25,7 @@ from ccprobe.config import ExperimentConfig
 from ccprobe.learned import (LearnedController, PolicyNet, RewardParams,
                              train_controller)
 from ccprobe.netsim import (BandwidthTrace, Observation, SimConfig, _lib,
-                            obs_row, replace, run_episode)
+                            obs_row, run_episode)
 from ccprobe.tracegen import (SmoothnessBudget, check_feasible,
                               gen_random_trace)
 from drivers import adv_step, c_double
@@ -48,8 +47,7 @@ def report(criterion, label, ok):
 
 @pytest.fixture(scope="module")
 def baseline_traces():
-    return random_baseline_traces(BUDGET, 10, EVAL_SIM.n_intervals, 100.0,
-                                  seed=0)
+    return [gen_random_trace(EVAL_SIM.n_intervals, BUDGET, seed=i) for i in range(10)]
 
 
 def run_attack(factory, baseline_traces, seed):
@@ -57,13 +55,11 @@ def run_attack(factory, baseline_traces, seed):
     (tau, worst, elapsed_s)."""
     t0 = time.time()
     tau, _ = calibrate_tau(factory, baseline_traces, TRAIN_SIM, WORKERS)
-    spec = AdversarySpec(surface="env",
-                         constraint=DelayConstraint(tau_ms=tau), budget=BUDGET)
-    policy, _ = train_adversary(spec, factory, TRAIN_SIM, episodes=160,
-                                reward=REWARD,
-                                cem=CemConfig(seed=seed))
-    worst = select_worst_trace(spec, policy, factory, EVAL_SIM, REWARD,
-                               n_rollouts=8, seed=seed)
+    adv = AdversaryConfig(surface="env", tau_ms=tau, episodes=160, rollouts=8)
+    policy, _ = train_adversary(adv, BUDGET, None, factory, TRAIN_SIM,
+                                reward=REWARD, cem=CemConfig(seed=seed))
+    worst = select_worst_trace(adv, BUDGET, policy, factory, EVAL_SIM, REWARD,
+                               seed=seed)
     return tau, worst, time.time() - t0
 
 
@@ -133,7 +129,7 @@ def test_criterion_1_reward_oracles():
         k = rnd.randint(1, h)
         tau = rnd.uniform(1, 20)
         hist = [rnd.uniform(0, 30) for _ in range(h)]
-        pen = delay_penalty(hist, DelayConstraint(tau_ms=tau, alpha=1.0,
+        pen = delay_penalty(hist, AdversaryConfig(tau_ms=tau, alpha=1.0,
                                                   window_h=h, window_k=k))
         want = -1.0 if (sum(hist) / h < tau and sum(hist[-k:]) / k < tau) else 0.0
         ok &= pen == want
@@ -218,17 +214,14 @@ def test_criterion_5_naive_mode_lowers_both(baseline_traces):
         log = run_episode(TRAIN_SIM, tr, factory())
         clean_utils.append(log.mean_utilization())
         clean_delays.append(log.mean_queuing_delay_ms())
-    spec = AdversarySpec(surface="feature",
-                         reward_mode="naive",
-                         feature_bound=FeatureBound(0.5, "adversarial"))
-    policy, _ = train_adversary(spec, factory, TRAIN_SIM, 96, REWARD,
-                                CemConfig(seed=5),
-                                clean_traces=baseline_traces[:3])
-    spec = replace(spec, policy=policy)
+    adv = AdversaryConfig(0.5, "adversarial", surface="feature",
+                          reward_mode="naive", tau_ms=0.0, episodes=96)
+    policy, _ = train_adversary(adv, BUDGET, None, factory, TRAIN_SIM, REWARD,
+                                CemConfig(seed=5), clean_traces=baseline_traces[:3])
     utils, delays = [], []
     for i in range(3):
-        ev = adversarial_episode(spec, None, factory, TRAIN_SIM, REWARD,
-                                 seed=i, clean_traces=baseline_traces[:3])
+        ev = adversarial_episode(adv, BUDGET, policy, None, factory, TRAIN_SIM,
+                                 REWARD, seed=i, clean_traces=baseline_traces[:3])
         utils.append(ev.utilization)
         delays.append(ev.interval_delay_ms)
     u0, u1 = sum(clean_utils) / 3, sum(utils) / 3

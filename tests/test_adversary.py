@@ -8,19 +8,18 @@ from hypothesis import given, settings, strategies as st
 
 import oracles
 from ccprobe import netsim
-from ccprobe.adversary import (AdversarySpec, DelayConstraint, EnvBandwidthDriver,
-                               SETTINGS, FeatureBound, FeatureIntercept,
-                               adversarial_episode,
+from ccprobe.adversary import (AdversaryConfig, EnvBandwidthDriver, SETTINGS,
+                               FeatureIntercept, adversarial_episode,
                                adversarial_episodes, calibrate_tau,
-                               make_adversary_policy,
-                               random_baseline_traces, select_worst_trace,
+                               make_adversary_policy, select_worst_trace,
                                train_adversary)
 from ccprobe.cc import make_controller
 from ccprobe.cem import CemConfig
 from ccprobe.learned import RewardParams
 from ccprobe.netsim import (DomainError, Observation, Rng, _lib, obs_row,
-                            run_episode, run_episodes)
-from ccprobe.tracegen import SmoothnessBudget, check_feasible, project_next
+                            replace, run_episode, run_episodes)
+from ccprobe.tracegen import (SmoothnessBudget, check_feasible, gen_random_trace,
+                              project_next)
 from drivers import adv_step
 from oracles import env_reward, naive_reward, perturb_min_rtt, queuing_delay
 
@@ -39,7 +38,7 @@ def obs(srtt=25.0, min_rtt=20.0, cap=48.0, util=0.8):
        st.integers(min_value=0, max_value=2**32))
 def test_perturbation_stays_within_x(true_rtt, action, x, seed):
     # the adversarial scale of any action, and a random-noise draw
-    noise = FeatureIntercept(FeatureBound(x, "random_noise"), seed=seed)
+    noise = FeatureIntercept(AdversaryConfig(x, "random_noise"), seed=seed)
     for scale in (_lib.tl_feature_scale(action, x), adv_step(noise, obs())):
         out = true_rtt * scale
         assert true_rtt * (1 - x) - 1e-9 <= out <= true_rtt * (1 + x) + 1e-9
@@ -49,9 +48,9 @@ def test_perturbation_modes():
     # clean keeps the scale 1 even with a policy; random noise draws
     policy = make_adversary_policy("feature")
     policy = policy.with_params(np.full(policy.n_params, 0.5))
-    clean = FeatureIntercept(FeatureBound(0.5, "clean"), policy)
+    clean = FeatureIntercept(AdversaryConfig(0.5, "clean"), policy)
     assert not clean.adv_state.has_policy and adv_step(clean, obs()) == 1.0
-    noise = FeatureIntercept(FeatureBound(0.5, "random_noise"), policy)
+    noise = FeatureIntercept(AdversaryConfig(0.5, "random_noise"), policy)
     vals = {adv_step(noise, obs()) for _ in range(10)}
     assert len(vals) > 1
     assert all(0.5 <= v <= 1.5 for v in vals)
@@ -62,7 +61,7 @@ def test_perturbation_rejects_bad_inputs():
     # draw range wider than a double raises Rng.uniform's OverflowError when
     # the adversary is built, as the loop's draws have no error path
     wide = SmoothnessBudget(bw_min=-1e308, bw_max=1e308)
-    for build in (lambda: FeatureIntercept(FeatureBound(1e308, "random_noise")),
+    for build in (lambda: FeatureIntercept(AdversaryConfig(1e308, "random_noise")),
                   lambda: EnvBandwidthDriver(wide)):
         with pytest.raises(OverflowError, match="high - low range"):
             build()
@@ -70,22 +69,8 @@ def test_perturbation_rejects_bad_inputs():
     EnvBandwidthDriver(wide, make_adversary_policy("env"))
 
 
-def test_spec_surface_requirements():
-    with pytest.raises(ValueError):
-        AdversarySpec(surface="feature")
-    with pytest.raises(ValueError):
-        AdversarySpec(surface="env")
-    AdversarySpec(surface="env", budget=SmoothnessBudget())
-    # every setting is one of SETTINGS' strings, the config's spelling
-    for bad in (lambda: AdversarySpec("env_bandwidth", budget=SmoothnessBudget()),
-                lambda: AdversarySpec("env", "NAIVE", budget=SmoothnessBudget())):
-        with pytest.raises(ValueError, match="unknown"):
-            bad()
-
-
 def test_feature_intercept_episode_reset():
-    bound = FeatureBound(0.5, "random_noise")
-    it = FeatureIntercept(bound, seed=3)
+    it = FeatureIntercept(AdversaryConfig(0.5, "random_noise"), seed=3)
     it.begin_episode()
     first = adv_step(it, obs())
     it.begin_episode()
@@ -115,10 +100,10 @@ def test_c_draws_are_rngs(seed, x, delta, bw_min, span, window_k):
     # a policy-less adversary's draws in C are its seed's Rng.uniform, bit
     # for bit: on the feature surface the oracle's random-noise scale, on
     # the env surface the proposal the budget projects
-    bound = FeatureBound(x, "random_noise")
-    it, rng = FeatureIntercept(bound, seed=seed), Rng(seed)
+    adv = AdversaryConfig(x, "random_noise")
+    it, rng = FeatureIntercept(adv, seed=seed), Rng(seed)
     got = [adv_step(it, obs()) for _ in range(20)]
-    want = [perturb_min_rtt(1.0, 0.0, bound, rng) for _ in range(20)]
+    want = [perturb_min_rtt(1.0, 0.0, adv, rng) for _ in range(20)]
     assert [v.hex() for v in got] == [v.hex() for v in want]
     budget = SmoothnessBudget(delta=delta, window_k=window_k, bw_min=bw_min,
                               bw_max=bw_min + span)
@@ -152,7 +137,7 @@ def test_env_driver_random_when_no_policy():
 
 def test_calibrate_tau_is_mean_of_means(short_sim):
     budget = SmoothnessBudget()
-    traces = random_baseline_traces(budget, 2, 50, 100.0, seed=0)
+    traces = [gen_random_trace(50, budget, seed=i) for i in range(2)]
     factory = lambda: make_controller("reno")
     tau, reports = calibrate_tau(factory, traces, short_sim, workers=2)
     # oracle: same runs, averaged by hand
@@ -169,24 +154,24 @@ def test_calibrate_tau_needs_traces(short_sim):
 
 
 def test_adversarial_episode_clean_mode_matches_unperturbed(short_sim, const_trace):
-    spec = AdversarySpec(surface="feature",
-                         reward_mode="naive",
-                         feature_bound=FeatureBound(0.5, "clean"))
+    adv = AdversaryConfig(0.5, "clean", surface="feature", reward_mode="naive",
+                          tau_ms=0.0)
     factory = lambda: make_controller("vegas")
-    ev = adversarial_episode(spec, None, factory, short_sim, RewardParams(),
-                             seed=0, clean_traces=[const_trace])
+    ev = adversarial_episode(adv, SmoothnessBudget(), None, None, factory,
+                             short_sim, RewardParams(), seed=0,
+                             clean_traces=[const_trace])
     ref = run_episode(short_sim, const_trace, factory())
     assert ev.utilization == pytest.approx(ref.mean_utilization(), rel=1e-12)
 
 
 def test_reno_ignores_min_rtt_perturbation(short_sim, const_trace):
     # loss-only controller: scaling its min-RTT estimate changes nothing
-    spec = AdversarySpec(surface="feature",
-                         reward_mode="naive",
-                         feature_bound=FeatureBound(0.5, "random_noise"))
+    adv = AdversaryConfig(0.5, "random_noise", surface="feature",
+                          reward_mode="naive", tau_ms=0.0)
     factory = lambda: make_controller("reno")
-    ev = adversarial_episode(spec, None, factory, short_sim, RewardParams(),
-                             seed=0, clean_traces=[const_trace])
+    ev = adversarial_episode(adv, SmoothnessBudget(), None, None, factory,
+                             short_sim, RewardParams(), seed=0,
+                             clean_traces=[const_trace])
     ref = run_episode(short_sim, const_trace, factory())
     assert ev.utilization == pytest.approx(ref.mean_utilization(), rel=1e-12)
     assert ev.interval_delay_ms == pytest.approx(ref.mean_queuing_delay_ms(),
@@ -194,31 +179,32 @@ def test_reno_ignores_min_rtt_perturbation(short_sim, const_trace):
 
 
 def test_train_adversary_zero_budget(short_sim):
-    spec = AdversarySpec(surface="env",
-                         budget=SmoothnessBudget())
-    policy, hist = train_adversary(spec, lambda: make_controller("reno"),
-                                   short_sim, episodes=0, reward=RewardParams())
+    adv = AdversaryConfig(surface="env", episodes=0)
+    policy, hist = train_adversary(adv, SmoothnessBudget(), None,
+                                   lambda: make_controller("reno"), short_sim,
+                                   reward=RewardParams())
     assert hist == []
     assert policy is not None
 
 
-def test_train_adversary_leaves_the_callers_spec_as_it_was(short_sim):
-    # a spec with no policy trains a fresh one, and still has none after
-    spec = AdversarySpec(surface="env", budget=SmoothnessBudget())
-    policy, hist = train_adversary(spec, lambda: make_controller("reno"),
-                                   short_sim, episodes=4, reward=RewardParams(),
+def test_train_adversary_leaves_the_callers_section_as_it_was(short_sim):
+    # with no policy a fresh one trains, and the section is not written to
+    adv = AdversaryConfig(surface="env", tau_ms=0.0, episodes=4)
+    before = dict(vars(adv))
+    policy, hist = train_adversary(adv, SmoothnessBudget(), None,
+                                   lambda: make_controller("reno"), short_sim,
+                                   reward=RewardParams(),
                                    cem=CemConfig(population=4))
     assert len(hist) == 1 and policy.n_features == 6
-    assert spec.policy is None
+    assert vars(adv) == before
 
 
 def test_select_worst_trace_respects_constraint(short_sim):
     budget = SmoothnessBudget()
-    spec = AdversarySpec(surface="env", budget=budget,
-                         constraint=DelayConstraint(tau_ms=5.0))
+    adv = AdversaryConfig(surface="env", tau_ms=5.0, rollouts=4)
     policy = make_adversary_policy("env")
-    worst = select_worst_trace(spec, policy, lambda: make_controller("reno"),
-                               short_sim, RewardParams(), n_rollouts=4, seed=0)
+    worst = select_worst_trace(adv, budget, policy, lambda: make_controller("reno"),
+                               short_sim, RewardParams(), seed=0)
     if worst is not None:
         assert worst.interval_delay_ms >= 5.0
         assert check_feasible(worst.capacities, budget)
@@ -226,50 +212,47 @@ def test_select_worst_trace_respects_constraint(short_sim):
 
 def test_select_worst_trace_infeasible_returns_none(short_sim):
     budget = SmoothnessBudget()
-    spec = AdversarySpec(surface="env", budget=budget,
-                         constraint=DelayConstraint(tau_ms=1e6))
+    adv = AdversaryConfig(surface="env", tau_ms=1e6, rollouts=2)
     policy = make_adversary_policy("env")
-    assert select_worst_trace(spec, policy, lambda: make_controller("reno"),
-                              short_sim, RewardParams(), n_rollouts=2,
-                              seed=0) is None
+    assert select_worst_trace(adv, budget, policy, lambda: make_controller("reno"),
+                              short_sim, RewardParams(), seed=0) is None
 
 
 # --- lock-step slices and the reward scored in C ------------------------------
 
-def _python_scores(spec, reward, log):
+def _python_scores(adv, reward, log):
     """`adversarial_episode`'s scoring loop as written in Python before it
     moved into the tick loop: (return, constraint rate)."""
-    delays = deque(maxlen=spec.constraint.window_h)
+    delays = deque(maxlen=adv.window_h)
     total, ok = 0.0, 0
     for o in log.observations:
         delays.append(queuing_delay(o))
-        if spec.reward_mode == "naive":
+        if adv.reward_mode == "naive":
             r = naive_reward(oracles.controller_reward(o, reward))
-        elif len(delays) < spec.constraint.window_h:
+        elif len(delays) < adv.window_h:
             r = -o.utilization
         else:
-            r = env_reward(o, delays, spec.constraint)
+            r = env_reward(o, delays, adv)
         total += r
-        ok += o.srtt_ms - o.min_rtt_ms >= spec.constraint.tau_ms
+        ok += o.srtt_ms - o.min_rtt_ms >= adv.tau_ms
     n = len(log.observations)
     return total / n, ok / n
 
 
-def _slice_specs():
-    traces = random_baseline_traces(SmoothnessBudget(), 3, 50, 100.0, seed=4)
+def _slice_cases():
+    """(section, budget, policy, clean traces) of each slice to run."""
+    traces = [gen_random_trace(50, SmoothnessBudget(), seed=4 + i) for i in range(3)]
     for window_k in (1, 3):
-        constraint = DelayConstraint(tau_ms=15.0, alpha=0.7, window_h=5,
-                                     window_k=window_k)
         for mode in SETTINGS["reward_mode"]:
             budget = SmoothnessBudget(delta=20.0, window_k=window_k)
+            env = AdversaryConfig(surface="env", reward_mode=mode, tau_ms=15.0,
+                                  alpha=0.7, window_h=5, window_k=window_k)
             for policy in (make_adversary_policy("env"), None):
-                yield AdversarySpec("env", mode, constraint,
-                                    budget=budget, policy=policy), None
+                yield env, budget, policy, None
             for perturb in SETTINGS["perturb_mode"]:
-                yield AdversarySpec("feature", mode, constraint,
-                                    feature_bound=FeatureBound(0.4, perturb),
-                                    policy=make_adversary_policy(
-                                        "feature")), traces
+                yield (replace(env, x_fraction=0.4, perturb_mode=perturb,
+                               surface="feature"),
+                       budget, make_adversary_policy("feature"), traces)
 
 
 def _fields(ev):
@@ -285,32 +268,35 @@ def test_slice_of_episodes_equals_single_episodes(short_sim):
     rng = np.random.default_rng(9)
     reward = RewardParams()
     factory = lambda: make_controller("vegas")
-    for spec, traces in _slice_specs():
+    for adv, budget, policy, traces in _slice_cases():
+        case = (vars(adv), policy)
         for k in (1, 2, 3, 5):
-            params = (None if spec.policy is None
-                      else rng.normal(0.0, 0.5, (k, spec.policy.n_params)))
+            params = (None if policy is None
+                      else rng.normal(0.0, 0.5, (k, policy.n_params)))
             seeds = [int(s) for s in rng.integers(0, 1000, k)]
             inits = [None] + [float(v) for v in rng.uniform(1.0, 96.0, k - 1)]
-            evs = adversarial_episodes(spec, params, factory, short_sim, reward,
-                                       seeds, inits, clean_traces=traces)
+            evs = adversarial_episodes(adv, budget, policy, params, factory,
+                                       short_sim, reward, seeds, inits,
+                                       clean_traces=traces)
             assert len(evs) == k
             for j, ev in enumerate(evs):
                 p = None if params is None else params[j]
-                one = adversarial_episode(spec, p, factory, short_sim, reward,
-                                          seeds[j], inits[j], clean_traces=traces)
-                assert _fields(ev) == _fields(one), spec
-            policy = spec.policy if p is None else spec.policy.with_params(p)
-            if spec.surface == "env":
-                trace, adv = None, EnvBandwidthDriver(
-                    spec.budget, policy, b_max=reward.b_max, seed=seeds[-1],
+                one = adversarial_episode(adv, budget, policy, p, factory,
+                                          short_sim, reward, seeds[j], inits[j],
+                                          clean_traces=traces)
+                assert _fields(ev) == _fields(one), case
+            row_policy = policy if p is None else policy.with_params(p)
+            if adv.surface == "env":
+                trace, row = None, EnvBandwidthDriver(
+                    budget, row_policy, b_max=reward.b_max, seed=seeds[-1],
                     initial_capacity=inits[-1])
             else:
-                trace, adv = traces[seeds[-1] % len(traces)], FeatureIntercept(
-                    spec.feature_bound, policy, b_max=reward.b_max, seed=seeds[-1])
-            [log] = run_episodes(short_sim, [trace], [factory()], [adv])
-            want = _python_scores(spec, reward, log)
+                trace, row = traces[seeds[-1] % len(traces)], FeatureIntercept(
+                    adv, row_policy, b_max=reward.b_max, seed=seeds[-1])
+            [log] = run_episodes(short_sim, [trace], [factory()], [row])
+            want = _python_scores(adv, reward, log)
             assert [x.hex() for x in (ev.adv_return, ev.ok_rate)] == \
-                [x.hex() for x in want], spec
+                [x.hex() for x in want], case
             assert ev.capacities == [o.capacity_mbps for o in log.observations]
 
 
@@ -318,18 +304,16 @@ def test_reward_domain_errors_raise_through_the_c_code():
     # each check of the Python reward pieces is a TL_DOMAIN_* code of the
     # tick loop's scoring, raised as the same DomainError
     reward = RewardParams()
+    adv = AdversaryConfig(surface="env", tau_ms=1.0, window_h=5)
     cases = [("delay_constrained", obs(srtt=15.0, min_rtt=20.0), 0,
               lambda o: queuing_delay(o)),
              ("naive", obs(srtt=5.0, min_rtt=0.0), 0,
               lambda o: oracles.controller_reward(o, reward)),
              ("delay_constrained", obs(util=1.5), 4,
-              lambda o: env_reward(o, [1.0] * 5, DelayConstraint(window_h=5)))]
+              lambda o: env_reward(o, [1.0] * 5, adv))]
     for mode, bad, warmup, python in cases:
-        spec = AdversarySpec("env", mode,
-                             DelayConstraint(tau_ms=1.0, window_h=5),
-                             budget=SmoothnessBudget())
-        driver = EnvBandwidthDriver(spec.budget)
-        driver.score_by(spec, reward)
+        driver = EnvBandwidthDriver(SmoothnessBudget())
+        driver.score_by(replace(adv, reward_mode=mode), reward)
         for _ in range(warmup):
             assert _lib.tl_adv_reward(driver.adv_state, obs_row(obs())) == 0
         code = _lib.tl_adv_reward(driver.adv_state, obs_row(bad))
@@ -345,6 +329,6 @@ def test_reward_domain_errors_raise_through_the_c_code():
        st.floats(min_value=0.0, max_value=0.9))
 def test_c_feature_scale_is_pythons(true_rtt, action, x):
     # the adversarial branch as written in Python before it moved to C
-    want = perturb_min_rtt(true_rtt, action, FeatureBound(x), None)
+    want = perturb_min_rtt(true_rtt, action, AdversaryConfig(x), None)
     got = true_rtt * _lib.tl_feature_scale(action, x)
     assert got.hex() == want.hex()

@@ -39,9 +39,11 @@ def test_perfbench_test_imports_resolve():
     assert ("ccprobe.adversary", "FeatureIntercept") in imported
     for module, name in imported:
         assert hasattr(importlib.import_module(module), name), (module, name)
-    # the adversary calls it makes with them, by position as it makes them
+    # the adversary calls it makes with them, by position as it makes them;
+    # FeatureBound's first parameter is the bound the intercept scales by
     adversary = importlib.import_module("ccprobe.adversary")
-    adversary.FeatureIntercept(adversary.FeatureBound(0.05), seed=1)
+    intercept = adversary.FeatureIntercept(adversary.FeatureBound(0.05), seed=1)
+    assert intercept.adv_state.x_fraction == 0.05
 
 
 def _rollout_report_reads():

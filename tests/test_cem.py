@@ -5,6 +5,7 @@ import pytest
 
 from ccprobe.cem import CemConfig, OptimizerError, cem_maximize, train_policy
 from ccprobe.learned import PolicyNet
+from ccprobe.netsim import Rng
 
 
 def _per_row(fn):
@@ -63,6 +64,32 @@ def test_zero_variance_on_final_generation_ok():
 
     _, history = cem_maximize(objective, 2, 1, CemConfig(seed=0))
     assert len(history) == 1
+
+
+def test_tied_returns_rank_the_later_row_first():
+    # the ranking is a stable sort, reversed, whatever numpy's sort dispatch:
+    # of tied returns the later row ranks first, for the elite, in its order,
+    # and for the best
+    pops = []
+
+    def objective(pop, seeds):
+        pops.append(pop.copy())
+        if len(pops) == 1:   # the even rows tie above the odd ones
+            return [1.0, 0.0] * 32
+        return [2.0] * 64    # every row ties: the best is the last
+
+    config = CemConfig(population=64, elite_frac=0.25, seed=2)
+    best, _ = cem_maximize(objective, 3, 2, config)
+    first, last = pops
+    assert np.array_equal(best, last[-1])
+    # the second generation is drawn around the elite rows 62, 60, ..., 32
+    rng = Rng(config.seed)
+    rng.standard_normal((64, 3)), rng.integers(0, 2**31 - 1, 64)
+    elite = first[62:31:-2]
+    noise = config.extra_noise * config.noise_decay
+    z = rng.standard_normal((64, 3))
+    want = elite.mean(axis=0) + (elite.std(axis=0) + noise) * z
+    assert np.array_equal(last, want)
 
 
 def test_constraint_rate_plumbed_through():

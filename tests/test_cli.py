@@ -13,9 +13,8 @@ import pytest
 import yaml
 
 from ccprobe import cli
-from ccprobe.adversary import (AdversarySpec, FeatureBound, adversarial_episodes,
-                               calibrate_tau, make_adversary_policy,
-                               random_baseline_traces)
+from ccprobe.adversary import (AdversaryConfig, adversarial_episodes, calibrate_tau,
+                               make_adversary_policy)
 from ccprobe.cc import Cubic, make_controller
 from ccprobe.cli import main
 from ccprobe.config import ExperimentConfig, config_from_dict, load_config
@@ -290,13 +289,39 @@ def test_attack_baseline_delay_is_calibrated_tau(tmp_path, capsys):
     assert main(["attack", "--config", cfg_path, "--controller", "vegas",
                  "--out", out]) == 0
     cfg = load_config(cfg_path)
-    traces = random_baseline_traces(cfg.budget, cfg.traces.n, cfg.sim.n_intervals,
-                                    cfg.sim.trace_interval_ms, cfg.seed)
+    traces = cli._build_traces(cfg)
     tau, _ = calibrate_tau(lambda: make_controller("vegas"), traces, cfg.sim)
     assert f"calibrated tau = {tau:.3f} ms" in capsys.readouterr().out
     rows = open(os.path.join(out, "attack_vegas.csv")).read().splitlines()
     model, condition, _, delay_ms = rows[2].split(",")[:4]
     assert (model, condition, delay_ms) == ("vegas", "baseline", f"{tau:.6f}")
+
+
+@pytest.mark.parametrize("surface,target,last", [
+    ("env", "cubic", "select_worst_trace"),
+    ("feature", "vegas", "adversarial_episodes")])
+def test_attack_runs_on_the_adversary_section(tmp_path, monkeypatch, surface, target,
+                                              last):
+    # each adversary function attack calls gets the config's `adversary`
+    # section, field for field, but for tau, which it calibrates once
+    bound = "x_fraction: 0.3, " if surface == "feature" else ""
+    cfg_path = _write_cfg(tmp_path, f"adversary: {{surface: {surface}, {bound}"
+                                    "alpha: 0.5, window_h: 3, window_k: 2, "
+                                    "episodes: 8, rollouts: 3}\n"
+                                    "train: {population: 4}\n")
+    seen = []
+    for name in ("train_adversary", "select_worst_trace", "adversarial_episodes"):
+        def spy(adv, *args, real=getattr(cli, name), name=name, **kwargs):
+            seen.append((name, dict(vars(adv))))
+            return real(adv, *args, **kwargs)
+        monkeypatch.setattr(cli, name, spy)
+    assert main(["attack", "--config", cfg_path, "--controller", target,
+                 "--out", str(tmp_path / "a")]) == 0
+    cfg = load_config(cfg_path)
+    tau, _ = calibrate_tau(lambda: make_controller(target), cli._build_traces(cfg),
+                           cfg.sim)
+    want = {**vars(cfg.adversary), "tau_ms": tau}
+    assert seen == [("train_adversary", want), (last, want)]
 
 
 @pytest.mark.parametrize("mode", ["random_noise", "clean"])
@@ -313,15 +338,13 @@ def test_policy_less_feature_attack_trains_no_policy(tmp_path, monkeypatch, mode
                  "--out", out]) == 0
     assert os.listdir(out) == ["attack_vegas.csv"]
     cfg = load_config(cfg_path)
-    traces = random_baseline_traces(cfg.budget, cfg.traces.n, cfg.sim.n_intervals,
-                                    cfg.sim.trace_interval_ms, cfg.seed)
+    traces = cli._build_traces(cfg)
     policy = make_adversary_policy("feature")
     policy = policy.with_params(np.random.default_rng(0).normal(size=policy.n_params))
-    spec = AdversarySpec("feature", feature_bound=FeatureBound(0.3, mode),
-                         policy=policy)
-    evals = adversarial_episodes(spec, None, lambda: make_controller("vegas"),
-                                 cfg.sim, cfg.reward, range(len(traces)),
-                                 clean_traces=traces)
+    adv = AdversaryConfig(0.3, mode, surface="feature", tau_ms=0.0)
+    evals = adversarial_episodes(adv, cfg.budget, policy, None,
+                                 lambda: make_controller("vegas"), cfg.sim,
+                                 cfg.reward, range(len(traces)), clean_traces=traces)
     util, delay = means(evals, "utilization", "interval_delay_ms")
     rows = open(os.path.join(out, "attack_vegas.csv")).read().splitlines()
     assert rows[3].split(",")[:4] == ["vegas", "attack", f"{util:.6f}", f"{delay:.6f}"]
@@ -737,10 +760,11 @@ def test_training_commands_pass_workers_to_map_jobs(tmp_path, monkeypatch):
     real = _spy_on_map_jobs(monkeypatch, spy)
     real_episodes = adversary.adversarial_episodes
 
-    def episodes(spec, params, factory, config, reward, seeds, *args, **kwargs):
+    def episodes(adv, budget, policy, params, factory, config, reward, seeds,
+                 *args, **kwargs):
         slices.append((len(seeds), threading.current_thread() is caller))
-        return real_episodes(spec, params, factory, config, reward, seeds,
-                             *args, **kwargs)
+        return real_episodes(adv, budget, policy, params, factory, config, reward,
+                             seeds, *args, **kwargs)
 
     monkeypatch.setattr(adversary, "adversarial_episodes", episodes)
     monkeypatch.setattr(cli, "adversarial_episodes", episodes)

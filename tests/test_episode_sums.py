@@ -10,9 +10,9 @@ from hypothesis import given, settings, strategies as st
 
 import oracles
 from ccprobe import metrics, netsim
-from ccprobe.adversary import (AdversarySpec, DelayConstraint, EnvBandwidthDriver,
-                               SETTINGS, FeatureBound, FeatureIntercept,
-                               adversarial_episodes, make_adversary_policy)
+from ccprobe.adversary import (AdversaryConfig, EnvBandwidthDriver, SETTINGS,
+                               FeatureIntercept, adversarial_episodes,
+                               make_adversary_policy)
 from ccprobe.cc import RULE_BASED, make_controller
 from ccprobe.learned import LearnedController, PolicyNet, RewardParams
 from ccprobe.metrics import clean_episode
@@ -70,26 +70,21 @@ def test_c_sums_of_adversarial_episodes_are_the_python_formulas(
         trace, surface, mode, name, seed, reward):
     policy = make_adversary_policy(surface)
     params = np.random.default_rng(seed).normal(0.0, 0.5, (2, policy.n_params))
-    if surface == "env":
-        spec = AdversarySpec(surface, mode, DelayConstraint(tau_ms=5.0),
-                             budget=SmoothnessBudget(), policy=policy)
-    else:
-        spec = AdversarySpec(surface, mode, DelayConstraint(tau_ms=5.0),
-                             feature_bound=FeatureBound(0.4), policy=policy)
+    adv = AdversaryConfig(0.4, surface=surface, reward_mode=mode, tau_ms=5.0)
+    budget = SmoothnessBudget()
     factory = partial(make_controller, name)
     seeds = [seed, seed + 1]
-    evs = adversarial_episodes(spec, params, factory, SIM, reward, seeds,
-                               clean_traces=[trace])
+    evs = adversarial_episodes(adv, budget, policy, params, factory, SIM, reward,
+                               seeds, clean_traces=[trace])
     for ev, p, s in zip(evs, params, seeds):
         # the row's episode again, alone, for its Observations
         if surface == "env":
-            row, adv = None, EnvBandwidthDriver(
-                spec.budget, policy.with_params(p), b_max=reward.b_max, seed=s)
+            row, intercept = None, EnvBandwidthDriver(
+                budget, policy.with_params(p), b_max=reward.b_max, seed=s)
         else:
-            row, adv = trace, FeatureIntercept(
-                spec.feature_bound, policy.with_params(p), b_max=reward.b_max,
-                seed=s)
-        [log] = run_episodes(SIM, [row], [factory()], [adv])
+            row, intercept = trace, FeatureIntercept(
+                adv, policy.with_params(p), b_max=reward.b_max, seed=s)
+        [log] = run_episodes(SIM, [row], [factory()], [intercept])
         assert _hex(ev.utilization, ev.interval_delay_ms) == \
             _hex(oracles.mean_utilization(log), oracles.mean_queuing_delay_ms(log))
         assert ev.capacities == [o.capacity_mbps for o in log.observations]

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ccprobe import netsim
-from ccprobe.adversary import (AdversarySpec, EnvBandwidthDriver, FeatureBound,
+from ccprobe.adversary import (AdversaryConfig, EnvBandwidthDriver,
                                FeatureIntercept, adversarial_episodes,
                                make_adversary_policy)
 from ccprobe.cc import RULE_BASED, Pinned, make_controller
@@ -626,7 +626,7 @@ def test_trace_driven_c_controller_runs_to_the_end_in_one_step(
     n = short_sim.n_intervals
 
     def intercept(mode, policy=None):
-        return partial(FeatureIntercept, FeatureBound(0.5, mode), policy, seed=3)
+        return partial(FeatureIntercept, AdversaryConfig(0.5, mode), policy, seed=3)
 
     def env(policy=None):
         return partial(EnvBandwidthDriver, budget, policy, seed=4)
@@ -661,23 +661,22 @@ def test_trace_driven_c_controller_runs_to_the_end_in_one_step(
                  [adv() for _, adv in rows])
     assert (spy.steps, spy.row_steps, spy.rows) == (3, n + 1, 2)
     reward = RewardParams()
-    for spec in (AdversarySpec("env", budget=SmoothnessBudget()),
-                 AdversarySpec("feature",
-                               feature_bound=FeatureBound(0.5))):
-        spec.policy = make_adversary_policy(spec.surface)
-        params = np.random.default_rng(0).normal(0.0, 0.5, (3, spec.policy.n_params))
+    for surface in ("env", "feature"):
+        adv = AdversaryConfig(0.5, surface=surface, tau_ms=0.0)
+        policy = make_adversary_policy(surface)
+        params = np.random.default_rng(0).normal(0.0, 0.5, (3, policy.n_params))
         spy.steps = spy.row_steps = 0
-        evals = adversarial_episodes(spec, params, partial(make_controller, "cubic"),
-                                     short_sim, reward, [0, 1, 2],
-                                     clean_traces=[trace])
-        assert (len(evals), spy.steps, spy.row_steps) == (3, 0, n + 1), spec.surface
+        evals = adversarial_episodes(adv, SmoothnessBudget(), policy, params,
+                                     partial(make_controller, "cubic"), short_sim,
+                                     reward, [0, 1, 2], clean_traces=[trace])
+        assert (len(evals), spy.steps, spy.row_steps) == (3, 0, n + 1), surface
 
 
 def test_run_to_end_episode_equals_the_hooked_one(short_sim):
     # the same episode under an intercept with a policy returns at every
     # interval and reads each observation row there, instead of all of them
     # at the end; a bound of 0 makes its min-RTT scale exactly 1.0
-    zero = FeatureBound(0.0)
+    zero = AdversaryConfig(0.0)
     policy = _adversary_policy("feature", 2)
     factories = ([partial(make_controller, name) for name in RULE_BASED]
                  + [partial(_learned, FIXED_POLICY), partial(_learned, RUNAWAY_POLICY)])
@@ -707,7 +706,7 @@ def test_hidden_learned_slice_equals_single_episodes(short_sim):
             "env", seed) if policy else None, seed=seed)
 
     def feat(seed):
-        return FeatureIntercept(FeatureBound(0.5), _adversary_policy(
+        return FeatureIntercept(AdversaryConfig(0.5), _adversary_policy(
             "feature", seed), seed=seed)
 
     reno, linear = partial(make_controller, "reno"), partial(_learned, FIXED_POLICY)
@@ -806,7 +805,7 @@ def test_episodes_on_four_threads_equal_serial_ones(short_sim):
     env = [partial(EnvBandwidthDriver, budget,
                    _adversary_policy("env", s), seed=s)
            for s in range(3)]
-    feat = [partial(FeatureIntercept, FeatureBound(0.5),
+    feat = [partial(FeatureIntercept, AdversaryConfig(0.5),
                     _adversary_policy("feature", s), seed=s)
             for s in range(3)]
     jobs = [(short_sim, [trace], [f]) for trace in traces for f in single]
@@ -893,7 +892,7 @@ def test_slice_of_mixed_policy_shapes_is_rejected(short_sim, monkeypatch):
          r"rows \[1\]: 5 features, hidden 8"),
         ([None, t0], [make_controller("reno"), make_controller("reno")],
          [EnvBandwidthDriver(budget, _adversary_policy("env", 1), seed=1),
-          FeatureIntercept(FeatureBound(0.5), _adversary_policy("feature", 2))],
+          FeatureIntercept(AdversaryConfig(0.5), _adversary_policy("feature", 2))],
          r"adversaries .*rows \[0\]: 6 features, hidden 16; "
          r"rows \[1\]: 5 features, hidden 16"),
     ]
@@ -905,7 +904,7 @@ def test_slice_of_mixed_policy_shapes_is_rejected(short_sim, monkeypatch):
     rows = [(None, lambda: EnvBandwidthDriver(budget, seed=1)),
             (None, lambda: EnvBandwidthDriver(budget, _adversary_policy("env", 2),
                                               seed=2)),
-            (t0, lambda: FeatureIntercept(FeatureBound(0.3, "random_noise"),
+            (t0, lambda: FeatureIntercept(AdversaryConfig(0.3, "random_noise"),
                                           seed=3)),
             (t1, lambda: None)]
     logs = run_episodes(short_sim, [tr for tr, _ in rows],
@@ -961,8 +960,8 @@ def test_golden_episode_hashes_beyond_rule_traces(short_sim):
             driver = EnvBandwidthDriver(budget, policy, seed=seed)
             logs += run_episodes(short_sim, [None], [factory()], [driver])
     env_log = logs[-1]
-    for bound, seed in ((FeatureBound(0.5), 5),
-                        (FeatureBound(0.3, "random_noise"), 6)):
+    for bound, seed in ((AdversaryConfig(0.5), 5),
+                        (AdversaryConfig(0.3, "random_noise"), 6)):
         for name in ("vegas", "lp", "bbrlite"):
             intercept = FeatureIntercept(bound, feat_policy, seed=seed)
             logs += run_episodes(short_sim, [traces[0]], [make_controller(name)],
@@ -1049,7 +1048,7 @@ def test_golden_hidden_learned_episode_digest(short_sim):
         policy = PolicyNet(n_features=5, hidden=16)
         policy = policy.with_params(rng.normal(0.0, scale, policy.n_params))
         runs = [(trace, None) for trace in traces]
-        runs.append((traces[0], FeatureIntercept(FeatureBound(0.5),
+        runs.append((traces[0], FeatureIntercept(AdversaryConfig(0.5),
                                                  _adversary_policy(
                                                      "feature", 7),
                                                  seed=8)))

@@ -7,7 +7,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from ccprobe.adversary import DelayConstraint
+from ccprobe.adversary import AdversaryConfig
 from ccprobe.learned import RewardParams
 from ccprobe.netsim import DomainError, Observation, _lib, obs_row
 from ccprobe.tracegen import avg_abs_slope
@@ -86,7 +86,7 @@ def test_delay_penalty_randomized_oracle():
         k = rnd.randint(1, h)
         tau = rnd.uniform(0.5, 30.0)
         alpha = rnd.uniform(0.1, 3.0)
-        c = DelayConstraint(tau_ms=tau, alpha=alpha, window_h=h, window_k=k)
+        c = AdversaryConfig(tau_ms=tau, alpha=alpha, window_h=h, window_k=k)
         hist = [rnd.uniform(0.0, 40.0) for _ in range(h + rnd.randint(0, 5))]
         assert delay_penalty(hist, c) == pytest.approx(
             oracle_penalty(hist, tau, alpha, h, k), rel=1e-9, abs=1e-12)
@@ -94,19 +94,19 @@ def test_delay_penalty_randomized_oracle():
 
 def test_delay_penalty_strictness():
     # both means exactly at tau -> no penalty (strict <)
-    c = DelayConstraint(tau_ms=10.0, alpha=1.0, window_h=3, window_k=1)
+    c = AdversaryConfig(tau_ms=10.0, alpha=1.0, window_h=3, window_k=1)
     assert delay_penalty([10.0, 10.0, 10.0], c) == 0.0
     assert delay_penalty([9.99, 9.99, 9.99], c) == -1.0
 
 
 def test_delay_penalty_needs_full_window():
-    c = DelayConstraint(tau_ms=10.0, window_h=5, window_k=1)
+    c = AdversaryConfig(tau_ms=10.0, window_h=5, window_k=1)
     with pytest.raises(ValueError):
         delay_penalty([1.0, 2.0], c)
 
 
 def test_env_reward_composition():
-    c = DelayConstraint(tau_ms=10.0, alpha=2.0, window_h=2, window_k=1)
+    c = AdversaryConfig(tau_ms=10.0, alpha=2.0, window_h=2, window_k=1)
     obs = make_obs(util=0.7)
     # below tau on both windows: -U - alpha
     assert env_reward(obs, [1.0, 1.0], c) == pytest.approx(-0.7 - 2.0)
