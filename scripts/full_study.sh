@@ -44,7 +44,7 @@ ccprobe transfer --config "$CFG" --traces "$OUT/attacks" \
     --workers "$(nproc)"
 
 ccprobe lp-case --config "$CFG" --checkpoint "$OUT/train/learned.ckpt" \
-    --out "$OUT/lp-case"
+    --out "$OUT/lp-case" --workers "$(nproc)"
 
 # sweep-p also writes the configured mix_p's retrained.ckpt and
 # retrain_eval.csv, which a retrain call would compute again

@@ -18,12 +18,13 @@ train: {episodes: 48, population: 16}
 seed: 7
 EOF
 
-python3 -m ccprobe gen-trace --n 3 --length 100 --out "$OUT/traces" --seed 7
+python3 -m ccprobe gen-trace --n 3 --length 100 --out "$OUT/traces" --seed 7 \
+    --workers "$(nproc)"
 python3 -m ccprobe export --trace "$OUT/traces/trace_000.trace" --dest "$OUT/trace_000.mahi"
 
 python3 -m ccprobe baseline --config "$CFG" --controllers reno,cubic,vegas,illinois,lp,bbrlite \
     --setting both --out "$OUT/baseline" --workers "$(nproc)"
-python3 -m ccprobe lp-case --config "$CFG" --out "$OUT/lp-case"
+python3 -m ccprobe lp-case --config "$CFG" --out "$OUT/lp-case" --workers "$(nproc)"
 
 python3 -m ccprobe attack --config "$CFG" --controller reno  --out "$OUT/attacks" --seed 1 \
     --workers "$(nproc)"

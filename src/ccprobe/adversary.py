@@ -68,11 +68,15 @@ class _Adversary:
     """The surfaces' shared part: a C `tl_adv`, `adv_state`, that the tick loop
     steps (`netsim.run_episodes`), and at each interval boundary acts on its
     policy's output or, with no policy, on its own draw from `rng`, uniform
-    on `draw`'s (low, high), or with `draw` None on 1.0."""
+    on `draw`'s (low, high), or with `draw` None on 1.0. ValueError unless
+    a policy reads the surface's `n_features` features."""
 
     def __init__(self, surface: int, n_features: int, policy: PolicyNet | None,
                  b_max: float, has_policy: bool, seed: int,
                  draw: tuple[float, float] | None):
+        if policy is not None and policy.n_features != n_features:
+            raise ValueError(f"a {type(self).__name__}'s policy reads its "
+                             f"{n_features} features, not {policy.n_features}")
         self.policy, self.b_max, self.n_features = policy, b_max, n_features
         self.seed = seed
         s = self.adv_state = _ffi.new("tl_adv *")
@@ -115,7 +119,6 @@ class FeatureIntercept(_Adversary):
         super().__init__(_lib.TL_ADV_FEATURE, ADV_FEATURE_FEATURES, policy, b_max,
                          mode == "adversarial" and policy is not None, seed,
                          (1.0 - x, 1.0 + x) if mode == "random_noise" else None)
-        self.adv = adv
         self.adv_state.x_fraction = x
         self.begin_episode()
 

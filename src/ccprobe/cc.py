@@ -2,8 +2,8 @@
 
 Reno, Cubic, Vegas, Illinois, LP and a simplified BBR ("BBR-lite", no
 ProbeRTT state, fixed 8-phase gain cycle). All controllers run in the same
-tick loop and see the same Observations, so the same trace or perturbation
-applies uniformly across algorithms.
+tick loop, so the same trace or perturbation applies uniformly across
+algorithms.
 
 The six are implemented once, in C (`_tickloop.c`). Every controller is a
 `Controller`, which owns one `tl_cc` struct, `cc_state`, that the tick loop

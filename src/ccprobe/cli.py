@@ -79,8 +79,8 @@ def _build_traces(cfg: ExperimentConfig,
 
 def _controller_factory(cfg: ExperimentConfig, name: str,
                         checkpoint: str | None = None, **defaults) -> partial:
-    """The one way a command builds controllers: a picklable zero-argument
-    partial of `make_controller`.
+    """The one way a command builds controllers: a zero-argument partial of
+    `make_controller`.
 
     `cfg.controller_constants` apply to `cfg.controller` only (over any
     `defaults`); `learned` reads its checkpoint here, once. One controller is
@@ -278,9 +278,10 @@ def cmd_lp_case(args, cfg: ExperimentConfig, out: str) -> int:
                  for name in names}
     rows = []
     checks = []
-    for name in names:
-        ctl = factories[name]()
-        log = run_episode(sim, trace, ctl)
+    # the checks read each episode's controller as well as its log
+    ctls = [factories[name]() for name in names]
+    logs = map_jobs(run_episode, [(sim, trace, ctl) for ctl in ctls], args.workers)
+    for name, ctl, log in zip(names, ctls, logs):
         rep = build_report(log)
         n_ind = getattr(ctl, "indications", 0)
         rows.append([name, rep.utilization, rep.mean_delay_ms, n_ind, log.dropped])
@@ -396,17 +397,16 @@ def cmd_retrain(args, cfg: ExperimentConfig, out: str) -> int:
 
 def cmd_gen_trace(args, cfg: ExperimentConfig, out: str) -> int:
     """`--n` traces of `--length` intervals in `--mode`, under the config's
-    smoothness budget (random, unconstrained) or burst shape (burst)."""
+    smoothness budget (random, unconstrained) or burst shape (burst); each is
+    written by a job of one batch on `--workers` threads."""
     budget, t = cfg.budget, cfg.traces
     iv = cfg.sim.trace_interval_ms
-    ok = True
-    for i in range(args.n):
+
+    def write(i: int) -> bool:
+        """Writes trace `i`; whether it passes the budget check."""
         if args.mode == "random":
             trace = gen_random_trace(args.length, budget, seed=cfg.seed + i,
                                      interval_ms=iv)
-            if not check_feasible(trace.values, budget):
-                print(f"trace {i} failed the budget check", file=sys.stderr)
-                ok = False
         elif args.mode == "unconstrained":
             trace = gen_unconstrained(args.length, budget.bw_min, budget.bw_max,
                                       seed=cfg.seed + i, interval_ms=iv)
@@ -414,8 +414,14 @@ def cmd_gen_trace(args, cfg: ExperimentConfig, out: str) -> int:
             trace = gen_burst_trace(args.length, t.peak, t.trough, t.rise_intervals,
                                     t.fall_intervals, interval_ms=iv)
         write_trace(trace, os.path.join(out, f"trace_{i:03d}.trace"))
+        return args.mode != "random" or check_feasible(trace.values, budget)
+
+    passed = map_jobs(write, [(i,) for i in range(args.n)], args.workers)
+    for i, ok in enumerate(passed):
+        if not ok:
+            print(f"trace {i} failed the budget check", file=sys.stderr)
     print(f"wrote {args.n} trace(s) to {out}")
-    return 0 if ok else 1
+    return 0 if all(passed) else 1
 
 
 def cmd_export(args) -> int:
@@ -439,12 +445,11 @@ def _common(p):
     p.add_argument("--out", help="output directory (overrides CCPROBE_OUT)")
     p.add_argument("--seed", type=int, help="override the config seed")
     p.add_argument("--workers", type=_positive_int, default=1,
-                   help="threads that run a batch of episodes (>= 1; outputs "
-                        "do not depend on it); a lock-step adversarial batch "
-                        "runs whole on one thread, one C call per interval "
-                        "for its rows with a policy and one per episode for "
-                        "the others, and gen-trace and lp-case accept it for "
-                        "script uniformity and run serially")
+                   help="threads that run a batch of episodes or traces "
+                        "(>= 1; outputs do not depend on it); a lock-step "
+                        "adversarial batch runs whole on one thread, one C "
+                        "call per interval for its rows with a policy and one "
+                        "per episode for the others")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -18,8 +18,7 @@ import numpy as np
 from .cc import Controller, _Field
 from .cem import CemConfig, GenerationStats, train_policy
 from .metrics import clean_episode
-from .netsim import (ConfigError, Observation, SimConfig, _ffi, _lib, map_jobs,
-                     obs_row)
+from .netsim import ConfigError, SimConfig, _ffi, _lib, map_jobs
 
 
 class RewardParams:
@@ -36,12 +35,12 @@ class RewardParams:
 FEATURE_NAMES = ("rtt_ratio", "throughput_norm", "loss_rate", "qdelay_norm", "prev_action")
 
 
-def observation_features(obs: Observation, b_max: float, prev_action: float) -> np.ndarray:
-    """Normalized feature vector shared by the learned controller and
-    adversary; the C function the tick loop uses computes it."""
+# no command calls it; perfbench's tracer looks it up by name
+def observation_features(row, b_max: float, prev_action: float) -> np.ndarray:
+    """Normalized feature vector of `row`, a C `tl_obs *`, shared by the learned
+    controller and adversary; the tick loop's C function computes it."""
     f = np.empty(len(FEATURE_NAMES))
-    _lib.tl_obs_features(obs_row(obs), b_max, prev_action,
-                         _ffi.from_buffer("double[]", f))
+    _lib.tl_obs_features(row, b_max, prev_action, _ffi.from_buffer("double[]", f))
     return f
 
 

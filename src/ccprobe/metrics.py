@@ -58,24 +58,26 @@ def delay_stats(log: EpisodeLog) -> tuple[float, float]:
 
 
 def build_report(log: EpisodeLog, reward=None, adversary=None) -> EpisodeReport:
-    """The episode's report: with `reward` (a `learned.RewardParams`) its
-    mean controller reward, from the sum the C reduction takes over the
-    rows; with `adversary`, the one that ran in it, what its `adv_state`
-    summed and the capacities of the rows."""
-    interval_d = log.mean_queuing_delay_ms()
+    """The episode's report: its means from the one sum the C reduction takes
+    over the rows, with `reward` (a `learned.RewardParams`) its mean
+    controller reward too; with `adversary`, the one that ran in it, what its
+    `adv_state` summed and the capacities of the rows."""
+    n = len(log.rows)
+    s = log.sums(reward)
+    interval_d = s.queuing_delay_ms / n if n else 0.0
     if log.ack_rtt_ticks:
         mean_d, p95_d = delay_stats(log)
     else:  # no ACK arrived at all
         mean_d, p95_d = interval_d, float("nan")
-    report = EpisodeReport(log.mean_utilization(), interval_d, mean_d, p95_d,
-                           log.dropped)
-    n = len(log.rows)
+    cap = s.capacity_mbps
+    report = EpisodeReport(min(1.0, s.throughput_mbps / cap) if cap > 0 else 0.0,
+                           interval_d, mean_d, p95_d, log.dropped)
     if reward is not None:
-        report.reward = log.sums(reward).reward / n if n else 0.0
+        report.reward = s.reward / n if n else 0.0
     if adversary is not None:
-        s = adversary.adv_state
-        report.adv_return = s.total / n if n else 0.0
-        report.ok_rate = s.ok / n if n else 0.0
+        a = adversary.adv_state
+        report.adv_return = a.total / n if n else 0.0
+        report.ok_rate = a.ok / n if n else 0.0
         report.capacities = log.column("capacity_mbps").tolist()
     return report
 
@@ -97,9 +99,10 @@ def means(reports, *fields: str) -> tuple[float, ...]:
 
 def dump_series_csv(log: EpisodeLog, path: str) -> None:
     """time_ms, cwnd, ingress_mbps, egress_mbps, capacity_mbps per interval."""
+    columns = [log.column(c).tolist() for c in
+               ("now_ms", "cwnd", "throughput_mbps", "loss_mbps", "capacity_mbps")]
     with open(path, "w") as f:
         f.write("time_ms,cwnd,ingress_mbps,egress_mbps,capacity_mbps\n")
-        for o in log.observations:
-            ingress = o.throughput_mbps + o.loss_mbps
-            f.write(f"{o.now_ms:.1f},{o.cwnd:.4f},{ingress:.4f},"
-                    f"{o.throughput_mbps:.4f},{o.capacity_mbps:.4f}\n")
+        for now, cwnd, egress, loss, cap in zip(*columns):
+            f.write(f"{now:.1f},{cwnd:.4f},{egress + loss:.4f},"
+                    f"{egress:.4f},{cap:.4f}\n")

@@ -54,12 +54,11 @@ def _load_tick_loop():
 _tick_loop = _load_tick_loop()
 _ffi, _lib = _tick_loop.ffi, _tick_loop.lib
 _DONE, _INTERVAL = _lib.TL_DONE, _lib.TL_INTERVAL
-# the fields of a `tl_obs` row, in order: an Observation's fields after
-# interval_idx, and the columns of `EpisodeLog.rows`
+# the fields of a `tl_obs` row, one interval's record, in order: the columns
+# of `EpisodeLog.rows`
 OBS_COLUMNS = tuple(name for name, _ in _ffi.typeof("tl_obs").fields)
-_OBS_ROW_FIELDS = operator.attrgetter(*OBS_COLUMNS)
 # doubles per `tl_obs` row
-_OBS_FIELDS = _ffi.sizeof("tl_obs") // _ffi.sizeof("double")
+_OBS_FIELDS = len(OBS_COLUMNS)
 
 
 class Rng:
@@ -310,44 +309,9 @@ def export_mahimahi(trace: BandwidthTrace, path: str, packet_size: int = 1500) -
         raise
 
 
-class Observation:
-    """Per-monitoring-interval snapshot consumed by controllers and adversary.
-    Observations compare field by field."""
-
-    __slots__ = ("interval_idx",) + OBS_COLUMNS
-
-    def __init__(self, interval_idx: int, now_ms: float, capacity_mbps: float,
-                 throughput_mbps: float, loss_mbps: float, loss_rate: float,
-                 srtt_ms: float, min_rtt_ms: float, visible_min_rtt_ms: float,
-                 utilization: float, cwnd: float):
-        self.interval_idx = interval_idx
-        self.now_ms = now_ms
-        self.capacity_mbps = capacity_mbps
-        self.throughput_mbps = throughput_mbps  # delivered goodput over the interval
-        self.loss_mbps = loss_mbps   # dropped-byte rate over the interval
-        self.loss_rate = loss_rate   # dropped / sent packets (0 if nothing sent)
-        self.srtt_ms = srtt_ms       # smoothed RTT (ground truth)
-        self.min_rtt_ms = min_rtt_ms  # running minimum RTT (ground truth)
-        # what the controller's min-RTT estimate reads
-        self.visible_min_rtt_ms = visible_min_rtt_ms
-        self.utilization = utilization  # delivered / capacity over the interval
-        self.cwnd = cwnd
-
-    def __eq__(self, other):
-        if type(other) is not Observation:
-            return NotImplemented
-        return ((self.interval_idx, _OBS_ROW_FIELDS(self))
-                == (other.interval_idx, _OBS_ROW_FIELDS(other)))
-
-
-def obs_row(obs: Observation):
-    """`obs` as a C `tl_obs` row."""
-    return _ffi.new("tl_obs *", _OBS_ROW_FIELDS(obs))
-
-
 class EpisodeLog:
     """An episode's totals and series. A log holds an array, so logs compare
-    by identity; compare their `observations` or `rows` instead."""
+    by identity; compare their `rows` instead."""
 
     def __init__(self, config: SimConfig, sent: int = 0, delivered: int = 0,
                  dropped: int = 0, acked: int = 0, in_flight_end: int = 0,
@@ -372,15 +336,8 @@ class EpisodeLog:
 
     __repr__ = _fields_repr
 
-    @property
-    def observations(self) -> list[Observation]:
-        """The rows as Observations, built anew on each read."""
-        # map draws _OBS_FIELDS values in a row for each Observation
-        values = iter(self.rows.ravel().tolist())
-        return list(map(Observation, range(len(self.rows)), *[values] * _OBS_FIELDS))
-
     def column(self, name: str) -> np.ndarray:
-        """One field of every row, an Observation field after interval_idx."""
+        """One field of every row, a name in OBS_COLUMNS."""
         return self.rows[:, OBS_COLUMNS.index(name)]
 
     def sums(self, reward=None):
@@ -398,15 +355,6 @@ class EpisodeLog:
             _ffi.from_buffer("tl_obs[]", rows), len(rows), self.config.base_rtt_ms,
             _ffi.NULL if reward is None else reward.c_struct(), s))
         return s
-
-    def mean_queuing_delay_ms(self) -> float:
-        """Mean per-interval queuing delay (smoothed RTT minus true base RTT)."""
-        n = len(self.rows)
-        return self.sums().queuing_delay_ms / n if n else 0.0
-
-    def mean_utilization(self) -> float:
-        s = self.sums()
-        return min(1.0, s.throughput_mbps / s.capacity_mbps) if s.capacity_mbps > 0 else 0.0
 
 
 def run_episode(config: SimConfig, trace, controller) -> EpisodeLog:

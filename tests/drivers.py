@@ -4,7 +4,12 @@ adversary's interval step, and a C function that writes its one result
 through a pointer."""
 
 from ccprobe.learned import observation_features
-from ccprobe.netsim import _ffi, _lib, _lockstep, domain_check, obs_row
+from ccprobe.netsim import _ffi, _lib, _lockstep, domain_check
+
+
+def obs_row(obs):
+    """`obs`, an `oracles.Obs`, as a C `tl_obs` row."""
+    return _ffi.new("tl_obs *", obs[1:])
 
 
 def on_ack(ctl, ack) -> None:
@@ -26,7 +31,7 @@ def learned_step(ctl, obs) -> None:
     if ctl.cc_state.kind == _lib.TL_LINEAR:
         _lib.cc_on_interval(ctl.cc_state, obs_row(obs))
         return
-    feats = observation_features(obs, ctl.b_max, ctl.prev_action)
+    feats = observation_features(obs_row(obs), ctl.b_max, ctl.prev_action)
     _lib.cc_learned_step(ctl.cc_state, ctl.policy.output(feats))
 
 

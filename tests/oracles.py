@@ -1,17 +1,26 @@
 """The Python formulas of an episode's summary, kept as test oracles now that
 C computes them: the controller reward and the per-interval means, over an
-`EpisodeLog`'s Observations, summed as Python 3.11's `sum` adds floats (left
-to right from 0); the adversarial reward's pieces that `tl_adv_reward`
+`EpisodeLog`'s rows as `Obs` records, summed as Python 3.11's `sum` adds floats
+(left to right from 0); the adversarial reward's pieces that `tl_adv_reward`
 scores; the min-RTT estimate the feature surface hands the controller; the
 cwnd smoothness acceptance criterion 7 ranks controllers by; and the per-step
 loops that generated random traces before one C call projected them."""
 
 import math
+from collections import namedtuple
 
 import numpy as np
 
-from ccprobe.netsim import DomainError
+from ccprobe.netsim import OBS_COLUMNS, DomainError
 from ccprobe.tracegen import avg_abs_slope, project_next
+
+# one interval's record: its index, then the fields of its `tl_obs` row
+Obs = namedtuple("Obs", ("interval_idx",) + OBS_COLUMNS)
+
+
+def observations(log) -> list[Obs]:
+    """The log's rows, each as an `Obs`."""
+    return [Obs(i, *row) for i, row in enumerate(log.rows.tolist())]
 
 
 def controller_reward(o, params) -> float:
@@ -96,7 +105,7 @@ def cwnd_smoothness(series, k: int = 1) -> tuple[float, float]:
 
 
 def mean_queuing_delay_ms(log) -> float:
-    obs = log.observations
+    obs = observations(log)
     if not obs:
         return 0.0
     base = log.config.base_rtt_ms
@@ -104,7 +113,7 @@ def mean_queuing_delay_ms(log) -> float:
 
 
 def mean_utilization(log) -> float:
-    obs = log.observations
+    obs = observations(log)
     if not obs:
         return 0.0
     cap = sum(o.capacity_mbps for o in obs)
@@ -113,7 +122,7 @@ def mean_utilization(log) -> float:
 
 
 def episode_return(log, params) -> float:
-    rs = [controller_reward(o, params) for o in log.observations]
+    rs = [controller_reward(o, params) for o in observations(log)]
     return sum(rs) / len(rs) if rs else 0.0
 
 

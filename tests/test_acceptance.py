@@ -24,12 +24,12 @@ from ccprobe.cli import burst_case, main
 from ccprobe.config import ExperimentConfig
 from ccprobe.learned import (LearnedController, PolicyNet, RewardParams,
                              train_controller)
-from ccprobe.netsim import (BandwidthTrace, Observation, SimConfig, _lib,
-                            obs_row, run_episode)
+from ccprobe.metrics import build_report
+from ccprobe.netsim import BandwidthTrace, SimConfig, _lib, run_episode
 from ccprobe.tracegen import (SmoothnessBudget, check_feasible,
                               gen_random_trace)
-from drivers import adv_step, c_double
-from oracles import cwnd_smoothness, delay_penalty, naive_reward
+from drivers import adv_step, c_double, obs_row
+from oracles import Obs, cwnd_smoothness, delay_penalty, naive_reward, observations
 
 BUDGET = SmoothnessBudget(delta=48.0, window_k=1, bw_min=1.0, bw_max=96.0)
 REWARD = RewardParams()
@@ -118,7 +118,7 @@ def test_criterion_1_reward_oracles():
         loss = rnd.uniform(0, 5)
         mr = rnd.uniform(5, 100)
         srtt = mr * rnd.uniform(1, 4)
-        obs = Observation(0, 0.0, 48.0, thr, loss, 0.0, srtt, mr, mr, 0.5, 1.0)
+        obs = Obs(0, 0.0, 48.0, thr, loss, 0.0, srtt, mr, mr, 0.5, 1.0)
         d = (1.2 * mr / srtt) if 1.2 * mr < srtt else 1.0
         expect = (thr - 10.0 * loss) / 96.0 * d
         got = c_double(_lib.tl_controller_reward, obs_row(obs), REWARD.c_struct())
@@ -174,8 +174,8 @@ def test_criterion_2_thousand_traces_feasible():
         drv = EnvBandwidthDriver(BUDGET, pol, seed=i)
         values = [drv.first_capacity()]
         for j in range(599):
-            obs = Observation(j, float(j), values[-1], values[-1] * 0.8,
-                              0.0, 0.0, 25.0, 20.0, 20.0, 0.8, 10.0)
+            obs = Obs(j, float(j), values[-1], values[-1] * 0.8,
+                      0.0, 0.0, 25.0, 20.0, 20.0, 0.8, 10.0)
             values.append(adv_step(drv, obs))
         ok &= check_feasible(values, BUDGET)
     elapsed = time.time() - t0
@@ -211,9 +211,9 @@ def test_criterion_5_naive_mode_lowers_both(baseline_traces):
     factory = partial(make_controller, "vegas")
     clean_utils, clean_delays = [], []
     for tr in baseline_traces[:3]:
-        log = run_episode(TRAIN_SIM, tr, factory())
-        clean_utils.append(log.mean_utilization())
-        clean_delays.append(log.mean_queuing_delay_ms())
+        rep = build_report(run_episode(TRAIN_SIM, tr, factory()))
+        clean_utils.append(rep.utilization)
+        clean_delays.append(rep.interval_delay_ms)
     adv = AdversaryConfig(0.5, "adversarial", surface="feature",
                           reward_mode="naive", tau_ms=0.0, episodes=96)
     policy, _ = train_adversary(adv, BUDGET, None, factory, TRAIN_SIM, REWARD,
@@ -241,8 +241,8 @@ def test_criterion_6_lp_burst_case(learned_stack):
     lp_log = run_episode(sim, trace, lp)
     learned = LearnedController(learned_stack["policy"], b_max=REWARD.b_max)
     ln_log = run_episode(sim, trace, learned)
-    lp_util = lp_log.mean_utilization()
-    ln_util = ln_log.mean_utilization()
+    lp_util = build_report(lp_log).utilization
+    ln_util = build_report(ln_log).utilization
     print(f"    lp util={lp_util:.3f} ({lp.indications} indications, "
           f"{lp_log.dropped} drops); learned util={ln_util:.3f}")
     report(6, "loss-free burst: lp backs off early, learned wins on utilization",
@@ -257,7 +257,7 @@ def test_criterion_7_smoothness_ordering(learned_stack):
 
     def series_for(ctl):
         log = run_episode(sim, trace, ctl)
-        return [(o.now_ms / 1000.0, max(o.cwnd, 1e-9)) for o in log.observations]
+        return [(o.now_ms / 1000.0, max(o.cwnd, 1e-9)) for o in observations(log)]
 
     s_learned = series_for(LearnedController(learned_stack["policy"],
                                              b_max=REWARD.b_max))

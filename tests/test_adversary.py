@@ -15,20 +15,20 @@ from ccprobe.adversary import (AdversaryConfig, EnvBandwidthDriver, SETTINGS,
                                train_adversary)
 from ccprobe.cc import make_controller
 from ccprobe.cem import CemConfig
-from ccprobe.learned import RewardParams
-from ccprobe.netsim import (DomainError, Observation, Rng, _lib, obs_row,
-                            replace, run_episode, run_episodes)
+from ccprobe.learned import PolicyNet, RewardParams
+from ccprobe.metrics import build_report
+from ccprobe.netsim import DomainError, Rng, _lib, replace, run_episode, run_episodes
 from ccprobe.tracegen import (SmoothnessBudget, check_feasible, gen_random_trace,
                               project_next)
-from drivers import adv_step
-from oracles import env_reward, naive_reward, perturb_min_rtt, queuing_delay
+from drivers import adv_step, obs_row
+from oracles import Obs, env_reward, naive_reward, perturb_min_rtt, queuing_delay
 
 
 def obs(srtt=25.0, min_rtt=20.0, cap=48.0, util=0.8):
-    return Observation(interval_idx=0, now_ms=100.0, capacity_mbps=cap,
-                       throughput_mbps=util * cap, loss_mbps=0.0, loss_rate=0.0,
-                       srtt_ms=srtt, min_rtt_ms=min_rtt, visible_min_rtt_ms=min_rtt,
-                       utilization=util, cwnd=10.0)
+    return Obs(interval_idx=0, now_ms=100.0, capacity_mbps=cap,
+               throughput_mbps=util * cap, loss_mbps=0.0, loss_rate=0.0,
+               srtt_ms=srtt, min_rtt_ms=min_rtt, visible_min_rtt_ms=min_rtt,
+               utilization=util, cwnd=10.0)
 
 
 @settings(max_examples=60)
@@ -141,7 +141,7 @@ def test_calibrate_tau_is_mean_of_means(short_sim):
     factory = lambda: make_controller("reno")
     tau, reports = calibrate_tau(factory, traces, short_sim, workers=2)
     # oracle: same runs, averaged by hand
-    delays = [run_episode(short_sim, tr, factory()).mean_queuing_delay_ms()
+    delays = [build_report(run_episode(short_sim, tr, factory())).interval_delay_ms
               for tr in traces]
     assert tau == pytest.approx(sum(delays) / len(delays), rel=1e-12)
     assert [r.interval_delay_ms for r in reports] == pytest.approx(delays, rel=1e-12)
@@ -160,8 +160,8 @@ def test_adversarial_episode_clean_mode_matches_unperturbed(short_sim, const_tra
     ev = adversarial_episode(adv, SmoothnessBudget(), None, None, factory,
                              short_sim, RewardParams(), seed=0,
                              clean_traces=[const_trace])
-    ref = run_episode(short_sim, const_trace, factory())
-    assert ev.utilization == pytest.approx(ref.mean_utilization(), rel=1e-12)
+    ref = build_report(run_episode(short_sim, const_trace, factory()))
+    assert ev.utilization == pytest.approx(ref.utilization, rel=1e-12)
 
 
 def test_reno_ignores_min_rtt_perturbation(short_sim, const_trace):
@@ -172,10 +172,9 @@ def test_reno_ignores_min_rtt_perturbation(short_sim, const_trace):
     ev = adversarial_episode(adv, SmoothnessBudget(), None, None, factory,
                              short_sim, RewardParams(), seed=0,
                              clean_traces=[const_trace])
-    ref = run_episode(short_sim, const_trace, factory())
-    assert ev.utilization == pytest.approx(ref.mean_utilization(), rel=1e-12)
-    assert ev.interval_delay_ms == pytest.approx(ref.mean_queuing_delay_ms(),
-                                                 rel=1e-12)
+    ref = build_report(run_episode(short_sim, const_trace, factory()))
+    assert ev.utilization == pytest.approx(ref.utilization, rel=1e-12)
+    assert ev.interval_delay_ms == pytest.approx(ref.interval_delay_ms, rel=1e-12)
 
 
 def test_train_adversary_zero_budget(short_sim):
@@ -225,7 +224,7 @@ def _python_scores(adv, reward, log):
     moved into the tick loop: (return, constraint rate)."""
     delays = deque(maxlen=adv.window_h)
     total, ok = 0.0, 0
-    for o in log.observations:
+    for o in oracles.observations(log):
         delays.append(queuing_delay(o))
         if adv.reward_mode == "naive":
             r = naive_reward(oracles.controller_reward(o, reward))
@@ -235,7 +234,7 @@ def _python_scores(adv, reward, log):
             r = env_reward(o, delays, adv)
         total += r
         ok += o.srtt_ms - o.min_rtt_ms >= adv.tau_ms
-    n = len(log.observations)
+    n = len(log.rows)
     return total / n, ok / n
 
 
@@ -297,7 +296,8 @@ def test_slice_of_episodes_equals_single_episodes(short_sim):
             want = _python_scores(adv, reward, log)
             assert [x.hex() for x in (ev.adv_return, ev.ok_rate)] == \
                 [x.hex() for x in want], case
-            assert ev.capacities == [o.capacity_mbps for o in log.observations]
+            assert ev.capacities == [o.capacity_mbps
+                                     for o in oracles.observations(log)]
 
 
 def test_reward_domain_errors_raise_through_the_c_code():
@@ -321,6 +321,37 @@ def test_reward_domain_errors_raise_through_the_c_code():
             python(bad)
         err = netsim._tick_loop_error(code, None)
         assert type(err) is DomainError and str(err) == str(want.value)
+
+
+@pytest.mark.parametrize("hidden", [0, 16])
+def test_a_policy_of_the_other_surfaces_width_fails_before_any_tick(
+        short_sim, const_trace, monkeypatch, hidden):
+    # each surface's policy reads its own feature count: one of the other
+    # width is rejected when the adversary is built, not one interval into
+    # the episode by numpy's matmul
+    lib, steps = netsim._lib, []
+
+    class Lib:
+        def __getattr__(self, name):
+            if name.startswith("tl_step"):
+                steps.append(name)
+            return getattr(lib, name)
+
+    monkeypatch.setattr(netsim, "_lib", Lib())
+    with pytest.raises(ValueError, match="EnvBandwidthDriver's policy reads "
+                                         "its 6 features, not 5"):
+        EnvBandwidthDriver(SmoothnessBudget(), PolicyNet(5, hidden=hidden))
+    with pytest.raises(ValueError, match="FeatureIntercept's policy reads "
+                                         "its 5 features, not 6"):
+        FeatureIntercept(AdversaryConfig(0.05), PolicyNet(6, hidden=hidden))
+    for surface, n_features in (("env", 5), ("feature", 6)):
+        adv = AdversaryConfig(0.05, surface=surface, tau_ms=1.0)
+        with pytest.raises(ValueError, match=f"not {n_features}$"):
+            adversarial_episodes(adv, SmoothnessBudget(),
+                                 PolicyNet(n_features, hidden=hidden), None,
+                                 lambda: make_controller("reno"), short_sim,
+                                 RewardParams(), [0], clean_traces=[const_trace])
+    assert steps == []
 
 
 @settings(max_examples=200)

@@ -6,10 +6,14 @@ traced benchmark run. Installing and undoing its instrumentation, with no
 episode run, catches that here. `perfbench/test_bench.py`, which runs outside
 this suite, imports more names from ccprobe; each is resolved here too. The
 tracer's rollout counter reads fields of `adversarial_episode`'s report, so
-those fields, and which delay it tests tau on, are checked as well.
+those fields, and which delay it tests tau on, are checked as well. Last,
+every public function or class of `src/` that no code in `src/`,
+`perfbench/` or `scripts/` reads must be on a short list, with its reason,
+so a name kept for tests alone shows up here.
 """
 
 import ast
+import glob
 import importlib
 import os
 
@@ -72,3 +76,45 @@ def test_rollout_counter_tests_tau_on_the_per_interval_delay():
     # tau and select_worst_trace's filter are per-interval means, so a
     # rollout is feasible when the report's interval_delay_ms reaches tau
     assert _rollout_report_reads() == {"interval_delay_ms"}
+
+
+# public module-level functions and classes of `src/ccprobe` that no code in
+# src/, perfbench/ or scripts/ reads, each with the reason it stays
+UNREAD_BY_CODE = {
+    "learned.observation_features": "perfbench's tracer looks it up by name",
+    "tracegen.project_next": "perfbench's tracer looks it up by name; the "
+                             "tests' per-step trace oracle calls it",
+}
+
+
+def _names_read(path):
+    """The names a file's code reads: bare names, attributes and imported
+    names. A string naming a function is not a read."""
+    with open(path) as f:
+        tree = ast.parse(f.read())
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name.rpartition(".")[2])
+    return names
+
+
+def test_every_public_src_name_is_read_by_code_or_listed():
+    src = sorted(glob.glob(os.path.join(ROOT, "src", "ccprobe", "*.py")))
+    read = set()
+    for path in src + [p for d in ("perfbench", "scripts")
+                       for p in glob.glob(os.path.join(ROOT, d, "*.py"))]:
+        read |= _names_read(path)
+    unread = set()
+    for path in src:
+        with open(path) as f:
+            body = ast.parse(f.read()).body
+        module = os.path.basename(path)[:-len(".py")]
+        unread |= {f"{module}.{node.name}" for node in body
+                   if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                   and not node.name.startswith("_") and node.name not in read}
+    assert unread == set(UNREAD_BY_CODE)

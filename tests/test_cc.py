@@ -8,6 +8,7 @@ from ccprobe import cc
 from ccprobe.cc import (RULE_BASED, BbrLite, Cubic, Illinois, Lp, Reno, Vegas,
                         make_controller)
 from ccprobe.learned import LearnedController, PolicyNet
+from ccprobe.metrics import build_report
 from ccprobe.netsim import BandwidthTrace, SimConfig, _ffi, _lib, run_episode
 from drivers import on_ack, on_loss
 
@@ -260,7 +261,7 @@ def test_bbrlite_tracks_capacity():
     sim = SimConfig(episode_duration_s=15.0)
     trace = BandwidthTrace(100.0, [48.0] * 150)
     log = run_episode(sim, trace, BbrLite())
-    assert log.mean_utilization() > 0.85
+    assert build_report(log).utilization > 0.85
     assert log.dropped == 0
 
 

@@ -735,6 +735,30 @@ def _training_runs(tmp_path):
     ]
 
 
+def test_gen_trace_and_lp_case_outputs_match_across_worker_counts(
+        tmp_path, capsys, started_threads):
+    # both run their traces or episodes as one batch on --workers threads
+    cfg = _write_cfg(tmp_path)
+    runs = {"random": ["gen-trace", "--n", "3", "--length", "40"],
+            "unconstrained": ["gen-trace", "--mode", "unconstrained", "--n", "3",
+                              "--length", "40"],
+            "lp": ["lp-case", "--checkpoint", _checkpoint(tmp_path)]}
+    for sub, argv in runs.items():
+        got = []
+        for w in (1, 2):
+            started_threads.clear()
+            out = str(tmp_path / f"{sub}{w}")
+            code = main(argv + ["--config", cfg, "--workers", str(w), "--out", out])
+            printed = capsys.readouterr()
+            assert len(started_threads) == w - 1, (sub, w)
+            files = {f: open(os.path.join(out, f), "rb").read()
+                     for f in sorted(os.listdir(out))}
+            got.append((code, printed.out.replace(out, "OUT"), printed.err, files))
+        assert got[0] == got[1], sub
+    assert sorted(got[0][3]) == ["burst.trace", "lp_case.csv", "lp_case_learned.csv",
+                                 "lp_case_lp.csv", "lp_case_reno.csv"]
+
+
 def _spy_on_map_jobs(monkeypatch, spy):
     import ccprobe
     from ccprobe import netsim

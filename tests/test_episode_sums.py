@@ -1,5 +1,5 @@
 """An episode's summary, reduced in C from its rows: bit for bit the Python
-formulas of `oracles`, and no Observation built where nothing reads one."""
+formulas of `oracles`, and one reduction per report."""
 
 import pickle
 from functools import partial
@@ -15,7 +15,7 @@ from ccprobe.adversary import (AdversaryConfig, EnvBandwidthDriver, SETTINGS,
                                make_adversary_policy)
 from ccprobe.cc import RULE_BASED, make_controller
 from ccprobe.learned import LearnedController, PolicyNet, RewardParams
-from ccprobe.metrics import clean_episode
+from ccprobe.metrics import build_report, clean_episode
 from ccprobe.netsim import DomainError, EpisodeLog, SimConfig, run_episode, run_episodes
 from ccprobe.tracegen import SmoothnessBudget, gen_random_trace
 
@@ -52,7 +52,8 @@ def test_c_sums_are_the_python_formulas(trace, name, seed, reward):
     else:
         factory = partial(make_controller, name)
     log = run_episode(SIM, trace, factory())
-    assert _hex(log.mean_queuing_delay_ms(), log.mean_utilization()) == \
+    report = build_report(log)
+    assert _hex(report.interval_delay_ms, report.utilization) == \
         _hex(oracles.mean_queuing_delay_ms(log), oracles.mean_utilization(log))
     n = len(log.rows)
     assert _hex(log.sums(reward).reward / n) == _hex(oracles.episode_return(log, reward))
@@ -77,7 +78,7 @@ def test_c_sums_of_adversarial_episodes_are_the_python_formulas(
     evs = adversarial_episodes(adv, budget, policy, params, factory, SIM, reward,
                                seeds, clean_traces=[trace])
     for ev, p, s in zip(evs, params, seeds):
-        # the row's episode again, alone, for its Observations
+        # the row's episode again, alone, for its rows
         if surface == "env":
             row, intercept = None, EnvBandwidthDriver(
                 budget, policy.with_params(p), b_max=reward.b_max, seed=s)
@@ -87,7 +88,7 @@ def test_c_sums_of_adversarial_episodes_are_the_python_formulas(
         [log] = run_episodes(SIM, [row], [factory()], [intercept])
         assert _hex(ev.utilization, ev.interval_delay_ms) == \
             _hex(oracles.mean_utilization(log), oracles.mean_queuing_delay_ms(log))
-        assert ev.capacities == [o.capacity_mbps for o in log.observations]
+        assert ev.capacities == [o.capacity_mbps for o in oracles.observations(log)]
 
 
 values = st.floats(-1e3, 1e3)
@@ -100,11 +101,10 @@ rows = st.lists(st.tuples(*[values] * 6, st.floats(1e-3, 1e3), *[values] * 3),
 @given(rows, rewards)
 def test_c_sums_of_any_rows_are_the_python_formulas(rows, reward):
     log = EpisodeLog(SimConfig(), rows=np.array(rows, dtype=np.float64).reshape(-1, 10))
-    assert _hex(log.mean_queuing_delay_ms(), log.mean_utilization()) == \
-        _hex(oracles.mean_queuing_delay_ms(log), oracles.mean_utilization(log))
-    n = len(rows)
-    assert _hex(log.sums(reward).reward / n if n else 0.0) == \
-        _hex(oracles.episode_return(log, reward))
+    report = build_report(log, reward)
+    assert _hex(report.interval_delay_ms, report.utilization, report.reward) == \
+        _hex(oracles.mean_queuing_delay_ms(log), oracles.mean_utilization(log),
+             oracles.episode_return(log, reward))
 
 
 def _zero_min_rtt_at(k, log):
@@ -127,16 +127,17 @@ def test_episode_return_raises_domain_error_on_zero_min_rtt(monkeypatch, const_t
         clean_episode(sim, const_trace, partial(
             LearnedController, PolicyNet(n_features=5, hidden=0)), reward)
     # the means take no reward, so no reward domain
-    assert log.mean_utilization() == oracles.mean_utilization(log)
+    assert build_report(log).utilization == oracles.mean_utilization(log)
 
 
 def test_pickled_log_round_trips(short_sim, const_trace):
     log = run_episode(short_sim, const_trace, make_controller("cubic"))
     back = pickle.loads(pickle.dumps(log))
-    assert back.observations == log.observations
+    assert back.rows.tolist() == log.rows.tolist()
     assert back.rows.dtype == np.float64 and back.rows.shape == (50, 10)
-    assert _hex(back.mean_queuing_delay_ms(), back.mean_utilization()) == \
-        _hex(log.mean_queuing_delay_ms(), log.mean_utilization())
+    a, b = build_report(back), build_report(log)
+    assert _hex(a.interval_delay_ms, a.utilization) == \
+        _hex(b.interval_delay_ms, b.utilization)
     assert back.ack_rtt_ticks == log.ack_rtt_ticks
 
 
@@ -144,22 +145,40 @@ def test_sums_reject_rows_of_another_layout():
     for rows in (np.zeros((3, 9)), np.zeros((3, 10), np.float32),
                  np.zeros((10, 3)).T):
         with pytest.raises(ValueError, match="rows"):
-            EpisodeLog(SimConfig(), rows=rows).mean_utilization()
+            EpisodeLog(SimConfig(), rows=rows).sums()
 
 
-def test_summaries_build_no_observation(monkeypatch, short_sim, const_trace):
-    built, real = [], netsim.Observation
+class _CountingSums:
+    """The tick loop's C library, counting `tl_obs_sums` calls."""
 
-    def spy(*args):
-        built.append(args[0])
-        return real(*args)
+    def __init__(self, lib):
+        self.lib, self.calls = lib, 0
 
-    monkeypatch.setattr(netsim, "Observation", spy)
-    clean_episode(short_sim, const_trace, partial(make_controller, "reno"))
-    for hidden in (0, 16):
-        # nor does a learned one's with its reward, a hidden-layer policy's
-        # included, whose features the loop writes
-        clean_episode(short_sim, const_trace, partial(
-            LearnedController, PolicyNet(n_features=5, hidden=hidden)),
-            RewardParams())
-    assert built == []
+    def __getattr__(self, name):
+        return getattr(self.lib, name)
+
+    def tl_obs_sums(self, *args):
+        self.calls += 1
+        return self.lib.tl_obs_sums(*args)
+
+
+def test_each_report_sums_its_episode_once(monkeypatch, short_sim, const_trace):
+    # a report's interval delay, utilization and reward come from one
+    # reduction over the rows: a rule controller's, and a linear or
+    # hidden-layer learned one's with its reward
+    spy = _CountingSums(netsim._lib)
+    monkeypatch.setattr(netsim, "_lib", spy)
+    cases = [(partial(make_controller, "reno"), None)] + [
+        (partial(LearnedController, PolicyNet(n_features=5, hidden=hidden)),
+         RewardParams()) for hidden in (0, 16)]
+    for factory, reward in cases:
+        spy.calls = 0
+        report = clean_episode(short_sim, const_trace, factory, reward)
+        assert spy.calls == 1 and (report.reward is None) == (reward is None)
+    # and an adversarial slice's, one per row
+    spy.calls = 0
+    adversarial_episodes(AdversaryConfig(surface="env", tau_ms=1.0),
+                         SmoothnessBudget(), make_adversary_policy("env"), None,
+                         partial(make_controller, "reno"), short_sim,
+                         RewardParams(), [0, 1])
+    assert spy.calls == 2

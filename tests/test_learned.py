@@ -13,15 +13,16 @@ from ccprobe.learned import (FEATURE_NAMES, LearnedController, PolicyNet,
                              RewardParams, load_policy, observation_features,
                              policy_outputs, save_policy, train_controller)
 from ccprobe.metrics import clean_episode
-from ccprobe.netsim import ConfigError, Observation, _lib, run_episode
-from drivers import learned_step
+from ccprobe.netsim import ConfigError, _lib, run_episode
+from drivers import learned_step, obs_row
+from oracles import Obs
 
 
 def obs(srtt=25.0, min_rtt=20.0, thr=40.0, loss_rate=0.0):
-    return Observation(interval_idx=0, now_ms=100.0, capacity_mbps=48.0,
-                       throughput_mbps=thr, loss_mbps=0.0, loss_rate=loss_rate,
-                       srtt_ms=srtt, min_rtt_ms=min_rtt, visible_min_rtt_ms=min_rtt,
-                       utilization=0.8, cwnd=10.0)
+    return Obs(interval_idx=0, now_ms=100.0, capacity_mbps=48.0,
+               throughput_mbps=thr, loss_mbps=0.0, loss_rate=loss_rate,
+               srtt_ms=srtt, min_rtt_ms=min_rtt, visible_min_rtt_ms=min_rtt,
+               utilization=0.8, cwnd=10.0)
 
 
 def act(policy, features):
@@ -30,7 +31,7 @@ def act(policy, features):
 
 
 def test_feature_vector_layout():
-    f = observation_features(obs(), b_max=96.0, prev_action=0.5)
+    f = observation_features(obs_row(obs()), b_max=96.0, prev_action=0.5)
     assert len(f) == len(FEATURE_NAMES) == 5
     assert f[0] == pytest.approx(25.0 / 20.0)
     assert f[1] == pytest.approx(40.0 / 96.0)
@@ -127,7 +128,7 @@ def test_controller_cwnd_capped():
 def _python_interval(policy, b_max, cwnd_max, cwnd, prev_action, o):
     """The learned controller's interval step in numpy, as it was written
     before the linear policy moved into the tick loop: (cwnd, action)."""
-    a = act(policy, observation_features(o, b_max, prev_action))
+    a = act(policy, observation_features(obs_row(o), b_max, prev_action))
     return min(cwnd_max, max(1.0, cwnd * 2.0 ** a)), a
 
 
@@ -166,10 +167,10 @@ def test_c_linear_interval_step_is_numpys(params, a_max, b_max, cwnd, prev, srtt
     # features' 1e-6 floor
     if same_rtt:
         srtt = visible
-    o = Observation(interval_idx=3, now_ms=400.0, capacity_mbps=48.0,
-                    throughput_mbps=thr, loss_mbps=0.0, loss_rate=loss_rate,
-                    srtt_ms=srtt, min_rtt_ms=srtt, visible_min_rtt_ms=visible,
-                    utilization=0.5, cwnd=cwnd)
+    o = Obs(interval_idx=3, now_ms=400.0, capacity_mbps=48.0,
+            throughput_mbps=thr, loss_mbps=0.0, loss_rate=loss_rate,
+            srtt_ms=srtt, min_rtt_ms=srtt, visible_min_rtt_ms=visible,
+            utilization=0.5, cwnd=cwnd)
     _assert_c_step_is_pythons(params, a_max, b_max, 4096.0, cwnd, prev, o)
 
 
@@ -180,10 +181,10 @@ def test_c_linear_interval_step_over_random_policies():
         params = rng.normal(0.0, rng.choice([0.1, 1.0, 10.0]), 6)
         params[rng.random(6) < 0.2] = 0.0
         visible = rng.uniform(1.0, 200.0)
-        o = Observation(0, 100.0, 48.0, rng.uniform(0.0, 100.0), 0.0,
-                        rng.choice([0.0, rng.uniform(0.0, 0.5)]),
-                        visible + rng.uniform(0.0, 300.0), visible, visible,
-                        0.5, 10.0)
+        o = Obs(0, 100.0, 48.0, rng.uniform(0.0, 100.0), 0.0,
+                rng.choice([0.0, rng.uniform(0.0, 0.5)]),
+                visible + rng.uniform(0.0, 300.0), visible, visible,
+                0.5, 10.0)
         _assert_c_step_is_pythons(params, 2.0, 96.0, 4096.0,
                                   rng.uniform(1.0, 4096.0),
                                   rng.uniform(-2.0, 2.0), o)
@@ -254,9 +255,8 @@ def _python_act(policy, x):
        thr=st.floats(0.0, 200.0), loss_rate=st.floats(0.0, 1.0),
        b_max=st.sampled_from([96.0, 32.0, 1.5]), prev=st.floats(-3.7, 3.7))
 def test_c_features_are_pythons(srtt, visible, thr, loss_rate, b_max, prev):
-    o = Observation(0, 100.0, 48.0, thr, 0.0, loss_rate, srtt, srtt, visible,
-                    0.5, 10.0)
-    assert ([x.hex() for x in observation_features(o, b_max, prev)]
+    o = Obs(0, 100.0, 48.0, thr, 0.0, loss_rate, srtt, srtt, visible, 0.5, 10.0)
+    assert ([x.hex() for x in observation_features(obs_row(o), b_max, prev)]
             == [x.hex() for x in _python_features(o, b_max, prev)])
 
 
@@ -291,9 +291,9 @@ def test_hidden_learned_step_is_pythons():
         policy = policy.with_params(rng.normal(0.0, rng.choice([0.3, 3.0]),
                                                policy.n_params))
         visible = rng.uniform(1.0, 200.0)
-        o = Observation(0, 100.0, 48.0, rng.uniform(0.0, 100.0), 0.0,
-                        rng.uniform(0.0, 0.5), visible + rng.uniform(0.0, 300.0),
-                        visible, visible, 0.5, 10.0)
+        o = Obs(0, 100.0, 48.0, rng.uniform(0.0, 100.0), 0.0,
+                rng.uniform(0.0, 0.5), visible + rng.uniform(0.0, 300.0),
+                visible, visible, 0.5, 10.0)
         ctl = LearnedController(policy, cwnd_max=4096.0)
         ctl.cwnd, ctl.prev_action = rng.uniform(1.0, 4096.0), rng.uniform(-2.0, 2.0)
         a = _python_act(policy, _python_features(o, ctl.b_max, ctl.prev_action))

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from ccprobe.cc import Pinned
-from ccprobe.metrics import delay_stats
+from ccprobe.metrics import build_report, delay_stats
 from ccprobe.netsim import (BandwidthTrace, DomainError, EmptyLog, EpisodeLog,
                             SimConfig, run_episode)
 from oracles import cwnd_smoothness
@@ -53,7 +53,7 @@ def test_p95_small_samples():
 
 def test_utilization_against_trace_integral(short_sim, const_trace):
     log = run_episode(short_sim, const_trace, Pinned(80.0))
-    u = log.mean_utilization()
+    u = build_report(log).utilization
     # byte-level oracle
     cap_bytes = 48e6 / 8.0 * 5.0
     assert u == pytest.approx(log.delivered * 1500 / cap_bytes, rel=1e-12) \

@@ -23,8 +23,9 @@ from ccprobe.adversary import (AdversaryConfig, EnvBandwidthDriver,
                                make_adversary_policy)
 from ccprobe.cc import RULE_BASED, Pinned, make_controller
 from ccprobe.learned import LearnedController, PolicyNet, RewardParams
-from ccprobe.netsim import (OBS_COLUMNS, BandwidthTrace, ConfigError, SimConfig,
-                            _lib, export_mahimahi, map_jobs, read_trace, replace,
+from ccprobe.metrics import build_report
+from ccprobe.netsim import (BandwidthTrace, ConfigError, SimConfig, _lib,
+                            export_mahimahi, map_jobs, read_trace, replace,
                             run_episode, run_episodes, write_trace)
 from ccprobe.tracegen import SmoothnessBudget, gen_burst_trace, gen_random_trace
 
@@ -48,7 +49,7 @@ def queued_acks(log, sim):
 
 def test_pinned_bdp_full_utilization(short_sim, const_trace):
     log = run_episode(short_sim, const_trace, Pinned(80.0))
-    assert log.mean_utilization() > 0.99
+    assert build_report(log).utilization > 0.99
     assert log.dropped == 0
     # only the initial one-cwnd burst queues; every other RTT sample sits
     # exactly at the base RTT
@@ -58,17 +59,18 @@ def test_pinned_bdp_full_utilization(short_sim, const_trace):
 def test_pinned_overload_saturates_queue(short_sim, const_trace):
     # 3 x BDP: one BDP in flight, the rest pinned in the 2 x BDP queue
     log = run_episode(short_sim, const_trace, Pinned(240.0))
-    assert log.mean_utilization() > 0.99
+    report = build_report(log)
+    assert report.utilization > 0.99
     assert log.dropped > 0
     # full queue of 2 x BDP adds two base-RTTs of queuing delay
-    assert log.mean_queuing_delay_ms() == pytest.approx(
+    assert report.interval_delay_ms == pytest.approx(
         2.0 * short_sim.base_rtt_ms, rel=0.1)
 
 
 def test_underload_has_no_queueing(short_sim, const_trace):
     log = run_episode(short_sim, const_trace, Pinned(20.0))
     assert log.dropped == 0
-    assert log.mean_utilization() == pytest.approx(20.0 / 80.0, rel=0.05)
+    assert build_report(log).utilization == pytest.approx(20.0 / 80.0, rel=0.05)
     # initial 20-packet burst queues briefly; steady state is queue-free
     assert queued_acks(log, short_sim) <= 20
 
@@ -77,7 +79,7 @@ def test_determinism_bit_identical(short_sim, const_trace):
     a = run_episode(short_sim, const_trace, Pinned(80.0))
     b = run_episode(short_sim, const_trace, Pinned(80.0))
     assert a.ack_rtt_ticks == b.ack_rtt_ticks
-    assert a.observations == b.observations
+    assert a.rows.tolist() == b.rows.tolist()
     assert (a.sent, a.delivered, a.dropped) == (b.sent, b.delivered, b.dropped)
 
 
@@ -104,7 +106,7 @@ def test_integral_float_packet_size_is_the_integer(short_sim):
     a = run_episode(short_sim, trace, make_controller("cubic"))
     b = run_episode(replace(short_sim, packet_size=1500.0), trace,
                     make_controller("cubic"))
-    assert a.observations == b.observations
+    assert a.rows.tolist() == b.rows.tolist()
     assert a.ack_rtt_ticks == b.ack_rtt_ticks
     assert (a.sent, a.delivered, a.dropped) == (b.sent, b.delivered, b.dropped)
 
@@ -650,7 +652,7 @@ def test_trace_driven_c_controller_runs_to_the_end_in_one_step(
         spy.steps = spy.row_steps = 0
         [log] = run_episodes(short_sim, [tr], [factory()], [adv and adv()])
         assert (spy.steps, spy.row_steps) == calls, (factory, adv)
-        assert [o.interval_idx for o in log.observations] == list(range(n))
+        assert len(log.rows) == n
     # a slice of policy and policy-less adversaries: only the two rows with a
     # policy are hooked, and the other three each run in one `tl_step`
     spy.steps = spy.row_steps = 0
@@ -750,15 +752,14 @@ def _whole_log(config, trace, controller_factory):
     return run_episode(config, trace, controller_factory())
 
 
-def test_slotted_observations_equal_at_workers_1_and_2(short_sim):
+def test_logs_equal_at_workers_1_and_2(short_sim):
     # whole episode logs come back from a worker thread; each job builds its
     # own controller from a factory
     trace = _golden_traces()[0]
     jobs = [(short_sim, trace, partial(make_controller, name)) for name in RULE_BASED]
     one, two = map_jobs(_whole_log, jobs, 1), map_jobs(_whole_log, jobs, 2)
-    assert not hasattr(one[0].observations[0], "__dict__")
     for a, b in zip(one, two):
-        assert a.observations == b.observations
+        assert a.rows.tolist() == b.rows.tolist()
         assert (a.sent, a.delivered, a.dropped, a.acked, a.ack_rtt_ticks) == \
             (b.sent, b.delivered, b.dropped, b.acked, b.ack_rtt_ticks)
 
@@ -848,7 +849,7 @@ def test_episode_invariants_on_feasible_traces(seed, delta, bw_min, span):
         assert all(k >= base_ticks for k in log.ack_rtt_ticks), name
         assert log.delivered <= opportunities, name
         assert 0 <= log.in_flight_end <= queue_cap, name
-        assert all(0.0 <= o.utilization <= 1.0 for o in log.observations), name
+        assert all(0.0 <= u <= 1.0 for u in log.column("utilization").tolist()), name
 
 
 # --- golden episodes -----------------------------------------------------------
@@ -864,7 +865,7 @@ def _golden_traces():
 
 
 def test_golden_episode_hashes(short_sim):
-    # One digest over every episode's totals, observations and per-ACK RTT
+    # One digest over every episode's totals, per-interval rows and per-ACK RTT
     # histogram: a change to the simulator's arithmetic or event order moves
     # it. The runaway Pinned(4096) saturates the per-tick injection cap;
     # Pinned(240) overloads the queue at a steady cwnd.
@@ -918,8 +919,7 @@ def test_slice_of_mixed_policy_shapes_is_rejected(short_sim, monkeypatch):
 def _hash_episode(h, log):
     h.update(repr((log.sent, log.delivered, log.dropped, log.acked,
                    log.in_flight_end,
-                   [(o.interval_idx, *(getattr(o, c) for c in OBS_COLUMNS))
-                    for o in log.observations],
+                   [(i, *row) for i, row in enumerate(log.rows.tolist())],
                    sorted(log.ack_rtt_ticks.items()))).encode())
 
 
@@ -971,10 +971,10 @@ def test_golden_episode_hashes_beyond_rule_traces(short_sim):
         for name in RULE_BASED:
             logs.append(run_episode(half_tick, trace, make_controller(name)))
     # each kind really is exercised
-    assert max(o.cwnd for o in runaway.observations) == 4096.0
-    assert len({o.capacity_mbps for o in env_log.observations}) > 10
-    assert any(o.visible_min_rtt_ms != o.min_rtt_ms
-               for o in feat_log.observations)
+    assert max(runaway.column("cwnd").tolist()) == 4096.0
+    assert len(set(env_log.column("capacity_mbps").tolist())) > 10
+    assert (feat_log.column("visible_min_rtt_ms")
+            != feat_log.column("min_rtt_ms")).any()
     h = hashlib.sha256()
     for log in logs:
         _hash_episode(h, log)

@@ -9,18 +9,18 @@ from hypothesis import given, strategies as st
 
 from ccprobe.adversary import AdversaryConfig
 from ccprobe.learned import RewardParams
-from ccprobe.netsim import DomainError, Observation, _lib, obs_row
+from ccprobe.netsim import DomainError, _lib
 from ccprobe.tracegen import avg_abs_slope
-from drivers import c_double
-from oracles import delay_penalty, env_reward, naive_reward, queuing_delay
+from drivers import c_double, obs_row
+from oracles import Obs, delay_penalty, env_reward, naive_reward, queuing_delay
 
 
 def make_obs(thr=40.0, loss=0.0, srtt=25.0, min_rtt=20.0, util=0.8,
              loss_rate=0.0):
-    return Observation(interval_idx=0, now_ms=100.0, capacity_mbps=48.0,
-                       throughput_mbps=thr, loss_mbps=loss, loss_rate=loss_rate,
-                       srtt_ms=srtt, min_rtt_ms=min_rtt,
-                       visible_min_rtt_ms=min_rtt, utilization=util, cwnd=10.0)
+    return Obs(interval_idx=0, now_ms=100.0, capacity_mbps=48.0,
+               throughput_mbps=thr, loss_mbps=loss, loss_rate=loss_rate,
+               srtt_ms=srtt, min_rtt_ms=min_rtt,
+               visible_min_rtt_ms=min_rtt, utilization=util, cwnd=10.0)
 
 
 def oracle_reward(thr, loss, srtt, min_rtt, lam, gamma, b_max):
